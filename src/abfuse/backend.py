@@ -3,8 +3,8 @@
 The hot kernels in :mod:`abfuse.kernels` exist in two flavours: a numba
 ``@njit``-compiled version and a plain numpy/Python version.  Which one is
 used is decided per call via :func:`use_numba`, so the environment variable
-``ABFUSE_NO_NUMBA`` can be flipped at runtime (useful for tests and for the
-backend benchmark).
+``ABFUSE_NO_NUMBA`` can be flipped at runtime (useful for tests).  numba is
+the optional ``fast`` extra; without it every kernel runs its plain version.
 """
 
 import os
@@ -13,7 +13,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time dependency
+except ImportError:  # numba is optional (the ``fast`` extra)
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):

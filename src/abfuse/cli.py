@@ -18,7 +18,7 @@ from . import baselines, evaluation, solver_hs, solver_ip, synthgen, tiebreak
 from .deduction import default_domain, load_domain_config
 from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules, learn_ruleset
 from .model_io import (InputError, coverage_report, load_dataset,
-                       observations_from_dataset)
+                       observations_from_dataset, read_jsonl)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -197,18 +197,11 @@ def cmd_eval(args) -> int:
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
     atoms = set()
-    try:
-        with open(args.labels, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                atoms.add((str(rec["class_id"]), str(rec["object_id"])))
-    except OSError as exc:
-        raise InputError(f"cannot open {args.labels}: {exc}") from exc
-    except (KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"{args.labels}:{lineno}: bad label record: {exc}") from exc
+    for lineno, rec in read_jsonl(args.labels):
+        try:
+            atoms.add((str(rec["class_id"]), str(rec["object_id"])))
+        except KeyError as exc:
+            raise InputError(f"{args.labels}:{lineno}: bad label record: {exc}") from exc
     metrics = evaluation.score(atoms, ds.labels(), domain=domain,
                                n_objects=len(obs.objects))
     _write_json(args.out, _metrics_dict(metrics))

@@ -3,8 +3,8 @@
 Each public helper here dispatches to either a numba-compiled loop kernel or
 a plain numpy implementation, decided per call by :func:`abfuse.backend.use_numba`.
 The compiled and plain paths are checked against each other in the test
-suite; the benchmark in ``benchmarks/compare_backends.py`` compares their
-speed.
+suite; ``python3 perfbench/run.py`` times the kernels inside whole CLI runs
+(``--trace 1`` reports them per layer).
 
 Array conventions (shared with the solvers):
 

@@ -27,6 +27,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Malformed or inconsistent input data."""
@@ -174,6 +176,44 @@ def coverage_report(obs: ObservationSet) -> CoverageReport:
     return CoverageReport(tuple(sorted(obs.objects - covered)))
 
 
+# Ground-truth objects per IoU block: bounds stage one's scratch arrays at
+# _IOU_BLOCK x (detections of one model in one image).
+_IOU_BLOCK = 32
+
+
+def _box_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
+    """Box corners as an ``(n, 4)`` float array."""
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def _iou_block(gts: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """IoU of every ground-truth row against every detection row, ``(G, K)``.
+
+    Follows :func:`compute_iou` (detection first) operation for operation,
+    so each value equals ``compute_iou(det, gt)`` exactly.
+    """
+    area_g = (gts[:, 2] - gts[:, 0]) * (gts[:, 3] - gts[:, 1])
+    area_d = (dets[:, 2] - dets[:, 0]) * (dets[:, 3] - dets[:, 1])
+    if (area_g <= 0.0).any() or (area_d <= 0.0).any():
+        raise InputError("IoU undefined for zero-area boxes")
+    g = gts[:, None, :]
+    ix = np.minimum(dets[:, 2], g[..., 2]) - np.maximum(dets[:, 0], g[..., 0])
+    iy = np.minimum(dets[:, 3], g[..., 3]) - np.maximum(dets[:, 1], g[..., 1])
+    # disjoint pairs get inter = 0 and so IoU 0.0, as in compute_iou
+    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
+    return inter / (area_d + area_g[:, None] - inter)
+
+
+class _DetGroup(NamedTuple):
+    """One model's detections in one image as ``(input position, detection)``
+    pairs, high confidence first."""
+
+    pairs: list
+    boxes: np.ndarray
+    used: np.ndarray
+
+
 def match_detections(gt: Sequence[GroundTruthObject],
                      detections: Sequence[Detection],
                      primary_iou: float = 0.90,
@@ -185,16 +225,20 @@ def match_detections(gt: Sequence[GroundTruthObject],
     order and each takes that model's highest-confidence unused detection
     overlapping it with IoU strictly above ``primary_iou``.  Objects still
     untouched by every model afterwards get a second chance: the unused
-    detection (any model) with the highest positive IoU.  Each detection is
-    consumed by at most one object, and each object keeps at most one entry
-    per model.
+    detection (any model) of the object's own image with the highest
+    positive IoU.  Each detection is consumed by at most one object, and
+    each object keeps at most one entry per model.
+
+    IoU is computed with numpy per (image, model), ``_IOU_BLOCK`` objects
+    at a time, and equals :func:`compute_iou` bit for bit.
     """
     if not (0.0 < primary_iou <= 1.0):
         raise InputError(f"primary_iou must be in (0, 1]: {primary_iou!r}")
-    for i, g in enumerate(gt):
-        for h in gt[i + 1:]:
-            if g.object_id == h.object_id:
-                raise InputError(f"duplicate ground-truth object_id {g.object_id!r}")
+    seen_ids = set()
+    for g in gt:
+        if g.object_id in seen_ids:
+            raise InputError(f"duplicate ground-truth object_id {g.object_id!r}")
+        seen_ids.add(g.object_id)
 
     gt_by_image: dict = {}
     for g in gt:
@@ -205,44 +249,58 @@ def match_detections(gt: Sequence[GroundTruthObject],
     det_index: dict = {}
     for pos, d in enumerate(detections):
         det_index.setdefault((d.image_id, d.model_id), []).append((pos, d))
-    for group in det_index.values():
-        group.sort(key=lambda pd: (-pd[1].confidence, pd[0]))
+    model_ids = sorted({d.model_id for d in detections})
 
-    used = set()
     entries = []
     matched_objects = set()
-
-    model_ids = sorted({d.model_id for d in detections})
+    groups_by_image: dict = {}
     for image_id, objs in gt_by_image.items():
+        groups = []
         for model_id in model_ids:
-            for g in objs:
-                for pos, d in det_index.get((image_id, model_id), ()):
-                    if pos in used:
-                        continue
-                    if compute_iou(d.bbox, g.bbox) > primary_iou:
-                        used.add(pos)
-                        entries.append(Observation(g.object_id, d.model_id,
-                                                   d.class_id, d.confidence))
-                        matched_objects.add(g.object_id)
-                        break
+            pairs = det_index.get((image_id, model_id))
+            if pairs:
+                pairs.sort(key=lambda pd: (-pd[1].confidence, pd[0]))
+                groups.append(_DetGroup(pairs, _box_array(d.bbox for _, d in pairs),
+                                        np.zeros(len(pairs), dtype=bool)))
+        if not groups:
+            continue
+        groups_by_image[image_id] = groups
+        gt_boxes = _box_array(g.bbox for g in objs)
 
-    for image_id, objs in gt_by_image.items():
-        for g in objs:
+        for grp in groups:
+            for start in range(0, len(objs), _IOU_BLOCK):
+                block = gt_boxes[start:start + _IOU_BLOCK]
+                rows, cols = np.nonzero(_iou_block(block, grp.boxes) > primary_iou)
+                # rows ascend (object input order), columns ascend within a
+                # row (confidence order): the first unused column wins
+                done = -1
+                for r, c in zip(rows.tolist(), cols.tolist()):
+                    if r == done or grp.used[c]:
+                        continue
+                    done = r
+                    grp.used[c] = True
+                    g, (_, d) = objs[start + r], grp.pairs[c]
+                    entries.append(Observation(g.object_id, d.model_id,
+                                               d.class_id, d.confidence))
+                    matched_objects.add(g.object_id)
+
+    for image_id, groups in groups_by_image.items():
+        for g in gt_by_image[image_id]:
             if g.object_id in matched_objects:
                 continue
+            g_box = _box_array([g.bbox])
             best = None
-            for pos, d in enumerate(detections):
-                if pos in used or d.image_id != image_id:
-                    continue
-                iou = compute_iou(d.bbox, g.bbox)
-                if iou <= 0.0:
-                    continue
-                key = (-iou, -d.confidence, d.model_id, pos)
-                if best is None or key < best[0]:
-                    best = (key, pos, d)
+            for grp in groups:
+                ious = _iou_block(g_box, grp.boxes)[0]
+                for c in np.flatnonzero((ious > 0.0) & ~grp.used).tolist():
+                    pos, d = grp.pairs[c]
+                    key = (-float(ious[c]), -d.confidence, d.model_id, pos)
+                    if best is None or key < best[0]:
+                        best = (key, grp, c)
             if best is not None:
-                _, pos, d = best
-                used.add(pos)
+                _, grp, c = best
+                grp.used[c] = True
+                _, d = grp.pairs[c]
                 entries.append(Observation(g.object_id, d.model_id,
                                            d.class_id, d.confidence))
                 matched_objects.add(g.object_id)
@@ -267,7 +325,9 @@ def ground_truth_labels(gt: Sequence[GroundTruthObject]) -> dict:
 # file I/O
 
 
-def _read_jsonl(path: str) -> Iterable[tuple]:
+def read_jsonl(path: str) -> Iterable[tuple]:
+    """Yield ``(line number, record)`` for each non-blank line of a JSONL
+    file whose records must all be JSON objects."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -278,9 +338,12 @@ def _read_jsonl(path: str) -> Iterable[tuple]:
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise InputError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, rec
 
 
 def _require(rec: Mapping, key: str, path: str, lineno: int):
@@ -300,7 +363,7 @@ def _parse_bbox(raw, path: str, lineno: int) -> BoundingBox:
 
 def load_predictions(path: str, model_id: Optional[str] = None) -> list:
     out = []
-    for lineno, rec in _read_jsonl(path):
+    for lineno, rec in read_jsonl(path):
         det = Detection(
             image_id=str(_require(rec, "image_id", path, lineno)),
             model_id=str(_require(rec, "model_id", path, lineno)),
@@ -318,7 +381,7 @@ def load_predictions(path: str, model_id: Optional[str] = None) -> list:
 def load_ground_truth(path: str) -> list:
     out = []
     seen = set()
-    for lineno, rec in _read_jsonl(path):
+    for lineno, rec in read_jsonl(path):
         g = GroundTruthObject(
             image_id=str(_require(rec, "image_id", path, lineno)),
             object_id=str(_require(rec, "object_id", path, lineno)),
@@ -354,6 +417,8 @@ def load_dataset(manifest_path: str) -> Dataset:
     except json.JSONDecodeError as exc:
         raise InputError(f"{manifest_path}: invalid JSON: {exc}") from exc
 
+    if not isinstance(manifest, dict):
+        raise InputError(f"{manifest_path}: expected a JSON object")
     for key in ("models", "classes", "predictions", "ground_truth"):
         if key not in manifest:
             raise InputError(f"{manifest_path}: missing field {key!r}")

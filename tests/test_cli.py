@@ -129,6 +129,24 @@ def test_eval_rejects_bad_labels(dataset, tmp_path, capsys):
     assert "bad label record" in capsys.readouterr().err
 
 
+def test_non_object_prediction_line_exits_one(tmp_path, capsys):
+    manifest, _ = conflict_dataset(tmp_path)
+    preds = tmp_path / "conflict" / "f1.jsonl"
+    preds.write_text(preds.read_text() + "5\n")
+    assert main(["baseline", "--manifest", manifest, "--method", "mv",
+                 "--out", str(tmp_path / "mv")]) == EXIT_INPUT
+    assert f"{preds}:3: expected a JSON object" in capsys.readouterr().err
+
+
+def test_eval_rejects_non_object_label_line(tmp_path, capsys):
+    manifest, _ = conflict_dataset(tmp_path)
+    bad = tmp_path / "labels.jsonl"
+    bad.write_text("[1, 2]\n")
+    assert main(["eval", "--manifest", manifest, "--labels", str(bad),
+                 "--out", str(tmp_path / "m.json")]) == EXIT_INPUT
+    assert f"{bad}:1: expected a JSON object" in capsys.readouterr().err
+
+
 def test_sweep_csv_and_manifest(dataset, tmp_path, capsys):
     manifest, rules = dataset
     out = tmp_path / "sweep.csv"

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
                              InputError, Observation, ObservationSet,
-                             compute_iou, coverage_report, ground_truth_labels,
+                             _box_array, _iou_block, compute_iou,
+                             coverage_report, ground_truth_labels,
                              load_dataset, load_ground_truth, load_predictions,
                              match_detections, observations_from_dataset,
                              write_ground_truth, write_manifest,
                              write_predictions)
 
 from conftest import obs_of
+from test_acceptance import _reference_match
 
 
 def box(x0, y0, x1, y1):
@@ -71,6 +73,25 @@ def test_iou_symmetric_and_bounded(x0, y0, x1, y1, w, h):
     v = compute_iou(a, b)
     assert v == compute_iou(b, a)
     assert 0.0 <= v <= 1.0
+
+
+coord = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+extent = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+boxes = st.builds(lambda x, y, w, h: box(x, y, x + w, y + h),
+                  coord, coord, extent, extent).filter(lambda b: b.area > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(boxes, min_size=1, max_size=5),
+       st.lists(boxes, min_size=1, max_size=5))
+def test_array_iou_is_bit_identical_to_compute_iou(gt_boxes, det_boxes):
+    # some rows share corners, so touching and nested pairs come up too
+    det_boxes = det_boxes + gt_boxes[:2]
+    got = _iou_block(_box_array(gt_boxes), _box_array(det_boxes))
+    assert got.shape == (len(gt_boxes), len(det_boxes))
+    for i, g in enumerate(gt_boxes):
+        for k, d in enumerate(det_boxes):
+            assert float(got[i, k]).hex() == compute_iou(d, g).hex(), (g, d)
 
 
 # ----------------------------------------------------------- observations
@@ -216,6 +237,54 @@ def test_matcher_declared_models_widen_universe():
     assert obs.models == frozenset({"f1", "f2"})
 
 
+def test_matcher_fallback_contention_in_one_image():
+    # Nothing clears 0.9, so both objects fall back.  o1 comes first in
+    # input order and takes the f1/f2 tie at IoU 0.5 and equal confidence,
+    # broken by model id; o2 gets the remaining detection.
+    gts = [gt("o1"), gt("o2", b=box(0, 0, 10, 8))]
+    dets = [det("f2", "tree", 0.7, box(0, 0, 10, 5)),
+            det("f1", "car", 0.7, box(0, 5, 10, 10))]
+    obs = match_detections(gts, dets, primary_iou=0.9)
+    assert obs.entries == frozenset({Observation("o1", "f1", "car", 0.7),
+                                     Observation("o2", "f2", "tree", 0.7)})
+    assert obs.entries == frozenset(
+        Observation(*row) for row in _reference_match(gts, dets, 0.9))
+
+
+def test_matcher_rejects_zero_area_boxes():
+    # corners that differ but whose area underflows to zero
+    tiny = box(0.0, 0.0, 1e-200, 1e-200)
+    with pytest.raises(InputError, match="zero-area"):
+        match_detections([gt("o1", b=tiny)], [det("f1", "car", 0.9, GT_BOX)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matcher_matches_reference_on_crowded_scenes(data):
+    """Objects closer than a box width compete for the same detections in
+    both stages; confidences repeat, so the input-order and model-id
+    tie-breaks decide too."""
+    threshold = data.draw(st.sampled_from((0.1, 0.5, 0.9, 1.0)), label="iou")
+    models = ("f1", "f2", "f3")
+    gts, dets = [], []
+    for img in ("img1", "img2")[:data.draw(st.integers(1, 2))]:
+        n_obj = data.draw(st.integers(1, 6))
+        xs = data.draw(st.lists(st.integers(0, 12), min_size=n_obj,
+                                max_size=n_obj))
+        for i, x in enumerate(xs):
+            gts.append(gt(f"{img}-o{i}", image=img, b=box(x, 0, x + 10, 10)))
+        for _ in range(data.draw(st.integers(0, 10))):
+            x = data.draw(st.sampled_from(xs)) + data.draw(st.integers(-3, 3))
+            y = data.draw(st.integers(-2, 2))
+            w = data.draw(st.sampled_from((8, 10, 12)))
+            dets.append(det(data.draw(st.sampled_from(models)), "car",
+                            data.draw(st.sampled_from((0.5, 0.7, 0.9))),
+                            box(x, y, x + w, y + 10), image=img))
+    obs = match_detections(gts, dets, primary_iou=threshold)
+    assert set(map(tuple, obs.entries)) == _reference_match(gts, dets, threshold)
+    assert obs.objects == {g.object_id for g in gts}
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_matcher_primary_matches_shrink_with_threshold(data):
@@ -347,6 +416,19 @@ def test_manifest_validation(tmp_path):
     p.write_text(json.dumps(bad))
     with pytest.raises(InputError, match="unknown class"):
         load_dataset(str(p))
+
+
+def test_jsonl_records_must_be_objects(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    path.write_text(json.dumps({"image_id": "i", "object_id": "o1",
+                                "class_id": "car", "bbox": [0, 0, 1, 1]})
+                    + "\n5\n")
+    with pytest.raises(InputError, match=rf"{path}:2: expected a JSON object"):
+        load_ground_truth(str(path))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[1, 2]\n")
+    with pytest.raises(InputError, match="expected a JSON object"):
+        load_dataset(str(manifest))
 
 
 def test_manifest_paths_resolve_relative_to_manifest(tmp_path, monkeypatch):
