@@ -10,8 +10,11 @@ accepted, and a set of mutually-exclusive class pairs, the closure derives:
   classes of an exclusion pair got assigned to the same object.
 
 The inconsistency score Inc normalizes the violation count; two modes are
-supported and both solvers share :func:`violation_budget` so they agree on
-what a given budget ``delta`` permits.
+supported.  Both solvers accept a selection iff its raw count of violated
+ground rules is at most :func:`violation_budget`, and every Inc score, the
+greedy trace's included, comes from :func:`inc_from_count`.  The one intended difference between them: the exact
+solver keeps every coverable object covered, while the greedy search may
+leave an object without any assignment.
 """
 
 import json
@@ -126,36 +129,42 @@ def find_violations(assigned: Iterable[Tuple[str, str]],
     return frozenset(out)
 
 
+def inc_from_count(n_violations: int,
+                   n_objects: int,
+                   ic: IntegrityConstraintSet,
+                   normalizer_mode: str = "per_object",
+                   directed_ground_rules: bool = False) -> float:
+    """Normalized inconsistency of ``n_violations`` (undirected) violated
+    ground rules.
+
+    ``per_object`` divides by the number of observed objects and clamps to
+    [0, 1]; ``per_ground_rule`` divides by the total number of ground rules
+    (objects x exclusion pairs).  With ``directed_ground_rules`` each
+    unordered violation counts twice, as do the ``per_ground_rule``
+    denominator's rules, so only ``per_object`` scores actually change.
+    """
+    weight = 2 if directed_ground_rules else 1
+    raw = n_violations * weight
+    if normalizer_mode == "per_object":
+        return min(1.0, raw / n_objects) if n_objects else 0.0
+    denom = n_objects * len(ic) * weight
+    return raw / denom if denom else 0.0
+
+
 def count_inc(assigned: Iterable[Tuple[str, str]],
               ic: IntegrityConstraintSet,
               normalizer_mode: str = "per_object",
               *,
               n_objects: int,
               directed_ground_rules: bool = False) -> float:
-    """Normalized inconsistency of a set of assignment atoms.
-
-    ``per_object`` divides violated ground rules by the number of observed
-    objects and clamps to [0, 1]; ``per_ground_rule`` divides by the total
-    number of ground rules (objects x exclusion pairs).  With
-    ``directed_ground_rules`` each unordered violation counts twice, as do
-    the ``per_ground_rule`` denominator's rules, so only ``per_object``
-    scores actually change.
-    """
+    """Normalized inconsistency of a set of assignment atoms (see
+    :func:`inc_from_count`)."""
     if normalizer_mode not in NORMALIZER_MODES:
         raise InputError(f"unknown normalizer_mode {normalizer_mode!r}")
     if n_objects < 0:
         raise InputError("n_objects must be >= 0")
-    raw = len(find_violations(assigned, ic))
-    if directed_ground_rules:
-        raw *= 2
-    if normalizer_mode == "per_object":
-        if n_objects == 0:
-            return 0.0
-        return min(1.0, raw / n_objects)
-    denom = n_objects * len(ic) * (2 if directed_ground_rules else 1)
-    if denom == 0:
-        return 0.0
-    return raw / denom
+    return inc_from_count(len(find_violations(assigned, ic)), n_objects, ic,
+                          normalizer_mode, directed_ground_rules)
 
 
 def violation_budget(delta: float,
@@ -166,7 +175,8 @@ def violation_budget(delta: float,
     """Largest number of (undirected) violated ground rules with Inc <= delta.
 
     This is the single source of truth for turning the real-valued budget
-    into an integer count, shared by the exact solver and the greedy search.
+    into an integer count, shared by the exact solver and the greedy search:
+    both accept a selection iff its violation count is at most this.
     """
     if normalizer_mode not in NORMALIZER_MODES:
         raise InputError(f"unknown normalizer_mode {normalizer_mode!r}")

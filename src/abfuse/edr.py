@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model_io import InputError, Observation, ObservationSet
+from .model_io import InputError, Observation, ObservationSet, read_jsonl
 
 CONDITION_KINDS = ("disagree_with", "confidence_below", "class_is", "conjunction")
 
@@ -77,6 +77,8 @@ class Condition:
 
     @classmethod
     def from_json(cls, raw: Mapping) -> "Condition":
+        if not isinstance(raw, Mapping):
+            raise InputError(f"condition must be a JSON object: {raw!r}")
         kind = raw.get("kind")
         if kind == "disagree_with":
             return cls(kind, model=str(raw["model"]))
@@ -141,31 +143,19 @@ class RuleSet:
     def load(cls, path: str) -> "RuleSet":
         rules: dict = {}
         grid = set()
-        try:
-            fh = open(path, "r", encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot open {path}: {exc}") from exc
-        with fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                try:
-                    m = str(rec["model_id"])
-                    c = str(rec["class_id"])
-                    e = float(rec["epsilon"])
-                    conds = tuple(Condition.from_json(p) for p in rec["conditions"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise InputError(f"{path}:{lineno}: bad rule record: {exc}") from exc
-                key = (m, c, e)
-                if key in rules:
-                    raise InputError(f"{path}:{lineno}: duplicate rule for {key}")
-                rules[key] = ErrorRule(m, c, conds)
-                grid.add(e)
+        for lineno, rec in read_jsonl(path):
+            try:
+                m = str(rec["model_id"])
+                c = str(rec["class_id"])
+                e = float(rec["epsilon"])
+                conds = tuple(Condition.from_json(p) for p in rec["conditions"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"{path}:{lineno}: bad rule record: {exc}") from exc
+            key = (m, c, e)
+            if key in rules:
+                raise InputError(f"{path}:{lineno}: duplicate rule for {key}")
+            rules[key] = ErrorRule(m, c, conds)
+            grid.add(e)
         if not grid:
             raise InputError(f"{path}: no rules found")
         return cls(tuple(sorted(grid)), rules)
@@ -303,6 +293,27 @@ def learn_ruleset(train: ObservationSet,
     return ruleset
 
 
+def split_flagged(entries: Iterable[Observation],
+                  ruleset: RuleSet,
+                  epsilon: float,
+                  siblings: Mapping[str, Mapping[str, Observation]]
+                  ) -> Tuple[list, list]:
+    """Split entries into those the ``epsilon`` rules keep and those they flag.
+
+    ``siblings`` is the :func:`sibling_index` of the observation set the
+    entries come from.  Each (model, class) rule is looked up once per call.
+    """
+    rules: Dict[Tuple[str, str], ErrorRule] = {}
+    kept, flagged = [], []
+    for e in entries:
+        pair = (e.model_id, e.class_id)
+        rule = rules.get(pair)
+        if rule is None:
+            rule = rules[pair] = ruleset.rule_for(e.model_id, e.class_id, epsilon)
+        (flagged if rule.flags(e, siblings[e.object_id]) else kept).append(e)
+    return kept, flagged
+
+
 def apply_rules(obs: ObservationSet,
                 ruleset: RuleSet,
                 epsilon: float) -> Tuple[ObservationSet, frozenset]:
@@ -311,35 +322,6 @@ def apply_rules(obs: ObservationSet,
     Returns the surviving observations (same object/model/class universe)
     and the flagged error atoms ``(model_id, class_id, object_id)``.
     """
-    siblings = sibling_index(obs)
-    keep = []
-    errors = set()
-    for e in obs.entries:
-        rule = ruleset.rule_for(e.model_id, e.class_id, epsilon)
-        if rule.flags(e, siblings[e.object_id]):
-            errors.add((e.model_id, e.class_id, e.object_id))
-        else:
-            keep.append(e)
-    filtered = ObservationSet(frozenset(keep), obs.objects, obs.models, obs.classes)
-    return filtered, frozenset(errors)
-
-
-def flag_rate_on_correct(train: ObservationSet,
-                         gt_labels: Mapping[str, str],
-                         ruleset: RuleSet,
-                         epsilon: float,
-                         model_id: str,
-                         class_id: str) -> float:
-    """Share of correct training predictions of (model, class) flagged at epsilon."""
-    siblings = sibling_index(train)
-    rule = ruleset.rule_for(model_id, class_id, epsilon)
-    n_correct = 0
-    n_flagged = 0
-    for e in train.entries:
-        if e.model_id != model_id or e.class_id != class_id:
-            continue
-        if gt_labels.get(e.object_id) == class_id:
-            n_correct += 1
-            if rule.flags(e, siblings[e.object_id]):
-                n_flagged += 1
-    return n_flagged / n_correct if n_correct else 0.0
+    kept, flagged = split_flagged(obs.entries, ruleset, epsilon, sibling_index(obs))
+    filtered = ObservationSet(frozenset(kept), obs.objects, obs.models, obs.classes)
+    return filtered, frozenset((e.model_id, e.class_id, e.object_id) for e in flagged)

@@ -1,98 +1,46 @@
-"""Hot numeric kernels.
+"""Numeric kernels of the greedy search and the exact solver, in numpy.
 
-Each public helper here dispatches to either a numba-compiled loop kernel or
-a plain numpy implementation, decided per call by :func:`abfuse.backend.use_numba`.
-The compiled and plain paths are checked against each other in the test
-suite; ``python3 perfbench/run.py`` times the kernels inside whole CLI runs
-(``--trace 1`` reports them per layer).
+``python3 perfbench/run.py`` times them inside whole CLI runs (``--trace 1``
+reports them per layer); ``tests/test_backend.py`` checks them against
+naive oracles.
 
 Array conventions (shared with the solvers):
 
 * ``pred``: uint8 array of shape ``(F, C, N)``; ``pred[f, c, w] == 1`` when
   model ``f`` predicted class ``c`` for object ``w``.
 * ``pres``: uint8 array of shape ``(C, N)``; presence of assignment atoms.
-* Mutual-exclusion pairs come either as two aligned index vectors
-  ``(ic_a, ic_b)`` or as a CSR-style adjacency ``(adj_off, adj_idx)`` over
-  class indices.
+* Mutual-exclusion pairs come as a CSR-style adjacency ``(adj_off, adj_idx)``
+  over class indices.
 """
 
 import numpy as np
 
-from .backend import njit, use_numba
 
-
-# ---------------------------------------------------------------------------
-# conflict counting
-
-
-def _count_conflicts_loop(pres, ic_a, ic_b):
-    n_pairs = ic_a.shape[0]
-    n_obj = pres.shape[1]
-    total = 0
-    for k in range(n_pairs):
-        a = ic_a[k]
-        b = ic_b[k]
-        for w in range(n_obj):
-            if pres[a, w] != 0 and pres[b, w] != 0:
-                total += 1
-    return total
-
-
-_count_conflicts_jit = njit(cache=True)(_count_conflicts_loop)
-
-
-def count_conflicts(pres, ic_a, ic_b):
-    """Number of (object, pair) mutual-exclusion violations in ``pres``."""
-    if ic_a.shape[0] == 0:
-        return 0
-    if use_numba():
-        return int(_count_conflicts_jit(pres, ic_a, ic_b))
-    occ = pres != 0
-    return int(np.logical_and(occ[ic_a], occ[ic_b]).sum())
+def _edges(adj_off, adj_idx):
+    """Each mutual-exclusion pair once, as aligned class vectors ``a < b``."""
+    a = np.repeat(np.arange(adj_off.shape[0] - 1), np.diff(adj_off))
+    keep = a < adj_idx
+    return a[keep], adj_idx[keep]
 
 
 # ---------------------------------------------------------------------------
 # union statistics for the greedy search
 
-# ``pres`` uses 0 = absent, 1 = committed; the probe temporarily marks cells
-# with 2 so overlapping candidate atoms interact exactly once.
-
-
-def _union_stats_loop(pres, base_atoms, base_conf, add_c, add_w, adj_off, adj_idx):
-    added = 0
-    conf = base_conf
-    n = add_c.shape[0]
-    for i in range(n):
-        c = add_c[i]
-        w = add_w[i]
-        if pres[c, w] == 0:
-            added += 1
-            for a in range(adj_off[c], adj_off[c + 1]):
-                j = adj_idx[a]
-                if pres[j, w] != 0:
-                    conf += 1
-            pres[c, w] = 2
-    for i in range(n):
-        c = add_c[i]
-        w = add_w[i]
-        if pres[c, w] == 2:
-            pres[c, w] = 0
-    return base_atoms + added, conf
-
-
-_union_stats_jit = njit(cache=True)(_union_stats_loop)
-
 
 def union_stats(pres, base_atoms, base_conf, add_c, add_w, adj_off, adj_idx):
     """Atom count and conflict count of ``pres`` extended with the given atoms.
 
-    ``pres`` is left unchanged.  Returns ``(atoms, conflicts)`` of the union.
+    ``base_atoms``/``base_conf`` are the counts of ``pres`` itself; atoms
+    already present or listed twice count once.  ``pres`` is left unchanged.
+    Returns ``(atoms, conflicts)`` of the union.
     """
-    if add_c.shape[0] == 0:
-        return int(base_atoms), int(base_conf)
-    fn = _union_stats_jit if use_numba() else _union_stats_loop
-    atoms, conf = fn(pres, base_atoms, base_conf, add_c, add_w, adj_off, adj_idx)
-    return int(atoms), int(conf)
+    new = np.zeros(pres.shape, dtype=bool)
+    new[add_c, add_w] = True
+    new &= pres == 0
+    union = new | (pres != 0)
+    a, b = _edges(adj_off, adj_idx)
+    added = union[a] & union[b] & (new[a] | new[b])
+    return int(base_atoms) + int(new.sum()), int(base_conf) + int(added.sum())
 
 
 def commit_atoms(pres, add_c, add_w):
@@ -126,34 +74,25 @@ def commit_atoms(pres, add_c, add_w):
 # count never hides a tie-break winner.
 
 
-def _bnb_search(var_cls, var_obj_off, var_obj_idx, order, cnt,
-                adj_off, adj_idx, coverable, budget, max_deg):
+def bnb_search(var_cls, var_obj_off, var_obj_idx, order, sup,
+               adj_off, adj_idx, coverable, budget, max_deg):
+    """Run the branch & bound.
+
+    Returns ``(found, best_obj, best_nelim, best_mask, nodes)`` where
+    ``best_mask`` holds the elimination bit per branch variable.  ``found``
+    is False when no elimination pattern covers every coverable object
+    within the conflict budget.
+    """
     n_vars = var_cls.shape[0]
-    n_classes, n_objects = cnt.shape
+    max_deg = max(1, max_deg)
+    cnt = sup.astype(np.int64)
 
-    ncov = np.zeros(n_objects, np.int64)
-    atoms = 0
-    for w in range(n_objects):
-        nc = 0
-        for c in range(n_classes):
-            if cnt[c, w] > 0:
-                nc += 1
-        ncov[w] = nc
-        atoms += nc
-
-    conflicts = 0
-    for w in range(n_objects):
-        for c in range(n_classes):
-            if cnt[c, w] > 0:
-                for a in range(adj_off[c], adj_off[c + 1]):
-                    j = adj_idx[a]
-                    if j > c and cnt[j, w] > 0:
-                        conflicts += 1
-
-    uncovered = 0
-    for w in range(n_objects):
-        if coverable[w] == 1 and ncov[w] == 0:
-            uncovered += 1
+    covered = cnt > 0
+    ncov = covered.sum(axis=0)
+    atoms = int(ncov.sum())
+    pa, pb = _edges(adj_off, adj_idx)
+    conflicts = int((covered[pa] & covered[pb]).sum())
+    uncovered = int(((coverable == 1) & (ncov == 0)).sum())
 
     found = False
     best_obj = -1
@@ -248,26 +187,6 @@ def _bnb_search(var_cls, var_obj_off, var_obj_idx, order, cnt,
             depth -= 1
 
     return found, best_obj, best_nelim, best_mask, nodes
-
-
-_bnb_search_jit = njit(cache=True)(_bnb_search)
-
-
-def bnb_search(var_cls, var_obj_off, var_obj_idx, order, sup,
-               adj_off, adj_idx, coverable, budget, max_deg):
-    """Run the branch & bound.
-
-    Returns ``(found, best_obj, best_nelim, best_mask, nodes)`` where
-    ``best_mask`` holds the elimination bit per branch variable.  ``found``
-    is False when no elimination pattern covers every coverable object
-    within the conflict budget.
-    """
-    cnt = sup.astype(np.int64).copy()
-    fn = _bnb_search_jit if use_numba() else _bnb_search
-    found, best_obj, best_nelim, best_mask, nodes = fn(
-        var_cls, var_obj_off, var_obj_idx, order, cnt,
-        adj_off, adj_idx, coverable, budget, max(1, max_deg))
-    return bool(found), int(best_obj), int(best_nelim), best_mask, int(nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,13 @@ def _parse_bbox(raw, path: str, lineno: int) -> BoundingBox:
         raise InputError(f"{path}:{lineno}: {exc}") from exc
 
 
+def _parse_confidence(raw, path: str, lineno: int) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise InputError(f"{path}:{lineno}: confidence must be a number: {raw!r}") from None
+
+
 def load_predictions(path: str, model_id: Optional[str] = None) -> list:
     out = []
     for lineno, rec in read_jsonl(path):
@@ -368,7 +375,8 @@ def load_predictions(path: str, model_id: Optional[str] = None) -> list:
             image_id=str(_require(rec, "image_id", path, lineno)),
             model_id=str(_require(rec, "model_id", path, lineno)),
             class_id=str(_require(rec, "class_id", path, lineno)),
-            confidence=float(_require(rec, "confidence", path, lineno)),
+            confidence=_parse_confidence(_require(rec, "confidence", path, lineno),
+                                         path, lineno),
             bbox=_parse_bbox(_require(rec, "bbox", path, lineno), path, lineno),
         )
         if model_id is not None and det.model_id != model_id:
@@ -422,8 +430,12 @@ def load_dataset(manifest_path: str) -> Dataset:
     for key in ("models", "classes", "predictions", "ground_truth"):
         if key not in manifest:
             raise InputError(f"{manifest_path}: missing field {key!r}")
-    models = [str(m) for m in manifest["models"]]
-    classes = [str(c) for c in manifest["classes"]]
+    for key in ("models", "classes"):
+        ids = manifest[key]
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+            raise InputError(f"{manifest_path}: {key!r} must be a list of strings")
+    models = manifest["models"]
+    classes = manifest["classes"]
     if len(set(models)) != len(models):
         raise InputError(f"{manifest_path}: duplicate model ids")
     if len(set(classes)) != len(classes):
@@ -435,6 +447,11 @@ def load_dataset(manifest_path: str) -> Dataset:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     preds_map = manifest["predictions"]
+    if not (isinstance(preds_map, dict)
+            and all(isinstance(p, str) for p in preds_map.values())):
+        raise InputError(f"{manifest_path}: 'predictions' must map model ids to file paths")
+    if not isinstance(manifest["ground_truth"], str):
+        raise InputError(f"{manifest_path}: 'ground_truth' must be a file path")
     if set(preds_map) != set(models):
         raise InputError(f"{manifest_path}: prediction files must cover exactly the declared models")
 

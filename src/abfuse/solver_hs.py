@@ -3,8 +3,9 @@
 Visits (model, class) pairs in a fixed order.  For each pair it tries every
 filter strength ``epsilon`` in the configured set, asking: if this model's
 surviving predictions of this class were added to the running selection,
-would the inconsistency stay within ``delta`` and would the number of
-distinct assignment atoms strictly grow?  The strongest-growing feasible
+would the violated ground rules stay within
+:func:`abfuse.deduction.violation_budget` and would the number of distinct
+assignment atoms strictly grow?  The strongest-growing feasible
 epsilon wins, smallest epsilon on ties; pairs that cannot grow the selection
 are skipped.  Accepted predictions are never removed, so every intermediate
 selection already satisfies the budget.
@@ -13,16 +14,14 @@ selection already satisfies the budget.
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import kernels
-from .deduction import IntegrityConstraintSet, count_inc
-from .edr import RuleSet, sibling_index
-from .model_io import InputError, Observation, ObservationSet
-
-_EPS = 1e-12
+from .deduction import IntegrityConstraintSet, inc_from_count, violation_budget
+from .edr import RuleSet, sibling_index, split_flagged
+from .model_io import InputError, ObservationSet
 
 
 @dataclass(frozen=True)
@@ -76,36 +75,6 @@ class HsResult:
         return frozenset((e.class_id, e.object_id) for e in self.selected)
 
 
-def _filtered(model_id: str, class_id: str, epsilon: float,
-              by_pair: dict, siblings: dict, ruleset: RuleSet) -> frozenset:
-    rule = ruleset.rule_for(model_id, class_id, epsilon)
-    return frozenset(e for e in by_pair.get((model_id, class_id), ())
-                     if not rule.flags(e, siblings[e.object_id]))
-
-
-def get_filtered_preds(model_id: str, class_id: str, epsilon: float,
-                       p_raw: ObservationSet, ruleset: RuleSet) -> frozenset:
-    """Model's predictions of one class surviving the epsilon-budget rule."""
-    siblings = sibling_index(p_raw)
-    by_pair: dict = {}
-    for e in p_raw.entries:
-        by_pair.setdefault((e.model_id, e.class_id), []).append(e)
-    return _filtered(model_id, class_id, epsilon, by_pair, siblings, ruleset)
-
-
-def calc_incon(entries: Iterable[Observation],
-               ic: IntegrityConstraintSet,
-               normalizer_mode: str = "per_object",
-               *,
-               n_objects: int,
-               directed_ground_rules: bool = False) -> float:
-    """Inconsistency of a selection, measured on its distinct atoms."""
-    atoms = {(e.class_id, e.object_id) for e in entries}
-    return count_inc(atoms, ic, normalizer_mode,
-                     n_objects=n_objects,
-                     directed_ground_rules=directed_ground_rules)
-
-
 def _pair_order(p_raw: ObservationSet, config: HsConfig) -> list:
     if config.pair_order is not None:
         order = [tuple(p) for p in config.pair_order]
@@ -137,6 +106,12 @@ def heuristic_search(p_raw: ObservationSet,
     oi = {o: i for i, o in enumerate(objects)}
     ci = {c: i for i, c in enumerate(classes)}
     n_objects = len(objects)
+    budget = violation_budget(config.delta, n_objects, ic,
+                              normalizer_mode, directed_ground_rules)
+
+    def inconsistency(n_conf: int) -> float:
+        return inc_from_count(n_conf, n_objects, ic, normalizer_mode,
+                              directed_ground_rules)
 
     adj_off, adj_idx = kernels.pair_adjacency(
         len(classes), [(ci[a], ci[b]) for a, b in ic.pairs])
@@ -144,50 +119,38 @@ def heuristic_search(p_raw: ObservationSet,
     atoms = 0
     conflicts = 0
 
+    # surviving entries per (model, class, epsilon)
     siblings = sibling_index(p_raw)
-    by_pair: dict = {}
-    for e in p_raw.entries:
-        by_pair.setdefault((e.model_id, e.class_id), []).append(e)
+    survivors: dict = {}
+    for eps in config.epsilon_set:
+        kept, _ = split_flagged(p_raw.entries, ruleset, eps, siblings)
+        for e in kept:
+            survivors.setdefault((e.model_id, e.class_id, eps), []).append(e)
 
-    def normalize(n_conf: int) -> float:
-        raw = n_conf * (2 if directed_ground_rules else 1)
-        if normalizer_mode == "per_object":
-            return min(1.0, raw / n_objects) if n_objects else 0.0
-        denom = n_objects * len(ic) * (2 if directed_ground_rules else 1)
-        return raw / denom if denom else 0.0
-
-    selected: set = set()
+    # each pair is visited once, so a pair's entries are never already
+    # selected and its atoms (one class, distinct objects) never repeat
+    selected: list = []
     steps = []
     for f, c in _pair_order(p_raw, config):
-        best = None  # (atoms, eps, preds, conflicts)
+        best = None  # (atoms, conflicts, eps, preds, add_c, add_w)
         for eps in config.epsilon_set:
-            preds = _filtered(f, c, eps, by_pair, siblings, ruleset)
+            preds = survivors.get((f, c, eps))
             if not preds:
                 continue
-            add = [e for e in preds if e not in selected]
-            add_c = np.array([ci[e.class_id] for e in add], dtype=np.int64)
-            add_w = np.array([oi[e.object_id] for e in add], dtype=np.int64)
+            add_c = np.full(len(preds), ci[c], dtype=np.int64)
+            add_w = np.array([oi[e.object_id] for e in preds], dtype=np.int64)
             cand_atoms, cand_conf = kernels.union_stats(
                 pres, atoms, conflicts, add_c, add_w, adj_off, adj_idx)
-            if cand_atoms <= atoms:
-                continue
-            if normalize(cand_conf) > config.delta + _EPS:
+            if cand_atoms <= atoms or cand_conf > budget:
                 continue
             if best is None or cand_atoms > best[0]:
-                best = (cand_atoms, eps, preds, cand_conf)
+                best = (cand_atoms, cand_conf, eps, preds, add_c, add_w)
+        chosen: Optional[float] = None
         if best is not None:
-            cand_atoms, eps, preds, cand_conf = best[0], best[1], best[2], best[3]
-            add = [e for e in preds if e not in selected]
-            add_c = np.array([ci[e.class_id] for e in add], dtype=np.int64)
-            add_w = np.array([oi[e.object_id] for e in add], dtype=np.int64)
+            atoms, conflicts, chosen, preds, add_c, add_w = best
             kernels.commit_atoms(pres, add_c, add_w)
-            selected.update(preds)
-            atoms = cand_atoms
-            conflicts = cand_conf
-            chosen: Optional[float] = eps
-        else:
-            chosen = None
-        steps.append(SelectionStep(f, c, chosen, atoms, normalize(conflicts)))
+            selected.extend(preds)
+        steps.append(SelectionStep(f, c, chosen, atoms, inconsistency(conflicts)))
 
     return HsResult(frozenset(selected), SelectionTrace(tuple(steps)),
-                    atoms, normalize(conflicts))
+                    atoms, inconsistency(conflicts))

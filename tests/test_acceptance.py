@@ -26,10 +26,11 @@ from abfuse.evaluation import (SweepDataset, labels_to_atoms,
                                per_model_metrics, run_sweep, score)
 from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
                              Observation, ObservationSet, match_detections)
-from abfuse.solver_hs import HsConfig, calc_incon, get_filtered_preds, heuristic_search
+from abfuse.solver_hs import HsConfig, heuristic_search
 from abfuse.tiebreak import apply_tiebreaker, candidates_from_atoms
 
 from conftest import DELTA_GRID, SHARED_SEEDS, random_instance
+from oracles import calc_incon, get_filtered_preds
 
 EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 

@@ -1,33 +1,17 @@
-"""Compiled vs plain kernel agreement.
+"""Numeric kernels against naive oracles.
 
-``abfuse.backend.use_numba`` re-reads ``ABFUSE_NO_NUMBA`` on every call, so
-both code paths can be exercised in one process by flipping the variable.
+The kernels have a single numpy implementation.  The ``*_both_backends`` and
+``*_across_backends`` test names come from a removed second (compiled)
+implementation; they are kept so test ids stay comparable between runs.
 """
 
 import numpy as np
 import pytest
 
-from abfuse import backend, kernels, solver_ip
-from abfuse.edr import RuleSet, apply_rules
+from abfuse import kernels, solver_ip
 
 from conftest import SHARED_SEEDS, random_instance
-
-
-@pytest.fixture()
-def plain(monkeypatch):
-    monkeypatch.setenv("ABFUSE_NO_NUMBA", "1")
-
-
-def test_backend_flag_parsing(monkeypatch):
-    monkeypatch.delenv("ABFUSE_NO_NUMBA", raising=False)
-    assert backend.use_numba() is backend.HAVE_NUMBA
-    for off in ("", "0", "false", "NO", " off "):
-        monkeypatch.setenv("ABFUSE_NO_NUMBA", off)
-        assert backend.use_numba() is backend.HAVE_NUMBA
-    for on in ("1", "yes", "true", "anything"):
-        monkeypatch.setenv("ABFUSE_NO_NUMBA", on)
-        assert not backend.use_numba()
-        assert backend.backend_name() == "numpy"
+from oracles import count_conflicts
 
 
 def test_pair_adjacency_csr():
@@ -53,17 +37,15 @@ def _naive_conflicts(pres, pairs):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_count_conflicts_both_backends(seed, monkeypatch):
+def test_count_conflicts_both_backends(seed):
+    """The vectorised oracle agrees with the per-cell loop."""
     pres, pairs, _ = _random_arrays(seed)
     ic = np.asarray(pairs, np.int64).reshape(-1, 2)
-    expect = _naive_conflicts(pres, pairs)
-    for flag in ("", "1"):
-        monkeypatch.setenv("ABFUSE_NO_NUMBA", flag)
-        assert kernels.count_conflicts(pres, ic[:, 0], ic[:, 1]) == expect
+    assert count_conflicts(pres, ic[:, 0], ic[:, 1]) == _naive_conflicts(pres, pairs)
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_union_stats_both_backends(seed, monkeypatch):
+def test_union_stats_both_backends(seed):
     pres, pairs, rng = _random_arrays(seed)
     C, N = pres.shape
     off, idx = kernels.pair_adjacency(C, pairs)
@@ -76,17 +58,14 @@ def test_union_stats_both_backends(seed, monkeypatch):
     expect = (int(union.sum()), _naive_conflicts(union, pairs))
 
     ic = np.asarray(pairs, np.int64).reshape(-1, 2)
-    base = (int(pres.sum()), kernels.count_conflicts(pres, ic[:, 0], ic[:, 1]))
-    for flag in ("", "1"):
-        monkeypatch.setenv("ABFUSE_NO_NUMBA", flag)
-        before = pres.copy()
-        got = kernels.union_stats(pres, base[0], base[1],
-                                  add_c, add_w, off, idx)
-        assert got == expect
-        np.testing.assert_array_equal(pres, before)  # probe must roll back
+    base = (int(pres.sum()), count_conflicts(pres, ic[:, 0], ic[:, 1]))
+    before = pres.copy()
+    assert kernels.union_stats(pres, base[0], base[1],
+                               add_c, add_w, off, idx) == expect
+    np.testing.assert_array_equal(pres, before)  # the probe leaves pres alone
 
 
-def test_union_stats_counts_duplicate_atoms_once(plain):
+def test_union_stats_counts_duplicate_atoms_once():
     pres = np.zeros((2, 1), np.uint8)
     off, idx = kernels.pair_adjacency(2, [(0, 1)])
     add_c = np.array([0, 0, 1], np.int64)
@@ -100,20 +79,15 @@ def test_commit_atoms_writes_in_place():
     assert pres.tolist() == [[0, 0, 1], [1, 0, 0]]
 
 
-def _solve_with(flag, instance, monkeypatch):
-    monkeypatch.setenv("ABFUSE_NO_NUMBA", flag)
-    return solver_ip.solve(instance)
-
-
 @pytest.mark.parametrize("seed", SHARED_SEEDS[:60])
-def test_solver_parity_across_backends(seed, monkeypatch):
+def test_solver_parity_across_backends(seed):
+    """Branch & bound and the exhaustive reference agree on the whole
+    solution, tie-break order included, not only on the objective."""
     obs, ic, delta, mode, directed = random_instance(seed)
-    filtered, _ = apply_rules(obs, RuleSet((0.5,)), 0.5)
-    instance = solver_ip.build_instance(filtered, ic, delta, mode, directed)
-    jit = _solve_with("", instance, monkeypatch)
-    plain = _solve_with("1", instance, monkeypatch)
-    assert (jit.status, jit.objective) == (plain.status, plain.objective)
-    assert jit.elim == plain.elim
-    assert jit.assign == plain.assign
-    assert jit.con == plain.con
-    assert jit.nodes == plain.nodes  # identical search trees, not just optima
+    instance = solver_ip.build_instance(obs, ic, delta, mode, directed)
+    bnb = solver_ip.solve(instance)
+    ref = solver_ip.brute_force_optimal(instance)
+    assert (bnb.status, bnb.objective) == (ref.status, ref.objective)
+    assert bnb.elim == ref.elim
+    assert bnb.assign == ref.assign
+    assert bnb.con == ref.con

@@ -138,6 +138,29 @@ def test_non_object_prediction_line_exits_one(tmp_path, capsys):
     assert f"{preds}:3: expected a JSON object" in capsys.readouterr().err
 
 
+def test_mistyped_manifest_exits_one(tmp_path, capsys):
+    manifest, _ = conflict_dataset(tmp_path)
+    raw = json.loads(open(manifest).read())
+    raw["models"] = 5
+    with open(manifest, "w") as fh:
+        json.dump(raw, fh)
+    assert main(["baseline", "--manifest", manifest, "--method", "mv",
+                 "--out", str(tmp_path / "mv")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'models' must be a list of strings" in err
+
+
+def test_non_numeric_confidence_exits_one(tmp_path, capsys):
+    manifest, _ = conflict_dataset(tmp_path)
+    preds = tmp_path / "conflict" / "f2.jsonl"
+    rec = json.loads(preds.read_text().splitlines()[0])
+    rec["confidence"] = "x"
+    preds.write_text(json.dumps(rec) + "\n")
+    assert main(["baseline", "--manifest", manifest, "--method", "mv",
+                 "--out", str(tmp_path / "mv")]) == EXIT_INPUT
+    assert f"error: {preds}:1: confidence must be a number" in capsys.readouterr().err
+
+
 def test_eval_rejects_non_object_label_line(tmp_path, capsys):
     manifest, _ = conflict_dataset(tmp_path)
     bad = tmp_path / "labels.jsonl"

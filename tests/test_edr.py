@@ -6,11 +6,11 @@ import random
 import pytest
 
 from abfuse.edr import (Condition, ErrorRule, RuleSet, apply_rules,
-                        flag_rate_on_correct, generate_candidates,
-                        learn_ruleset, sibling_index)
+                        generate_candidates, learn_ruleset, sibling_index)
 from abfuse.model_io import InputError, Observation
 
 from conftest import empty_rules, obs_of
+from oracles import flag_rate_on_correct
 
 
 def disagree(model):
@@ -326,6 +326,17 @@ def test_ruleset_load_rejects_duplicates(tmp_path):
         RuleSet.load(str(path))
 
 
+@pytest.mark.parametrize("conditions", [[5], ["below"], 5, [None]])
+def test_ruleset_load_rejects_non_object_conditions(tmp_path, conditions):
+    path = tmp_path / "rules.jsonl"
+    path.write_text(json.dumps({"model_id": "f1", "class_id": "car",
+                                "epsilon": 0.5, "conditions": []}) + "\n"
+                    + json.dumps({"model_id": "f1", "class_id": "tree",
+                                  "epsilon": 0.5, "conditions": conditions}) + "\n")
+    with pytest.raises(InputError, match=rf"{path}:2: bad rule record"):
+        RuleSet.load(str(path))
+
+
 def test_ruleset_load_rejects_empty_and_garbage(tmp_path):
     path = tmp_path / "rules.jsonl"
     path.write_text("")
@@ -333,4 +344,7 @@ def test_ruleset_load_rejects_empty_and_garbage(tmp_path):
         RuleSet.load(str(path))
     path.write_text('{"model_id": "f1"}\n')
     with pytest.raises(InputError, match=rf"{path}:1"):
+        RuleSet.load(str(path))
+    path.write_text("[1]\n")
+    with pytest.raises(InputError, match=rf"{path}:1: expected a JSON object"):
         RuleSet.load(str(path))

@@ -333,6 +333,16 @@ def test_load_predictions_reports_bad_line(tmp_path):
         load_predictions(str(path))
 
 
+@pytest.mark.parametrize("conf", ["x", None, [0.5]])
+def test_load_predictions_rejects_non_numeric_confidence(tmp_path, conf):
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps({"image_id": "i", "model_id": "f1",
+                                "class_id": "car", "confidence": conf,
+                                "bbox": [0, 0, 1, 1]}) + "\n")
+    with pytest.raises(InputError, match=rf"{path}:1: confidence must be a number"):
+        load_predictions(str(path))
+
+
 def test_load_predictions_missing_field_and_bad_bbox(tmp_path):
     path = tmp_path / "preds.jsonl"
     rec = {"image_id": "i", "model_id": "f1", "class_id": "car",
@@ -415,6 +425,24 @@ def test_manifest_validation(tmp_path):
     p = tmp_path / "m3.json"
     p.write_text(json.dumps(bad))
     with pytest.raises(InputError, match="unknown class"):
+        load_dataset(str(p))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("models", 5, "'models' must be a list of strings"),
+    ("models", "f1", "'models' must be a list of strings"),
+    ("classes", ["car", 1], "'classes' must be a list of strings"),
+    ("predictions", ["f1.jsonl", "f2.jsonl"], "'predictions' must map"),
+    ("predictions", {"f1": "f1.jsonl", "f2": 2}, "'predictions' must map"),
+    ("ground_truth", None, "'ground_truth' must be a file path"),
+])
+def test_manifest_field_types(tmp_path, key, value, message):
+    manifest = _write_tiny_dataset(tmp_path)
+    raw = json.loads(open(manifest).read())
+    raw[key] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    with pytest.raises(InputError, match=message):
         load_dataset(str(p))
 
 

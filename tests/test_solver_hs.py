@@ -4,14 +4,15 @@ import json
 
 import pytest
 
-from abfuse import solver_ip
-from abfuse.deduction import IntegrityConstraintSet, find_violations
-from abfuse.edr import Condition, ErrorRule, RuleSet
+from abfuse import solver_ip, synthgen
+from abfuse.deduction import (IntegrityConstraintSet, default_domain,
+                              find_violations, violation_budget)
+from abfuse.edr import Condition, ErrorRule, RuleSet, learn_ruleset
 from abfuse.model_io import InputError, Observation
-from abfuse.solver_hs import (HsConfig, calc_incon, get_filtered_preds,
-                              heuristic_search)
+from abfuse.solver_hs import HsConfig, heuristic_search
 
-from conftest import empty_rules, obs_of, random_instance
+from conftest import SHARED_SEEDS, empty_rules, obs_of, random_instance
+from oracles import calc_incon, get_filtered_preds
 
 IC_CT = IntegrityConstraintSet((("car", "tree"),))
 
@@ -209,3 +210,68 @@ def test_greedy_explores_outside_the_exact_feasible_region():
     atoms = res.atoms()
     assert find_violations(atoms, ic) == frozenset()
     assert "o4" not in {w for _, w in atoms}
+
+
+def _mm1(n_train, n_test, seed, eps, **kw):
+    data = synthgen.generate(synthgen.preset("MM_1", n_train=n_train,
+                                             n_test=n_test, seed=seed, **kw))
+    return data, learn_ruleset(data.train, data.train_labels, eps)
+
+
+def test_greedy_steps_take_the_rule_filtered_entries():
+    """With learned, non-empty rules each accepted step adds exactly the
+    pair's entries that survive the chosen epsilon's rule."""
+    eps = (0.01, 0.1, 0.5, 1.0)
+    data, ruleset = _mm1(400, 200, 4, eps, n_models=4)
+    assert any(rule.conditions for rule in ruleset.rules.values())
+    ic = default_domain(data.test.classes).ic
+    raw = {}
+    for e in data.test.entries:
+        raw.setdefault((e.model_id, e.class_id), set()).add(e)
+    chosen_eps, filtered_steps = set(), 0
+    for delta in (0.05, 0.2, 0.5):
+        res = heuristic_search(data.test, HsConfig(delta, eps), ruleset, ic)
+        union = set()
+        for step in res.trace.steps:
+            pair = (step.model_id, step.class_id)
+            taken = {e for e in res.selected if (e.model_id, e.class_id) == pair}
+            if step.chosen_epsilon is None:
+                assert taken == set()
+                continue
+            expect = get_filtered_preds(step.model_id, step.class_id,
+                                        step.chosen_epsilon, data.test, ruleset)
+            assert taken == expect, (delta, pair, step.chosen_epsilon)
+            union |= expect
+            chosen_eps.add(step.chosen_epsilon)
+            filtered_steps += expect < raw[pair]
+        assert frozenset(union) == res.selected
+    assert len(chosen_eps) > 1 and filtered_steps > 0
+
+
+# ------------------------------------------------------------------- budget
+
+def test_greedy_stays_within_violation_budget_at_delta_one():
+    """At delta = 1 the clamped Inc score is always within delta, so only
+    the integer budget stops the greedy (unchecked, this instance reaches
+    715 raw violations against a budget of 300)."""
+    eps = (0.01, 0.1, 0.5, 1.0)
+    data, ruleset = _mm1(1000, 300, 0, eps)
+    dom = default_domain(data.test.classes)
+    res = heuristic_search(data.test, HsConfig(1.0, eps), ruleset, dom.ic,
+                           dom.normalizer_mode, dom.directed_ground_rules)
+    budget = violation_budget(1.0, len(data.test.objects), dom.ic,
+                              dom.normalizer_mode, dom.directed_ground_rules)
+    assert budget == 300
+    assert len(find_violations(res.atoms(), dom.ic)) <= budget
+
+
+def test_no_solver_exceeds_the_budget_at_delta_one():
+    for seed in SHARED_SEEDS:
+        obs, ic, _, mode, directed = random_instance(seed)
+        budget = violation_budget(1.0, len(obs.objects), ic, mode, directed)
+        res = heuristic_search(obs, HsConfig(1.0, (0.5,)), empty_rules(),
+                               ic, mode, directed)
+        assert len(find_violations(res.atoms(), ic)) <= budget, seed
+        sol = solver_ip.solve(solver_ip.build_instance(obs, ic, 1.0, mode, directed))
+        if sol.status == solver_ip.STATUS_OPTIMAL:
+            assert sol.n_violations() <= budget, seed
