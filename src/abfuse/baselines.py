@@ -54,4 +54,5 @@ def average_models(per_model_metrics: Mapping[str, "Metrics"]):
         inconsistency=sum(m.inconsistency for m in ms) / n,
         runtime_per_object=sum(m.runtime_per_object for m in ms) / n,
         n_objects=int(round(sum(m.n_objects for m in ms) / n)),
+        violations=int(round(sum(m.violations for m in ms) / n)),
     )

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import baselines, evaluation, solver_hs, solver_ip, synthgen, tiebreak
-from .deduction import default_domain, load_domain_config
+from .deduction import default_domain, load_domain_config, violation_budget
 from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules, learn_ruleset
 from .model_io import (InputError, coverage_report, load_dataset,
                        observations_from_dataset, read_jsonl)
@@ -76,6 +76,7 @@ def _metrics_dict(m: evaluation.Metrics, status: str = "ok") -> dict:
     return {
         "precision": m.precision, "recall": m.recall, "f1": m.f1,
         "accuracy": m.accuracy, "inconsistency": m.inconsistency,
+        "violations": m.violations,
         "runtime_per_object": m.runtime_per_object,
         "n_objects": m.n_objects, "status": status,
     }
@@ -168,7 +169,11 @@ def cmd_abduce(args) -> int:
 
     metrics = evaluation.score(atoms, ds.labels(), domain=domain,
                                n_objects=len(obs.objects))
-    _write_json(os.path.join(args.out, "metrics.json"), _metrics_dict(metrics))
+    payload = _metrics_dict(metrics)
+    payload["violation_budget"] = violation_budget(
+        args.delta, len(obs.objects), domain.ic, domain.normalizer_mode,
+        domain.directed_ground_rules)
+    _write_json(os.path.join(args.out, "metrics.json"), payload)
     print(f"{args.solver}{'+tb' if tb else ''}: f1={metrics.f1:.4f} "
           f"precision={metrics.precision:.4f} recall={metrics.recall:.4f}")
     return EXIT_OK

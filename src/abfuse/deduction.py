@@ -256,27 +256,28 @@ def load_domain_config(path: str) -> DomainConfig:
         raise InputError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{path}: expected a JSON object")
     if "classes" not in raw:
         raise InputError(f"{path}: missing field 'classes'")
-    classes = tuple(str(c) for c in raw["classes"])
+    classes = raw["classes"]
+    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)):
+        raise InputError(f"{path}: 'classes' must be a list of strings")
+    for key in ("all_pairs", "directed_ground_rules"):
+        if not isinstance(raw.get(key, False), bool):
+            raise InputError(f"{path}: {key!r} must be true or false")
     if raw.get("all_pairs", False) or "ic_pairs" not in raw:
         ic = IntegrityConstraintSet.all_pairs(classes)
     else:
-        ic = IntegrityConstraintSet(tuple((str(a), str(b)) for a, b in raw["ic_pairs"]))
+        pairs = raw["ic_pairs"]
+        if not (isinstance(pairs, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(isinstance(c, str) for c in p)
+                for p in pairs)):
+            raise InputError(f"{path}: 'ic_pairs' must be a list of [class, class] pairs")
+        ic = IntegrityConstraintSet(tuple((a, b) for a, b in pairs))
     return DomainConfig(
-        classes=classes,
+        classes=tuple(classes),
         ic=ic,
         normalizer_mode=raw.get("normalizer_mode", "per_object"),
-        directed_ground_rules=bool(raw.get("directed_ground_rules", False)),
+        directed_ground_rules=raw.get("directed_ground_rules", False),
     )
-
-
-def save_domain_config(path: str, cfg: DomainConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "classes": list(cfg.classes),
-            "ic_pairs": [list(p) for p in cfg.ic.pairs],
-            "normalizer_mode": cfg.normalizer_mode,
-            "directed_ground_rules": cfg.directed_ground_rules,
-        }, fh, indent=2)
-        fh.write("\n")

@@ -11,17 +11,19 @@ the cumulative share of *correct* predictions flagged stays within
 Learning over an ascending epsilon grid is warm-started: the rule for a
 larger budget extends the rule for the smaller one, so the set of flagged
 predictions only grows with epsilon.
+
+Conditions are evaluated as boolean masks over the rows of
+:attr:`ObservationSet.view`, one (model, class) pair at a time; learning
+and filtering share that evaluator.
 """
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model_io import InputError, Observation, ObservationSet, read_jsonl
-
-CONDITION_KINDS = ("disagree_with", "confidence_below", "class_is", "conjunction")
+from .model_io import InputError, ObservationSet, ObservationView, read_jsonl
 
 DEFAULT_EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -54,18 +56,6 @@ class Condition:
         else:
             raise InputError(f"unknown condition kind {self.kind!r}")
 
-    def fires(self, entry: Observation, siblings: Mapping[str, Observation]) -> bool:
-        """Evaluate against one entry; ``siblings`` maps model -> entry for the same object."""
-        if self.kind == "disagree_with":
-            other = siblings.get(self.model)
-            return other is not None and other.class_id != entry.class_id
-        if self.kind == "confidence_below":
-            return entry.confidence < self.threshold
-        if self.kind == "class_is":
-            return any(s.class_id == self.class_id for m, s in siblings.items()
-                       if m != entry.model_id)
-        return all(p.fires(entry, siblings) for p in self.parts)
-
     def to_json(self) -> dict:
         if self.kind == "disagree_with":
             return {"kind": self.kind, "model": self.model}
@@ -96,9 +86,6 @@ class ErrorRule:
     model_id: str
     class_id: str
     conditions: Tuple[Condition, ...] = ()
-
-    def flags(self, entry: Observation, siblings: Mapping[str, Observation]) -> bool:
-        return any(c.fires(entry, siblings) for c in self.conditions)
 
 
 @dataclass
@@ -161,12 +148,28 @@ class RuleSet:
         return cls(tuple(sorted(grid)), rules)
 
 
-def sibling_index(obs: ObservationSet) -> Dict[str, Dict[str, Observation]]:
-    """object_id -> {model_id -> entry} for fast condition evaluation."""
-    out: Dict[str, Dict[str, Observation]] = {}
-    for e in obs.entries:
-        out.setdefault(e.object_id, {})[e.model_id] = e
-    return out
+def _condition_mask(cond: Condition, view: ObservationView, rows: slice, model: int) -> np.ndarray:
+    """Boolean mask of where ``cond`` fires on the view rows ``rows``, which
+    all hold predictions of model index ``model`` for one class."""
+    if cond.kind == "confidence_below":
+        return view.confidence[rows] < cond.threshold
+    if cond.kind == "conjunction":
+        out = _condition_mask(cond.parts[0], view, rows, model)
+        for part in cond.parts[1:]:
+            out &= _condition_mask(part, view, rows, model)
+        return out
+    obj = view.obj[rows]
+    if cond.kind == "disagree_with":
+        # another model's prediction for the object, of a different class
+        if cond.model not in view.models:
+            return np.zeros(obj.shape, dtype=bool)
+        other = view.grid[view.models.index(cond.model), obj]
+        return (other != -1) & (other != view.cls[rows])
+    # class_is: some other model predicts that class for the object
+    if cond.class_id not in view.classes:
+        return np.zeros(obj.shape, dtype=bool)
+    others = np.delete(view.grid, model, axis=0)[:, obj]
+    return (others == view.classes.index(cond.class_id)).any(axis=0)
 
 
 def generate_candidates(train: ObservationSet,
@@ -178,33 +181,26 @@ def generate_candidates(train: ObservationSet,
     confidence thresholds at the given quantiles of the model's training
     confidences (ascending, deduplicated).
     """
-    models = sorted(train.models)
-    classes = sorted(train.classes)
-    conf_by_model: Dict[str, list] = {m: [] for m in models}
-    for e in train.entries:
-        conf_by_model[e.model_id].append(e.confidence)
-
+    view = train.view
     thresholds: Dict[str, Tuple[float, ...]] = {}
-    for m in models:
-        confs = conf_by_model[m]
-        if confs:
-            qs = np.quantile(np.asarray(confs, dtype=np.float64), quantiles)
-            vals = sorted(set(round(float(q), 9) for q in qs))
+    for f, m in enumerate(view.models):
+        confs = view.confidence[view.model == f]
+        if confs.size:
+            qs = np.quantile(confs, quantiles)
+            thresholds[m] = tuple(sorted(set(round(float(q), 9) for q in qs)))
         else:
-            vals = []
-        thresholds[m] = tuple(vals)
+            thresholds[m] = ()
 
     out: Dict[Tuple[str, str], Tuple[Condition, ...]] = {}
-    for f in models:
-        pool = [Condition("disagree_with", model=g) for g in models if g != f]
+    for f in view.models:
+        pool = [Condition("disagree_with", model=g) for g in view.models if g != f]
         pool.extend(Condition("confidence_below", threshold=t) for t in thresholds[f])
-        for c in classes:
+        for c in view.classes:
             out[(f, c)] = tuple(pool)
     return out
 
 
-def _learn_pair(entries: Sequence[Observation],
-                correct: np.ndarray,
+def _learn_pair(correct: np.ndarray,
                 fired: np.ndarray,
                 epsilon: float,
                 base: Sequence[int]) -> list:
@@ -221,7 +217,7 @@ def _learn_pair(entries: Sequence[Observation],
     """
     n_correct = int(correct.sum())
     chosen = list(base)
-    flagged = np.zeros(len(entries), dtype=bool)
+    flagged = np.zeros(fired.shape[1], dtype=bool)
     for i in chosen:
         flagged |= fired[i]
     limit = epsilon * n_correct + _EPS
@@ -255,63 +251,62 @@ def learn_ruleset(train: ObservationSet,
                   epsilon_grid: Sequence[float] = DEFAULT_EPSILON_GRID,
                   candidates: Optional[Mapping[Tuple[str, str], Tuple[Condition, ...]]] = None
                   ) -> RuleSet:
-    """Learn rules for every (model, class) pair across the epsilon grid."""
-    for e in train.entries:
-        if e.object_id not in gt_labels:
-            raise InputError(f"training object {e.object_id!r} has no ground-truth label")
+    """Learn rules for every (model, class) pair across the epsilon grid.
+
+    Each candidate's firing pattern comes from the same masks
+    :func:`split_flagged` evaluates.
+    """
+    view = train.view
+    for w in np.unique(view.obj).tolist():
+        if view.objects[w] not in gt_labels:
+            raise InputError(f"training object {view.objects[w]!r} has no ground-truth label")
     if candidates is None:
         candidates = generate_candidates(train)
     grid = tuple(sorted(set(float(e) for e in epsilon_grid)))
     if not grid:
         raise InputError("epsilon grid must be non-empty")
 
-    siblings = sibling_index(train)
-    by_pair: Dict[Tuple[str, str], list] = {}
-    for e in sorted(train.entries):
-        by_pair.setdefault((e.model_id, e.class_id), []).append(e)
+    # ground-truth class index per object, -1 for a label outside the classes
+    ci = {c: i for i, c in enumerate(view.classes)}
+    truth = np.fromiter((ci.get(gt_labels.get(o), -1) for o in view.objects),
+                        dtype=np.int64, count=len(view.objects))
 
     ruleset = RuleSet(grid)
-    for f in sorted(train.models):
-        for c in sorted(train.classes):
-            pool = tuple(candidates.get((f, c), ()))
-            entries = by_pair.get((f, c), [])
-            if entries and pool:
-                correct = np.array([gt_labels[e.object_id] == c for e in entries],
-                                   dtype=bool)
-                fired = np.zeros((len(pool), len(entries)), dtype=bool)
-                for i, cond in enumerate(pool):
-                    for j, entry in enumerate(entries):
-                        fired[i, j] = cond.fires(entry, siblings[entry.object_id])
+    for f, m in enumerate(view.models):
+        for c, k in enumerate(view.classes):
+            pool = tuple(candidates.get((m, k), ()))
+            rows = view.pair_rows(f, c)
+            if rows.stop > rows.start and pool:
+                correct = truth[view.obj[rows]] == c
+                fired = np.array([_condition_mask(cond, view, rows, f) for cond in pool])
                 chosen: list = []
                 for eps in grid:
-                    chosen = _learn_pair(entries, correct, fired, eps, chosen)
-                    ruleset.rules[(f, c, eps)] = ErrorRule(
-                        f, c, tuple(pool[i] for i in chosen))
+                    chosen = _learn_pair(correct, fired, eps, chosen)
+                    ruleset.rules[(m, k, eps)] = ErrorRule(
+                        m, k, tuple(pool[i] for i in chosen))
             else:
                 for eps in grid:
-                    ruleset.rules[(f, c, eps)] = ErrorRule(f, c, ())
+                    ruleset.rules[(m, k, eps)] = ErrorRule(m, k, ())
     return ruleset
 
 
-def split_flagged(entries: Iterable[Observation],
-                  ruleset: RuleSet,
-                  epsilon: float,
-                  siblings: Mapping[str, Mapping[str, Observation]]
-                  ) -> Tuple[list, list]:
-    """Split entries into those the ``epsilon`` rules keep and those they flag.
+def split_flagged(obs: ObservationSet, ruleset: RuleSet, epsilon: float) -> np.ndarray:
+    """Mask over ``obs.view`` rows: True where the ``epsilon`` rule of the
+    row's (model, class) pair flags the prediction as an error.
 
-    ``siblings`` is the :func:`sibling_index` of the observation set the
-    entries come from.  Each (model, class) rule is looked up once per call.
+    A rule flags a prediction when any of its conditions fires.  This is the
+    one rule filter; the learner shares its condition masks.
     """
-    rules: Dict[Tuple[str, str], ErrorRule] = {}
-    kept, flagged = [], []
-    for e in entries:
-        pair = (e.model_id, e.class_id)
-        rule = rules.get(pair)
-        if rule is None:
-            rule = rules[pair] = ruleset.rule_for(e.model_id, e.class_id, epsilon)
-        (flagged if rule.flags(e, siblings[e.object_id]) else kept).append(e)
-    return kept, flagged
+    view = obs.view
+    flagged = np.zeros(len(view.entries), dtype=bool)
+    for f, m in enumerate(view.models):
+        for c, k in enumerate(view.classes):
+            rows = view.pair_rows(f, c)
+            if rows.stop == rows.start:
+                continue
+            for cond in ruleset.rule_for(m, k, epsilon).conditions:
+                flagged[rows] |= _condition_mask(cond, view, rows, f)
+    return flagged
 
 
 def apply_rules(obs: ObservationSet,
@@ -322,6 +317,7 @@ def apply_rules(obs: ObservationSet,
     Returns the surviving observations (same object/model/class universe)
     and the flagged error atoms ``(model_id, class_id, object_id)``.
     """
-    kept, flagged = split_flagged(obs.entries, ruleset, epsilon, sibling_index(obs))
-    filtered = ObservationSet(frozenset(kept), obs.objects, obs.models, obs.classes)
-    return filtered, frozenset((e.model_id, e.class_id, e.object_id) for e in flagged)
+    flagged = split_flagged(obs, ruleset, epsilon)
+    errors = frozenset((e.model_id, e.class_id, e.object_id)
+                       for e in obs.view.entries[flagged])
+    return obs.subset(~flagged), errors

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import baselines, solver_hs, solver_ip, tiebreak
-from .deduction import DomainConfig, count_inc
+from .deduction import DomainConfig, find_violations, inc_from_count
 from .edr import RuleSet, apply_rules
 from .model_io import InputError, ObservationSet
 
@@ -37,6 +37,7 @@ class Metrics:
     inconsistency: float = 0.0
     runtime_per_object: float = 0.0
     n_objects: int = 0
+    violations: int = 0     # raw violated ground rules behind ``inconsistency``
 
 
 def score(atoms: Iterable[Tuple[str, str]],
@@ -49,7 +50,8 @@ def score(atoms: Iterable[Tuple[str, str]],
 
     Precision is over atoms; recall counts ground-truth objects touched by a
     correct atom; accuracy additionally requires the object to carry exactly
-    one atom.  Inconsistency is computed when a domain is given.
+    one atom.  Inconsistency, and the raw violation count it normalizes,
+    are computed when a domain is given.
     """
     if not gt_labels:
         raise InputError("ground truth is empty")
@@ -70,12 +72,13 @@ def score(atoms: Iterable[Tuple[str, str]],
     accuracy = exact / len(gt_labels)
 
     incon = 0.0
+    violations = 0
     if domain is not None:
-        incon = count_inc(atoms, domain.ic, domain.normalizer_mode,
-                          n_objects=n_objects,
-                          directed_ground_rules=domain.directed_ground_rules)
+        violations = len(find_violations(atoms, domain.ic))
+        incon = inc_from_count(violations, n_objects, domain.ic,
+                               domain.normalizer_mode, domain.directed_ground_rules)
     return Metrics(precision, recall, f1, accuracy, incon,
-                   runtime_per_object, n_objects)
+                   runtime_per_object, n_objects, violations)
 
 
 def labels_to_atoms(labels: Mapping[str, str]) -> frozenset:
@@ -107,7 +110,7 @@ class SweepDataset:
 
     def fingerprint(self) -> str:
         payload = json.dumps({
-            "entries": sorted(list(e) for e in self.observations.entries),
+            "entries": sorted(self.observations.entries),
             "objects": sorted(self.observations.objects),
             "labels": sorted(self.gt_labels.items()),
             "classes": list(self.domain.classes),

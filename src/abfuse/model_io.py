@@ -24,7 +24,8 @@ Relative paths are resolved against the manifest's directory.
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -102,13 +103,87 @@ class Observation(NamedTuple):
     confidence: float
 
 
+def _index_of(ids: Sequence[str], wanted: Iterable[str], what: str) -> np.ndarray:
+    """Positions of ``wanted`` in ``ids`` as int64; an unknown id is an error."""
+    pos = {v: i for i, v in enumerate(ids)}
+    try:
+        return np.fromiter((pos[v] for v in wanted), dtype=np.int64)
+    except KeyError as exc:
+        raise InputError(f"entry references unknown {what} {exc.args[0]!r}") from None
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationView:
+    """An observation set as arrays over sorted models, objects and classes.
+
+    Rows are ordered by (model, class, object) index, so each (model, class)
+    pair's entries are one contiguous run of rows (:meth:`pair_rows`).
+    """
+
+    models: tuple
+    objects: tuple
+    classes: tuple
+    entries: np.ndarray      # object (n,): the Observation of each row
+    model: np.ndarray        # int64 (n,)
+    obj: np.ndarray          # int64 (n,)
+    cls: np.ndarray          # int64 (n,)
+    confidence: np.ndarray   # float64 (n,)
+
+    @classmethod
+    def encode(cls, obs: "ObservationSet") -> "ObservationView":
+        """Index every entry; raises :class:`InputError` for an entry outside
+        the universe or a second entry of one model for one object."""
+        models, objects = tuple(sorted(obs.models)), tuple(sorted(obs.objects))
+        classes = tuple(sorted(obs.classes))
+        rows = list(obs.entries)
+        obj = _index_of(objects, (e.object_id for e in rows), "object")
+        model = _index_of(models, (e.model_id for e in rows), "model")
+        klass = _index_of(classes, (e.class_id for e in rows), "class")
+        twice = np.flatnonzero(np.bincount(model * len(objects) + obj, minlength=1) > 1)
+        if twice.size:
+            f, w = divmod(int(twice[0]), len(objects))
+            raise InputError(f"model {models[f]!r} has two entries for object {objects[w]!r}")
+        order = np.lexsort((obj, klass, model))
+        entries = np.fromiter((rows[i] for i in order.tolist()), dtype=object,
+                              count=len(rows))
+        confidence = np.fromiter((e.confidence for e in entries), dtype=np.float64,
+                                 count=len(rows))
+        return cls(models, objects, classes, entries, model[order], obj[order],
+                   klass[order], confidence)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """int64 (F, N): each model's class index per object, -1 for none."""
+        grid = np.full((len(self.models), len(self.objects)), -1, dtype=np.int64)
+        grid[self.model, self.obj] = self.cls
+        return grid
+
+    @cached_property
+    def pair_start(self) -> list:
+        """First row of each (model f, class c) pair at ``f * C + c``, then n."""
+        key = self.model * len(self.classes) + self.cls
+        return np.searchsorted(key, np.arange(len(self.models) * len(self.classes) + 1)).tolist()
+
+    def pair_rows(self, f: int, c: int) -> slice:
+        """Rows of model ``f``'s predictions of class ``c``."""
+        k = f * len(self.classes) + c
+        return slice(self.pair_start[k], self.pair_start[k + 1])
+
+    def masked(self, keep: np.ndarray) -> "ObservationView":
+        """The rows where ``keep`` is True, on the same universe."""
+        return ObservationView(self.models, self.objects, self.classes,
+                               *(a[keep] for a in (self.entries, self.model, self.obj,
+                                                   self.cls, self.confidence)))
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Predictions keyed to shared object identities.
 
     ``objects`` is the full object universe, including objects no model
     predicted anything for; those stay relevant as the normalization base
-    for inconsistency scores.
+    for inconsistency scores.  ``view`` holds the same entries as arrays
+    (:class:`ObservationView`); building it validates the entries.
     """
 
     entries: frozenset
@@ -117,18 +192,22 @@ class ObservationSet:
     classes: frozenset
 
     def __post_init__(self):
-        seen = set()
-        for e in self.entries:
-            if e.object_id not in self.objects:
-                raise InputError(f"entry references unknown object {e.object_id!r}")
-            if e.model_id not in self.models:
-                raise InputError(f"entry references unknown model {e.model_id!r}")
-            if e.class_id not in self.classes:
-                raise InputError(f"entry references unknown class {e.class_id!r}")
-            key = (e.object_id, e.model_id)
-            if key in seen:
-                raise InputError(f"model {e.model_id!r} has two entries for object {e.object_id!r}")
-            seen.add(key)
+        self.view  # noqa: B018 -- encoding checks every entry
+
+    @cached_property
+    def view(self) -> ObservationView:
+        return ObservationView.encode(self)
+
+    def subset(self, keep: np.ndarray) -> "ObservationSet":
+        """The entries where ``keep`` (a mask in ``view`` order) is True, on
+        the same universe; their view is this one's, masked."""
+        view = self.view.masked(keep)
+        out = object.__new__(ObservationSet)
+        # seeding the cached view first spares __post_init__ a re-encoding
+        out.__dict__["view"] = view
+        out.__init__(frozenset(view.entries.tolist()), self.objects,
+                     self.models, self.classes)
+        return out
 
     @classmethod
     def from_entries(cls, entries: Iterable[Observation],
@@ -143,17 +222,6 @@ class ObservationSet:
         mods.update(e.model_id for e in entries)
         clss.update(e.class_id for e in entries)
         return cls(entries, frozenset(objs), frozenset(mods), frozenset(clss))
-
-    def sorted_entries(self) -> list:
-        return sorted(self.entries)
-
-    def by_object(self) -> dict:
-        out: dict = {}
-        for e in self.entries:
-            out.setdefault(e.object_id, []).append(e)
-        for group in out.values():
-            group.sort()
-        return out
 
     def atoms(self) -> frozenset:
         """Distinct (class_id, object_id) assignment atoms."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .deduction import IntegrityConstraintSet, inc_from_count, violation_budget
-from .edr import RuleSet, sibling_index, split_flagged
+from .edr import RuleSet, split_flagged
 from .model_io import InputError, ObservationSet
 
 
@@ -101,11 +101,8 @@ def heuristic_search(p_raw: ObservationSet,
         if a not in p_raw.classes or b not in p_raw.classes:
             raise InputError(f"exclusion pair ({a!r}, {b!r}) outside the class universe")
 
-    objects = sorted(p_raw.objects)
-    classes = sorted(p_raw.classes)
-    oi = {o: i for i, o in enumerate(objects)}
-    ci = {c: i for i, c in enumerate(classes)}
-    n_objects = len(objects)
+    view = p_raw.view
+    n_objects = len(view.objects)
     budget = violation_budget(config.delta, n_objects, ic,
                               normalizer_mode, directed_ground_rules)
 
@@ -113,43 +110,39 @@ def heuristic_search(p_raw: ObservationSet,
         return inc_from_count(n_conf, n_objects, ic, normalizer_mode,
                               directed_ground_rules)
 
+    ci = {c: i for i, c in enumerate(view.classes)}
+    mi = {m: i for i, m in enumerate(view.models)}
     adj_off, adj_idx = kernels.pair_adjacency(
-        len(classes), [(ci[a], ci[b]) for a, b in ic.pairs])
-    pres = np.zeros((len(classes), n_objects), dtype=np.uint8)
+        len(view.classes), [(ci[a], ci[b]) for a, b in ic.pairs])
+    pres = np.zeros((len(view.classes), n_objects), dtype=np.uint8)
     atoms = 0
     conflicts = 0
 
-    # surviving entries per (model, class, epsilon)
-    siblings = sibling_index(p_raw)
-    survivors: dict = {}
-    for eps in config.epsilon_set:
-        kept, _ = split_flagged(p_raw.entries, ruleset, eps, siblings)
-        for e in kept:
-            survivors.setdefault((e.model_id, e.class_id, eps), []).append(e)
+    # view rows surviving the rules, per epsilon
+    kept = {eps: ~split_flagged(p_raw, ruleset, eps) for eps in config.epsilon_set}
 
     # each pair is visited once, so a pair's entries are never already
     # selected and its atoms (one class, distinct objects) never repeat
     selected: list = []
     steps = []
     for f, c in _pair_order(p_raw, config):
-        best = None  # (atoms, conflicts, eps, preds, add_c, add_w)
+        rows = view.pair_rows(mi[f], ci[c])
+        best = None  # (atoms, conflicts, eps, survivor rows)
         for eps in config.epsilon_set:
-            preds = survivors.get((f, c, eps))
-            if not preds:
+            idx = np.flatnonzero(kept[eps][rows]) + rows.start
+            if not idx.size:
                 continue
-            add_c = np.full(len(preds), ci[c], dtype=np.int64)
-            add_w = np.array([oi[e.object_id] for e in preds], dtype=np.int64)
             cand_atoms, cand_conf = kernels.union_stats(
-                pres, atoms, conflicts, add_c, add_w, adj_off, adj_idx)
+                pres, atoms, conflicts, view.cls[idx], view.obj[idx], adj_off, adj_idx)
             if cand_atoms <= atoms or cand_conf > budget:
                 continue
             if best is None or cand_atoms > best[0]:
-                best = (cand_atoms, cand_conf, eps, preds, add_c, add_w)
+                best = (cand_atoms, cand_conf, eps, idx)
         chosen: Optional[float] = None
         if best is not None:
-            atoms, conflicts, chosen, preds, add_c, add_w = best
-            kernels.commit_atoms(pres, add_c, add_w)
-            selected.extend(preds)
+            atoms, conflicts, chosen, idx = best
+            kernels.commit_atoms(pres, view.cls[idx], view.obj[idx])
+            selected.extend(view.entries[idx].tolist())
         steps.append(SelectionStep(f, c, chosen, atoms, inconsistency(conflicts)))
 
     return HsResult(frozenset(selected), SelectionTrace(tuple(steps)),

@@ -11,13 +11,13 @@ solutions the one with fewer eliminations is preferred, then the one whose
 eliminated pairs come lexicographically first in (model, class) order.
 
 ``solve`` runs an in-house branch & bound (see :mod:`abfuse.kernels`);
-``brute_force_optimal`` is an independently coded exhaustive check for tiny
-instances, and ``audit_solution`` re-verifies any solution against the
-constraint system built from first principles.
+``audit_solution`` re-verifies any solution against the constraint system
+built from first principles.  The tests hold an exhaustive reference solver
+for tiny instances (``tests/oracles.py``).
 """
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -48,23 +48,58 @@ class IpInstance:
         return self.pred.shape
 
 
-@dataclass
+@dataclass(eq=False)
 class IpSolution:
+    """A solution as arrays over the instance's models, classes and objects.
+
+    ``eliminated[f, c]`` is the elimination bit of each (model, class) pair
+    and ``covered[c, w]`` says whether object ``w`` gets class ``c``.  An
+    infeasible solution eliminates every pair and covers nothing.  ``elim``,
+    ``assign`` and ``con`` are the same variables as dictionaries, built on
+    first access for audits and tests.
+    """
+
     status: str
     objective: int
-    elim: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    assign: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    con: Dict[Tuple[str, Tuple[str, str]], int] = field(default_factory=dict)
-    nodes: int = 0
+    nodes: int
+    eliminated: np.ndarray      # int8 (F, C)
+    covered: np.ndarray         # bool (C, N)
+    instance: IpInstance = field(repr=False)
 
     def accepted_pairs(self) -> frozenset:
-        return frozenset(k for k, v in self.elim.items() if v == 0)
+        f, c = np.nonzero(self.eliminated == 0)
+        return frozenset(zip(map(self.instance.models.__getitem__, f.tolist()),
+                             map(self.instance.classes.__getitem__, c.tolist())))
 
     def assigned_atoms(self) -> frozenset:
-        return frozenset(k for k, v in self.assign.items() if v == 1)
+        c, w = np.nonzero(self.covered)
+        return frozenset(zip(map(self.instance.classes.__getitem__, c.tolist()),
+                             map(self.instance.objects.__getitem__, w.tolist())))
 
     def n_violations(self) -> int:
-        return sum(self.con.values())
+        return sum(int((self.covered[a] & self.covered[b]).sum())
+                   for a, b in _ic_index_pairs(self.instance))
+
+    @cached_property
+    def elim(self) -> Dict[Tuple[str, str], int]:
+        inst = self.instance
+        return {(m, c): v for m, row in zip(inst.models, self.eliminated.tolist())
+                for c, v in zip(inst.classes, row)}
+
+    @cached_property
+    def assign(self) -> Dict[Tuple[str, str], int]:
+        inst = self.instance
+        return {(c, w): int(v) for c, row in zip(inst.classes, self.covered.tolist())
+                for w, v in zip(inst.objects, row)}
+
+    @cached_property
+    def con(self) -> Dict[Tuple[str, Tuple[str, str]], int]:
+        inst = self.instance
+        out = {}
+        for (a, b), (ia, ib) in zip(inst.ic.pairs, _ic_index_pairs(inst)):
+            both = (self.covered[ia] & self.covered[ib]).tolist()
+            out.update(((w, (a, b)), int(v)) for w, v in zip(inst.objects, both))
+        return out
 
 
 def build_instance(obs: ObservationSet,
@@ -79,18 +114,11 @@ def build_instance(obs: ObservationSet,
         if a not in obs.classes or b not in obs.classes:
             raise InputError(f"exclusion pair ({a!r}, {b!r}) outside the class universe")
 
-    objects = tuple(sorted(obs.objects))
-    models = tuple(sorted(obs.models))
-    classes = tuple(sorted(obs.classes))
-    oi = {o: i for i, o in enumerate(objects)}
-    mi = {m: i for i, m in enumerate(models)}
-    ci = {c: i for i, c in enumerate(classes)}
-
+    v = obs.view
+    objects, models, classes = v.objects, v.models, v.classes
     pred = np.zeros((len(models), len(classes), len(objects)), dtype=np.uint8)
-    for e in obs.entries:
-        pred[mi[e.model_id], ci[e.class_id], oi[e.object_id]] = 1
-    coverable = (pred.any(axis=0).any(axis=0)).astype(np.uint8) if pred.size \
-        else np.zeros(len(objects), dtype=np.uint8)
+    pred[v.model, v.cls, v.obj] = 1
+    coverable = pred.any(axis=(0, 1)).astype(np.uint8)
 
     budget = violation_budget(delta, len(objects), ic,
                               normalizer_mode, directed_ground_rules)
@@ -105,28 +133,16 @@ def _ic_index_pairs(inst: IpInstance) -> list:
 
 def _solution_from_elim(inst: IpInstance, elim_fc: np.ndarray,
                         status: str, nodes: int) -> IpSolution:
-    """Materialize the full variable assignment implied by elimination bits."""
-    F, C, N = inst.shape
-    accepted = (elim_fc == 0)[:, :, None]
-    covered = np.logical_and(inst.pred.astype(bool), accepted).any(axis=0)  # (C, N)
+    """The solution implied by elimination bits: a class is assigned to an
+    object when some kept pair predicts it."""
+    covered = (inst.pred.astype(bool) & (elim_fc == 0)[:, :, None]).any(axis=0)
+    return IpSolution(status, int(covered.sum()), nodes, elim_fc, covered, inst)
 
-    elim = {}
-    for f in range(F):
-        for c in range(C):
-            elim[(inst.models[f], inst.classes[c])] = int(elim_fc[f, c])
-    assign = {}
-    for c in range(C):
-        for w in range(N):
-            assign[(inst.classes[c], inst.objects[w])] = int(covered[c, w])
-    con = {}
-    for a, b in inst.ic.pairs:
-        ca = inst.classes.index(a)
-        cb = inst.classes.index(b)
-        both = np.logical_and(covered[ca], covered[cb])
-        for w in range(N):
-            con[(inst.objects[w], (a, b))] = int(both[w])
-    objective = int(covered.sum())
-    return IpSolution(status, objective, elim, assign, con, nodes)
+
+def _infeasible(inst: IpInstance, nodes: int) -> IpSolution:
+    F, C, N = inst.shape
+    return IpSolution(STATUS_INFEASIBLE, -1, nodes, np.ones((F, C), dtype=np.int8),
+                      np.zeros((C, N), dtype=bool), inst)
 
 
 def solve(instance: IpInstance) -> IpSolution:
@@ -136,22 +152,13 @@ def solve(instance: IpInstance) -> IpSolution:
 
     # branch only on pairs with support; empty pairs stay kept, which is
     # optimal for the fewer-eliminations preference
-    sup_fc = instance.pred.sum(axis=2)
-    branch_vars = [(f, c) for f in range(F) for c in range(C) if sup_fc[f, c] > 0]
-    n_vars = len(branch_vars)
-
-    var_cls = np.array([c for _, c in branch_vars], dtype=np.int64) \
-        if n_vars else np.zeros(0, dtype=np.int64)
-    obj_lists = [np.flatnonzero(instance.pred[f, c]) for f, c in branch_vars]
-    var_obj_off = np.zeros(n_vars + 1, dtype=np.int64)
-    for i, lst in enumerate(obj_lists):
-        var_obj_off[i + 1] = var_obj_off[i] + len(lst)
-    var_obj_idx = np.concatenate(obj_lists).astype(np.int64) if obj_lists \
-        else np.zeros(0, dtype=np.int64)
-
-    order = np.array(
-        sorted(range(n_vars), key=lambda v: (-len(obj_lists[v]), v)),
-        dtype=np.int64) if n_vars else np.zeros(0, dtype=np.int64)
+    support = instance.pred.sum(axis=2, dtype=np.int64)    # (F, C)
+    var_f, var_cls = np.nonzero(support)
+    # each variable's objects, variables in (model, class) order
+    var_obj_idx = np.nonzero(instance.pred)[2]
+    var_obj_off = np.concatenate(([0], np.cumsum(support[var_f, var_cls])))
+    # most supported variable first, ties in variable order
+    order = np.argsort(-support[var_f, var_cls], kind="stable")
 
     sup = instance.pred.sum(axis=0, dtype=np.int64)  # (C, N) supporter counts
     adj_off, adj_idx = kernels.pair_adjacency(C, _ic_index_pairs(instance))
@@ -162,56 +169,15 @@ def solve(instance: IpInstance) -> IpSolution:
         instance.delta_budget, instance.ic.max_degree())
 
     if not found:
-        return IpSolution(STATUS_INFEASIBLE, -1, nodes=nodes)
+        return _infeasible(instance, nodes)
 
     elim_fc = np.zeros((F, C), dtype=np.int8)
-    for i, (f, c) in enumerate(branch_vars):
-        elim_fc[f, c] = best_mask[i]
+    elim_fc[var_f, var_cls] = best_mask
     sol = _solution_from_elim(instance, elim_fc, STATUS_OPTIMAL, nodes)
     if sol.objective != best_obj:
         raise AssertionError(
             f"search bookkeeping out of sync: {sol.objective} != {best_obj}")
     return sol
-
-
-def brute_force_optimal(instance: IpInstance,
-                        max_pairs: int = 12) -> IpSolution:
-    """Exhaustive reference solver for tiny instances.
-
-    Enumerates every elimination pattern over all (model, class) pairs and
-    evaluates it with plain numpy, independent of the search kernels.  Ties
-    prefer fewer eliminations, then the lexicographically smallest set of
-    eliminated pairs in (model, class) order.
-    """
-    F, C, N = instance.shape
-    n = F * C
-    if n > max_pairs:
-        raise InputError(f"brute force limited to {max_pairs} pairs, got {n}")
-
-    pred = instance.pred.astype(bool)
-    coverable = instance.coverable.astype(bool)
-    pairs_idx = _ic_index_pairs(instance)
-
-    best = None  # (objective, n_elim, bits_tuple)
-    for mask in range(1 << n):
-        bits = [(mask >> k) & 1 for k in range(n)]
-        elim_fc = np.array(bits, dtype=bool).reshape(F, C)
-        covered = np.logical_and(pred, ~elim_fc[:, :, None]).any(axis=0)
-        if not covered.any(axis=0)[coverable].all():
-            continue
-        viol = sum(int(np.logical_and(covered[a], covered[b]).sum())
-                   for a, b in pairs_idx)
-        if viol > instance.delta_budget:
-            continue
-        elim_idx = tuple(k for k in range(n) if bits[k])
-        key = (-int(covered.sum()), len(elim_idx), elim_idx)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return IpSolution(STATUS_INFEASIBLE, -1)
-    elim_fc = np.zeros(n, dtype=np.int8)
-    elim_fc[list(best[2])] = 1
-    return _solution_from_elim(instance, elim_fc.reshape(F, C), STATUS_OPTIMAL, 0)
 
 
 def audit_solution(instance: IpInstance, sol: IpSolution) -> list:
@@ -293,31 +259,3 @@ def audit_solution(instance: IpInstance, sol: IpSolution) -> list:
     if sol.objective != sum(sol.assign.values()):
         problems.append(f"objective {sol.objective} != assigned atom count {sum(sol.assign.values())}")
     return problems
-
-
-def dump_instance(instance: IpInstance) -> str:
-    """Human-readable instance dump for debugging and audits."""
-    return json.dumps({
-        "objects": list(instance.objects),
-        "models": list(instance.models),
-        "classes": list(instance.classes),
-        "predictions": sorted(
-            [instance.models[f], instance.classes[c], instance.objects[w]]
-            for f, c, w in zip(*np.nonzero(instance.pred))),
-        "exclusion_pairs": [list(p) for p in instance.ic.pairs],
-        "delta": instance.delta,
-        "delta_budget": instance.delta_budget,
-        "normalizer_mode": instance.normalizer_mode,
-        "directed_ground_rules": instance.directed_ground_rules,
-    }, indent=2)
-
-
-def dump_solution(sol: IpSolution) -> str:
-    return json.dumps({
-        "status": sol.status,
-        "objective": sol.objective,
-        "eliminated": sorted(list(k) for k, v in sol.elim.items() if v),
-        "assigned": sorted(list(k) for k, v in sol.assign.items() if v),
-        "violated": sorted([w, list(p)] for (w, p), v in sol.con.items() if v),
-        "nodes": sol.nodes,
-    }, indent=2)

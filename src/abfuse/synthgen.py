@@ -76,16 +76,6 @@ def error_shift(model_index: int, n_classes: int) -> int:
     return 1 + model_index % (n_classes - 1)
 
 
-def confusion_matrix(n_classes: int, model_index: int, intensity: float) -> np.ndarray:
-    """Row-stochastic ``(1 - t) * I + t * T`` with T a one-hot shift."""
-    eye = np.eye(n_classes)
-    target = np.zeros((n_classes, n_classes))
-    s = error_shift(model_index, n_classes)
-    for i in range(n_classes):
-        target[i, (i + s) % n_classes] = 1.0
-    return (1.0 - intensity) * eye + intensity * target
-
-
 @dataclass(frozen=True)
 class SynthData:
     scenario: ShiftScenario

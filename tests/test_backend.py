@@ -11,7 +11,7 @@ import pytest
 from abfuse import kernels, solver_ip
 
 from conftest import SHARED_SEEDS, random_instance
-from oracles import count_conflicts
+from oracles import brute_force_optimal, count_conflicts
 
 
 def test_pair_adjacency_csr():
@@ -86,7 +86,7 @@ def test_solver_parity_across_backends(seed):
     obs, ic, delta, mode, directed = random_instance(seed)
     instance = solver_ip.build_instance(obs, ic, delta, mode, directed)
     bnb = solver_ip.solve(instance)
-    ref = solver_ip.brute_force_optimal(instance)
+    ref = brute_force_optimal(instance)
     assert (bnb.status, bnb.objective) == (ref.status, ref.objective)
     assert bnb.elim == ref.elim
     assert bnb.assign == ref.assign

@@ -116,8 +116,39 @@ def test_eval_reproduces_abduce_metrics(dataset, tmp_path):
     assert main(["eval", "--manifest", manifest,
                  "--labels", str(out / "labels.jsonl"),
                  "--out", str(metrics_path)]) == EXIT_OK
-    assert json.loads(metrics_path.read_text()) == \
-        json.loads((out / "metrics.json").read_text())
+    abduced = json.loads((out / "metrics.json").read_text())
+    # the budget depends on --delta, which eval does not take
+    assert abduced.pop("violation_budget") == 40  # floor(0.5 * 80 objects)
+    assert json.loads(metrics_path.read_text()) == abduced
+
+
+def test_metrics_report_raw_violations_next_to_clamped_inc(tmp_path):
+    manifest, _ = conflict_dataset(tmp_path)
+    domain = tmp_path / "abc.json"
+    domain.write_text('{"classes": ["A", "B", "C"]}\n')
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("".join(json.dumps({"object_id": o, "class_id": c}) + "\n"
+                              for o in ("o1", "o2", "o3") for c in "ABC"))
+    out = tmp_path / "m.json"
+    assert main(["eval", "--manifest", manifest, "--labels", str(labels),
+                 "--domain-config", str(domain), "--out", str(out)]) == EXIT_OK
+    metrics = json.loads(out.read_text())
+    # three violated pairs per object: Inc clamps at 1, the raw count does not
+    assert metrics["inconsistency"] == 1.0
+    assert metrics["violations"] == 9 > metrics["n_objects"] == 3
+
+
+def test_abduce_metrics_carry_violations_and_budget(dataset, tmp_path):
+    manifest, rules = dataset
+    for solver, extra in (("ip", ["--epsilon", "0.1"]), ("hs", [])):
+        out = tmp_path / solver
+        assert main(["abduce", "--manifest", manifest, "--rules", rules,
+                     "--solver", solver, "--delta", "0.3", "--tie-break", "off",
+                     "--out", str(out)] + extra) == EXIT_OK
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["violation_budget"] == 24  # floor(0.3 * 80 objects)
+        assert 0 <= metrics["violations"] <= 24
+        assert metrics["inconsistency"] == metrics["violations"] / 80
 
 
 def test_eval_rejects_bad_labels(dataset, tmp_path, capsys):
@@ -256,6 +287,30 @@ def test_domain_config_env_var(tmp_path, monkeypatch, capsys):
     assert rc == EXIT_OK
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert metrics["recall"] == 1.0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "expected a JSON object"),
+    ('{"classes": "AB"}', "'classes' must be a list of strings"),
+    ('{"classes": ["A", 5]}', "'classes' must be a list of strings"),
+    ('{"classes": ["A", "B"], "ic_pairs": [["A"]]}', "'ic_pairs' must be"),
+    ('{"classes": ["A", "B"], "ic_pairs": [["A", "B", "C"]]}', "'ic_pairs' must be"),
+    ('{"classes": ["A", "B"], "ic_pairs": [["A", 2]]}', "'ic_pairs' must be"),
+    ('{"classes": ["A", "B"], "ic_pairs": "AB"}', "'ic_pairs' must be"),
+    ('{"classes": ["A", "B"], "directed_ground_rules": "false"}',
+     "'directed_ground_rules' must be true or false"),
+    ('{"classes": ["A", "B"], "all_pairs": 1}', "'all_pairs' must be true or false"),
+])
+def test_malformed_domain_config_exits_one(tmp_path, capsys, text, message):
+    manifest, rules = conflict_dataset(tmp_path)
+    domain = tmp_path / "domain.json"
+    domain.write_text(text + "\n")
+    rc = main(["abduce", "--manifest", manifest, "--rules", rules,
+               "--solver", "hs", "--delta", "0.5", "--domain-config", str(domain),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Exclusion constraints, the deductive closure, and inconsistency measures."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 from abfuse.deduction import (DomainConfig, Hypothesis,
                               IntegrityConstraintSet, count_inc,
                               default_domain, find_violations, fixpoint,
-                              load_domain_config, save_domain_config,
-                              violation_budget)
+                              load_domain_config, violation_budget)
 from abfuse.model_io import InputError
 
 from conftest import DELTA_GRID, obs_of
@@ -217,6 +217,17 @@ def test_domain_config_validation():
                      normalizer_mode="bogus")
     with pytest.raises(InputError):
         DomainConfig(("a", "b"), IntegrityConstraintSet((("a", "z"),)))
+
+
+def save_domain_config(path, cfg):
+    """The file format ``load_domain_config`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({
+            "classes": list(cfg.classes),
+            "ic_pairs": [list(p) for p in cfg.ic.pairs],
+            "normalizer_mode": cfg.normalizer_mode,
+            "directed_ground_rules": cfg.directed_ground_rules,
+        }, fh, indent=2)
 
 
 def test_domain_config_round_trip(tmp_path):

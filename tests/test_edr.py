@@ -4,13 +4,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abfuse import synthgen
 from abfuse.edr import (Condition, ErrorRule, RuleSet, apply_rules,
-                        generate_candidates, learn_ruleset, sibling_index)
+                        generate_candidates, learn_ruleset, split_flagged)
 from abfuse.model_io import InputError, Observation
 
 from conftest import empty_rules, obs_of
-from oracles import flag_rate_on_correct
+from oracles import (fires, flag_rate_on_correct, flags,
+                     learn_ruleset_reference, sibling_index)
 
 
 def disagree(model):
@@ -42,25 +46,25 @@ def test_disagree_with_fires():
                   ("o3", "f1", "car", 0.9)])
     sib = sibling_index(obs)
     entry = Observation("o1", "f1", "car", 0.9)
-    assert disagree("f2").fires(entry, sib["o1"])
-    assert not disagree("f2").fires(Observation("o2", "f1", "car", 0.9), sib["o2"])
+    assert fires(disagree("f2"), entry, sib["o1"])
+    assert not fires(disagree("f2"), Observation("o2", "f1", "car", 0.9), sib["o2"])
     # no sibling entry at all: no disagreement
-    assert not disagree("f2").fires(Observation("o3", "f1", "car", 0.9), sib["o3"])
+    assert not fires(disagree("f2"), Observation("o3", "f1", "car", 0.9), sib["o3"])
 
 
 def test_confidence_below_is_strict():
     entry = Observation("o1", "f1", "car", 0.5)
-    assert not below(0.5).fires(entry, {})
-    assert below(0.500001).fires(entry, {})
+    assert not fires(below(0.5), entry, {})
+    assert fires(below(0.500001), entry, {})
 
 
 def test_class_is_ignores_own_model():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8)])
     sib = sibling_index(obs)
     entry = Observation("o1", "f1", "car", 0.9)
-    assert Condition("class_is", class_id="tree").fires(entry, sib["o1"])
+    assert fires(Condition("class_is", class_id="tree"), entry, sib["o1"])
     # only the entry's own model predicts car here
-    assert not Condition("class_is", class_id="car").fires(entry, sib["o1"])
+    assert not fires(Condition("class_is", class_id="car"), entry, sib["o1"])
 
 
 def test_conjunction_fires_when_all_parts_do():
@@ -68,9 +72,9 @@ def test_conjunction_fires_when_all_parts_do():
     sib = sibling_index(obs)
     entry = Observation("o1", "f1", "car", 0.3)
     both = Condition("conjunction", parts=(disagree("f2"), below(0.5)))
-    assert both.fires(entry, sib["o1"])
+    assert fires(both, entry, sib["o1"])
     high = Condition("conjunction", parts=(disagree("f2"), below(0.2)))
-    assert not high.fires(entry, sib["o1"])
+    assert not fires(high, entry, sib["o1"])
 
 
 def test_condition_json_round_trip():
@@ -210,7 +214,7 @@ def test_learn_unbounded_budget_catches_every_catchable_error():
         sib = sibling_index(obs)
         targets = sorted(e for e in obs.entries if e.model_id == "f1")
         wrong = [labels[e.object_id] != "car" for e in targets]
-        fired = [[c.fires(e, sib[e.object_id]) for e in targets] for c in pool]
+        fired = [[fires(c, e, sib[e.object_id]) for e in targets] for c in pool]
         best = 0
         for mask in range(16):
             caught = sum(1 for j, w in enumerate(wrong)
@@ -219,7 +223,7 @@ def test_learn_unbounded_budget_catches_every_catchable_error():
             best = max(best, caught)
         rule = rs.rule_for("f1", "car", 1.0)
         got = sum(1 for j, e in enumerate(targets)
-                  if wrong[j] and rule.flags(e, sib[e.object_id]))
+                  if wrong[j] and flags(rule, e, sib[e.object_id]))
         assert got == best, f"seed {seed}: caught {got} of {best} errors"
 
 
@@ -257,6 +261,58 @@ def test_learn_requires_labels_for_training_objects():
 
 
 # ---------------------------------------------------------------- filtering
+
+MODELS = ("f1", "f2", "f3")
+CLASSES = ("A", "B", "C")
+LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+_conditions = st.recursive(
+    st.one_of(
+        # the entry's own model, another one, or one absent from the set
+        st.builds(disagree, st.sampled_from(MODELS + ("f9",))),
+        # thresholds equal to confidences in use, and between them
+        st.builds(below, st.sampled_from(LEVELS + (0.3, 0.6))),
+        # the entry's own class, another one, or one absent from the set
+        st.builds(lambda c: Condition("class_is", class_id=c),
+                  st.sampled_from(CLASSES + ("Z",)))),
+    lambda parts: st.builds(lambda ps: Condition("conjunction", parts=tuple(ps)),
+                            st.lists(parts, min_size=2, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("o1", "o2", "o3", "o4", "o5")),
+                          st.sampled_from(MODELS), st.sampled_from(CLASSES),
+                          st.sampled_from(LEVELS)),
+                unique_by=lambda r: (r[0], r[1])),
+       st.dictionaries(st.tuples(st.sampled_from(MODELS), st.sampled_from(CLASSES)),
+                       st.lists(_conditions, max_size=3)))
+def test_split_flagged_matches_the_per_entry_oracle(rows, conds):
+    obs = obs_of(rows, objects=["o1", "o2", "o3", "o4", "o5", "o6"],
+                 models=MODELS + ("f4",), classes=CLASSES)
+    rs = RuleSet((0.5,), {(m, c, 0.5): ErrorRule(m, c, tuple(cs))
+                          for (m, c), cs in conds.items()})
+    sib = sibling_index(obs)
+    want = {e for e in obs.entries
+            if flags(rs.rule_for(e.model_id, e.class_id, 0.5), e, sib[e.object_id])}
+
+    mask = split_flagged(obs, rs, 0.5)
+    assert set(obs.view.entries[mask].tolist()) == want
+    filtered, errors = apply_rules(obs, rs, 0.5)
+    assert filtered.entries == obs.entries - want
+    assert errors == {(e.model_id, e.class_id, e.object_id) for e in want}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_learned_rules_match_a_per_entry_learner(seed):
+    data = synthgen.generate(synthgen.preset("MM_1", n_models=4, n_train=150,
+                                             n_test=0, seed=seed))
+    grid = (0.01, 0.1, 0.3, 0.5, 1.0)
+    got = learn_ruleset(data.train, data.train_labels, grid)
+    want = learn_ruleset_reference(data.train, data.train_labels, grid)
+    assert got.rules == want.rules
+    assert any(r.conditions for r in got.rules.values())
+
 
 def test_apply_rules_empty_ruleset_is_identity():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o2", "f2", "tree", 0.5)])

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,12 +122,75 @@ def test_observation_set_universes_and_atoms():
     assert rep.uncovered == ("o3",)
 
 
+def by_object(obs):
+    """object_id -> that object's entries, sorted."""
+    out: dict = {}
+    for e in sorted(obs.entries):
+        out.setdefault(e.object_id, []).append(e)
+    return out
+
+
 def test_by_object_groups_entries():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.4),
                   ("o2", "f1", "tree", 0.7)])
-    grouped = obs.by_object()
+    grouped = by_object(obs)
     assert {e.model_id for e in grouped["o1"]} == {"f1", "f2"}
     assert len(grouped["o2"]) == 1
+    # the view's grid holds the same grouping, one class index per model
+    v = obs.view
+    for w, o in enumerate(v.objects):
+        row = {v.models[f]: v.classes[k] for f, k in enumerate(v.grid[:, w]) if k >= 0}
+        assert row == {e.model_id: e.class_id for e in grouped.get(o, [])}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["o1", "o2", "o3", "o4"]),
+                          st.sampled_from(["f1", "f2", "f3"]),
+                          st.sampled_from(["car", "tree", "pole"]),
+                          st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+                unique_by=lambda r: (r[0], r[1])),
+       st.data())
+def test_view_and_subset_match_the_entries(rows, data):
+    obs = obs_of(rows, objects=["o1", "o2", "o3", "o4", "o5"],
+                 models=["f1", "f2", "f3", "f4"], classes=["car", "tree"])
+    v = obs.view
+    assert v.models == tuple(sorted(obs.models))
+    assert v.objects == tuple(sorted(obs.objects))
+    assert v.classes == tuple(sorted(obs.classes))
+    assert v.model.dtype == v.obj.dtype == v.cls.dtype == np.int64
+    assert v.confidence.dtype == np.float64
+    assert sorted(v.entries.tolist()) == sorted(obs.entries)
+    for i, e in enumerate(v.entries):
+        assert (v.models[v.model[i]], v.objects[v.obj[i]], v.classes[v.cls[i]],
+                v.confidence[i]) == (e.model_id, e.object_id, e.class_id, e.confidence)
+        assert v.grid[v.model[i], v.obj[i]] == v.cls[i]
+    assert (v.grid >= 0).sum() == len(obs.entries)
+    for f in range(len(v.models)):
+        for c in range(len(v.classes)):
+            rows_fc = v.entries[v.pair_rows(f, c)].tolist()
+            assert rows_fc == sorted(
+                (e for e in obs.entries if (e.model_id, e.class_id) ==
+                 (v.models[f], v.classes[c])), key=lambda e: e.object_id)
+
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                       max_size=len(rows))), dtype=bool)
+    sub = obs.subset(keep)
+    want = obs_of([tuple(e) for e in v.entries[keep]], objects=obs.objects,
+                  models=obs.models, classes=obs.classes)
+    assert sub == want
+    for name in ("entries", "model", "obj", "cls", "confidence", "grid", "pair_start"):
+        assert np.array_equal(getattr(sub.view, name), getattr(want.view, name)), name
+
+
+def test_observation_set_rejects_entries_outside_the_universe():
+    e = Observation("o1", "f1", "car", 0.9)
+    for field, objects, models, classes in (
+            ("object", {"o2"}, {"f1"}, {"car"}),
+            ("model", {"o1"}, {"f2"}, {"car"}),
+            ("class", {"o1"}, {"f1"}, {"tree"})):
+        with pytest.raises(InputError, match=f"unknown {field}"):
+            ObservationSet(frozenset({e}), frozenset(objects), frozenset(models),
+                           frozenset(classes))
 
 
 # ----------------------------------------------------------------- matcher

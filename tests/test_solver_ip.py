@@ -1,16 +1,18 @@
 """The exact binary-program solver: semantics, ties, audits, brute force."""
 
+import json
+
+import numpy as np
 import pytest
 
 from abfuse import solver_ip
-from abfuse.deduction import IntegrityConstraintSet
+from abfuse.deduction import IntegrityConstraintSet, find_violations
 from abfuse.model_io import InputError
 from abfuse.solver_ip import (STATUS_INFEASIBLE, STATUS_OPTIMAL,
-                              audit_solution, brute_force_optimal,
-                              build_instance, dump_instance, dump_solution,
-                              solve)
+                              audit_solution, build_instance, solve)
 
 from conftest import obs_of, random_instance
+from oracles import brute_force_optimal
 
 IC_CT = IntegrityConstraintSet((("car", "tree"),))
 
@@ -146,10 +148,12 @@ def test_audit_flags_corrupted_solutions():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8)])
     inst = build_instance(obs, IC_CT, 0.0)
     sol = solve(inst)
-    bad = solver_ip.IpSolution(sol.status, sol.objective, dict(sol.elim),
-                               dict(sol.assign), dict(sol.con), sol.nodes)
-    bad.assign[("car", "o1")] = 1  # support was eliminated
-    assert audit_solution(inst, bad) != []
+    covered = sol.covered.copy()
+    covered[inst.classes.index("car"), inst.objects.index("o1")] = True
+    bad = solver_ip.IpSolution(sol.status, sol.objective, sol.nodes,
+                               sol.eliminated, covered, inst)
+    # assign[("car", "o1")] is now 1 although its support was eliminated
+    assert any("exceeds its support" in p for p in audit_solution(inst, bad))
 
 
 def test_audit_flags_budget_overrun():
@@ -158,6 +162,64 @@ def test_audit_flags_budget_overrun():
     rich = solve(build_instance(obs, IC_CT, 1.0))
     # a solution that was optimal under a looser budget must fail this audit
     assert any("budget" in p for p in audit_solution(inst, rich))
+
+
+def test_array_solution_matches_its_dict_views():
+    for seed in range(3000, 3100):
+        obs, ic, delta, mode, directed = random_instance(seed)
+        inst = build_instance(obs, ic, delta, mode, directed)
+        for sol in (solve(inst), brute_force_optimal(inst)):
+            atoms = frozenset(k for k, v in sol.assign.items() if v == 1)
+            assert sol.assigned_atoms() == atoms, seed
+            assert sol.n_violations() == sum(sol.con.values()), seed
+            assert sol.accepted_pairs() == \
+                frozenset(k for k, v in sol.elim.items() if v == 0), seed
+            if sol.status == STATUS_OPTIMAL:
+                assert sol.n_violations() == len(find_violations(atoms, ic)), seed
+                assert sol.objective == len(atoms), seed
+            else:
+                assert atoms == sol.accepted_pairs() == frozenset(), seed
+
+
+def test_solution_arrays_have_instance_shapes():
+    obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8),
+                  ("o2", "f1", "car", 0.7)], objects=["o1", "o2", "o3"])
+    inst = build_instance(obs, IC_CT, 0.0)
+    sol = solve(inst)
+    assert sol.eliminated.shape == (2, 2) and sol.covered.shape == (2, 3)
+    assert sol.covered.dtype == bool
+    assert np.array_equal(sol.covered, [[True, True, False], [False, False, False]])
+    assert sol.elim[("f2", "tree")] == 1
+    assert sol.con == {("o1", ("car", "tree")): 0, ("o2", ("car", "tree")): 0,
+                       ("o3", ("car", "tree")): 0}
+
+
+def dump_instance(instance):
+    """Human-readable instance dump for debugging and audits."""
+    return json.dumps({
+        "objects": list(instance.objects),
+        "models": list(instance.models),
+        "classes": list(instance.classes),
+        "predictions": sorted(
+            [instance.models[f], instance.classes[c], instance.objects[w]]
+            for f, c, w in zip(*np.nonzero(instance.pred))),
+        "exclusion_pairs": [list(p) for p in instance.ic.pairs],
+        "delta": instance.delta,
+        "delta_budget": instance.delta_budget,
+        "normalizer_mode": instance.normalizer_mode,
+        "directed_ground_rules": instance.directed_ground_rules,
+    }, indent=2)
+
+
+def dump_solution(sol):
+    return json.dumps({
+        "status": sol.status,
+        "objective": sol.objective,
+        "eliminated": sorted(list(k) for k, v in sol.elim.items() if v),
+        "assigned": sorted(list(k) for k, v in sol.assign.items() if v),
+        "violated": sorted([w, list(p)] for (w, p), v in sol.con.items() if v),
+        "nodes": sol.nodes,
+    }, indent=2)
 
 
 def test_dump_helpers_smoke():

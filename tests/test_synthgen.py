@@ -5,9 +5,18 @@ import pytest
 
 from abfuse.model_io import InputError, load_dataset, observations_from_dataset
 from abfuse.synthgen import (PRESET_FAMILIES, Segment, ShiftScenario,
-                             confusion_matrix, error_shift, generate,
-                             load_scenario, preset, save_scenario,
-                             write_dataset)
+                             error_shift, generate, load_scenario, preset,
+                             save_scenario, write_dataset)
+
+
+def confusion_matrix(n_classes, model_index, intensity):
+    """The generator's error model: row-stochastic ``(1 - t) * I + t * T``
+    with T the one-hot shift by ``error_shift``."""
+    target = np.zeros((n_classes, n_classes))
+    s = error_shift(model_index, n_classes)
+    for i in range(n_classes):
+        target[i, (i + s) % n_classes] = 1.0
+    return (1.0 - intensity) * np.eye(n_classes) + intensity * target
 
 
 def scenario(intensity, n_train=0, n_test=400, seed=0, n_models=2,

@@ -68,7 +68,7 @@ def test_scale_free():
 
 def test_candidates_from_entries():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o2", "f2", "tree", 0.4)])
-    cands = sorted(candidates_from_entries(obs.sorted_entries()))
+    cands = sorted(candidates_from_entries(sorted(obs.entries)))
     assert cands == [("o1", "car", "f1", 0.9), ("o2", "tree", "f2", 0.4)]
 
 
