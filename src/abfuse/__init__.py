@@ -14,22 +14,21 @@ object.
 
 __version__ = "0.1.0"
 
-from .deduction import (DomainConfig, Hypothesis, IntegrityConstraintSet,
-                        count_inc, fixpoint, violation_budget)
+from .deduction import DomainConfig, IntegrityConstraintSet, violation_budget
 from .edr import RuleSet, apply_rules, learn_ruleset
 from .evaluation import Metrics, SweepDataset, run_sweep, score
-from .model_io import (BoundingBox, Detection, GroundTruthObject, InputError,
-                       Observation, ObservationSet, compute_iou,
-                       load_dataset, match_detections)
+from .model_io import (BoundingBox, Detection, DetectionTable, GroundTruthObject,
+                       GroundTruthTable, InputError, Observation, ObservationSet,
+                       compute_iou, load_dataset, match_detections)
 from .solver_hs import HsConfig, heuristic_search
 from .solver_ip import IpInstance, IpSolution, build_instance, solve
 
 __all__ = [
-    "BoundingBox", "Detection", "DomainConfig", "GroundTruthObject",
-    "HsConfig", "Hypothesis", "InputError", "IntegrityConstraintSet",
-    "IpInstance", "IpSolution", "Metrics", "Observation", "ObservationSet",
-    "RuleSet", "SweepDataset", "apply_rules", "build_instance", "compute_iou",
-    "count_inc", "fixpoint", "heuristic_search", "learn_ruleset",
+    "BoundingBox", "Detection", "DetectionTable", "DomainConfig",
+    "GroundTruthObject", "GroundTruthTable", "HsConfig", "InputError",
+    "IntegrityConstraintSet", "IpInstance", "IpSolution", "Metrics",
+    "Observation", "ObservationSet", "RuleSet", "SweepDataset", "apply_rules",
+    "build_instance", "compute_iou", "heuristic_search", "learn_ruleset",
     "load_dataset", "match_detections", "run_sweep", "score", "solve",
     "violation_budget",
 ]

@@ -1,7 +1,8 @@
-"""Deductive closure over accepted predictions.
+"""Mutual-exclusion constraints and the inconsistency measures over them.
 
-Given an observation set, a hypothesis saying which (model, class) pairs are
-accepted, and a set of mutually-exclusive class pairs, the closure derives:
+The paper's deductive closure takes an observation set, a hypothesis saying
+which (model, class) pairs are accepted, and a set of mutually-exclusive
+class pairs, and derives:
 
 * assignment atoms ``(class_id, object_id)`` — an object is assigned every
   class some accepted, non-error prediction gives it;
@@ -9,20 +10,24 @@ accepted, and a set of mutually-exclusive class pairs, the closure derives:
 * violated ground rules ``(object_id, (class_a, class_b))`` where both
   classes of an exclusion pair got assigned to the same object.
 
-The inconsistency score Inc normalizes the violation count; two modes are
-supported.  Both solvers accept a selection iff its raw count of violated
+The solvers compute that closure in bulk over arrays; ``tests/oracles.py``
+keeps a per-entry statement of it (``fixpoint``).  This module holds what
+they share: the constraint set, :func:`find_violations` and the
+inconsistency score Inc, which normalizes the violation count in one of two
+modes.  Both solvers accept a selection iff its raw count of violated
 ground rules is at most :func:`violation_budget`, and every Inc score, the
-greedy trace's included, comes from :func:`inc_from_count`.  The one intended difference between them: the exact
-solver keeps every coverable object covered, while the greedy search may
-leave an object without any assignment.
+greedy trace's included, comes from :func:`inc_from_count`.  The one
+intended difference between them: the exact solver keeps every coverable
+object covered, while the greedy search may leave an object without any
+assignment.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
-from .model_io import InputError, ObservationSet
+from .model_io import InputError
 
 NORMALIZER_MODES = ("per_object", "per_ground_rule")
 
@@ -68,51 +73,12 @@ class IntegrityConstraintSet:
         a, b = pair
         return _canon_pair(a, b) in self.pairs
 
-    def neighbors(self, class_id: str) -> frozenset:
-        out = set()
-        for a, b in self.pairs:
-            if a == class_id:
-                out.add(b)
-            elif b == class_id:
-                out.add(a)
-        return frozenset(out)
-
     def max_degree(self) -> int:
         deg: dict = {}
         for a, b in self.pairs:
             deg[a] = deg.get(a, 0) + 1
             deg[b] = deg.get(b, 0) + 1
         return max(deg.values()) if deg else 0
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """Accepted (model_id, class_id) pairs."""
-
-    accepted: FrozenSet[Tuple[str, str]]
-
-    @classmethod
-    def full(cls, models: Iterable[str], classes: Iterable[str]) -> "Hypothesis":
-        return cls(frozenset((f, c) for f in models for c in classes))
-
-    @classmethod
-    def of(cls, pairs: Iterable[Tuple[str, str]]) -> "Hypothesis":
-        return cls(frozenset(pairs))
-
-    def accepts(self, model_id: str, class_id: str) -> bool:
-        return (model_id, class_id) in self.accepted
-
-    def without(self, pairs: Iterable[Tuple[str, str]]) -> "Hypothesis":
-        return Hypothesis(self.accepted - frozenset(pairs))
-
-
-@dataclass(frozen=True)
-class FixpointResult:
-    assigned: FrozenSet[Tuple[str, str]]          # (class_id, object_id)
-    errors: FrozenSet[Tuple[str, str, str]]       # (model_id, class_id, object_id)
-    violations: FrozenSet[Tuple[str, Tuple[str, str]]]
-    pred: int
-    inc: float
 
 
 def find_violations(assigned: Iterable[Tuple[str, str]],
@@ -151,22 +117,6 @@ def inc_from_count(n_violations: int,
     return raw / denom if denom else 0.0
 
 
-def count_inc(assigned: Iterable[Tuple[str, str]],
-              ic: IntegrityConstraintSet,
-              normalizer_mode: str = "per_object",
-              *,
-              n_objects: int,
-              directed_ground_rules: bool = False) -> float:
-    """Normalized inconsistency of a set of assignment atoms (see
-    :func:`inc_from_count`)."""
-    if normalizer_mode not in NORMALIZER_MODES:
-        raise InputError(f"unknown normalizer_mode {normalizer_mode!r}")
-    if n_objects < 0:
-        raise InputError("n_objects must be >= 0")
-    return inc_from_count(len(find_violations(assigned, ic)), n_objects, ic,
-                          normalizer_mode, directed_ground_rules)
-
-
 def violation_budget(delta: float,
                      n_objects: int,
                      ic: IntegrityConstraintSet,
@@ -189,36 +139,6 @@ def violation_budget(delta: float,
         normalizer = n_objects * len(ic) * weight
     scaled = math.floor(delta * normalizer + _FLOOR_EPS)
     return scaled // weight
-
-
-def fixpoint(obs: ObservationSet,
-             hypothesis: Hypothesis,
-             ic: IntegrityConstraintSet,
-             errors: Iterable[Tuple[str, str, str]] = (),
-             normalizer_mode: str = "per_object",
-             directed_ground_rules: bool = False) -> FixpointResult:
-    """Close an observation set under a hypothesis.
-
-    ``errors`` are externally supplied error atoms (model, class, object)
-    whose predictions never contribute assignments even when their
-    (model, class) pair is accepted.
-    """
-    known_errors = frozenset(errors)
-    derived_errors = set(known_errors)
-    assigned = set()
-    for e in obs.entries:
-        if not hypothesis.accepts(e.model_id, e.class_id):
-            derived_errors.add((e.model_id, e.class_id, e.object_id))
-            continue
-        if (e.model_id, e.class_id, e.object_id) in known_errors:
-            continue
-        assigned.add((e.class_id, e.object_id))
-    violations = find_violations(assigned, ic)
-    inc = count_inc(assigned, ic, normalizer_mode,
-                    n_objects=len(obs.objects),
-                    directed_ground_rules=directed_ground_rules)
-    return FixpointResult(frozenset(assigned), frozenset(derived_errors),
-                          violations, len(assigned), inc)
 
 
 # ---------------------------------------------------------------------------

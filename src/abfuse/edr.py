@@ -311,13 +311,12 @@ def split_flagged(obs: ObservationSet, ruleset: RuleSet, epsilon: float) -> np.n
 
 def apply_rules(obs: ObservationSet,
                 ruleset: RuleSet,
-                epsilon: float) -> Tuple[ObservationSet, frozenset]:
+                epsilon: float) -> Tuple[ObservationSet, np.ndarray]:
     """Filter an observation set with the rules learned for ``epsilon``.
 
     Returns the surviving observations (same object/model/class universe)
-    and the flagged error atoms ``(model_id, class_id, object_id)``.
+    and the flagged rows, ascending indices into ``obs.view`` (so
+    ``obs.view.entries[flagged]`` are the flagged entries).
     """
     flagged = split_flagged(obs, ruleset, epsilon)
-    errors = frozenset((e.model_id, e.class_id, e.object_id)
-                       for e in obs.view.entries[flagged])
-    return obs.subset(~flagged), errors
+    return obs.subset(~flagged), np.flatnonzero(flagged)

@@ -1,4 +1,4 @@
-"""Input data model: detections, ground truth, and observation sets.
+"""Input data model: detection and ground-truth tables, observation sets.
 
 File formats
 ------------
@@ -19,12 +19,30 @@ A dataset manifest is a JSON document tying them together::
      "ground_truth": "gt.jsonl"}
 
 Relative paths are resolved against the manifest's directory.
+
+Loading and matching
+--------------------
+Each file is read line by line, one ``json.loads`` per line, straight into
+a column table (:class:`DetectionTable`, :class:`GroundTruthTable`): ids as
+``str`` lists, confidences as ``float64``, boxes as a ``(K, 4)`` ``float64``
+array.  All rows are then validated at once: finite corners, positive
+width and height, confidence in [0, 1], the manifest's model id, a
+declared class and unique object ids.  Every per-record error, found while
+parsing or by those checks, names the first bad line as ``<path>:<line>:``.
+
+:func:`match_detections` works on the tables.  Within each image it sorts
+the detections by x_min and keeps a running max of x_max; an object's
+candidates are the window of rows between the first whose running x_max
+exceeds the object's x_min and the last whose x_min is below its x_max.
+That window is an exact superset of the detections overlapping the object,
+so IoU is computed only for pairs that can overlap.
 """
 
 import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -92,6 +110,60 @@ class GroundTruthObject:
     object_id: str
     class_id: str
     bbox: BoundingBox
+
+
+def _boxes(rows) -> np.ndarray:
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+@dataclass(frozen=True, eq=False)
+class GroundTruthTable:
+    """Ground-truth objects as columns, in input order."""
+
+    image_id: list
+    object_id: list
+    class_id: list
+    boxes: np.ndarray        # float64 (G, 4): x_min, y_min, x_max, y_max
+
+    def __len__(self) -> int:
+        return len(self.object_id)
+
+    @classmethod
+    def from_records(cls, gt: Iterable[GroundTruthObject]) -> "GroundTruthTable":
+        gt = list(gt)
+        return cls([g.image_id for g in gt], [g.object_id for g in gt],
+                   [g.class_id for g in gt], _boxes([g.bbox.as_list() for g in gt]))
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionTable:
+    """Detections as columns; a row's index is its input position."""
+
+    image_id: list
+    model_id: list
+    class_id: list
+    confidence: np.ndarray   # float64 (K,)
+    boxes: np.ndarray        # float64 (K, 4): x_min, y_min, x_max, y_max
+
+    def __len__(self) -> int:
+        return len(self.model_id)
+
+    @classmethod
+    def from_records(cls, dets: Iterable[Detection]) -> "DetectionTable":
+        dets = list(dets)
+        return cls([d.image_id for d in dets], [d.model_id for d in dets],
+                   [d.class_id for d in dets],
+                   np.array([d.confidence for d in dets], dtype=np.float64),
+                   _boxes([d.bbox.as_list() for d in dets]))
+
+    @classmethod
+    def concat(cls, tables: Sequence["DetectionTable"]) -> "DetectionTable":
+        """The rows of ``tables``, one after another."""
+        tables = list(tables) or [cls.from_records(())]
+        ids = (list(chain.from_iterable(getattr(t, f) for t in tables))
+               for f in ("image_id", "model_id", "class_id"))
+        return cls(*ids, np.concatenate([t.confidence for t in tables]),
+                   np.concatenate([t.boxes for t in tables]))
 
 
 class Observation(NamedTuple):
@@ -244,149 +316,158 @@ def coverage_report(obs: ObservationSet) -> CoverageReport:
     return CoverageReport(tuple(sorted(obs.objects - covered)))
 
 
-# Ground-truth objects per IoU block: bounds stage one's scratch arrays at
-# _IOU_BLOCK x (detections of one model in one image).
-_IOU_BLOCK = 32
+def _area(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
 
 
-def _box_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
-    """Box corners as an ``(n, 4)`` float array."""
-    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
-                    dtype=np.float64).reshape(-1, 4)
-
-
-def _iou_block(gts: np.ndarray, dets: np.ndarray) -> np.ndarray:
-    """IoU of every ground-truth row against every detection row, ``(G, K)``.
+def _pair_iou(gts: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """IoU of row i of ``gts`` with row i of ``dets``, both ``(n, 4)``.
 
     Follows :func:`compute_iou` (detection first) operation for operation,
     so each value equals ``compute_iou(det, gt)`` exactly.
     """
-    area_g = (gts[:, 2] - gts[:, 0]) * (gts[:, 3] - gts[:, 1])
-    area_d = (dets[:, 2] - dets[:, 0]) * (dets[:, 3] - dets[:, 1])
-    if (area_g <= 0.0).any() or (area_d <= 0.0).any():
-        raise InputError("IoU undefined for zero-area boxes")
-    g = gts[:, None, :]
-    ix = np.minimum(dets[:, 2], g[..., 2]) - np.maximum(dets[:, 0], g[..., 0])
-    iy = np.minimum(dets[:, 3], g[..., 3]) - np.maximum(dets[:, 1], g[..., 1])
+    ix = np.minimum(dets[:, 2], gts[:, 2]) - np.maximum(dets[:, 0], gts[:, 0])
+    iy = np.minimum(dets[:, 3], gts[:, 3]) - np.maximum(dets[:, 1], gts[:, 1])
     # disjoint pairs get inter = 0 and so IoU 0.0, as in compute_iou
     inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
-    return inter / (area_d + area_g[:, None] - inter)
+    return inter / (_area(dets) + _area(gts) - inter)
 
 
-class _DetGroup(NamedTuple):
-    """One model's detections in one image as ``(input position, detection)``
-    pairs, high confidence first."""
-
-    pairs: list
-    boxes: np.ndarray
-    used: np.ndarray
+# Candidate pairs expanded at a time: bounds the scratch arrays when one
+# wide detection stretches every later window of its image.
+_PAIR_BLOCK = 1 << 16
 
 
-def match_detections(gt: Sequence[GroundTruthObject],
-                     detections: Sequence[Detection],
-                     primary_iou: float = 0.90,
+def _overlaps(gb: np.ndarray, gimg: np.ndarray, db: np.ndarray,
+              dimg: np.ndarray) -> tuple:
+    """(object row, detection row, IoU) of every pair in one image with
+    positive IoU.
+
+    Detections are sorted by (image, x_min) with a running max of x_max per
+    image.  An object spanning [gx0, gx1] takes the window of rows from the
+    first whose running x_max exceeds gx0 up to the last whose x_min is
+    below gx1: an exact superset of the detections overlapping it.  Each
+    coordinate is replaced by its rank among all detections', offset by
+    image, so one global ``searchsorted`` stays within the object's image
+    and compares exactly.
+    """
+    live = np.flatnonzero(dimg >= 0)
+    order = live[np.lexsort((db[live, 0], dimg[live]))]
+    x0, x1 = db[order, 0], db[order, 2]
+    x0_sorted, x1_sorted = np.sort(x0), np.sort(x1)
+    stride = len(order) + 1
+    img = dimg[order] * stride
+    start_key = img + np.searchsorted(x0_sorted, x0, "left")
+    end_key = np.maximum.accumulate(img + np.searchsorted(x1_sorted, x1, "left"))
+    hi = np.searchsorted(start_key, gimg * stride + np.searchsorted(
+        x0_sorted, gb[:, 2], "left"), "left")
+    lo = np.searchsorted(end_key, gimg * stride + np.searchsorted(
+        x1_sorted, gb[:, 0], "right"), "left")
+    n = np.maximum(hi - lo, 0)
+    ends = np.cumsum(n)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1:].sum(), _PAIR_BLOCK))
+    parts = []
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(gb)]):
+        m = n[a:b]
+        gi = np.repeat(np.arange(a, b), m)
+        di = order[np.arange(len(gi)) + np.repeat(lo[a:b] - np.cumsum(m) + m, m)]
+        iou = _pair_iou(gb[gi], db[di])
+        hit = iou > 0.0
+        parts.append((gi[hit], di[hit], iou[hit]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _repeats(ids: Sequence[str]) -> np.ndarray:
+    """Mask of the rows whose id already appeared on an earlier row."""
+    first: dict = {}
+    return np.fromiter((first.setdefault(v, i) != i for i, v in enumerate(ids)),
+                       dtype=bool, count=len(ids))
+
+
+def match_detections(gt, detections, primary_iou: float = 0.90,
                      models: Optional[Iterable[str]] = None,
                      classes: Optional[Iterable[str]] = None) -> ObservationSet:
     """Resolve detections onto ground-truth object identities.
 
+    ``gt`` and ``detections`` are a :class:`GroundTruthTable` and a
+    :class:`DetectionTable`; sequences of records are converted first.
+
     Stage 1 runs independently per model: objects are visited in input
     order and each takes that model's highest-confidence unused detection
-    overlapping it with IoU strictly above ``primary_iou``.  Objects still
-    untouched by every model afterwards get a second chance: the unused
-    detection (any model) of the object's own image with the highest
-    positive IoU.  Each detection is consumed by at most one object, and
-    each object keeps at most one entry per model.
+    (earlier row on ties) overlapping it with IoU strictly above
+    ``primary_iou``.  Objects still untouched by every model afterwards get
+    a second chance, in input order: the unused detection (any model) of
+    the object's own image with the highest positive IoU, then the highest
+    confidence, the smaller model id and the earlier row.  Each detection
+    is consumed by at most one object, and each object keeps at most one
+    entry per model.
 
-    IoU is computed with numpy per (image, model), ``_IOU_BLOCK`` objects
-    at a time, and equals :func:`compute_iou` bit for bit.
+    IoU is computed only for the pairs :func:`_overlaps` finds, and equals
+    :func:`compute_iou` bit for bit.
     """
     if not (0.0 < primary_iou <= 1.0):
         raise InputError(f"primary_iou must be in (0, 1]: {primary_iou!r}")
-    seen_ids = set()
-    for g in gt:
-        if g.object_id in seen_ids:
-            raise InputError(f"duplicate ground-truth object_id {g.object_id!r}")
-        seen_ids.add(g.object_id)
+    if not isinstance(gt, GroundTruthTable):
+        gt = GroundTruthTable.from_records(gt)
+    dets = (detections if isinstance(detections, DetectionTable)
+            else DetectionTable.from_records(detections))
+    dup = _repeats(gt.object_id)
+    if dup.any():
+        raise InputError(f"duplicate ground-truth object_id "
+                         f"{gt.object_id[int(np.argmax(dup))]!r}")
 
-    gt_by_image: dict = {}
-    for g in gt:
-        gt_by_image.setdefault(g.image_id, []).append(g)
+    # images in first-appearance order; a detection elsewhere never matches
+    image_code = {im: i for i, im in enumerate(dict.fromkeys(gt.image_id))}
+    gimg = np.fromiter((image_code[im] for im in gt.image_id), np.int64, len(gt))
+    dimg = np.fromiter((image_code.get(im, -1) for im in dets.image_id),
+                       np.int64, len(dets))
+    model_ids = sorted(set(dets.model_id))
+    model_code = {m: i for i, m in enumerate(model_ids)}
+    dmodel = np.fromiter((model_code[m] for m in dets.model_id), np.int64, len(dets))
+    has_dets = np.bincount(dimg[dimg >= 0], minlength=len(image_code)) > 0
+    if ((_area(gt.boxes[has_dets[gimg]]) <= 0.0).any()
+            or (_area(dets.boxes[dimg >= 0]) <= 0.0).any()):
+        raise InputError("IoU undefined for zero-area boxes")
 
-    # detections keyed by (image, model), sorted high confidence first;
-    # ties keep input order
-    det_index: dict = {}
-    for pos, d in enumerate(detections):
-        det_index.setdefault((d.image_id, d.model_id), []).append((pos, d))
-    model_ids = sorted({d.model_id for d in detections})
+    gi, di, iou = _overlaps(gt.boxes, gimg, dets.boxes, dimg)
+    neg_conf = -dets.confidence
 
-    entries = []
-    matched_objects = set()
-    groups_by_image: dict = {}
-    for image_id, objs in gt_by_image.items():
-        groups = []
-        for model_id in model_ids:
-            pairs = det_index.get((image_id, model_id))
-            if pairs:
-                pairs.sort(key=lambda pd: (-pd[1].confidence, pd[0]))
-                groups.append(_DetGroup(pairs, _box_array(d.bbox for _, d in pairs),
-                                        np.zeros(len(pairs), dtype=bool)))
-        if not groups:
-            continue
-        groups_by_image[image_id] = groups
-        gt_boxes = _box_array(g.bbox for g in objs)
+    # stage 1: per (model, object) the first unused detection in
+    # (-confidence, row) order
+    s1 = iou > primary_iou
+    o1, d1 = gi[s1], di[s1]
+    rank = np.lexsort((d1, neg_conf[d1], o1, dmodel[d1]))
+    used = bytearray(len(dets))
+    pairs, done = [], None
+    for m, o, d in zip(dmodel[d1][rank].tolist(), o1[rank].tolist(), d1[rank].tolist()):
+        if (m, o) != done and not used[d]:
+            done, used[d] = (m, o), True
+            pairs.append((o, d))
 
-        for grp in groups:
-            for start in range(0, len(objs), _IOU_BLOCK):
-                block = gt_boxes[start:start + _IOU_BLOCK]
-                rows, cols = np.nonzero(_iou_block(block, grp.boxes) > primary_iou)
-                # rows ascend (object input order), columns ascend within a
-                # row (confidence order): the first unused column wins
-                done = -1
-                for r, c in zip(rows.tolist(), cols.tolist()):
-                    if r == done or grp.used[c]:
-                        continue
-                    done = r
-                    grp.used[c] = True
-                    g, (_, d) = objs[start + r], grp.pairs[c]
-                    entries.append(Observation(g.object_id, d.model_id,
-                                               d.class_id, d.confidence))
-                    matched_objects.add(g.object_id)
+    # stage 2: objects no model matched, each taking its best unused pair
+    matched = np.zeros(len(gt), dtype=bool)
+    matched[[o for o, _ in pairs]] = True
+    s2 = ~matched[gi]
+    o2, d2, v2 = gi[s2], di[s2], iou[s2]
+    rank = np.lexsort((d2, dmodel[d2], neg_conf[d2], -v2, o2))
+    done = -1
+    for o, d in zip(o2[rank].tolist(), d2[rank].tolist()):
+        if o != done and not used[d]:
+            done, used[d] = o, True
+            pairs.append((o, d))
 
-    for image_id, groups in groups_by_image.items():
-        for g in gt_by_image[image_id]:
-            if g.object_id in matched_objects:
-                continue
-            g_box = _box_array([g.bbox])
-            best = None
-            for grp in groups:
-                ious = _iou_block(g_box, grp.boxes)[0]
-                for c in np.flatnonzero((ious > 0.0) & ~grp.used).tolist():
-                    pos, d = grp.pairs[c]
-                    key = (-float(ious[c]), -d.confidence, d.model_id, pos)
-                    if best is None or key < best[0]:
-                        best = (key, grp, c)
-            if best is not None:
-                _, grp, c = best
-                grp.used[c] = True
-                _, d = grp.pairs[c]
-                entries.append(Observation(g.object_id, d.model_id,
-                                           d.class_id, d.confidence))
-                matched_objects.add(g.object_id)
-
+    conf = dets.confidence.tolist()
+    entries = [Observation(gt.object_id[o], dets.model_id[d], dets.class_id[d], conf[d])
+               for o, d in pairs]
     all_models = set(models) if models is not None else set(model_ids)
     all_classes = set(classes) if classes is not None else set()
-    all_classes.update(d.class_id for d in detections)
-    all_classes.update(g.class_id for g in gt)
-    return ObservationSet.from_entries(
-        entries,
-        objects=[g.object_id for g in gt],
-        models=all_models,
-        classes=all_classes,
-    )
+    all_classes.update(dets.class_id, gt.class_id)
+    return ObservationSet.from_entries(entries, objects=gt.object_id,
+                                       models=all_models, classes=all_classes)
 
 
-def ground_truth_labels(gt: Sequence[GroundTruthObject]) -> dict:
-    return {g.object_id: g.class_id for g in gt}
+def ground_truth_labels(gt: GroundTruthTable) -> dict:
+    return dict(zip(gt.object_id, gt.class_id))
 
 
 # ---------------------------------------------------------------------------
@@ -407,76 +488,120 @@ def read_jsonl(path: str) -> Iterable[tuple]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            # JSONDecodeError, an int too long or nesting too deep
+            except (ValueError, RecursionError) as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(rec, dict):
                 raise InputError(f"{path}:{lineno}: expected a JSON object")
             yield lineno, rec
 
 
-def _require(rec: Mapping, key: str, path: str, lineno: int):
-    if key not in rec:
-        raise InputError(f"{path}:{lineno}: missing field {key!r}")
-    return rec[key]
+def _read_columns(path: str, id_fields: tuple, with_confidence: bool) -> tuple:
+    """Parse a JSONL file into ``(lines, ids, confidences, boxes, error)``:
+    the line number of each row, one ``str`` list per id field, and
+    ``float()`` of each confidence (0.0 without one) and box corner.
 
-
-def _parse_bbox(raw, path: str, lineno: int) -> BoundingBox:
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
-        raise InputError(f"{path}:{lineno}: bbox must be [x_min, y_min, x_max, y_max]")
+    Reading stops at the first record that cannot be parsed; its error is
+    returned, not raised, so the caller can report an earlier bad row first.
+    """
+    lines, ids, confs, boxes = [], tuple([] for _ in id_fields), [], []
     try:
-        return BoundingBox(*(float(v) for v in raw))
-    except (TypeError, ValueError, InputError) as exc:
-        raise InputError(f"{path}:{lineno}: {exc}") from exc
+        for lineno, rec in read_jsonl(path):
+            try:
+                row = [str(rec[f]) for f in id_fields]
+                raw = rec["confidence"] if with_confidence else 0.0
+                try:
+                    conf = float(raw)
+                except (TypeError, ValueError, OverflowError):
+                    raise InputError(f"{path}:{lineno}: confidence must be a number: "
+                                     f"{raw!r}") from None
+                raw = rec["bbox"]
+                if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
+                    raise InputError(f"{path}:{lineno}: bbox must be "
+                                     "[x_min, y_min, x_max, y_max]")
+                boxes.append(tuple(map(float, raw)))
+            except KeyError as exc:
+                raise InputError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
+            except InputError:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
+            for col, v in zip(ids, row):
+                col.append(v)
+            confs.append(conf)
+            lines.append(lineno)
+    except InputError as exc:
+        return lines, ids, confs, boxes, exc
+    return lines, ids, confs, boxes, None
 
 
-def _parse_confidence(raw, path: str, lineno: int) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"{path}:{lineno}: confidence must be a number: {raw!r}") from None
+def _check_rows(path: str, lines: list, error: Optional[InputError],
+                checks: list) -> None:
+    """Raise for the first bad line: the first row failing a check, unless
+    the parse ``error`` came earlier.  ``checks`` holds ``(bad mask,
+    message(row))`` pairs in the order one record is checked."""
+    hits = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if hits:
+        row, k = min(hits)
+        raise InputError(f"{path}:{lines[row]}: {checks[k][1](row)}")
+    if error is not None:
+        raise error
 
 
-def load_predictions(path: str, model_id: Optional[str] = None) -> list:
-    out = []
-    for lineno, rec in read_jsonl(path):
-        det = Detection(
-            image_id=str(_require(rec, "image_id", path, lineno)),
-            model_id=str(_require(rec, "model_id", path, lineno)),
-            class_id=str(_require(rec, "class_id", path, lineno)),
-            confidence=_parse_confidence(_require(rec, "confidence", path, lineno),
-                                         path, lineno),
-            bbox=_parse_bbox(_require(rec, "bbox", path, lineno), path, lineno),
-        )
-        if model_id is not None and det.model_id != model_id:
-            raise InputError(
-                f"{path}:{lineno}: model_id {det.model_id!r} does not match manifest entry {model_id!r}")
-        out.append(det)
-    return out
+def _box_checks(boxes: np.ndarray) -> list:
+    def corners(r):
+        return tuple(boxes[r].tolist())
+    return [(~np.isfinite(boxes).all(axis=1),
+             lambda r: f"non-finite bbox coordinates: {corners(r)}"),
+            ((boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1]),
+             lambda r: f"degenerate bbox (zero or negative area): {corners(r)}")]
 
 
-def load_ground_truth(path: str) -> list:
-    out = []
-    seen = set()
-    for lineno, rec in read_jsonl(path):
-        g = GroundTruthObject(
-            image_id=str(_require(rec, "image_id", path, lineno)),
-            object_id=str(_require(rec, "object_id", path, lineno)),
-            class_id=str(_require(rec, "class_id", path, lineno)),
-            bbox=_parse_bbox(_require(rec, "bbox", path, lineno), path, lineno),
-        )
-        if g.object_id in seen:
-            raise InputError(f"{path}:{lineno}: duplicate object_id {g.object_id!r}")
-        seen.add(g.object_id)
-        out.append(g)
-    return out
+def _outside(values: list, allowed) -> np.ndarray:
+    """Mask of the ``values`` not in ``allowed``; none if that is None."""
+    allowed = set(values if allowed is None else allowed)
+    return np.array([v not in allowed for v in values], dtype=bool)
+
+
+def load_predictions(path: str, model_id: Optional[str] = None,
+                     classes: Optional[Iterable[str]] = None) -> DetectionTable:
+    """Read a predictions file; every row must name ``model_id`` and one of
+    ``classes`` when those are given."""
+    lines, (image, model, klass), confs, boxes, error = _read_columns(
+        path, ("image_id", "model_id", "class_id"), with_confidence=True)
+    table = DetectionTable(image, model, klass, np.array(confs, dtype=np.float64),
+                           _boxes(boxes))
+    conf = table.confidence
+    _check_rows(path, lines, error, _box_checks(table.boxes) + [
+        (~((conf >= 0.0) & (conf <= 1.0)),
+         lambda r: f"confidence out of [0, 1]: {conf[r].item()!r}"),
+        (_outside(model, None if model_id is None else (model_id,)),
+         lambda r: f"model_id {model[r]!r} does not match manifest entry {model_id!r}"),
+        (_outside(klass, classes),
+         lambda r: f"prediction for unknown class {klass[r]!r} (model {model[r]!r})")])
+    return table
+
+
+def load_ground_truth(path: str,
+                      classes: Optional[Iterable[str]] = None) -> GroundTruthTable:
+    """Read a ground-truth file; object ids must be unique and every class
+    one of ``classes`` when given."""
+    lines, (image, obj, klass), _, boxes, error = _read_columns(
+        path, ("image_id", "object_id", "class_id"), with_confidence=False)
+    table = GroundTruthTable(image, obj, klass, _boxes(boxes))
+    _check_rows(path, lines, error, _box_checks(table.boxes) + [
+        (_repeats(obj), lambda r: f"duplicate object_id {obj[r]!r}"),
+        (_outside(klass, classes),
+         lambda r: f"ground-truth object {obj[r]!r} has unknown class {klass[r]!r}")])
+    return table
 
 
 @dataclass(frozen=True)
 class Dataset:
     models: tuple
     classes: tuple
-    ground_truth: tuple
-    detections: tuple
+    ground_truth: GroundTruthTable
+    detections: DetectionTable
     manifest_path: str = ""
 
     def labels(self) -> dict:
@@ -484,7 +609,7 @@ class Dataset:
 
 
 def load_dataset(manifest_path: str) -> Dataset:
-    """Load a manifest plus all files it references, validating as it goes."""
+    """Load a manifest plus all files it references, one file at a time."""
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -523,25 +648,16 @@ def load_dataset(manifest_path: str) -> Dataset:
     if set(preds_map) != set(models):
         raise InputError(f"{manifest_path}: prediction files must cover exactly the declared models")
 
-    detections = []
-    for m in models:
-        detections.extend(load_predictions(resolve(preds_map[m]), model_id=m))
-    gt = load_ground_truth(resolve(manifest["ground_truth"]))
-
-    class_set = set(classes)
-    for d in detections:
-        if d.class_id not in class_set:
-            raise InputError(f"prediction for unknown class {d.class_id!r} (model {d.model_id!r})")
-    for g in gt:
-        if g.class_id not in class_set:
-            raise InputError(f"ground-truth object {g.object_id!r} has unknown class {g.class_id!r}")
-
-    return Dataset(tuple(models), tuple(classes), tuple(gt), tuple(detections),
+    detections = DetectionTable.concat([
+        load_predictions(resolve(preds_map[m]), model_id=m, classes=classes)
+        for m in models])
+    gt = load_ground_truth(resolve(manifest["ground_truth"]), classes=classes)
+    return Dataset(tuple(models), tuple(classes), gt, detections,
                    manifest_path=os.path.abspath(manifest_path))
 
 
 def observations_from_dataset(ds: Dataset, primary_iou: float = 0.90) -> ObservationSet:
-    return match_detections(list(ds.ground_truth), list(ds.detections),
+    return match_detections(ds.ground_truth, ds.detections,
                             primary_iou=primary_iou,
                             models=ds.models, classes=ds.classes)
 

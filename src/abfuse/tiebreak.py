@@ -8,6 +8,8 @@ deterministic pure function of its input.
 
 from typing import Dict, Iterable, Tuple
 
+import numpy as np
+
 from .model_io import Observation, ObservationSet
 
 Candidate = Tuple[str, str, str, float]  # (object_id, class_id, model_id, confidence)
@@ -34,22 +36,25 @@ def candidates_from_entries(entries: Iterable[Observation]) -> list:
 
 def candidates_from_atoms(atoms: Iterable[Tuple[str, str]],
                           obs: ObservationSet) -> list:
-    """Tie-break candidates for assignment atoms ``(class_id, object_id)``.
+    """Tie-break candidates for assignment atoms ``(class_id, object_id)``,
+    in the order of ``atoms``.
 
     Each atom is backed by the strongest surviving prediction of that class
     for that object (smaller model id on exact confidence ties).
     """
-    support: Dict[Tuple[str, str], Tuple] = {}
-    for e in obs.entries:
-        k = (e.class_id, e.object_id)
-        cand = (-e.confidence, e.model_id)
-        if k not in support or cand < support[k][0]:
-            support[k] = (cand, e)
+    v = obs.view
+    # per (class, object) cell, the first row by (-confidence, model index);
+    # the view's models are sorted, so that is the smaller model id
+    cell = v.cls * len(v.objects) + v.obj
+    order = np.lexsort((v.model, -v.confidence, cell))
+    first = order[np.diff(cell[order], prepend=-1) != 0]
+    best = dict(zip(cell[first].tolist(), v.entries[first].tolist()))
+    cls_at = {c: i for i, c in enumerate(v.classes)}
+    obj_at = {o: i for i, o in enumerate(v.objects)}
     out = []
     for cls, obj in atoms:
-        hit = support.get((cls, obj))
-        if hit is None:
-            continue
-        e = hit[1]
-        out.append((obj, cls, e.model_id, e.confidence))
+        if cls in cls_at and obj in obj_at:
+            e = best.get(cls_at[cls] * len(v.objects) + obj_at[obj])
+            if e is not None:
+                out.append((obj, cls, e.model_id, e.confidence))
     return out

@@ -14,7 +14,8 @@ import pytest
 from abfuse import solver_ip
 from abfuse.deduction import IntegrityConstraintSet
 from abfuse.edr import RuleSet
-from abfuse.model_io import Observation, ObservationSet
+from abfuse.model_io import (DetectionTable, GroundTruthTable, Observation,
+                             ObservationSet)
 
 DELTA_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 SHARED_SEEDS = tuple(range(1000, 1220))
@@ -23,6 +24,11 @@ SHARED_SEEDS = tuple(range(1000, 1220))
 def obs_of(rows, **universes):
     """Build an ObservationSet from (object, model, class, confidence) rows."""
     return ObservationSet.from_entries([Observation(*r) for r in rows], **universes)
+
+
+def tables(gt, dets):
+    """Matcher inputs: the column tables of ground-truth and detection records."""
+    return GroundTruthTable.from_records(gt), DetectionTable.from_records(dets)
 
 
 def empty_rules(grid=(0.5,)):

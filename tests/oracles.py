@@ -4,15 +4,106 @@ Each helper recomputes from first principles what the pipeline computes
 incrementally or in bulk, so tests can compare the two.
 """
 
-from typing import Dict, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from abfuse import solver_ip
-from abfuse.deduction import IntegrityConstraintSet, count_inc
+from abfuse.deduction import (NORMALIZER_MODES, IntegrityConstraintSet,
+                              find_violations, inc_from_count)
 from abfuse.edr import (Condition, ErrorRule, RuleSet, _learn_pair,
                         generate_candidates)
-from abfuse.model_io import InputError, Observation, ObservationSet
+from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
+                             InputError, Observation, ObservationSet,
+                             read_jsonl)
+
+
+# ------------------------------------------------------- deductive closure
+# The paper's closure semantics, stated per entry; the solvers compute the
+# same atoms in bulk.
+
+
+def neighbors(ic: IntegrityConstraintSet, class_id: str) -> frozenset:
+    """Classes that ``ic`` excludes together with ``class_id``."""
+    return frozenset(b if a == class_id else a for a, b in ic.pairs
+                     if class_id in (a, b))
+
+
+@dataclass(frozen=True)
+class Hypothesis:
+    """Accepted (model_id, class_id) pairs."""
+
+    accepted: FrozenSet[Tuple[str, str]]
+
+    @classmethod
+    def full(cls, models: Iterable[str], classes: Iterable[str]) -> "Hypothesis":
+        return cls(frozenset((f, c) for f in models for c in classes))
+
+    @classmethod
+    def of(cls, pairs: Iterable[Tuple[str, str]]) -> "Hypothesis":
+        return cls(frozenset(pairs))
+
+    def accepts(self, model_id: str, class_id: str) -> bool:
+        return (model_id, class_id) in self.accepted
+
+    def without(self, pairs: Iterable[Tuple[str, str]]) -> "Hypothesis":
+        return Hypothesis(self.accepted - frozenset(pairs))
+
+
+@dataclass(frozen=True)
+class FixpointResult:
+    assigned: FrozenSet[Tuple[str, str]]          # (class_id, object_id)
+    errors: FrozenSet[Tuple[str, str, str]]       # (model_id, class_id, object_id)
+    violations: FrozenSet[Tuple[str, Tuple[str, str]]]
+    pred: int
+    inc: float
+
+
+def count_inc(assigned: Iterable[Tuple[str, str]],
+              ic: IntegrityConstraintSet,
+              normalizer_mode: str = "per_object",
+              *,
+              n_objects: int,
+              directed_ground_rules: bool = False) -> float:
+    """Normalized inconsistency of a set of assignment atoms (see
+    :func:`inc_from_count`)."""
+    if normalizer_mode not in NORMALIZER_MODES:
+        raise InputError(f"unknown normalizer_mode {normalizer_mode!r}")
+    if n_objects < 0:
+        raise InputError("n_objects must be >= 0")
+    return inc_from_count(len(find_violations(assigned, ic)), n_objects, ic,
+                          normalizer_mode, directed_ground_rules)
+
+
+def fixpoint(obs: ObservationSet,
+             hypothesis: Hypothesis,
+             ic: IntegrityConstraintSet,
+             errors: Iterable[Tuple[str, str, str]] = (),
+             normalizer_mode: str = "per_object",
+             directed_ground_rules: bool = False) -> FixpointResult:
+    """Close an observation set under a hypothesis.
+
+    ``errors`` are externally supplied error atoms (model, class, object)
+    whose predictions never contribute assignments even when their
+    (model, class) pair is accepted.
+    """
+    known_errors = frozenset(errors)
+    derived_errors = set(known_errors)
+    assigned = set()
+    for e in obs.entries:
+        if not hypothesis.accepts(e.model_id, e.class_id):
+            derived_errors.add((e.model_id, e.class_id, e.object_id))
+            continue
+        if (e.model_id, e.class_id, e.object_id) in known_errors:
+            continue
+        assigned.add((e.class_id, e.object_id))
+    violations = find_violations(assigned, ic)
+    inc = count_inc(assigned, ic, normalizer_mode,
+                    n_objects=len(obs.objects),
+                    directed_ground_rules=directed_ground_rules)
+    return FixpointResult(frozenset(assigned), frozenset(derived_errors),
+                          violations, len(assigned), inc)
 
 
 # ------------------------------------------------ per-entry rule evaluation
@@ -162,3 +253,89 @@ def brute_force_optimal(instance: solver_ip.IpInstance,
     elim_fc[list(best[2])] = 1
     return solver_ip._solution_from_elim(instance, elim_fc.reshape(F, C),
                                           solver_ip.STATUS_OPTIMAL, 0)
+
+
+# ------------------------------------------------------ per-record loading
+# The production loader reads each file into column tables and validates
+# all rows at once (``abfuse.model_io.load_predictions``); these read one
+# record at a time into validated ``Detection``/``GroundTruthObject``s.
+
+
+def _require(rec, key, path, lineno):
+    if key not in rec:
+        raise InputError(f"{path}:{lineno}: missing field {key!r}")
+    return rec[key]
+
+
+def _parse_bbox(raw, path, lineno) -> BoundingBox:
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
+        raise InputError(f"{path}:{lineno}: bbox must be [x_min, y_min, x_max, y_max]")
+    try:
+        return BoundingBox(*(float(v) for v in raw))
+    except (TypeError, ValueError, InputError) as exc:
+        raise InputError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _parse_confidence(raw, path, lineno) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise InputError(f"{path}:{lineno}: confidence must be a number: {raw!r}") from None
+
+
+def load_prediction_records(path: str, model_id: Optional[str] = None) -> list:
+    out = []
+    for lineno, rec in read_jsonl(path):
+        det = Detection(
+            image_id=str(_require(rec, "image_id", path, lineno)),
+            model_id=str(_require(rec, "model_id", path, lineno)),
+            class_id=str(_require(rec, "class_id", path, lineno)),
+            confidence=_parse_confidence(_require(rec, "confidence", path, lineno),
+                                         path, lineno),
+            bbox=_parse_bbox(_require(rec, "bbox", path, lineno), path, lineno),
+        )
+        if model_id is not None and det.model_id != model_id:
+            raise InputError(
+                f"{path}:{lineno}: model_id {det.model_id!r} does not match manifest entry {model_id!r}")
+        out.append(det)
+    return out
+
+
+def load_ground_truth_records(path: str) -> list:
+    out = []
+    seen = set()
+    for lineno, rec in read_jsonl(path):
+        g = GroundTruthObject(
+            image_id=str(_require(rec, "image_id", path, lineno)),
+            object_id=str(_require(rec, "object_id", path, lineno)),
+            class_id=str(_require(rec, "class_id", path, lineno)),
+            bbox=_parse_bbox(_require(rec, "bbox", path, lineno), path, lineno),
+        )
+        if g.object_id in seen:
+            raise InputError(f"{path}:{lineno}: duplicate object_id {g.object_id!r}")
+        seen.add(g.object_id)
+        out.append(g)
+    return out
+
+
+# ----------------------------------------------------------- tie-breaking
+
+
+def candidates_from_atoms_reference(atoms: Iterable[Tuple[str, str]],
+                                    obs: ObservationSet) -> list:
+    """``tiebreak.candidates_from_atoms`` one entry at a time: each atom's
+    strongest supporting entry, the smaller model id on confidence ties."""
+    support: Dict[Tuple[str, str], Tuple] = {}
+    for e in obs.entries:
+        k = (e.class_id, e.object_id)
+        cand = (-e.confidence, e.model_id)
+        if k not in support or cand < support[k][0]:
+            support[k] = (cand, e)
+    out = []
+    for cls, obj in atoms:
+        hit = support.get((cls, obj))
+        if hit is None:
+            continue
+        e = hit[1]
+        out.append((obj, cls, e.model_id, e.confidence))
+    return out

@@ -18,9 +18,8 @@ import pytest
 
 from abfuse import evaluation, solver_ip, synthgen
 from abfuse.baselines import best_individual, majority_vote
-from abfuse.deduction import (Hypothesis, IntegrityConstraintSet,
-                              default_domain, fixpoint, find_violations,
-                              violation_budget)
+from abfuse.deduction import (IntegrityConstraintSet, default_domain,
+                              find_violations, violation_budget)
 from abfuse.edr import RuleSet, apply_rules, learn_ruleset
 from abfuse.evaluation import (SweepDataset, labels_to_atoms,
                                per_model_metrics, run_sweep, score)
@@ -30,8 +29,8 @@ from abfuse.solver_hs import HsConfig, heuristic_search
 from abfuse.tiebreak import apply_tiebreaker, candidates_from_atoms
 
 from conftest import DELTA_GRID, SHARED_SEEDS, random_instance
-from oracles import (brute_force_optimal, calc_incon, flags,
-                     get_filtered_preds, sibling_index)
+from oracles import (Hypothesis, brute_force_optimal, calc_incon, fixpoint,
+                     flags, get_filtered_preds, sibling_index)
 
 EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 

@@ -192,6 +192,23 @@ def test_non_numeric_confidence_exits_one(tmp_path, capsys):
     assert f"error: {preds}:1: confidence must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("confidence", 1.5, "confidence out of [0, 1]: 1.5"),
+    ("confidence", float("nan"), "confidence out of [0, 1]: nan"),
+    ("class_id", "boats", "prediction for unknown class 'boats' (model 'f2')"),
+])
+def test_out_of_range_prediction_names_its_line(tmp_path, capsys, field, value, message):
+    manifest, _ = conflict_dataset(tmp_path)
+    preds = tmp_path / "conflict" / "f2.jsonl"
+    lines = preds.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec[field] = value
+    preds.write_text(lines[0] + "\n" + json.dumps(rec) + "\n")
+    assert main(["baseline", "--manifest", manifest, "--method", "mv",
+                 "--out", str(tmp_path / "mv")]) == EXIT_INPUT
+    assert f"error: {preds}:2: {message}\n" in capsys.readouterr().err
+
+
 def test_eval_rejects_non_object_label_line(tmp_path, capsys):
     manifest, _ = conflict_dataset(tmp_path)
     bad = tmp_path / "labels.jsonl"

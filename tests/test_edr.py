@@ -248,7 +248,7 @@ def test_learn_warm_start_grows_monotonically():
         prev_errors: frozenset = frozenset()
         for eps in grid:
             conds = frozenset(rs.rule_for("f1", "car", eps).conditions)
-            _, errors = apply_rules(obs, rs, eps)
+            errors = error_atoms(obs, apply_rules(obs, rs, eps)[1])
             assert prev_conds <= conds
             assert prev_errors <= errors
             prev_conds, prev_errors = conds, errors
@@ -261,6 +261,12 @@ def test_learn_requires_labels_for_training_objects():
 
 
 # ---------------------------------------------------------------- filtering
+
+def error_atoms(obs, rows):
+    """The (model, class, object) atoms of ``apply_rules``' flagged rows."""
+    return frozenset((e.model_id, e.class_id, e.object_id)
+                     for e in obs.view.entries[rows])
+
 
 MODELS = ("f1", "f2", "f3")
 CLASSES = ("A", "B", "C")
@@ -298,7 +304,9 @@ def test_split_flagged_matches_the_per_entry_oracle(rows, conds):
 
     mask = split_flagged(obs, rs, 0.5)
     assert set(obs.view.entries[mask].tolist()) == want
-    filtered, errors = apply_rules(obs, rs, 0.5)
+    filtered, rows = apply_rules(obs, rs, 0.5)
+    errors = error_atoms(obs, rows)
+    assert rows.tolist() == [i for i, hit in enumerate(mask) if hit]
     assert filtered.entries == obs.entries - want
     assert errors == {(e.model_id, e.class_id, e.object_id) for e in want}
 
@@ -316,7 +324,8 @@ def test_learned_rules_match_a_per_entry_learner(seed):
 
 def test_apply_rules_empty_ruleset_is_identity():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o2", "f2", "tree", 0.5)])
-    filtered, errors = apply_rules(obs, empty_rules(), 0.5)
+    filtered, rows = apply_rules(obs, empty_rules(), 0.5)
+    errors = error_atoms(obs, rows)
     assert filtered == obs and errors == frozenset()
 
 
@@ -325,7 +334,8 @@ def test_apply_rules_single_rule():
                   ("o2", "f1", "car", 0.7)])
     rs = RuleSet((0.5,), {("f1", "car", 0.5):
                           ErrorRule("f1", "car", (disagree("f2"),))})
-    filtered, errors = apply_rules(obs, rs, 0.5)
+    filtered, rows = apply_rules(obs, rs, 0.5)
+    errors = error_atoms(obs, rows)
     assert errors == frozenset({("f1", "car", "o1")})
     assert filtered.entries == frozenset({Observation("o1", "f2", "tree", 0.8),
                                           Observation("o2", "f1", "car", 0.7)})
@@ -340,7 +350,8 @@ def test_apply_rules_idempotent():
         rs = learn_ruleset(obs, labels, epsilon_grid=(0.5,),
                            candidates={("f1", "car"): pool})
         once, _ = apply_rules(obs, rs, 0.5)
-        twice, again = apply_rules(once, rs, 0.5)
+        twice, rows = apply_rules(once, rs, 0.5)
+        again = error_atoms(once, rows)
         assert twice == once
         assert again == frozenset()
 

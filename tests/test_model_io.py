@@ -1,22 +1,25 @@
 """Boxes, IoU, the two-stage matcher, and JSONL/dataset round-trips."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abfuse import model_io, synthgen
 from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
                              InputError, Observation, ObservationSet,
-                             _box_array, _iou_block, compute_iou,
+                             _pair_iou, compute_iou,
                              coverage_report, ground_truth_labels,
                              load_dataset, load_ground_truth, load_predictions,
                              match_detections, observations_from_dataset,
                              write_ground_truth, write_manifest,
                              write_predictions)
 
-from conftest import obs_of
+from conftest import obs_of, tables
+from oracles import load_ground_truth_records, load_prediction_records
 from test_acceptance import _reference_match
 
 
@@ -88,11 +91,13 @@ boxes = st.builds(lambda x, y, w, h: box(x, y, x + w, y + h),
 def test_array_iou_is_bit_identical_to_compute_iou(gt_boxes, det_boxes):
     # some rows share corners, so touching and nested pairs come up too
     det_boxes = det_boxes + gt_boxes[:2]
-    got = _iou_block(_box_array(gt_boxes), _box_array(det_boxes))
-    assert got.shape == (len(gt_boxes), len(det_boxes))
-    for i, g in enumerate(gt_boxes):
-        for k, d in enumerate(det_boxes):
-            assert float(got[i, k]).hex() == compute_iou(d, g).hex(), (g, d)
+    gi, ki = np.divmod(np.arange(len(gt_boxes) * len(det_boxes)), len(det_boxes))
+    got = _pair_iou(np.array([gt_boxes[i].as_list() for i in gi]),
+                    np.array([det_boxes[k].as_list() for k in ki]))
+    assert got.shape == (len(gt_boxes) * len(det_boxes),)
+    for v, i, k in zip(got, gi, ki):
+        g, d = gt_boxes[i], det_boxes[k]
+        assert float(v).hex() == compute_iou(d, g).hex(), (g, d)
 
 
 # ----------------------------------------------------------- observations
@@ -208,23 +213,23 @@ def det(model, cls, conf, b, image="img1"):
 
 def test_matcher_iou_threshold_validation():
     with pytest.raises(InputError):
-        match_detections([gt("o1")], [], primary_iou=0.0)
+        match_detections(*tables([gt("o1")], []), primary_iou=0.0)
     with pytest.raises(InputError):
-        match_detections([gt("o1")], [], primary_iou=1.5)
+        match_detections(*tables([gt("o1")], []), primary_iou=1.5)
     # 1.0 is allowed even though nothing can exceed it
-    obs = match_detections([gt("o1")], [det("f1", "car", 0.9, GT_BOX)],
+    obs = match_detections(*tables([gt("o1")], [det("f1", "car", 0.9, GT_BOX)]),
                            primary_iou=1.0)
     assert obs.objects == frozenset({"o1"})
 
 
 def test_matcher_duplicate_gt_rejected():
     with pytest.raises(InputError, match="duplicate ground-truth"):
-        match_detections([gt("o1"), gt("o1")], [])
+        match_detections(*tables([gt("o1"), gt("o1")], []))
 
 
 def test_matcher_primary_match_and_fields():
-    obs = match_detections([gt("o1", cls="car")],
-                           [det("f1", "tree", 0.8, box(0, 0, 10, 9.5))],
+    obs = match_detections(*tables([gt("o1", cls="car")],
+                                   [det("f1", "tree", 0.8, box(0, 0, 10, 9.5))]),
                            primary_iou=0.9)
     assert obs.entries == frozenset({Observation("o1", "f1", "tree", 0.8)})
     assert obs.classes == frozenset({"car", "tree"})
@@ -235,14 +240,14 @@ def test_matcher_primary_iou_is_strict():
     # because f1 already matched the object, stage two never fires for f2.
     dets = [det("f1", "car", 0.5, GT_BOX),
             det("f2", "car", 0.99, box(0, 0, 10, 9))]
-    obs = match_detections([gt("o1")], dets, primary_iou=0.9)
+    obs = match_detections(*tables([gt("o1")], dets), primary_iou=0.9)
     assert {e.model_id for e in obs.entries} == {"f1"}
 
 
 def test_matcher_prefers_confident_detection():
     dets = [det("f1", "car", 0.6, GT_BOX),
             det("f1", "tree", 0.9, box(0, 0, 10, 9.5))]
-    obs = match_detections([gt("o1")], dets, primary_iou=0.9)
+    obs = match_detections(*tables([gt("o1")], dets), primary_iou=0.9)
     (entry,) = obs.entries
     assert entry.confidence == 0.9 and entry.class_id == "tree"
 
@@ -250,7 +255,7 @@ def test_matcher_prefers_confident_detection():
 def test_matcher_confidence_tie_keeps_first_listed():
     dets = [det("f1", "car", 0.7, GT_BOX),
             det("f1", "tree", 0.7, box(0, 0, 10, 9.5))]
-    (entry,) = match_detections([gt("o1")], dets, primary_iou=0.9).entries
+    (entry,) = match_detections(*tables([gt("o1")], dets), primary_iou=0.9).entries
     assert entry.class_id == "car"
 
 
@@ -258,14 +263,14 @@ def test_matcher_detection_used_once():
     # Both objects overlap the single detection above threshold; the first
     # ground-truth object in input order consumes it.
     gts = [gt("o1", b=GT_BOX), gt("o2", b=box(0, 0, 10, 9.5))]
-    obs = match_detections(gts, [det("f1", "car", 0.9, GT_BOX)],
+    obs = match_detections(*tables(gts, [det("f1", "car", 0.9, GT_BOX)]),
                            primary_iou=0.9)
     assert {e.object_id for e in obs.entries} == {"o1"}
 
 
 def test_matcher_models_independent():
     dets = [det("f1", "car", 0.9, GT_BOX), det("f2", "tree", 0.3, GT_BOX)]
-    obs = match_detections([gt("o1")], dets, primary_iou=0.9)
+    obs = match_detections(*tables([gt("o1")], dets), primary_iou=0.9)
     assert {(e.model_id, e.class_id) for e in obs.entries} == {
         ("f1", "car"), ("f2", "tree")}
 
@@ -276,27 +281,27 @@ def test_matcher_fallback_picks_highest_iou():
     # though f1 is more confident.
     dets = [det("f1", "car", 0.99, box(0, 0, 10, 4)),
             det("f2", "tree", 0.10, box(0, 0, 10, 5))]
-    obs = match_detections([gt("o1")], dets, primary_iou=0.9)
+    obs = match_detections(*tables([gt("o1")], dets), primary_iou=0.9)
     assert {(e.model_id, e.class_id) for e in obs.entries} == {("f2", "tree")}
 
 
 def test_matcher_fallback_needs_positive_overlap():
-    obs = match_detections([gt("o1")],
-                           [det("f1", "car", 0.9, box(50, 50, 60, 60))],
+    obs = match_detections(*tables([gt("o1")],
+                                   [det("f1", "car", 0.9, box(50, 50, 60, 60))]),
                            primary_iou=0.9)
     assert obs.entries == frozenset()
     assert coverage_report(obs).uncovered == ("o1",)
 
 
 def test_matcher_respects_image_boundaries():
-    obs = match_detections([gt("o1", image="img1")],
-                           [det("f1", "car", 0.9, GT_BOX, image="img2")],
+    obs = match_detections(*tables([gt("o1", image="img1")],
+                                   [det("f1", "car", 0.9, GT_BOX, image="img2")]),
                            primary_iou=0.9)
     assert obs.entries == frozenset()
 
 
 def test_matcher_declared_models_widen_universe():
-    obs = match_detections([gt("o1")], [det("f1", "car", 0.9, GT_BOX)],
+    obs = match_detections(*tables([gt("o1")], [det("f1", "car", 0.9, GT_BOX)]),
                            primary_iou=0.9, models=("f1", "f2"))
     assert obs.models == frozenset({"f1", "f2"})
 
@@ -308,7 +313,7 @@ def test_matcher_fallback_contention_in_one_image():
     gts = [gt("o1"), gt("o2", b=box(0, 0, 10, 8))]
     dets = [det("f2", "tree", 0.7, box(0, 0, 10, 5)),
             det("f1", "car", 0.7, box(0, 5, 10, 10))]
-    obs = match_detections(gts, dets, primary_iou=0.9)
+    obs = match_detections(*tables(gts, dets), primary_iou=0.9)
     assert obs.entries == frozenset({Observation("o1", "f1", "car", 0.7),
                                      Observation("o2", "f2", "tree", 0.7)})
     assert obs.entries == frozenset(
@@ -319,7 +324,7 @@ def test_matcher_rejects_zero_area_boxes():
     # corners that differ but whose area underflows to zero
     tiny = box(0.0, 0.0, 1e-200, 1e-200)
     with pytest.raises(InputError, match="zero-area"):
-        match_detections([gt("o1", b=tiny)], [det("f1", "car", 0.9, GT_BOX)])
+        match_detections(*tables([gt("o1", b=tiny)], [det("f1", "car", 0.9, GT_BOX)]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,9 +349,50 @@ def test_matcher_matches_reference_on_crowded_scenes(data):
             dets.append(det(data.draw(st.sampled_from(models)), "car",
                             data.draw(st.sampled_from((0.5, 0.7, 0.9))),
                             box(x, y, x + w, y + 10), image=img))
-    obs = match_detections(gts, dets, primary_iou=threshold)
+    obs = match_detections(*tables(gts, dets), primary_iou=threshold)
     assert set(map(tuple, obs.entries)) == _reference_match(gts, dets, threshold)
     assert obs.objects == {g.object_id for g in gts}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matcher_matches_reference_on_wide_scenes(data):
+    """Objects spread over a wide x range and detections from 2 to 40 wide,
+    some far wider than the objects, so each object's sweep window starts
+    and ends inside the image's detection list; edges that touch exactly
+    (IoU 0) and shuffled input order probe the window bounds."""
+    threshold = data.draw(st.sampled_from((0.1, 0.5, 0.9)), label="iou")
+    models = ("f1", "f2", "f3")
+    gts, dets = [], []
+    for img in ("img1", "img2", "img3")[:data.draw(st.integers(1, 3))]:
+        n_obj = data.draw(st.integers(1, 8))
+        xs = data.draw(st.lists(st.integers(0, 400), min_size=n_obj, max_size=n_obj))
+        ws = data.draw(st.lists(st.sampled_from((5, 10, 20)), min_size=n_obj,
+                                max_size=n_obj))
+        for i, (x, w) in enumerate(zip(xs, ws)):
+            gts.append(gt(f"{img}-o{i}", image=img, b=box(x, 0, x + w, 10)))
+        for _ in range(data.draw(st.integers(0, 14))):
+            w = data.draw(st.integers(2, 40))
+            i = data.draw(st.integers(0, n_obj - 1))
+            x = data.draw(st.sampled_from((
+                xs[i] + data.draw(st.integers(-4, 4)),   # near the object
+                xs[i] + ws[i],                           # touches its right edge
+                xs[i] - w,                               # touches its left edge
+                data.draw(st.integers(-50, 450)))))      # anywhere
+            dets.append(det(data.draw(st.sampled_from(models)), "car",
+                            data.draw(st.sampled_from((0.5, 0.7, 0.9))),
+                            box(x, data.draw(st.integers(-1, 1)), x + w, 10),
+                            image=img))
+    dets = data.draw(st.permutations(dets))
+    gts = data.draw(st.permutations(gts))
+    want = _reference_match(gts, dets, threshold)
+    obs = match_detections(*tables(gts, dets), primary_iou=threshold)
+    assert set(map(tuple, obs.entries)) == want
+    assert obs.objects == {g.object_id for g in gts}
+    # candidate pairs expanded a few at a time give the same matches
+    with mock.patch.object(model_io, "_PAIR_BLOCK", 3):
+        obs = match_detections(*tables(gts, dets), primary_iou=threshold)
+    assert set(map(tuple, obs.entries)) == want
 
 
 @settings(max_examples=50, deadline=None)
@@ -369,8 +415,8 @@ def test_matcher_primary_matches_shrink_with_threshold(data):
     lo, hi = sorted(data.draw(st.tuples(
         st.sampled_from((0.3, 0.5, 0.7, 0.9)),
         st.sampled_from((0.3, 0.5, 0.7, 0.9)))))
-    n_lo = len(match_detections(gts, dets, primary_iou=lo).entries)
-    n_hi = len(match_detections(gts, dets, primary_iou=hi).entries)
+    n_lo = len(match_detections(*tables(gts, dets), primary_iou=lo).entries)
+    n_hi = len(match_detections(*tables(gts, dets), primary_iou=hi).entries)
     assert n_hi <= n_lo
 
 
@@ -384,8 +430,8 @@ def test_predictions_round_trip(tmp_path):
     back = load_predictions(path, model_id="f1")
     assert len(back) == 2
     # confidences are stored at six decimal places
-    assert back[0].confidence == pytest.approx(0.123457, abs=5e-7)
-    assert back[1].bbox.as_list() == [1.0, 2.0, 3.0, 4.0]
+    assert back.confidence[0] == pytest.approx(0.123457, abs=5e-7)
+    assert back.boxes[1].tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_load_predictions_reports_bad_line(tmp_path):
@@ -433,7 +479,7 @@ def test_ground_truth_round_trip_and_duplicates(tmp_path):
     path = str(tmp_path / "gt.jsonl")
     write_ground_truth(path, [gt("o1"), gt("o2", cls="tree")])
     back = load_ground_truth(path)
-    assert [g.object_id for g in back] == ["o1", "o2"]
+    assert back.object_id == ["o1", "o2"]
     assert ground_truth_labels(back) == {"o1": "car", "o2": "tree"}
     write_ground_truth(path, [gt("o1"), gt("o1")])
     with pytest.raises(InputError, match="duplicate object_id"):
@@ -517,6 +563,12 @@ def test_jsonl_records_must_be_objects(tmp_path):
                     + "\n5\n")
     with pytest.raises(InputError, match=rf"{path}:2: expected a JSON object"):
         load_ground_truth(str(path))
+    # a value the decoder cannot build is invalid JSON, not a crash
+    for bad in ("[" * 100_000 + "]" * 100_000, "1" * 5000):
+        path.write_text(json.dumps({"image_id": "i", "object_id": "o1", "class_id": "car",
+                                    "bbox": [0, 0, 1, 1]}) + "\n" + bad + "\n")
+        with pytest.raises(InputError, match=rf"{path}:2: invalid JSON"):
+            load_ground_truth(str(path))
     manifest = tmp_path / "manifest.json"
     manifest.write_text("[1, 2]\n")
     with pytest.raises(InputError, match="expected a JSON object"):
@@ -530,3 +582,93 @@ def test_manifest_paths_resolve_relative_to_manifest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     ds = load_dataset("data/manifest.json")
     assert len(ds.ground_truth) == 2
+
+
+def test_columnar_load_equals_the_per_record_oracle(tmp_path):
+    data = synthgen.generate(synthgen.preset("MM_1", n_models=4, n_train=2,
+                                             n_test=300, seed=4))
+    manifest = synthgen.write_split(str(tmp_path), data.test, data.test_labels,
+                                    data.scenario.classes)
+    ds = load_dataset(manifest)
+    raw = json.loads(open(manifest).read())
+    dets = [d for m in raw["models"]
+            for d in load_prediction_records(str(tmp_path / raw["predictions"][m]), m)]
+    gts = load_ground_truth_records(str(tmp_path / raw["ground_truth"]))
+    t = ds.detections
+    assert len(t) == len(dets) > 0
+    for name in ("image_id", "model_id", "class_id"):
+        assert getattr(t, name) == [getattr(d, name) for d in dets], name
+    assert t.confidence.dtype == t.boxes.dtype == np.float64
+    assert t.confidence.tolist() == [d.confidence for d in dets]
+    assert t.boxes.tolist() == [d.bbox.as_list() for d in dets]
+    g = ds.ground_truth
+    assert len(g) == len(gts) == 300
+    for name in ("image_id", "object_id", "class_id"):
+        assert getattr(g, name) == [getattr(r, name) for r in gts], name
+    assert g.boxes.tolist() == [r.bbox.as_list() for r in gts]
+    assert observations_from_dataset(ds) == match_detections(gts, dets, models=ds.models,
+                                                             classes=ds.classes)
+
+
+# Each bad record goes on line 3 of a file whose first two lines are good.
+DROP = "<no such field>"
+GOOD_PRED = {"image_id": "img1", "model_id": "f1", "class_id": "car",
+             "confidence": 0.5, "bbox": [0, 0, 10, 10]}
+GOOD_GT = {"image_id": "img1", "object_id": "o3", "class_id": "car",
+           "bbox": [200, 0, 210, 10]}
+
+
+@pytest.mark.parametrize("target, change, message", [
+    ("f1", {"bbox": [0, 0, 1]}, r"bbox must be \[x_min, y_min, x_max, y_max\]"),
+    ("f1", {"bbox": [0, "a", 1, 1]}, "could not convert string to float: 'a'"),
+    ("f1", {"bbox": [0, None, 1, 1]}, r"float\(\) argument must be"),
+    ("f1", {"bbox": [0, 0, 10 ** 400, 1]}, "int too large to convert to float"),
+    ("f1", {"bbox": [0, 0, float("inf"), 1]},
+     r"non-finite bbox coordinates: \(0\.0, 0\.0, inf, 1\.0\)"),
+    ("f1", {"bbox": [0, float("nan"), 1, 1]}, "non-finite bbox coordinates"),
+    ("f1", {"bbox": [5, 0, 5, 10]},
+     r"degenerate bbox \(zero or negative area\): \(5\.0, 0\.0, 5\.0, 10\.0\)"),
+    ("f1", {"bbox": [0, 9, 10, 3]}, "degenerate bbox"),
+    ("f1", {"confidence": 1.5}, r"confidence out of \[0, 1\]: 1\.5$"),
+    ("f1", {"confidence": -0.1}, r"confidence out of \[0, 1\]: -0\.1$"),
+    ("f1", {"confidence": float("nan")}, r"confidence out of \[0, 1\]: nan$"),
+    ("f1", {"confidence": "x"}, "confidence must be a number: 'x'"),
+    ("f1", {"model_id": "f2"}, "model_id 'f2' does not match manifest entry 'f1'"),
+    ("f1", {"class_id": "boats"}, r"prediction for unknown class 'boats' \(model 'f1'\)"),
+    ("f1", {"confidence": None, "bbox": DROP}, "confidence must be a number: None"),
+    ("f1", {"bbox": None}, "bbox must be"),
+    ("f1", {"image_id": DROP}, "missing field 'image_id'"),
+    ("f1", {"confidence": DROP}, "missing field 'confidence'"),
+    ("gt", {"class_id": "boats"}, "ground-truth object 'o3' has unknown class 'boats'"),
+    ("gt", {"object_id": "o1"}, "duplicate object_id 'o1'"),
+    ("gt", {"object_id": DROP}, "missing field 'object_id'"),
+    ("gt", {"bbox": [200, 0, 190, 10]}, "degenerate bbox"),
+])
+def test_every_record_error_names_its_line(tmp_path, target, change, message):
+    manifest = _write_tiny_dataset(tmp_path)
+    path = tmp_path / ("gt.jsonl" if target == "gt" else f"{target}.jsonl")
+    rec = dict(GOOD_GT if target == "gt" else GOOD_PRED, **change)
+    rec = {k: v for k, v in rec.items() if v is not DROP}
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(rec) + "\n")
+    with pytest.raises(InputError, match=rf"^{path}:3: {message}"):
+        load_dataset(manifest)
+
+
+def test_first_bad_line_wins_across_checks(tmp_path):
+    manifest = _write_tiny_dataset(tmp_path)
+    path = tmp_path / "f1.jsonl"
+    good = path.read_text()
+    # a range error on line 3 precedes a parse error on line 4 ...
+    path.write_text(good + json.dumps(dict(GOOD_PRED, confidence=1.5)) + "\nnot json\n")
+    with pytest.raises(InputError, match=rf"^{path}:3: confidence out of"):
+        load_dataset(manifest)
+    # ... and a parse error on line 3 precedes a range error on line 4
+    path.write_text(good + "not json\n" + json.dumps(dict(GOOD_PRED, confidence=1.5)) + "\n")
+    with pytest.raises(InputError, match=rf"^{path}:3: invalid JSON"):
+        load_dataset(manifest)
+    # within one line the checks keep the per-record order: corners first
+    path.write_text(good + json.dumps(dict(GOOD_PRED, confidence=1.5, class_id="boats",
+                                           bbox=[5, 0, 5, 1])) + "\n")
+    with pytest.raises(InputError, match=rf"^{path}:3: degenerate bbox"):
+        load_dataset(manifest)

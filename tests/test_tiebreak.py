@@ -2,13 +2,14 @@
 
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abfuse.tiebreak import (apply_tiebreaker, candidates_from_atoms,
                              candidates_from_entries, labels_only)
 
 from conftest import obs_of
+from oracles import candidates_from_atoms_reference
 
 
 def test_highest_confidence_wins():
@@ -89,3 +90,20 @@ def test_candidates_from_atoms_tie_prefers_smaller_model():
 def test_candidates_from_atoms_skip_unsupported():
     obs = obs_of([("o1", "f1", "car", 0.6)])
     assert candidates_from_atoms([("tree", "o9")], obs) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("o1", "o2", "o3")),
+                          st.sampled_from(("f1", "f2", "f3", "f4")),
+                          st.sampled_from(("car", "tree")),
+                          st.sampled_from((0.25, 0.5, 1.0))),
+                unique_by=lambda r: (r[0], r[1])),
+       st.lists(st.tuples(st.sampled_from(("car", "tree", "pole")),
+                          st.sampled_from(("o1", "o2", "o3", "o4", "o9")))))
+def test_candidates_from_atoms_match_the_per_entry_oracle(rows, atoms):
+    # few confidence levels, so several models often tie on one atom; the
+    # atoms repeat, miss the entries, or name an object or class outside
+    # the universe
+    obs = obs_of(rows, objects=["o1", "o2", "o3", "o4"], classes=["car", "tree"])
+    assert candidates_from_atoms(atoms, obs) == \
+        candidates_from_atoms_reference(atoms, obs)
