@@ -1,32 +1,27 @@
 """Reference fusion baselines."""
 
-from typing import Dict, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .model_io import ObservationSet
+from .tiebreak import first_per_group
 
 
-def majority_vote(obs: ObservationSet) -> Dict[str, str]:
-    """Modal predicted class per object over the raw observations.
+def majority_vote(obs: ObservationSet) -> np.ndarray:
+    """Modal predicted class per object over the raw observations, as the
+    ``obs.view`` row of that class's strongest prediction, one per object
+    with a prediction, ascending object.
 
     Vote ties go to the class whose strongest supporting prediction has the
     higher confidence; remaining ties prefer the smaller supporting model
     id, then the smaller class id.
     """
-    per_object: dict = {}
-    for e in obs.entries:
-        per_object.setdefault(e.object_id, []).append(e)
-    out = {}
-    for obj, group in per_object.items():
-        stats: dict = {}  # class -> [votes, best_conf, best_model]
-        for e in group:
-            st = stats.setdefault(e.class_id, [0, -1.0, ""])
-            st[0] += 1
-            if e.confidence > st[1] or (e.confidence == st[1] and e.model_id < st[2]):
-                st[1] = e.confidence
-                st[2] = e.model_id
-        out[obj] = min(stats,
-                       key=lambda c: (-stats[c][0], -stats[c][1], stats[c][2], c))
-    return out
+    v = obs.view
+    cell = v.obj * len(v.classes) + v.cls
+    votes = np.bincount(cell, minlength=1)[cell]
+    # a class's best row has its votes and its strongest (confidence, model)
+    return first_per_group(v.obj, -votes, -v.confidence, v.model, v.cls)
 
 
 def best_individual(per_model_metrics: Mapping[str, "Metrics"]) -> str:

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import baselines, evaluation, solver_hs, solver_ip, synthgen, tiebreak
+from . import baselines, evaluation, solver_hs, solver_ip, tiebreak
 from .deduction import default_domain, load_domain_config, violation_budget
 from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules, learn_ruleset
 from .model_io import (InputError, coverage_report, load_dataset,
@@ -82,9 +82,14 @@ def _metrics_dict(m: evaluation.Metrics, status: str = "ok") -> dict:
     }
 
 
-def _write_labels(path: str, rows) -> None:
+def _write_labels(path: str, v, rows, sources: bool = False) -> None:
+    """One line per row of view ``v``: its object and class ids and, with
+    ``sources``, the model id and confidence of the prediction behind it."""
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
+        for r in rows.tolist():
+            row = {"object_id": v.objects[v.obj[r]], "class_id": v.classes[v.cls[r]]}
+            if sources:
+                row.update(model_id=v.models[v.model[r]], confidence=float(v.confidence[r]))
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
@@ -93,6 +98,8 @@ def _write_labels(path: str, rows) -> None:
 
 
 def cmd_gen(args) -> int:
+    from . import synthgen
+
     if bool(args.preset) == bool(args.scenario):
         raise InputError("exactly one of --preset / --scenario is required")
     if args.preset:
@@ -139,8 +146,7 @@ def cmd_abduce(args) -> int:
             print("infeasible: no acceptance set satisfies coverage within "
                   f"the delta budget ({instance.delta_budget})", file=sys.stderr)
             return EXIT_INFEASIBLE
-        atoms = sol.assigned_atoms()
-        source = filtered
+        view, rows = filtered.view, filtered.view.rows_within(sol.covered)
     else:
         eps_set = _parse_grid(args.epsilon_set, "epsilon") if args.epsilon_set \
             else ruleset.epsilon_grid
@@ -149,26 +155,17 @@ def cmd_abduce(args) -> int:
                                          domain.normalizer_mode,
                                          domain.directed_ground_rules)
         res.trace.write(os.path.join(args.out, "trace.jsonl"))
-        atoms = res.atoms()
-        source = obs
+        view, rows = obs.view, res.rows
 
     if tb:
-        if args.solver == "ip":
-            cands = tiebreak.candidates_from_atoms(atoms, source)
-        else:
-            cands = tiebreak.candidates_from_entries(res.selected)
-        resolved = tiebreak.apply_tiebreaker(cands)
-        rows = [{"object_id": o, "class_id": cls, "model_id": model,
-                 "confidence": conf}
-                for o, (cls, model, conf) in sorted(resolved.items())]
-        atoms = evaluation.labels_to_atoms(tiebreak.labels_only(resolved))
-    else:
-        rows = [{"object_id": w, "class_id": c} for c, w in sorted(
-            atoms, key=lambda a: (a[1], a[0]))]
-    _write_labels(os.path.join(args.out, "labels.jsonl"), rows)
+        rows = tiebreak.resolve(view, rows)
+    else:  # one row per atom, in (object, class) order
+        rows = rows[tiebreak.first_per_group(view.obj[rows] * len(view.classes)
+                                             + view.cls[rows])]
+    _write_labels(os.path.join(args.out, "labels.jsonl"), view, rows, sources=tb)
 
-    metrics = evaluation.score(atoms, ds.labels(), domain=domain,
-                               n_objects=len(obs.objects))
+    metrics = evaluation.score(view.coverage(rows), evaluation.Truth.of(
+        ds.labels(), view.objects, view.classes), domain=domain, n_objects=len(obs.objects))
     payload = _metrics_dict(metrics)
     payload["violation_budget"] = violation_budget(
         args.delta, len(obs.objects), domain.ic, domain.normalizer_mode,
@@ -207,8 +204,8 @@ def cmd_eval(args) -> int:
             atoms.add((str(rec["class_id"]), str(rec["object_id"])))
         except KeyError as exc:
             raise InputError(f"{args.labels}:{lineno}: bad label record: {exc}") from exc
-    metrics = evaluation.score(atoms, ds.labels(), domain=domain,
-                               n_objects=len(obs.objects))
+    metrics = evaluation.score_atoms(atoms, ds.labels(), domain=domain,
+                                     n_objects=len(obs.objects))
     _write_json(args.out, _metrics_dict(metrics))
     print(f"f1={metrics.f1:.4f} precision={metrics.precision:.4f} "
           f"recall={metrics.recall:.4f} accuracy={metrics.accuracy:.4f}")
@@ -221,12 +218,10 @@ def cmd_baseline(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     gt = ds.labels()
     if args.method == "mv":
-        labels = baselines.majority_vote(obs)
-        metrics = evaluation.score(evaluation.labels_to_atoms(labels), gt,
-                                   domain=domain, n_objects=len(obs.objects))
-        _write_labels(os.path.join(args.out, "labels.jsonl"),
-                      [{"object_id": o, "class_id": c}
-                       for o, c in sorted(labels.items())])
+        v, rows = obs.view, baselines.majority_vote(obs)
+        metrics = evaluation.score(v.coverage(rows), evaluation.Truth.of(
+            gt, v.objects, v.classes), domain=domain, n_objects=len(obs.objects))
+        _write_labels(os.path.join(args.out, "labels.jsonl"), v, rows)
         extra = {}
     else:
         per_model = evaluation.per_model_metrics(obs, gt, domain)
@@ -253,8 +248,8 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
-    g.add_argument("--preset", help=f"scenario template, families: "
-                                    f"{', '.join(synthgen.PRESET_FAMILIES)} (e.g. UM_1)")
+    g.add_argument("--preset", help="scenario template such as UM_1 or MM_2 "
+                                    "(an unknown name lists the families)")
     g.add_argument("--scenario", help="scenario config JSON file")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--seed", type=int, default=None)
@@ -325,10 +320,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,18 +12,20 @@ class pairs, and derives:
 
 The solvers compute that closure in bulk over arrays; ``tests/oracles.py``
 keeps a per-entry statement of it (``fixpoint``).  This module holds what
-they share: the constraint set, :func:`find_violations` and the
-inconsistency score Inc, which normalizes the violation count in one of two
-modes.  Both solvers accept a selection iff its raw count of violated
-ground rules is at most :func:`violation_budget`, and every Inc score, the
-greedy trace's included, comes from :func:`inc_from_count`.  The one
-intended difference between them: the exact solver keeps every coverable
-object covered, while the greedy search may leave an object without any
-assignment.
+they share: the constraint set, the violated ground rules
+(:func:`count_violations` on a (class, object) coverage array,
+:func:`find_violations` on atoms) and the inconsistency score Inc, which
+normalizes the violation count in one of two modes.  Both solvers accept a
+selection iff its raw count of violated ground rules is at most
+:func:`violation_budget`, and every Inc score, the greedy trace's included,
+comes from :func:`inc_from_count`.  The one intended difference between
+them: the exact solver keeps every coverable object covered, while the
+greedy search may leave an object without any assignment.
 """
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -74,25 +76,23 @@ class IntegrityConstraintSet:
         return _canon_pair(a, b) in self.pairs
 
     def max_degree(self) -> int:
-        deg: dict = {}
-        for a, b in self.pairs:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        return max(deg.values()) if deg else 0
+        return max(Counter(c for pair in self.pairs for c in pair).values(), default=0)
 
 
 def find_violations(assigned: Iterable[Tuple[str, str]],
                     ic: IntegrityConstraintSet) -> frozenset:
     """Ground rules violated by a set of (class_id, object_id) atoms."""
-    by_object: dict = {}
-    for c, w in assigned:
-        by_object.setdefault(w, set()).add(c)
-    out = set()
-    for w, classes in by_object.items():
-        for a, b in ic.pairs:
-            if a in classes and b in classes:
-                out.add((w, (a, b)))
-    return frozenset(out)
+    atoms = set(assigned)
+    return frozenset((w, (a, b)) for c, w in atoms for a, b in ic.pairs
+                     if c == a and (b, w) in atoms)
+
+
+def count_violations(cov, classes, ic: IntegrityConstraintSet) -> int:
+    """Ground rules violated by a bool (C, N) coverage whose class axis is
+    ``classes``; a pair naming a class outside it is never violated."""
+    at = {c: i for i, c in enumerate(classes)}
+    return sum(int((cov[at[a]] & cov[at[b]]).sum())
+               for a, b in ic.pairs if a in at and b in at)
 
 
 def inc_from_count(n_violations: int,

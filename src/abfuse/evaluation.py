@@ -1,27 +1,30 @@
 """Scoring and grid sweeps.
 
-``score`` turns a set of assignment atoms into precision / recall / F1 /
-accuracy against ground-truth labels.  ``run_sweep`` evaluates the
-configured methods over a (delta, epsilon) grid and renders a flat CSV plus
-a JSON run manifest.  One row is emitted per repeat per method per cell:
-the methods are deterministic, so repeated rows differ only in measured
-runtime and collapse to identical bytes when timing is disabled.
+``score`` reduces a (class, object) coverage array against ground-truth
+class indices to precision / recall / F1 / accuracy and inconsistency.
+``run_sweep`` evaluates the configured methods over a (delta, epsilon) grid
+and renders a flat CSV plus a JSON run manifest.  One row is emitted per
+repeat per method per cell: the methods are deterministic, so repeated rows
+differ only in measured runtime and collapse to identical bytes when timing
+is disabled.
 """
 
 import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import baselines, solver_hs, solver_ip, tiebreak
-from .deduction import DomainConfig, find_violations, inc_from_count
+from .deduction import DomainConfig, count_violations, inc_from_count
 from .edr import RuleSet, apply_rules
-from .model_io import InputError, ObservationSet
+from .model_io import InputError, ObservationSet, index_of
 
-METHODS = ("ip", "ip+tb", "hs", "hs+tb", "mv", "best", "avg")
+METHODS = ("ip", "ip+tb", "hs", "hs+tb", "mv", "best", "avg")   # solvers first
 
 CSV_COLUMNS = ("delta", "epsilon", "method", "precision", "recall", "f1",
                "accuracy", "inconsistency", "runtime_per_object",
@@ -40,60 +43,86 @@ class Metrics:
     violations: int = 0     # raw violated ground rules behind ``inconsistency``
 
 
-def score(atoms: Iterable[Tuple[str, str]],
-          gt_labels: Mapping[str, str],
+class Truth(NamedTuple):
+    """Ground-truth labels on a (class, object) universe.
+
+    ``label[w]`` is the class index of object ``w``'s label, -1 for none.
+    ``n_labels`` counts every label, also those of objects or classes
+    outside the universe, which no atom can hit.
+    """
+
+    classes: tuple
+    label: np.ndarray       # int64 (N,)
+    n_labels: int
+
+    @classmethod
+    def of(cls, gt_labels: Mapping[str, str], objects: Sequence[str],
+           classes: Sequence[str]) -> "Truth":
+        at = {c: i for i, c in enumerate(classes)}
+        return cls(tuple(classes), np.fromiter(
+            (at.get(gt_labels.get(w), -1) for w in objects), dtype=np.int64,
+            count=len(objects)), len(gt_labels))
+
+
+def score(cov: np.ndarray,
+          truth: Truth,
           *,
           domain: Optional[DomainConfig] = None,
           n_objects: Optional[int] = None,
           runtime_per_object: float = 0.0) -> Metrics:
-    """Score assignment atoms ``(class_id, object_id)`` against labels.
+    """Score a bool (C, N) coverage, ``cov[c, w]`` saying that object ``w``
+    carries class ``truth.classes[c]``, against ground truth.
 
-    Precision is over atoms; recall counts ground-truth objects touched by a
+    Precision is over atoms (covered cells); recall counts labels hit by a
     correct atom; accuracy additionally requires the object to carry exactly
     one atom.  Inconsistency, and the raw violation count it normalizes,
     are computed when a domain is given.
     """
-    if not gt_labels:
+    if not truth.n_labels:
         raise InputError("ground truth is empty")
-    atoms = set(atoms)
-    n_objects = len(gt_labels) if n_objects is None else n_objects
+    n_objects = truth.n_labels if n_objects is None else n_objects
 
-    per_object: dict = {}
-    for c, w in atoms:
-        per_object.setdefault(w, set()).add(c)
-
-    correct = sum(1 for c, w in atoms if gt_labels.get(w) == c)
-    precision = correct / len(atoms) if atoms else 0.0
-    hit = sum(1 for w, label in gt_labels.items() if label in per_object.get(w, ()))
-    recall = hit / len(gt_labels)
+    labelled = np.flatnonzero(truth.label >= 0)
+    hit = cov[truth.label[labelled], labelled]
+    correct = int(hit.sum())
+    n_atoms = int(cov.sum())
+    precision = correct / n_atoms if n_atoms else 0.0
+    recall = correct / truth.n_labels
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    exact = sum(1 for w, label in gt_labels.items()
-                if per_object.get(w) == {label})
-    accuracy = exact / len(gt_labels)
+    exact = int((hit & (cov[:, labelled].sum(axis=0) == 1)).sum())
+    accuracy = exact / truth.n_labels
 
-    incon = 0.0
-    violations = 0
+    incon, violations = 0.0, 0
     if domain is not None:
-        violations = len(find_violations(atoms, domain.ic))
+        violations = count_violations(cov, truth.classes, domain.ic)
         incon = inc_from_count(violations, n_objects, domain.ic,
                                domain.normalizer_mode, domain.directed_ground_rules)
     return Metrics(precision, recall, f1, accuracy, incon,
                    runtime_per_object, n_objects, violations)
 
 
-def labels_to_atoms(labels: Mapping[str, str]) -> frozenset:
-    return frozenset((c, w) for w, c in labels.items())
+def score_atoms(atoms: Iterable[Tuple[str, str]],
+                gt_labels: Mapping[str, str], **kw) -> Metrics:
+    """:func:`score` of ``(class_id, object_id)`` atoms, on the universe of
+    the ids they and ``gt_labels`` name."""
+    atoms = set(atoms)
+    objects = sorted({w for _, w in atoms}.union(gt_labels))
+    classes = sorted({c for c, _ in atoms}.union(gt_labels.values()))
+    cov = np.zeros((len(classes), len(objects)), dtype=bool)
+    cov[index_of(classes, (c for c, _ in atoms), "class"),
+        index_of(objects, (w for _, w in atoms), "object")] = True
+    return score(cov, Truth.of(gt_labels, objects, classes), **kw)
 
 
 def per_model_metrics(obs: ObservationSet,
                       gt_labels: Mapping[str, str],
                       domain: Optional[DomainConfig] = None) -> Dict[str, Metrics]:
     """Each model scored alone on its raw surviving predictions."""
-    out = {}
-    for f in sorted(obs.models):
-        atoms = {(e.class_id, e.object_id) for e in obs.entries if e.model_id == f}
-        out[f] = score(atoms, gt_labels, domain=domain, n_objects=len(obs.objects))
-    return out
+    v = obs.view
+    truth = Truth.of(gt_labels, v.objects, v.classes)
+    return {m: score(v.coverage(v.model == f), truth, domain=domain,
+                     n_objects=len(v.objects))
+            for f, m in enumerate(v.models)}
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +138,14 @@ class SweepDataset:
     name: str = "dataset"
 
     def fingerprint(self) -> str:
+        v = self.observations.view
+        # the entries as sorted (object, model, class, confidence) tuples
+        order = np.lexsort((v.model, v.obj))
+        ids = (np.array(u, dtype=object)[a[order]].tolist() for u, a in (
+            (v.objects, v.obj), (v.models, v.model), (v.classes, v.cls)))
         payload = json.dumps({
-            "entries": sorted(self.observations.entries),
-            "objects": sorted(self.observations.objects),
+            "entries": list(zip(*ids, v.confidence[order].tolist())),
+            "objects": list(v.objects),
             "labels": sorted(self.gt_labels.items()),
             "classes": list(self.domain.classes),
             "ic": [list(p) for p in self.domain.ic.pairs],
@@ -153,107 +187,68 @@ class SweepResult:
             fh.write("\n")
 
 
-def _solve_ip_cell(dataset: SweepDataset, delta: float, epsilon: float,
-                   want_plain: bool, want_tb: bool,
-                   repeats: int, timing: bool) -> list:
-    """The timer covers the same span as the greedy side: from raw
-    observations plus rules to a solution (filtering, packing, search)."""
-    dom = dataset.domain
-    n = len(dataset.observations.objects)
+def _row_worker(args) -> list:
+    """The cells of one epsilon row.  The row's rules filter once, for both
+    solvers; under timing each cell's runtime is that filter's time plus its
+    own solve, from raw observations plus rules to a solution."""
+    dataset, truth, deltas, epsilon, methods, repeats, timing = args
+    dom, obs = dataset.domain, dataset.observations
+    n = len(obs.objects)
+    t0 = time.perf_counter()
+    filtered, flagged_rows = apply_rules(obs, dataset.ruleset, epsilon)
+    t_filter = time.perf_counter() - t0
+    flagged = np.isin(np.arange(len(obs.view.obj)), flagged_rows)
 
-    cells = []
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        filtered, _ = apply_rules(dataset.observations, dataset.ruleset, epsilon)
-        instance = solver_ip.build_instance(
-            filtered, dom.ic, delta, dom.normalizer_mode, dom.directed_ground_rules)
-        sol = solver_ip.solve(instance)
-        elapsed = time.perf_counter() - t0
-        rpo = (elapsed / n) if (timing and n) else 0.0
-
+    def solve_ip(delta):
+        sol = solver_ip.solve(solver_ip.build_instance(
+            filtered, dom.ic, delta, dom.normalizer_mode, dom.directed_ground_rules))
         if sol.status != solver_ip.STATUS_OPTIMAL:
-            empty = Metrics(runtime_per_object=rpo, n_objects=n)
-            if want_plain:
-                cells.append(SweepCell(delta, epsilon, "ip", empty, "infeasible"))
-            if want_tb:
-                cells.append(SweepCell(delta, epsilon, "ip+tb", empty, "infeasible"))
-            continue
+            return None
+        return filtered.view, filtered.view.rows_within(sol.covered)
 
-        atoms = sol.assigned_atoms()
-        if want_plain:
-            m = score(atoms, dataset.gt_labels, domain=dom, n_objects=n,
-                      runtime_per_object=rpo)
-            cells.append(SweepCell(delta, epsilon, "ip", m))
-        if want_tb:
-            resolved = tiebreak.apply_tiebreaker(
-                tiebreak.candidates_from_atoms(atoms, filtered))
-            tb_atoms = labels_to_atoms(tiebreak.labels_only(resolved))
-            m = score(tb_atoms, dataset.gt_labels, domain=dom, n_objects=n,
-                      runtime_per_object=rpo)
-            cells.append(SweepCell(delta, epsilon, "ip+tb", m))
-    return cells
-
-
-def _solve_hs_cell(dataset: SweepDataset, delta: float, epsilon: float,
-                   want_plain: bool, want_tb: bool,
-                   repeats: int, timing: bool) -> list:
-    dom = dataset.domain
-    config = solver_hs.HsConfig(delta, (epsilon,))
-    n = len(dataset.observations.objects)
+    def solve_hs(delta):
+        res = solver_hs.heuristic_search(
+            obs, solver_hs.HsConfig(delta, (epsilon,)), dataset.ruleset, dom.ic,
+            dom.normalizer_mode, dom.directed_ground_rules, flagged={epsilon: flagged})
+        return obs.view, res.rows
 
     cells = []
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        res = solver_hs.heuristic_search(
-            dataset.observations, config, dataset.ruleset, dom.ic,
-            dom.normalizer_mode, dom.directed_ground_rules)
-        elapsed = time.perf_counter() - t0
-        rpo = (elapsed / n) if (timing and n) else 0.0
-
-        if want_plain:
-            m = score(res.atoms(), dataset.gt_labels, domain=dom, n_objects=n,
-                      runtime_per_object=rpo)
-            cells.append(SweepCell(delta, epsilon, "hs", m))
-        if want_tb:
-            resolved = tiebreak.apply_tiebreaker(
-                tiebreak.candidates_from_entries(res.selected))
-            tb_atoms = labels_to_atoms(tiebreak.labels_only(resolved))
-            m = score(tb_atoms, dataset.gt_labels, domain=dom, n_objects=n,
-                      runtime_per_object=rpo)
-            cells.append(SweepCell(delta, epsilon, "hs+tb", m))
+    for delta in deltas:
+        for solver, solve in (("ip", solve_ip), ("hs", solve_hs)):
+            want = [m for m in (solver, solver + "+tb") if m in methods]
+            for _ in range(repeats if want else 0):
+                t0 = time.perf_counter()
+                got = solve(delta)
+                elapsed = t_filter + time.perf_counter() - t0
+                rpo = (elapsed / n) if (timing and n) else 0.0
+                for method in want:
+                    if got is None:
+                        cells.append(SweepCell(delta, epsilon, method, Metrics(
+                            runtime_per_object=rpo, n_objects=n), "infeasible"))
+                        continue
+                    view, rows = got
+                    if method.endswith("+tb"):
+                        rows = tiebreak.resolve(view, rows)
+                    cells.append(SweepCell(delta, epsilon, method, score(
+                        view.coverage(rows), truth, domain=dom, n_objects=n,
+                        runtime_per_object=rpo)))
     return cells
 
 
-def _baseline_cells(dataset: SweepDataset, methods: Sequence[str]) -> list:
+def _baseline_cells(dataset: SweepDataset, truth: Truth, methods: Sequence[str]) -> list:
     """Grid-independent rows, computed once and replicated over the grid."""
-    dom = dataset.domain
-    n = len(dataset.observations.objects)
+    dom, obs = dataset.domain, dataset.observations
     out = []
     if "mv" in methods:
-        labels = baselines.majority_vote(dataset.observations)
-        m = score(labels_to_atoms(labels), dataset.gt_labels, domain=dom, n_objects=n)
-        out.append(("mv", m))
+        out.append(("mv", score(obs.view.coverage(baselines.majority_vote(obs)), truth,
+                                domain=dom, n_objects=len(obs.objects))))
     if "best" in methods or "avg" in methods:
-        per_model = per_model_metrics(dataset.observations, dataset.gt_labels, dom)
+        per_model = per_model_metrics(obs, dataset.gt_labels, dom)
         if "best" in methods:
             out.append(("best", per_model[baselines.best_individual(per_model)]))
         if "avg" in methods:
             out.append(("avg", baselines.average_models(per_model)))
     return out
-
-
-def _cell_worker(args) -> list:
-    dataset, delta, epsilon, methods, repeats, timing = args
-    cells = []
-    if "ip" in methods or "ip+tb" in methods:
-        cells.extend(_solve_ip_cell(dataset, delta, epsilon,
-                                    "ip" in methods, "ip+tb" in methods,
-                                    repeats, timing))
-    if "hs" in methods or "hs+tb" in methods:
-        cells.extend(_solve_hs_cell(dataset, delta, epsilon,
-                                    "hs" in methods, "hs+tb" in methods,
-                                    repeats, timing))
-    return cells
 
 
 def run_sweep(dataset: SweepDataset,
@@ -280,23 +275,23 @@ def run_sweep(dataset: SweepDataset,
             if not (0.0 <= v <= 1.0):
                 raise InputError(f"{name} grid value out of [0, 1]: {v}")
 
-    tasks = [(dataset, d, e, tuple(methods), repeats, timing)
-             for d in deltas for e in epsilons]
+    v = dataset.observations.view
+    truth = Truth.of(dataset.gt_labels, v.objects, v.classes)
+    solving = any(m in METHODS[:4] for m in methods)
+    tasks = [(dataset, truth, deltas, e, tuple(methods), repeats, timing)
+             for e in epsilons if solving]
 
-    cells: list = []
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for got in pool.map(_cell_worker, tasks):
-                cells.extend(got)
+            rows = list(pool.map(_row_worker, tasks))
     else:
-        for t in tasks:
-            cells.extend(_cell_worker(t))
-
-    for method, m in _baseline_cells(dataset, methods):
-        for d in deltas:
-            for e in epsilons:
-                for _ in range(repeats):
-                    cells.append(SweepCell(d, e, method, m))
+        rows = list(map(_row_worker, tasks))
+    # rows come per epsilon; the stable sort restores (delta, epsilon) order
+    cells = sorted(chain.from_iterable(rows), key=lambda c: (c.delta, c.epsilon))
+    for method, m in _baseline_cells(dataset, truth, methods):
+        cells.extend(SweepCell(d, e, method, m) for d in deltas for e in epsilons
+                     for _ in range(repeats))
 
     manifest = {
         "dataset": dataset.name,

@@ -122,16 +122,13 @@ def bnb_search(var_cls, var_obj_off, var_obj_idx, order, sup,
                         better = True
                     elif cur_nelim == best_nelim:
                         # equal count: prefer eliminating earlier variables
-                        for i in range(n_vars):
-                            if cur_mask[i] != best_mask[i]:
-                                better = cur_mask[i] == 1
-                                break
+                        differ = np.flatnonzero(cur_mask != best_mask)
+                        better = differ.size > 0 and cur_mask[differ[0]] == 1
                 if better:
                     found = True
                     best_obj = atoms
                     best_nelim = cur_nelim
-                    for i in range(n_vars):
-                        best_mask[i] = cur_mask[i]
+                    best_mask[:] = cur_mask
                 done = True
             else:
                 excess = conflicts - budget
@@ -195,14 +192,9 @@ def bnb_search(var_cls, var_obj_off, var_obj_idx, order, sup,
 
 def pair_adjacency(n_classes, pairs):
     """CSR adjacency over class indices from index pair tuples."""
-    neigh = [[] for _ in range(n_classes)]
+    neigh = [set() for _ in range(n_classes)]
     for a, b in pairs:
-        neigh[a].append(b)
-        neigh[b].append(a)
-    off = np.zeros(n_classes + 1, np.int64)
-    idx = []
-    for c in range(n_classes):
-        ns = sorted(set(neigh[c]))
-        idx.extend(ns)
-        off[c + 1] = off[c] + len(ns)
-    return off, np.asarray(idx, np.int64) if idx else np.zeros(0, np.int64)
+        neigh[a].add(b)
+        neigh[b].add(a)
+    off = np.cumsum([0] + [len(ns) for ns in neigh], dtype=np.int64)
+    return off, np.array([j for ns in neigh for j in sorted(ns)], dtype=np.int64)

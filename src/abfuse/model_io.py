@@ -175,7 +175,7 @@ class Observation(NamedTuple):
     confidence: float
 
 
-def _index_of(ids: Sequence[str], wanted: Iterable[str], what: str) -> np.ndarray:
+def index_of(ids: Sequence[str], wanted: Iterable[str], what: str) -> np.ndarray:
     """Positions of ``wanted`` in ``ids`` as int64; an unknown id is an error."""
     pos = {v: i for i, v in enumerate(ids)}
     try:
@@ -195,33 +195,44 @@ class ObservationView:
     models: tuple
     objects: tuple
     classes: tuple
-    entries: np.ndarray      # object (n,): the Observation of each row
     model: np.ndarray        # int64 (n,)
     obj: np.ndarray          # int64 (n,)
     cls: np.ndarray          # int64 (n,)
     confidence: np.ndarray   # float64 (n,)
 
     @classmethod
-    def encode(cls, obs: "ObservationSet") -> "ObservationView":
+    def build(cls, models, objects, classes, model, obj, klass,
+              confidence) -> "ObservationView":
+        """The view of rows given as index arrays into the sorted universes,
+        in any order."""
+        order = np.lexsort((obj, klass, model))
+        return cls(models, objects, classes, model[order], obj[order],
+                   klass[order], confidence[order])
+
+    @classmethod
+    def encode(cls, entries: Iterable[Observation], objects: Iterable[str],
+               models: Iterable[str], classes: Iterable[str]) -> "ObservationView":
         """Index every entry; raises :class:`InputError` for an entry outside
         the universe or a second entry of one model for one object."""
-        models, objects = tuple(sorted(obs.models)), tuple(sorted(obs.objects))
-        classes = tuple(sorted(obs.classes))
-        rows = list(obs.entries)
-        obj = _index_of(objects, (e.object_id for e in rows), "object")
-        model = _index_of(models, (e.model_id for e in rows), "model")
-        klass = _index_of(classes, (e.class_id for e in rows), "class")
+        models, objects, classes = (tuple(sorted(u)) for u in (models, objects, classes))
+        rows = list(entries)
+        obj = index_of(objects, (e.object_id for e in rows), "object")
+        model = index_of(models, (e.model_id for e in rows), "model")
+        klass = index_of(classes, (e.class_id for e in rows), "class")
         twice = np.flatnonzero(np.bincount(model * len(objects) + obj, minlength=1) > 1)
         if twice.size:
             f, w = divmod(int(twice[0]), len(objects))
             raise InputError(f"model {models[f]!r} has two entries for object {objects[w]!r}")
-        order = np.lexsort((obj, klass, model))
-        entries = np.fromiter((rows[i] for i in order.tolist()), dtype=object,
-                              count=len(rows))
-        confidence = np.fromiter((e.confidence for e in entries), dtype=np.float64,
-                                 count=len(rows))
-        return cls(models, objects, classes, entries, model[order], obj[order],
-                   klass[order], confidence)
+        return cls.build(models, objects, classes, model, obj, klass, np.fromiter(
+            (e.confidence for e in rows), dtype=np.float64, count=len(rows)))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """object (n,): the :class:`Observation` of each row."""
+        ids = (np.array(u, dtype=object)[a] for u, a in (
+            (self.objects, self.obj), (self.models, self.model), (self.classes, self.cls)))
+        return np.fromiter(map(Observation, *ids, self.confidence.tolist()),
+                           dtype=object, count=len(self.obj))
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -244,42 +255,51 @@ class ObservationView:
     def masked(self, keep: np.ndarray) -> "ObservationView":
         """The rows where ``keep`` is True, on the same universe."""
         return ObservationView(self.models, self.objects, self.classes,
-                               *(a[keep] for a in (self.entries, self.model, self.obj,
-                                                   self.cls, self.confidence)))
+                               *(a[keep] for a in (self.model, self.obj, self.cls,
+                                                   self.confidence)))
+
+    def rows_within(self, cov: np.ndarray) -> np.ndarray:
+        """Rows whose (class, object) cell is set in a bool (C, N) ``cov``."""
+        return np.flatnonzero(cov[self.cls, self.obj])
+
+    def coverage(self, rows=slice(None)) -> np.ndarray:
+        """bool (C, N): whether one of ``rows`` gives object ``w`` class ``c``."""
+        cov = np.zeros((len(self.classes), len(self.objects)), dtype=bool)
+        cov[self.cls[rows], self.obj[rows]] = True
+        return cov
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSet:
-    """Predictions keyed to shared object identities.
+    """Predictions keyed to shared object identities, held as a
+    :class:`ObservationView`.
 
     ``objects`` is the full object universe, including objects no model
     predicted anything for; those stay relevant as the normalization base
-    for inconsistency scores.  ``view`` holds the same entries as arrays
-    (:class:`ObservationView`); building it validates the entries.
+    for inconsistency scores.  ``entries`` and the universes are derived
+    from the view on first access.  Two sets are equal when their universes
+    and entries are.
     """
 
-    entries: frozenset
-    objects: frozenset
-    models: frozenset
-    classes: frozenset
+    view: ObservationView
 
-    def __post_init__(self):
-        self.view  # noqa: B018 -- encoding checks every entry
+    entries = cached_property(lambda self: frozenset(self.view.entries.tolist()))
+    objects = cached_property(lambda self: frozenset(self.view.objects))
+    models = cached_property(lambda self: frozenset(self.view.models))
+    classes = cached_property(lambda self: frozenset(self.view.classes))
 
-    @cached_property
-    def view(self) -> ObservationView:
-        return ObservationView.encode(self)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObservationSet):
+            return NotImplemented
+        a, b = self.view, other.view
+        return ((a.models, a.objects, a.classes) == (b.models, b.objects, b.classes)
+                and all(np.array_equal(getattr(a, k), getattr(b, k))
+                        for k in ("model", "obj", "cls", "confidence")))
 
     def subset(self, keep: np.ndarray) -> "ObservationSet":
         """The entries where ``keep`` (a mask in ``view`` order) is True, on
-        the same universe; their view is this one's, masked."""
-        view = self.view.masked(keep)
-        out = object.__new__(ObservationSet)
-        # seeding the cached view first spares __post_init__ a re-encoding
-        out.__dict__["view"] = view
-        out.__init__(frozenset(view.entries.tolist()), self.objects,
-                     self.models, self.classes)
-        return out
+        the same universe."""
+        return ObservationSet(self.view.masked(keep))
 
     @classmethod
     def from_entries(cls, entries: Iterable[Observation],
@@ -287,17 +307,11 @@ class ObservationSet:
                      models: Optional[Iterable[str]] = None,
                      classes: Optional[Iterable[str]] = None) -> "ObservationSet":
         entries = frozenset(entries)
-        objs = set(objects) if objects is not None else set()
-        mods = set(models) if models is not None else set()
-        clss = set(classes) if classes is not None else set()
+        objs, mods, clss = (set(() if u is None else u) for u in (objects, models, classes))
         objs.update(e.object_id for e in entries)
         mods.update(e.model_id for e in entries)
         clss.update(e.class_id for e in entries)
-        return cls(entries, frozenset(objs), frozenset(mods), frozenset(clss))
-
-    def atoms(self) -> frozenset:
-        """Distinct (class_id, object_id) assignment atoms."""
-        return frozenset((e.class_id, e.object_id) for e in self.entries)
+        return cls(ObservationView.encode(entries, objs, mods, clss))
 
 
 @dataclass(frozen=True)
@@ -312,8 +326,9 @@ class CoverageReport:
 
 
 def coverage_report(obs: ObservationSet) -> CoverageReport:
-    covered = {e.object_id for e in obs.entries}
-    return CoverageReport(tuple(sorted(obs.objects - covered)))
+    v = obs.view
+    bare = np.bincount(v.obj, minlength=len(v.objects)) == 0
+    return CoverageReport(tuple(v.objects[w] for w in np.flatnonzero(bare).tolist()))
 
 
 def _area(boxes: np.ndarray) -> np.ndarray:
@@ -456,14 +471,18 @@ def match_detections(gt, detections, primary_iou: float = 0.90,
             done, used[d] = o, True
             pairs.append((o, d))
 
-    conf = dets.confidence.tolist()
-    entries = [Observation(gt.object_id[o], dets.model_id[d], dets.class_id[d], conf[d])
-               for o, d in pairs]
-    all_models = set(models) if models is not None else set(model_ids)
-    all_classes = set(classes) if classes is not None else set()
-    all_classes.update(dets.class_id, gt.class_id)
-    return ObservationSet.from_entries(entries, objects=gt.object_id,
-                                       models=all_models, classes=all_classes)
+    # the view straight from the (object, detection) pairs
+    o, d = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    objects = tuple(sorted(gt.object_id))
+    all_models = tuple(sorted(set(model_ids if models is None else models).union(
+        model_ids[k] for k in np.unique(dmodel[d]).tolist())))
+    all_classes = tuple(sorted(set(() if classes is None else classes).union(
+        dets.class_id, gt.class_id)))
+    obj = index_of(objects, gt.object_id, "object")[o]
+    model = index_of(all_models, model_ids, "model")[dmodel[d]]
+    klass = index_of(all_classes, (dets.class_id[k] for k in d.tolist()), "class")
+    return ObservationSet(ObservationView.build(all_models, objects, all_classes, model,
+                                                obj, klass, dets.confidence[d]))
 
 
 def ground_truth_labels(gt: GroundTruthTable) -> dict:

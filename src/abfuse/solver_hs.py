@@ -14,14 +14,14 @@ selection already satisfies the budget.
 import json
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
 from . import kernels
 from .deduction import IntegrityConstraintSet, inc_from_count, violation_budget
 from .edr import RuleSet, split_flagged
-from .model_io import InputError, ObservationSet
+from .model_io import InputError, ObservationSet, ObservationView
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,31 @@ class SelectionTrace:
                 }) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HsResult:
-    selected: frozenset            # Observation entries
+    """The accepted predictions as ascending ``rows`` of the searched view."""
+
+    view: ObservationView
+    rows: np.ndarray               # int64, ascending
     trace: SelectionTrace
     n_atoms: int
     inconsistency: float
 
+    @property
+    def selected(self) -> frozenset:
+        """The accepted :class:`Observation` entries."""
+        return frozenset(self.view.entries[self.rows].tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HsResult):
+            return NotImplemented
+        return ((self.selected, self.trace, self.n_atoms, self.inconsistency)
+                == (other.selected, other.trace, other.n_atoms, other.inconsistency))
+
     def atoms(self) -> frozenset:
-        return frozenset((e.class_id, e.object_id) for e in self.selected)
+        c, w = np.nonzero(self.view.coverage(self.rows))
+        return frozenset(zip(map(self.view.classes.__getitem__, c.tolist()),
+                             map(self.view.objects.__getitem__, w.tolist())))
 
 
 def _pair_order(p_raw: ObservationSet, config: HsConfig) -> list:
@@ -96,7 +112,10 @@ def heuristic_search(p_raw: ObservationSet,
                      ruleset: RuleSet,
                      ic: IntegrityConstraintSet,
                      normalizer_mode: str = "per_object",
-                     directed_ground_rules: bool = False) -> HsResult:
+                     directed_ground_rules: bool = False,
+                     flagged: Optional[Mapping[float, np.ndarray]] = None) -> HsResult:
+    """``flagged`` maps each epsilon of ``config`` to its :func:`split_flagged`
+    mask, for a caller that already has them; missing ones are computed."""
     for a, b in ic.pairs:
         if a not in p_raw.classes or b not in p_raw.classes:
             raise InputError(f"exclusion pair ({a!r}, {b!r}) outside the class universe")
@@ -119,11 +138,13 @@ def heuristic_search(p_raw: ObservationSet,
     conflicts = 0
 
     # view rows surviving the rules, per epsilon
-    kept = {eps: ~split_flagged(p_raw, ruleset, eps) for eps in config.epsilon_set}
+    flagged = flagged or {}
+    kept = {eps: ~(flagged[eps] if eps in flagged else split_flagged(p_raw, ruleset, eps))
+            for eps in config.epsilon_set}
 
     # each pair is visited once, so a pair's entries are never already
     # selected and its atoms (one class, distinct objects) never repeat
-    selected: list = []
+    selected = [np.zeros(0, dtype=np.int64)]
     steps = []
     for f, c in _pair_order(p_raw, config):
         rows = view.pair_rows(mi[f], ci[c])
@@ -142,8 +163,8 @@ def heuristic_search(p_raw: ObservationSet,
         if best is not None:
             atoms, conflicts, chosen, idx = best
             kernels.commit_atoms(pres, view.cls[idx], view.obj[idx])
-            selected.extend(view.entries[idx].tolist())
+            selected.append(idx)
         steps.append(SelectionStep(f, c, chosen, atoms, inconsistency(conflicts)))
 
-    return HsResult(frozenset(selected), SelectionTrace(tuple(steps)),
+    return HsResult(view, np.sort(np.concatenate(selected)), SelectionTrace(tuple(steps)),
                     atoms, inconsistency(conflicts))

@@ -23,7 +23,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import kernels
-from .deduction import IntegrityConstraintSet, violation_budget
+from .deduction import IntegrityConstraintSet, count_violations, violation_budget
 from .model_io import InputError, ObservationSet
 
 STATUS_OPTIMAL = "optimal"
@@ -66,19 +66,8 @@ class IpSolution:
     covered: np.ndarray         # bool (C, N)
     instance: IpInstance = field(repr=False)
 
-    def accepted_pairs(self) -> frozenset:
-        f, c = np.nonzero(self.eliminated == 0)
-        return frozenset(zip(map(self.instance.models.__getitem__, f.tolist()),
-                             map(self.instance.classes.__getitem__, c.tolist())))
-
-    def assigned_atoms(self) -> frozenset:
-        c, w = np.nonzero(self.covered)
-        return frozenset(zip(map(self.instance.classes.__getitem__, c.tolist()),
-                             map(self.instance.objects.__getitem__, w.tolist())))
-
     def n_violations(self) -> int:
-        return sum(int((self.covered[a] & self.covered[b]).sum())
-                   for a, b in _ic_index_pairs(self.instance))
+        return count_violations(self.covered, self.instance.classes, self.instance.ic)
 
     @cached_property
     def elim(self) -> Dict[Tuple[str, str], int]:

@@ -17,7 +17,7 @@ reconstructs the generated observation set exactly.
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -226,20 +226,7 @@ PRESET_FAMILIES = tuple(sorted(_FAMILIES))
 
 def save_scenario(path: str, scenario: ShiftScenario) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "name": scenario.name,
-            "models": list(scenario.models),
-            "classes": list(scenario.classes),
-            "class_prior": list(scenario.class_prior),
-            "segments": [{"weight": s.weight, "intensities": list(s.intensities)}
-                         for s in scenario.segments],
-            "train_intensities": list(scenario.train_intensities),
-            "n_train": scenario.n_train,
-            "n_test": scenario.n_test,
-            "seed": scenario.seed,
-            "conf_correct": list(scenario.conf_correct),
-            "conf_wrong": list(scenario.conf_wrong),
-        }, fh, indent=2)
+        json.dump(asdict(scenario), fh, indent=2)
         fh.write("\n")
 
 

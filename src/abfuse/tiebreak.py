@@ -4,25 +4,44 @@ Objects that end up with several accepted classes keep the class whose
 supporting prediction has the highest confidence.  Exact confidence ties go
 to the smaller model id, then the smaller class id, so the reduction is a
 deterministic pure function of its input.
+
+:func:`resolve` reduces rows of an observation view with one ``lexsort``;
+:func:`apply_tiebreaker` runs the same reduction on candidate tuples.
 """
 
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from .model_io import Observation, ObservationSet
+from .model_io import Observation, ObservationSet, ObservationView, index_of
 
 Candidate = Tuple[str, str, str, float]  # (object_id, class_id, model_id, confidence)
 
 
+def first_per_group(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Position of each group's lexicographic minimum of ``keys``, in
+    ascending group order; ``group`` holds non-negative integers."""
+    order = np.lexsort((*reversed(keys), group))
+    return order[np.diff(group[order], prepend=-1) != 0]
+
+
+def resolve(view: ObservationView, rows: np.ndarray) -> np.ndarray:
+    """The winning row per object among ``rows`` of ``view``, ascending
+    object.  The view's models and classes are sorted, so index order is id
+    order."""
+    return rows[first_per_group(view.obj[rows], -view.confidence[rows],
+                                view.model[rows], view.cls[rows])]
+
+
 def apply_tiebreaker(candidates: Iterable[Candidate]) -> Dict[str, Tuple[str, str, float]]:
     """Pick one (class, model, confidence) per object, highest confidence first."""
-    best: Dict[str, Tuple] = {}
-    for obj, cls, model, conf in candidates:
-        key = (-float(conf), model, cls)
-        if obj not in best or key < best[obj][0]:
-            best[obj] = (key, cls, model, float(conf))
-    return {obj: (cls, model, conf) for obj, (_, cls, model, conf) in best.items()}
+    cands = list(candidates)
+    obj, cls, model, conf = zip(*cands) if cands else ((),) * 4
+    # each id as its rank among the distinct ids, which orders like the ids
+    obj, cls, model = (index_of(sorted(set(ids)), ids, "id") for ids in (obj, cls, model))
+    first = first_per_group(obj, -np.array(conf, dtype=np.float64), model, cls)
+    return {cands[i][0]: (cands[i][1], cands[i][2], float(cands[i][3]))
+            for i in first.tolist()}
 
 
 def labels_only(resolved: Dict[str, Tuple[str, str, float]]) -> Dict[str, str]:
@@ -43,18 +62,8 @@ def candidates_from_atoms(atoms: Iterable[Tuple[str, str]],
     for that object (smaller model id on exact confidence ties).
     """
     v = obs.view
-    # per (class, object) cell, the first row by (-confidence, model index);
-    # the view's models are sorted, so that is the smaller model id
-    cell = v.cls * len(v.objects) + v.obj
-    order = np.lexsort((v.model, -v.confidence, cell))
-    first = order[np.diff(cell[order], prepend=-1) != 0]
-    best = dict(zip(cell[first].tolist(), v.entries[first].tolist()))
-    cls_at = {c: i for i, c in enumerate(v.classes)}
-    obj_at = {o: i for i, o in enumerate(v.objects)}
-    out = []
-    for cls, obj in atoms:
-        if cls in cls_at and obj in obj_at:
-            e = best.get(cls_at[cls] * len(v.objects) + obj_at[obj])
-            if e is not None:
-                out.append((obj, cls, e.model_id, e.confidence))
-    return out
+    rows = first_per_group(v.cls * len(v.objects) + v.obj, -v.confidence, v.model)
+    best = {(v.classes[v.cls[r]], v.objects[v.obj[r]]): (v.models[v.model[r]],
+                                                         float(v.confidence[r]))
+            for r in rows.tolist()}
+    return [(obj, cls, *best[cls, obj]) for cls, obj in atoms if (cls, obj) in best]

@@ -26,6 +26,35 @@ def obs_of(rows, **universes):
     return ObservationSet.from_entries([Observation(*r) for r in rows], **universes)
 
 
+def row_labels(obs, rows):
+    """{object_id: class_id} of the rows ``rows`` of ``obs.view``."""
+    v = obs.view
+    return {v.objects[w]: v.classes[c]
+            for w, c in zip(v.obj[rows].tolist(), v.cls[rows].tolist())}
+
+
+def cell_ids(mask, rows, cols):
+    """The ``(rows[i], cols[j])`` id pairs where a 2-D ``mask`` is set."""
+    i, j = np.nonzero(mask)
+    return frozenset(zip((rows[k] for k in i.tolist()), (cols[k] for k in j.tolist())))
+
+
+def assigned_atoms(sol):
+    """The ``(class_id, object_id)`` atoms an exact solution covers."""
+    return cell_ids(sol.covered, sol.instance.classes, sol.instance.objects)
+
+
+def accepted_pairs(sol):
+    """The ``(model_id, class_id)`` pairs an exact solution keeps."""
+    return cell_ids(sol.eliminated == 0, sol.instance.models, sol.instance.classes)
+
+
+def obs_atoms(obs):
+    """The distinct ``(class_id, object_id)`` atoms of an observation set."""
+    v = obs.view
+    return cell_ids(v.coverage(), v.classes, v.objects)
+
+
 def tables(gt, dets):
     """Matcher inputs: the column tables of ground-truth and detection records."""
     return GroundTruthTable.from_records(gt), DetectionTable.from_records(dets)

@@ -10,8 +10,9 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from abfuse import solver_ip
-from abfuse.deduction import (NORMALIZER_MODES, IntegrityConstraintSet,
+from abfuse.deduction import (NORMALIZER_MODES, DomainConfig, IntegrityConstraintSet,
                               find_violations, inc_from_count)
+from abfuse.evaluation import Metrics
 from abfuse.edr import (Condition, ErrorRule, RuleSet, _learn_pair,
                         generate_candidates)
 from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
@@ -339,3 +340,79 @@ def candidates_from_atoms_reference(atoms: Iterable[Tuple[str, str]],
         e = hit[1]
         out.append((obj, cls, e.model_id, e.confidence))
     return out
+
+
+def apply_tiebreaker_reference(candidates: Iterable[Tuple[str, str, str, float]]
+                               ) -> Dict[str, Tuple[str, str, float]]:
+    """``tiebreak.apply_tiebreaker`` one candidate at a time: per object the
+    minimum of (-confidence, model id, class id)."""
+    best: Dict[str, Tuple] = {}
+    for obj, cls, model, conf in candidates:
+        key = (-float(conf), model, cls)
+        if obj not in best or key < best[obj][0]:
+            best[obj] = (key, cls, model, float(conf))
+    return {obj: (cls, model, conf) for obj, (_, cls, model, conf) in best.items()}
+
+
+# -------------------------------------------------------------- baselines
+
+
+def majority_vote_reference(obs: ObservationSet) -> Dict[str, str]:
+    """``baselines.majority_vote`` per entry, as {object_id: class_id}: most
+    votes, then the class's best confidence, its best model id, class id."""
+    per_object: dict = {}
+    for e in obs.entries:
+        per_object.setdefault(e.object_id, []).append(e)
+    out = {}
+    for obj, group in per_object.items():
+        stats: dict = {}  # class -> [votes, best_conf, best_model]
+        for e in group:
+            st = stats.setdefault(e.class_id, [0, -1.0, ""])
+            st[0] += 1
+            if e.confidence > st[1] or (e.confidence == st[1] and e.model_id < st[2]):
+                st[1] = e.confidence
+                st[2] = e.model_id
+        out[obj] = min(stats,
+                       key=lambda c: (-stats[c][0], -stats[c][1], stats[c][2], c))
+    return out
+
+
+# ---------------------------------------------------------------- scoring
+
+
+def labels_to_atoms(labels: Mapping[str, str]) -> frozenset:
+    return frozenset((c, w) for w, c in labels.items())
+
+
+def score_reference(atoms: Iterable[Tuple[str, str]],
+                    gt_labels: Mapping[str, str],
+                    *,
+                    domain: Optional[DomainConfig] = None,
+                    n_objects: Optional[int] = None) -> Metrics:
+    """``evaluation.score`` on a set of ``(class_id, object_id)`` atoms, one
+    atom and one label at a time."""
+    if not gt_labels:
+        raise InputError("ground truth is empty")
+    atoms = set(atoms)
+    n_objects = len(gt_labels) if n_objects is None else n_objects
+
+    per_object: dict = {}
+    for c, w in atoms:
+        per_object.setdefault(w, set()).add(c)
+
+    correct = sum(1 for c, w in atoms if gt_labels.get(w) == c)
+    precision = correct / len(atoms) if atoms else 0.0
+    hit = sum(1 for w, label in gt_labels.items() if label in per_object.get(w, ()))
+    recall = hit / len(gt_labels)
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    exact = sum(1 for w, label in gt_labels.items()
+                if per_object.get(w) == {label})
+    accuracy = exact / len(gt_labels)
+
+    incon = 0.0
+    violations = 0
+    if domain is not None:
+        violations = len(find_violations(atoms, domain.ic))
+        incon = inc_from_count(violations, n_objects, domain.ic,
+                               domain.normalizer_mode, domain.directed_ground_rules)
+    return Metrics(precision, recall, f1, accuracy, incon, 0.0, n_objects, violations)

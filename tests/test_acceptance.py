@@ -21,16 +21,17 @@ from abfuse.baselines import best_individual, majority_vote
 from abfuse.deduction import (IntegrityConstraintSet, default_domain,
                               find_violations, violation_budget)
 from abfuse.edr import RuleSet, apply_rules, learn_ruleset
-from abfuse.evaluation import (SweepDataset, labels_to_atoms,
-                               per_model_metrics, run_sweep, score)
+from abfuse.evaluation import (SweepDataset, per_model_metrics, run_sweep,
+                               score_atoms)
 from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
                              Observation, ObservationSet, match_detections)
 from abfuse.solver_hs import HsConfig, heuristic_search
 from abfuse.tiebreak import apply_tiebreaker, candidates_from_atoms
 
-from conftest import DELTA_GRID, SHARED_SEEDS, random_instance
+from conftest import (DELTA_GRID, SHARED_SEEDS, assigned_atoms, random_instance,
+                      row_labels)
 from oracles import (Hypothesis, brute_force_optimal, calc_incon, fixpoint,
-                     flags, get_filtered_preds, sibling_index)
+                     flags, get_filtered_preds, labels_to_atoms, sibling_index)
 
 EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -200,14 +201,14 @@ def test_c08_fusion_beats_individual_and_vote_baselines(warm_kernels):
             domain.normalizer_mode, domain.directed_ground_rules))
         assert sol.status == solver_ip.STATUS_OPTIMAL
         resolved = apply_tiebreaker(
-            candidates_from_atoms(sol.assigned_atoms(), filtered))
+            candidates_from_atoms(assigned_atoms(sol), filtered))
         fused_atoms = {(cls, obj) for obj, (cls, _, _) in resolved.items()}
-        fused = score(fused_atoms, labels, n_objects=n_objects).f1
+        fused = score_atoms(fused_atoms, labels, n_objects=n_objects).f1
 
         per_model = per_model_metrics(data.test, labels, domain)
         best = per_model[best_individual(per_model)].f1
-        vote = score(labels_to_atoms(majority_vote(data.test)), labels,
-                     n_objects=n_objects).f1
+        vote = score_atoms(labels_to_atoms(row_labels(data.test, majority_vote(data.test))),
+                           labels, n_objects=n_objects).f1
         ge_best += fused + 1e-12 >= best
         gt_vote += fused > vote
     assert ge_best >= 0.8 * n_seeds, ge_best

@@ -3,38 +3,41 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abfuse.baselines import average_models, best_individual, majority_vote
 from abfuse.evaluation import Metrics
 
-from conftest import obs_of
+from conftest import obs_of, row_labels
+from oracles import majority_vote_reference
 
 
 def test_majority_vote_counts_votes():
     obs = obs_of([("o1", "f1", "car", 0.5), ("o1", "f2", "car", 0.4),
                   ("o1", "f3", "tree", 0.99)])
-    assert majority_vote(obs) == {"o1": "car"}
+    assert row_labels(obs, majority_vote(obs)) == {"o1": "car"}
 
 
 def test_majority_vote_tie_takes_confidence():
     obs = obs_of([("o1", "f1", "car", 0.6), ("o1", "f2", "tree", 0.9)])
-    assert majority_vote(obs) == {"o1": "tree"}
+    assert row_labels(obs, majority_vote(obs)) == {"o1": "tree"}
 
 
 def test_majority_vote_full_tie_is_deterministic():
     obs = obs_of([("o1", "f2", "car", 0.8), ("o1", "f1", "tree", 0.8)])
     # equal votes, equal confidence: the smaller backing model id wins
-    assert majority_vote(obs) == {"o1": "tree"}
+    assert row_labels(obs, majority_vote(obs)) == {"o1": "tree"}
 
 
 def test_majority_vote_single_model():
     obs = obs_of([("o1", "f1", "pole", 0.1)])
-    assert majority_vote(obs) == {"o1": "pole"}
+    assert row_labels(obs, majority_vote(obs)) == {"o1": "pole"}
 
 
 def test_majority_vote_skips_unpredicted_objects():
     obs = obs_of([("o1", "f1", "car", 0.5)], objects=["o1", "o2"])
-    assert majority_vote(obs) == {"o1": "car"}
+    assert row_labels(obs, majority_vote(obs)) == {"o1": "car"}
 
 
 def test_majority_vote_label_always_predicted():
@@ -47,9 +50,38 @@ def test_majority_vote_label_always_predicted():
             if (w, f) not in seen:
                 seen[(w, f)] = (w, f, c, conf)
         obs = obs_of(list(seen.values()))
-        for obj, cls in majority_vote(obs).items():
+        for obj, cls in row_labels(obs, majority_vote(obs)).items():
             assert cls in {e.class_id for e in obs.entries
                            if e.object_id == obj}
+
+
+def test_majority_vote_tie_on_votes_and_confidence_takes_smaller_model():
+    obs = obs_of([("o1", "f3", "car", 0.9), ("o1", "f4", "car", 0.2),
+                  ("o1", "f1", "tree", 0.5), ("o1", "f2", "tree", 0.9),
+                  ("o1", "f5", "pole", 1.0)])
+    # car and tree both have two votes and a best confidence of 0.9; tree's
+    # is backed by f2, car's by f3
+    assert row_labels(obs, majority_vote(obs)) == {"o1": "tree"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("o1", "o2", "o3")),
+                          st.sampled_from(("f1", "f2", "f3", "f4", "f5")),
+                          st.sampled_from(("car", "pole", "tree")),
+                          st.sampled_from((0.25, 0.5, 1.0))),
+                unique_by=lambda r: (r[0], r[1])))
+def test_majority_vote_matches_the_per_entry_oracle(rows):
+    # five voters over three classes and three confidences: vote ties and
+    # confidence ties are common
+    obs = obs_of(rows, objects=["o1", "o2", "o3", "o4"])
+    won = majority_vote(obs)
+    assert row_labels(obs, won) == majority_vote_reference(obs)
+    v = obs.view
+    for r in won.tolist():
+        # the row backing the winner is its class's strongest prediction
+        same = (v.obj == v.obj[r]) & (v.cls == v.cls[r])
+        assert v.confidence[r] == v.confidence[same].max()
+        assert v.model[r] == v.model[same & (v.confidence == v.confidence[r])].min()
 
 
 def test_best_individual_ranks_by_f1_then_accuracy_then_id():

@@ -1,17 +1,24 @@
 """End-to-end command-line workflows."""
 
+import csv
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import abfuse
 from abfuse.baselines import majority_vote
 from abfuse.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
+from abfuse.deduction import default_domain
 from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
                              load_dataset, observations_from_dataset,
                              write_ground_truth, write_manifest,
                              write_predictions)
+
+from conftest import row_labels
+from oracles import score_reference
 
 
 @pytest.fixture()
@@ -151,6 +158,31 @@ def test_abduce_metrics_carry_violations_and_budget(dataset, tmp_path):
         assert metrics["inconsistency"] == metrics["violations"] / 80
 
 
+def test_eval_counts_labels_outside_the_universe(dataset, tmp_path):
+    # atoms naming an unknown object or class are never correct but stay in
+    # precision's denominator; an unknown class on a known object also
+    # costs that object its accuracy
+    manifest, _ = dataset
+    ds = load_dataset(manifest)
+    gt = ds.labels()
+    (o1, c1), (o2, c2), (o3, _) = sorted(gt.items())[:3]
+    wrong = next(c for c in ds.classes if c != c2)
+    atoms = {(c1, o1), (c2, o2), (wrong, o2), ("ufo", o3), (c1, "nosuch"),
+             ("ghostclass", "ghost")}
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("".join(json.dumps({"object_id": o, "class_id": c}) + "\n"
+                              for c, o in sorted(atoms)))
+    out = tmp_path / "m.json"
+    assert main(["eval", "--manifest", manifest, "--labels", str(labels),
+                 "--out", str(out)]) == EXIT_OK
+    got = json.loads(out.read_text())
+    want = score_reference(atoms, gt, domain=default_domain(ds.classes),
+                           n_objects=len(gt))
+    assert got == {**want.__dict__, "status": "ok"}
+    assert got["precision"] == 2 / 6
+    assert got["accuracy"] == 1 / len(gt)
+
+
 def test_eval_rejects_bad_labels(dataset, tmp_path, capsys):
     manifest, _ = dataset
     bad = tmp_path / "labels.jsonl"
@@ -243,6 +275,38 @@ def test_sweep_identical_repeats_without_timing(dataset, tmp_path):
     assert len(rows) == 3 and len(set(rows)) == 1
 
 
+def test_sweep_runtime_charges_each_row_its_filter(dataset, tmp_path):
+    # one filter per epsilon row is shared by the row's ip and hs cells, and
+    # its time is part of every one of them, infeasible cells included
+    manifest, rules = dataset
+    for timed in (True, False):
+        out = tmp_path / f"sweep_{timed}.csv"
+        assert main(["sweep", "--manifest", manifest, "--rules", rules,
+                     "--methods", "ip,ip+tb,hs,hs+tb,mv", "--delta-grid", "0,0.5",
+                     "--epsilon-grid", "0.1,0.5", "--out", str(out)]
+                    + ([] if timed else ["--no-timing"])) == EXIT_OK
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        solver = [float(r["runtime_per_object"]) for r in rows if r["method"] != "mv"]
+        assert len(solver) == 2 * 2 * 4
+        assert all(t > 0 for t in solver) if timed else set(solver) == {0.0}
+        assert {r["runtime_per_object"] for r in rows if r["method"] == "mv"} \
+            == {"0.000000000"}
+
+
+def test_cli_import_leaves_the_generator_and_process_pool_unloaded():
+    # every job compiles what it imports when bytecode is not cached
+    code = ("import sys, abfuse.cli; print(sorted({'abfuse.synthgen', "
+            "'concurrent.futures'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(abfuse.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_sweep_rejects_bad_grids(dataset, tmp_path, capsys):
     manifest, rules = dataset
     out = str(tmp_path / "sweep.csv")
@@ -262,7 +326,7 @@ def test_baseline_mv_matches_library(dataset, tmp_path):
     got = {r["object_id"]: r["class_id"] for r in
            (json.loads(l) for l in (out / "labels.jsonl").read_text().splitlines())}
     obs = observations_from_dataset(load_dataset(manifest))
-    assert got == majority_vote(obs)
+    assert got == row_labels(obs, majority_vote(obs))
 
 
 def test_baseline_best_and_avg(dataset, tmp_path):

@@ -3,15 +3,20 @@
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abfuse.deduction import default_domain
+from abfuse.deduction import (NORMALIZER_MODES, DomainConfig,
+                              IntegrityConstraintSet, default_domain)
 from abfuse.evaluation import (CSV_COLUMNS, METHODS, Metrics, SweepDataset,
-                               labels_to_atoms, per_model_metrics, run_sweep,
-                               score)
+                               Truth, per_model_metrics, run_sweep, score,
+                               score_atoms)
 from abfuse.model_io import InputError
 
 from conftest import empty_rules, obs_of
+from oracles import labels_to_atoms, score_reference
 
 GT = {"o1": "car", "o2": "tree"}
 
@@ -19,23 +24,23 @@ GT = {"o1": "car", "o2": "tree"}
 # ------------------------------------------------------------------ scoring
 
 def test_score_perfect():
-    m = score([("car", "o1"), ("tree", "o2")], GT)
+    m = score_atoms([("car", "o1"), ("tree", "o2")], GT)
     assert (m.precision, m.recall, m.f1, m.accuracy) == (1.0, 1.0, 1.0, 1.0)
     assert m.n_objects == 2
 
 
 def test_score_nothing_assigned():
-    m = score([], GT)
+    m = score_atoms([], GT)
     assert (m.precision, m.recall, m.f1, m.accuracy) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_score_half_right():
-    m = score([("car", "o1"), ("car", "o2")], GT)
+    m = score_atoms([("car", "o1"), ("car", "o2")], GT)
     assert (m.precision, m.recall, m.f1, m.accuracy) == (0.5, 0.5, 0.5, 0.5)
 
 
 def test_score_accuracy_needs_single_atom():
-    m = score([("car", "o1"), ("tree", "o1")], {"o1": "car"})
+    m = score_atoms([("car", "o1"), ("tree", "o1")], {"o1": "car"})
     assert m.recall == 1.0
     assert m.accuracy == 0.0
     assert m.precision == 0.5
@@ -43,14 +48,14 @@ def test_score_accuracy_needs_single_atom():
 
 def test_score_rejects_empty_ground_truth():
     with pytest.raises(InputError):
-        score([("car", "o1")], {})
+        score_atoms([("car", "o1")], {})
 
 
 def test_score_computes_inconsistency_with_domain():
     dom = default_domain(("car", "tree"))
-    m = score([("car", "o1"), ("tree", "o1")], GT, domain=dom)
+    m = score_atoms([("car", "o1"), ("tree", "o1")], GT, domain=dom)
     assert m.inconsistency == 0.5
-    assert score([("car", "o1")], GT, domain=dom).inconsistency == 0.0
+    assert score_atoms([("car", "o1")], GT, domain=dom).inconsistency == 0.0
 
 
 def test_score_invariants_random():
@@ -60,13 +65,55 @@ def test_score_invariants_random():
         gt = {f"o{i}": rng.choice(classes) for i in range(rng.randint(1, 6))}
         atoms = {(rng.choice(classes), f"o{rng.randint(0, 7)}")
                  for _ in range(rng.randint(0, 8))}
-        m = score(atoms, gt)
+        m = score_atoms(atoms, gt)
         assert m.accuracy <= m.recall
         if m.precision + m.recall:
             assert m.f1 == pytest.approx(
                 2 * m.precision * m.recall / (m.precision + m.recall))
         else:
             assert m.f1 == 0.0
+
+
+# ids outside the observed universe: class Z only in atoms, class Y only in
+# labels, object o9 only in atoms, o5 only in labels
+DOMAINS = st.builds(
+    lambda pairs, mode, directed: DomainConfig(
+        ("A", "B", "C", "Y", "Z"), IntegrityConstraintSet(tuple(pairs)), mode, directed),
+    st.sets(st.sampled_from((("A", "B"), ("A", "C"), ("B", "C"), ("A", "Z"), ("B", "Y")))),
+    st.sampled_from(NORMALIZER_MODES), st.booleans())
+LABELS = st.dictionaries(st.sampled_from(("o1", "o2", "o3", "o5")),
+                         st.sampled_from(("A", "B", "C", "Y")), min_size=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.tuples(st.sampled_from(("A", "B", "C", "Z")),
+                         st.sampled_from(("o1", "o2", "o3", "o4", "o9")))),
+       LABELS, DOMAINS, st.none() | st.integers(0, 6))
+def test_score_atoms_match_the_per_atom_oracle(atoms, gt, dom, n_objects):
+    # empty and multi-label atom sets, both normalizer modes, directed rules
+    assert score_atoms(atoms, gt, domain=dom, n_objects=n_objects) == \
+        score_reference(atoms, gt, domain=dom, n_objects=n_objects)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), LABELS, DOMAINS)
+def test_score_of_view_rows_matches_the_per_atom_oracle(data, gt, dom):
+    rows = data.draw(st.lists(st.tuples(st.sampled_from(("o1", "o2", "o3", "o4")),
+                                        st.sampled_from(("f1", "f2", "f3")),
+                                        st.sampled_from(("A", "B", "C")),
+                                        st.sampled_from((0.5, 1.0))),
+                              unique_by=lambda r: (r[0], r[1])))
+    obs = obs_of(rows, objects=["o1", "o2", "o3", "o4"], classes=["A", "B", "C"])
+    v = obs.view
+    keep = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                             max_size=len(rows))))
+    atoms = {(e.class_id, e.object_id) for e in v.entries[keep]}
+    truth = Truth.of(gt, v.objects, v.classes)
+    assert score(v.coverage(keep), truth, domain=dom, n_objects=4) == \
+        score_reference(atoms, gt, domain=dom, n_objects=4)
+    for f, m in per_model_metrics(obs, gt, dom).items():
+        own = {(e.class_id, e.object_id) for e in obs.entries if e.model_id == f}
+        assert m == score_reference(own, gt, domain=dom, n_objects=4)
 
 
 def test_labels_to_atoms():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from abfuse import model_io, synthgen
 from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
-                             InputError, Observation, ObservationSet,
+                             InputError, Observation, ObservationSet, ObservationView,
                              _pair_iou, compute_iou,
                              coverage_report, ground_truth_labels,
                              load_dataset, load_ground_truth, load_predictions,
@@ -18,7 +18,7 @@ from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
                              write_ground_truth, write_manifest,
                              write_predictions)
 
-from conftest import obs_of, tables
+from conftest import obs_atoms, obs_of, tables
 from oracles import load_ground_truth_records, load_prediction_records
 from test_acceptance import _reference_match
 
@@ -122,7 +122,7 @@ def test_observation_set_universes_and_atoms():
                  objects=["o1", "o2", "o3"])
     assert obs.objects == frozenset({"o1", "o2", "o3"})
     assert obs.models == frozenset({"f1", "f2"})
-    assert obs.atoms() == frozenset({("car", "o1"), ("tree", "o2")})
+    assert obs_atoms(obs) == frozenset({("car", "o1"), ("tree", "o2")})
     rep = coverage_report(obs)
     assert rep.uncovered == ("o3",)
 
@@ -194,8 +194,7 @@ def test_observation_set_rejects_entries_outside_the_universe():
             ("model", {"o1"}, {"f2"}, {"car"}),
             ("class", {"o1"}, {"f1"}, {"tree"})):
         with pytest.raises(InputError, match=f"unknown {field}"):
-            ObservationSet(frozenset({e}), frozenset(objects), frozenset(models),
-                           frozenset(classes))
+            ObservationView.encode({e}, objects, models, classes)
 
 
 # ----------------------------------------------------------------- matcher

@@ -11,7 +11,7 @@ from abfuse.model_io import InputError
 from abfuse.solver_ip import (STATUS_INFEASIBLE, STATUS_OPTIMAL,
                               audit_solution, build_instance, solve)
 
-from conftest import obs_of, random_instance
+from conftest import accepted_pairs, assigned_atoms, obs_atoms, obs_of, random_instance
 from oracles import brute_force_optimal
 
 IC_CT = IntegrityConstraintSet((("car", "tree"),))
@@ -45,7 +45,7 @@ def test_solve_single_object_conflict():
     # both single-elimination answers score 1; the tie goes to the
     # eliminated set that comes first in (model, class) order
     assert [k for k, v in sorted(sol.elim.items()) if v] == [("f1", "car")]
-    assert sol.assigned_atoms() == frozenset({("tree", "o1")})
+    assert assigned_atoms(sol) == frozenset({("tree", "o1")})
     assert audit_solution(inst, sol) == []
 
 
@@ -55,7 +55,7 @@ def test_solve_budget_allows_conflict():
     sol = solve(inst)
     assert sol.objective == 2
     assert all(v == 0 for v in sol.elim.values())  # nothing eliminated
-    assert sol.assigned_atoms() == frozenset({("car", "o1"), ("tree", "o1")})
+    assert assigned_atoms(sol) == frozenset({("car", "o1"), ("tree", "o1")})
     assert sol.n_violations() == 1
     assert audit_solution(inst, sol) == []
 
@@ -70,14 +70,14 @@ def test_solve_coverage_forces_the_break():
     sol = solve(inst)
     assert sol.objective == 2
     assert sol.elim[("f2", "tree")] == 1
-    assert sol.assigned_atoms() == frozenset({("car", "o1"), ("car", "o2")})
+    assert assigned_atoms(sol) == frozenset({("car", "o1"), ("car", "o2")})
 
 
 def test_solve_without_constraints_keeps_everything():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8),
                   ("o2", "f1", "tree", 0.7)])
     sol = solve(build_instance(obs, IntegrityConstraintSet.empty(), 0.0))
-    assert sol.objective == len(obs.atoms()) == 3
+    assert sol.objective == len(obs_atoms(obs)) == 3
     assert all(v == 0 for v in sol.elim.values())
 
 
@@ -170,15 +170,15 @@ def test_array_solution_matches_its_dict_views():
         inst = build_instance(obs, ic, delta, mode, directed)
         for sol in (solve(inst), brute_force_optimal(inst)):
             atoms = frozenset(k for k, v in sol.assign.items() if v == 1)
-            assert sol.assigned_atoms() == atoms, seed
+            assert assigned_atoms(sol) == atoms, seed
             assert sol.n_violations() == sum(sol.con.values()), seed
-            assert sol.accepted_pairs() == \
+            assert accepted_pairs(sol) == \
                 frozenset(k for k, v in sol.elim.items() if v == 0), seed
             if sol.status == STATUS_OPTIMAL:
                 assert sol.n_violations() == len(find_violations(atoms, ic)), seed
                 assert sol.objective == len(atoms), seed
             else:
-                assert atoms == sol.accepted_pairs() == frozenset(), seed
+                assert atoms == accepted_pairs(sol) == frozenset(), seed
 
 
 def test_solution_arrays_have_instance_shapes():

@@ -2,14 +2,15 @@
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abfuse.tiebreak import (apply_tiebreaker, candidates_from_atoms,
-                             candidates_from_entries, labels_only)
+                             candidates_from_entries, labels_only, resolve)
 
 from conftest import obs_of
-from oracles import candidates_from_atoms_reference
+from oracles import apply_tiebreaker_reference, candidates_from_atoms_reference
 
 
 def test_highest_confidence_wins():
@@ -107,3 +108,34 @@ def test_candidates_from_atoms_match_the_per_entry_oracle(rows, atoms):
     obs = obs_of(rows, objects=["o1", "o2", "o3", "o4"], classes=["car", "tree"])
     assert candidates_from_atoms(atoms, obs) == \
         candidates_from_atoms_reference(atoms, obs)
+
+
+# few ids and confidence levels, so confidence, model and class ties are common
+CANDIDATES = st.lists(st.tuples(st.sampled_from(("o1", "o2", "o3")),
+                                st.sampled_from(("car", "pole", "tree")),
+                                st.sampled_from(("f1", "f2", "f3")),
+                                st.sampled_from((0.25, 0.5, 1.0))), max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CANDIDATES)
+def test_apply_tiebreaker_matches_the_loop_oracle(cands):
+    assert apply_tiebreaker(cands) == apply_tiebreaker_reference(cands)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_resolve_matches_the_loop_oracle(data):
+    rows = data.draw(st.lists(st.tuples(st.sampled_from(("o1", "o2", "o3")),
+                                        st.sampled_from(("f1", "f2", "f3", "f4")),
+                                        st.sampled_from(("car", "pole", "tree")),
+                                        st.sampled_from((0.25, 0.5, 1.0))),
+                              unique_by=lambda r: (r[0], r[1])))
+    v = obs_of(rows, objects=["o1", "o2", "o3"]).view
+    keep = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                             max_size=len(rows))))
+    won = resolve(v, keep)
+    assert np.all(np.diff(v.obj[won]) > 0)
+    got = {v.objects[v.obj[r]]: (v.classes[v.cls[r]], v.models[v.model[r]],
+                                 float(v.confidence[r])) for r in won.tolist()}
+    assert got == apply_tiebreaker_reference(candidates_from_entries(v.entries[keep]))
