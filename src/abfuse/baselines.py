@@ -10,18 +10,17 @@ from .tiebreak import first_per_group
 
 def majority_vote(obs: ObservationSet) -> np.ndarray:
     """Modal predicted class per object over the raw observations, as the
-    ``obs.view`` row of that class's strongest prediction, one per object
+    ``obs`` row of that class's strongest prediction, one per object
     with a prediction, ascending object.
 
     Vote ties go to the class whose strongest supporting prediction has the
     higher confidence; remaining ties prefer the smaller supporting model
     id, then the smaller class id.
     """
-    v = obs.view
-    cell = v.obj * len(v.classes) + v.cls
+    cell = obs.obj * len(obs.classes) + obs.cls
     votes = np.bincount(cell, minlength=1)[cell]
     # a class's best row has its votes and its strongest (confidence, model)
-    return first_per_group(v.obj, -votes, -v.confidence, v.model, v.cls)
+    return first_per_group(obs.obj, -votes, -obs.confidence, obs.model, obs.cls)
 
 
 def best_individual(per_model_metrics: Mapping[str, "Metrics"]) -> str:

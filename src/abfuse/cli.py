@@ -82,14 +82,14 @@ def _metrics_dict(m: evaluation.Metrics, status: str = "ok") -> dict:
     }
 
 
-def _write_labels(path: str, v, rows, sources: bool = False) -> None:
-    """One line per row of view ``v``: its object and class ids and, with
+def _write_labels(path: str, obs, rows, sources: bool = False) -> None:
+    """One line per row of ``obs``: its object and class ids and, with
     ``sources``, the model id and confidence of the prediction behind it."""
     with open(path, "w", encoding="utf-8") as fh:
         for r in rows.tolist():
-            row = {"object_id": v.objects[v.obj[r]], "class_id": v.classes[v.cls[r]]}
+            row = {"object_id": obs.objects[obs.obj[r]], "class_id": obs.classes[obs.cls[r]]}
             if sources:
-                row.update(model_id=v.models[v.model[r]], confidence=float(v.confidence[r]))
+                row.update(model_id=obs.models[obs.model[r]], confidence=float(obs.confidence[r]))
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
@@ -146,7 +146,7 @@ def cmd_abduce(args) -> int:
             print("infeasible: no acceptance set satisfies coverage within "
                   f"the delta budget ({instance.delta_budget})", file=sys.stderr)
             return EXIT_INFEASIBLE
-        view, rows = filtered.view, filtered.view.rows_within(sol.covered)
+        solved, rows = filtered, filtered.rows_within(sol.covered)
     else:
         eps_set = _parse_grid(args.epsilon_set, "epsilon") if args.epsilon_set \
             else ruleset.epsilon_grid
@@ -155,17 +155,17 @@ def cmd_abduce(args) -> int:
                                          domain.normalizer_mode,
                                          domain.directed_ground_rules)
         res.trace.write(os.path.join(args.out, "trace.jsonl"))
-        view, rows = obs.view, res.rows
+        solved, rows = obs, res.rows
 
     if tb:
-        rows = tiebreak.resolve(view, rows)
+        rows = tiebreak.resolve(solved, rows)
     else:  # one row per atom, in (object, class) order
-        rows = rows[tiebreak.first_per_group(view.obj[rows] * len(view.classes)
-                                             + view.cls[rows])]
-    _write_labels(os.path.join(args.out, "labels.jsonl"), view, rows, sources=tb)
+        rows = rows[tiebreak.first_per_group(solved.obj[rows] * len(solved.classes)
+                                             + solved.cls[rows])]
+    _write_labels(os.path.join(args.out, "labels.jsonl"), solved, rows, sources=tb)
 
-    metrics = evaluation.score(view.coverage(rows), evaluation.Truth.of(
-        ds.labels(), view.objects, view.classes), domain=domain, n_objects=len(obs.objects))
+    metrics = evaluation.score(solved.coverage(rows), evaluation.Truth.of(
+        ds.labels(), obs.objects, obs.classes), domain=domain, n_objects=len(obs.objects))
     payload = _metrics_dict(metrics)
     payload["violation_budget"] = violation_budget(
         args.delta, len(obs.objects), domain.ic, domain.normalizer_mode,
@@ -218,10 +218,10 @@ def cmd_baseline(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     gt = ds.labels()
     if args.method == "mv":
-        v, rows = obs.view, baselines.majority_vote(obs)
-        metrics = evaluation.score(v.coverage(rows), evaluation.Truth.of(
-            gt, v.objects, v.classes), domain=domain, n_objects=len(obs.objects))
-        _write_labels(os.path.join(args.out, "labels.jsonl"), v, rows)
+        rows = baselines.majority_vote(obs)
+        metrics = evaluation.score(obs.coverage(rows), evaluation.Truth.of(
+            gt, obs.objects, obs.classes), domain=domain, n_objects=len(obs.objects))
+        _write_labels(os.path.join(args.out, "labels.jsonl"), obs, rows)
         extra = {}
     else:
         per_model = evaluation.per_model_metrics(obs, gt, domain)

@@ -12,9 +12,9 @@ Learning over an ascending epsilon grid is warm-started: the rule for a
 larger budget extends the rule for the smaller one, so the set of flagged
 predictions only grows with epsilon.
 
-Conditions are evaluated as boolean masks over the rows of
-:attr:`ObservationSet.view`, one (model, class) pair at a time; learning
-and filtering share that evaluator.
+Conditions are evaluated as boolean masks over the rows of an
+:class:`ObservationSet`, one (model, class) pair at a time; learning and
+filtering share that evaluator.
 """
 
 import json
@@ -23,7 +23,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model_io import InputError, ObservationSet, ObservationView, read_jsonl
+from .model_io import InputError, ObservationSet, read_jsonl
 
 DEFAULT_EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -148,28 +148,28 @@ class RuleSet:
         return cls(tuple(sorted(grid)), rules)
 
 
-def _condition_mask(cond: Condition, view: ObservationView, rows: slice, model: int) -> np.ndarray:
-    """Boolean mask of where ``cond`` fires on the view rows ``rows``, which
-    all hold predictions of model index ``model`` for one class."""
+def _condition_mask(cond: Condition, obs: ObservationSet, rows: slice, model: int) -> np.ndarray:
+    """Boolean mask of where ``cond`` fires on the rows ``rows`` of ``obs``,
+    which all hold predictions of model index ``model`` for one class."""
     if cond.kind == "confidence_below":
-        return view.confidence[rows] < cond.threshold
+        return obs.confidence[rows] < cond.threshold
     if cond.kind == "conjunction":
-        out = _condition_mask(cond.parts[0], view, rows, model)
+        out = _condition_mask(cond.parts[0], obs, rows, model)
         for part in cond.parts[1:]:
-            out &= _condition_mask(part, view, rows, model)
+            out &= _condition_mask(part, obs, rows, model)
         return out
-    obj = view.obj[rows]
+    obj = obs.obj[rows]
     if cond.kind == "disagree_with":
         # another model's prediction for the object, of a different class
-        if cond.model not in view.models:
+        if cond.model not in obs.models:
             return np.zeros(obj.shape, dtype=bool)
-        other = view.grid[view.models.index(cond.model), obj]
-        return (other != -1) & (other != view.cls[rows])
+        other = obs.grid[obs.models.index(cond.model), obj]
+        return (other != -1) & (other != obs.cls[rows])
     # class_is: some other model predicts that class for the object
-    if cond.class_id not in view.classes:
+    if cond.class_id not in obs.classes:
         return np.zeros(obj.shape, dtype=bool)
-    others = np.delete(view.grid, model, axis=0)[:, obj]
-    return (others == view.classes.index(cond.class_id)).any(axis=0)
+    others = np.delete(obs.grid, model, axis=0)[:, obj]
+    return (others == obs.classes.index(cond.class_id)).any(axis=0)
 
 
 def generate_candidates(train: ObservationSet,
@@ -181,10 +181,9 @@ def generate_candidates(train: ObservationSet,
     confidence thresholds at the given quantiles of the model's training
     confidences (ascending, deduplicated).
     """
-    view = train.view
     thresholds: Dict[str, Tuple[float, ...]] = {}
-    for f, m in enumerate(view.models):
-        confs = view.confidence[view.model == f]
+    for f, m in enumerate(train.models):
+        confs = train.confidence[train.model == f]
         if confs.size:
             qs = np.quantile(confs, quantiles)
             thresholds[m] = tuple(sorted(set(round(float(q), 9) for q in qs)))
@@ -192,10 +191,10 @@ def generate_candidates(train: ObservationSet,
             thresholds[m] = ()
 
     out: Dict[Tuple[str, str], Tuple[Condition, ...]] = {}
-    for f in view.models:
-        pool = [Condition("disagree_with", model=g) for g in view.models if g != f]
+    for f in train.models:
+        pool = [Condition("disagree_with", model=g) for g in train.models if g != f]
         pool.extend(Condition("confidence_below", threshold=t) for t in thresholds[f])
-        for c in view.classes:
+        for c in train.classes:
             out[(f, c)] = tuple(pool)
     return out
 
@@ -256,10 +255,9 @@ def learn_ruleset(train: ObservationSet,
     Each candidate's firing pattern comes from the same masks
     :func:`split_flagged` evaluates.
     """
-    view = train.view
-    for w in np.unique(view.obj).tolist():
-        if view.objects[w] not in gt_labels:
-            raise InputError(f"training object {view.objects[w]!r} has no ground-truth label")
+    for w in np.unique(train.obj).tolist():
+        if train.objects[w] not in gt_labels:
+            raise InputError(f"training object {train.objects[w]!r} has no ground-truth label")
     if candidates is None:
         candidates = generate_candidates(train)
     grid = tuple(sorted(set(float(e) for e in epsilon_grid)))
@@ -267,18 +265,18 @@ def learn_ruleset(train: ObservationSet,
         raise InputError("epsilon grid must be non-empty")
 
     # ground-truth class index per object, -1 for a label outside the classes
-    ci = {c: i for i, c in enumerate(view.classes)}
-    truth = np.fromiter((ci.get(gt_labels.get(o), -1) for o in view.objects),
-                        dtype=np.int64, count=len(view.objects))
+    ci = {c: i for i, c in enumerate(train.classes)}
+    truth = np.fromiter((ci.get(gt_labels.get(o), -1) for o in train.objects),
+                        dtype=np.int64, count=len(train.objects))
 
     ruleset = RuleSet(grid)
-    for f, m in enumerate(view.models):
-        for c, k in enumerate(view.classes):
+    for f, m in enumerate(train.models):
+        for c, k in enumerate(train.classes):
             pool = tuple(candidates.get((m, k), ()))
-            rows = view.pair_rows(f, c)
+            rows = train.pair_rows(f, c)
             if rows.stop > rows.start and pool:
-                correct = truth[view.obj[rows]] == c
-                fired = np.array([_condition_mask(cond, view, rows, f) for cond in pool])
+                correct = truth[train.obj[rows]] == c
+                fired = np.array([_condition_mask(cond, train, rows, f) for cond in pool])
                 chosen: list = []
                 for eps in grid:
                     chosen = _learn_pair(correct, fired, eps, chosen)
@@ -291,21 +289,20 @@ def learn_ruleset(train: ObservationSet,
 
 
 def split_flagged(obs: ObservationSet, ruleset: RuleSet, epsilon: float) -> np.ndarray:
-    """Mask over ``obs.view`` rows: True where the ``epsilon`` rule of the
+    """Mask over the rows of ``obs``: True where the ``epsilon`` rule of the
     row's (model, class) pair flags the prediction as an error.
 
     A rule flags a prediction when any of its conditions fires.  This is the
     one rule filter; the learner shares its condition masks.
     """
-    view = obs.view
-    flagged = np.zeros(len(view.entries), dtype=bool)
-    for f, m in enumerate(view.models):
-        for c, k in enumerate(view.classes):
-            rows = view.pair_rows(f, c)
+    flagged = np.zeros(len(obs.obj), dtype=bool)
+    for f, m in enumerate(obs.models):
+        for c, k in enumerate(obs.classes):
+            rows = obs.pair_rows(f, c)
             if rows.stop == rows.start:
                 continue
             for cond in ruleset.rule_for(m, k, epsilon).conditions:
-                flagged[rows] |= _condition_mask(cond, view, rows, f)
+                flagged[rows] |= _condition_mask(cond, obs, rows, f)
     return flagged
 
 
@@ -315,8 +312,8 @@ def apply_rules(obs: ObservationSet,
     """Filter an observation set with the rules learned for ``epsilon``.
 
     Returns the surviving observations (same object/model/class universe)
-    and the flagged rows, ascending indices into ``obs.view`` (so
-    ``obs.view.entries[flagged]`` are the flagged entries).
+    and the flagged rows, ascending row indices into ``obs`` (so
+    ``obs.subset(flagged).entries`` are the flagged entries).
     """
     flagged = split_flagged(obs, ruleset, epsilon)
     return obs.subset(~flagged), np.flatnonzero(flagged)

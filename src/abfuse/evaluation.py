@@ -118,11 +118,10 @@ def per_model_metrics(obs: ObservationSet,
                       gt_labels: Mapping[str, str],
                       domain: Optional[DomainConfig] = None) -> Dict[str, Metrics]:
     """Each model scored alone on its raw surviving predictions."""
-    v = obs.view
-    truth = Truth.of(gt_labels, v.objects, v.classes)
-    return {m: score(v.coverage(v.model == f), truth, domain=domain,
-                     n_objects=len(v.objects))
-            for f, m in enumerate(v.models)}
+    truth = Truth.of(gt_labels, obs.objects, obs.classes)
+    return {m: score(obs.coverage(obs.model == f), truth, domain=domain,
+                     n_objects=len(obs.objects))
+            for f, m in enumerate(obs.models)}
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +137,14 @@ class SweepDataset:
     name: str = "dataset"
 
     def fingerprint(self) -> str:
-        v = self.observations.view
+        obs = self.observations
         # the entries as sorted (object, model, class, confidence) tuples
-        order = np.lexsort((v.model, v.obj))
+        order = np.lexsort((obs.model, obs.obj))
         ids = (np.array(u, dtype=object)[a[order]].tolist() for u, a in (
-            (v.objects, v.obj), (v.models, v.model), (v.classes, v.cls)))
+            (obs.objects, obs.obj), (obs.models, obs.model), (obs.classes, obs.cls)))
         payload = json.dumps({
-            "entries": list(zip(*ids, v.confidence[order].tolist())),
-            "objects": list(v.objects),
+            "entries": list(zip(*ids, obs.confidence[order].tolist())),
+            "objects": list(obs.objects),
             "labels": sorted(self.gt_labels.items()),
             "classes": list(self.domain.classes),
             "ic": [list(p) for p in self.domain.ic.pairs],
@@ -197,20 +196,21 @@ def _row_worker(args) -> list:
     t0 = time.perf_counter()
     filtered, flagged_rows = apply_rules(obs, dataset.ruleset, epsilon)
     t_filter = time.perf_counter() - t0
-    flagged = np.isin(np.arange(len(obs.view.obj)), flagged_rows)
+    flagged = np.zeros(len(obs.obj), dtype=bool)
+    flagged[flagged_rows] = True
 
     def solve_ip(delta):
         sol = solver_ip.solve(solver_ip.build_instance(
             filtered, dom.ic, delta, dom.normalizer_mode, dom.directed_ground_rules))
         if sol.status != solver_ip.STATUS_OPTIMAL:
             return None
-        return filtered.view, filtered.view.rows_within(sol.covered)
+        return filtered, filtered.rows_within(sol.covered)
 
     def solve_hs(delta):
         res = solver_hs.heuristic_search(
             obs, solver_hs.HsConfig(delta, (epsilon,)), dataset.ruleset, dom.ic,
             dom.normalizer_mode, dom.directed_ground_rules, flagged={epsilon: flagged})
-        return obs.view, res.rows
+        return obs, res.rows
 
     cells = []
     for delta in deltas:
@@ -226,11 +226,11 @@ def _row_worker(args) -> list:
                         cells.append(SweepCell(delta, epsilon, method, Metrics(
                             runtime_per_object=rpo, n_objects=n), "infeasible"))
                         continue
-                    view, rows = got
+                    solved, rows = got
                     if method.endswith("+tb"):
-                        rows = tiebreak.resolve(view, rows)
+                        rows = tiebreak.resolve(solved, rows)
                     cells.append(SweepCell(delta, epsilon, method, score(
-                        view.coverage(rows), truth, domain=dom, n_objects=n,
+                        solved.coverage(rows), truth, domain=dom, n_objects=n,
                         runtime_per_object=rpo)))
     return cells
 
@@ -240,7 +240,7 @@ def _baseline_cells(dataset: SweepDataset, truth: Truth, methods: Sequence[str])
     dom, obs = dataset.domain, dataset.observations
     out = []
     if "mv" in methods:
-        out.append(("mv", score(obs.view.coverage(baselines.majority_vote(obs)), truth,
+        out.append(("mv", score(obs.coverage(baselines.majority_vote(obs)), truth,
                                 domain=dom, n_objects=len(obs.objects))))
     if "best" in methods or "avg" in methods:
         per_model = per_model_metrics(obs, dataset.gt_labels, dom)
@@ -275,8 +275,8 @@ def run_sweep(dataset: SweepDataset,
             if not (0.0 <= v <= 1.0):
                 raise InputError(f"{name} grid value out of [0, 1]: {v}")
 
-    v = dataset.observations.view
-    truth = Truth.of(dataset.gt_labels, v.objects, v.classes)
+    obs = dataset.observations
+    truth = Truth.of(dataset.gt_labels, obs.objects, obs.classes)
     solving = any(m in METHODS[:4] for m in methods)
     tasks = [(dataset, truth, deltas, e, tuple(methods), repeats, timing)
              for e in epsilons if solving]
@@ -303,9 +303,9 @@ def run_sweep(dataset: SweepDataset,
         "seed": seed,
         "jobs": jobs,
         "timing": timing,
-        "n_objects": len(dataset.observations.objects),
-        "n_models": len(dataset.observations.models),
-        "classes": sorted(dataset.observations.classes),
+        "n_objects": len(obs.objects),
+        "n_models": len(obs.models),
+        "classes": list(obs.classes),
         "normalizer_mode": dataset.domain.normalizer_mode,
         "directed_ground_rules": dataset.domain.directed_ground_rules,
     }

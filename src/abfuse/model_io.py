@@ -35,7 +35,12 @@ the detections by x_min and keeps a running max of x_max; an object's
 candidates are the window of rows between the first whose running x_max
 exceeds the object's x_min and the last whose x_min is below its x_max.
 That window is an exact superset of the detections overlapping the object,
-so IoU is computed only for pairs that can overlap.
+so IoU is computed only for pairs that can overlap.  It returns an
+:class:`ObservationSet`: the matched predictions as ``int64`` model, object
+and class indices into sorted id tuples, plus ``float64`` confidences.
+
+:func:`write_predictions` and :func:`write_ground_truth` take the same
+tables the loaders return.
 """
 
 import json
@@ -185,11 +190,16 @@ def index_of(ids: Sequence[str], wanted: Iterable[str], what: str) -> np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
-class ObservationView:
-    """An observation set as arrays over sorted models, objects and classes.
+class ObservationSet:
+    """Predictions keyed to shared object identities, as arrays over sorted
+    models, objects and classes.
 
-    Rows are ordered by (model, class, object) index, so each (model, class)
-    pair's entries are one contiguous run of rows (:meth:`pair_rows`).
+    ``objects`` is the full object universe, including objects no model
+    predicted anything for; those stay relevant as the normalization base
+    for inconsistency scores.  Rows are ordered by (model, class, object)
+    index, so each (model, class) pair's entries are one contiguous run of
+    rows (:meth:`pair_rows`).  Two sets are equal when their universes and
+    rows are.
     """
 
     models: tuple
@@ -202,20 +212,30 @@ class ObservationView:
 
     @classmethod
     def build(cls, models, objects, classes, model, obj, klass,
-              confidence) -> "ObservationView":
-        """The view of rows given as index arrays into the sorted universes,
+              confidence) -> "ObservationSet":
+        """The set of rows given as index arrays into the sorted universes,
         in any order."""
         order = np.lexsort((obj, klass, model))
         return cls(models, objects, classes, model[order], obj[order],
                    klass[order], confidence[order])
 
     @classmethod
-    def encode(cls, entries: Iterable[Observation], objects: Iterable[str],
-               models: Iterable[str], classes: Iterable[str]) -> "ObservationView":
-        """Index every entry; raises :class:`InputError` for an entry outside
-        the universe or a second entry of one model for one object."""
-        models, objects, classes = (tuple(sorted(u)) for u in (models, objects, classes))
-        rows = list(entries)
+    def from_entries(cls, entries: Iterable[Observation],
+                     objects: Optional[Iterable[str]] = None,
+                     models: Optional[Iterable[str]] = None,
+                     classes: Optional[Iterable[str]] = None) -> "ObservationSet":
+        """The set of ``entries`` on universes widened to cover their ids;
+        raises :class:`InputError` for two entries of one model for one
+        object."""
+        rows = list(frozenset(entries))
+
+        def universe(given, field):
+            return tuple(sorted(set(() if given is None else given).union(
+                getattr(e, field) for e in rows)))
+
+        models, objects, classes = (universe(models, "model_id"),
+                                    universe(objects, "object_id"),
+                                    universe(classes, "class_id"))
         obj = index_of(objects, (e.object_id for e in rows), "object")
         model = index_of(models, (e.model_id for e in rows), "model")
         klass = index_of(classes, (e.class_id for e in rows), "class")
@@ -227,12 +247,19 @@ class ObservationView:
             (e.confidence for e in rows), dtype=np.float64, count=len(rows)))
 
     @cached_property
-    def entries(self) -> np.ndarray:
-        """object (n,): the :class:`Observation` of each row."""
+    def entries(self) -> frozenset:
+        """The :class:`Observation` of every row, built on first access."""
         ids = (np.array(u, dtype=object)[a] for u, a in (
             (self.objects, self.obj), (self.models, self.model), (self.classes, self.cls)))
-        return np.fromiter(map(Observation, *ids, self.confidence.tolist()),
-                           dtype=object, count=len(self.obj))
+        return frozenset(map(Observation, *ids, self.confidence.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ObservationSet):
+            return NotImplemented
+        return ((self.models, self.objects, self.classes)
+                == (other.models, other.objects, other.classes)
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("model", "obj", "cls", "confidence")))
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -252,11 +279,12 @@ class ObservationView:
         k = f * len(self.classes) + c
         return slice(self.pair_start[k], self.pair_start[k + 1])
 
-    def masked(self, keep: np.ndarray) -> "ObservationView":
-        """The rows where ``keep`` is True, on the same universe."""
-        return ObservationView(self.models, self.objects, self.classes,
-                               *(a[keep] for a in (self.model, self.obj, self.cls,
-                                                   self.confidence)))
+    def subset(self, keep: np.ndarray) -> "ObservationSet":
+        """The rows ``keep`` selects (a mask, or ascending row indices), on
+        the same universe."""
+        return ObservationSet(self.models, self.objects, self.classes,
+                              *(a[keep] for a in (self.model, self.obj, self.cls,
+                                                  self.confidence)))
 
     def rows_within(self, cov: np.ndarray) -> np.ndarray:
         """Rows whose (class, object) cell is set in a bool (C, N) ``cov``."""
@@ -267,51 +295,6 @@ class ObservationView:
         cov = np.zeros((len(self.classes), len(self.objects)), dtype=bool)
         cov[self.cls[rows], self.obj[rows]] = True
         return cov
-
-
-@dataclass(frozen=True, eq=False)
-class ObservationSet:
-    """Predictions keyed to shared object identities, held as a
-    :class:`ObservationView`.
-
-    ``objects`` is the full object universe, including objects no model
-    predicted anything for; those stay relevant as the normalization base
-    for inconsistency scores.  ``entries`` and the universes are derived
-    from the view on first access.  Two sets are equal when their universes
-    and entries are.
-    """
-
-    view: ObservationView
-
-    entries = cached_property(lambda self: frozenset(self.view.entries.tolist()))
-    objects = cached_property(lambda self: frozenset(self.view.objects))
-    models = cached_property(lambda self: frozenset(self.view.models))
-    classes = cached_property(lambda self: frozenset(self.view.classes))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ObservationSet):
-            return NotImplemented
-        a, b = self.view, other.view
-        return ((a.models, a.objects, a.classes) == (b.models, b.objects, b.classes)
-                and all(np.array_equal(getattr(a, k), getattr(b, k))
-                        for k in ("model", "obj", "cls", "confidence")))
-
-    def subset(self, keep: np.ndarray) -> "ObservationSet":
-        """The entries where ``keep`` (a mask in ``view`` order) is True, on
-        the same universe."""
-        return ObservationSet(self.view.masked(keep))
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[Observation],
-                     objects: Optional[Iterable[str]] = None,
-                     models: Optional[Iterable[str]] = None,
-                     classes: Optional[Iterable[str]] = None) -> "ObservationSet":
-        entries = frozenset(entries)
-        objs, mods, clss = (set(() if u is None else u) for u in (objects, models, classes))
-        objs.update(e.object_id for e in entries)
-        mods.update(e.model_id for e in entries)
-        clss.update(e.class_id for e in entries)
-        return cls(ObservationView.encode(entries, objs, mods, clss))
 
 
 @dataclass(frozen=True)
@@ -326,9 +309,8 @@ class CoverageReport:
 
 
 def coverage_report(obs: ObservationSet) -> CoverageReport:
-    v = obs.view
-    bare = np.bincount(v.obj, minlength=len(v.objects)) == 0
-    return CoverageReport(tuple(v.objects[w] for w in np.flatnonzero(bare).tolist()))
+    bare = np.bincount(obs.obj, minlength=len(obs.objects)) == 0
+    return CoverageReport(tuple(obs.objects[w] for w in np.flatnonzero(bare).tolist()))
 
 
 def _area(boxes: np.ndarray) -> np.ndarray:
@@ -471,7 +453,7 @@ def match_detections(gt, detections, primary_iou: float = 0.90,
             done, used[d] = o, True
             pairs.append((o, d))
 
-    # the view straight from the (object, detection) pairs
+    # the set straight from the (object, detection) pairs
     o, d = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     objects = tuple(sorted(gt.object_id))
     all_models = tuple(sorted(set(model_ids if models is None else models).union(
@@ -481,8 +463,8 @@ def match_detections(gt, detections, primary_iou: float = 0.90,
     obj = index_of(objects, gt.object_id, "object")[o]
     model = index_of(all_models, model_ids, "model")[dmodel[d]]
     klass = index_of(all_classes, (dets.class_id[k] for k in d.tolist()), "class")
-    return ObservationSet(ObservationView.build(all_models, objects, all_classes, model,
-                                                obj, klass, dets.confidence[d]))
+    return ObservationSet.build(all_models, objects, all_classes, model, obj, klass,
+                                dets.confidence[d])
 
 
 def ground_truth_labels(gt: GroundTruthTable) -> dict:
@@ -681,26 +663,29 @@ def observations_from_dataset(ds: Dataset, primary_iou: float = 0.90) -> Observa
                             models=ds.models, classes=ds.classes)
 
 
-def write_predictions(path: str, detections: Iterable[Detection]) -> None:
+def write_predictions(path: str, detections: DetectionTable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for d in detections:
+        for image, model, klass, conf, bbox in zip(
+                detections.image_id, detections.model_id, detections.class_id,
+                detections.confidence.tolist(), detections.boxes.tolist()):
             fh.write(json.dumps({
-                "image_id": d.image_id,
-                "model_id": d.model_id,
-                "class_id": d.class_id,
-                "confidence": round(float(d.confidence), 6),
-                "bbox": d.bbox.as_list(),
+                "image_id": image,
+                "model_id": model,
+                "class_id": klass,
+                "confidence": round(conf, 6),
+                "bbox": bbox,
             }) + "\n")
 
 
-def write_ground_truth(path: str, gt: Iterable[GroundTruthObject]) -> None:
+def write_ground_truth(path: str, gt: GroundTruthTable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for g in gt:
+        for image, obj, klass, bbox in zip(gt.image_id, gt.object_id, gt.class_id,
+                                           gt.boxes.tolist()):
             fh.write(json.dumps({
-                "image_id": g.image_id,
-                "object_id": g.object_id,
-                "class_id": g.class_id,
-                "bbox": g.bbox.as_list(),
+                "image_id": image,
+                "object_id": obj,
+                "class_id": klass,
+                "bbox": bbox,
             }) + "\n")
 
 

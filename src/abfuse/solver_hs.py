@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .deduction import IntegrityConstraintSet, inc_from_count, violation_budget
 from .edr import RuleSet, split_flagged
-from .model_io import InputError, ObservationSet, ObservationView
+from .model_io import InputError, ObservationSet
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,9 @@ class SelectionTrace:
 
 @dataclass(frozen=True, eq=False)
 class HsResult:
-    """The accepted predictions as ascending ``rows`` of the searched view."""
+    """The accepted predictions as ascending ``rows`` of the searched set."""
 
-    view: ObservationView
+    obs: ObservationSet
     rows: np.ndarray               # int64, ascending
     trace: SelectionTrace
     n_atoms: int
@@ -77,7 +77,7 @@ class HsResult:
     @property
     def selected(self) -> frozenset:
         """The accepted :class:`Observation` entries."""
-        return frozenset(self.view.entries[self.rows].tolist())
+        return self.obs.subset(self.rows).entries
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HsResult):
@@ -86,9 +86,9 @@ class HsResult:
                 == (other.selected, other.trace, other.n_atoms, other.inconsistency))
 
     def atoms(self) -> frozenset:
-        c, w = np.nonzero(self.view.coverage(self.rows))
-        return frozenset(zip(map(self.view.classes.__getitem__, c.tolist()),
-                             map(self.view.objects.__getitem__, w.tolist())))
+        c, w = np.nonzero(self.obs.coverage(self.rows))
+        return frozenset(zip(map(self.obs.classes.__getitem__, c.tolist()),
+                             map(self.obs.objects.__getitem__, w.tolist())))
 
 
 def _pair_order(p_raw: ObservationSet, config: HsConfig) -> list:
@@ -101,7 +101,7 @@ def _pair_order(p_raw: ObservationSet, config: HsConfig) -> list:
         if len(set(order)) != len(order):
             raise InputError("pair_order contains duplicates")
         return order
-    order = [(f, c) for f in sorted(p_raw.models) for c in sorted(p_raw.classes)]
+    order = [(f, c) for f in p_raw.models for c in p_raw.classes]
     if config.shuffle_seed is not None:
         random.Random(config.shuffle_seed).shuffle(order)
     return order
@@ -120,8 +120,7 @@ def heuristic_search(p_raw: ObservationSet,
         if a not in p_raw.classes or b not in p_raw.classes:
             raise InputError(f"exclusion pair ({a!r}, {b!r}) outside the class universe")
 
-    view = p_raw.view
-    n_objects = len(view.objects)
+    n_objects = len(p_raw.objects)
     budget = violation_budget(config.delta, n_objects, ic,
                               normalizer_mode, directed_ground_rules)
 
@@ -129,15 +128,15 @@ def heuristic_search(p_raw: ObservationSet,
         return inc_from_count(n_conf, n_objects, ic, normalizer_mode,
                               directed_ground_rules)
 
-    ci = {c: i for i, c in enumerate(view.classes)}
-    mi = {m: i for i, m in enumerate(view.models)}
+    ci = {c: i for i, c in enumerate(p_raw.classes)}
+    mi = {m: i for i, m in enumerate(p_raw.models)}
     adj_off, adj_idx = kernels.pair_adjacency(
-        len(view.classes), [(ci[a], ci[b]) for a, b in ic.pairs])
-    pres = np.zeros((len(view.classes), n_objects), dtype=np.uint8)
+        len(p_raw.classes), [(ci[a], ci[b]) for a, b in ic.pairs])
+    pres = np.zeros((len(p_raw.classes), n_objects), dtype=np.uint8)
     atoms = 0
     conflicts = 0
 
-    # view rows surviving the rules, per epsilon
+    # rows surviving the rules, per epsilon
     flagged = flagged or {}
     kept = {eps: ~(flagged[eps] if eps in flagged else split_flagged(p_raw, ruleset, eps))
             for eps in config.epsilon_set}
@@ -147,14 +146,14 @@ def heuristic_search(p_raw: ObservationSet,
     selected = [np.zeros(0, dtype=np.int64)]
     steps = []
     for f, c in _pair_order(p_raw, config):
-        rows = view.pair_rows(mi[f], ci[c])
+        rows = p_raw.pair_rows(mi[f], ci[c])
         best = None  # (atoms, conflicts, eps, survivor rows)
         for eps in config.epsilon_set:
             idx = np.flatnonzero(kept[eps][rows]) + rows.start
             if not idx.size:
                 continue
             cand_atoms, cand_conf = kernels.union_stats(
-                pres, atoms, conflicts, view.cls[idx], view.obj[idx], adj_off, adj_idx)
+                pres, atoms, conflicts, p_raw.cls[idx], p_raw.obj[idx], adj_off, adj_idx)
             if cand_atoms <= atoms or cand_conf > budget:
                 continue
             if best is None or cand_atoms > best[0]:
@@ -162,9 +161,9 @@ def heuristic_search(p_raw: ObservationSet,
         chosen: Optional[float] = None
         if best is not None:
             atoms, conflicts, chosen, idx = best
-            kernels.commit_atoms(pres, view.cls[idx], view.obj[idx])
+            kernels.commit_atoms(pres, p_raw.cls[idx], p_raw.obj[idx])
             selected.append(idx)
         steps.append(SelectionStep(f, c, chosen, atoms, inconsistency(conflicts)))
 
-    return HsResult(view, np.sort(np.concatenate(selected)), SelectionTrace(tuple(steps)),
+    return HsResult(p_raw, np.sort(np.concatenate(selected)), SelectionTrace(tuple(steps)),
                     atoms, inconsistency(conflicts))

@@ -103,10 +103,9 @@ def build_instance(obs: ObservationSet,
         if a not in obs.classes or b not in obs.classes:
             raise InputError(f"exclusion pair ({a!r}, {b!r}) outside the class universe")
 
-    v = obs.view
-    objects, models, classes = v.objects, v.models, v.classes
+    objects, models, classes = obs.objects, obs.models, obs.classes
     pred = np.zeros((len(models), len(classes), len(objects)), dtype=np.uint8)
-    pred[v.model, v.cls, v.obj] = 1
+    pred[obs.model, obs.cls, obs.obj] = 1
     coverable = pred.any(axis=(0, 1)).astype(np.uint8)
 
     budget = violation_budget(delta, len(objects), ic,

@@ -15,17 +15,16 @@ reconstructs the generated observation set exactly.
 """
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .deduction import DEFAULT_CLASSES
-from .model_io import (BoundingBox, Detection, GroundTruthObject, InputError,
-                       Observation, ObservationSet, write_ground_truth,
-                       write_manifest, write_predictions)
+from .model_io import (DetectionTable, GroundTruthTable, InputError, ObservationSet,
+                       index_of, write_ground_truth, write_manifest,
+                       write_predictions)
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,8 @@ class ShiftScenario:
         F, C = len(self.models), len(self.classes)
         if F < 2 or C < 2:
             raise InputError("need at least two models and two classes")
+        if len(set(self.models)) != F or len(set(self.classes)) != C:
+            raise InputError("model and class ids must be unique")
         if len(self.class_prior) != C or abs(sum(self.class_prior) - 1.0) > 1e-9:
             raise InputError("class_prior must be a distribution over the classes")
         if len(self.train_intensities) != F:
@@ -104,25 +105,27 @@ def _sample_block(rng: np.random.Generator, scenario: ShiftScenario,
     C = len(scenario.classes)
     labels_idx = rng.choice(C, size=n, p=np.asarray(scenario.class_prior))
     object_ids = [f"{prefix}{i:06d}" for i in range(n)]
-    entries = []
-    for f, model in enumerate(scenario.models):
+    preds, confs = [], []
+    for f in range(len(scenario.models)):
         t_vec = intensity_of(f)
         shift = error_shift(f, C)
         u = rng.random(n)
         wrong = u < t_vec
-        pred_idx = np.where(wrong, (labels_idx + shift) % C, labels_idx)
+        preds.append(np.where(wrong, (labels_idx + shift) % C, labels_idx))
         conf_hi = rng.beta(*scenario.conf_correct, size=n)
         conf_lo = rng.beta(*scenario.conf_wrong, size=n)
         conf = np.round(np.where(wrong, conf_lo, conf_hi), 6)
-        conf = np.clip(conf, 0.0, 1.0)
-        for i in range(n):
-            entries.append(Observation(object_ids[i], model,
-                                       scenario.classes[pred_idx[i]],
-                                       float(conf[i])))
-    labels = {object_ids[i]: scenario.classes[labels_idx[i]] for i in range(n)}
-    obs = ObservationSet.from_entries(entries, objects=object_ids,
-                                      models=scenario.models,
-                                      classes=scenario.classes)
+        confs.append(np.clip(conf, 0.0, 1.0))
+    labels = dict(zip(object_ids, (scenario.classes[k] for k in labels_idx.tolist())))
+    # universes sorted by id, rows as positions there, models in draw order
+    models, objects, classes = (tuple(sorted(ids)) for ids in (
+        scenario.models, object_ids, scenario.classes))
+    obs = ObservationSet.build(
+        models, objects, classes,
+        np.repeat(index_of(models, scenario.models, "model"), n),
+        np.tile(index_of(objects, object_ids, "object"), len(scenario.models)),
+        index_of(classes, scenario.classes, "class")[np.concatenate(preds)],
+        np.concatenate(confs))
     return obs, labels
 
 
@@ -140,17 +143,16 @@ def generate(scenario: ShiftScenario) -> SynthData:
         rng, scenario, "tst", scenario.n_test,
         lambda f: seg_intens[seg, f])
 
-    acc = {}
-    for m in scenario.models:
-        hits = sum(1 for e in test.entries
-                   if e.model_id == m and test_labels[e.object_id] == e.class_id)
-        acc[m] = hits / scenario.n_test if scenario.n_test else 0.0
+    truth = index_of(test.classes, (test_labels[o] for o in test.objects), "class")
+    hits = dict(zip(test.models, np.bincount(test.model[test.cls == truth[test.obj]],
+                                             minlength=len(test.models)).tolist()))
     meta = {
         "scenario": scenario.name,
         "seed": scenario.seed,
         "segment_sizes": np.bincount(seg, minlength=len(scenario.segments)).tolist()
         if scenario.n_test else [],
-        "test_model_accuracy": acc,
+        "test_model_accuracy": {m: hits[m] / scenario.n_test if scenario.n_test else 0.0
+                                for m in scenario.models},
     }
     return SynthData(scenario, train, train_labels, test, test_labels, meta)
 
@@ -267,16 +269,6 @@ _BOX = 10.0
 _PER_IMAGE = 500
 
 
-def _grid_box(index: int) -> BoundingBox:
-    x = (index % _GRID_COLS) * _CELL
-    y = (index // _GRID_COLS) * _CELL
-    return BoundingBox(x, y, x + _BOX, y + _BOX)
-
-
-def _image_of(index: int) -> str:
-    return f"img{index // _PER_IMAGE:05d}"
-
-
 def write_split(out_dir: str, obs: ObservationSet,
                 labels: Mapping[str, str], classes: Sequence[str]) -> str:
     """Emit prediction/ground-truth files plus a manifest; returns its path.
@@ -286,25 +278,27 @@ def write_split(out_dir: str, obs: ObservationSet,
     threshold reproduces ``obs`` exactly.
     """
     os.makedirs(out_dir, exist_ok=True)
-    objects = sorted(obs.objects)
-    slot = {o: i for i, o in enumerate(objects)}
+    slot = np.arange(len(obs.objects))
+    x, y = (slot % _GRID_COLS) * _CELL, (slot // _GRID_COLS) * _CELL
+    boxes = np.stack([x, y, x + _BOX, y + _BOX], axis=1)
+    images = np.array([f"img{k:05d}" for k in (slot // _PER_IMAGE).tolist()], dtype=object)
+    write_ground_truth(os.path.join(out_dir, "gt.jsonl"), GroundTruthTable(
+        images.tolist(), list(obs.objects), [labels[o] for o in obs.objects], boxes))
 
-    gt = [GroundTruthObject(_image_of(slot[o]), o, labels[o], _grid_box(slot[o]))
-          for o in objects]
-    write_ground_truth(os.path.join(out_dir, "gt.jsonl"), gt)
-
+    class_ids = np.array(obs.classes, dtype=object)
     preds_map = {}
-    for m in sorted(obs.models):
-        dets = [Detection(_image_of(slot[e.object_id]), m, e.class_id,
-                          e.confidence, _grid_box(slot[e.object_id]))
-                for e in sorted(obs.entries) if e.model_id == m]
+    for f, m in enumerate(obs.models):
+        rows = np.flatnonzero(obs.model == f)
+        rows = rows[np.argsort(obs.obj[rows])]
+        w = obs.obj[rows]
         fname = f"preds_{m}.jsonl"
-        write_predictions(os.path.join(out_dir, fname), dets)
+        write_predictions(os.path.join(out_dir, fname), DetectionTable(
+            images[w].tolist(), [m] * len(rows), class_ids[obs.cls[rows]].tolist(),
+            obs.confidence[rows], boxes[w]))
         preds_map[m] = fname
 
     manifest_path = os.path.join(out_dir, "manifest.json")
-    write_manifest(manifest_path, sorted(obs.models), list(classes),
-                   preds_map, "gt.jsonl")
+    write_manifest(manifest_path, obs.models, list(classes), preds_map, "gt.jsonl")
     return manifest_path
 
 

@@ -5,7 +5,7 @@ supporting prediction has the highest confidence.  Exact confidence ties go
 to the smaller model id, then the smaller class id, so the reduction is a
 deterministic pure function of its input.
 
-:func:`resolve` reduces rows of an observation view with one ``lexsort``;
+:func:`resolve` reduces rows of an observation set with one ``lexsort``;
 :func:`apply_tiebreaker` runs the same reduction on candidate tuples.
 """
 
@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from .model_io import Observation, ObservationSet, ObservationView, index_of
+from .model_io import Observation, ObservationSet, index_of
 
 Candidate = Tuple[str, str, str, float]  # (object_id, class_id, model_id, confidence)
 
@@ -25,12 +25,12 @@ def first_per_group(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
     return order[np.diff(group[order], prepend=-1) != 0]
 
 
-def resolve(view: ObservationView, rows: np.ndarray) -> np.ndarray:
-    """The winning row per object among ``rows`` of ``view``, ascending
-    object.  The view's models and classes are sorted, so index order is id
+def resolve(obs: ObservationSet, rows: np.ndarray) -> np.ndarray:
+    """The winning row per object among ``rows`` of ``obs``, ascending
+    object.  The set's models and classes are sorted, so index order is id
     order."""
-    return rows[first_per_group(view.obj[rows], -view.confidence[rows],
-                                view.model[rows], view.cls[rows])]
+    return rows[first_per_group(obs.obj[rows], -obs.confidence[rows],
+                                obs.model[rows], obs.cls[rows])]
 
 
 def apply_tiebreaker(candidates: Iterable[Candidate]) -> Dict[str, Tuple[str, str, float]]:
@@ -61,9 +61,8 @@ def candidates_from_atoms(atoms: Iterable[Tuple[str, str]],
     Each atom is backed by the strongest surviving prediction of that class
     for that object (smaller model id on exact confidence ties).
     """
-    v = obs.view
-    rows = first_per_group(v.cls * len(v.objects) + v.obj, -v.confidence, v.model)
-    best = {(v.classes[v.cls[r]], v.objects[v.obj[r]]): (v.models[v.model[r]],
-                                                         float(v.confidence[r]))
-            for r in rows.tolist()}
+    rows = first_per_group(obs.cls * len(obs.objects) + obs.obj, -obs.confidence,
+                           obs.model)
+    best = {(obs.classes[obs.cls[r]], obs.objects[obs.obj[r]]):
+            (obs.models[obs.model[r]], float(obs.confidence[r])) for r in rows.tolist()}
     return [(obj, cls, *best[cls, obj]) for cls, obj in atoms if (cls, obj) in best]

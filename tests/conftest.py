@@ -27,10 +27,9 @@ def obs_of(rows, **universes):
 
 
 def row_labels(obs, rows):
-    """{object_id: class_id} of the rows ``rows`` of ``obs.view``."""
-    v = obs.view
-    return {v.objects[w]: v.classes[c]
-            for w, c in zip(v.obj[rows].tolist(), v.cls[rows].tolist())}
+    """{object_id: class_id} of the rows ``rows`` of ``obs``."""
+    return {obs.objects[w]: obs.classes[c]
+            for w, c in zip(obs.obj[rows].tolist(), obs.cls[rows].tolist())}
 
 
 def cell_ids(mask, rows, cols):
@@ -51,8 +50,7 @@ def accepted_pairs(sol):
 
 def obs_atoms(obs):
     """The distinct ``(class_id, object_id)`` atoms of an observation set."""
-    v = obs.view
-    return cell_ids(v.coverage(), v.classes, v.objects)
+    return cell_ids(obs.coverage(), obs.classes, obs.objects)
 
 
 def tables(gt, dets):

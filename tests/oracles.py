@@ -108,7 +108,7 @@ def fixpoint(obs: ObservationSet,
 
 
 # ------------------------------------------------ per-entry rule evaluation
-# The production filter evaluates rules as masks over ``ObservationSet.view``
+# The production filter evaluates rules as masks over ``ObservationSet`` rows
 # (``abfuse.edr.split_flagged``); these helpers evaluate them one entry at a
 # time from the entry's siblings, straight from the rule definitions.
 

@@ -76,12 +76,12 @@ def test_majority_vote_matches_the_per_entry_oracle(rows):
     obs = obs_of(rows, objects=["o1", "o2", "o3", "o4"])
     won = majority_vote(obs)
     assert row_labels(obs, won) == majority_vote_reference(obs)
-    v = obs.view
     for r in won.tolist():
         # the row backing the winner is its class's strongest prediction
-        same = (v.obj == v.obj[r]) & (v.cls == v.cls[r])
-        assert v.confidence[r] == v.confidence[same].max()
-        assert v.model[r] == v.model[same & (v.confidence == v.confidence[r])].min()
+        same = (obs.obj == obs.obj[r]) & (obs.cls == obs.cls[r])
+        assert obs.confidence[r] == obs.confidence[same].max()
+        top = same & (obs.confidence == obs.confidence[r])
+        assert obs.model[r] == obs.model[top].min()
 
 
 def test_best_individual_ranks_by_f1_then_accuracy_then_id():

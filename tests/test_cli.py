@@ -12,8 +12,8 @@ import abfuse
 from abfuse.baselines import majority_vote
 from abfuse.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from abfuse.deduction import default_domain
-from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
-                             load_dataset, observations_from_dataset,
+from abfuse.model_io import (BoundingBox, Detection, DetectionTable, GroundTruthObject,
+                             GroundTruthTable, load_dataset, observations_from_dataset,
                              write_ground_truth, write_manifest,
                              write_predictions)
 
@@ -41,15 +41,13 @@ def conflict_dataset(tmp_path):
 
     d = tmp_path / "conflict"
     d.mkdir()
-    write_ground_truth(str(d / "gt.jsonl"),
-                       [GroundTruthObject("img", f"o{i}", cls, b(i))
-                        for i, cls in ((1, "A"), (2, "A"), (3, "B"))])
-    write_predictions(str(d / "f1.jsonl"),
-                      [Detection("img", "f1", "A", 0.9, b(1)),
-                       Detection("img", "f1", "A", 0.9, b(2))])
-    write_predictions(str(d / "f2.jsonl"),
-                      [Detection("img", "f2", "B", 0.8, b(2)),
-                       Detection("img", "f2", "B", 0.8, b(3))])
+    write_ground_truth(str(d / "gt.jsonl"), GroundTruthTable.from_records(
+        GroundTruthObject("img", f"o{i}", cls, b(i))
+        for i, cls in ((1, "A"), (2, "A"), (3, "B"))))
+    write_predictions(str(d / "f1.jsonl"), DetectionTable.from_records(
+        [Detection("img", "f1", "A", 0.9, b(1)), Detection("img", "f1", "A", 0.9, b(2))]))
+    write_predictions(str(d / "f2.jsonl"), DetectionTable.from_records(
+        [Detection("img", "f2", "B", 0.8, b(2)), Detection("img", "f2", "B", 0.8, b(3))]))
     write_manifest(str(d / "manifest.json"), ["f1", "f2"], ["A", "B"],
                    {"f1": "f1.jsonl", "f2": "f2.jsonl"}, "gt.jsonl")
     rules = d / "rules.jsonl"

@@ -265,7 +265,7 @@ def test_learn_requires_labels_for_training_objects():
 def error_atoms(obs, rows):
     """The (model, class, object) atoms of ``apply_rules``' flagged rows."""
     return frozenset((e.model_id, e.class_id, e.object_id)
-                     for e in obs.view.entries[rows])
+                     for e in obs.subset(rows).entries)
 
 
 MODELS = ("f1", "f2", "f3")
@@ -303,7 +303,7 @@ def test_split_flagged_matches_the_per_entry_oracle(rows, conds):
             if flags(rs.rule_for(e.model_id, e.class_id, 0.5), e, sib[e.object_id])}
 
     mask = split_flagged(obs, rs, 0.5)
-    assert set(obs.view.entries[mask].tolist()) == want
+    assert obs.subset(mask).entries == want
     filtered, rows = apply_rules(obs, rs, 0.5)
     errors = error_atoms(obs, rows)
     assert rows.tolist() == [i for i, hit in enumerate(mask) if hit]

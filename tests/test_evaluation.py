@@ -13,7 +13,12 @@ from abfuse.deduction import (NORMALIZER_MODES, DomainConfig,
 from abfuse.evaluation import (CSV_COLUMNS, METHODS, Metrics, SweepDataset,
                                Truth, per_model_metrics, run_sweep, score,
                                score_atoms)
+from abfuse.edr import apply_rules, learn_ruleset
 from abfuse.model_io import InputError
+from abfuse.solver_hs import HsConfig, heuristic_search
+from abfuse.solver_ip import build_instance, solve
+from abfuse.synthgen import generate, preset, write_dataset
+from abfuse.tiebreak import resolve
 
 from conftest import empty_rules, obs_of
 from oracles import labels_to_atoms, score_reference
@@ -22,6 +27,27 @@ GT = {"o1": "car", "o2": "tree"}
 
 
 # ------------------------------------------------------------------ scoring
+
+def test_generation_solving_and_scoring_leave_entries_unbuilt(tmp_path):
+    # every stage works on the set's arrays; the per-row Observation
+    # records are only built when a caller asks for ``entries``
+    data = generate(preset("MM_1", n_models=4, n_train=60, n_test=40, seed=2))
+    write_dataset(data, str(tmp_path))
+    rules = learn_ruleset(data.train, data.train_labels, epsilon_grid=(0.1, 0.5))
+    obs = data.test
+    dom = default_domain(obs.classes)
+    filtered, _ = apply_rules(obs, rules, 0.5)
+    res = heuristic_search(obs, HsConfig(0.5, (0.1, 0.5)), rules, dom.ic)
+    sol = solve(build_instance(filtered, dom.ic, 0.5))
+    truth = Truth.of(data.test_labels, obs.objects, obs.classes)
+    for solved, rows in ((obs, res.rows), (filtered, filtered.rows_within(sol.covered))):
+        score(solved.coverage(resolve(solved, rows)), truth, domain=dom,
+              n_objects=len(obs.objects))
+    for built in (data.train, obs, filtered):
+        assert "entries" not in built.__dict__
+    assert len(filtered.entries) == len(filtered.obj)
+    assert "entries" in filtered.__dict__
+
 
 def test_score_perfect():
     m = score_atoms([("car", "o1"), ("tree", "o2")], GT)
@@ -104,12 +130,11 @@ def test_score_of_view_rows_matches_the_per_atom_oracle(data, gt, dom):
                                         st.sampled_from((0.5, 1.0))),
                               unique_by=lambda r: (r[0], r[1])))
     obs = obs_of(rows, objects=["o1", "o2", "o3", "o4"], classes=["A", "B", "C"])
-    v = obs.view
     keep = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(rows),
                                              max_size=len(rows))))
-    atoms = {(e.class_id, e.object_id) for e in v.entries[keep]}
-    truth = Truth.of(gt, v.objects, v.classes)
-    assert score(v.coverage(keep), truth, domain=dom, n_objects=4) == \
+    atoms = {(e.class_id, e.object_id) for e in obs.subset(keep).entries}
+    truth = Truth.of(gt, obs.objects, obs.classes)
+    assert score(obs.coverage(keep), truth, domain=dom, n_objects=4) == \
         score_reference(atoms, gt, domain=dom, n_objects=4)
     for f, m in per_model_metrics(obs, gt, dom).items():
         own = {(e.class_id, e.object_id) for e in obs.entries if e.model_id == f}

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abfuse import model_io, synthgen
-from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
-                             InputError, Observation, ObservationSet, ObservationView,
-                             _pair_iou, compute_iou,
+from abfuse.model_io import (BoundingBox, Detection, DetectionTable, GroundTruthObject,
+                             GroundTruthTable, InputError, Observation, _pair_iou,
+                             compute_iou, index_of,
                              coverage_report, ground_truth_labels,
                              load_dataset, load_ground_truth, load_predictions,
                              match_detections, observations_from_dataset,
@@ -111,17 +111,17 @@ def test_observation_set_universe_widens_to_cover_entries():
     # a declared universe is a lower bound: ids seen in entries are added
     obs = obs_of([("o1", "f1", "car", 0.9)],
                  objects=["o2"], models=["f9"], classes=["tree"])
-    assert obs.objects == frozenset({"o1", "o2"})
-    assert obs.models == frozenset({"f1", "f9"})
-    assert obs.classes == frozenset({"car", "tree"})
+    assert obs.objects == ("o1", "o2")
+    assert obs.models == ("f1", "f9")
+    assert obs.classes == ("car", "tree")
 
 
 def test_observation_set_universes_and_atoms():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "car", 0.4),
                   ("o2", "f1", "tree", 0.7)],
                  objects=["o1", "o2", "o3"])
-    assert obs.objects == frozenset({"o1", "o2", "o3"})
-    assert obs.models == frozenset({"f1", "f2"})
+    assert obs.objects == ("o1", "o2", "o3")
+    assert obs.models == ("f1", "f2")
     assert obs_atoms(obs) == frozenset({("car", "o1"), ("tree", "o2")})
     rep = coverage_report(obs)
     assert rep.uncovered == ("o3",)
@@ -141,10 +141,9 @@ def test_by_object_groups_entries():
     grouped = by_object(obs)
     assert {e.model_id for e in grouped["o1"]} == {"f1", "f2"}
     assert len(grouped["o2"]) == 1
-    # the view's grid holds the same grouping, one class index per model
-    v = obs.view
-    for w, o in enumerate(v.objects):
-        row = {v.models[f]: v.classes[k] for f, k in enumerate(v.grid[:, w]) if k >= 0}
+    # the set's grid holds the same grouping, one class index per model
+    for w, o in enumerate(obs.objects):
+        row = {obs.models[f]: obs.classes[k] for f, k in enumerate(obs.grid[:, w]) if k >= 0}
         assert row == {e.model_id: e.class_id for e in grouped.get(o, [])}
 
 
@@ -158,43 +157,47 @@ def test_by_object_groups_entries():
 def test_view_and_subset_match_the_entries(rows, data):
     obs = obs_of(rows, objects=["o1", "o2", "o3", "o4", "o5"],
                  models=["f1", "f2", "f3", "f4"], classes=["car", "tree"])
-    v = obs.view
-    assert v.models == tuple(sorted(obs.models))
-    assert v.objects == tuple(sorted(obs.objects))
-    assert v.classes == tuple(sorted(obs.classes))
-    assert v.model.dtype == v.obj.dtype == v.cls.dtype == np.int64
-    assert v.confidence.dtype == np.float64
-    assert sorted(v.entries.tolist()) == sorted(obs.entries)
-    for i, e in enumerate(v.entries):
-        assert (v.models[v.model[i]], v.objects[v.obj[i]], v.classes[v.cls[i]],
-                v.confidence[i]) == (e.model_id, e.object_id, e.class_id, e.confidence)
-        assert v.grid[v.model[i], v.obj[i]] == v.cls[i]
-    assert (v.grid >= 0).sum() == len(obs.entries)
-    for f in range(len(v.models)):
-        for c in range(len(v.classes)):
-            rows_fc = v.entries[v.pair_rows(f, c)].tolist()
+    assert obs.models == ("f1", "f2", "f3", "f4")
+    assert obs.objects == ("o1", "o2", "o3", "o4", "o5")
+    assert obs.classes == tuple(sorted({"car", "tree"}.union(r[2] for r in rows)))
+    assert obs.model.dtype == obs.obj.dtype == obs.cls.dtype == np.int64
+    assert obs.confidence.dtype == np.float64
+    # the entry of each row, in row order
+    entries = [Observation(obs.objects[w], obs.models[f], obs.classes[c], x)
+               for f, w, c, x in zip(obs.model.tolist(), obs.obj.tolist(),
+                                     obs.cls.tolist(), obs.confidence.tolist())]
+    assert sorted(entries) == sorted(obs.entries)
+    for i in range(len(entries)):
+        assert obs.grid[obs.model[i], obs.obj[i]] == obs.cls[i]
+    assert (obs.grid >= 0).sum() == len(obs.entries)
+    for f in range(len(obs.models)):
+        for c in range(len(obs.classes)):
+            rows_fc = entries[obs.pair_rows(f, c)]
             assert rows_fc == sorted(
                 (e for e in obs.entries if (e.model_id, e.class_id) ==
-                 (v.models[f], v.classes[c])), key=lambda e: e.object_id)
+                 (obs.models[f], obs.classes[c])), key=lambda e: e.object_id)
 
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
                                        max_size=len(rows))), dtype=bool)
     sub = obs.subset(keep)
-    want = obs_of([tuple(e) for e in v.entries[keep]], objects=obs.objects,
+    want = obs_of([tuple(e) for e, k in zip(entries, keep) if k], objects=obs.objects,
                   models=obs.models, classes=obs.classes)
     assert sub == want
-    for name in ("entries", "model", "obj", "cls", "confidence", "grid", "pair_start"):
-        assert np.array_equal(getattr(sub.view, name), getattr(want.view, name)), name
+    assert sub.entries == want.entries
+    for name in ("model", "obj", "cls", "confidence", "grid", "pair_start"):
+        assert np.array_equal(getattr(sub, name), getattr(want, name)), name
+    # ascending row indices select the same rows as the mask
+    assert obs.subset(np.flatnonzero(keep)) == sub
 
 
 def test_observation_set_rejects_entries_outside_the_universe():
-    e = Observation("o1", "f1", "car", 0.9)
-    for field, objects, models, classes in (
-            ("object", {"o2"}, {"f1"}, {"car"}),
-            ("model", {"o1"}, {"f2"}, {"car"}),
-            ("class", {"o1"}, {"f1"}, {"tree"})):
+    # every constructor indexes ids through index_of, which rejects ids
+    # outside the universe
+    for field, universe, ids in (("object", ("o2",), ["o1"]),
+                                 ("model", ("f2",), ["f1"]),
+                                 ("class", ("tree",), ["car"])):
         with pytest.raises(InputError, match=f"unknown {field}"):
-            ObservationView.encode({e}, objects, models, classes)
+            index_of(universe, ids, field)
 
 
 # ----------------------------------------------------------------- matcher
@@ -218,7 +221,7 @@ def test_matcher_iou_threshold_validation():
     # 1.0 is allowed even though nothing can exceed it
     obs = match_detections(*tables([gt("o1")], [det("f1", "car", 0.9, GT_BOX)]),
                            primary_iou=1.0)
-    assert obs.objects == frozenset({"o1"})
+    assert obs.objects == ("o1",)
 
 
 def test_matcher_duplicate_gt_rejected():
@@ -231,7 +234,7 @@ def test_matcher_primary_match_and_fields():
                                    [det("f1", "tree", 0.8, box(0, 0, 10, 9.5))]),
                            primary_iou=0.9)
     assert obs.entries == frozenset({Observation("o1", "f1", "tree", 0.8)})
-    assert obs.classes == frozenset({"car", "tree"})
+    assert obs.classes == ("car", "tree")
 
 
 def test_matcher_primary_iou_is_strict():
@@ -302,7 +305,7 @@ def test_matcher_respects_image_boundaries():
 def test_matcher_declared_models_widen_universe():
     obs = match_detections(*tables([gt("o1")], [det("f1", "car", 0.9, GT_BOX)]),
                            primary_iou=0.9, models=("f1", "f2"))
-    assert obs.models == frozenset({"f1", "f2"})
+    assert obs.models == ("f1", "f2")
 
 
 def test_matcher_fallback_contention_in_one_image():
@@ -350,7 +353,7 @@ def test_matcher_matches_reference_on_crowded_scenes(data):
                             box(x, y, x + w, y + 10), image=img))
     obs = match_detections(*tables(gts, dets), primary_iou=threshold)
     assert set(map(tuple, obs.entries)) == _reference_match(gts, dets, threshold)
-    assert obs.objects == {g.object_id for g in gts}
+    assert obs.objects == tuple(sorted(g.object_id for g in gts))
 
 
 @settings(max_examples=300, deadline=None)
@@ -387,7 +390,7 @@ def test_matcher_matches_reference_on_wide_scenes(data):
     want = _reference_match(gts, dets, threshold)
     obs = match_detections(*tables(gts, dets), primary_iou=threshold)
     assert set(map(tuple, obs.entries)) == want
-    assert obs.objects == {g.object_id for g in gts}
+    assert obs.objects == tuple(sorted(g.object_id for g in gts))
     # candidate pairs expanded a few at a time give the same matches
     with mock.patch.object(model_io, "_PAIR_BLOCK", 3):
         obs = match_detections(*tables(gts, dets), primary_iou=threshold)
@@ -425,7 +428,7 @@ def test_predictions_round_trip(tmp_path):
     path = str(tmp_path / "preds.jsonl")
     dets = [det("f1", "car", 0.123456789, GT_BOX),
             det("f1", "tree", 0.5, box(1, 2, 3, 4), image="img2")]
-    write_predictions(path, dets)
+    write_predictions(path, DetectionTable.from_records(dets))
     back = load_predictions(path, model_id="f1")
     assert len(back) == 2
     # confidences are stored at six decimal places
@@ -476,23 +479,22 @@ def test_load_predictions_model_mismatch(tmp_path):
 
 def test_ground_truth_round_trip_and_duplicates(tmp_path):
     path = str(tmp_path / "gt.jsonl")
-    write_ground_truth(path, [gt("o1"), gt("o2", cls="tree")])
+    write_ground_truth(path, GroundTruthTable.from_records([gt("o1"), gt("o2", cls="tree")]))
     back = load_ground_truth(path)
     assert back.object_id == ["o1", "o2"]
     assert ground_truth_labels(back) == {"o1": "car", "o2": "tree"}
-    write_ground_truth(path, [gt("o1"), gt("o1")])
+    write_ground_truth(path, GroundTruthTable.from_records([gt("o1"), gt("o1")]))
     with pytest.raises(InputError, match="duplicate object_id"):
         load_ground_truth(path)
 
 
 def _write_tiny_dataset(tmp_path):
     gt_path = str(tmp_path / "gt.jsonl")
-    write_ground_truth(gt_path, [gt("o1", cls="car"), gt("o2", cls="tree",
-                                                         b=box(100, 0, 110, 10))])
+    write_ground_truth(gt_path, GroundTruthTable.from_records(
+        [gt("o1", cls="car"), gt("o2", cls="tree", b=box(100, 0, 110, 10))]))
     for m in ("f1", "f2"):
-        write_predictions(str(tmp_path / f"{m}.jsonl"),
-                          [det(m, "car", 0.8, GT_BOX),
-                           det(m, "tree", 0.6, box(100, 0, 110, 10))])
+        write_predictions(str(tmp_path / f"{m}.jsonl"), DetectionTable.from_records(
+            [det(m, "car", 0.8, GT_BOX), det(m, "tree", 0.6, box(100, 0, 110, 10))]))
     manifest = str(tmp_path / "manifest.json")
     write_manifest(manifest, ["f1", "f2"], ["car", "tree"],
                    {"f1": "f1.jsonl", "f2": "f2.jsonl"}, "gt.jsonl")

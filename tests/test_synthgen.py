@@ -1,5 +1,7 @@
 """Synthetic scenario generation and its file export."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,11 @@ def test_scenario_validation():
         scenario(1.3)
     with pytest.raises(InputError, match="non-negative"):
         scenario(0.1, n_test=-5)
+    with pytest.raises(InputError, match="unique"):
+        scenario(0.1, classes=("a", "b", "a"))
+    with pytest.raises(InputError, match="unique"):
+        ShiftScenario("x", ("m0", "m0"), ("a", "b"), (0.5, 0.5),
+                      (Segment(1.0, (0.1, 0.1)),), (0.1, 0.1), 1, 1, 0)
 
 
 # ------------------------------------------------------------------ presets
@@ -146,7 +153,7 @@ def test_generate_matches_configured_confusion():
             counts[idx[data.test_labels[e.object_id]], idx[e.class_id]] += 1
     got = counts / counts.sum(axis=1, keepdims=True)
     assert np.abs(got - want).max() < 0.02
-    assert frozenset(idx) == classes
+    assert classes == ("a", "b", "c", "d")
 
 
 def test_generate_segment_sizes():
@@ -200,3 +207,88 @@ def test_written_dataset_bytes_deterministic(tmp_path):
         one = (tmp_path / "one" / "train" / name).read_bytes()
         two = (tmp_path / "two" / "train" / name).read_bytes()
         assert one == two
+
+
+# sha256 of every file ``write_dataset`` writes: any change to the bytes
+# of ``gen`` output, e.g. to the order of rows or ids, fails here
+PINNED_DIGESTS = {
+    "preset": {
+        "meta.json":
+            "eb9912eed9bb1f468c56e303151271988de5acd39954ec0089a279a665124e8a",
+        "scenario.json":
+            "a5b5c3cbc2a98ad110be7a0e83d1df9641bdde56f81db54b4d02adf4a88e188f",
+        "test/gt.jsonl":
+            "2438481e966f99b06d51810976190b3df29b63608696ab7225736e1e07574731",
+        "test/manifest.json":
+            "522ad0a14d89fe50327db3a2a27f1664e95c3acf780622d70269555d9305055e",
+        "test/preds_m0.jsonl":
+            "b5c21e60b45c9f78234315e574fec4ccc355f64ca6d30d1d8d6aa959e553f7c7",
+        "test/preds_m1.jsonl":
+            "b04bbec1c014368454396027ebc415570995bf623ba15f178f9b1bf8f5bd9b48",
+        "test/preds_m2.jsonl":
+            "2816fe73199f1f69ef256e449877d81b7695a61d97f0f5140d78748d79a6665c",
+        "test/preds_m3.jsonl":
+            "f2357b49dc7fbbb4eb9353bc941593b7728785e47f1bdf188615ab059187bf7e",
+        "train/gt.jsonl":
+            "2f7f942be208fd065f47c5d9d2d2ea904ad89d890841d24c9e7d8da991cce6f2",
+        "train/manifest.json":
+            "522ad0a14d89fe50327db3a2a27f1664e95c3acf780622d70269555d9305055e",
+        "train/preds_m0.jsonl":
+            "34b0b0f843403dd4c829fc028d0e1fb0e04c2e149f5af544cfcfa097d2bba982",
+        "train/preds_m1.jsonl":
+            "5a5923555ca723e0fd73a7cec3f43ac1f513c1166b64be111e98fc249979c9d1",
+        "train/preds_m2.jsonl":
+            "0ade097849479f8ff4317131b45a7dc95e1ed1e1b553ebc48497500b98b6366d",
+        "train/preds_m3.jsonl":
+            "2dacba9364c441b308b13ceca6ecc6425ab06062e16e643d5d62c9a3ebd42f67",
+    },
+    "unsorted": {
+        "meta.json":
+            "24fc1eba3c9d088565dbf32c07c883d551703567c0a7c6c39421f8636d7455c4",
+        "scenario.json":
+            "35272302722dc2dd305d92102ce9385d61c4a73e68867f320329d2cf3a1e109a",
+        "test/gt.jsonl":
+            "9f9e67707192fc39466191498f653b358b53e682af876831c575e935b2af7937",
+        "test/manifest.json":
+            "8f95113fa9abae5c10f337c45e324dd5e1ad1150427759da61b4ef115d8b6498",
+        "test/preds_alpha.jsonl":
+            "53ba218b033a69ecc3b1073db7969cb85c37235761c1ad1ec406a5775af73b8c",
+        "test/preds_m10.jsonl":
+            "da6e5dc1a1b243471477ff470b90ea94e4fe77d2014f80f988f534f8463ea7fd",
+        "test/preds_m2.jsonl":
+            "5be52c8347e80cb827cb34856e0c8b262e130a37bfe04d6aea9535bf77719f89",
+        "test/preds_zeta.jsonl":
+            "9b01199b17655d2b3d4c4de5ec8769130dde5ae0977e2865e561c0137101c696",
+        "train/gt.jsonl":
+            "e359c967b33b84e19c833891e04dbac50cc2f26adf35948fd3a8998d0130984a",
+        "train/manifest.json":
+            "8f95113fa9abae5c10f337c45e324dd5e1ad1150427759da61b4ef115d8b6498",
+        "train/preds_alpha.jsonl":
+            "34800e61cc6d1b59a1192eb5321eabc82638f81fce5dfa58db43e52ff9c6fa3f",
+        "train/preds_m10.jsonl":
+            "6217ee1c71abff51bca00e6e0b76d7c9130dc4d8c4dc3aaae9936c96a5be23d1",
+        "train/preds_m2.jsonl":
+            "dffba0647c0b1ff2be760273a654cc948eb2c23f80096df10b8508a65d37883d",
+        "train/preds_zeta.jsonl":
+            "2ae57255769f4d021c8d109e5c178473d2620d72e30014c2f389e9a269b1ca86",
+    },
+}
+
+PINNED_SCENARIOS = {
+    "preset": preset("MM_1", n_models=4, n_train=30, n_test=40, seed=7),
+    # ids whose sorted order is not the draw order
+    "unsorted": ShiftScenario(
+        name="unsorted", models=("zeta", "m2", "alpha", "m10"),
+        classes=("tree", "car", "pole"), class_prior=(0.5, 0.3, 0.2),
+        segments=(Segment(0.4, (0.1, 0.6, 0.3, 0.9)),
+                  Segment(0.6, (0.7, 0.2, 0.5, 0.0))),
+        train_intensities=(0.2, 0.3, 0.1, 0.4), n_train=25, n_test=35, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENARIOS))
+def test_written_dataset_bytes_are_pinned(tmp_path, name):
+    write_dataset(generate(PINNED_SCENARIOS[name]), str(tmp_path))
+    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.rglob("*") if p.is_file()}
+    assert got == PINNED_DIGESTS[name]

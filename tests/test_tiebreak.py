@@ -131,11 +131,12 @@ def test_resolve_matches_the_loop_oracle(data):
                                         st.sampled_from(("car", "pole", "tree")),
                                         st.sampled_from((0.25, 0.5, 1.0))),
                               unique_by=lambda r: (r[0], r[1])))
-    v = obs_of(rows, objects=["o1", "o2", "o3"]).view
+    obs = obs_of(rows, objects=["o1", "o2", "o3"])
     keep = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(rows),
                                              max_size=len(rows))))
-    won = resolve(v, keep)
-    assert np.all(np.diff(v.obj[won]) > 0)
-    got = {v.objects[v.obj[r]]: (v.classes[v.cls[r]], v.models[v.model[r]],
-                                 float(v.confidence[r])) for r in won.tolist()}
-    assert got == apply_tiebreaker_reference(candidates_from_entries(v.entries[keep]))
+    won = resolve(obs, keep)
+    assert np.all(np.diff(obs.obj[won]) > 0)
+    got = {obs.objects[obs.obj[r]]: (obs.classes[obs.cls[r]], obs.models[obs.model[r]],
+                                     float(obs.confidence[r])) for r in won.tolist()}
+    assert got == apply_tiebreaker_reference(
+        candidates_from_entries(obs.subset(keep).entries))
