@@ -17,18 +17,16 @@ __version__ = "0.1.0"
 from .deduction import DomainConfig, IntegrityConstraintSet, violation_budget
 from .edr import RuleSet, apply_rules, learn_ruleset
 from .evaluation import Metrics, SweepDataset, run_sweep, score
-from .model_io import (BoundingBox, Detection, DetectionTable, GroundTruthObject,
-                       GroundTruthTable, InputError, Observation, ObservationSet,
-                       compute_iou, load_dataset, match_detections)
+from .model_io import (DetectionTable, GroundTruthTable, InputError, Observation,
+                       ObservationSet, load_dataset, match_detections)
 from .solver_hs import HsConfig, heuristic_search
 from .solver_ip import IpInstance, IpSolution, build_instance, solve
 
 __all__ = [
-    "BoundingBox", "Detection", "DetectionTable", "DomainConfig",
-    "GroundTruthObject", "GroundTruthTable", "HsConfig", "InputError",
+    "DetectionTable", "DomainConfig", "GroundTruthTable", "HsConfig", "InputError",
     "IntegrityConstraintSet", "IpInstance", "IpSolution", "Metrics",
     "Observation", "ObservationSet", "RuleSet", "SweepDataset", "apply_rules",
-    "build_instance", "compute_iou", "heuristic_search", "learn_ruleset",
+    "build_instance", "heuristic_search", "learn_ruleset",
     "load_dataset", "match_detections", "run_sweep", "score", "solve",
     "violation_budget",
 ]

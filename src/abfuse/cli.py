@@ -17,8 +17,9 @@ import sys
 from . import baselines, evaluation, solver_hs, solver_ip, tiebreak
 from .deduction import default_domain, load_domain_config, violation_budget
 from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules, learn_ruleset
-from .model_io import (InputError, coverage_report, load_dataset,
-                       observations_from_dataset, read_jsonl)
+from .model_io import (InputError, coverage_report, json_numbers, json_strings,
+                       load_dataset, observations_from_dataset, read_jsonl,
+                       write_rows)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -85,12 +86,18 @@ def _metrics_dict(m: evaluation.Metrics, status: str = "ok") -> dict:
 def _write_labels(path: str, obs, rows, sources: bool = False) -> None:
     """One line per row of ``obs``: its object and class ids and, with
     ``sources``, the model id and confidence of the prediction behind it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rows.tolist():
-            row = {"object_id": obs.objects[obs.obj[r]], "class_id": obs.classes[obs.cls[r]]}
-            if sources:
-                row.update(model_id=obs.models[obs.model[r]], confidence=float(obs.confidence[r]))
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    def ids(universe, index):
+        return map(json_strings(universe).__getitem__, index[rows].tolist())
+
+    # keys in sorted order
+    if sources:
+        write_rows(path, '{"class_id": %s, "confidence": %s, "model_id": %s, '
+                         '"object_id": %s}\n',
+                   zip(ids(obs.classes, obs.cls), json_numbers(obs.confidence[rows].tolist()),
+                       ids(obs.models, obs.model), ids(obs.objects, obs.obj)))
+    else:
+        write_rows(path, '{"class_id": %s, "object_id": %s}\n',
+                   zip(ids(obs.classes, obs.cls), ids(obs.objects, obs.obj)))
 
 
 # ---------------------------------------------------------------------------

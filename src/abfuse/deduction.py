@@ -23,13 +23,12 @@ them: the exact solver keeps every coverable object covered, while the
 greedy search may leave an object without any assignment.
 """
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .model_io import InputError
+from .model_io import InputError, read_json
 
 NORMALIZER_MODES = ("per_object", "per_ground_rule")
 
@@ -169,13 +168,7 @@ def default_domain(classes: Optional[Iterable[str]] = None) -> DomainConfig:
 
 
 def load_domain_config(path: str) -> DomainConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise InputError(f"{path}: expected a JSON object")
     if "classes" not in raw:

@@ -255,7 +255,7 @@ def learn_ruleset(train: ObservationSet,
     Each candidate's firing pattern comes from the same masks
     :func:`split_flagged` evaluates.
     """
-    for w in np.unique(train.obj).tolist():
+    for w in np.flatnonzero(np.bincount(train.obj, minlength=len(train.objects))).tolist():
         if train.objects[w] not in gt_labels:
             raise InputError(f"training object {train.objects[w]!r} has no ground-truth label")
     if candidates is None:

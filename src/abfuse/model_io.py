@@ -22,13 +22,17 @@ Relative paths are resolved against the manifest's directory.
 
 Loading and matching
 --------------------
-Each file is read line by line, one ``json.loads`` per line, straight into
-a column table (:class:`DetectionTable`, :class:`GroundTruthTable`): ids as
+Each file is read whole and split into lines; a file that is not UTF-8 is
+an error naming the line of the first bad byte.  Every stripped non-blank
+line is decoded by one call of json's C scanner, which must end at the
+line's end; the columns of a :class:`DetectionTable` or
+:class:`GroundTruthTable` are then read from all records at once (ids as
 ``str`` lists, confidences as ``float64``, boxes as a ``(K, 4)`` ``float64``
-array.  All rows are then validated at once: finite corners, positive
-width and height, confidence in [0, 1], the manifest's model id, a
-declared class and unique object ids.  Every per-record error, found while
-parsing or by those checks, names the first bad line as ``<path>:<line>:``.
+array).  All rows are validated together: finite corners, positive width
+and height, confidence in [0, 1], the manifest's model id, a declared class
+and unique object ids.  Only when a bulk step fails are the lines re-parsed
+with ``json.loads`` and the records checked one by one, to name the first
+bad line as ``<path>:<line>:``.
 
 :func:`match_detections` works on the tables.  Within each image it sorts
 the detections by x_min and keeps a running max of x_max; an object's
@@ -40,16 +44,19 @@ so IoU is computed only for pairs that can overlap.  It returns an
 and class indices into sorted id tuples, plus ``float64`` confidences.
 
 :func:`write_predictions` and :func:`write_ground_truth` take the same
-tables the loaders return.
+tables the loaders return.  They encode each column at once and write
+the bytes of one ``json.dumps`` per row.
 """
 
 import json
-import math
+import json.scanner
 import os
 from dataclasses import dataclass
-from itertools import chain
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from itertools import chain, compress, count, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,67 +65,8 @@ class InputError(ValueError):
     """Malformed or inconsistent input data."""
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box; corners must satisfy min < max on both axes."""
-
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self):
-        vals = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals):
-            raise InputError(f"non-finite bbox coordinates: {vals}")
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
-            raise InputError(f"degenerate bbox (zero or negative area): {vals}")
-
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-    def as_list(self) -> list:
-        return [self.x_min, self.y_min, self.x_max, self.y_max]
-
-
-def compute_iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; always in [0, 1]."""
-    if a.area <= 0.0 or b.area <= 0.0:
-        raise InputError("IoU undefined for zero-area boxes")
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
-
-@dataclass(frozen=True)
-class Detection:
-    image_id: str
-    model_id: str
-    class_id: str
-    confidence: float
-    bbox: BoundingBox
-
-    def __post_init__(self):
-        if not (isinstance(self.confidence, (int, float))
-                and math.isfinite(self.confidence)
-                and 0.0 <= self.confidence <= 1.0):
-            raise InputError(f"confidence out of [0, 1]: {self.confidence!r}")
-
-
-@dataclass(frozen=True)
-class GroundTruthObject:
-    image_id: str
-    object_id: str
-    class_id: str
-    bbox: BoundingBox
-
-
 def _boxes(rows) -> np.ndarray:
-    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,12 +80,6 @@ class GroundTruthTable:
 
     def __len__(self) -> int:
         return len(self.object_id)
-
-    @classmethod
-    def from_records(cls, gt: Iterable[GroundTruthObject]) -> "GroundTruthTable":
-        gt = list(gt)
-        return cls([g.image_id for g in gt], [g.object_id for g in gt],
-                   [g.class_id for g in gt], _boxes([g.bbox.as_list() for g in gt]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,17 +96,9 @@ class DetectionTable:
         return len(self.model_id)
 
     @classmethod
-    def from_records(cls, dets: Iterable[Detection]) -> "DetectionTable":
-        dets = list(dets)
-        return cls([d.image_id for d in dets], [d.model_id for d in dets],
-                   [d.class_id for d in dets],
-                   np.array([d.confidence for d in dets], dtype=np.float64),
-                   _boxes([d.bbox.as_list() for d in dets]))
-
-    @classmethod
     def concat(cls, tables: Sequence["DetectionTable"]) -> "DetectionTable":
         """The rows of ``tables``, one after another."""
-        tables = list(tables) or [cls.from_records(())]
+        tables = list(tables) or [cls([], [], [], np.zeros(0), np.zeros((0, 4)))]
         ids = (list(chain.from_iterable(getattr(t, f) for t in tables))
                for f in ("image_id", "model_id", "class_id"))
         return cls(*ids, np.concatenate([t.confidence for t in tables]),
@@ -184,7 +118,7 @@ def index_of(ids: Sequence[str], wanted: Iterable[str], what: str) -> np.ndarray
     """Positions of ``wanted`` in ``ids`` as int64; an unknown id is an error."""
     pos = {v: i for i, v in enumerate(ids)}
     try:
-        return np.fromiter((pos[v] for v in wanted), dtype=np.int64)
+        return np.fromiter(map(pos.__getitem__, wanted), dtype=np.int64)
     except KeyError as exc:
         raise InputError(f"entry references unknown {what} {exc.args[0]!r}") from None
 
@@ -318,14 +252,11 @@ def _area(boxes: np.ndarray) -> np.ndarray:
 
 
 def _pair_iou(gts: np.ndarray, dets: np.ndarray) -> np.ndarray:
-    """IoU of row i of ``gts`` with row i of ``dets``, both ``(n, 4)``.
-
-    Follows :func:`compute_iou` (detection first) operation for operation,
-    so each value equals ``compute_iou(det, gt)`` exactly.
-    """
+    """IoU of row i of ``gts`` with row i of ``dets``, both ``(n, 4)``: the
+    scalar formula, detection operands first, so each value is exact."""
     ix = np.minimum(dets[:, 2], gts[:, 2]) - np.maximum(dets[:, 0], gts[:, 0])
     iy = np.minimum(dets[:, 3], gts[:, 3]) - np.maximum(dets[:, 1], gts[:, 1])
-    # disjoint pairs get inter = 0 and so IoU 0.0, as in compute_iou
+    # disjoint pairs get inter = 0 and so IoU 0.0
     inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
     return inter / (_area(dets) + _area(gts) - inter)
 
@@ -376,9 +307,8 @@ def _overlaps(gb: np.ndarray, gimg: np.ndarray, db: np.ndarray,
 
 def _repeats(ids: Sequence[str]) -> np.ndarray:
     """Mask of the rows whose id already appeared on an earlier row."""
-    first: dict = {}
-    return np.fromiter((first.setdefault(v, i) != i for i, v in enumerate(ids)),
-                       dtype=bool, count=len(ids))
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, ids), np.int64, len(ids)) != np.arange(len(ids))
 
 
 def match_detections(gt, detections, primary_iou: float = 0.90,
@@ -387,7 +317,7 @@ def match_detections(gt, detections, primary_iou: float = 0.90,
     """Resolve detections onto ground-truth object identities.
 
     ``gt`` and ``detections`` are a :class:`GroundTruthTable` and a
-    :class:`DetectionTable`; sequences of records are converted first.
+    :class:`DetectionTable`.
 
     Stage 1 runs independently per model: objects are visited in input
     order and each takes that model's highest-confidence unused detection
@@ -399,15 +329,11 @@ def match_detections(gt, detections, primary_iou: float = 0.90,
     is consumed by at most one object, and each object keeps at most one
     entry per model.
 
-    IoU is computed only for the pairs :func:`_overlaps` finds, and equals
-    :func:`compute_iou` bit for bit.
+    IoU is computed only for the pairs :func:`_overlaps` finds.
     """
     if not (0.0 < primary_iou <= 1.0):
         raise InputError(f"primary_iou must be in (0, 1]: {primary_iou!r}")
-    if not isinstance(gt, GroundTruthTable):
-        gt = GroundTruthTable.from_records(gt)
-    dets = (detections if isinstance(detections, DetectionTable)
-            else DetectionTable.from_records(detections))
+    dets = detections
     dup = _repeats(gt.object_id)
     if dup.any():
         raise InputError(f"duplicate ground-truth object_id "
@@ -415,12 +341,11 @@ def match_detections(gt, detections, primary_iou: float = 0.90,
 
     # images in first-appearance order; a detection elsewhere never matches
     image_code = {im: i for i, im in enumerate(dict.fromkeys(gt.image_id))}
-    gimg = np.fromiter((image_code[im] for im in gt.image_id), np.int64, len(gt))
-    dimg = np.fromiter((image_code.get(im, -1) for im in dets.image_id),
-                       np.int64, len(dets))
+    gimg = np.fromiter(map(image_code.__getitem__, gt.image_id), np.int64, len(gt))
+    dimg = np.fromiter(map(image_code.get, dets.image_id, repeat(-1)), np.int64, len(dets))
     model_ids = sorted(set(dets.model_id))
     model_code = {m: i for i, m in enumerate(model_ids)}
-    dmodel = np.fromiter((model_code[m] for m in dets.model_id), np.int64, len(dets))
+    dmodel = np.fromiter(map(model_code.__getitem__, dets.model_id), np.int64, len(dets))
     has_dets = np.bincount(dimg[dimg >= 0], minlength=len(image_code)) > 0
     if ((_area(gt.boxes[has_dets[gimg]]) <= 0.0).any()
             or (_area(dets.boxes[dimg >= 0]) <= 0.0).any()):
@@ -457,12 +382,13 @@ def match_detections(gt, detections, primary_iou: float = 0.90,
     o, d = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     objects = tuple(sorted(gt.object_id))
     all_models = tuple(sorted(set(model_ids if models is None else models).union(
-        model_ids[k] for k in np.unique(dmodel[d]).tolist())))
+        model_ids[k] for k in np.flatnonzero(np.bincount(
+            dmodel[d], minlength=len(model_ids))).tolist())))
     all_classes = tuple(sorted(set(() if classes is None else classes).union(
         dets.class_id, gt.class_id)))
     obj = index_of(objects, gt.object_id, "object")[o]
     model = index_of(all_models, model_ids, "model")[dmodel[d]]
-    klass = index_of(all_classes, (dets.class_id[k] for k in d.tolist()), "class")
+    klass = index_of(all_classes, map(dets.class_id.__getitem__, d.tolist()), "class")
     return ObservationSet.build(all_models, objects, all_classes, model, obj, klass,
                                 dets.confidence[d])
 
@@ -475,65 +401,134 @@ def ground_truth_labels(gt: GroundTruthTable) -> dict:
 # file I/O
 
 
-def read_jsonl(path: str) -> Iterable[tuple]:
-    """Yield ``(line number, record)`` for each non-blank line of a JSONL
-    file whose records must all be JSON objects."""
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file, newlines translated as in text mode; an
+    unreadable file or bytes that are not UTF-8 raise :class:`InputError`."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            head = fh.read(exc.start)
+        line = head.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise InputError(f"{path}:{line}: not valid UTF-8: {exc}") from None
+
+
+def read_json(path: str):
+    """The JSON document in ``path``."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    # JSONDecodeError, an int too long or nesting too deep
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+
+
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _records(path: str) -> tuple:
+    """``(line numbers, records, error)`` of the non-blank lines of a JSONL
+    file, up to the first line that is not one JSON object; ``error`` names
+    that line, or is None.
+
+    Each stripped line takes one call of json's scanner, which must end at
+    the line's end.  Only when a line fails is the file decoded again line
+    by line with ``json.loads``, which words the error.
+    """
+    lines = list(map(str.strip, read_text(path).split("\n")))
+    numbers = list(compress(count(1), lines))
+    lines = list(filter(None, lines))
+    try:
+        # a line holding no JSON value raises StopIteration, which ends the
+        # map early: the list of end offsets then comes out short
+        decoded = list(map(_SCAN, lines, repeat(0)))
+        records = list(map(itemgetter(0), decoded))
+        if (list(map(itemgetter(1), decoded)) == list(map(len, lines))
+                and set(map(type, records)) <= {dict}):
+            return numbers, records, None
+    except (ValueError, RecursionError):
+        pass
+    records, error = [], None
+    for lineno, line in zip(numbers, lines):
+        try:
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            error = InputError(f"{path}:{lineno}: invalid JSON: {exc}")
+            break
+        if not isinstance(rec, dict):
+            error = InputError(f"{path}:{lineno}: expected a JSON object")
+            break
+        records.append(rec)
+    return numbers[:len(records)], records, error
+
+
+def read_jsonl(path: str) -> Iterator[tuple]:
+    """Yield ``(line number, record)`` for each non-blank line of a JSONL
+    file whose records must all be JSON objects; a line that is not one
+    raises once the records before it are yielded."""
+    numbers, records, error = _records(path)
+    yield from zip(numbers, records)
+    if error is not None:
+        raise error
+
+
+def _columns(records: list, id_fields: tuple, with_confidence: bool) -> tuple:
+    """``(ids, confidences, boxes)`` of ``records``: one ``str`` list per id
+    field, ``float()`` of each confidence (0.0 without one) and of each box
+    corner.  Raises, without naming a line, where :func:`_check_record`
+    would."""
+    ids = tuple(list(map(str, map(itemgetter(f), records))) for f in id_fields)
+    conf = (list(map(float, map(itemgetter("confidence"), records)))
+            if with_confidence else [0.0] * len(records))
+    boxes = list(map(itemgetter("bbox"), records))
+    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}):
+        raise ValueError("bbox must be [x_min, y_min, x_max, y_max]")
+    return (ids, np.array(conf, dtype=np.float64),
+            _boxes(list(map(float, chain.from_iterable(boxes)))))
+
+
+def _check_record(path: str, lineno: int, rec: dict, id_fields: tuple,
+                  with_confidence: bool) -> None:
+    """Raise the error of the first field of ``rec`` that :func:`_columns`
+    cannot read, naming its line; runs only once :func:`_columns` failed."""
+    try:
+        itemgetter(*id_fields)(rec)
+        if with_confidence:
             try:
-                rec = json.loads(line)
-            # JSONDecodeError, an int too long or nesting too deep
-            except (ValueError, RecursionError) as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise InputError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, rec
+                float(rec["confidence"])
+            except (TypeError, ValueError, OverflowError):
+                raise InputError(f"confidence must be a number: {rec['confidence']!r}")
+        if not (isinstance(rec["bbox"], list) and len(rec["bbox"]) == 4):
+            raise InputError("bbox must be [x_min, y_min, x_max, y_max]")
+        list(map(float, rec["bbox"]))
+    except KeyError as exc:
+        raise InputError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
+    # InputError is a ValueError: the messages above get the line too
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}:{lineno}: {exc}") from exc
 
 
 def _read_columns(path: str, id_fields: tuple, with_confidence: bool) -> tuple:
     """Parse a JSONL file into ``(lines, ids, confidences, boxes, error)``:
-    the line number of each row, one ``str`` list per id field, and
-    ``float()`` of each confidence (0.0 without one) and box corner.
+    the line number of each row, then the columns :func:`_columns` reads.
 
-    Reading stops at the first record that cannot be parsed; its error is
+    Rows stop before the first record that cannot be parsed; its error is
     returned, not raised, so the caller can report an earlier bad row first.
     """
-    lines, ids, confs, boxes = [], tuple([] for _ in id_fields), [], []
+    lines, records, error = _records(path)
     try:
-        for lineno, rec in read_jsonl(path):
+        return (lines, *_columns(records, id_fields, with_confidence), error)
+    except (LookupError, TypeError, ValueError, OverflowError):
+        for k, (lineno, rec) in enumerate(zip(lines, records)):
             try:
-                row = [str(rec[f]) for f in id_fields]
-                raw = rec["confidence"] if with_confidence else 0.0
-                try:
-                    conf = float(raw)
-                except (TypeError, ValueError, OverflowError):
-                    raise InputError(f"{path}:{lineno}: confidence must be a number: "
-                                     f"{raw!r}") from None
-                raw = rec["bbox"]
-                if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
-                    raise InputError(f"{path}:{lineno}: bbox must be "
-                                     "[x_min, y_min, x_max, y_max]")
-                boxes.append(tuple(map(float, raw)))
-            except KeyError as exc:
-                raise InputError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
-            except InputError:
-                raise
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-            for col, v in zip(ids, row):
-                col.append(v)
-            confs.append(conf)
-            lines.append(lineno)
-    except InputError as exc:
-        return lines, ids, confs, boxes, exc
-    return lines, ids, confs, boxes, None
+                _check_record(path, lineno, rec, id_fields, with_confidence)
+            except InputError as exc:
+                return (lines[:k], *_columns(records[:k], id_fields, with_confidence),
+                        exc)
+        raise
 
 
 def _check_rows(path: str, lines: list, error: Optional[InputError],
@@ -561,7 +556,7 @@ def _box_checks(boxes: np.ndarray) -> list:
 def _outside(values: list, allowed) -> np.ndarray:
     """Mask of the ``values`` not in ``allowed``; none if that is None."""
     allowed = set(values if allowed is None else allowed)
-    return np.array([v not in allowed for v in values], dtype=bool)
+    return ~np.fromiter(map(allowed.__contains__, values), bool, len(values))
 
 
 def load_predictions(path: str, model_id: Optional[str] = None,
@@ -570,7 +565,7 @@ def load_predictions(path: str, model_id: Optional[str] = None,
     ``classes`` when those are given."""
     lines, (image, model, klass), confs, boxes, error = _read_columns(
         path, ("image_id", "model_id", "class_id"), with_confidence=True)
-    table = DetectionTable(image, model, klass, np.array(confs, dtype=np.float64),
+    table = DetectionTable(image, model, klass, np.asarray(confs, dtype=np.float64),
                            _boxes(boxes))
     conf = table.confidence
     _check_rows(path, lines, error, _box_checks(table.boxes) + [
@@ -611,14 +606,7 @@ class Dataset:
 
 def load_dataset(manifest_path: str) -> Dataset:
     """Load a manifest plus all files it references, one file at a time."""
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot open {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{manifest_path}: invalid JSON: {exc}") from exc
-
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise InputError(f"{manifest_path}: expected a JSON object")
     for key in ("models", "classes", "predictions", "ground_truth"):
@@ -663,30 +651,46 @@ def observations_from_dataset(ds: Dataset, primary_iou: float = 0.90) -> Observa
                             models=ds.models, classes=ds.classes)
 
 
-def write_predictions(path: str, detections: DetectionTable) -> None:
+def json_strings(values: Iterable[str]) -> list:
+    """Each of ``values`` as ``json.dumps`` writes a string."""
+    return list(map(encode_basestring_ascii, values))
+
+
+def json_numbers(values: list) -> list:
+    """Each of ``values`` as ``json.dumps`` writes a number, from one call:
+    no number's text holds the separator."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _corners(boxes: np.ndarray) -> list:
+    """Four references to one iterator over the encoded corners, so that
+    ``zip`` takes a box's four corners per row."""
+    return [iter(json_numbers(boxes.ravel().tolist()))] * 4
+
+
+def write_rows(path: str, template: str, rows: Iterable[tuple]) -> None:
+    """One line per row: ``template % row``."""
     with open(path, "w", encoding="utf-8") as fh:
-        for image, model, klass, conf, bbox in zip(
-                detections.image_id, detections.model_id, detections.class_id,
-                detections.confidence.tolist(), detections.boxes.tolist()):
-            fh.write(json.dumps({
-                "image_id": image,
-                "model_id": model,
-                "class_id": klass,
-                "confidence": round(conf, 6),
-                "bbox": bbox,
-            }) + "\n")
+        fh.writelines(map(template.__mod__, rows))
+
+
+def write_predictions(path: str, detections: DetectionTable) -> None:
+    """The table as :func:`load_predictions` reads it, each confidence
+    rounded to six decimal places."""
+    t = detections
+    conf = json_numbers(list(map(round, t.confidence.tolist(), repeat(6))))
+    write_rows(path, '{"image_id": %s, "model_id": %s, "class_id": %s, '
+                     '"confidence": %s, "bbox": [%s, %s, %s, %s]}\n',
+               zip(json_strings(t.image_id), json_strings(t.model_id),
+                   json_strings(t.class_id), conf, *_corners(t.boxes)))
 
 
 def write_ground_truth(path: str, gt: GroundTruthTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for image, obj, klass, bbox in zip(gt.image_id, gt.object_id, gt.class_id,
-                                           gt.boxes.tolist()):
-            fh.write(json.dumps({
-                "image_id": image,
-                "object_id": obj,
-                "class_id": klass,
-                "bbox": bbox,
-            }) + "\n")
+    """The table as :func:`load_ground_truth` reads it."""
+    write_rows(path, '{"image_id": %s, "object_id": %s, "class_id": %s, '
+                     '"bbox": [%s, %s, %s, %s]}\n',
+               zip(json_strings(gt.image_id), json_strings(gt.object_id),
+                   json_strings(gt.class_id), *_corners(gt.boxes)))
 
 
 def write_manifest(path: str, models: Sequence[str], classes: Sequence[str],

@@ -23,7 +23,7 @@ import numpy as np
 
 from .deduction import DEFAULT_CLASSES
 from .model_io import (DetectionTable, GroundTruthTable, InputError, ObservationSet,
-                       index_of, write_ground_truth, write_manifest,
+                       index_of, read_json, write_ground_truth, write_manifest,
                        write_predictions)
 
 
@@ -233,13 +233,7 @@ def save_scenario(path: str, scenario: ShiftScenario) -> None:
 
 
 def load_scenario(path: str) -> ShiftScenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    raw = read_json(path)
     try:
         return ShiftScenario(
             name=str(raw.get("name", os.path.basename(path))),
@@ -256,7 +250,7 @@ def load_scenario(path: str) -> ShiftScenario:
             conf_correct=tuple(float(v) for v in raw.get("conf_correct", (9.0, 2.0))),
             conf_wrong=tuple(float(v) for v in raw.get("conf_wrong", (2.5, 4.0))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad scenario config: {exc}") from exc
 
 

@@ -6,16 +6,23 @@ family, so treat its draw order as frozen.
 """
 
 import itertools
+import os
 import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from abfuse import solver_ip
 from abfuse.deduction import IntegrityConstraintSet
 from abfuse.edr import RuleSet
-from abfuse.model_io import (DetectionTable, GroundTruthTable, Observation,
-                             ObservationSet)
+from abfuse.model_io import Observation, ObservationSet
+from oracles import det_table, gt_table
+
+# HYPOTHESIS_PROFILE=ci runs 5x the examples in tests that do not pin
+# max_examples themselves
+settings.register_profile("ci", max_examples=5 * settings.get_profile("default").max_examples)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 DELTA_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 SHARED_SEEDS = tuple(range(1000, 1220))
@@ -55,7 +62,7 @@ def obs_atoms(obs):
 
 def tables(gt, dets):
     """Matcher inputs: the column tables of ground-truth and detection records."""
-    return GroundTruthTable.from_records(gt), DetectionTable.from_records(dets)
+    return gt_table(gt), det_table(dets)
 
 
 def empty_rules(grid=(0.5,)):

@@ -4,6 +4,8 @@ Each helper recomputes from first principles what the pipeline computes
 incrementally or in bulk, so tests can compare the two.
 """
 
+import json
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
@@ -15,9 +17,8 @@ from abfuse.deduction import (NORMALIZER_MODES, DomainConfig, IntegrityConstrain
 from abfuse.evaluation import Metrics
 from abfuse.edr import (Condition, ErrorRule, RuleSet, _learn_pair,
                         generate_candidates)
-from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
-                             InputError, Observation, ObservationSet,
-                             read_jsonl)
+from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError,
+                             Observation, ObservationSet)
 
 
 # ------------------------------------------------------- deductive closure
@@ -260,6 +261,145 @@ def brute_force_optimal(instance: solver_ip.IpInstance,
 # The production loader reads each file into column tables and validates
 # all rows at once (``abfuse.model_io.load_predictions``); these read one
 # record at a time into validated ``Detection``/``GroundTruthObject``s.
+# ``compute_iou`` is the scalar IoU the matcher's array IoU must equal bit
+# for bit.
+
+
+@dataclass(frozen=True)
+class BoundingBox:
+    """Axis-aligned box; corners must satisfy min < max on both axes."""
+
+    x_min: float
+    y_min: float
+    x_max: float
+    y_max: float
+
+    def __post_init__(self):
+        vals = (self.x_min, self.y_min, self.x_max, self.y_max)
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in vals):
+            raise InputError(f"non-finite bbox coordinates: {vals}")
+        if self.x_max <= self.x_min or self.y_max <= self.y_min:
+            raise InputError(f"degenerate bbox (zero or negative area): {vals}")
+
+    @property
+    def area(self) -> float:
+        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
+
+    def as_list(self) -> list:
+        return [self.x_min, self.y_min, self.x_max, self.y_max]
+
+
+def compute_iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union of two boxes; always in [0, 1]."""
+    if a.area <= 0.0 or b.area <= 0.0:
+        raise InputError("IoU undefined for zero-area boxes")
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    return inter / (a.area + b.area - inter)
+
+
+@dataclass(frozen=True)
+class Detection:
+    image_id: str
+    model_id: str
+    class_id: str
+    confidence: float
+    bbox: BoundingBox
+
+    def __post_init__(self):
+        if not (isinstance(self.confidence, (int, float))
+                and math.isfinite(self.confidence)
+                and 0.0 <= self.confidence <= 1.0):
+            raise InputError(f"confidence out of [0, 1]: {self.confidence!r}")
+
+
+@dataclass(frozen=True)
+class GroundTruthObject:
+    image_id: str
+    object_id: str
+    class_id: str
+    bbox: BoundingBox
+
+
+def gt_table(gt: Iterable[GroundTruthObject]) -> GroundTruthTable:
+    """The column table of ground-truth records."""
+    gt = list(gt)
+    return GroundTruthTable([g.image_id for g in gt], [g.object_id for g in gt],
+                            [g.class_id for g in gt],
+                            np.array([g.bbox.as_list() for g in gt],
+                                     dtype=np.float64).reshape(-1, 4))
+
+
+def det_table(dets: Iterable[Detection]) -> DetectionTable:
+    """The column table of detection records."""
+    dets = list(dets)
+    return DetectionTable([d.image_id for d in dets], [d.model_id for d in dets],
+                          [d.class_id for d in dets],
+                          np.array([d.confidence for d in dets], dtype=np.float64),
+                          np.array([d.bbox.as_list() for d in dets],
+                                   dtype=np.float64).reshape(-1, 4))
+
+
+def read_jsonl_reference(path: str) -> Iterable[tuple]:
+    """Yield ``(line number, record)`` for each non-blank line of a JSONL
+    file, one ``json.loads`` per line as the file streams; the first line
+    that is not a JSON object raises."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            # JSONDecodeError, an int too long or nesting too deep
+            except (ValueError, RecursionError) as exc:
+                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise InputError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, rec
+
+
+def read_columns_reference(path: str, id_fields: tuple, with_confidence: bool) -> tuple:
+    """``abfuse.model_io._read_columns`` one record at a time: ``(lines,
+    ids, confidences, boxes, error)``, stopping at the first record that
+    cannot be parsed and returning its error."""
+    lines, ids, confs, boxes = [], tuple([] for _ in id_fields), [], []
+    try:
+        for lineno, rec in read_jsonl_reference(path):
+            try:
+                row = [str(rec[f]) for f in id_fields]
+                raw = rec["confidence"] if with_confidence else 0.0
+                try:
+                    conf = float(raw)
+                except (TypeError, ValueError, OverflowError):
+                    raise InputError(f"{path}:{lineno}: confidence must be a number: "
+                                     f"{raw!r}") from None
+                raw = rec["bbox"]
+                if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
+                    raise InputError(f"{path}:{lineno}: bbox must be "
+                                     "[x_min, y_min, x_max, y_max]")
+                boxes.append(tuple(map(float, raw)))
+            except KeyError as exc:
+                raise InputError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from None
+            except InputError:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
+            for col, v in zip(ids, row):
+                col.append(v)
+            confs.append(conf)
+            lines.append(lineno)
+    except InputError as exc:
+        return lines, ids, confs, boxes, exc
+    return lines, ids, confs, boxes, None
+
 
 
 def _require(rec, key, path, lineno):
@@ -286,7 +426,7 @@ def _parse_confidence(raw, path, lineno) -> float:
 
 def load_prediction_records(path: str, model_id: Optional[str] = None) -> list:
     out = []
-    for lineno, rec in read_jsonl(path):
+    for lineno, rec in read_jsonl_reference(path):
         det = Detection(
             image_id=str(_require(rec, "image_id", path, lineno)),
             model_id=str(_require(rec, "model_id", path, lineno)),
@@ -305,7 +445,7 @@ def load_prediction_records(path: str, model_id: Optional[str] = None) -> list:
 def load_ground_truth_records(path: str) -> list:
     out = []
     seen = set()
-    for lineno, rec in read_jsonl(path):
+    for lineno, rec in read_jsonl_reference(path):
         g = GroundTruthObject(
             image_id=str(_require(rec, "image_id", path, lineno)),
             object_id=str(_require(rec, "object_id", path, lineno)),

@@ -23,15 +23,15 @@ from abfuse.deduction import (IntegrityConstraintSet, default_domain,
 from abfuse.edr import RuleSet, apply_rules, learn_ruleset
 from abfuse.evaluation import (SweepDataset, per_model_metrics, run_sweep,
                                score_atoms)
-from abfuse.model_io import (BoundingBox, Detection, GroundTruthObject,
-                             Observation, ObservationSet, match_detections)
+from abfuse.model_io import Observation, ObservationSet, match_detections
 from abfuse.solver_hs import HsConfig, heuristic_search
 from abfuse.tiebreak import apply_tiebreaker, candidates_from_atoms
 
 from conftest import (DELTA_GRID, SHARED_SEEDS, assigned_atoms, random_instance,
-                      row_labels)
-from oracles import (Hypothesis, brute_force_optimal, calc_incon, fixpoint,
-                     flags, get_filtered_preds, labels_to_atoms, sibling_index)
+                      row_labels, tables)
+from oracles import (BoundingBox, Detection, GroundTruthObject, Hypothesis,
+                     brute_force_optimal, calc_incon, fixpoint, flags,
+                     get_filtered_preds, labels_to_atoms, sibling_index)
 
 EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -362,7 +362,7 @@ def _geometric_instance(seed):
 def test_c11_matcher_matches_reference_two_stage():
     for seed in range(100):
         gt, dets = _geometric_instance(seed)
-        obs = match_detections(gt, dets, primary_iou=0.90)
+        obs = match_detections(*tables(gt, dets), primary_iou=0.90)
         expect = _reference_match(gt, dets, 0.90)
         assert set(map(tuple, obs.entries)) == expect, seed
         assert obs.objects == tuple(sorted(g.object_id for g in gt))

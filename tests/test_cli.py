@@ -1,8 +1,10 @@
 """End-to-end command-line workflows."""
 
 import csv
+import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -12,13 +14,12 @@ import abfuse
 from abfuse.baselines import majority_vote
 from abfuse.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from abfuse.deduction import default_domain
-from abfuse.model_io import (BoundingBox, Detection, DetectionTable, GroundTruthObject,
-                             GroundTruthTable, load_dataset, observations_from_dataset,
-                             write_ground_truth, write_manifest,
-                             write_predictions)
+from abfuse.model_io import (load_dataset, observations_from_dataset, write_ground_truth,
+                             write_manifest, write_predictions)
 
 from conftest import row_labels
-from oracles import score_reference
+from oracles import (BoundingBox, Detection, GroundTruthObject, det_table, gt_table,
+                     score_reference)
 
 
 @pytest.fixture()
@@ -41,12 +42,12 @@ def conflict_dataset(tmp_path):
 
     d = tmp_path / "conflict"
     d.mkdir()
-    write_ground_truth(str(d / "gt.jsonl"), GroundTruthTable.from_records(
+    write_ground_truth(str(d / "gt.jsonl"), gt_table(
         GroundTruthObject("img", f"o{i}", cls, b(i))
         for i, cls in ((1, "A"), (2, "A"), (3, "B"))))
-    write_predictions(str(d / "f1.jsonl"), DetectionTable.from_records(
+    write_predictions(str(d / "f1.jsonl"), det_table(
         [Detection("img", "f1", "A", 0.9, b(1)), Detection("img", "f1", "A", 0.9, b(2))]))
-    write_predictions(str(d / "f2.jsonl"), DetectionTable.from_records(
+    write_predictions(str(d / "f2.jsonl"), det_table(
         [Detection("img", "f2", "B", 0.8, b(2)), Detection("img", "f2", "B", 0.8, b(3))]))
     write_manifest(str(d / "manifest.json"), ["f1", "f2"], ["A", "B"],
                    {"f1": "f1.jsonl", "f2": "f2.jsonl"}, "gt.jsonl")
@@ -248,6 +249,89 @@ def test_eval_rejects_non_object_label_line(tmp_path, capsys):
     assert f"{bad}:1: expected a JSON object" in capsys.readouterr().err
 
 
+def _python(*argv):
+    """Run ``python *argv`` in a fresh process with this checkout's package
+    on the path."""
+    src = os.path.dirname(os.path.dirname(abfuse.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def _spoil(path, line):
+    """Put a byte that is not UTF-8 at the start of 1-based line ``line``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("target", ["predictions", "rules", "manifest", "domain", "scenario"])
+def test_non_utf8_input_exits_one_without_traceback(dataset, tmp_path, target):
+    manifest, rules = dataset
+    data = os.path.dirname(manifest)
+    domain = tmp_path / "domain.json"
+    domain.write_text('{\n  "classes": ["construction", "nature"]\n}\n')
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"models": ["m0", "m1"]}, indent=1) + "\n")
+    abduce = ["abduce", "--manifest", manifest, "--rules", rules, "--solver", "hs",
+              "--delta", "0.5", "--out", str(tmp_path / "out")]
+    path, line, argv = {
+        "predictions": (os.path.join(data, "preds_m1.jsonl"), 3, abduce),
+        "rules": (rules, 2, abduce),
+        "manifest": (manifest, 2, abduce),
+        "domain": (str(domain), 2, abduce + ["--domain-config", str(domain)]),
+        "scenario": (str(scenario), 3, ["gen", "--scenario", str(scenario),
+                                        "--out", str(tmp_path / "gen")]),
+    }[target]
+    _spoil(pathlib.Path(path), line)
+    proc = _python("-m", "abfuse.cli", *argv)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}:{line}: not valid UTF-8:"), proc.stderr
+
+
+def test_abduce_and_sweep_leave_numpy_ma_unloaded(dataset, tmp_path):
+    # np.unique imports numpy.ma (~23 ms and ~1.4 MB per process)
+    manifest, rules = dataset
+    data = ["--manifest", manifest, "--rules", rules]
+    runs = [["abduce", *data, "--solver", "hs", "--delta", "0.5", "--out", str(tmp_path / "hs")],
+            ["abduce", *data, "--solver", "ip", "--delta", "0.5", "--epsilon", "0.1",
+             "--out", str(tmp_path / "ip")],
+            ["sweep", *data, "--delta-grid", "0.1,0.5", "--epsilon-grid", "0.1,0.5",
+             "--no-timing", "--out", str(tmp_path / "sweep.csv")]]
+    code = ("import sys; from abfuse.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    print('exit', main(argv), 'numpy.ma' in sys.modules)\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert [ln for ln in proc.stdout.splitlines() if ln.startswith("exit ")] \
+        == ["exit 0 False"] * 3, proc.stdout
+
+
+# sha256 of ``labels.jsonl`` on the ``dataset`` fixture, taken before the
+# writer encoded whole columns: the bytes must not change
+PINNED_LABELS = {
+    "hs+tb": ("793ddd97d544a44c43e6d3f50b0c4e5965a74912ccc87f16cf693ba6a2a0d3db",
+              ["abduce", "--solver", "hs", "--delta", "0.5", "--tie-break", "on"]),
+    "hs": ("3a2a07292db82196e2d7c2d47cb56f0fc0175c93cfcc880c30ea880772ba34c8",
+           ["abduce", "--solver", "hs", "--delta", "0.5", "--tie-break", "off"]),
+    "ip+tb": ("0d9c5581398629f19341ca1c8e9c26f541ba1e8cfc7f7e7611f1ece0670c97fb",
+              ["abduce", "--solver", "ip", "--delta", "0.5", "--epsilon", "0.1"]),
+    "mv": ("5c60a9a9a43d608f486941328d3bf8a59884fe73c8d5492e2973b88e8e2c6f4f",
+           ["baseline", "--method", "mv"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LABELS))
+def test_labels_bytes_are_pinned(dataset, tmp_path, name):
+    manifest, rules = dataset
+    digest, argv = PINNED_LABELS[name]
+    data = ["--manifest", manifest] + (["--rules", rules] if argv[0] == "abduce" else [])
+    assert main([argv[0], *data, *argv[1:], "--out", str(tmp_path)]) == EXIT_OK
+    labels = (tmp_path / "labels.jsonl").read_bytes()
+    assert hashlib.sha256(labels).hexdigest() == digest
+
+
 def test_sweep_csv_and_manifest(dataset, tmp_path, capsys):
     manifest, rules = dataset
     out = tmp_path / "sweep.csv"
@@ -296,11 +380,7 @@ def test_cli_import_leaves_the_generator_and_process_pool_unloaded():
     # every job compiles what it imports when bytecode is not cached
     code = ("import sys, abfuse.cli; print(sorted({'abfuse.synthgen', "
             "'concurrent.futures'} & set(sys.modules)))")
-    src = os.path.dirname(os.path.dirname(abfuse.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -1,6 +1,7 @@
 """Boxes, IoU, the two-stage matcher, and JSONL/dataset round-trips."""
 
 import json
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -9,17 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abfuse import model_io, synthgen
-from abfuse.model_io import (BoundingBox, Detection, DetectionTable, GroundTruthObject,
-                             GroundTruthTable, InputError, Observation, _pair_iou,
-                             compute_iou, index_of,
-                             coverage_report, ground_truth_labels,
-                             load_dataset, load_ground_truth, load_predictions,
-                             match_detections, observations_from_dataset,
-                             write_ground_truth, write_manifest,
-                             write_predictions)
+from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError, Observation,
+                             _pair_iou, coverage_report,
+                             ground_truth_labels, index_of, load_dataset,
+                             load_ground_truth, load_predictions, match_detections,
+                             observations_from_dataset, write_ground_truth,
+                             write_manifest, write_predictions)
 
 from conftest import obs_atoms, obs_of, tables
-from oracles import load_ground_truth_records, load_prediction_records
+from oracles import (BoundingBox, Detection, GroundTruthObject, compute_iou, det_table,
+                     gt_table, load_ground_truth_records, load_prediction_records,
+                     read_columns_reference, read_jsonl_reference)
 from test_acceptance import _reference_match
 
 
@@ -428,7 +429,7 @@ def test_predictions_round_trip(tmp_path):
     path = str(tmp_path / "preds.jsonl")
     dets = [det("f1", "car", 0.123456789, GT_BOX),
             det("f1", "tree", 0.5, box(1, 2, 3, 4), image="img2")]
-    write_predictions(path, DetectionTable.from_records(dets))
+    write_predictions(path, det_table(dets))
     back = load_predictions(path, model_id="f1")
     assert len(back) == 2
     # confidences are stored at six decimal places
@@ -479,21 +480,21 @@ def test_load_predictions_model_mismatch(tmp_path):
 
 def test_ground_truth_round_trip_and_duplicates(tmp_path):
     path = str(tmp_path / "gt.jsonl")
-    write_ground_truth(path, GroundTruthTable.from_records([gt("o1"), gt("o2", cls="tree")]))
+    write_ground_truth(path, gt_table([gt("o1"), gt("o2", cls="tree")]))
     back = load_ground_truth(path)
     assert back.object_id == ["o1", "o2"]
     assert ground_truth_labels(back) == {"o1": "car", "o2": "tree"}
-    write_ground_truth(path, GroundTruthTable.from_records([gt("o1"), gt("o1")]))
+    write_ground_truth(path, gt_table([gt("o1"), gt("o1")]))
     with pytest.raises(InputError, match="duplicate object_id"):
         load_ground_truth(path)
 
 
 def _write_tiny_dataset(tmp_path):
     gt_path = str(tmp_path / "gt.jsonl")
-    write_ground_truth(gt_path, GroundTruthTable.from_records(
+    write_ground_truth(gt_path, gt_table(
         [gt("o1", cls="car"), gt("o2", cls="tree", b=box(100, 0, 110, 10))]))
     for m in ("f1", "f2"):
-        write_predictions(str(tmp_path / f"{m}.jsonl"), DetectionTable.from_records(
+        write_predictions(str(tmp_path / f"{m}.jsonl"), det_table(
             [det(m, "car", 0.8, GT_BOX), det(m, "tree", 0.6, box(100, 0, 110, 10))]))
     manifest = str(tmp_path / "manifest.json")
     write_manifest(manifest, ["f1", "f2"], ["car", "tree"],
@@ -607,7 +608,7 @@ def test_columnar_load_equals_the_per_record_oracle(tmp_path):
     for name in ("image_id", "object_id", "class_id"):
         assert getattr(g, name) == [getattr(r, name) for r in gts], name
     assert g.boxes.tolist() == [r.bbox.as_list() for r in gts]
-    assert observations_from_dataset(ds) == match_detections(gts, dets, models=ds.models,
+    assert observations_from_dataset(ds) == match_detections(*tables(gts, dets), models=ds.models,
                                                              classes=ds.classes)
 
 
@@ -673,3 +674,205 @@ def test_first_bad_line_wins_across_checks(tmp_path):
                                            bbox=[5, 0, 5, 1])) + "\n")
     with pytest.raises(InputError, match=rf"^{path}:3: degenerate bbox"):
         load_dataset(manifest)
+
+
+# ------------------------------------------- reader against the streaming one
+# Random prediction and ground-truth files, clean or corrupted, read by the
+# column reader and by the streaming per-record reader it replaced
+# (``oracles.read_columns_reference``): equal tables or the same error.
+# A bad field is missing, an int, a string, bool, null, 10**400, a non-finite
+# float, a short, long or nested list.
+
+# ids hold characters that str.splitlines, but not JSONL, takes as line ends
+ANY_ID = st.sampled_from(["f1", "f2", "car", "tree", "img1", "o1", "ü", "日本",
+                          "a\u2028b", "c\x85d", "e\x1cf"])
+GOOD_BOX = st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 4),
+                     st.integers(1, 4)).map(lambda b: [b[0], b[1], b[0] + b[2], b[1] + b[3]])
+GOOD_FIELD = {"image_id": ANY_ID, "model_id": st.just("f1"),
+              "class_id": st.sampled_from(["car", "tree"]),
+              "object_id": st.text(min_size=1, max_size=6),
+              "confidence": st.floats(0, 1), "bbox": GOOD_BOX}
+BAD_FIELD = st.one_of(
+    st.just(DROP), ANY_ID, st.none(), st.booleans(), st.integers(-3, 3), st.just(10 ** 400),
+    st.floats(), st.text(max_size=3), st.sampled_from(["0.5", "1e400"]),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(), st.none(), st.text(max_size=2)),
+             min_size=3, max_size=5),
+    st.lists(st.integers(0, 9), min_size=3, max_size=5),
+    st.just([[0, 0], [1, 1]]), st.just([0, 0, [1], 1]))
+
+
+@st.composite
+def jsonl_record(draw, fields, clean):
+    """A valid record of ``fields``; unless ``clean``, up to two fields are
+    then dropped or given another value."""
+    rec = {f: draw(GOOD_FIELD[f]) for f in fields}
+    for _ in range(0 if clean else draw(st.integers(0, 2))):
+        rec[draw(st.sampled_from(fields))] = draw(BAD_FIELD)
+    return {k: v for k, v in rec.items() if v is not DROP}
+
+
+@st.composite
+def jsonl_file(draw, fields):
+    """The bytes of a JSONL file: records, and unless clean also blank
+    lines, trailing data, two objects on one line, one object split over
+    two lines and lines that are not objects; any line ending, maybe a BOM."""
+    clean = draw(st.booleans())
+    kinds = ["record"] * 4 + ([] if clean else ["blank", "trailing", "two", "split",
+                                                "not object", "garbage"])
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        rec = json.dumps(draw(jsonl_record(fields, clean)), ensure_ascii=draw(st.booleans()))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "record":
+            lines.append(rec)
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t ", "\x0c"])))
+        elif kind == "trailing":
+            lines.append(rec + draw(st.sampled_from([" x", "]", " {}", ",", "  "])))
+        elif kind == "two":
+            lines.append(rec + draw(st.sampled_from(["", " "])) + rec)
+        elif kind == "split":
+            cut = draw(st.integers(1, max(1, len(rec) - 1)))
+            lines += [rec[:cut], rec[cut:]]
+        elif kind == "not object":
+            lines.append(json.dumps(draw(st.one_of(BAD_FIELD, st.lists(st.integers())))))
+        else:
+            lines.append(draw(st.text(max_size=8)))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    bom = "﻿" if not clean and draw(st.integers(0, 9)) == 0 else ""
+    return (bom + text).encode("utf-8", "surrogatepass")
+
+
+PRED_FIELDS = ("image_id", "model_id", "class_id", "confidence", "bbox")
+GT_FIELDS = ("image_id", "object_id", "class_id", "bbox")
+
+
+def _outcome(load):
+    """The columns of the table ``load()`` returns, or its error message."""
+    try:
+        t = load()
+    except InputError as exc:
+        return str(exc)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(t).items()}
+
+
+def _same_floats(a, b):
+    return np.array_equal(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64),
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", ["predictions", "ground truth"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_reader_matches_the_streaming_reference(tmp_path_factory, kind, data):
+    pred = kind == "predictions"
+    path = tmp_path_factory.mktemp("jsonl") / "file.jsonl"
+    path.write_bytes(data.draw(jsonl_file(PRED_FIELDS if pred else GT_FIELDS)))
+    ids = ("image_id", "model_id" if pred else "object_id", "class_id")
+    got = model_io._read_columns(str(path), ids, pred)
+    want = read_columns_reference(str(path), ids, pred)
+    assert got[0] == want[0] and got[1] == want[1]
+    assert _same_floats(got[2], want[2])
+    assert _same_floats(got[3], np.asarray(want[3], dtype=np.float64).reshape(-1, 4))
+    assert str(got[4]) == str(want[4])
+
+    # the loaders' checks on top, with either reader underneath
+    if pred:
+        load = partial(load_predictions, str(path), model_id="f1",
+                       classes=data.draw(st.sampled_from([None, ("car", "tree")])))
+    else:
+        load = partial(load_ground_truth, str(path))
+    new = _outcome(load)
+    with mock.patch.object(model_io, "_read_columns", read_columns_reference):
+        assert _outcome(load) == new
+
+    # the generator: the records before the first bad line, then its error
+    outcomes = []
+    for reader in (model_io.read_jsonl, read_jsonl_reference):
+        got = []
+        try:
+            got.extend(reader(str(path)))
+        except InputError as exc:
+            got.append(str(exc))
+        outcomes.append(got)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_reader_keeps_line_numbers_across_line_endings(tmp_path):
+    path = tmp_path / "gt.jsonl"
+    recs = [json.dumps(dict(GOOD_GT, object_id=f"o{i}")) for i in range(3)]
+    path.write_bytes(f"\r\n{recs[0]}\r{recs[1]}\n\n{recs[2]}\r\nnot json\n".encode())
+    with pytest.raises(InputError, match=rf"^{path}:6: invalid JSON"):
+        load_ground_truth(str(path))
+    # the generator yields the records before the bad line, then raises
+    got = []
+    with pytest.raises(InputError, match=rf"^{path}:6: invalid JSON"):
+        for lineno, rec in model_io.read_jsonl(str(path)):
+            got.append((lineno, rec["object_id"]))
+    assert got == [(2, "o0"), (3, "o1"), (5, "o2")]
+
+
+def test_short_and_long_boxes_do_not_pair_up(tmp_path):
+    # 3 + 5 corners would reshape into two rows of 4
+    path = tmp_path / "gt.jsonl"
+    path.write_text("".join(json.dumps(dict(GOOD_GT, object_id=f"o{i}", bbox=b)) + "\n"
+                            for i, b in enumerate(([0, 0, 5], [0, 0, 5, 5, 5]))))
+    with pytest.raises(InputError, match=rf"^{path}:1: bbox must be"):
+        load_ground_truth(str(path))
+
+
+@pytest.mark.parametrize("raw, line", [
+    (b'{"a": 1}\n\xff\n', 2),
+    (b'{"a": 1}\r\n{"a": 2}\r\n  \xc3(', 3),
+    (b'x\ry\r\x80', 3),
+    (b'\xef\xbb\xbf{"a": "\xed\xa0\x80"}', 1),
+])
+def test_non_utf8_bytes_name_their_line(tmp_path, raw, line):
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(raw)
+    for read in (model_io.read_text, model_io.read_json, load_ground_truth,
+                 lambda p: list(model_io.read_jsonl(p))):
+        with pytest.raises(InputError, match=rf"^{path}:{line}: not valid UTF-8: "):
+            read(str(path))
+
+
+# ------------------------------------------------------------ column writer
+
+STRANGE_IDS = ["plain", "ünïcödé", "日本", "emoji 😀", 'quo"te', "back\\slash",
+               "ctrl\x00\x1f\n\r\t", "  ", "\x7f", ""]
+STRANGE_NUMBERS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+                   1e-300, 1.7976931348623157e308, 0.1, 1 / 3, 1e16, 123456789.0]
+
+
+def test_column_encoders_match_json_dumps():
+    assert model_io.json_strings(STRANGE_IDS) == [json.dumps(v) for v in STRANGE_IDS]
+    assert model_io.json_numbers(STRANGE_NUMBERS) == [json.dumps(v) for v in STRANGE_NUMBERS]
+    assert model_io.json_numbers([]) == model_io.json_strings([]) == []
+
+
+@settings(deadline=None)
+@given(st.lists(st.text()), st.lists(st.floats()))
+def test_column_encoders_match_json_dumps_on_any_input(ids, numbers):
+    assert model_io.json_strings(ids) == [json.dumps(v) for v in ids]
+    assert model_io.json_numbers(numbers) == [json.dumps(v) for v in numbers]
+
+
+def test_writers_match_one_json_dumps_per_row(tmp_path):
+    n = len(STRANGE_IDS)
+    conf = np.array((STRANGE_NUMBERS * 2)[:n]) / 7
+    boxes = np.array((STRANGE_NUMBERS * 4)[:4 * n]).reshape(n, 4)
+    dets = DetectionTable(STRANGE_IDS, STRANGE_IDS[::-1], STRANGE_IDS, conf, boxes)
+    write_predictions(str(tmp_path / "p.jsonl"), dets)
+    assert (tmp_path / "p.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps({"image_id": i, "model_id": m, "class_id": c,
+                    "confidence": round(v, 6), "bbox": b}) + "\n"
+        for i, m, c, v, b in zip(dets.image_id, dets.model_id, dets.class_id,
+                                 conf.tolist(), boxes.tolist()))
+    gt = GroundTruthTable(STRANGE_IDS, STRANGE_IDS[::-1], STRANGE_IDS, boxes)
+    write_ground_truth(str(tmp_path / "g.jsonl"), gt)
+    assert (tmp_path / "g.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps({"image_id": i, "object_id": o, "class_id": c, "bbox": b}) + "\n"
+        for i, o, c, b in zip(gt.image_id, gt.object_id, gt.class_id, boxes.tolist()))
+    write_ground_truth(str(tmp_path / "e.jsonl"), GroundTruthTable([], [], [], np.zeros((0, 4))))
+    assert (tmp_path / "e.jsonl").read_bytes() == b""
