@@ -177,6 +177,8 @@ def cmd_abduce(args) -> int:
     payload["violation_budget"] = violation_budget(
         args.delta, len(obs.objects), domain.ic, domain.normalizer_mode,
         domain.directed_ground_rules)
+    if args.solver == "ip":
+        payload["nodes"] = sol.nodes
     _write_json(os.path.join(args.out, "metrics.json"), payload)
     print(f"{args.solver}{'+tb' if tb else ''}: f1={metrics.f1:.4f} "
           f"precision={metrics.precision:.4f} recall={metrics.recall:.4f}")

@@ -90,8 +90,11 @@ def count_violations(cov, classes, ic: IntegrityConstraintSet) -> int:
     """Ground rules violated by a bool (C, N) coverage whose class axis is
     ``classes``; a pair naming a class outside it is never violated."""
     at = {c: i for i, c in enumerate(classes)}
-    return sum(int((cov[at[a]] & cov[at[b]]).sum())
-               for a, b in ic.pairs if a in at and b in at)
+    pairs = [(at[a], at[b]) for a, b in ic.pairs if a in at and b in at]
+    if not pairs:
+        return 0
+    ia, ib = zip(*pairs)
+    return int((cov[list(ia)] & cov[list(ib)]).sum())
 
 
 def inc_from_count(n_violations: int,

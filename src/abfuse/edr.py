@@ -172,6 +172,27 @@ def _condition_mask(cond: Condition, obs: ObservationSet, rows: slice, model: in
     return (others == obs.classes.index(cond.class_id)).any(axis=0)
 
 
+def _linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """``np.quantile(values, qs)`` with numpy's default 'linear' rule, bit
+    for bit, for finite ``values`` and ``qs`` in [0, 1]: the same virtual
+    index, neighbours and two-sided interpolation on a sorted copy.
+    ``np.quantile`` itself calls ``np.unique``, which imports ``numpy.ma``."""
+    s = np.sort(values)
+    virtual = (s.size - 1) * np.asarray(qs, dtype=np.float64)
+    lo = np.floor(virtual)
+    top = virtual >= s.size - 1
+    lo[top] = -1                            # the last value, as numpy does
+    gamma = virtual - lo
+    i = lo.astype(np.intp)
+    j = i + 1
+    j[top] = -1
+    a, b = s[i], s[j]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def generate_candidates(train: ObservationSet,
                         quantiles: Sequence[float] = _QUANTILES
                         ) -> Dict[Tuple[str, str], Tuple[Condition, ...]]:
@@ -185,7 +206,7 @@ def generate_candidates(train: ObservationSet,
     for f, m in enumerate(train.models):
         confs = train.confidence[train.model == f]
         if confs.size:
-            qs = np.quantile(confs, quantiles)
+            qs = _linear_quantiles(confs, quantiles)
             thresholds[m] = tuple(sorted(set(round(float(q), 9) for q in qs)))
         else:
             thresholds[m] = ()

@@ -10,7 +10,6 @@ is disabled.
 """
 
 import csv
-import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -22,9 +21,12 @@ import numpy as np
 from . import baselines, solver_hs, solver_ip, tiebreak
 from .deduction import DomainConfig, count_violations, inc_from_count
 from .edr import RuleSet, apply_rules
-from .model_io import InputError, ObservationSet, index_of
+from .model_io import InputError, ObservationSet, index_of, json_numbers, json_strings
 
 METHODS = ("ip", "ip+tb", "hs", "hs+tb", "mv", "best", "avg")   # solvers first
+
+# rows per block of the dataset fingerprint's entries
+_FINGERPRINT_BLOCK = 4096
 
 CSV_COLUMNS = ("delta", "epsilon", "method", "precision", "recall", "f1",
                "accuracy", "inconsistency", "runtime_per_object",
@@ -137,19 +139,31 @@ class SweepDataset:
     name: str = "dataset"
 
     def fingerprint(self) -> str:
+        """sha256 of one compact JSON document: the entries as sorted
+        (object, model, class, confidence) lists, the objects, the sorted
+        labels, the domain's classes and its exclusion pairs.  The entries
+        are encoded a column at a time and hashed a block of rows at a time,
+        so the document is never built whole."""
+        import hashlib  # loads OpenSSL (~3.6 MB resident), which only the sweep needs
+
         obs = self.observations
-        # the entries as sorted (object, model, class, confidence) tuples
         order = np.lexsort((obs.model, obs.obj))
-        ids = (np.array(u, dtype=object)[a[order]].tolist() for u, a in (
-            (obs.objects, obs.obj), (obs.models, obs.model), (obs.classes, obs.cls)))
-        payload = json.dumps({
-            "entries": list(zip(*ids, obs.confidence[order].tolist())),
+        ids = [(json_strings(u), a) for u, a in (
+            (obs.objects, obs.obj), (obs.models, obs.model), (obs.classes, obs.cls))]
+        h = hashlib.sha256(b'{"entries":[')
+        for start in range(0, len(order), _FINGERPRINT_BLOCK):
+            rows = order[start:start + _FINGERPRINT_BLOCK]
+            cols = [map(enc.__getitem__, a[rows].tolist()) for enc, a in ids]
+            h.update((b"," if start else b"") + ",".join(map("[%s,%s,%s,%s]".__mod__, zip(
+                *cols, json_numbers(obs.confidence[rows].tolist())))).encode())
+        rest = json.dumps({
             "objects": list(obs.objects),
             "labels": sorted(self.gt_labels.items()),
             "classes": list(self.domain.classes),
             "ic": [list(p) for p in self.domain.ic.pairs],
-        }, separators=(",", ":")).encode()
-        return hashlib.sha256(payload).hexdigest()
+        }, separators=(",", ":"))
+        h.update(b"]," + rest[1:].encode())
+        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -188,8 +202,9 @@ class SweepResult:
 
 def _row_worker(args) -> list:
     """The cells of one epsilon row.  The row's rules filter once, for both
-    solvers; under timing each cell's runtime is that filter's time plus its
-    own solve, from raw observations plus rules to a solution."""
+    solvers, and the filtered set is packed for the exact solver once, for
+    every delta; under timing each cell's runtime is that shared work plus
+    its own solve, from raw observations plus rules to a solution."""
     dataset, truth, deltas, epsilon, methods, repeats, timing = args
     dom, obs = dataset.domain, dataset.observations
     n = len(obs.objects)
@@ -198,10 +213,15 @@ def _row_worker(args) -> list:
     t_filter = time.perf_counter() - t0
     flagged = np.zeros(len(obs.obj), dtype=bool)
     flagged[flagged_rows] = True
+    packed, t_pack = None, 0.0
+    if "ip" in methods or "ip+tb" in methods:
+        t0 = time.perf_counter()
+        packed = solver_ip.build_instance(filtered, dom.ic, deltas[0], dom.normalizer_mode,
+                                          dom.directed_ground_rules)
+        t_pack = time.perf_counter() - t0
 
     def solve_ip(delta):
-        sol = solver_ip.solve(solver_ip.build_instance(
-            filtered, dom.ic, delta, dom.normalizer_mode, dom.directed_ground_rules))
+        sol = solver_ip.solve(packed.with_delta(delta))
         if sol.status != solver_ip.STATUS_OPTIMAL:
             return None
         return filtered, filtered.rows_within(sol.covered)
@@ -214,12 +234,13 @@ def _row_worker(args) -> list:
 
     cells = []
     for delta in deltas:
-        for solver, solve in (("ip", solve_ip), ("hs", solve_hs)):
+        for solver, solve, t_shared in (("ip", solve_ip, t_filter + t_pack),
+                                        ("hs", solve_hs, t_filter)):
             want = [m for m in (solver, solver + "+tb") if m in methods]
             for _ in range(repeats if want else 0):
                 t0 = time.perf_counter()
                 got = solve(delta)
-                elapsed = t_filter + time.perf_counter() - t0
+                elapsed = t_shared + time.perf_counter() - t0
                 rpo = (elapsed / n) if (timing and n) else 0.0
                 for method in want:
                     if got is None:

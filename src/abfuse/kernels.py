@@ -1,4 +1,5 @@
-"""Numeric kernels of the greedy search and the exact solver, in numpy.
+"""Numeric kernels of the greedy search and the exact solver, in numpy and
+plain Python.
 
 ``python3 perfbench/run.py`` times them inside whole CLI runs (``--trace 1``
 reports them per layer); ``tests/test_backend.py`` checks them against
@@ -6,9 +7,9 @@ naive oracles.
 
 Array conventions (shared with the solvers):
 
-* ``pred``: uint8 array of shape ``(F, C, N)``; ``pred[f, c, w] == 1`` when
-  model ``f`` predicted class ``c`` for object ``w``.
 * ``pres``: uint8 array of shape ``(C, N)``; presence of assignment atoms.
+* ``sup``: int64 array of shape ``(C, N)``; how many (model, class) pairs
+  predict class ``c`` for object ``w``.
 * Mutual-exclusion pairs come as a CSR-style adjacency ``(adj_off, adj_idx)``
   over class indices.
 """
@@ -27,20 +28,20 @@ def _edges(adj_off, adj_idx):
 # union statistics for the greedy search
 
 
-def union_stats(pres, base_atoms, base_conf, add_c, add_w, adj_off, adj_idx):
-    """Atom count and conflict count of ``pres`` extended with the given atoms.
+def union_stats(pres, base_atoms, base_conf, c, add_w, adj_off, adj_idx):
+    """Atom count and conflict count of ``pres`` extended with class ``c``
+    at the distinct objects ``add_w``.
 
-    ``base_atoms``/``base_conf`` are the counts of ``pres`` itself; atoms
-    already present or listed twice count once.  ``pres`` is left unchanged.
-    Returns ``(atoms, conflicts)`` of the union.
+    ``base_atoms``/``base_conf`` are the counts of ``pres`` itself; objects
+    that already carry ``c`` add nothing.  The added atoms share one class,
+    so every new conflict pairs one of them with a neighbour class's atom
+    already in ``pres``: the probe reads only those rows at the new objects.
+    ``pres`` is left unchanged.  Returns ``(atoms, conflicts)`` of the union.
     """
-    new = np.zeros(pres.shape, dtype=bool)
-    new[add_c, add_w] = True
-    new &= pres == 0
-    union = new | (pres != 0)
-    a, b = _edges(adj_off, adj_idx)
-    added = union[a] & union[b] & (new[a] | new[b])
-    return int(base_atoms) + int(new.sum()), int(base_conf) + int(added.sum())
+    new = add_w[pres[c, add_w] == 0]
+    nbrs = adj_idx[adj_off[c]:adj_off[c + 1]]
+    conflicts = int(np.count_nonzero(pres[nbrs[:, None], new]))
+    return int(base_atoms) + new.size, int(base_conf) + conflicts
 
 
 def commit_atoms(pres, add_c, add_w):
@@ -53,12 +54,18 @@ def commit_atoms(pres, add_c, add_w):
 
 # The search fixes one binary per branchable (model, class) pair: 0 keeps the
 # pair, 1 eliminates it and with it every assignment atom it alone supports.
-# State is maintained incrementally:
-#   cnt[c, w]   surviving supporter count of atom (c, w), undecided pairs kept
+# State is maintained incrementally, in Python lists (one element read or
+# written per step, which lists do far faster than numpy scalars):
+#   cnt[c][w]   surviving supporter count of atom (c, w), undecided pairs kept
 #   ncov[w]     number of classes with cnt > 0 at object w
 #   atoms       total covered (c, w) cells
 #   conflicts   mutual-exclusion violations among covered cells
 #   uncovered   coverable objects with ncov == 0
+# A variable's objects are listed the first time it is branched on, so a
+# search that ends at the root pays only for the initial counts.  Everything
+# that does not depend on the budget (variables, their objects, the visit
+# order, the supporter counts, the adjacency) is packed once by
+# ``solver_ip.build_instance`` and shared by the solves of every delta.
 # Eliminations only shrink coverage, so an uncovered object can never recover
 # deeper in the subtree (infeasibility prune), and the all-keep completion of
 # a within-budget node dominates the rest of its subtree (fathom rule).  When
@@ -85,25 +92,35 @@ def bnb_search(var_cls, var_obj_off, var_obj_idx, order, sup,
     """
     n_vars = var_cls.shape[0]
     max_deg = max(1, max_deg)
-    cnt = sup.astype(np.int64)
 
-    covered = cnt > 0
+    covered = sup > 0
     ncov = covered.sum(axis=0)
     atoms = int(ncov.sum())
     pa, pb = _edges(adj_off, adj_idx)
     conflicts = int((covered[pa] & covered[pb]).sum())
-    uncovered = int(((coverable == 1) & (ncov == 0)).sum())
+    uncovered = int(((coverable != 0) & (ncov == 0)).sum())
+
+    cnt = sup.tolist()
+    ncov = ncov.tolist()
+    coverable = (coverable != 0).tolist()
+    var_cls = var_cls.tolist()
+    order = order.tolist()
+    offs = var_obj_off.tolist()
+    # the count rows of each class's exclusion neighbours
+    nbr_rows = [[cnt[j] for j in adj_idx[adj_off[c]:adj_off[c + 1]].tolist()]
+                for c in range(len(cnt))]
+    var_objs = [None] * n_vars
 
     found = False
     best_obj = -1
     best_nelim = n_vars + 1
-    best_mask = np.zeros(n_vars, np.int8)
-    cur_mask = np.zeros(n_vars, np.int8)
+    best_mask = [0] * n_vars
+    cur_mask = [0] * n_vars
     cur_nelim = 0
     nodes = 0
 
     # iterative DFS; phase 0 = arriving, 1 = keep branch done, 2 = elim done
-    phase = np.zeros(n_vars + 1, np.int8)
+    phase = [0] * (n_vars + 1)
     depth = 0
     while depth >= 0:
         p = phase[depth]
@@ -122,8 +139,10 @@ def bnb_search(var_cls, var_obj_off, var_obj_idx, order, sup,
                         better = True
                     elif cur_nelim == best_nelim:
                         # equal count: prefer eliminating earlier variables
-                        differ = np.flatnonzero(cur_mask != best_mask)
-                        better = differ.size > 0 and cur_mask[differ[0]] == 1
+                        for cur, best in zip(cur_mask, best_mask):
+                            if cur != best:
+                                better = cur == 1
+                                break
                 if better:
                     found = True
                     best_obj = atoms
@@ -147,18 +166,22 @@ def bnb_search(var_cls, var_obj_off, var_obj_idx, order, sup,
         elif p == 1:
             phase[depth] = 2
             v = order[depth]
-            c = var_cls[v]
-            for k in range(var_obj_off[v], var_obj_off[v + 1]):
-                w = var_obj_idx[k]
-                cnt[c, w] -= 1
-                if cnt[c, w] == 0:
+            objs = var_objs[v]
+            if objs is None:
+                objs = var_objs[v] = var_obj_idx[offs[v]:offs[v + 1]].tolist()
+            row = cnt[var_cls[v]]
+            nbrs = nbr_rows[var_cls[v]]
+            for w in objs:
+                k = row[w] - 1
+                row[w] = k
+                if k == 0:
                     atoms -= 1
-                    for a in range(adj_off[c], adj_off[c + 1]):
-                        j = adj_idx[a]
-                        if cnt[j, w] > 0:
+                    for other in nbrs:
+                        if other[w] > 0:
                             conflicts -= 1
-                    ncov[w] -= 1
-                    if ncov[w] == 0 and coverable[w] == 1:
+                    k = ncov[w] - 1
+                    ncov[w] = k
+                    if k == 0 and coverable[w]:
                         uncovered += 1
             cur_mask[v] = 1
             cur_nelim += 1
@@ -166,24 +189,24 @@ def bnb_search(var_cls, var_obj_off, var_obj_idx, order, sup,
             phase[depth] = 0
         else:
             v = order[depth]
-            c = var_cls[v]
-            for k in range(var_obj_off[v], var_obj_off[v + 1]):
-                w = var_obj_idx[k]
-                if cnt[c, w] == 0:
+            row = cnt[var_cls[v]]
+            nbrs = nbr_rows[var_cls[v]]
+            for w in var_objs[v]:
+                k = row[w]
+                if k == 0:
                     atoms += 1
-                    for a in range(adj_off[c], adj_off[c + 1]):
-                        j = adj_idx[a]
-                        if cnt[j, w] > 0:
+                    for other in nbrs:
+                        if other[w] > 0:
                             conflicts += 1
-                    if ncov[w] == 0 and coverable[w] == 1:
+                    if ncov[w] == 0 and coverable[w]:
                         uncovered -= 1
                     ncov[w] += 1
-                cnt[c, w] += 1
+                row[w] = k + 1
             cur_mask[v] = 0
             cur_nelim -= 1
             depth -= 1
 
-    return found, best_obj, best_nelim, best_mask, nodes
+    return found, best_obj, best_nelim, np.array(best_mask, dtype=np.int8), nodes
 
 
 # ---------------------------------------------------------------------------

@@ -136,32 +136,38 @@ def heuristic_search(p_raw: ObservationSet,
     atoms = 0
     conflicts = 0
 
-    # rows surviving the rules, per epsilon
+    # rows surviving the rules per epsilon, with the positions where each
+    # (model, class) pair's run of rows starts among them
     flagged = flagged or {}
-    kept = {eps: ~(flagged[eps] if eps in flagged else split_flagged(p_raw, ruleset, eps))
-            for eps in config.epsilon_set}
+    survivors = []
+    for eps in config.epsilon_set:
+        rows = np.flatnonzero(~(flagged[eps] if eps in flagged
+                                else split_flagged(p_raw, ruleset, eps)))
+        survivors.append((eps, rows, p_raw.obj[rows],
+                          np.searchsorted(rows, p_raw.pair_start).tolist()))
 
     # each pair is visited once, so a pair's entries are never already
     # selected and its atoms (one class, distinct objects) never repeat
     selected = [np.zeros(0, dtype=np.int64)]
     steps = []
+    n_classes = len(p_raw.classes)
     for f, c in _pair_order(p_raw, config):
-        rows = p_raw.pair_rows(mi[f], ci[c])
-        best = None  # (atoms, conflicts, eps, survivor rows)
-        for eps in config.epsilon_set:
-            idx = np.flatnonzero(kept[eps][rows]) + rows.start
-            if not idx.size:
+        k = mi[f] * n_classes + ci[c]
+        best = None  # (atoms, conflicts, eps, survivor rows, their objects)
+        for eps, rows, objs, cut in survivors:
+            lo, hi = cut[k], cut[k + 1]
+            if lo == hi:
                 continue
             cand_atoms, cand_conf = kernels.union_stats(
-                pres, atoms, conflicts, p_raw.cls[idx], p_raw.obj[idx], adj_off, adj_idx)
+                pres, atoms, conflicts, ci[c], objs[lo:hi], adj_off, adj_idx)
             if cand_atoms <= atoms or cand_conf > budget:
                 continue
             if best is None or cand_atoms > best[0]:
-                best = (cand_atoms, cand_conf, eps, idx)
+                best = (cand_atoms, cand_conf, eps, rows[lo:hi], objs[lo:hi])
         chosen: Optional[float] = None
         if best is not None:
-            atoms, conflicts, chosen, idx = best
-            kernels.commit_atoms(pres, p_raw.cls[idx], p_raw.obj[idx])
+            atoms, conflicts, chosen, idx, add_w = best
+            kernels.commit_atoms(pres, ci[c], add_w)
             selected.append(idx)
         steps.append(SelectionStep(f, c, chosen, atoms, inconsistency(conflicts)))
 

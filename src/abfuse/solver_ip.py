@@ -16,9 +16,9 @@ built from first principles.  The tests hold an exhaustive reference solver
 for tiny instances (``tests/oracles.py``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -28,6 +28,28 @@ from .model_io import InputError, ObservationSet
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
+
+
+class Branching(NamedTuple):
+    """The search's view of an instance, the same at every delta.
+
+    One branch variable per (model, class) pair with support, in
+    (model, class) order: ``var_f``/``var_cls`` name its pair and
+    ``var_obj_idx[var_obj_off[v]:var_obj_off[v + 1]]`` lists its objects.
+    ``order`` visits the most supported variable first, ties in variable
+    order; ``sup[c, w]`` counts the pairs predicting class ``c`` for object
+    ``w``; ``(adj_off, adj_idx)`` is the exclusion adjacency over classes.
+    """
+
+    var_f: np.ndarray           # int64 (V,)
+    var_cls: np.ndarray         # int64 (V,)
+    var_obj_off: np.ndarray     # int64 (V + 1,)
+    var_obj_idx: np.ndarray     # int64 (total support,)
+    order: np.ndarray           # int64 (V,)
+    sup: np.ndarray             # int64 (C, N)
+    adj_off: np.ndarray         # int64 (C + 1,)
+    adj_idx: np.ndarray         # int64 (2 * pairs,)
+    max_deg: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +64,17 @@ class IpInstance:
     delta_budget: int
     normalizer_mode: str
     directed_ground_rules: bool
+    branching: Branching = field(repr=False)
 
     @property
     def shape(self) -> Tuple[int, int, int]:
         return self.pred.shape
+
+    def with_delta(self, delta: float) -> "IpInstance":
+        """The same instance at another ``delta``, sharing every array."""
+        return replace(self, delta=delta, delta_budget=violation_budget(
+            delta, len(self.objects), self.ic, self.normalizer_mode,
+            self.directed_ground_rules))
 
 
 @dataclass(eq=False)
@@ -85,7 +114,7 @@ class IpSolution:
     def con(self) -> Dict[Tuple[str, Tuple[str, str]], int]:
         inst = self.instance
         out = {}
-        for (a, b), (ia, ib) in zip(inst.ic.pairs, _ic_index_pairs(inst)):
+        for (a, b), (ia, ib) in zip(inst.ic.pairs, _ic_index_pairs(inst.classes, inst.ic)):
             both = (self.covered[ia] & self.covered[ib]).tolist()
             out.update(((w, (a, b)), int(v)) for w, v in zip(inst.objects, both))
         return out
@@ -96,7 +125,12 @@ def build_instance(obs: ObservationSet,
                    delta: float,
                    normalizer_mode: str = "per_object",
                    directed_ground_rules: bool = False) -> IpInstance:
-    """Pack an observation set into dense arrays plus the integer budget."""
+    """Pack an observation set into dense arrays plus the integer budget.
+
+    Only ``delta`` and ``delta_budget`` depend on ``delta``; a caller solving
+    one observation set at several deltas packs once and calls
+    :meth:`IpInstance.with_delta`.
+    """
     if not (0.0 <= delta <= 1.0):
         raise InputError(f"delta must be in [0, 1]: {delta!r}")
     for a, b in ic.pairs:
@@ -108,15 +142,26 @@ def build_instance(obs: ObservationSet,
     pred[obs.model, obs.cls, obs.obj] = 1
     coverable = pred.any(axis=(0, 1)).astype(np.uint8)
 
+    # branch only on pairs with support; empty pairs stay kept, which is
+    # optimal for the fewer-eliminations preference
+    support = pred.sum(axis=2, dtype=np.int64)    # (F, C)
+    var_f, var_cls = np.nonzero(support)
+    var_support = support[var_f, var_cls]
+    branching = Branching(
+        var_f, var_cls, np.concatenate(([0], np.cumsum(var_support))),
+        np.nonzero(pred)[2], np.argsort(-var_support, kind="stable"),
+        pred.sum(axis=0, dtype=np.int64),
+        *kernels.pair_adjacency(len(classes), _ic_index_pairs(classes, ic)), ic.max_degree())
+
     budget = violation_budget(delta, len(objects), ic,
                               normalizer_mode, directed_ground_rules)
-    return IpInstance(objects, models, classes, pred, coverable, ic,
-                      delta, budget, normalizer_mode, directed_ground_rules)
+    return IpInstance(objects, models, classes, pred, coverable, ic, delta, budget,
+                      normalizer_mode, directed_ground_rules, branching)
 
 
-def _ic_index_pairs(inst: IpInstance) -> list:
-    ci = {c: i for i, c in enumerate(inst.classes)}
-    return [(ci[a], ci[b]) for a, b in inst.ic.pairs]
+def _ic_index_pairs(classes: Tuple[str, ...], ic: IntegrityConstraintSet) -> list:
+    ci = {c: i for i, c in enumerate(classes)}
+    return [(ci[a], ci[b]) for a, b in ic.pairs]
 
 
 def _solution_from_elim(inst: IpInstance, elim_fc: np.ndarray,
@@ -137,30 +182,16 @@ def solve(instance: IpInstance) -> IpSolution:
     """Optimal solution, or a solution with infeasible status when the
     coverage and budget constraints cannot be met simultaneously."""
     F, C, N = instance.shape
-
-    # branch only on pairs with support; empty pairs stay kept, which is
-    # optimal for the fewer-eliminations preference
-    support = instance.pred.sum(axis=2, dtype=np.int64)    # (F, C)
-    var_f, var_cls = np.nonzero(support)
-    # each variable's objects, variables in (model, class) order
-    var_obj_idx = np.nonzero(instance.pred)[2]
-    var_obj_off = np.concatenate(([0], np.cumsum(support[var_f, var_cls])))
-    # most supported variable first, ties in variable order
-    order = np.argsort(-support[var_f, var_cls], kind="stable")
-
-    sup = instance.pred.sum(axis=0, dtype=np.int64)  # (C, N) supporter counts
-    adj_off, adj_idx = kernels.pair_adjacency(C, _ic_index_pairs(instance))
-
+    b = instance.branching
     found, best_obj, _, best_mask, nodes = kernels.bnb_search(
-        var_cls, var_obj_off, var_obj_idx, order, sup,
-        adj_off, adj_idx, instance.coverable.astype(np.int64),
-        instance.delta_budget, instance.ic.max_degree())
+        b.var_cls, b.var_obj_off, b.var_obj_idx, b.order, b.sup, b.adj_off, b.adj_idx,
+        instance.coverable, instance.delta_budget, b.max_deg)
 
     if not found:
         return _infeasible(instance, nodes)
 
     elim_fc = np.zeros((F, C), dtype=np.int8)
-    elim_fc[var_f, var_cls] = best_mask
+    elim_fc[b.var_f, b.var_cls] = best_mask
     sol = _solution_from_elim(instance, elim_fc, STATUS_OPTIMAL, nodes)
     if sol.objective != best_obj:
         raise AssertionError(

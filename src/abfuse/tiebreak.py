@@ -26,11 +26,12 @@ def first_per_group(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
 
 
 def resolve(obs: ObservationSet, rows: np.ndarray) -> np.ndarray:
-    """The winning row per object among ``rows`` of ``obs``, ascending
-    object.  The set's models and classes are sorted, so index order is id
-    order."""
-    return rows[first_per_group(obs.obj[rows], -obs.confidence[rows],
-                                obs.model[rows], obs.cls[rows])]
+    """The winning row per object among the ascending ``rows`` of ``obs``,
+    ascending object.  The set's rows run in (model, class, object) order
+    over sorted ids, so ascending rows put one object's exact confidence
+    ties in (model id, class id) order already, and the stable sort keeps
+    it."""
+    return rows[first_per_group(obs.obj[rows], -obs.confidence[rows])]
 
 
 def apply_tiebreaker(candidates: Iterable[Candidate]) -> Dict[str, Tuple[str, str, float]]:

@@ -4,8 +4,10 @@ Each helper recomputes from first principles what the pipeline computes
 incrementally or in bulk, so tests can compare the two.
 """
 
+import hashlib
 import json
 import math
+import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
@@ -13,12 +15,13 @@ import numpy as np
 
 from abfuse import solver_ip
 from abfuse.deduction import (NORMALIZER_MODES, DomainConfig, IntegrityConstraintSet,
-                              find_violations, inc_from_count)
+                              find_violations, inc_from_count, violation_budget)
 from abfuse.evaluation import Metrics
 from abfuse.edr import (Condition, ErrorRule, RuleSet, _learn_pair,
                         generate_candidates)
 from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError,
                              Observation, ObservationSet)
+from abfuse.solver_hs import HsConfig, SelectionStep
 
 
 # ------------------------------------------------------- deductive closure
@@ -182,6 +185,69 @@ def get_filtered_preds(model_id: str, class_id: str, epsilon: float,
                      and not flags(rule, e, siblings[e.object_id]))
 
 
+def heuristic_search_reference(p_raw: ObservationSet, config: HsConfig,
+                               ruleset: RuleSet, ic: IntegrityConstraintSet,
+                               normalizer_mode: str = "per_object",
+                               directed_ground_rules: bool = False,
+                               flagged: Optional[Mapping[float, np.ndarray]] = None
+                               ) -> Tuple[list, Tuple[SelectionStep, ...], int, float]:
+    """The greedy search of :mod:`abfuse.solver_hs`, stated per entry.
+
+    Visits the (model, class) pairs in order; for each it tries every
+    epsilon, adding that epsilon's surviving predictions of the pair to the
+    selection's atom set, and keeps the candidate whose atom set grows most
+    (smallest epsilon on ties) among those whose violated ground rules
+    (:func:`find_violations`) stay within :func:`violation_budget`.
+    Survivors come from the rules one entry at a time, or from ``flagged``
+    (a row mask per epsilon) where it has the epsilon.  Returns the selected
+    rows (ascending), the trace steps, the atom count and the Inc score.
+    """
+    n_objects = len(p_raw.objects)
+    budget = violation_budget(config.delta, n_objects, ic, normalizer_mode,
+                              directed_ground_rules)
+    entries = [Observation(p_raw.objects[w], p_raw.models[f], p_raw.classes[c], conf)
+               for w, f, c, conf in zip(p_raw.obj.tolist(), p_raw.model.tolist(),
+                                        p_raw.cls.tolist(), p_raw.confidence.tolist())]
+    row_of = {e: r for r, e in enumerate(entries)}
+    flagged = flagged or {}
+
+    def survivors(f, c, eps):
+        if eps in flagged:
+            return {r for r, e in enumerate(entries)
+                    if (e.model_id, e.class_id) == (f, c) and not flagged[eps][r]}
+        return {row_of[e] for e in get_filtered_preds(f, c, eps, p_raw, ruleset)}
+
+    def inc(atoms):
+        return inc_from_count(len(find_violations(atoms, ic)), n_objects, ic,
+                              normalizer_mode, directed_ground_rules)
+
+    if config.pair_order is not None:
+        order = list(config.pair_order)
+    else:
+        order = [(f, c) for f in p_raw.models for c in p_raw.classes]
+        if config.shuffle_seed is not None:
+            random.Random(config.shuffle_seed).shuffle(order)
+
+    selected: set = set()
+    atoms: frozenset = frozenset()
+    steps = []
+    for f, c in order:
+        best = None  # (atoms, epsilon, rows)
+        for eps in config.epsilon_set:
+            rows = survivors(f, c, eps)
+            grown = atoms | {(entries[r].class_id, entries[r].object_id) for r in rows}
+            if len(grown) <= len(atoms) or len(find_violations(grown, ic)) > budget:
+                continue
+            if best is None or len(grown) > len(best[0]):
+                best = (grown, eps, rows)
+        chosen = None
+        if best is not None:
+            atoms, chosen, rows = best
+            selected |= rows
+        steps.append(SelectionStep(f, c, chosen, len(atoms), inc(atoms)))
+    return sorted(selected), tuple(steps), len(atoms), inc(atoms)
+
+
 def calc_incon(entries: Iterable[Observation],
                ic: IntegrityConstraintSet,
                normalizer_mode: str = "per_object",
@@ -216,6 +282,23 @@ def flag_rate_on_correct(train: ObservationSet,
     return n_flagged / n_correct if n_correct else 0.0
 
 
+def fingerprint_reference(dataset) -> str:
+    """sha256 of a sweep dataset's JSON document, built whole with one
+    ``json.dumps`` (``SweepDataset.fingerprint`` streams it)."""
+    obs = dataset.observations
+    entries = sorted((obs.objects[w], obs.models[f], obs.classes[c], conf)
+                     for w, f, c, conf in zip(obs.obj.tolist(), obs.model.tolist(),
+                                              obs.cls.tolist(), obs.confidence.tolist()))
+    payload = json.dumps({
+        "entries": entries,
+        "objects": list(obs.objects),
+        "labels": sorted(dataset.gt_labels.items()),
+        "classes": list(dataset.domain.classes),
+        "ic": [list(p) for p in dataset.domain.ic.pairs],
+    }, separators=(",", ":")).encode()
+    return hashlib.sha256(payload).hexdigest()
+
+
 def brute_force_optimal(instance: solver_ip.IpInstance,
                         max_pairs: int = 12) -> solver_ip.IpSolution:
     """Exhaustive reference solver for tiny instances.
@@ -232,7 +315,7 @@ def brute_force_optimal(instance: solver_ip.IpInstance,
 
     pred = instance.pred.astype(bool)
     coverable = instance.coverable.astype(bool)
-    pairs_idx = solver_ip._ic_index_pairs(instance)
+    pairs_idx = solver_ip._ic_index_pairs(instance.classes, instance.ic)
 
     best = None  # (objective, n_elim, bits_tuple)
     for mask in range(1 << n):

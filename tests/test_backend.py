@@ -46,31 +46,35 @@ def test_count_conflicts_both_backends(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_union_stats_both_backends(seed):
+    """Probing one class at distinct objects, some of which may already
+    carry it, gives the counts of the naive union."""
     pres, pairs, rng = _random_arrays(seed)
     C, N = pres.shape
     off, idx = kernels.pair_adjacency(C, pairs)
-    n_add = int(rng.integers(0, 6))
-    add_c = rng.integers(0, C, n_add)
-    add_w = rng.integers(0, N, n_add)
+    c = int(rng.integers(0, C))
+    add_w = rng.permutation(N)[:int(rng.integers(0, N + 1))]
 
     union = pres.copy()
-    union[add_c, add_w] = 1
+    union[c, add_w] = 1
     expect = (int(union.sum()), _naive_conflicts(union, pairs))
 
-    ic = np.asarray(pairs, np.int64).reshape(-1, 2)
-    base = (int(pres.sum()), count_conflicts(pres, ic[:, 0], ic[:, 1]))
+    base = (int(pres.sum()), _naive_conflicts(pres, pairs))
     before = pres.copy()
-    assert kernels.union_stats(pres, base[0], base[1],
-                               add_c, add_w, off, idx) == expect
+    assert kernels.union_stats(pres, base[0], base[1], c, add_w, off, idx) == expect
     np.testing.assert_array_equal(pres, before)  # the probe leaves pres alone
 
 
 def test_union_stats_counts_duplicate_atoms_once():
-    pres = np.zeros((2, 1), np.uint8)
-    off, idx = kernels.pair_adjacency(2, [(0, 1)])
-    add_c = np.array([0, 0, 1], np.int64)
-    add_w = np.array([0, 0, 0], np.int64)
-    assert kernels.union_stats(pres, 0, 0, add_c, add_w, off, idx) == (2, 1)
+    """An atom already present adds neither an atom nor a conflict."""
+    pres = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 0]], np.uint8)
+    off, idx = kernels.pair_adjacency(3, [(0, 1), (1, 2)])
+    # class 0 at objects 0 (present) and 1 (new, against class 1 there)
+    assert kernels.union_stats(pres, 3, 1, 0, np.array([0, 1]), off, idx) == (4, 2)
+    # only present atoms: the union is pres itself
+    assert kernels.union_stats(pres, 3, 1, 1, np.array([1, 0]), off, idx) == (3, 1)
+    # a class without exclusion neighbours never adds a conflict
+    off0, idx0 = kernels.pair_adjacency(3, [(0, 1)])
+    assert kernels.union_stats(pres, 3, 1, 2, np.array([0, 1, 2]), off0, idx0) == (6, 1)
 
 
 def test_commit_atoms_writes_in_place():

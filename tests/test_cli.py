@@ -13,7 +13,9 @@ import pytest
 import abfuse
 from abfuse.baselines import majority_vote
 from abfuse.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
+from abfuse import solver_ip
 from abfuse.deduction import default_domain
+from abfuse.edr import RuleSet, apply_rules
 from abfuse.model_io import (load_dataset, observations_from_dataset, write_ground_truth,
                              write_manifest, write_predictions)
 
@@ -123,8 +125,10 @@ def test_eval_reproduces_abduce_metrics(dataset, tmp_path):
                  "--labels", str(out / "labels.jsonl"),
                  "--out", str(metrics_path)]) == EXIT_OK
     abduced = json.loads((out / "metrics.json").read_text())
-    # the budget depends on --delta, which eval does not take
+    # the budget depends on --delta, which eval does not take, and the node
+    # count on the search, which eval does not run
     assert abduced.pop("violation_budget") == 40  # floor(0.5 * 80 objects)
+    assert abduced.pop("nodes") >= 1
     assert json.loads(metrics_path.read_text()) == abduced
 
 
@@ -155,6 +159,23 @@ def test_abduce_metrics_carry_violations_and_budget(dataset, tmp_path):
         assert metrics["violation_budget"] == 24  # floor(0.3 * 80 objects)
         assert 0 <= metrics["violations"] <= 24
         assert metrics["inconsistency"] == metrics["violations"] / 80
+
+
+def test_abduce_ip_metrics_carry_the_node_count(dataset, tmp_path):
+    manifest, rules = dataset
+    data = ["--manifest", manifest, "--rules", rules, "--delta", "0.5"]
+    assert main(["abduce", *data, "--solver", "ip", "--epsilon", "0.1",
+                 "--out", str(tmp_path / "ip")]) == EXIT_OK
+    ds = load_dataset(manifest)
+    obs = observations_from_dataset(ds)
+    filtered, _ = apply_rules(obs, RuleSet.load(rules), 0.1)
+    dom = default_domain(ds.classes)
+    sol = solver_ip.solve(solver_ip.build_instance(filtered, dom.ic, 0.5))
+    metrics = json.loads((tmp_path / "ip" / "metrics.json").read_text())
+    assert sol.nodes >= 1 and metrics["nodes"] == sol.nodes
+    # the greedy's report has no search to count
+    assert main(["abduce", *data, "--solver", "hs", "--out", str(tmp_path / "hs")]) == EXIT_OK
+    assert "nodes" not in json.loads((tmp_path / "hs" / "metrics.json").read_text())
 
 
 def test_eval_counts_labels_outside_the_universe(dataset, tmp_path):
@@ -308,6 +329,38 @@ def test_abduce_and_sweep_leave_numpy_ma_unloaded(dataset, tmp_path):
         == ["exit 0 False"] * 3, proc.stdout
 
 
+def test_only_the_sweep_loads_openssl(dataset, tmp_path):
+    # hashlib loads OpenSSL (~3.6 MB resident); only the sweep's dataset
+    # fingerprint hashes anything
+    manifest, rules = dataset
+    data = ["--manifest", manifest, "--rules", rules]
+    runs = [["abduce", *data, "--solver", "hs", "--delta", "0.5", "--out", str(tmp_path / "hs")],
+            ["abduce", *data, "--solver", "ip", "--delta", "0.5", "--epsilon", "0.1",
+             "--out", str(tmp_path / "ip")],
+            ["sweep", *data, "--delta-grid", "0.5", "--epsilon-grid", "0.1",
+             "--no-timing", "--out", str(tmp_path / "sweep.csv")]]
+    code = ("import sys; from abfuse.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    print('exit', main(argv), '_hashlib' in sys.modules)\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert [ln for ln in proc.stdout.splitlines() if ln.startswith("exit ")] \
+        == ["exit 0 False", "exit 0 False", "exit 0 True"], proc.stdout
+
+
+def test_learn_leaves_numpy_ma_unloaded(dataset, tmp_path):
+    # np.quantile calls np.unique, which imports numpy.ma
+    manifest, _ = dataset
+    train = os.path.join(os.path.dirname(os.path.dirname(manifest)), "train", "manifest.json")
+    argv = ["learn", "--manifest", train, "--epsilon-grid", "0.1,0.5",
+            "--out", str(tmp_path / "rules.jsonl")]
+    code = ("import sys; from abfuse.cli import main\n"
+            f"print('exit', main({argv!r}), 'numpy.ma' in sys.modules)\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exit 0 False", proc.stdout
+
+
 # sha256 of ``labels.jsonl`` on the ``dataset`` fixture, taken before the
 # writer encoded whole columns: the bytes must not change
 PINNED_LABELS = {
@@ -320,6 +373,14 @@ PINNED_LABELS = {
     "mv": ("5c60a9a9a43d608f486941328d3bf8a59884fe73c8d5492e2973b88e8e2c6f4f",
            ["baseline", "--method", "mv"]),
 }
+
+
+def test_rules_bytes_are_pinned(dataset):
+    # sha256 of the ``dataset`` fixture's rules.jsonl, taken while
+    # ``generate_candidates`` still called ``np.quantile``
+    _, rules = dataset
+    assert hashlib.sha256(pathlib.Path(rules).read_bytes()).hexdigest() \
+        == "40193aca3f7c631dc8c807289a1aa2bfa8bb1728c537264aa2a4d1ef721ba825"
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_LABELS))

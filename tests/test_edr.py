@@ -3,13 +3,14 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abfuse import synthgen
-from abfuse.edr import (Condition, ErrorRule, RuleSet, apply_rules,
-                        generate_candidates, learn_ruleset, split_flagged)
+from abfuse.edr import (_QUANTILES, Condition, ErrorRule, RuleSet, _linear_quantiles,
+                        apply_rules, generate_candidates, learn_ruleset, split_flagged)
 from abfuse.model_io import InputError, Observation
 
 from conftest import empty_rules, obs_of
@@ -119,6 +120,29 @@ def test_candidate_pool_shared_across_classes():
                   ("o1", "f2", "car", 0.5)])
     cands = generate_candidates(obs)
     assert cands[("f1", "car")] == cands[("f1", "tree")]
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, np.float64).view(np.uint64),
+                          np.asarray(b, np.float64).view(np.uint64))
+
+
+@pytest.mark.parametrize("values", [[0.4], [0.3, 0.9], [0.9, 0.3], [0.5, 0.5],
+                                    [0.1, 0.7, 0.7, 0.7, 0.2], [1.0, 0.0, 1 / 3]])
+def test_linear_quantiles_match_numpy_on_small_and_tied_samples(values):
+    v = np.array(values)
+    for qs in (_QUANTILES, (0.0, 1.0), (0.5,), (0.25, 0.75, 0.999)):
+        assert _same_bits(_linear_quantiles(v, qs), np.quantile(v, qs)), (values, qs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.1, 0.25, 0.5, 0.8))),
+                min_size=1, max_size=40),
+       st.one_of(st.just(_QUANTILES),
+                 st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).map(tuple)))
+def test_linear_quantiles_match_numpy_bit_for_bit(values, qs):
+    v = np.array(values)
+    assert _same_bits(_linear_quantiles(v, qs), np.quantile(v, qs))
 
 
 # ----------------------------------------------------------------- learning

@@ -2,12 +2,14 @@
 
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abfuse import evaluation
 from abfuse.deduction import (NORMALIZER_MODES, DomainConfig,
                               IntegrityConstraintSet, default_domain)
 from abfuse.evaluation import (CSV_COLUMNS, METHODS, Metrics, SweepDataset,
@@ -21,7 +23,7 @@ from abfuse.synthgen import generate, preset, write_dataset
 from abfuse.tiebreak import resolve
 
 from conftest import empty_rules, obs_of
-from oracles import labels_to_atoms, score_reference
+from oracles import fingerprint_reference, labels_to_atoms, score_reference
 
 GT = {"o1": "car", "o2": "tree"}
 
@@ -266,6 +268,24 @@ def test_sweep_manifest(tmp_path):
     again = run_sweep(tiny_dataset(), methods=("mv",), delta_grid=(0.5,),
                       epsilon_grid=(0.5,), timing=False)
     assert again.manifest["dataset_fingerprint"] == man["dataset_fingerprint"]
+
+
+IDS = st.sampled_from(("o1", "o10", "o2", "é", "a\"b", "c\\d", "\u2028", "z"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(IDS, st.sampled_from(("f1", "f2", "m\u00fc")),
+                          st.sampled_from(("car", "tree", "b\u00e4r")),
+                          st.floats(0.0, 1.0)), unique_by=lambda r: (r[0], r[1])),
+       st.dictionaries(IDS, st.sampled_from(("car", "tree"))),
+       st.sampled_from((1, 2, 4096)))
+def test_fingerprint_matches_the_whole_document_hash(rows, labels, block):
+    # sorted (object, model) keys and sorted ids make the set's row order
+    # the document's entry order
+    obs = obs_of(rows, objects=sorted(labels), classes=["car", "tree"])
+    dataset = SweepDataset(obs, labels, empty_rules(), default_domain(obs.classes))
+    with mock.patch.object(evaluation, "_FINGERPRINT_BLOCK", block):
+        assert dataset.fingerprint() == fingerprint_reference(dataset)
 
 
 def test_sweep_full_grid_row_count():

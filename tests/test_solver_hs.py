@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abfuse import solver_ip, synthgen
 from abfuse.deduction import (IntegrityConstraintSet, default_domain,
@@ -12,7 +15,7 @@ from abfuse.model_io import InputError, Observation
 from abfuse.solver_hs import HsConfig, heuristic_search
 
 from conftest import SHARED_SEEDS, empty_rules, obs_of, random_instance
-from oracles import calc_incon, get_filtered_preds
+from oracles import calc_incon, get_filtered_preds, heuristic_search_reference
 
 IC_CT = IntegrityConstraintSet((("car", "tree"),))
 
@@ -275,3 +278,51 @@ def test_no_solver_exceeds_the_budget_at_delta_one():
         sol = solver_ip.solve(solver_ip.build_instance(obs, ic, 1.0, mode, directed))
         if sol.status == solver_ip.STATUS_OPTIMAL:
             assert sol.n_violations() <= budget, seed
+
+
+# ------------------------------------------------------- differential check
+
+EPSILONS = (0.1, 0.5, 0.9)
+CLASSES = ("A", "B", "C", "D")
+
+
+@st.composite
+def greedy_problems(draw):
+    """A small observation set with random rules, exclusion pairs, budget,
+    epsilon set, pair order and, sometimes, caller-supplied flag masks."""
+    models = [f"f{i}" for i in range(draw(st.integers(1, 3)))]
+    classes = list(CLASSES[:draw(st.integers(1, 4))])
+    objects = [f"o{i}" for i in range(draw(st.integers(1, 6)))]
+    rows = [(w, f, draw(st.sampled_from(classes)), draw(st.sampled_from((0.2, 0.5, 0.8))))
+            for f in models for w in objects if draw(st.booleans())]
+    obs = obs_of(rows, objects=objects, models=models, classes=classes)
+    pairs = [(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]]
+    ic = IntegrityConstraintSet(tuple(p for p in pairs if draw(st.booleans())))
+    eps_set = tuple(draw(st.lists(st.sampled_from(EPSILONS), min_size=1, max_size=3,
+                                  unique=True)))
+    conditions = st.one_of(
+        st.builds(lambda t: Condition("confidence_below", threshold=t),
+                  st.sampled_from((0.3, 0.6, 0.9))),
+        st.builds(lambda g: Condition("disagree_with", model=g), st.sampled_from(models)))
+    rules = {(f, c, e): ErrorRule(f, c, tuple(draw(st.lists(conditions, max_size=2))))
+             for f in models for c in classes for e in EPSILONS if draw(st.booleans())}
+    flagged = None
+    if draw(st.booleans()):
+        flagged = {e: np.array(draw(st.lists(st.booleans(), min_size=len(rows),
+                                             max_size=len(rows))), dtype=bool)
+                   for e in eps_set if draw(st.booleans())}
+    config = HsConfig(draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))), eps_set,
+                      shuffle_seed=draw(st.one_of(st.none(), st.integers(0, 9))))
+    return (obs, config, RuleSet(EPSILONS, rules), ic,
+            draw(st.sampled_from(("per_object", "per_ground_rule"))), draw(st.booleans()),
+            flagged)
+
+
+@settings(max_examples=200, deadline=None)
+@given(greedy_problems())
+def test_search_matches_the_per_entry_reference(problem):
+    res = heuristic_search(*problem)
+    rows, steps, n_atoms, inconsistency = heuristic_search_reference(*problem)
+    assert res.rows.tolist() == rows
+    assert res.trace.steps == steps
+    assert (res.n_atoms, res.inconsistency) == (n_atoms, inconsistency)

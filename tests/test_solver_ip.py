@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from abfuse import solver_ip
-from abfuse.deduction import IntegrityConstraintSet, find_violations
+from abfuse import solver_ip, synthgen
+from abfuse.deduction import IntegrityConstraintSet, default_domain, find_violations
+from abfuse.edr import apply_rules, learn_ruleset
 from abfuse.model_io import InputError
 from abfuse.solver_ip import (STATUS_INFEASIBLE, STATUS_OPTIMAL,
                               audit_solution, build_instance, solve)
@@ -129,6 +130,40 @@ def test_solve_matches_brute_force_in_full():
             assert got.objective == want.objective, f"seed {seed}"
             assert got.elim == want.elim, f"seed {seed}"
             assert audit_solution(inst, got) == [], f"seed {seed}"
+
+
+def test_with_delta_matches_a_fresh_build():
+    """An instance packed once and moved to each delta solves like one
+    built at that delta."""
+    for seed in range(3150, 3200):
+        obs, ic, _, mode, directed = random_instance(seed)
+        packed = build_instance(obs, ic, 0.0, mode, directed)
+        for delta in (0.0, 0.2, 0.5, 1.0):
+            moved, fresh = packed.with_delta(delta), build_instance(obs, ic, delta, mode, directed)
+            assert (moved.delta, moved.delta_budget) == (fresh.delta, fresh.delta_budget)
+            assert moved.branching is packed.branching
+            a, b = solve(moved), solve(fresh)
+            assert (a.status, a.objective, a.nodes) == (b.status, b.objective, b.nodes), seed
+            np.testing.assert_array_equal(a.eliminated, b.eliminated)
+    with pytest.raises(InputError):
+        packed.with_delta(1.5)
+
+
+def test_deep_search_visit_order_is_pinned():
+    """The 100-object, epsilon 0.01 instance of the scaling acceptance test
+    (24 branch variables): node counts pin the visit order, bound and
+    tie-break of the branch & bound."""
+    rules = synthgen.generate(synthgen.preset("MM_1", n_train=1000, n_test=2, seed=3))
+    ruleset = learn_ruleset(rules.train, rules.train_labels, (0.01, 0.1, 0.2, 0.5))
+    data = synthgen.generate(synthgen.preset("MM_1", n_train=2, n_test=100, seed=17))
+    filtered, _ = apply_rules(data.test, ruleset, 0.01)
+    packed = build_instance(filtered, default_domain(data.test.classes).ic, 0.5)
+    assert int((packed.pred.sum(axis=2) > 0).sum()) == 24
+    sol = solve(packed)
+    assert (sol.status, sol.objective, sol.nodes) == (STATUS_OPTIMAL, 148, 557_333)
+    assert audit_solution(packed, sol) == []
+    sol = solve(packed.with_delta(0.1))
+    assert (sol.status, sol.nodes) == (STATUS_INFEASIBLE, 558_713)
 
 
 def test_solve_invariant_under_model_relabeling():
