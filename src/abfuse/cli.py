@@ -7,16 +7,19 @@ and ``baseline`` (reference methods).
 
 Exit codes: 0 success, 1 invalid input or usage, 2 the exact solver proved
 the instance infeasible.
+
+Each subcommand imports the modules it needs when it runs, so a process
+compiles only those: ``gen`` never loads the solvers, ``learn`` only
+``model_io`` and ``edr``.  :func:`entry`, the process entry point, freezes
+the heap before exiting so interpreter shutdown has nothing to collect.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
 
-from . import baselines, evaluation, solver_hs, solver_ip, tiebreak
-from .deduction import default_domain, load_domain_config, violation_budget
-from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules, learn_ruleset
 from .model_io import (InputError, coverage_report, json_numbers, json_strings,
                        load_dataset, observations_from_dataset, read_jsonl,
                        write_rows)
@@ -51,6 +54,8 @@ def _parse_grid(text: str, name: str) -> tuple:
 
 
 def _domain_for(args, classes):
+    from .deduction import default_domain, load_domain_config
+
     path = getattr(args, "domain_config", None) or os.environ.get("ABFUSE_DOMAIN_CONFIG")
     if path:
         return load_domain_config(path)
@@ -73,7 +78,7 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _metrics_dict(m: evaluation.Metrics, status: str = "ok") -> dict:
+def _metrics_dict(m, status: str = "ok") -> dict:
     return {
         "precision": m.precision, "recall": m.recall, "f1": m.f1,
         "accuracy": m.accuracy, "inconsistency": m.inconsistency,
@@ -126,6 +131,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    from .edr import learn_ruleset
+
     ds, obs = _load_obs(args)
     grid = _parse_grid(args.epsilon_grid, "epsilon")
     ruleset = learn_ruleset(obs, ds.labels(), epsilon_grid=grid)
@@ -135,6 +142,10 @@ def cmd_learn(args) -> int:
 
 
 def cmd_abduce(args) -> int:
+    from . import evaluation, tiebreak
+    from .deduction import violation_budget
+    from .edr import RuleSet
+
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
     ruleset = RuleSet.load(args.rules)
@@ -144,6 +155,9 @@ def cmd_abduce(args) -> int:
     if args.solver == "ip":
         if args.epsilon is None:
             raise InputError("--epsilon is required with --solver ip")
+        from . import solver_ip
+        from .edr import apply_rules
+
         filtered, _ = apply_rules(obs, ruleset, args.epsilon)
         instance = solver_ip.build_instance(
             filtered, domain.ic, args.delta,
@@ -155,6 +169,8 @@ def cmd_abduce(args) -> int:
             return EXIT_INFEASIBLE
         solved, rows = filtered, filtered.rows_within(sol.covered)
     else:
+        from . import solver_hs
+
         eps_set = _parse_grid(args.epsilon_set, "epsilon") if args.epsilon_set \
             else ruleset.epsilon_grid
         config = solver_hs.HsConfig(args.delta, eps_set)
@@ -186,10 +202,14 @@ def cmd_abduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import evaluation
+    from .edr import RuleSet
+
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
     ruleset = RuleSet.load(args.rules)
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    methods = evaluation.METHODS if args.methods is None else \
+        tuple(m.strip() for m in args.methods.split(",") if m.strip())
     dataset = evaluation.SweepDataset(obs, ds.labels(), ruleset, domain,
                                       name=os.path.basename(args.manifest))
     result = evaluation.run_sweep(
@@ -205,6 +225,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation
+
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
     atoms = set()
@@ -222,6 +244,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from . import baselines, evaluation
+
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
     os.makedirs(args.out, exist_ok=True)
@@ -299,7 +323,8 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("sweep", help="evaluate methods over a (delta, epsilon) grid")
     dataset_args(s, rules=True)
-    s.add_argument("--methods", default=",".join(evaluation.METHODS))
+    s.add_argument("--methods", default=None,
+                   help="comma-separated methods (default: every method)")
     s.add_argument("--delta-grid", default=DEFAULT_GRID)
     s.add_argument("--epsilon-grid", default=DEFAULT_GRID)
     s.add_argument("--repeats", type=int, default=1)
@@ -334,5 +359,15 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def entry() -> None:
+    """Run the command named by ``sys.argv`` and exit the process with its
+    code.  The heap is frozen first, so the full collections of interpreter
+    shutdown have nothing to traverse; in-process :func:`main` calls leave
+    the collector as they found it."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -18,7 +18,6 @@ from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tupl
 
 import numpy as np
 
-from . import baselines, solver_hs, solver_ip, tiebreak
 from .deduction import DomainConfig, count_violations, inc_from_count
 from .edr import RuleSet, apply_rules
 from .model_io import InputError, ObservationSet, index_of, json_numbers, json_strings
@@ -205,6 +204,8 @@ def _row_worker(args) -> list:
     solvers, and the filtered set is packed for the exact solver once, for
     every delta; under timing each cell's runtime is that shared work plus
     its own solve, from raw observations plus rules to a solution."""
+    from . import solver_hs, solver_ip, tiebreak
+
     dataset, truth, deltas, epsilon, methods, repeats, timing = args
     dom, obs = dataset.domain, dataset.observations
     n = len(obs.objects)
@@ -258,6 +259,8 @@ def _row_worker(args) -> list:
 
 def _baseline_cells(dataset: SweepDataset, truth: Truth, methods: Sequence[str]) -> list:
     """Grid-independent rows, computed once and replicated over the grid."""
+    from . import baselines
+
     dom, obs = dataset.domain, dataset.observations
     out = []
     if "mv" in methods:

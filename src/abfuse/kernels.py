@@ -14,6 +14,8 @@ Array conventions (shared with the solvers):
   over class indices.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -61,11 +63,12 @@ def commit_atoms(pres, add_c, add_w):
 #   atoms       total covered (c, w) cells
 #   conflicts   mutual-exclusion violations among covered cells
 #   uncovered   coverable objects with ncov == 0
-# A variable's objects are listed the first time it is branched on, so a
-# search that ends at the root pays only for the initial counts.  Everything
-# that does not depend on the budget (variables, their objects, the visit
-# order, the supporter counts, the adjacency) is packed once by
-# ``solver_ip.build_instance`` and shared by the solves of every delta.
+# Everything that does not depend on the budget (variables, the visit order,
+# the initial counts and totals, the adjacency) is built once per instance
+# by ``search_start`` and shared by the solves of every delta; each solve
+# copies only the count rows it mutates.  A variable's objects are listed
+# the first time any solve branches on it, so a search that ends at the root
+# pays only for those copies.
 # Eliminations only shrink coverage, so an uncovered object can never recover
 # deeper in the subtree (infeasibility prune), and the all-keep completion of
 # a within-budget node dominates the rest of its subtree (fathom rule).  When
@@ -81,35 +84,61 @@ def commit_atoms(pres, add_c, add_w):
 # count never hides a tie-break winner.
 
 
-def bnb_search(var_cls, var_obj_off, var_obj_idx, order, sup,
-               adj_off, adj_idx, coverable, budget, max_deg):
-    """Run the branch & bound.
+class SearchStart(NamedTuple):
+    """The search's state at the root, as Python lists, with the inputs that
+    no solve changes.  Built once per instance by :func:`search_start`;
+    :func:`bnb_search` copies ``cnt``'s mutated rows and ``ncov``."""
+
+    var_cls: list           # class of each branch variable
+    order: list             # visit order of the variables
+    offs: list              # var_obj_idx[offs[v]:offs[v + 1]] are v's objects
+    var_obj_idx: np.ndarray
+    var_objs: list          # v's objects as a list, filled on first branch
+    cnt: list               # cnt[c][w] at the root
+    ncov: list              # ncov[w] at the root
+    coverable: list         # bool per object
+    nbrs: list              # each class's exclusion neighbours
+    atoms: int
+    conflicts: int
+    uncovered: int
+    max_deg: int
+
+
+def search_start(var_cls, var_obj_off, var_obj_idx, order, sup,
+                 adj_off, adj_idx, coverable, max_deg) -> SearchStart:
+    """The root state of the branch & bound over the given variables:
+    ``var_obj_idx[var_obj_off[v]:var_obj_off[v + 1]]`` lists variable
+    ``v``'s objects, ``sup[c, w]`` counts the supporters of atom ``(c, w)``
+    and ``(adj_off, adj_idx)`` is the exclusion adjacency."""
+    covered = sup > 0
+    ncov = covered.sum(axis=0)
+    pa, pb = _edges(adj_off, adj_idx)
+    return SearchStart(
+        var_cls.tolist(), order.tolist(), var_obj_off.tolist(), var_obj_idx,
+        [None] * var_cls.shape[0], sup.tolist(), ncov.tolist(), (coverable != 0).tolist(),
+        [adj_idx[adj_off[c]:adj_off[c + 1]].tolist() for c in range(sup.shape[0])],
+        int(ncov.sum()), int((covered[pa] & covered[pb]).sum()),
+        int(((coverable != 0) & (ncov == 0)).sum()), max(1, int(max_deg)))
+
+
+def bnb_search(start: SearchStart, budget):
+    """Run the branch & bound from ``start`` within ``budget`` conflicts.
 
     Returns ``(found, best_obj, best_nelim, best_mask, nodes)`` where
     ``best_mask`` holds the elimination bit per branch variable.  ``found``
     is False when no elimination pattern covers every coverable object
     within the conflict budget.
     """
-    n_vars = var_cls.shape[0]
-    max_deg = max(1, max_deg)
-
-    covered = sup > 0
-    ncov = covered.sum(axis=0)
-    atoms = int(ncov.sum())
-    pa, pb = _edges(adj_off, adj_idx)
-    conflicts = int((covered[pa] & covered[pb]).sum())
-    uncovered = int(((coverable != 0) & (ncov == 0)).sum())
-
-    cnt = sup.tolist()
-    ncov = ncov.tolist()
-    coverable = (coverable != 0).tolist()
-    var_cls = var_cls.tolist()
-    order = order.tolist()
-    offs = var_obj_off.tolist()
+    var_cls, order, offs, coverable = start.var_cls, start.order, start.offs, start.coverable
+    var_obj_idx, var_objs, max_deg = start.var_obj_idx, start.var_objs, start.max_deg
+    atoms, conflicts, uncovered = start.atoms, start.conflicts, start.uncovered
+    n_vars = len(var_cls)
+    cnt = list(start.cnt)
+    for c in set(var_cls):
+        cnt[c] = cnt[c][:]
+    ncov = start.ncov[:]
     # the count rows of each class's exclusion neighbours
-    nbr_rows = [[cnt[j] for j in adj_idx[adj_off[c]:adj_off[c + 1]].tolist()]
-                for c in range(len(cnt))]
-    var_objs = [None] * n_vars
+    nbr_rows = [[cnt[j] for j in nbrs] for nbrs in start.nbrs]
 
     found = False
     best_obj = -1

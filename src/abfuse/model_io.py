@@ -48,6 +48,7 @@ tables the loaders return.  They encode each column at once and write
 the bytes of one ``json.dumps`` per row.
 """
 
+import gc
 import json
 import json.scanner
 import os
@@ -435,16 +436,24 @@ def _records(path: str) -> tuple:
     that line, or is None.
 
     Each stripped line takes one call of json's scanner, which must end at
-    the line's end.  Only when a line fails is the file decoded again line
-    by line with ``json.loads``, which words the error.
+    the line's end.  The collector is paused for that bulk decode, which
+    builds many container objects and no cycles.  Only when a line fails is
+    the file decoded again line by line with ``json.loads``, which words the
+    error.
     """
     lines = list(map(str.strip, read_text(path).split("\n")))
     numbers = list(compress(count(1), lines))
     lines = list(filter(None, lines))
     try:
-        # a line holding no JSON value raises StopIteration, which ends the
-        # map early: the list of end offsets then comes out short
-        decoded = list(map(_SCAN, lines, repeat(0)))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            # a line holding no JSON value raises StopIteration, which ends
+            # the map early: the list of end offsets then comes out short
+            decoded = list(map(_SCAN, lines, repeat(0)))
+        finally:
+            if enabled:
+                gc.enable()
         records = list(map(itemgetter(0), decoded))
         if (list(map(itemgetter(1), decoded)) == list(map(len, lines))
                 and set(map(type, records)) <= {dict}):

@@ -34,22 +34,16 @@ class Branching(NamedTuple):
     """The search's view of an instance, the same at every delta.
 
     One branch variable per (model, class) pair with support, in
-    (model, class) order: ``var_f``/``var_cls`` name its pair and
-    ``var_obj_idx[var_obj_off[v]:var_obj_off[v + 1]]`` lists its objects.
-    ``order`` visits the most supported variable first, ties in variable
-    order; ``sup[c, w]`` counts the pairs predicting class ``c`` for object
-    ``w``; ``(adj_off, adj_idx)`` is the exclusion adjacency over classes.
+    (model, class) order: ``var_f``/``var_cls`` name its pair.  ``start``
+    is the search's root state (:class:`kernels.SearchStart`): each
+    variable's objects, the visit order (the most supported variable first,
+    ties in variable order), the supporter counts per (class, object) and
+    the exclusion adjacency over classes.
     """
 
     var_f: np.ndarray           # int64 (V,)
     var_cls: np.ndarray         # int64 (V,)
-    var_obj_off: np.ndarray     # int64 (V + 1,)
-    var_obj_idx: np.ndarray     # int64 (total support,)
-    order: np.ndarray           # int64 (V,)
-    sup: np.ndarray             # int64 (C, N)
-    adj_off: np.ndarray         # int64 (C + 1,)
-    adj_idx: np.ndarray         # int64 (2 * pairs,)
-    max_deg: int
+    start: kernels.SearchStart
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,11 +141,12 @@ def build_instance(obs: ObservationSet,
     support = pred.sum(axis=2, dtype=np.int64)    # (F, C)
     var_f, var_cls = np.nonzero(support)
     var_support = support[var_f, var_cls]
-    branching = Branching(
-        var_f, var_cls, np.concatenate(([0], np.cumsum(var_support))),
+    branching = Branching(var_f, var_cls, kernels.search_start(
+        var_cls, np.concatenate(([0], np.cumsum(var_support))),
         np.nonzero(pred)[2], np.argsort(-var_support, kind="stable"),
         pred.sum(axis=0, dtype=np.int64),
-        *kernels.pair_adjacency(len(classes), _ic_index_pairs(classes, ic)), ic.max_degree())
+        *kernels.pair_adjacency(len(classes), _ic_index_pairs(classes, ic)),
+        coverable, ic.max_degree()))
 
     budget = violation_budget(delta, len(objects), ic,
                               normalizer_mode, directed_ground_rules)
@@ -183,9 +178,7 @@ def solve(instance: IpInstance) -> IpSolution:
     coverage and budget constraints cannot be met simultaneously."""
     F, C, N = instance.shape
     b = instance.branching
-    found, best_obj, _, best_mask, nodes = kernels.bnb_search(
-        b.var_cls, b.var_obj_off, b.var_obj_idx, b.order, b.sup, b.adj_off, b.adj_idx,
-        instance.coverable, instance.delta_budget, b.max_deg)
+    found, best_obj, _, best_mask, nodes = kernels.bnb_search(b.start, instance.delta_budget)
 
     if not found:
         return _infeasible(instance, nodes)

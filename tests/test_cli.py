@@ -1,6 +1,7 @@
 """End-to-end command-line workflows."""
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -444,6 +445,117 @@ def test_cli_import_leaves_the_generator_and_process_pool_unloaded():
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_names_resolve_on_first_use():
+    # ``import abfuse`` compiles no submodule; each public name and each
+    # submodule is imported when first read
+    code = ("import sys, abfuse\n"
+            "print(sorted(m for m in sys.modules if m.startswith('abfuse.')))\n"
+            "from abfuse.solver_ip import solve\n"
+            "assert abfuse.solve is solve and abfuse.kernels is sys.modules['abfuse.kernels']\n"
+            "assert set(abfuse.__all__) <= set(dir(abfuse))\n"
+            "import abfuse.edr, abfuse.evaluation, abfuse.model_io, abfuse.solver_hs\n"
+            "for name in abfuse.__all__:\n"
+            "    assert getattr(abfuse, name) is getattr(\n"
+            "        sys.modules[getattr(abfuse, name).__module__], name), name\n"
+            "try:\n"
+            "    abfuse.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "module 'abfuse' has no attribute 'no_such_name'"], proc.stdout
+
+
+_BASE_MODULES = {"cli", "model_io"}
+_SOLVING_MODULES = _BASE_MODULES | {"deduction", "edr", "evaluation", "kernels", "tiebreak"}
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("gen", _BASE_MODULES | {"deduction", "synthgen"}),
+    ("learn", _BASE_MODULES | {"edr"}),
+    ("abduce-hs", _SOLVING_MODULES | {"solver_hs"}),
+    ("abduce-ip", _SOLVING_MODULES | {"solver_ip"}),
+    ("sweep", _SOLVING_MODULES | {"solver_hs", "solver_ip", "baselines"}),
+])
+def test_each_command_loads_only_its_modules(dataset, tmp_path, command, loaded):
+    # a process compiles every module it imports when bytecode is not cached
+    manifest, rules = dataset
+    train = os.path.join(os.path.dirname(os.path.dirname(manifest)), "train", "manifest.json")
+    data = ["--manifest", manifest, "--rules", rules]
+    argv = {
+        "gen": ["gen", "--preset", "UM_1", "--models", "2", "--n-train", "20",
+                "--n-test", "20", "--out", str(tmp_path / "gen")],
+        "learn": ["learn", "--manifest", train, "--epsilon-grid", "0.1,0.5",
+                  "--out", str(tmp_path / "rules.jsonl")],
+        "abduce-hs": ["abduce", *data, "--solver", "hs", "--delta", "0.5",
+                      "--out", str(tmp_path / "hs")],
+        "abduce-ip": ["abduce", *data, "--solver", "ip", "--delta", "0.5",
+                      "--epsilon", "0.1", "--out", str(tmp_path / "ip")],
+        "sweep": ["sweep", *data, "--delta-grid", "0.5", "--epsilon-grid", "0.1",
+                  "--no-timing", "--out", str(tmp_path / "sweep.csv")],
+    }[command]
+    code = ("import sys; from abfuse.cli import main\n"
+            f"print('exit', main({argv!r}))\n"
+            "print(sorted(m[len('abfuse.'):] for m in sys.modules if m.startswith('abfuse.')))\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["exit 0", repr(sorted(loaded))], proc.stdout
+
+
+def test_process_exit_codes_and_outputs(dataset, tmp_path):
+    # ``python -m abfuse.cli`` exits through ``entry``, which freezes the
+    # heap before ``sys.exit``: same bytes and exit codes as ``main``
+    manifest, rules = dataset
+    argv = ["abduce", "--manifest", manifest, "--rules", rules, "--solver", "hs",
+            "--delta", "0.5"]
+    assert main([*argv, "--out", str(tmp_path / "in_process")]) == EXIT_OK
+    proc = _python("-m", "abfuse.cli", *argv, "--out", str(tmp_path / "process"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for name in ("labels.jsonl", "metrics.json", "trace.jsonl"):
+        assert (tmp_path / "process" / name).read_bytes() \
+            == (tmp_path / "in_process" / name).read_bytes(), name
+
+    conflict, conflict_rules = conflict_dataset(tmp_path)
+    proc = _python("-m", "abfuse.cli", "abduce", "--manifest", conflict,
+                   "--rules", conflict_rules, "--solver", "ip", "--delta", "0",
+                   "--epsilon", "0.5", "--out", str(tmp_path / "ip"))
+    assert proc.returncode == EXIT_INFEASIBLE, proc.stderr
+    assert "infeasible" in proc.stderr
+
+    preds = tmp_path / "conflict" / "f1.jsonl"
+    preds.write_text(preds.read_text() + '{"image_id": \n')
+    proc = _python("-m", "abfuse.cli", "abduce", "--manifest", conflict, "--rules",
+                   conflict_rules, "--solver", "hs", "--delta", "0.5",
+                   "--out", str(tmp_path / "bad"))
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith(f"error: {preds}:3: invalid JSON"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_console_script_is_the_process_entry():
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert 'abfuse = "abfuse.cli:entry"' in pyproject.read_text()
+
+
+def test_in_process_main_leaves_the_collector_as_found(dataset, tmp_path):
+    # only ``entry`` freezes the heap, and the loaders' pause of the
+    # collector is undone also when a line fails to decode
+    manifest, rules = dataset
+    conflict, _ = conflict_dataset(tmp_path)
+    preds = tmp_path / "conflict" / "f2.jsonl"
+    preds.write_text("[1, 2\n" + preds.read_text())
+    frozen = gc.get_freeze_count()
+    for argv, code in (
+            (["abduce", "--manifest", manifest, "--rules", rules, "--solver", "hs",
+              "--delta", "0.5", "--out", str(tmp_path / "hs")], EXIT_OK),
+            (["baseline", "--manifest", conflict, "--method", "mv",
+              "--out", str(tmp_path / "mv")], EXIT_INPUT)):
+        assert main(argv) == code
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == frozen
 
 
 def test_sweep_rejects_bad_grids(dataset, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Boxes, IoU, the two-stage matcher, and JSONL/dataset round-trips."""
 
+import gc
 import json
 from functools import partial
 from unittest import mock
@@ -556,6 +557,22 @@ def test_manifest_field_types(tmp_path, key, value, message):
     p.write_text(json.dumps(raw))
     with pytest.raises(InputError, match=message):
         load_dataset(str(p))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", ['{"a": 1}\n{"b": [2]}\n', '{"a": 1}\n{"b": [2\n', "[]\n"])
+def test_records_restore_the_collector_state(tmp_path, enabled, text):
+    # the bulk decode pauses the collector and puts back the state it found,
+    # also when a line is not one JSON object
+    path = tmp_path / "x.jsonl"
+    path.write_text(text)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        model_io._records(str(path))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_jsonl_records_must_be_objects(tmp_path):
