@@ -144,7 +144,7 @@ def cmd_learn(args) -> int:
 def cmd_abduce(args) -> int:
     from . import evaluation, tiebreak
     from .deduction import violation_budget
-    from .edr import RuleSet
+    from .edr import RuleSet, apply_rules
 
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
@@ -156,7 +156,6 @@ def cmd_abduce(args) -> int:
         if args.epsilon is None:
             raise InputError("--epsilon is required with --solver ip")
         from . import solver_ip
-        from .edr import apply_rules
 
         filtered, _ = apply_rules(obs, ruleset, args.epsilon)
         instance = solver_ip.build_instance(

@@ -112,13 +112,14 @@ def search_start(var_cls, var_obj_off, var_obj_idx, order, sup,
     and ``(adj_off, adj_idx)`` is the exclusion adjacency."""
     covered = sup > 0
     ncov = covered.sum(axis=0)
+    coverable = coverable != 0
     pa, pb = _edges(adj_off, adj_idx)
     return SearchStart(
         var_cls.tolist(), order.tolist(), var_obj_off.tolist(), var_obj_idx,
-        [None] * var_cls.shape[0], sup.tolist(), ncov.tolist(), (coverable != 0).tolist(),
+        [None] * var_cls.shape[0], sup.tolist(), ncov.tolist(), coverable.tolist(),
         [adj_idx[adj_off[c]:adj_off[c + 1]].tolist() for c in range(sup.shape[0])],
         int(ncov.sum()), int((covered[pa] & covered[pb]).sum()),
-        int(((coverable != 0) & (ncov == 0)).sum()), max(1, int(max_deg)))
+        int((coverable & (ncov == 0)).sum()), max(1, int(max_deg)))
 
 
 def bnb_search(start: SearchStart, budget):
