@@ -15,6 +15,7 @@ the heap before exiting so interpreter shutdown has nothing to collect.
 """
 
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -78,14 +79,8 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _metrics_dict(m, status: str = "ok") -> dict:
-    return {
-        "precision": m.precision, "recall": m.recall, "f1": m.f1,
-        "accuracy": m.accuracy, "inconsistency": m.inconsistency,
-        "violations": m.violations,
-        "runtime_per_object": m.runtime_per_object,
-        "n_objects": m.n_objects, "status": status,
-    }
+def _metrics_dict(m) -> dict:
+    return {**dataclasses.asdict(m), "status": "ok"}
 
 
 def _write_labels(path: str, obs, rows, sources: bool = False) -> None:

@@ -12,7 +12,8 @@ class pairs, and derives:
 
 The solvers compute that closure in bulk over arrays; ``tests/oracles.py``
 keeps a per-entry statement of it (``fixpoint``).  This module holds what
-they share: the constraint set, the violated ground rules
+they share: the constraint set with its one class-index form
+(:meth:`IntegrityConstraintSet.index_pairs`), the violated ground rules
 (:func:`count_violations` on a (class, object) coverage array,
 :func:`find_violations` on atoms) and the inconsistency score Inc, which
 normalizes the violation count in one of two modes.  Both solvers accept a
@@ -24,9 +25,10 @@ greedy search may leave an object without any assignment.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .model_io import InputError, read_json
 
@@ -74,8 +76,19 @@ class IntegrityConstraintSet:
         a, b = pair
         return _canon_pair(a, b) in self.pairs
 
-    def max_degree(self) -> int:
-        return max(Counter(c for pair in self.pairs for c in pair).values(), default=0)
+    def check_within(self, classes: Sequence[str]) -> None:
+        """Reject a pair naming a class outside ``classes``."""
+        for a, b in self.pairs:
+            if a not in classes or b not in classes:
+                raise InputError(f"exclusion pair ({a!r}, {b!r}) outside the class universe")
+
+    def index_pairs(self, classes: Sequence[str]) -> np.ndarray:
+        """The pairs as indices into ``classes``: an int64 array of shape
+        (2, K), one column per pair in ``pairs`` order, dropping any pair
+        that names a class outside ``classes``."""
+        at = {c: i for i, c in enumerate(classes)}
+        return np.array([(at[a], at[b]) for a, b in self.pairs if a in at and b in at],
+                        dtype=np.int64).reshape(-1, 2).T
 
 
 def find_violations(assigned: Iterable[Tuple[str, str]],
@@ -89,12 +102,8 @@ def find_violations(assigned: Iterable[Tuple[str, str]],
 def count_violations(cov, classes, ic: IntegrityConstraintSet) -> int:
     """Ground rules violated by a bool (C, N) coverage whose class axis is
     ``classes``; a pair naming a class outside it is never violated."""
-    at = {c: i for i, c in enumerate(classes)}
-    pairs = [(at[a], at[b]) for a, b in ic.pairs if a in at and b in at]
-    if not pairs:
-        return 0
-    ia, ib = zip(*pairs)
-    return int((cov[list(ia)] & cov[list(ib)]).sum())
+    a, b = ic.index_pairs(classes)
+    return int((cov[a] & cov[b]).sum())
 
 
 def inc_from_count(n_violations: int,

@@ -34,11 +34,12 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class Condition:
+    """``disagree_with`` fires where ``model`` predicts another class for the
+    object; ``confidence_below`` where the confidence is below ``threshold``."""
+
     kind: str
     model: Optional[str] = None
     threshold: Optional[float] = None
-    class_id: Optional[str] = None
-    parts: Tuple["Condition", ...] = ()
 
     def __post_init__(self):
         if self.kind == "disagree_with":
@@ -47,23 +48,13 @@ class Condition:
         elif self.kind == "confidence_below":
             if self.threshold is None or not (0.0 <= self.threshold <= 1.0):
                 raise InputError(f"confidence_below needs a threshold in [0, 1]: {self.threshold!r}")
-        elif self.kind == "class_is":
-            if not self.class_id:
-                raise InputError("class_is needs a class id")
-        elif self.kind == "conjunction":
-            if len(self.parts) < 2:
-                raise InputError("conjunction needs at least two parts")
         else:
             raise InputError(f"unknown condition kind {self.kind!r}")
 
     def to_json(self) -> dict:
         if self.kind == "disagree_with":
             return {"kind": self.kind, "model": self.model}
-        if self.kind == "confidence_below":
-            return {"kind": self.kind, "threshold": self.threshold}
-        if self.kind == "class_is":
-            return {"kind": self.kind, "class": self.class_id}
-        return {"kind": self.kind, "parts": [p.to_json() for p in self.parts]}
+        return {"kind": self.kind, "threshold": self.threshold}
 
     @classmethod
     def from_json(cls, raw: Mapping) -> "Condition":
@@ -74,10 +65,6 @@ class Condition:
             return cls(kind, model=str(raw["model"]))
         if kind == "confidence_below":
             return cls(kind, threshold=float(raw["threshold"]))
-        if kind == "class_is":
-            return cls(kind, class_id=str(raw["class"]))
-        if kind == "conjunction":
-            return cls(kind, parts=tuple(cls.from_json(p) for p in raw["parts"]))
         raise InputError(f"unknown condition kind {kind!r}")
 
 
@@ -148,28 +135,17 @@ class RuleSet:
         return cls(tuple(sorted(grid)), rules)
 
 
-def _condition_mask(cond: Condition, obs: ObservationSet, rows: slice, model: int) -> np.ndarray:
+def _condition_mask(cond: Condition, obs: ObservationSet, rows: slice) -> np.ndarray:
     """Boolean mask of where ``cond`` fires on the rows ``rows`` of ``obs``,
-    which all hold predictions of model index ``model`` for one class."""
+    which all hold one (model, class) pair's predictions."""
     if cond.kind == "confidence_below":
         return obs.confidence[rows] < cond.threshold
-    if cond.kind == "conjunction":
-        out = _condition_mask(cond.parts[0], obs, rows, model)
-        for part in cond.parts[1:]:
-            out &= _condition_mask(part, obs, rows, model)
-        return out
+    # disagree_with: the other model's prediction for the object, of another class
     obj = obs.obj[rows]
-    if cond.kind == "disagree_with":
-        # another model's prediction for the object, of a different class
-        if cond.model not in obs.models:
-            return np.zeros(obj.shape, dtype=bool)
-        other = obs.grid[obs.models.index(cond.model), obj]
-        return (other != -1) & (other != obs.cls[rows])
-    # class_is: some other model predicts that class for the object
-    if cond.class_id not in obs.classes:
+    if cond.model not in obs.models:
         return np.zeros(obj.shape, dtype=bool)
-    others = np.delete(obs.grid, model, axis=0)[:, obj]
-    return (others == obs.classes.index(cond.class_id)).any(axis=0)
+    other = obs.grid[obs.models.index(cond.model), obj]
+    return (other != -1) & (other != obs.cls[rows])
 
 
 def _linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
@@ -297,7 +273,7 @@ def learn_ruleset(train: ObservationSet,
             rows = train.pair_rows(f, c)
             if rows.stop > rows.start and pool:
                 correct = truth[train.obj[rows]] == c
-                fired = np.array([_condition_mask(cond, train, rows, f) for cond in pool])
+                fired = np.array([_condition_mask(cond, train, rows) for cond in pool])
                 chosen: list = []
                 for eps in grid:
                     chosen = _learn_pair(correct, fired, eps, chosen)
@@ -323,7 +299,7 @@ def split_flagged(obs: ObservationSet, ruleset: RuleSet, epsilon: float) -> np.n
             if rows.stop == rows.start:
                 continue
             for cond in ruleset.rule_for(m, k, epsilon).conditions:
-                flagged[rows] |= _condition_mask(cond, obs, rows, f)
+                flagged[rows] |= _condition_mask(cond, obs, rows)
     return flagged
 
 

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tupl
 import numpy as np
 
 from .deduction import DomainConfig, count_violations, inc_from_count
-from .edr import RuleSet, apply_rules
+from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules
 from .model_io import InputError, ObservationSet, index_of, json_numbers, json_strings
 
 METHODS = ("ip", "ip+tb", "hs", "hs+tb", "mv", "best", "avg")   # solvers first
@@ -277,10 +277,8 @@ def _baseline_cells(dataset: SweepDataset, truth: Truth, methods: Sequence[str])
 
 def run_sweep(dataset: SweepDataset,
               methods: Sequence[str] = METHODS,
-              delta_grid: Sequence[float] = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5,
-                                             0.6, 0.7, 0.8, 0.9, 1.0),
-              epsilon_grid: Sequence[float] = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5,
-                                               0.6, 0.7, 0.8, 0.9, 1.0),
+              delta_grid: Sequence[float] = DEFAULT_EPSILON_GRID,
+              epsilon_grid: Sequence[float] = DEFAULT_EPSILON_GRID,
               repeats: int = 1,
               seed: int = 0,
               jobs: int = 1,

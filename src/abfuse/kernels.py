@@ -8,10 +8,11 @@ naive oracles.
 Array conventions (shared with the solvers):
 
 * ``pres``: uint8 array of shape ``(C, N)``; presence of assignment atoms.
-* ``sup``: int64 array of shape ``(C, N)``; how many (model, class) pairs
-  predict class ``c`` for object ``w``.
-* Mutual-exclusion pairs come as a CSR-style adjacency ``(adj_off, adj_idx)``
-  over class indices.
+* ``pred``: uint8 array of shape ``(F, C, N)``; model ``f`` predicts class
+  ``c`` for object ``w``.
+* Mutual-exclusion pairs come as class indices: the (2, K) array of
+  :meth:`abfuse.deduction.IntegrityConstraintSet.index_pairs`, or each
+  class's neighbour list from :func:`neighbours`.
 """
 
 from typing import NamedTuple
@@ -19,29 +20,29 @@ from typing import NamedTuple
 import numpy as np
 
 
-def _edges(adj_off, adj_idx):
-    """Each mutual-exclusion pair once, as aligned class vectors ``a < b``."""
-    a = np.repeat(np.arange(adj_off.shape[0] - 1), np.diff(adj_off))
-    keep = a < adj_idx
-    return a[keep], adj_idx[keep]
+def neighbours(pairs, n_classes):
+    """Each class's exclusion neighbours, ascending, as int64 arrays, from
+    the (2, K) class index pairs ``pairs``."""
+    a, b = pairs
+    return [np.sort(np.concatenate((b[a == c], a[b == c]))) for c in range(n_classes)]
 
 
 # ---------------------------------------------------------------------------
 # union statistics for the greedy search
 
 
-def union_stats(pres, base_atoms, base_conf, c, add_w, adj_off, adj_idx):
+def union_stats(pres, base_atoms, base_conf, c, add_w, nbrs):
     """Atom count and conflict count of ``pres`` extended with class ``c``
     at the distinct objects ``add_w``.
 
-    ``base_atoms``/``base_conf`` are the counts of ``pres`` itself; objects
-    that already carry ``c`` add nothing.  The added atoms share one class,
-    so every new conflict pairs one of them with a neighbour class's atom
+    ``base_atoms``/``base_conf`` are the counts of ``pres`` itself and
+    ``nbrs`` is class ``c``'s entry of :func:`neighbours`; objects that
+    already carry ``c`` add nothing.  The added atoms share one class, so
+    every new conflict pairs one of them with a neighbour class's atom
     already in ``pres``: the probe reads only those rows at the new objects.
     ``pres`` is left unchanged.  Returns ``(atoms, conflicts)`` of the union.
     """
     new = add_w[pres[c, add_w] == 0]
-    nbrs = adj_idx[adj_off[c]:adj_off[c + 1]]
     conflicts = int(np.count_nonzero(pres[nbrs[:, None], new]))
     return int(base_atoms) + new.size, int(base_conf) + conflicts
 
@@ -62,18 +63,20 @@ def commit_atoms(pres, add_c, add_w):
 #   ncov[w]     number of classes with cnt > 0 at object w
 #   atoms       total covered (c, w) cells
 #   conflicts   mutual-exclusion violations among covered cells
-#   uncovered   coverable objects with ncov == 0
+#   uncovered   variables' objects with ncov == 0
 # Everything that does not depend on the budget (variables, the visit order,
-# the initial counts and totals, the adjacency) is built once per instance
-# by ``search_start`` and shared by the solves of every delta; each solve
-# copies only the count rows it mutates.  A variable's objects are listed
-# the first time any solve branches on it, so a search that ends at the root
-# pays only for those copies.
-# Eliminations only shrink coverage, so an uncovered object can never recover
-# deeper in the subtree (infeasibility prune), and the all-keep completion of
-# a within-budget node dominates the rest of its subtree (fathom rule).  When
-# over budget, every conflict removed costs at least one atom and one lost
-# atom kills at most max_deg conflicts, giving the admissible bound
+# the initial counts and totals, the neighbour lists) is built once per
+# instance by ``search_start`` and shared by the solves of every delta; each
+# solve copies only the count rows it mutates.  A variable's objects are
+# listed the first time any solve branches on it, so a search that ends at
+# the root pays only for those copies.
+# Every variable's objects are covered at the root (the variable itself
+# supports them), so nothing starts uncovered.  Eliminations only shrink
+# coverage, so an uncovered object can never recover deeper in the subtree
+# (infeasibility prune), and the all-keep completion of a within-budget
+# node dominates the rest of its subtree (fathom rule).  When over budget,
+# every conflict removed costs at least one atom and one lost atom kills at
+# most max_deg conflicts, giving the admissible bound
 # atoms - ceil(excess / max_deg).
 #
 # Incumbent ordering: larger objective, then fewer eliminations, then the
@@ -87,8 +90,14 @@ def commit_atoms(pres, add_c, add_w):
 class SearchStart(NamedTuple):
     """The search's state at the root, as Python lists, with the inputs that
     no solve changes.  Built once per instance by :func:`search_start`;
-    :func:`bnb_search` copies ``cnt``'s mutated rows and ``ncov``."""
+    :func:`bnb_search` copies ``cnt``'s mutated rows and ``ncov``.
 
+    One branch variable per (model, class) pair with support, in
+    (model, class) order; ``var_f``/``var_cls`` name its pair.  Pairs
+    without support stay kept, which the fewer-eliminations preference
+    wants anyway."""
+
+    var_f: list             # model of each branch variable
     var_cls: list           # class of each branch variable
     order: list             # visit order of the variables
     offs: list              # var_obj_idx[offs[v]:offs[v + 1]] are v's objects
@@ -96,30 +105,30 @@ class SearchStart(NamedTuple):
     var_objs: list          # v's objects as a list, filled on first branch
     cnt: list               # cnt[c][w] at the root
     ncov: list              # ncov[w] at the root
-    coverable: list         # bool per object
     nbrs: list              # each class's exclusion neighbours
     atoms: int
     conflicts: int
-    uncovered: int
     max_deg: int
 
 
-def search_start(var_cls, var_obj_off, var_obj_idx, order, sup,
-                 adj_off, adj_idx, coverable, max_deg) -> SearchStart:
-    """The root state of the branch & bound over the given variables:
-    ``var_obj_idx[var_obj_off[v]:var_obj_off[v + 1]]`` lists variable
-    ``v``'s objects, ``sup[c, w]`` counts the supporters of atom ``(c, w)``
-    and ``(adj_off, adj_idx)`` is the exclusion adjacency."""
+def search_start(pred, a, b) -> SearchStart:
+    """The root state of the branch & bound over the packed predictions
+    ``pred`` (F, C, N), with the exclusion pairs as aligned class index
+    vectors ``a``, ``b``.  The visit order puts the most supported variable
+    first, ties in variable order."""
+    support = pred.sum(axis=2, dtype=np.int64)          # (F, C)
+    var_f, var_cls = np.nonzero(support)
+    var_support = support[var_f, var_cls]
+    sup = pred.sum(axis=0, dtype=np.int64)              # supporters of (c, w)
     covered = sup > 0
     ncov = covered.sum(axis=0)
-    coverable = coverable != 0
-    pa, pb = _edges(adj_off, adj_idx)
+    nbrs = [n.tolist() for n in neighbours((a, b), pred.shape[1])]
     return SearchStart(
-        var_cls.tolist(), order.tolist(), var_obj_off.tolist(), var_obj_idx,
-        [None] * var_cls.shape[0], sup.tolist(), ncov.tolist(), coverable.tolist(),
-        [adj_idx[adj_off[c]:adj_off[c + 1]].tolist() for c in range(sup.shape[0])],
-        int(ncov.sum()), int((covered[pa] & covered[pb]).sum()),
-        int((coverable & (ncov == 0)).sum()), max(1, int(max_deg)))
+        var_f.tolist(), var_cls.tolist(), np.argsort(-var_support, kind="stable").tolist(),
+        np.concatenate(([0], np.cumsum(var_support))).tolist(), np.nonzero(pred)[2],
+        [None] * var_f.size, sup.tolist(), ncov.tolist(), nbrs,
+        int(ncov.sum()), int((covered[a] & covered[b]).sum()),
+        max(1, max(map(len, nbrs), default=0)))
 
 
 def bnb_search(start: SearchStart, budget):
@@ -130,9 +139,9 @@ def bnb_search(start: SearchStart, budget):
     is False when no elimination pattern covers every coverable object
     within the conflict budget.
     """
-    var_cls, order, offs, coverable = start.var_cls, start.order, start.offs, start.coverable
+    var_cls, order, offs = start.var_cls, start.order, start.offs
     var_obj_idx, var_objs, max_deg = start.var_obj_idx, start.var_objs, start.max_deg
-    atoms, conflicts, uncovered = start.atoms, start.conflicts, start.uncovered
+    atoms, conflicts, uncovered = start.atoms, start.conflicts, 0
     n_vars = len(var_cls)
     cnt = list(start.cnt)
     for c in set(var_cls):
@@ -211,7 +220,7 @@ def bnb_search(start: SearchStart, budget):
                             conflicts -= 1
                     k = ncov[w] - 1
                     ncov[w] = k
-                    if k == 0 and coverable[w]:
+                    if k == 0:
                         uncovered += 1
             cur_mask[v] = 1
             cur_nelim += 1
@@ -228,7 +237,7 @@ def bnb_search(start: SearchStart, budget):
                     for other in nbrs:
                         if other[w] > 0:
                             conflicts += 1
-                    if ncov[w] == 0 and coverable[w]:
+                    if ncov[w] == 0:
                         uncovered -= 1
                     ncov[w] += 1
                 row[w] = k + 1
@@ -237,17 +246,3 @@ def bnb_search(start: SearchStart, budget):
             depth -= 1
 
     return found, best_obj, best_nelim, np.array(best_mask, dtype=np.int8), nodes
-
-
-# ---------------------------------------------------------------------------
-# packing helpers
-
-
-def pair_adjacency(n_classes, pairs):
-    """CSR adjacency over class indices from index pair tuples."""
-    neigh = [set() for _ in range(n_classes)]
-    for a, b in pairs:
-        neigh[a].add(b)
-        neigh[b].add(a)
-    off = np.cumsum([0] + [len(ns) for ns in neigh], dtype=np.int64)
-    return off, np.array([j for ns in neigh for j in sorted(ns)], dtype=np.int64)

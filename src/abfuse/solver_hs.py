@@ -1,6 +1,6 @@
 """Greedy acceptance-set search.
 
-Visits (model, class) pairs in a fixed order.  For each pair it tries every
+Visits the (model, class) pairs in (model, class) order.  For each pair it tries every
 filter strength ``epsilon`` in the configured set, asking: if this model's
 surviving predictions of this class were added to the running selection,
 would the violated ground rules stay within
@@ -12,8 +12,8 @@ selection already satisfies the budget.
 """
 
 import json
-import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
@@ -28,8 +28,6 @@ from .model_io import InputError, ObservationSet
 class HsConfig:
     delta: float
     epsilon_set: Tuple[float, ...]
-    pair_order: Optional[Tuple[Tuple[str, str], ...]] = None
-    shuffle_seed: Optional[int] = None
 
     def __post_init__(self):
         if not (0.0 <= self.delta <= 1.0):
@@ -91,22 +89,6 @@ class HsResult:
                              map(self.obs.objects.__getitem__, w.tolist())))
 
 
-def _pair_order(p_raw: ObservationSet, config: HsConfig) -> list:
-    if config.pair_order is not None:
-        order = [tuple(p) for p in config.pair_order]
-        universe = {(f, c) for f in p_raw.models for c in p_raw.classes}
-        for p in order:
-            if p not in universe:
-                raise InputError(f"pair {p!r} outside the model/class universe")
-        if len(set(order)) != len(order):
-            raise InputError("pair_order contains duplicates")
-        return order
-    order = [(f, c) for f in p_raw.models for c in p_raw.classes]
-    if config.shuffle_seed is not None:
-        random.Random(config.shuffle_seed).shuffle(order)
-    return order
-
-
 def heuristic_search(p_raw: ObservationSet,
                      config: HsConfig,
                      ruleset: RuleSet,
@@ -116,9 +98,7 @@ def heuristic_search(p_raw: ObservationSet,
                      flagged: Optional[Mapping[float, np.ndarray]] = None) -> HsResult:
     """``flagged`` maps each epsilon of ``config`` to its :func:`split_flagged`
     mask, for a caller that already has them; missing ones are computed."""
-    for a, b in ic.pairs:
-        if a not in p_raw.classes or b not in p_raw.classes:
-            raise InputError(f"exclusion pair ({a!r}, {b!r}) outside the class universe")
+    ic.check_within(p_raw.classes)
 
     n_objects = len(p_raw.objects)
     budget = violation_budget(config.delta, n_objects, ic,
@@ -128,10 +108,7 @@ def heuristic_search(p_raw: ObservationSet,
         return inc_from_count(n_conf, n_objects, ic, normalizer_mode,
                               directed_ground_rules)
 
-    ci = {c: i for i, c in enumerate(p_raw.classes)}
-    mi = {m: i for i, m in enumerate(p_raw.models)}
-    adj_off, adj_idx = kernels.pair_adjacency(
-        len(p_raw.classes), [(ci[a], ci[b]) for a, b in ic.pairs])
+    nbrs = kernels.neighbours(ic.index_pairs(p_raw.classes), len(p_raw.classes))
     pres = np.zeros((len(p_raw.classes), n_objects), dtype=np.uint8)
     atoms = 0
     conflicts = 0
@@ -147,19 +124,20 @@ def heuristic_search(p_raw: ObservationSet,
                           np.searchsorted(rows, p_raw.pair_start).tolist()))
 
     # each pair is visited once, so a pair's entries are never already
-    # selected and its atoms (one class, distinct objects) never repeat
+    # selected and its atoms (one class, distinct objects) never repeat;
+    # ``p`` is the pair's index into ``cut``
     selected = [np.zeros(0, dtype=np.int64)]
     steps = []
     n_classes = len(p_raw.classes)
-    for f, c in _pair_order(p_raw, config):
-        k = mi[f] * n_classes + ci[c]
+    for p, (m, k) in enumerate(product(p_raw.models, p_raw.classes)):
+        c = p % n_classes
         best = None  # (atoms, conflicts, eps, survivor rows, their objects)
         for eps, rows, objs, cut in survivors:
-            lo, hi = cut[k], cut[k + 1]
+            lo, hi = cut[p], cut[p + 1]
             if lo == hi:
                 continue
             cand_atoms, cand_conf = kernels.union_stats(
-                pres, atoms, conflicts, ci[c], objs[lo:hi], adj_off, adj_idx)
+                pres, atoms, conflicts, c, objs[lo:hi], nbrs[c])
             if cand_atoms <= atoms or cand_conf > budget:
                 continue
             if best is None or cand_atoms > best[0]:
@@ -167,9 +145,9 @@ def heuristic_search(p_raw: ObservationSet,
         chosen: Optional[float] = None
         if best is not None:
             atoms, conflicts, chosen, idx, add_w = best
-            kernels.commit_atoms(pres, ci[c], add_w)
+            kernels.commit_atoms(pres, c, add_w)
             selected.append(idx)
-        steps.append(SelectionStep(f, c, chosen, atoms, inconsistency(conflicts)))
+        steps.append(SelectionStep(m, k, chosen, atoms, inconsistency(conflicts)))
 
     return HsResult(p_raw, np.sort(np.concatenate(selected)), SelectionTrace(tuple(steps)),
                     atoms, inconsistency(conflicts))

@@ -18,7 +18,7 @@ for tiny instances (``tests/oracles.py``).
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -28,22 +28,6 @@ from .model_io import InputError, ObservationSet
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
-
-
-class Branching(NamedTuple):
-    """The search's view of an instance, the same at every delta.
-
-    One branch variable per (model, class) pair with support, in
-    (model, class) order: ``var_f``/``var_cls`` name its pair.  ``start``
-    is the search's root state (:class:`kernels.SearchStart`): each
-    variable's objects, the visit order (the most supported variable first,
-    ties in variable order), the supporter counts per (class, object) and
-    the exclusion adjacency over classes.
-    """
-
-    var_f: np.ndarray           # int64 (V,)
-    var_cls: np.ndarray         # int64 (V,)
-    start: kernels.SearchStart
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +42,7 @@ class IpInstance:
     delta_budget: int
     normalizer_mode: str
     directed_ground_rules: bool
-    branching: Branching = field(repr=False)
+    start: kernels.SearchStart = field(repr=False)   # the search's root state
 
     @property
     def shape(self) -> Tuple[int, int, int]:
@@ -108,7 +92,7 @@ class IpSolution:
     def con(self) -> Dict[Tuple[str, Tuple[str, str]], int]:
         inst = self.instance
         out = {}
-        for (a, b), (ia, ib) in zip(inst.ic.pairs, _ic_index_pairs(inst.classes, inst.ic)):
+        for (a, b), ia, ib in zip(inst.ic.pairs, *inst.ic.index_pairs(inst.classes).tolist()):
             both = (self.covered[ia] & self.covered[ib]).tolist()
             out.update(((w, (a, b)), int(v)) for w, v in zip(inst.objects, both))
         return out
@@ -127,36 +111,17 @@ def build_instance(obs: ObservationSet,
     """
     if not (0.0 <= delta <= 1.0):
         raise InputError(f"delta must be in [0, 1]: {delta!r}")
-    for a, b in ic.pairs:
-        if a not in obs.classes or b not in obs.classes:
-            raise InputError(f"exclusion pair ({a!r}, {b!r}) outside the class universe")
+    ic.check_within(obs.classes)
 
     objects, models, classes = obs.objects, obs.models, obs.classes
     pred = np.zeros((len(models), len(classes), len(objects)), dtype=np.uint8)
     pred[obs.model, obs.cls, obs.obj] = 1
     coverable = pred.any(axis=(0, 1)).astype(np.uint8)
-
-    # branch only on pairs with support; empty pairs stay kept, which is
-    # optimal for the fewer-eliminations preference
-    support = pred.sum(axis=2, dtype=np.int64)    # (F, C)
-    var_f, var_cls = np.nonzero(support)
-    var_support = support[var_f, var_cls]
-    branching = Branching(var_f, var_cls, kernels.search_start(
-        var_cls, np.concatenate(([0], np.cumsum(var_support))),
-        np.nonzero(pred)[2], np.argsort(-var_support, kind="stable"),
-        pred.sum(axis=0, dtype=np.int64),
-        *kernels.pair_adjacency(len(classes), _ic_index_pairs(classes, ic)),
-        coverable, ic.max_degree()))
-
     budget = violation_budget(delta, len(objects), ic,
                               normalizer_mode, directed_ground_rules)
     return IpInstance(objects, models, classes, pred, coverable, ic, delta, budget,
-                      normalizer_mode, directed_ground_rules, branching)
-
-
-def _ic_index_pairs(classes: Tuple[str, ...], ic: IntegrityConstraintSet) -> list:
-    ci = {c: i for i, c in enumerate(classes)}
-    return [(ci[a], ci[b]) for a, b in ic.pairs]
+                      normalizer_mode, directed_ground_rules,
+                      kernels.search_start(pred, *ic.index_pairs(classes)))
 
 
 def _solution_from_elim(inst: IpInstance, elim_fc: np.ndarray,
@@ -177,14 +142,14 @@ def solve(instance: IpInstance) -> IpSolution:
     """Optimal solution, or a solution with infeasible status when the
     coverage and budget constraints cannot be met simultaneously."""
     F, C, N = instance.shape
-    b = instance.branching
-    found, best_obj, _, best_mask, nodes = kernels.bnb_search(b.start, instance.delta_budget)
+    start = instance.start
+    found, best_obj, _, best_mask, nodes = kernels.bnb_search(start, instance.delta_budget)
 
     if not found:
         return _infeasible(instance, nodes)
 
     elim_fc = np.zeros((F, C), dtype=np.int8)
-    elim_fc[b.var_f, b.var_cls] = best_mask
+    elim_fc[start.var_f, start.var_cls] = best_mask
     sol = _solution_from_elim(instance, elim_fc, STATUS_OPTIMAL, nodes)
     if sol.objective != best_obj:
         raise AssertionError(

@@ -7,7 +7,6 @@ incrementally or in bulk, so tests can compare the two.
 import hashlib
 import json
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
@@ -132,12 +131,7 @@ def fires(cond: Condition, entry: Observation,
     if cond.kind == "disagree_with":
         other = siblings.get(cond.model)
         return other is not None and other.class_id != entry.class_id
-    if cond.kind == "confidence_below":
-        return entry.confidence < cond.threshold
-    if cond.kind == "class_is":
-        return any(s.class_id == cond.class_id for m, s in siblings.items()
-                   if m != entry.model_id)
-    return all(fires(p, entry, siblings) for p in cond.parts)
+    return entry.confidence < cond.threshold
 
 
 def flags(rule: ErrorRule, entry: Observation,
@@ -221,12 +215,7 @@ def heuristic_search_reference(p_raw: ObservationSet, config: HsConfig,
         return inc_from_count(len(find_violations(atoms, ic)), n_objects, ic,
                               normalizer_mode, directed_ground_rules)
 
-    if config.pair_order is not None:
-        order = list(config.pair_order)
-    else:
-        order = [(f, c) for f in p_raw.models for c in p_raw.classes]
-        if config.shuffle_seed is not None:
-            random.Random(config.shuffle_seed).shuffle(order)
+    order = [(f, c) for f in p_raw.models for c in p_raw.classes]
 
     selected: set = set()
     atoms: frozenset = frozenset()
@@ -315,7 +304,7 @@ def brute_force_optimal(instance: solver_ip.IpInstance,
 
     pred = instance.pred.astype(bool)
     coverable = instance.coverable.astype(bool)
-    pairs_idx = solver_ip._ic_index_pairs(instance.classes, instance.ic)
+    pairs_idx = list(zip(*instance.ic.index_pairs(instance.classes).tolist()))
 
     best = None  # (objective, n_elim, bits_tuple)
     for mask in range(1 << n):

@@ -9,17 +9,26 @@ import numpy as np
 import pytest
 
 from abfuse import kernels, solver_ip
+from abfuse.deduction import IntegrityConstraintSet
 
 from conftest import SHARED_SEEDS, random_instance
 from oracles import brute_force_optimal, count_conflicts
 
 
-def test_pair_adjacency_csr():
-    off, idx = kernels.pair_adjacency(4, [(0, 2), (2, 0), (1, 2), (2, 3)])
-    assert off.tolist() == [0, 1, 2, 5, 6]
-    assert idx.tolist() == [2, 2, 0, 1, 3, 2]
-    off0, idx0 = kernels.pair_adjacency(3, [])
-    assert off0.tolist() == [0, 0, 0, 0] and idx0.size == 0
+def test_index_pairs_and_neighbours():
+    ic = IntegrityConstraintSet((("c", "a"), ("b", "c"), ("c", "d"), ("a", "z")))
+    pairs = ic.index_pairs(("a", "b", "c", "d"))
+    # ("a", "z") names a class outside the universe and is dropped
+    assert pairs.dtype == np.int64
+    assert pairs.tolist() == [[0, 1, 2], [2, 2, 3]]
+    assert [n.tolist() for n in kernels.neighbours(pairs, 4)] == [[2], [2], [0, 1, 3], [2]]
+    empty = IntegrityConstraintSet.empty().index_pairs(("a", "b", "c"))
+    assert empty.shape == (2, 0) and empty.dtype == np.int64
+    assert [n.tolist() for n in kernels.neighbours(empty, 3)] == [[], [], []]
+
+
+def _pair_array(pairs):
+    return np.asarray(pairs, np.int64).reshape(-1, 2).T
 
 
 def _random_arrays(seed):
@@ -50,7 +59,7 @@ def test_union_stats_both_backends(seed):
     carry it, gives the counts of the naive union."""
     pres, pairs, rng = _random_arrays(seed)
     C, N = pres.shape
-    off, idx = kernels.pair_adjacency(C, pairs)
+    nbrs = kernels.neighbours(_pair_array(pairs), C)
     c = int(rng.integers(0, C))
     add_w = rng.permutation(N)[:int(rng.integers(0, N + 1))]
 
@@ -60,21 +69,46 @@ def test_union_stats_both_backends(seed):
 
     base = (int(pres.sum()), _naive_conflicts(pres, pairs))
     before = pres.copy()
-    assert kernels.union_stats(pres, base[0], base[1], c, add_w, off, idx) == expect
+    assert kernels.union_stats(pres, base[0], base[1], c, add_w, nbrs[c]) == expect
     np.testing.assert_array_equal(pres, before)  # the probe leaves pres alone
 
 
 def test_union_stats_counts_duplicate_atoms_once():
     """An atom already present adds neither an atom nor a conflict."""
     pres = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 0]], np.uint8)
-    off, idx = kernels.pair_adjacency(3, [(0, 1), (1, 2)])
+    nbrs = kernels.neighbours(_pair_array([(0, 1), (1, 2)]), 3)
     # class 0 at objects 0 (present) and 1 (new, against class 1 there)
-    assert kernels.union_stats(pres, 3, 1, 0, np.array([0, 1]), off, idx) == (4, 2)
+    assert kernels.union_stats(pres, 3, 1, 0, np.array([0, 1]), nbrs[0]) == (4, 2)
     # only present atoms: the union is pres itself
-    assert kernels.union_stats(pres, 3, 1, 1, np.array([1, 0]), off, idx) == (3, 1)
+    assert kernels.union_stats(pres, 3, 1, 1, np.array([1, 0]), nbrs[1]) == (3, 1)
     # a class without exclusion neighbours never adds a conflict
-    off0, idx0 = kernels.pair_adjacency(3, [(0, 1)])
-    assert kernels.union_stats(pres, 3, 1, 2, np.array([0, 1, 2]), off0, idx0) == (6, 1)
+    nbrs0 = kernels.neighbours(_pair_array([(0, 1)]), 3)
+    assert kernels.union_stats(pres, 3, 1, 2, np.array([0, 1, 2]), nbrs0[2]) == (6, 1)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_search_start_root_totals(seed):
+    """The search's root state equals a from-scratch count on a random
+    packed instance."""
+    rng = np.random.default_rng(seed)
+    F, C, N = rng.integers(1, 4), rng.integers(2, 5), rng.integers(1, 8)
+    pred = (rng.random((F, C, N)) < 0.4).astype(np.uint8)
+    pairs = [(a, b) for a in range(C) for b in range(a + 1, C) if rng.random() < 0.5]
+    start = kernels.search_start(pred, *_pair_array(pairs))
+
+    covered = pred.any(axis=0)
+    assert start.atoms == int(covered.sum())
+    assert start.conflicts == _naive_conflicts(covered, pairs)
+    assert start.max_deg == max(1, max(sum(c in p for p in pairs) for c in range(C)))
+    assert start.cnt == pred.sum(axis=0).tolist()
+    assert start.ncov == covered.sum(axis=0).tolist()
+    variables = [(f, c) for f in range(F) for c in range(C) if pred[f, c].any()]
+    assert list(zip(start.var_f, start.var_cls)) == variables
+    for v, (f, c) in enumerate(variables):
+        objs = start.var_obj_idx[start.offs[v]:start.offs[v + 1]]
+        assert objs.tolist() == np.flatnonzero(pred[f, c]).tolist()
+    support = [int(pred[f, c].sum()) for f, c in variables]
+    assert start.order == sorted(range(len(variables)), key=lambda v: -support[v])
 
 
 def test_commit_atoms_writes_in_place():

@@ -213,6 +213,20 @@ def test_eval_rejects_bad_labels(dataset, tmp_path, capsys):
     assert "bad label record" in capsys.readouterr().err
 
 
+def test_unknown_rule_kind_exits_one_naming_its_line(dataset, tmp_path, capsys):
+    # the learner writes disagree_with and confidence_below conditions only
+    manifest, rules = dataset
+    bad = tmp_path / "class_is_rules.jsonl"
+    lines = pathlib.Path(rules).read_text().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    rec["conditions"] = [{"kind": "class_is", "class": rec["class_id"]}]
+    bad.write_text(lines[0] + json.dumps(rec) + "\n" + "".join(lines[2:]))
+    assert main(["abduce", "--manifest", manifest, "--rules", str(bad), "--solver", "hs",
+                 "--delta", "0.5", "--out", str(tmp_path / "hs")]) == EXIT_INPUT
+    assert (f"error: {bad}:2: bad rule record: unknown condition kind 'class_is'"
+            in capsys.readouterr().err)
+
+
 def test_non_object_prediction_line_exits_one(tmp_path, capsys):
     manifest, _ = conflict_dataset(tmp_path)
     preds = tmp_path / "conflict" / "f1.jsonl"

@@ -36,8 +36,6 @@ def test_ic_rejects_self_pair():
 def test_ic_neighbors_and_degree():
     ic = IntegrityConstraintSet((("a", "b"), ("a", "c"), ("b", "c")))
     assert neighbors(ic, "a") == frozenset({"b", "c"})
-    assert ic.max_degree() == 2
-    assert IntegrityConstraintSet.empty().max_degree() == 0
 
 
 def test_ic_all_pairs():

@@ -34,10 +34,6 @@ def test_condition_validation():
     with pytest.raises(InputError):
         Condition("confidence_below", threshold=1.5)
     with pytest.raises(InputError):
-        Condition("class_is")
-    with pytest.raises(InputError):
-        Condition("conjunction", parts=(below(0.5),))
-    with pytest.raises(InputError):
         Condition("sometimes")
 
 
@@ -59,29 +55,8 @@ def test_confidence_below_is_strict():
     assert fires(below(0.500001), entry, {})
 
 
-def test_class_is_ignores_own_model():
-    obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8)])
-    sib = sibling_index(obs)
-    entry = Observation("o1", "f1", "car", 0.9)
-    assert fires(Condition("class_is", class_id="tree"), entry, sib["o1"])
-    # only the entry's own model predicts car here
-    assert not fires(Condition("class_is", class_id="car"), entry, sib["o1"])
-
-
-def test_conjunction_fires_when_all_parts_do():
-    obs = obs_of([("o1", "f1", "car", 0.3), ("o1", "f2", "tree", 0.8)])
-    sib = sibling_index(obs)
-    entry = Observation("o1", "f1", "car", 0.3)
-    both = Condition("conjunction", parts=(disagree("f2"), below(0.5)))
-    assert fires(both, entry, sib["o1"])
-    high = Condition("conjunction", parts=(disagree("f2"), below(0.2)))
-    assert not fires(high, entry, sib["o1"])
-
-
 def test_condition_json_round_trip():
-    conds = [disagree("f3"), below(0.25),
-             Condition("class_is", class_id="tree"),
-             Condition("conjunction", parts=(disagree("f2"), below(0.5)))]
+    conds = [disagree("f3"), below(0.25)]
     for c in conds:
         assert Condition.from_json(c.to_json()) == c
     with pytest.raises(InputError):
@@ -296,18 +271,11 @@ MODELS = ("f1", "f2", "f3")
 CLASSES = ("A", "B", "C")
 LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-_conditions = st.recursive(
-    st.one_of(
-        # the entry's own model, another one, or one absent from the set
-        st.builds(disagree, st.sampled_from(MODELS + ("f9",))),
-        # thresholds equal to confidences in use, and between them
-        st.builds(below, st.sampled_from(LEVELS + (0.3, 0.6))),
-        # the entry's own class, another one, or one absent from the set
-        st.builds(lambda c: Condition("class_is", class_id=c),
-                  st.sampled_from(CLASSES + ("Z",)))),
-    lambda parts: st.builds(lambda ps: Condition("conjunction", parts=tuple(ps)),
-                            st.lists(parts, min_size=2, max_size=3)),
-    max_leaves=6)
+_conditions = st.one_of(
+    # the entry's own model, another one, or one absent from the set
+    st.builds(disagree, st.sampled_from(MODELS + ("f9",))),
+    # thresholds equal to confidences in use, and between them
+    st.builds(below, st.sampled_from(LEVELS + (0.3, 0.6))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -395,12 +363,10 @@ def test_rule_lookup_tolerates_float_dust():
 
 def test_ruleset_round_trip(tmp_path):
     path = str(tmp_path / "rules.jsonl")
-    nested = Condition("conjunction", parts=(disagree("f2"), below(0.25)))
     rs = RuleSet((0.1, 0.5), {
-        ("f1", "car", 0.1): ErrorRule("f1", "car", (nested,)),
-        ("f1", "car", 0.5): ErrorRule("f1", "car", (nested, below(0.5))),
-        ("f2", "tree", 0.1): ErrorRule("f2", "tree",
-                                       (Condition("class_is", class_id="car"),)),
+        ("f1", "car", 0.1): ErrorRule("f1", "car", (disagree("f2"),)),
+        ("f1", "car", 0.5): ErrorRule("f1", "car", (disagree("f2"), below(0.5))),
+        ("f2", "tree", 0.1): ErrorRule("f2", "tree", (below(0.25),)),
     })
     rs.save(path)
     back = RuleSet.load(path)

@@ -20,8 +20,8 @@ from oracles import calc_incon, get_filtered_preds, heuristic_search_reference
 IC_CT = IntegrityConstraintSet((("car", "tree"),))
 
 
-def search(obs, delta, eps=(0.5,), ruleset=None, ic=IC_CT, **kw):
-    return heuristic_search(obs, HsConfig(delta, eps, **kw),
+def search(obs, delta, eps=(0.5,), ruleset=None, ic=IC_CT):
+    return heuristic_search(obs, HsConfig(delta, eps),
                             ruleset or empty_rules(eps), ic)
 
 
@@ -119,31 +119,10 @@ def test_search_requires_strictly_new_atoms():
     assert by_pair[("f2", "car")].chosen_epsilon is None
 
 
-def test_search_custom_pair_order_changes_selection():
-    obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8)])
-    default = search(obs, 0.0)
-    assert default.atoms() == frozenset({("car", "o1")})
-    order = (("f2", "tree"), ("f2", "car"), ("f1", "car"), ("f1", "tree"))
-    flipped = search(obs, 0.0, pair_order=order)
-    assert flipped.atoms() == frozenset({("tree", "o1")})
-
-
-def test_search_pair_order_validation():
+def test_search_rejects_exclusion_pairs_outside_the_classes():
     obs = obs_of([("o1", "f1", "car", 0.9)])
-    empty_ic = IntegrityConstraintSet(())
-    with pytest.raises(InputError, match="outside the model/class universe"):
-        search(obs, 0.5, pair_order=(("f9", "car"),), ic=empty_ic)
-    with pytest.raises(InputError, match="duplicates"):
-        search(obs, 0.5, pair_order=(("f1", "car"), ("f1", "car")), ic=empty_ic)
-
-
-def test_search_shuffle_is_deterministic_and_feasible():
-    obs, ic, delta, mode, directed = random_instance(3300)
-    cfg = HsConfig(delta, (0.5,), shuffle_seed=7)
-    a = heuristic_search(obs, cfg, empty_rules(), ic, mode, directed)
-    b = heuristic_search(obs, cfg, empty_rules(), ic, mode, directed)
-    assert a == b
-    assert a.inconsistency <= delta + 1e-12
+    with pytest.raises(InputError, match="outside the class universe"):
+        search(obs, 0.5, ic=IntegrityConstraintSet((("car", "boat"),)))
 
 
 def test_search_deterministic():
@@ -289,7 +268,7 @@ CLASSES = ("A", "B", "C", "D")
 @st.composite
 def greedy_problems(draw):
     """A small observation set with random rules, exclusion pairs, budget,
-    epsilon set, pair order and, sometimes, caller-supplied flag masks."""
+    epsilon set and, sometimes, caller-supplied flag masks."""
     models = [f"f{i}" for i in range(draw(st.integers(1, 3)))]
     classes = list(CLASSES[:draw(st.integers(1, 4))])
     objects = [f"o{i}" for i in range(draw(st.integers(1, 6)))]
@@ -311,8 +290,7 @@ def greedy_problems(draw):
         flagged = {e: np.array(draw(st.lists(st.booleans(), min_size=len(rows),
                                              max_size=len(rows))), dtype=bool)
                    for e in eps_set if draw(st.booleans())}
-    config = HsConfig(draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))), eps_set,
-                      shuffle_seed=draw(st.one_of(st.none(), st.integers(0, 9))))
+    config = HsConfig(draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))), eps_set)
     return (obs, config, RuleSet(EPSILONS, rules), ic,
             draw(st.sampled_from(("per_object", "per_ground_rule"))), draw(st.booleans()),
             flagged)

@@ -141,7 +141,7 @@ def test_with_delta_matches_a_fresh_build():
         for delta in (0.0, 0.2, 0.5, 1.0):
             moved, fresh = packed.with_delta(delta), build_instance(obs, ic, delta, mode, directed)
             assert (moved.delta, moved.delta_budget) == (fresh.delta, fresh.delta_budget)
-            assert moved.branching is packed.branching
+            assert moved.start is packed.start
             a, b = solve(moved), solve(fresh)
             assert (a.status, a.objective, a.nodes) == (b.status, b.objective, b.nodes), seed
             np.testing.assert_array_equal(a.eliminated, b.eliminated)
