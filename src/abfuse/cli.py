@@ -10,8 +10,10 @@ the instance infeasible.
 
 Each subcommand imports the modules it needs when it runs, so a process
 compiles only those: ``gen`` never loads the solvers, ``learn`` only
-``model_io`` and ``edr``.  :func:`entry`, the process entry point, freezes
-the heap before exiting so interpreter shutdown has nothing to collect.
+``model_io`` and ``edr``.  Importing this module loads no numpy, so
+:func:`entry`, the process entry point, can size OpenBLAS's thread pool
+before it starts; it also freezes the heap before exiting so interpreter
+shutdown has nothing to collect.
 """
 
 import argparse
@@ -20,10 +22,6 @@ import gc
 import json
 import os
 import sys
-
-from .model_io import (InputError, coverage_report, json_numbers, json_strings,
-                       load_dataset, observations_from_dataset, read_jsonl,
-                       write_rows)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -37,11 +35,15 @@ class _Parser(argparse.ArgumentParser):
     for proven infeasibility and report usage problems as input errors."""
 
     def error(self, message):
+        from .model_io import InputError
+
         self.print_usage(sys.stderr)
         raise InputError(message)
 
 
 def _parse_grid(text: str, name: str) -> tuple:
+    from .model_io import InputError
+
     try:
         vals = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
@@ -64,6 +66,8 @@ def _domain_for(args, classes):
 
 
 def _load_obs(args):
+    from .model_io import coverage_report, load_dataset, observations_from_dataset
+
     ds = load_dataset(args.manifest)
     obs = observations_from_dataset(ds, primary_iou=args.iou)
     report = coverage_report(obs)
@@ -86,6 +90,8 @@ def _metrics_dict(m) -> dict:
 def _write_labels(path: str, obs, rows, sources: bool = False) -> None:
     """One line per row of ``obs``: its object and class ids and, with
     ``sources``, the model id and confidence of the prediction behind it."""
+    from .model_io import json_numbers, json_strings, write_rows
+
     def ids(universe, index):
         return map(json_strings(universe).__getitem__, index[rows].tolist())
 
@@ -106,6 +112,7 @@ def _write_labels(path: str, obs, rows, sources: bool = False) -> None:
 
 def cmd_gen(args) -> int:
     from . import synthgen
+    from .model_io import InputError
 
     if bool(args.preset) == bool(args.scenario):
         raise InputError("exactly one of --preset / --scenario is required")
@@ -140,6 +147,7 @@ def cmd_abduce(args) -> int:
     from . import evaluation, tiebreak
     from .deduction import violation_budget
     from .edr import RuleSet, apply_rules
+    from .model_io import InputError
 
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
@@ -220,6 +228,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import evaluation
+    from .model_io import InputError, read_jsonl
 
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
@@ -344,6 +353,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    from .model_io import InputError
+
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -355,9 +366,17 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     """Run the command named by ``sys.argv`` and exit the process with its
-    code.  The heap is frozen first, so the full collections of interpreter
-    shutdown have nothing to traverse; in-process :func:`main` calls leave
-    the collector as they found it."""
+    code.
+
+    Before numpy loads, OpenBLAS is limited to one thread unless
+    ``OPENBLAS_NUM_THREADS`` is already set: abfuse makes no BLAS call, and
+    the workers OpenBLAS would otherwise start, one per further core,
+    spin-wait through the rest of numpy's import.  Sweep workers inherit
+    the setting.  The heap is frozen before exiting, so the full
+    collections of interpreter shutdown have nothing to traverse.
+    In-process :func:`main` calls leave the environment and the collector
+    as they found them."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -168,10 +168,7 @@ class DomainConfig:
     def __post_init__(self):
         if self.normalizer_mode not in NORMALIZER_MODES:
             raise InputError(f"unknown normalizer_mode {self.normalizer_mode!r}")
-        cs = set(self.classes)
-        for a, b in self.ic.pairs:
-            if a not in cs or b not in cs:
-                raise InputError(f"exclusion pair ({a!r}, {b!r}) uses undeclared classes")
+        self.ic.check_within(self.classes)
 
 
 def default_domain(classes: Optional[Iterable[str]] = None) -> DomainConfig:

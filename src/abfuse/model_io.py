@@ -356,20 +356,22 @@ def match_detections(gt, detections, primary_iou: float = 0.90,
     neg_conf = -dets.confidence
 
     # stage 1: per (model, object) the first unused detection in
-    # (-confidence, row) order
+    # (-confidence, row) order; ``key`` numbers the (model, object) pairs
     s1 = iou > primary_iou
     o1, d1 = gi[s1], di[s1]
     rank = np.lexsort((d1, neg_conf[d1], o1, dmodel[d1]))
+    key = dmodel[d1] * len(gt) + o1
     used = bytearray(len(dets))
-    pairs, done = [], None
-    for m, o, d in zip(dmodel[d1][rank].tolist(), o1[rank].tolist(), d1[rank].tolist()):
-        if (m, o) != done and not used[d]:
-            done, used[d] = (m, o), True
-            pairs.append((o, d))
+    kept_o, kept_d, done = [], [], -1
+    for k, o, d in zip(key[rank].tolist(), o1[rank].tolist(), d1[rank].tolist()):
+        if k != done and not used[d]:
+            done, used[d] = k, True
+            kept_o.append(o)
+            kept_d.append(d)
 
     # stage 2: objects no model matched, each taking its best unused pair
     matched = np.zeros(len(gt), dtype=bool)
-    matched[[o for o, _ in pairs]] = True
+    matched[kept_o] = True
     s2 = ~matched[gi]
     o2, d2, v2 = gi[s2], di[s2], iou[s2]
     rank = np.lexsort((d2, dmodel[d2], neg_conf[d2], -v2, o2))
@@ -377,10 +379,12 @@ def match_detections(gt, detections, primary_iou: float = 0.90,
     for o, d in zip(o2[rank].tolist(), d2[rank].tolist()):
         if o != done and not used[d]:
             done, used[d] = o, True
-            pairs.append((o, d))
+            kept_o.append(o)
+            kept_d.append(d)
 
-    # the set straight from the (object, detection) pairs
-    o, d = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    # the set straight from the kept (object, detection) pairs
+    o = np.array(kept_o, dtype=np.int64)
+    d = np.array(kept_d, dtype=np.int64)
     objects = tuple(sorted(gt.object_id))
     all_models = tuple(sorted(set(model_ids if models is None else models).union(
         model_ids[k] for k in np.flatnonzero(np.bincount(

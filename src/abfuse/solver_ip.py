@@ -36,7 +36,6 @@ class IpInstance:
     models: Tuple[str, ...]
     classes: Tuple[str, ...]
     pred: np.ndarray            # uint8 (F, C, N)
-    coverable: np.ndarray       # uint8 (N,)
     ic: IntegrityConstraintSet
     delta: float
     delta_budget: int
@@ -47,6 +46,11 @@ class IpInstance:
     @property
     def shape(self) -> Tuple[int, int, int]:
         return self.pred.shape
+
+    @property
+    def coverable(self) -> np.ndarray:
+        """uint8 (N,): 1 where some pair predicts the object."""
+        return self.pred.any(axis=(0, 1)).astype(np.uint8)
 
     def with_delta(self, delta: float) -> "IpInstance":
         """The same instance at another ``delta``, sharing every array."""
@@ -116,10 +120,9 @@ def build_instance(obs: ObservationSet,
     objects, models, classes = obs.objects, obs.models, obs.classes
     pred = np.zeros((len(models), len(classes), len(objects)), dtype=np.uint8)
     pred[obs.model, obs.cls, obs.obj] = 1
-    coverable = pred.any(axis=(0, 1)).astype(np.uint8)
     budget = violation_budget(delta, len(objects), ic,
                               normalizer_mode, directed_ground_rules)
-    return IpInstance(objects, models, classes, pred, coverable, ic, delta, budget,
+    return IpInstance(objects, models, classes, pred, ic, delta, budget,
                       normalizer_mode, directed_ground_rules,
                       kernels.search_start(pred, *ic.index_pairs(classes)))
 
@@ -225,8 +228,9 @@ def audit_solution(instance: IpInstance, sol: IpSolution) -> list:
                 problems.append(f"con[{key}]={cv} below assign overlap {lhs}")
             total_con += cv
 
+    coverable = instance.coverable
     for w in instance.objects:
-        if instance.coverable[oi[w]]:
+        if coverable[oi[w]]:
             if sum(sol.assign[(c, w)] for c in instance.classes) < 1:
                 problems.append(f"coverable object {w!r} has no assignment")
 

@@ -238,7 +238,7 @@ def test_non_object_prediction_line_exits_one(tmp_path, capsys):
 
 def test_mistyped_manifest_exits_one(tmp_path, capsys):
     manifest, _ = conflict_dataset(tmp_path)
-    raw = json.loads(open(manifest).read())
+    raw = json.loads(pathlib.Path(manifest).read_text())
     raw["models"] = 5
     with open(manifest, "w") as fh:
         json.dump(raw, fh)
@@ -285,11 +285,11 @@ def test_eval_rejects_non_object_label_line(tmp_path, capsys):
     assert f"{bad}:1: expected a JSON object" in capsys.readouterr().err
 
 
-def _python(*argv):
+def _python(*argv, env=None):
     """Run ``python *argv`` in a fresh process with this checkout's package
-    on the path."""
+    on the path, in ``env`` or else this process's environment."""
     src = os.path.dirname(os.path.dirname(abfuse.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**(os.environ if env is None else env), "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
@@ -453,12 +453,39 @@ def test_sweep_runtime_charges_each_row_its_filter(dataset, tmp_path):
 
 
 def test_cli_import_leaves_the_generator_and_process_pool_unloaded():
-    # every job compiles what it imports when bytecode is not cached
+    # every job compiles what it imports when bytecode is not cached, and
+    # ``entry`` sizes OpenBLAS's thread pool before numpy loads
     code = ("import sys, abfuse.cli; print(sorted({'abfuse.synthgen', "
-            "'concurrent.futures'} & set(sys.modules)))")
+            "'concurrent.futures', 'numpy'} & set(sys.modules)))")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _blas_is_openblas():
+    import numpy
+    blas = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2
+                    or not _blas_is_openblas(),
+                    reason="needs Linux's /proc, two or more cores and OpenBLAS")
+@pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
+def test_entry_starts_one_blas_thread_unless_told_otherwise(tmp_path, setting, threads):
+    # the process's thread count, read at exit after numpy has loaded
+    code = ("import atexit, os, sys\n"
+            "atexit.register(lambda: print(len(os.listdir('/proc/self/task'))))\n"
+            "from abfuse import cli\n"
+            "sys.argv = ['abfuse', 'gen', '--preset', 'UM_1', '--models', '2', "
+            f"'--n-train', '5', '--n-test', '5', '--out', {str(tmp_path)!r}]\n"
+            "cli.entry()\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = _python("-c", code, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(threads), proc.stdout
 
 
 def test_package_names_resolve_on_first_use():
@@ -562,6 +589,7 @@ def test_in_process_main_leaves_the_collector_as_found(dataset, tmp_path):
     preds = tmp_path / "conflict" / "f2.jsonl"
     preds.write_text("[1, 2\n" + preds.read_text())
     frozen = gc.get_freeze_count()
+    environ = dict(os.environ)
     for argv, code in (
             (["abduce", "--manifest", manifest, "--rules", rules, "--solver", "hs",
               "--delta", "0.5", "--out", str(tmp_path / "hs")], EXIT_OK),
@@ -570,6 +598,7 @@ def test_in_process_main_leaves_the_collector_as_found(dataset, tmp_path):
         assert main(argv) == code
         assert gc.isenabled()
         assert gc.get_freeze_count() == frozen
+        assert dict(os.environ) == environ
 
 
 def test_sweep_rejects_bad_grids(dataset, tmp_path, capsys):
@@ -643,6 +672,7 @@ def test_domain_config_env_var(tmp_path, monkeypatch, capsys):
     ('{"classes": ["A", "B"], "ic_pairs": [["A", "B", "C"]]}', "'ic_pairs' must be"),
     ('{"classes": ["A", "B"], "ic_pairs": [["A", 2]]}', "'ic_pairs' must be"),
     ('{"classes": ["A", "B"], "ic_pairs": "AB"}', "'ic_pairs' must be"),
+    ('{"classes": ["A", "B"], "ic_pairs": [["A", "C"]]}', "outside the class universe"),
     ('{"classes": ["A", "B"], "directed_ground_rules": "false"}',
      "'directed_ground_rules' must be true or false"),
     ('{"classes": ["A", "B"], "all_pairs": 1}', "'all_pairs' must be true or false"),

@@ -220,7 +220,7 @@ def test_sweep_csv_deterministic_without_timing(tmp_path):
     pa, pb = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     a.to_csv(pa)
     b.to_csv(pb)
-    assert open(pa, "rb").read() == open(pb, "rb").read()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

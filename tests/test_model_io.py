@@ -2,6 +2,7 @@
 
 import gc
 import json
+import pathlib
 from functools import partial
 from unittest import mock
 
@@ -517,7 +518,7 @@ def test_dataset_round_trip(tmp_path):
 
 def test_manifest_validation(tmp_path):
     manifest = _write_tiny_dataset(tmp_path)
-    raw = json.loads(open(manifest).read())
+    raw = json.loads(pathlib.Path(manifest).read_text())
 
     bad = dict(raw)
     del bad["classes"]
@@ -551,7 +552,7 @@ def test_manifest_validation(tmp_path):
 ])
 def test_manifest_field_types(tmp_path, key, value, message):
     manifest = _write_tiny_dataset(tmp_path)
-    raw = json.loads(open(manifest).read())
+    raw = json.loads(pathlib.Path(manifest).read_text())
     raw[key] = value
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(raw))
@@ -609,7 +610,7 @@ def test_columnar_load_equals_the_per_record_oracle(tmp_path):
     manifest = synthgen.write_split(str(tmp_path), data.test, data.test_labels,
                                     data.scenario.classes)
     ds = load_dataset(manifest)
-    raw = json.loads(open(manifest).read())
+    raw = json.loads(pathlib.Path(manifest).read_text())
     dets = [d for m in raw["models"]
             for d in load_prediction_records(str(tmp_path / raw["predictions"][m]), m)]
     gts = load_ground_truth_records(str(tmp_path / raw["ground_truth"]))
