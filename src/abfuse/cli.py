@@ -19,7 +19,6 @@ shutdown has nothing to collect.
 import argparse
 import dataclasses
 import gc
-import json
 import os
 import sys
 
@@ -75,12 +74,6 @@ def _load_obs(args):
         print(f"note: {report.n_uncovered} ground-truth objects have no "
               f"matched prediction", file=sys.stderr)
     return ds, obs
-
-
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _metrics_dict(m) -> dict:
@@ -147,7 +140,7 @@ def cmd_abduce(args) -> int:
     from . import evaluation, tiebreak
     from .deduction import violation_budget
     from .edr import RuleSet, apply_rules
-    from .model_io import InputError
+    from .model_io import InputError, write_json
 
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
@@ -197,7 +190,7 @@ def cmd_abduce(args) -> int:
         domain.directed_ground_rules)
     if args.solver == "ip":
         payload["nodes"] = sol.nodes
-    _write_json(os.path.join(args.out, "metrics.json"), payload)
+    write_json(os.path.join(args.out, "metrics.json"), payload, sort_keys=True)
     print(f"{args.solver}{'+tb' if tb else ''}: f1={metrics.f1:.4f} "
           f"precision={metrics.precision:.4f} recall={metrics.recall:.4f}")
     return EXIT_OK
@@ -228,7 +221,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import evaluation
-    from .model_io import InputError, read_jsonl
+    from .model_io import InputError, read_jsonl, write_json
 
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
@@ -240,7 +233,7 @@ def cmd_eval(args) -> int:
             raise InputError(f"{args.labels}:{lineno}: bad label record: {exc}") from exc
     metrics = evaluation.score_atoms(atoms, ds.labels(), domain=domain,
                                      n_objects=len(obs.objects))
-    _write_json(args.out, _metrics_dict(metrics))
+    write_json(args.out, _metrics_dict(metrics), sort_keys=True)
     print(f"f1={metrics.f1:.4f} precision={metrics.precision:.4f} "
           f"recall={metrics.recall:.4f} accuracy={metrics.accuracy:.4f}")
     return EXIT_OK
@@ -248,6 +241,7 @@ def cmd_eval(args) -> int:
 
 def cmd_baseline(args) -> int:
     from . import baselines, evaluation
+    from .model_io import write_json
 
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
@@ -270,7 +264,7 @@ def cmd_baseline(args) -> int:
             extra = {}
     payload = _metrics_dict(metrics)
     payload.update(extra)
-    _write_json(os.path.join(args.out, "metrics.json"), payload)
+    write_json(os.path.join(args.out, "metrics.json"), payload, sort_keys=True)
     print(f"{args.method}: f1={metrics.f1:.4f} accuracy={metrics.accuracy:.4f}")
     return EXIT_OK
 

@@ -17,13 +17,12 @@ Conditions are evaluated as boolean masks over the rows of an
 filtering share that evaluator.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model_io import InputError, ObservationSet, read_jsonl
+from .model_io import InputError, ObservationSet, Truth, read_jsonl, write_jsonl
 
 DEFAULT_EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -103,15 +102,10 @@ class RuleSet:
                               ErrorRule(model_id, class_id, ()))
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for (m, c, e) in sorted(self.rules):
-                rule = self.rules[(m, c, e)]
-                fh.write(json.dumps({
-                    "model_id": m,
-                    "class_id": c,
-                    "epsilon": e,
-                    "conditions": [cond.to_json() for cond in rule.conditions],
-                }) + "\n")
+        write_jsonl(path, ({"model_id": m, "class_id": c, "epsilon": e,
+                            "conditions": [cond.to_json() for cond in
+                                           self.rules[(m, c, e)].conditions]}
+                           for m, c, e in sorted(self.rules)))
 
     @classmethod
     def load(cls, path: str) -> "RuleSet":
@@ -123,7 +117,8 @@ class RuleSet:
                 c = str(rec["class_id"])
                 e = float(rec["epsilon"])
                 conds = tuple(Condition.from_json(p) for p in rec["conditions"])
-            except (KeyError, TypeError, ValueError) as exc:
+            # OverflowError: an integer too large for a float
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"{path}:{lineno}: bad rule record: {exc}") from exc
             key = (m, c, e)
             if key in rules:
@@ -257,16 +252,10 @@ def learn_ruleset(train: ObservationSet,
             raise InputError(f"training object {train.objects[w]!r} has no ground-truth label")
     if candidates is None:
         candidates = generate_candidates(train)
-    grid = tuple(sorted(set(float(e) for e in epsilon_grid)))
-    if not grid:
-        raise InputError("epsilon grid must be non-empty")
+    ruleset = RuleSet(epsilon_grid)
+    grid = ruleset.epsilon_grid
+    truth = Truth.of(gt_labels, train.objects, train.classes).label
 
-    # ground-truth class index per object, -1 for a label outside the classes
-    ci = {c: i for i, c in enumerate(train.classes)}
-    truth = np.fromiter((ci.get(gt_labels.get(o), -1) for o in train.objects),
-                        dtype=np.int64, count=len(train.objects))
-
-    ruleset = RuleSet(grid)
     for f, m in enumerate(train.models):
         for c, k in enumerate(train.classes):
             pool = tuple(candidates.get((m, k), ()))

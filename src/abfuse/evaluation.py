@@ -14,13 +14,14 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .deduction import DomainConfig, count_violations, inc_from_count
 from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules
-from .model_io import InputError, ObservationSet, index_of, json_numbers, json_strings
+from .model_io import (InputError, ObservationSet, Truth, index_of, json_numbers,
+                       json_strings, write_json)
 
 METHODS = ("ip", "ip+tb", "hs", "hs+tb", "mv", "best", "avg")   # solvers first
 
@@ -42,27 +43,6 @@ class Metrics:
     runtime_per_object: float = 0.0
     n_objects: int = 0
     violations: int = 0     # raw violated ground rules behind ``inconsistency``
-
-
-class Truth(NamedTuple):
-    """Ground-truth labels on a (class, object) universe.
-
-    ``label[w]`` is the class index of object ``w``'s label, -1 for none.
-    ``n_labels`` counts every label, also those of objects or classes
-    outside the universe, which no atom can hit.
-    """
-
-    classes: tuple
-    label: np.ndarray       # int64 (N,)
-    n_labels: int
-
-    @classmethod
-    def of(cls, gt_labels: Mapping[str, str], objects: Sequence[str],
-           classes: Sequence[str]) -> "Truth":
-        at = {c: i for i, c in enumerate(classes)}
-        return cls(tuple(classes), np.fromiter(
-            (at.get(gt_labels.get(w), -1) for w in objects), dtype=np.int64,
-            count=len(objects)), len(gt_labels))
 
 
 def score(cov: np.ndarray,
@@ -194,9 +174,7 @@ class SweepResult:
                 ])
 
     def write_manifest(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.manifest, sort_keys=True)
 
 
 def _row_worker(args) -> list:
@@ -288,6 +266,8 @@ def run_sweep(dataset: SweepDataset,
             raise InputError(f"unknown method {m!r}; choose from {METHODS}")
     if repeats < 1:
         raise InputError("repeats must be >= 1")
+    if jobs < 1:
+        raise InputError("jobs must be >= 1")
     deltas = sorted(set(float(d) for d in delta_grid))
     epsilons = sorted(set(float(e) for e in epsilon_grid))
     for grid, name in ((deltas, "delta"), (epsilons, "epsilon")):
@@ -305,7 +285,8 @@ def run_sweep(dataset: SweepDataset,
 
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a worker per row at most: each is started at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             rows = list(pool.map(_row_worker, tasks))
     else:
         rows = list(map(_row_worker, tasks))

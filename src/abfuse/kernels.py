@@ -67,9 +67,7 @@ def commit_atoms(pres, add_c, add_w):
 # Everything that does not depend on the budget (variables, the visit order,
 # the initial counts and totals, the neighbour lists) is built once per
 # instance by ``search_start`` and shared by the solves of every delta; each
-# solve copies only the count rows it mutates.  A variable's objects are
-# listed the first time any solve branches on it, so a search that ends at
-# the root pays only for those copies.
+# solve copies only the count rows it mutates.
 # Every variable's objects are covered at the root (the variable itself
 # supports them), so nothing starts uncovered.  Eliminations only shrink
 # coverage, so an uncovered object can never recover deeper in the subtree
@@ -100,9 +98,7 @@ class SearchStart(NamedTuple):
     var_f: list             # model of each branch variable
     var_cls: list           # class of each branch variable
     order: list             # visit order of the variables
-    offs: list              # var_obj_idx[offs[v]:offs[v + 1]] are v's objects
-    var_obj_idx: np.ndarray
-    var_objs: list          # v's objects as a list, filled on first branch
+    var_objs: list          # each variable's objects, ascending
     cnt: list               # cnt[c][w] at the root
     ncov: list              # ncov[w] at the root
     nbrs: list              # each class's exclusion neighbours
@@ -123,10 +119,12 @@ def search_start(pred, a, b) -> SearchStart:
     covered = sup > 0
     ncov = covered.sum(axis=0)
     nbrs = [n.tolist() for n in neighbours((a, b), pred.shape[1])]
+    # nonzero walks (model, class, object) order: the variables' runs in turn
+    objs = np.nonzero(pred)[2].tolist()
+    ends = np.cumsum(var_support).tolist()
     return SearchStart(
         var_f.tolist(), var_cls.tolist(), np.argsort(-var_support, kind="stable").tolist(),
-        np.concatenate(([0], np.cumsum(var_support))).tolist(), np.nonzero(pred)[2],
-        [None] * var_f.size, sup.tolist(), ncov.tolist(), nbrs,
+        [objs[i:j] for i, j in zip([0, *ends], ends)], sup.tolist(), ncov.tolist(), nbrs,
         int(ncov.sum()), int((covered[a] & covered[b]).sum()),
         max(1, max(map(len, nbrs), default=0)))
 
@@ -139,8 +137,8 @@ def bnb_search(start: SearchStart, budget):
     is False when no elimination pattern covers every coverable object
     within the conflict budget.
     """
-    var_cls, order, offs = start.var_cls, start.order, start.offs
-    var_obj_idx, var_objs, max_deg = start.var_obj_idx, start.var_objs, start.max_deg
+    var_cls, order, var_objs = start.var_cls, start.order, start.var_objs
+    max_deg = start.max_deg
     atoms, conflicts, uncovered = start.atoms, start.conflicts, 0
     n_vars = len(var_cls)
     cnt = list(start.cnt)
@@ -205,12 +203,9 @@ def bnb_search(start: SearchStart, budget):
         elif p == 1:
             phase[depth] = 2
             v = order[depth]
-            objs = var_objs[v]
-            if objs is None:
-                objs = var_objs[v] = var_obj_idx[offs[v]:offs[v + 1]].tolist()
             row = cnt[var_cls[v]]
             nbrs = nbr_rows[var_cls[v]]
-            for w in objs:
+            for w in var_objs[v]:
                 k = row[w] - 1
                 row[w] = k
                 if k == 0:

@@ -45,10 +45,10 @@ and class indices into sorted id tuples, plus ``float64`` confidences.
 
 :func:`write_predictions` and :func:`write_ground_truth` take the same
 tables the loaders return.  They encode each column at once and write
-the bytes of one ``json.dumps`` per row.
+the bytes of one ``json.dumps`` per row.  Every other JSON or JSONL output
+goes through :func:`write_json` or :func:`write_jsonl`.
 """
 
-import gc
 import json
 import json.scanner
 import os
@@ -153,33 +153,6 @@ class ObservationSet:
         order = np.lexsort((obj, klass, model))
         return cls(models, objects, classes, model[order], obj[order],
                    klass[order], confidence[order])
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[Observation],
-                     objects: Optional[Iterable[str]] = None,
-                     models: Optional[Iterable[str]] = None,
-                     classes: Optional[Iterable[str]] = None) -> "ObservationSet":
-        """The set of ``entries`` on universes widened to cover their ids;
-        raises :class:`InputError` for two entries of one model for one
-        object."""
-        rows = list(frozenset(entries))
-
-        def universe(given, field):
-            return tuple(sorted(set(() if given is None else given).union(
-                getattr(e, field) for e in rows)))
-
-        models, objects, classes = (universe(models, "model_id"),
-                                    universe(objects, "object_id"),
-                                    universe(classes, "class_id"))
-        obj = index_of(objects, (e.object_id for e in rows), "object")
-        model = index_of(models, (e.model_id for e in rows), "model")
-        klass = index_of(classes, (e.class_id for e in rows), "class")
-        twice = np.flatnonzero(np.bincount(model * len(objects) + obj, minlength=1) > 1)
-        if twice.size:
-            f, w = divmod(int(twice[0]), len(objects))
-            raise InputError(f"model {models[f]!r} has two entries for object {objects[w]!r}")
-        return cls.build(models, objects, classes, model, obj, klass, np.fromiter(
-            (e.confidence for e in rows), dtype=np.float64, count=len(rows)))
 
     @cached_property
     def entries(self) -> frozenset:
@@ -402,6 +375,27 @@ def ground_truth_labels(gt: GroundTruthTable) -> dict:
     return dict(zip(gt.object_id, gt.class_id))
 
 
+class Truth(NamedTuple):
+    """Ground-truth labels on a (class, object) universe.
+
+    ``label[w]`` is the class index of object ``w``'s label, -1 for none.
+    ``n_labels`` counts every label, also those of objects or classes
+    outside the universe, which no atom can hit.
+    """
+
+    classes: tuple
+    label: np.ndarray       # int64 (N,)
+    n_labels: int
+
+    @classmethod
+    def of(cls, gt_labels: Mapping[str, str], objects: Sequence[str],
+           classes: Sequence[str]) -> "Truth":
+        at = {c: i for i, c in enumerate(classes)}
+        return cls(tuple(classes), np.fromiter(
+            (at.get(gt_labels.get(w), -1) for w in objects), dtype=np.int64,
+            count=len(objects)), len(gt_labels))
+
+
 # ---------------------------------------------------------------------------
 # file I/O
 
@@ -440,24 +434,16 @@ def _records(path: str) -> tuple:
     that line, or is None.
 
     Each stripped line takes one call of json's scanner, which must end at
-    the line's end.  The collector is paused for that bulk decode, which
-    builds many container objects and no cycles.  Only when a line fails is
-    the file decoded again line by line with ``json.loads``, which words the
-    error.
+    the line's end.  Only when a line fails is the file decoded again line
+    by line with ``json.loads``, which words the error.
     """
     lines = list(map(str.strip, read_text(path).split("\n")))
     numbers = list(compress(count(1), lines))
     lines = list(filter(None, lines))
     try:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            # a line holding no JSON value raises StopIteration, which ends
-            # the map early: the list of end offsets then comes out short
-            decoded = list(map(_SCAN, lines, repeat(0)))
-        finally:
-            if enabled:
-                gc.enable()
+        # a line holding no JSON value raises StopIteration, which ends the
+        # map early: the list of end offsets then comes out short
+        decoded = list(map(_SCAN, lines, repeat(0)))
         records = list(map(itemgetter(0), decoded))
         if (list(map(itemgetter(1), decoded)) == list(map(len, lines))
                 and set(map(type, records)) <= {dict}):
@@ -706,13 +692,19 @@ def write_ground_truth(path: str, gt: GroundTruthTable) -> None:
                    json_strings(gt.class_id), *_corners(gt.boxes)))
 
 
+def write_json(path: str, doc, sort_keys: bool = False) -> None:
+    """``doc`` as JSON indented by two spaces, then a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
+def write_jsonl(path: str, records: Iterable) -> None:
+    """One ``json.dumps`` line per record."""
+    write_rows(path, "%s\n", zip(map(json.dumps, records)))
+
+
 def write_manifest(path: str, models: Sequence[str], classes: Sequence[str],
                    predictions: Mapping[str, str], ground_truth: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "models": list(models),
-            "classes": list(classes),
-            "predictions": dict(predictions),
-            "ground_truth": ground_truth,
-        }, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {"models": list(models), "classes": list(classes),
+                      "predictions": dict(predictions), "ground_truth": ground_truth})

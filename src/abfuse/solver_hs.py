@@ -11,7 +11,6 @@ are skipped.  Accepted predictions are never removed, so every intermediate
 selection already satisfies the budget.
 """
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Optional, Tuple
@@ -21,7 +20,7 @@ import numpy as np
 from . import kernels
 from .deduction import IntegrityConstraintSet, inc_from_count, violation_budget
 from .edr import RuleSet, split_flagged
-from .model_io import InputError, ObservationSet
+from .model_io import InputError, ObservationSet, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,9 @@ class SelectionTrace:
     steps: Tuple[SelectionStep, ...]
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for s in self.steps:
-                fh.write(json.dumps({
-                    "model_id": s.model_id,
-                    "class_id": s.class_id,
-                    "chosen_epsilon": s.chosen_epsilon,
-                    "s_size_after": s.s_size_after,
-                }) + "\n")
+        write_jsonl(path, ({"model_id": s.model_id, "class_id": s.class_id,
+                            "chosen_epsilon": s.chosen_epsilon,
+                            "s_size_after": s.s_size_after} for s in self.steps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,17 +65,6 @@ class HsResult:
     trace: SelectionTrace
     n_atoms: int
     inconsistency: float
-
-    @property
-    def selected(self) -> frozenset:
-        """The accepted :class:`Observation` entries."""
-        return self.obs.subset(self.rows).entries
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HsResult):
-            return NotImplemented
-        return ((self.selected, self.trace, self.n_atoms, self.inconsistency)
-                == (other.selected, other.trace, other.n_atoms, other.inconsistency))
 
     def atoms(self) -> frozenset:
         c, w = np.nonzero(self.obs.coverage(self.rows))

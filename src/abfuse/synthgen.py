@@ -14,7 +14,6 @@ out on a disjoint unit grid of boxes so the bounding-box matcher
 reconstructs the generated observation set exactly.
 """
 
-import json
 import os
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence, Tuple
@@ -23,8 +22,8 @@ import numpy as np
 
 from .deduction import DEFAULT_CLASSES
 from .model_io import (DetectionTable, GroundTruthTable, InputError, ObservationSet,
-                       index_of, read_json, write_ground_truth, write_manifest,
-                       write_predictions)
+                       index_of, read_json, write_ground_truth, write_json,
+                       write_manifest, write_predictions)
 
 
 @dataclass(frozen=True)
@@ -227,9 +226,7 @@ PRESET_FAMILIES = tuple(sorted(_FAMILIES))
 
 
 def save_scenario(path: str, scenario: ShiftScenario) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(scenario), fh, indent=2)
-        fh.write("\n")
+    write_json(path, asdict(scenario))
 
 
 def load_scenario(path: str) -> ShiftScenario:
@@ -250,7 +247,8 @@ def load_scenario(path: str) -> ShiftScenario:
             conf_correct=tuple(float(v) for v in raw.get("conf_correct", (9.0, 2.0))),
             conf_wrong=tuple(float(v) for v in raw.get("conf_wrong", (2.5, 4.0))),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer too large for a float, or an infinite count
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad scenario config: {exc}") from exc
 
 
@@ -305,7 +303,5 @@ def write_dataset(data: SynthData, out_dir: str) -> Tuple[str, str]:
                                 data.test, data.test_labels,
                                 data.scenario.classes)
     save_scenario(os.path.join(out_dir, "scenario.json"), data.scenario)
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(dict(data.meta), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "meta.json"), dict(data.meta), sort_keys=True)
     return train_manifest, test_manifest

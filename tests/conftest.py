@@ -16,8 +16,8 @@ from hypothesis import settings
 from abfuse import solver_ip
 from abfuse.deduction import IntegrityConstraintSet
 from abfuse.edr import RuleSet
-from abfuse.model_io import Observation, ObservationSet
-from oracles import det_table, gt_table
+from abfuse.model_io import Observation
+from oracles import det_table, gt_table, observation_set
 
 # HYPOTHESIS_PROFILE=ci runs 5x the examples in tests that do not pin
 # max_examples themselves
@@ -30,7 +30,7 @@ SHARED_SEEDS = tuple(range(1000, 1220))
 
 def obs_of(rows, **universes):
     """Build an ObservationSet from (object, model, class, confidence) rows."""
-    return ObservationSet.from_entries([Observation(*r) for r in rows], **universes)
+    return observation_set([Observation(*r) for r in rows], **universes)
 
 
 def row_labels(obs, rows):
@@ -84,8 +84,7 @@ def random_instance(seed):
     objs = [f"o{i}" for i in range(n_objects)]
     entries = [Observation(w, f, rng.choice(classes), round(rng.random(), 3))
                for f in models for w in objs if rng.random() < 0.75]
-    obs = ObservationSet.from_entries(entries, objects=objs, models=models,
-                                      classes=classes)
+    obs = observation_set(entries, objects=objs, models=models, classes=classes)
     all_pairs = list(itertools.combinations(classes, 2))
     ic = IntegrityConstraintSet(
         tuple(rng.sample(all_pairs, rng.randint(0, len(all_pairs)))))

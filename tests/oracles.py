@@ -19,8 +19,40 @@ from abfuse.evaluation import Metrics
 from abfuse.edr import (Condition, ErrorRule, RuleSet, _learn_pair,
                         generate_candidates)
 from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError,
-                             Observation, ObservationSet)
-from abfuse.solver_hs import HsConfig, SelectionStep
+                             Observation, ObservationSet, index_of)
+from abfuse.solver_hs import HsConfig, HsResult, SelectionStep
+
+
+# ------------------------------------------------ observation sets, by entry
+# Production builds every ``ObservationSet`` from index arrays
+# (``ObservationSet.build``); tests state theirs as ``Observation`` tuples.
+
+
+def observation_set(entries: Iterable[Observation],
+                    objects: Optional[Iterable[str]] = None,
+                    models: Optional[Iterable[str]] = None,
+                    classes: Optional[Iterable[str]] = None) -> ObservationSet:
+    """The set of ``entries`` on universes widened to cover their ids;
+    raises :class:`InputError` for two entries of one model for one
+    object."""
+    rows = list(frozenset(entries))
+
+    def universe(given, field):
+        return tuple(sorted(set(() if given is None else given).union(
+            getattr(e, field) for e in rows)))
+
+    models, objects, classes = (universe(models, "model_id"),
+                                universe(objects, "object_id"),
+                                universe(classes, "class_id"))
+    obj = index_of(objects, (e.object_id for e in rows), "object")
+    model = index_of(models, (e.model_id for e in rows), "model")
+    klass = index_of(classes, (e.class_id for e in rows), "class")
+    twice = np.flatnonzero(np.bincount(model * len(objects) + obj, minlength=1) > 1)
+    if twice.size:
+        f, w = divmod(int(twice[0]), len(objects))
+        raise InputError(f"model {models[f]!r} has two entries for object {objects[w]!r}")
+    return ObservationSet.build(models, objects, classes, model, obj, klass, np.fromiter(
+        (e.confidence for e in rows), dtype=np.float64, count=len(rows)))
 
 
 # ------------------------------------------------------- deductive closure
@@ -177,6 +209,16 @@ def get_filtered_preds(model_id: str, class_id: str, epsilon: float,
     return frozenset(e for e in p_raw.entries
                      if (e.model_id, e.class_id) == (model_id, class_id)
                      and not flags(rule, e, siblings[e.object_id]))
+
+
+def selected(res: HsResult) -> frozenset:
+    """The :class:`Observation` entries a greedy result accepts."""
+    return res.obs.subset(res.rows).entries
+
+
+def hs_outcome(res: HsResult) -> tuple:
+    """What a greedy result decides: accepted entries, trace and scores."""
+    return selected(res), res.trace, res.n_atoms, res.inconsistency
 
 
 def heuristic_search_reference(p_raw: ObservationSet, config: HsConfig,

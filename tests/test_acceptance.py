@@ -23,7 +23,7 @@ from abfuse.deduction import (IntegrityConstraintSet, default_domain,
 from abfuse.edr import RuleSet, apply_rules, learn_ruleset
 from abfuse.evaluation import (SweepDataset, per_model_metrics, run_sweep,
                                score_atoms)
-from abfuse.model_io import Observation, ObservationSet, match_detections
+from abfuse.model_io import Observation, match_detections
 from abfuse.solver_hs import HsConfig, heuristic_search
 from abfuse.tiebreak import apply_tiebreaker, candidates_from_atoms
 
@@ -31,7 +31,8 @@ from conftest import (DELTA_GRID, SHARED_SEEDS, assigned_atoms, random_instance,
                       row_labels, tables)
 from oracles import (BoundingBox, Detection, GroundTruthObject, Hypothesis,
                      brute_force_optimal, calc_incon, fixpoint, flags,
-                     get_filtered_preds, labels_to_atoms, sibling_index)
+                     get_filtered_preds, labels_to_atoms, observation_set,
+                     selected, sibling_index)
 
 EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -92,7 +93,7 @@ def test_c03_greedy_selection_feasible_at_every_step(shared_instances):
             assert inc == pytest.approx(step.incon_after, abs=1e-12)
             atoms = {(e.class_id, e.object_id) for e in running}
             assert len(atoms) == step.s_size_after
-        assert frozenset(running) == result.selected
+        assert frozenset(running) == selected(result)
         assert result.inconsistency <= delta + 1e-12
 
 
@@ -222,8 +223,7 @@ def _micro_closure_instance(seed):
     objs = [f"o{i}" for i in range(rng.randint(1, 4))]
     entries = [Observation(w, f, rng.choice(classes), round(rng.random(), 3))
                for f in models for w in objs if rng.random() < 0.8]
-    obs = ObservationSet.from_entries(entries, objects=objs, models=models,
-                                      classes=classes)
+    obs = observation_set(entries, objects=objs, models=models, classes=classes)
     ic = IntegrityConstraintSet(tuple(
         p for p in itertools.combinations(classes, 2) if rng.random() < 0.6))
     hyp = Hypothesis(frozenset((f, c) for f in models for c in classes

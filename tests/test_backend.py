@@ -104,9 +104,7 @@ def test_search_start_root_totals(seed):
     assert start.ncov == covered.sum(axis=0).tolist()
     variables = [(f, c) for f in range(F) for c in range(C) if pred[f, c].any()]
     assert list(zip(start.var_f, start.var_cls)) == variables
-    for v, (f, c) in enumerate(variables):
-        objs = start.var_obj_idx[start.offs[v]:start.offs[v + 1]]
-        assert objs.tolist() == np.flatnonzero(pred[f, c]).tolist()
+    assert start.var_objs == [np.flatnonzero(pred[f, c]).tolist() for f, c in variables]
     support = [int(pred[f, c].sum()) for f, c in variables]
     assert start.order == sorted(range(len(variables)), key=lambda v: -support[v])
 

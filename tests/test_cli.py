@@ -326,6 +326,37 @@ def test_non_utf8_input_exits_one_without_traceback(dataset, tmp_path, target):
     assert proc.stderr.startswith(f"error: {path}:{line}: not valid UTF-8:"), proc.stderr
 
 
+@pytest.mark.parametrize("target", ["epsilon", "threshold", "conf_wrong", "n_train"])
+def test_huge_number_exits_one_without_traceback(dataset, tmp_path, target):
+    # a 400-digit integer overflows float(), and 1e400 is read as infinity,
+    # which overflows int()
+    manifest, rules = dataset
+    huge = "1" * 400
+    if target in ("epsilon", "threshold"):
+        path = tmp_path / "rules.jsonl"
+        lines = pathlib.Path(rules).read_text().splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        if target == "epsilon":
+            rec["epsilon"] = "@"
+        else:
+            rec["conditions"] = [{"kind": "confidence_below", "threshold": "@"}]
+        path.write_text(lines[0] + json.dumps(rec).replace('"@"', huge) + "\n")
+        argv = ["abduce", "--manifest", manifest, "--rules", str(path), "--solver", "hs",
+                "--delta", "0.5", "--out", str(tmp_path / "out")]
+    else:
+        path = tmp_path / "scenario.json"
+        scenario = json.loads((pathlib.Path(manifest).parent.parent / "scenario.json")
+                              .read_text())
+        scenario[target] = [huge, 4.0] if target == "conf_wrong" else "1e400"
+        path.write_text(json.dumps(scenario).replace('"%s"' % huge, huge)
+                        .replace('"1e400"', "1e400"))
+        argv = ["gen", "--scenario", str(path), "--out", str(tmp_path / "gen")]
+    proc = _python("-m", "abfuse.cli", *argv)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}:"), proc.stderr
+
+
 def test_abduce_and_sweep_leave_numpy_ma_unloaded(dataset, tmp_path):
     # np.unique imports numpy.ma (~23 ms and ~1.4 MB per process)
     manifest, rules = dataset
@@ -406,6 +437,37 @@ def test_labels_bytes_are_pinned(dataset, tmp_path, name):
     assert main([argv[0], *data, *argv[1:], "--out", str(tmp_path)]) == EXIT_OK
     labels = (tmp_path / "labels.jsonl").read_bytes()
     assert hashlib.sha256(labels).hexdigest() == digest
+
+
+# sha256 of the JSON outputs on the ``dataset`` fixture that the pins above
+# leave out, taken before every JSON writer went through
+# ``model_io.write_json``/``write_jsonl``: the bytes must not change
+PINNED_JSON = {
+    "hs/metrics.json": "e432d4ea111898c067c252bca56c09021bfd5485222222b8f5d0639976e50856",
+    "hs/trace.jsonl": "5229e66d788110092a69f7c865707ccfd56509a3589ca30c3709546c3ebed575",
+    "ip/metrics.json": "6e0298fa9d66023423036b7101f8ec501bee815b8ee359eadcfa0126239ca68a",
+    "best/metrics.json": "a972c4828da0ce6520d44d57eff314053a22f0817badabfe9493909847cf040a",
+    "eval.json": "35ab5895f00674150a49e93ce1d331f26425b648e2a91b7c75ae695df5803fa2",
+    "sweep.csv.manifest.json":
+        "beb7516b4ef8695f15798a10eef2ad01de55ee51ae978e8bb34e0420c3b6b94d",
+}
+
+
+def test_json_outputs_are_pinned(dataset, tmp_path):
+    manifest, rules = dataset
+    for argv in (
+            ["abduce", "--rules", rules, "--solver", "hs", "--delta", "0.5",
+             "--out", str(tmp_path / "hs")],
+            ["abduce", "--rules", rules, "--solver", "ip", "--delta", "0.5",
+             "--epsilon", "0.1", "--out", str(tmp_path / "ip")],
+            ["baseline", "--method", "best", "--out", str(tmp_path / "best")],
+            ["eval", "--labels", str(tmp_path / "hs" / "labels.jsonl"),
+             "--out", str(tmp_path / "eval.json")],
+            ["sweep", "--rules", rules, "--methods", "ip,hs,mv", "--delta-grid", "0.1,0.5",
+             "--epsilon-grid", "0.1,0.5", "--no-timing", "--out", str(tmp_path / "sweep.csv")]):
+        assert main([argv[0], "--manifest", manifest, *argv[1:]]) == EXIT_OK
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PINNED_JSON} == PINNED_JSON
 
 
 def test_sweep_csv_and_manifest(dataset, tmp_path, capsys):
@@ -582,8 +644,8 @@ def test_console_script_is_the_process_entry():
 
 
 def test_in_process_main_leaves_the_collector_as_found(dataset, tmp_path):
-    # only ``entry`` freezes the heap, and the loaders' pause of the
-    # collector is undone also when a line fails to decode
+    # only ``entry`` freezes the heap, and the collector stays on, also
+    # when a line fails to decode
     manifest, rules = dataset
     conflict, _ = conflict_dataset(tmp_path)
     preds = tmp_path / "conflict" / "f2.jsonl"
@@ -610,6 +672,14 @@ def test_sweep_rejects_bad_grids(dataset, tmp_path, capsys):
     assert main(base + ["--delta-grid", "0.1,2.0"]) == EXIT_INPUT
     assert "out of [0, 1]" in capsys.readouterr().err
     assert main(base + ["--delta-grid", "0.1,frog"]) == EXIT_INPUT
+
+
+def test_sweep_rejects_no_jobs(dataset, tmp_path, capsys):
+    manifest, rules = dataset
+    assert main(["sweep", "--manifest", manifest, "--rules", rules, "--jobs", "0",
+                 "--out", str(tmp_path / "sweep.csv")]) == EXIT_INPUT
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_baseline_mv_matches_library(dataset, tmp_path):

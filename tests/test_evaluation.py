@@ -231,6 +231,42 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial.cells == parallel.cells
 
 
+def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
+    # a process pool starts all its workers at the first submit, so the
+    # sweep asks for no more workers than it has epsilon rows
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        """Records ``max_workers`` and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    kw = dict(methods=("ip", "hs", "mv"), delta_grid=(0.1, 0.9),
+              epsilon_grid=(0.1, 0.5), timing=False)
+    serial = run_sweep(tiny_dataset(), jobs=1, **kw)
+    assert asked == []
+    for jobs in (2, 64):
+        res = run_sweep(tiny_dataset(), jobs=jobs, **kw)
+        assert res.cells == serial.cells
+        assert res.manifest["jobs"] == jobs
+    assert asked == [2, 2]
+    with pytest.raises(InputError, match="jobs must be >= 1"):
+        run_sweep(tiny_dataset(), jobs=0, **kw)
+
+
 def test_sweep_validates_inputs():
     ds = tiny_dataset()
     with pytest.raises(InputError, match="non-empty"):

@@ -106,6 +106,8 @@ def test_array_iou_is_bit_identical_to_compute_iou(gt_boxes, det_boxes):
 # ----------------------------------------------------------- observations
 
 def test_observation_set_una():
+    # the tests' builder (oracles.observation_set) keeps one entry per
+    # (model, object)
     with pytest.raises(InputError, match="two entries"):
         obs_of([("o1", "f1", "car", 0.9), ("o1", "f1", "tree", 0.8)])
 
@@ -563,8 +565,8 @@ def test_manifest_field_types(tmp_path, key, value, message):
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("text", ['{"a": 1}\n{"b": [2]}\n', '{"a": 1}\n{"b": [2\n', "[]\n"])
 def test_records_restore_the_collector_state(tmp_path, enabled, text):
-    # the bulk decode pauses the collector and puts back the state it found,
-    # also when a line is not one JSON object
+    # the loader leaves the collector in the state it found, also when a
+    # line is not one JSON object
     path = tmp_path / "x.jsonl"
     path.write_text(text)
     was = gc.isenabled()
