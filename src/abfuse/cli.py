@@ -12,12 +12,12 @@ Each subcommand imports the modules it needs when it runs, so a process
 compiles only those: ``gen`` never loads the solvers, ``learn`` only
 ``model_io`` and ``edr``.  Importing this module loads no numpy, so
 :func:`entry`, the process entry point, can size OpenBLAS's thread pool
-before it starts; it also freezes the heap before exiting so interpreter
-shutdown has nothing to collect.
+before it starts; it also turns the cyclic garbage collector off for the
+command and freezes the heap before exiting, so interpreter shutdown has
+nothing to collect.
 """
 
 import argparse
-import dataclasses
 import gc
 import os
 import sys
@@ -77,7 +77,7 @@ def _load_obs(args):
 
 
 def _metrics_dict(m) -> dict:
-    return {**dataclasses.asdict(m), "status": "ok"}
+    return {**vars(m), "status": "ok"}
 
 
 def _write_labels(path: str, obs, rows, sources: bool = False) -> None:
@@ -110,14 +110,18 @@ def cmd_gen(args) -> int:
     if bool(args.preset) == bool(args.scenario):
         raise InputError("exactly one of --preset / --scenario is required")
     if args.preset:
-        scenario = synthgen.preset(args.preset, n_models=args.models,
-                                   n_train=args.n_train, n_test=args.n_test,
-                                   seed=args.seed if args.seed is not None else 0)
+        scenario = synthgen.preset(
+            args.preset, n_models=6 if args.models is None else args.models,
+            n_train=1000 if args.n_train is None else args.n_train,
+            n_test=2000 if args.n_test is None else args.n_test,
+            seed=0 if args.seed is None else args.seed)
     else:
-        scenario = synthgen.load_scenario(args.scenario)
-        if args.seed is not None:
-            from dataclasses import replace
-            scenario = replace(scenario, seed=args.seed)
+        given = [f"--{k.replace('_', '-')}" for k in ("models", "n_train", "n_test")
+                 if getattr(args, k) is not None]
+        if given:
+            raise InputError(f"{', '.join(given)} cannot be used with --scenario: "
+                             "the scenario file sets the counts")
+        scenario = synthgen.load_scenario(args.scenario, seed=args.seed)
     data = synthgen.generate(scenario)
     train_manifest, test_manifest = synthgen.write_dataset(data, args.out)
     print(train_manifest)
@@ -283,9 +287,9 @@ def build_parser() -> _Parser:
     g.add_argument("--scenario", help="scenario config JSON file")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--models", type=int, default=6)
-    g.add_argument("--n-train", type=int, default=1000)
-    g.add_argument("--n-test", type=int, default=2000)
+    g.add_argument("--models", type=int, default=None)
+    g.add_argument("--n-train", type=int, default=None)
+    g.add_argument("--n-test", type=int, default=None)
     g.set_defaults(fn=cmd_gen)
 
     def dataset_args(sp, rules=False):
@@ -365,12 +369,15 @@ def entry() -> None:
     Before numpy loads, OpenBLAS is limited to one thread unless
     ``OPENBLAS_NUM_THREADS`` is already set: abfuse makes no BLAS call, and
     the workers OpenBLAS would otherwise start, one per further core,
-    spin-wait through the rest of numpy's import.  Sweep workers inherit
-    the setting.  The heap is frozen before exiting, so the full
-    collections of interpreter shutdown have nothing to traverse.
-    In-process :func:`main` calls leave the environment and the collector
-    as they found them."""
+    spin-wait through the rest of numpy's import.  The cyclic garbage
+    collector is off: a command's objects live until it ends, so its
+    passes would only traverse them.  Sweep workers inherit both
+    settings.  The heap is frozen before exiting, so the full collections
+    of interpreter shutdown have nothing to traverse.  In-process
+    :func:`main` calls leave the environment and the collector as they
+    found them."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

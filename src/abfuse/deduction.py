@@ -25,7 +25,6 @@ greedy search may leave an object without any assignment.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,23 +41,23 @@ def _canon_pair(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
 class IntegrityConstraintSet:
-    """Unordered mutually-exclusive class pairs."""
+    """Unordered mutually-exclusive class pairs, held in ``pairs`` in
+    sorted order, each as (smaller, larger) class id."""
 
-    pairs: Tuple[Tuple[str, str], ...]
-
-    def __post_init__(self):
-        canon = []
-        seen = set()
-        for a, b in self.pairs:
+    def __init__(self, pairs: Iterable[Tuple[str, str]]):
+        canon = set()
+        for a, b in pairs:
             if a == b:
                 raise InputError(f"exclusion pair with identical classes: {a!r}")
-            p = _canon_pair(a, b)
-            if p not in seen:
-                seen.add(p)
-                canon.append(p)
-        object.__setattr__(self, "pairs", tuple(sorted(canon)))
+            canon.add(_canon_pair(a, b))
+        self.pairs = tuple(sorted(canon))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntegrityConstraintSet) and self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
 
     @classmethod
     def all_pairs(cls, classes: Iterable[str]) -> "IntegrityConstraintSet":
@@ -158,17 +157,19 @@ def violation_budget(delta: float,
 DEFAULT_CLASSES = ("construction", "nature", "pedestrians", "vehicles")
 
 
-@dataclass(frozen=True)
 class DomainConfig:
-    classes: Tuple[str, ...]
-    ic: IntegrityConstraintSet
-    normalizer_mode: str = "per_object"
-    directed_ground_rules: bool = False
+    """The classes, their exclusion pairs and how Inc normalizes."""
 
-    def __post_init__(self):
-        if self.normalizer_mode not in NORMALIZER_MODES:
-            raise InputError(f"unknown normalizer_mode {self.normalizer_mode!r}")
-        self.ic.check_within(self.classes)
+    def __init__(self, classes: Tuple[str, ...], ic: IntegrityConstraintSet,
+                 normalizer_mode: str = "per_object", directed_ground_rules: bool = False):
+        if normalizer_mode not in NORMALIZER_MODES:
+            raise InputError(f"unknown normalizer_mode {normalizer_mode!r}")
+        ic.check_within(classes)
+        self.classes, self.ic = classes, ic
+        self.normalizer_mode, self.directed_ground_rules = normalizer_mode, directed_ground_rules
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DomainConfig) and vars(self) == vars(other)
 
 
 def default_domain(classes: Optional[Iterable[str]] = None) -> DomainConfig:

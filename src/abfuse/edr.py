@@ -17,8 +17,7 @@ Conditions are evaluated as boolean masks over the rows of an
 filtering share that evaluator.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,24 +30,27 @@ _QUANTILES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
 class Condition:
     """``disagree_with`` fires where ``model`` predicts another class for the
     object; ``confidence_below`` where the confidence is below ``threshold``."""
 
-    kind: str
-    model: Optional[str] = None
-    threshold: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == "disagree_with":
-            if not self.model:
+    def __init__(self, kind: str, model: Optional[str] = None,
+                 threshold: Optional[float] = None):
+        if kind == "disagree_with":
+            if not model:
                 raise InputError("disagree_with needs a model id")
-        elif self.kind == "confidence_below":
-            if self.threshold is None or not (0.0 <= self.threshold <= 1.0):
-                raise InputError(f"confidence_below needs a threshold in [0, 1]: {self.threshold!r}")
+        elif kind == "confidence_below":
+            if threshold is None or not (0.0 <= threshold <= 1.0):
+                raise InputError(f"confidence_below needs a threshold in [0, 1]: {threshold!r}")
         else:
-            raise InputError(f"unknown condition kind {self.kind!r}")
+            raise InputError(f"unknown condition kind {kind!r}")
+        self.kind, self.model, self.threshold = kind, model, threshold
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Condition) and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.model, self.threshold))
 
     def to_json(self) -> dict:
         if self.kind == "disagree_with":
@@ -67,28 +69,25 @@ class Condition:
         raise InputError(f"unknown condition kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class ErrorRule:
+class ErrorRule(NamedTuple):
     model_id: str
     class_id: str
     conditions: Tuple[Condition, ...] = ()
 
 
-@dataclass
 class RuleSet:
     """Learned rules for every (model, class, epsilon) on a fixed grid."""
 
-    epsilon_grid: Tuple[float, ...]
-    rules: Dict[Tuple[str, str, float], ErrorRule] = field(default_factory=dict)
-
-    def __post_init__(self):
-        grid = tuple(sorted(set(float(e) for e in self.epsilon_grid)))
+    def __init__(self, epsilon_grid: Sequence[float],
+                 rules: Optional[Dict[Tuple[str, str, float], ErrorRule]] = None):
+        grid = tuple(sorted(set(float(e) for e in epsilon_grid)))
         if not grid:
             raise InputError("epsilon grid must be non-empty")
         for e in grid:
             if not (0.0 <= e <= 1.0):
                 raise InputError(f"epsilon out of [0, 1]: {e!r}")
         self.epsilon_grid = grid
+        self.rules = {} if rules is None else rules
 
     def _grid_value(self, epsilon: float) -> float:
         for e in self.epsilon_grid:

@@ -12,9 +12,8 @@ is disabled.
 import csv
 import json
 import time
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,16 +32,20 @@ CSV_COLUMNS = ("delta", "epsilon", "method", "precision", "recall", "f1",
                "n_objects", "status")
 
 
-@dataclass(frozen=True)
 class Metrics:
-    precision: float = 0.0
-    recall: float = 0.0
-    f1: float = 0.0
-    accuracy: float = 0.0
-    inconsistency: float = 0.0
-    runtime_per_object: float = 0.0
-    n_objects: int = 0
-    violations: int = 0     # raw violated ground rules behind ``inconsistency``
+    """One method's scores; ``violations`` is the raw count of violated
+    ground rules behind ``inconsistency``.  Its attributes are the keys of
+    a metrics file."""
+
+    def __init__(self, precision: float = 0.0, recall: float = 0.0, f1: float = 0.0,
+                 accuracy: float = 0.0, inconsistency: float = 0.0,
+                 runtime_per_object: float = 0.0, n_objects: int = 0, violations: int = 0):
+        self.precision, self.recall, self.f1, self.accuracy = precision, recall, f1, accuracy
+        self.inconsistency, self.runtime_per_object = inconsistency, runtime_per_object
+        self.n_objects, self.violations = n_objects, violations
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Metrics) and vars(self) == vars(other)
 
 
 def score(cov: np.ndarray,
@@ -109,8 +112,7 @@ def per_model_metrics(obs: ObservationSet,
 # sweep
 
 
-@dataclass(frozen=True)
-class SweepDataset:
+class SweepDataset(NamedTuple):
     observations: ObservationSet
     gt_labels: Mapping[str, str]
     ruleset: RuleSet
@@ -145,8 +147,7 @@ class SweepDataset:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     delta: float
     epsilon: float
     method: str
@@ -154,8 +155,7 @@ class SweepCell:
     status: str = "ok"
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     cells: list
     manifest: dict
 

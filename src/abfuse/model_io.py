@@ -52,7 +52,6 @@ goes through :func:`write_json` or :func:`write_jsonl`.
 import json
 import json.scanner
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
@@ -70,28 +69,26 @@ def _boxes(rows) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
 
 
-@dataclass(frozen=True, eq=False)
 class GroundTruthTable:
-    """Ground-truth objects as columns, in input order."""
+    """Ground-truth objects as columns, in input order; ``boxes`` is float64
+    (G, 4): x_min, y_min, x_max, y_max."""
 
-    image_id: list
-    object_id: list
-    class_id: list
-    boxes: np.ndarray        # float64 (G, 4): x_min, y_min, x_max, y_max
+    def __init__(self, image_id: list, object_id: list, class_id: list, boxes: np.ndarray):
+        self.image_id, self.object_id, self.class_id, self.boxes = (
+            image_id, object_id, class_id, boxes)
 
     def __len__(self) -> int:
         return len(self.object_id)
 
 
-@dataclass(frozen=True, eq=False)
 class DetectionTable:
-    """Detections as columns; a row's index is its input position."""
+    """Detections as columns; a row's index is its input position.
+    ``confidence`` is float64 (K,), ``boxes`` float64 (K, 4)."""
 
-    image_id: list
-    model_id: list
-    class_id: list
-    confidence: np.ndarray   # float64 (K,)
-    boxes: np.ndarray        # float64 (K, 4): x_min, y_min, x_max, y_max
+    def __init__(self, image_id: list, model_id: list, class_id: list,
+                 confidence: np.ndarray, boxes: np.ndarray):
+        self.image_id, self.model_id, self.class_id = image_id, model_id, class_id
+        self.confidence, self.boxes = confidence, boxes
 
     def __len__(self) -> int:
         return len(self.model_id)
@@ -124,7 +121,6 @@ def index_of(ids: Sequence[str], wanted: Iterable[str], what: str) -> np.ndarray
         raise InputError(f"entry references unknown {what} {exc.args[0]!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
 class ObservationSet:
     """Predictions keyed to shared object identities, as arrays over sorted
     models, objects and classes.
@@ -133,17 +129,15 @@ class ObservationSet:
     predicted anything for; those stay relevant as the normalization base
     for inconsistency scores.  Rows are ordered by (model, class, object)
     index, so each (model, class) pair's entries are one contiguous run of
-    rows (:meth:`pair_rows`).  Two sets are equal when their universes and
-    rows are.
+    rows (:meth:`pair_rows`): int64 ``model``, ``obj`` and ``cls`` indices
+    and float64 ``confidence``.  Two sets are equal when their universes
+    and rows are.
     """
 
-    models: tuple
-    objects: tuple
-    classes: tuple
-    model: np.ndarray        # int64 (n,)
-    obj: np.ndarray          # int64 (n,)
-    cls: np.ndarray          # int64 (n,)
-    confidence: np.ndarray   # float64 (n,)
+    def __init__(self, models: tuple, objects: tuple, classes: tuple, model: np.ndarray,
+                 obj: np.ndarray, cls: np.ndarray, confidence: np.ndarray):
+        self.models, self.objects, self.classes = models, objects, classes
+        self.model, self.obj, self.cls, self.confidence = model, obj, cls, confidence
 
     @classmethod
     def build(cls, models, objects, classes, model, obj, klass,
@@ -205,8 +199,7 @@ class ObservationSet:
         return cov
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Objects left without any matched prediction."""
 
     uncovered: tuple
@@ -591,8 +584,7 @@ def load_ground_truth(path: str,
     return table
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     models: tuple
     classes: tuple
     ground_truth: GroundTruthTable

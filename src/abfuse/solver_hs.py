@@ -11,9 +11,8 @@ are skipped.  Accepted predictions are never removed, so every intermediate
 selection already satisfies the budget.
 """
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,22 +22,20 @@ from .edr import RuleSet, split_flagged
 from .model_io import InputError, ObservationSet, write_jsonl
 
 
-@dataclass(frozen=True)
 class HsConfig:
-    delta: float
-    epsilon_set: Tuple[float, ...]
+    """The budget ``delta`` and the filter strengths, held sorted and
+    deduplicated in ``epsilon_set``."""
 
-    def __post_init__(self):
-        if not (0.0 <= self.delta <= 1.0):
-            raise InputError(f"delta must be in [0, 1]: {self.delta!r}")
-        eps = tuple(sorted(set(float(e) for e in self.epsilon_set)))
-        if not eps:
+    def __init__(self, delta: float, epsilon_set: Sequence[float]):
+        if not (0.0 <= delta <= 1.0):
+            raise InputError(f"delta must be in [0, 1]: {delta!r}")
+        self.delta = delta
+        self.epsilon_set = tuple(sorted(set(float(e) for e in epsilon_set)))
+        if not self.epsilon_set:
             raise InputError("epsilon_set must be non-empty")
-        object.__setattr__(self, "epsilon_set", eps)
 
 
-@dataclass(frozen=True)
-class SelectionStep:
+class SelectionStep(NamedTuple):
     model_id: str
     class_id: str
     chosen_epsilon: Optional[float]
@@ -46,8 +43,7 @@ class SelectionStep:
     incon_after: float
 
 
-@dataclass(frozen=True)
-class SelectionTrace:
+class SelectionTrace(NamedTuple):
     steps: Tuple[SelectionStep, ...]
 
     def write(self, path: str) -> None:
@@ -56,15 +52,14 @@ class SelectionTrace:
                             "s_size_after": s.s_size_after} for s in self.steps))
 
 
-@dataclass(frozen=True, eq=False)
 class HsResult:
-    """The accepted predictions as ascending ``rows`` of the searched set."""
+    """The accepted predictions as ascending int64 ``rows`` of the searched
+    set ``obs``."""
 
-    obs: ObservationSet
-    rows: np.ndarray               # int64, ascending
-    trace: SelectionTrace
-    n_atoms: int
-    inconsistency: float
+    def __init__(self, obs: ObservationSet, rows: np.ndarray, trace: SelectionTrace,
+                 n_atoms: int, inconsistency: float):
+        self.obs, self.rows, self.trace = obs, rows, trace
+        self.n_atoms, self.inconsistency = n_atoms, inconsistency
 
     def atoms(self) -> frozenset:
         c, w = np.nonzero(self.obs.coverage(self.rows))

@@ -16,7 +16,6 @@ built from first principles.  The tests hold an exhaustive reference solver
 for tiny instances (``tests/oracles.py``).
 """
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, Tuple
 
@@ -30,18 +29,19 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True, eq=False)
 class IpInstance:
-    objects: Tuple[str, ...]
-    models: Tuple[str, ...]
-    classes: Tuple[str, ...]
-    pred: np.ndarray            # uint8 (F, C, N)
-    ic: IntegrityConstraintSet
-    delta: float
-    delta_budget: int
-    normalizer_mode: str
-    directed_ground_rules: bool
-    start: kernels.SearchStart = field(repr=False)   # the search's root state
+    """An observation set packed for the search: ``pred`` is uint8 (F, C, N)
+    over ``models``, ``classes`` and ``objects``, ``delta_budget`` the
+    integer budget of ``delta`` and ``start`` the search's root state."""
+
+    def __init__(self, objects: Tuple[str, ...], models: Tuple[str, ...],
+                 classes: Tuple[str, ...], pred: np.ndarray, ic: IntegrityConstraintSet,
+                 delta: float, delta_budget: int, normalizer_mode: str,
+                 directed_ground_rules: bool, start: kernels.SearchStart):
+        self.objects, self.models, self.classes, self.pred, self.ic = (
+            objects, models, classes, pred, ic)
+        self.delta, self.delta_budget, self.start = delta, delta_budget, start
+        self.normalizer_mode, self.directed_ground_rules = normalizer_mode, directed_ground_rules
 
     @property
     def shape(self) -> Tuple[int, int, int]:
@@ -54,28 +54,26 @@ class IpInstance:
 
     def with_delta(self, delta: float) -> "IpInstance":
         """The same instance at another ``delta``, sharing every array."""
-        return replace(self, delta=delta, delta_budget=violation_budget(
-            delta, len(self.objects), self.ic, self.normalizer_mode,
-            self.directed_ground_rules))
+        budget = violation_budget(delta, len(self.objects), self.ic, self.normalizer_mode,
+                                  self.directed_ground_rules)
+        return IpInstance(self.objects, self.models, self.classes, self.pred, self.ic, delta,
+                          budget, self.normalizer_mode, self.directed_ground_rules, self.start)
 
 
-@dataclass(eq=False)
 class IpSolution:
     """A solution as arrays over the instance's models, classes and objects.
 
-    ``eliminated[f, c]`` is the elimination bit of each (model, class) pair
-    and ``covered[c, w]`` says whether object ``w`` gets class ``c``.  An
-    infeasible solution eliminates every pair and covers nothing.  ``elim``,
-    ``assign`` and ``con`` are the same variables as dictionaries, built on
-    first access for audits and tests.
+    ``eliminated[f, c]`` (int8) is the elimination bit of each (model, class)
+    pair and ``covered[c, w]`` (bool) says whether object ``w`` gets class
+    ``c``.  An infeasible solution eliminates every pair and covers nothing.
+    ``elim``, ``assign`` and ``con`` are the same variables as dictionaries,
+    built on first access for audits and tests.
     """
 
-    status: str
-    objective: int
-    nodes: int
-    eliminated: np.ndarray      # int8 (F, C)
-    covered: np.ndarray         # bool (C, N)
-    instance: IpInstance = field(repr=False)
+    def __init__(self, status: str, objective: int, nodes: int, eliminated: np.ndarray,
+                 covered: np.ndarray, instance: IpInstance):
+        self.status, self.objective, self.nodes = status, objective, nodes
+        self.eliminated, self.covered, self.instance = eliminated, covered, instance
 
     def n_violations(self) -> int:
         return count_violations(self.covered, self.instance.classes, self.instance.ic)

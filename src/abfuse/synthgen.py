@@ -15,8 +15,7 @@ reconstructs the generated observation set exactly.
 """
 
 import os
-from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,27 +25,25 @@ from .model_io import (DetectionTable, GroundTruthTable, InputError, Observation
                        write_manifest, write_predictions)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     weight: float
     intensities: Tuple[float, ...]  # per model, in model order
 
 
-@dataclass(frozen=True)
 class ShiftScenario:
-    name: str
-    models: Tuple[str, ...]
-    classes: Tuple[str, ...]
-    class_prior: Tuple[float, ...]
-    segments: Tuple[Segment, ...]
-    train_intensities: Tuple[float, ...]
-    n_train: int
-    n_test: int
-    seed: int
-    conf_correct: Tuple[float, float] = (9.0, 2.0)
-    conf_wrong: Tuple[float, float] = (2.5, 4.0)
+    """A validated scenario; its attributes, in order, are the keys of its
+    config file (:func:`save_scenario`)."""
 
-    def __post_init__(self):
+    def __init__(self, name: str, models: Tuple[str, ...], classes: Tuple[str, ...],
+                 class_prior: Tuple[float, ...], segments: Tuple[Segment, ...],
+                 train_intensities: Tuple[float, ...], n_train: int, n_test: int, seed: int,
+                 conf_correct: Tuple[float, float] = (9.0, 2.0),
+                 conf_wrong: Tuple[float, float] = (2.5, 4.0)):
+        self.name, self.models, self.classes, self.class_prior = (
+            name, models, classes, class_prior)
+        self.segments, self.train_intensities = segments, train_intensities
+        self.n_train, self.n_test, self.seed = n_train, n_test, seed
+        self.conf_correct, self.conf_wrong = conf_correct, conf_wrong
         F, C = len(self.models), len(self.classes)
         if F < 2 or C < 2:
             raise InputError("need at least two models and two classes")
@@ -69,6 +66,11 @@ class ShiftScenario:
                 raise InputError(f"train intensity out of [0, 1]: {t}")
         if self.n_train < 0 or self.n_test < 0:
             raise InputError("sample counts must be non-negative")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative: {self.seed}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ShiftScenario) and vars(self) == vars(other)
 
 
 def error_shift(model_index: int, n_classes: int) -> int:
@@ -76,8 +78,7 @@ def error_shift(model_index: int, n_classes: int) -> int:
     return 1 + model_index % (n_classes - 1)
 
 
-@dataclass(frozen=True)
-class SynthData:
+class SynthData(NamedTuple):
     scenario: ShiftScenario
     train: ObservationSet
     train_labels: Mapping[str, str]
@@ -226,10 +227,12 @@ PRESET_FAMILIES = tuple(sorted(_FAMILIES))
 
 
 def save_scenario(path: str, scenario: ShiftScenario) -> None:
-    write_json(path, asdict(scenario))
+    write_json(path, {**vars(scenario), "segments": [s._asdict() for s in scenario.segments]})
 
 
-def load_scenario(path: str) -> ShiftScenario:
+def load_scenario(path: str, seed: Optional[int] = None) -> ShiftScenario:
+    """The scenario in ``path``, with ``seed`` in place of the file's when
+    given."""
     raw = read_json(path)
     try:
         return ShiftScenario(
@@ -243,7 +246,7 @@ def load_scenario(path: str) -> ShiftScenario:
             train_intensities=tuple(float(t) for t in raw["train_intensities"]),
             n_train=int(raw["n_train"]),
             n_test=int(raw["n_test"]),
-            seed=int(raw["seed"]),
+            seed=int(raw["seed"] if seed is None else seed),
             conf_correct=tuple(float(v) for v in raw.get("conf_correct", (9.0, 2.0))),
             conf_wrong=tuple(float(v) for v in raw.get("conf_wrong", (2.5, 4.0))),
         )

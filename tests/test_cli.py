@@ -19,6 +19,7 @@ from abfuse.deduction import default_domain
 from abfuse.edr import RuleSet, apply_rules
 from abfuse.model_io import (load_dataset, observations_from_dataset, write_ground_truth,
                              write_manifest, write_predictions)
+from abfuse.synthgen import preset, save_scenario
 
 from conftest import row_labels
 from oracles import (BoundingBox, Detection, GroundTruthObject, det_table, gt_table,
@@ -75,6 +76,42 @@ def test_gen_prints_manifests(tmp_path, capsys):
 def test_gen_needs_exactly_one_source(tmp_path, capsys):
     assert main(["gen", "--out", str(tmp_path)]) == EXIT_INPUT
     assert "exactly one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["preset", "scenario"])
+def test_gen_negative_seed_exits_one_without_traceback(tmp_path, route):
+    # numpy's generator rejects a negative seed with a bare ValueError
+    if route == "preset":
+        argv = ["gen", "--preset", "MM_1", "--seed", "-1"]
+    else:
+        path = tmp_path / "scenario.json"
+        save_scenario(str(path), preset("MM_1", n_train=5, n_test=5, seed=0))
+        path.write_text(path.read_text().replace('"seed": 0', '"seed": -1'))
+        argv = ["gen", "--scenario", str(path)]
+    proc = _python("-m", "abfuse.cli", *argv, "--out", str(tmp_path / "gen"))
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.endswith(
+        "seed must be non-negative: -1\n"), proc.stderr
+
+
+def test_gen_scenario_rejects_sample_counts_but_takes_a_seed(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    save_scenario(str(path), preset("UM_1", n_models=2, n_train=5, n_test=5, seed=0))
+    out = str(tmp_path / "gen")
+    for flags, named in ((["--n-test", "3"], "--n-test"),
+                         (["--models", "2", "--n-train", "5"], "--models, --n-train")):
+        assert main(["gen", "--scenario", str(path), *flags, "--out", out]) == EXIT_INPUT
+        assert f"error: {named} cannot be used with --scenario" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert main(["gen", "--scenario", str(path), "--seed", "4", "--out", out]) == EXIT_OK
+    assert json.loads((tmp_path / "gen" / "scenario.json").read_text())["seed"] == 4
+
+
+def test_gen_preset_default_sizes(tmp_path):
+    assert main(["gen", "--preset", "UM_1", "--out", str(tmp_path)]) == EXIT_OK
+    sc = json.loads((tmp_path / "scenario.json").read_text())
+    assert (len(sc["models"]), sc["n_train"], sc["n_test"], sc["seed"]) == (6, 1000, 2000, 0)
 
 
 def test_abduce_ip_writes_labels_and_metrics(dataset, tmp_path, capsys):
@@ -600,12 +637,15 @@ def test_each_command_loads_only_its_modules(dataset, tmp_path, command, loaded)
         "sweep": ["sweep", *data, "--delta-grid", "0.5", "--epsilon-grid", "0.1",
                   "--no-timing", "--out", str(tmp_path / "sweep.csv")],
     }[command]
+    # and no command runs the code ``dataclasses`` generates for a class
     code = ("import sys; from abfuse.cli import main\n"
             f"print('exit', main({argv!r}))\n"
-            "print(sorted(m[len('abfuse.'):] for m in sys.modules if m.startswith('abfuse.')))\n")
+            "print(sorted(m[len('abfuse.'):] for m in sys.modules if m.startswith('abfuse.')))\n"
+            "print('dataclasses' in sys.modules)\n")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["exit 0", repr(sorted(loaded))], proc.stdout
+    assert proc.stdout.splitlines()[-3:] == ["exit 0", repr(sorted(loaded)), "False"], \
+        proc.stdout
 
 
 def test_process_exit_codes_and_outputs(dataset, tmp_path):
@@ -641,6 +681,32 @@ def test_process_exit_codes_and_outputs(dataset, tmp_path):
 def test_console_script_is_the_process_entry():
     pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
     assert 'abfuse = "abfuse.cli:entry"' in pyproject.read_text()
+
+
+def test_entry_runs_the_command_without_a_collection(dataset, tmp_path):
+    # ``entry`` turns the cyclic collector off; what a collection would
+    # find afterwards, with the heap unfrozen, is import-time cycles only
+    manifest, rules = dataset
+    argv = ["abfuse", "sweep", "--manifest", manifest, "--rules", rules,
+            "--delta-grid", "0.1,0.5", "--epsilon-grid", "0.1,0.5", "--no-timing",
+            "--out", str(tmp_path / "sweep.csv")]
+    code = ("import gc, sys\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: starts.append(phase == 'start'))\n"
+            "from abfuse import cli\n"
+            f"sys.argv = {argv!r}\n"
+            "starts.clear()\n"
+            "try:\n"
+            "    cli.entry()\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', exc.code, 'collections', sum(starts))\n"
+            "gc.unfreeze()\n"
+            "print('found', gc.collect())\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    done, found = proc.stdout.splitlines()[-2:]
+    assert done == f"exit {EXIT_OK} collections 0", proc.stdout
+    assert int(found.split()[1]) < 2000, proc.stdout
 
 
 def test_in_process_main_leaves_the_collector_as_found(dataset, tmp_path):
