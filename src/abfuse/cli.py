@@ -146,6 +146,12 @@ def cmd_abduce(args) -> int:
     from .edr import RuleSet, apply_rules
     from .model_io import InputError, write_json
 
+    if args.solver == "ip" and args.epsilon is None:
+        raise InputError("--epsilon is required with --solver ip")
+    other, value = (("--epsilon-set", args.epsilon_set) if args.solver == "ip"
+                    else ("--epsilon", args.epsilon))
+    if value is not None:
+        raise InputError(f"{other} cannot be used with --solver {args.solver}")
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
     ruleset = RuleSet.load(args.rules)
@@ -153,8 +159,6 @@ def cmd_abduce(args) -> int:
     tb = args.tie_break == "on"
 
     if args.solver == "ip":
-        if args.epsilon is None:
-            raise InputError("--epsilon is required with --solver ip")
         from . import solver_ip
 
         filtered, _ = apply_rules(obs, ruleset, args.epsilon)

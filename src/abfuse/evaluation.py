@@ -261,6 +261,8 @@ def run_sweep(dataset: SweepDataset,
               seed: int = 0,
               jobs: int = 1,
               timing: bool = True) -> SweepResult:
+    if not methods or len(set(methods)) < len(methods):
+        raise InputError(f"methods must be non-empty and distinct: {list(methods)}")
     for m in methods:
         if m not in METHODS:
             raise InputError(f"unknown method {m!r}; choose from {METHODS}")

@@ -64,6 +64,8 @@ def commit_atoms(pres, add_c, add_w):
 #   atoms       total covered (c, w) cells
 #   conflicts   mutual-exclusion violations among covered cells
 #   uncovered   variables' objects with ncov == 0
+# An elimination saves the three totals before it changes them; its undo
+# restores them and re-increments only the counts.
 # Everything that does not depend on the budget (variables, the visit order,
 # the initial counts and totals, the neighbour lists) is built once per
 # instance by ``search_start`` and shared by the solves of every delta; each
@@ -158,6 +160,7 @@ def bnb_search(start: SearchStart, budget):
 
     # iterative DFS; phase 0 = arriving, 1 = keep branch done, 2 = elim done
     phase = [0] * (n_vars + 1)
+    saved = [None] * n_vars     # the totals before each depth's elimination
     depth = 0
     while depth >= 0:
         p = phase[depth]
@@ -202,6 +205,7 @@ def bnb_search(start: SearchStart, budget):
             phase[depth] = 0
         elif p == 1:
             phase[depth] = 2
+            saved[depth] = atoms, conflicts, uncovered
             v = order[depth]
             row = cnt[var_cls[v]]
             nbrs = nbr_rows[var_cls[v]]
@@ -224,18 +228,12 @@ def bnb_search(start: SearchStart, budget):
         else:
             v = order[depth]
             row = cnt[var_cls[v]]
-            nbrs = nbr_rows[var_cls[v]]
             for w in var_objs[v]:
                 k = row[w]
                 if k == 0:
-                    atoms += 1
-                    for other in nbrs:
-                        if other[w] > 0:
-                            conflicts += 1
-                    if ncov[w] == 0:
-                        uncovered -= 1
                     ncov[w] += 1
                 row[w] = k + 1
+            atoms, conflicts, uncovered = saved[depth]
             cur_mask[v] = 0
             cur_nelim -= 1
             depth -= 1

@@ -16,8 +16,7 @@ built from first principles.  The tests hold an exhaustive reference solver
 for tiny instances (``tests/oracles.py``).
 """
 
-from functools import cached_property
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -43,15 +42,6 @@ class IpInstance:
         self.delta, self.delta_budget, self.start = delta, delta_budget, start
         self.normalizer_mode, self.directed_ground_rules = normalizer_mode, directed_ground_rules
 
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self.pred.shape
-
-    @property
-    def coverable(self) -> np.ndarray:
-        """uint8 (N,): 1 where some pair predicts the object."""
-        return self.pred.any(axis=(0, 1)).astype(np.uint8)
-
     def with_delta(self, delta: float) -> "IpInstance":
         """The same instance at another ``delta``, sharing every array."""
         budget = violation_budget(delta, len(self.objects), self.ic, self.normalizer_mode,
@@ -66,8 +56,6 @@ class IpSolution:
     ``eliminated[f, c]`` (int8) is the elimination bit of each (model, class)
     pair and ``covered[c, w]`` (bool) says whether object ``w`` gets class
     ``c``.  An infeasible solution eliminates every pair and covers nothing.
-    ``elim``, ``assign`` and ``con`` are the same variables as dictionaries,
-    built on first access for audits and tests.
     """
 
     def __init__(self, status: str, objective: int, nodes: int, eliminated: np.ndarray,
@@ -77,27 +65,6 @@ class IpSolution:
 
     def n_violations(self) -> int:
         return count_violations(self.covered, self.instance.classes, self.instance.ic)
-
-    @cached_property
-    def elim(self) -> Dict[Tuple[str, str], int]:
-        inst = self.instance
-        return {(m, c): v for m, row in zip(inst.models, self.eliminated.tolist())
-                for c, v in zip(inst.classes, row)}
-
-    @cached_property
-    def assign(self) -> Dict[Tuple[str, str], int]:
-        inst = self.instance
-        return {(c, w): int(v) for c, row in zip(inst.classes, self.covered.tolist())
-                for w, v in zip(inst.objects, row)}
-
-    @cached_property
-    def con(self) -> Dict[Tuple[str, Tuple[str, str]], int]:
-        inst = self.instance
-        out = {}
-        for (a, b), ia, ib in zip(inst.ic.pairs, *inst.ic.index_pairs(inst.classes).tolist()):
-            both = (self.covered[ia] & self.covered[ib]).tolist()
-            out.update(((w, (a, b)), int(v)) for w, v in zip(inst.objects, both))
-        return out
 
 
 def build_instance(obs: ObservationSet,
@@ -134,7 +101,7 @@ def _solution_from_elim(inst: IpInstance, elim_fc: np.ndarray,
 
 
 def _infeasible(inst: IpInstance, nodes: int) -> IpSolution:
-    F, C, N = inst.shape
+    F, C, N = inst.pred.shape
     return IpSolution(STATUS_INFEASIBLE, -1, nodes, np.ones((F, C), dtype=np.int8),
                       np.zeros((C, N), dtype=bool), inst)
 
@@ -142,7 +109,7 @@ def _infeasible(inst: IpInstance, nodes: int) -> IpSolution:
 def solve(instance: IpInstance) -> IpSolution:
     """Optimal solution, or a solution with infeasible status when the
     coverage and budget constraints cannot be met simultaneously."""
-    F, C, N = instance.shape
+    F, C, N = instance.pred.shape
     start = instance.start
     found, best_obj, _, best_mask, nodes = kernels.bnb_search(start, instance.delta_budget)
 
@@ -161,80 +128,35 @@ def solve(instance: IpInstance) -> IpSolution:
 def audit_solution(instance: IpInstance, sol: IpSolution) -> list:
     """Re-check a solution against the constraint system.
 
-    Uses only the solution's variable dictionaries plus the instance data;
-    returns a list of violation descriptions (empty means clean).  The
-    consideration variables are reconstructed canonically: a prediction is
-    considered exactly when its (model, class) pair is kept.
+    Reads only ``instance.pred`` and the solution's ``eliminated`` and
+    ``covered`` arrays, not the search's bookkeeping; returns a list of
+    findings (empty means clean).  A prediction is considered exactly when
+    its (model, class) pair is kept.
     """
-    problems = []
     if sol.status != STATUS_OPTIMAL:
         return ["solution is not optimal-status; nothing to audit"]
+    F, C, N = instance.pred.shape
+    elim, covered = np.asarray(sol.eliminated), np.asarray(sol.covered)
+    if elim.shape != (F, C):
+        return [f"eliminated has shape {elim.shape}, not {(F, C)}"]
+    if covered.dtype != bool or covered.shape != (C, N):
+        return [f"covered is a {covered.dtype} {covered.shape} array, not a bool {(C, N)} one"]
+    if not np.isin(elim, (0, 1)).all():
+        return [f"elimination bits are not all 0 or 1: {np.unique(elim).tolist()}"]
 
-    for dic, name in ((sol.elim, "elim"), (sol.assign, "assign"), (sol.con, "con")):
-        for k, v in dic.items():
-            if v not in (0, 1):
-                problems.append(f"{name}[{k}] = {v} is not binary")
+    classes, objects, pred = instance.classes, instance.objects, instance.pred.astype(bool)
+    supported = (pred & (elim == 0)[:, :, None]).any(axis=0)
+    problems = [f"covered[{classes[c]!r}, {objects[w]!r}] = 0 below a considered prediction"
+                for c, w in zip(*np.nonzero(supported & ~covered))]
+    problems += [f"covered[{classes[c]!r}, {objects[w]!r}] = 1 exceeds its support 0"
+                 for c, w in zip(*np.nonzero(covered & ~supported))]
+    problems += [f"coverable object {objects[w]!r} has no assignment"
+                 for w in np.flatnonzero(pred.any(axis=(0, 1)) & ~covered.any(axis=0))]
 
-    oi = {o: i for i, o in enumerate(instance.objects)}
-    mi = {m: i for i, m in enumerate(instance.models)}
-    ci = {c: i for i, c in enumerate(instance.classes)}
-    pred = instance.pred
-
-    for f in instance.models:
-        for c in instance.classes:
-            if (f, c) not in sol.elim:
-                problems.append(f"missing elim[({f!r}, {c!r})]")
-    for c in instance.classes:
-        for w in instance.objects:
-            if (c, w) not in sol.assign:
-                problems.append(f"missing assign[({c!r}, {w!r})]")
-    if problems:
-        return problems
-
-    # consideration: x[w, f, c] = pred * (1 - elim); bounded by acceptance
-    x = {}
-    for f in instance.models:
-        for c in instance.classes:
-            e = sol.elim[(f, c)]
-            for w in instance.objects:
-                p = int(pred[mi[f], ci[c], oi[w]])
-                xv = p * (1 - e)
-                x[(w, f, c)] = xv
-                if xv > 1 - e:
-                    problems.append(f"x[{w},{f},{c}]={xv} exceeds kept bound 1-elim={1 - e}")
-
-    for c in instance.classes:
-        for w in instance.objects:
-            a = sol.assign[(c, w)]
-            support = [x[(w, f, c)] for f in instance.models
-                       if pred[mi[f], ci[c], oi[w]]]
-            if support and a < max(support):
-                problems.append(f"assign[({c!r},{w!r})]={a} below a considered prediction")
-            if a > sum(support):
-                problems.append(f"assign[({c!r},{w!r})]={a} exceeds its support {sum(support)}")
-
-    total_con = 0
-    for a_cls, b_cls in instance.ic.pairs:
-        for w in instance.objects:
-            key = (w, (a_cls, b_cls))
-            if key not in sol.con:
-                problems.append(f"missing con[{key}]")
-                continue
-            cv = sol.con[key]
-            lhs = sol.assign[(a_cls, w)] + sol.assign[(b_cls, w)] - 1
-            if cv < lhs:
-                problems.append(f"con[{key}]={cv} below assign overlap {lhs}")
-            total_con += cv
-
-    coverable = instance.coverable
-    for w in instance.objects:
-        if coverable[oi[w]]:
-            if sum(sol.assign[(c, w)] for c in instance.classes) < 1:
-                problems.append(f"coverable object {w!r} has no assignment")
-
-    if total_con > instance.delta_budget:
-        problems.append(f"violation count {total_con} exceeds budget {instance.delta_budget}")
-
-    if sol.objective != sum(sol.assign.values()):
-        problems.append(f"objective {sol.objective} != assigned atom count {sum(sol.assign.values())}")
+    n_violations = sum(int((covered[classes.index(a)] & covered[classes.index(b)]).sum())
+                       for a, b in instance.ic.pairs)
+    if n_violations > instance.delta_budget:
+        problems.append(f"violation count {n_violations} exceeds budget {instance.delta_budget}")
+    if sol.objective != int(covered.sum()):
+        problems.append(f"objective {sol.objective} != assigned atom count {int(covered.sum())}")
     return problems

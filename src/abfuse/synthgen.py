@@ -190,6 +190,8 @@ def preset(name: str,
         raise InputError(f"preset name must look like 'UM_1': {name!r}") from exc
     if family not in _FAMILIES or variant < 1:
         raise InputError(f"unknown preset {name!r}; families: {sorted(_FAMILIES)}")
+    if n_models < 2:
+        raise InputError(f"need at least two models: {n_models}")
     n_seg, low, high = _FAMILIES[family]
     if n_seg == 0:
         n_seg = n_models

@@ -55,6 +55,11 @@ def accepted_pairs(sol):
     return cell_ids(sol.eliminated == 0, sol.instance.models, sol.instance.classes)
 
 
+def eliminated_pairs(sol):
+    """The ``(model_id, class_id)`` pairs an exact solution eliminates."""
+    return cell_ids(sol.eliminated == 1, sol.instance.models, sol.instance.classes)
+
+
 def obs_atoms(obs):
     """The distinct ``(class_id, object_id)`` atoms of an observation set."""
     return cell_ids(obs.coverage(), obs.classes, obs.objects)

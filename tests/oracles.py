@@ -339,13 +339,13 @@ def brute_force_optimal(instance: solver_ip.IpInstance,
     prefer fewer eliminations, then the lexicographically smallest set of
     eliminated pairs in (model, class) order.
     """
-    F, C, N = instance.shape
+    F, C, N = instance.pred.shape
     n = F * C
     if n > max_pairs:
         raise InputError(f"brute force limited to {max_pairs} pairs, got {n}")
 
     pred = instance.pred.astype(bool)
-    coverable = instance.coverable.astype(bool)
+    coverable = instance.pred.any(axis=(0, 1))
     pairs_idx = list(zip(*instance.ic.index_pairs(instance.classes).tolist()))
 
     best = None  # (objective, n_elim, bits_tuple)

@@ -108,6 +108,14 @@ def test_gen_scenario_rejects_sample_counts_but_takes_a_seed(tmp_path, capsys):
     assert json.loads((tmp_path / "gen" / "scenario.json").read_text())["seed"] == 4
 
 
+@pytest.mark.parametrize("models", ["0", "-1"])
+def test_gen_rejects_fewer_than_two_models(tmp_path, capsys, models):
+    out = tmp_path / "gen"
+    assert main(["gen", "--preset", "EG_1", "--models", models, "--out", str(out)]) == EXIT_INPUT
+    assert f"error: need at least two models: {models}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_preset_default_sizes(tmp_path):
     assert main(["gen", "--preset", "UM_1", "--out", str(tmp_path)]) == EXIT_OK
     sc = json.loads((tmp_path / "scenario.json").read_text())
@@ -840,6 +848,34 @@ def test_abduce_ip_requires_epsilon(dataset, tmp_path, capsys):
                  "--solver", "ip", "--delta", "0.5",
                  "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert "--epsilon is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver, flags, named", [
+    ("hs", ["--epsilon", "0.3"], "--epsilon cannot be used with --solver hs"),
+    ("ip", ["--epsilon", "0.1", "--epsilon-set", "0.3"],
+     "--epsilon-set cannot be used with --solver ip"),
+])
+def test_abduce_rejects_the_other_solvers_filter(dataset, tmp_path, capsys, solver, flags,
+                                                 named):
+    manifest, rules = dataset
+    out = tmp_path / "o"
+    assert main(["abduce", "--manifest", manifest, "--rules", rules, "--solver", solver,
+                 "--delta", "0.5", *flags, "--out", str(out)]) == EXIT_INPUT
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("methods, message", [
+    (",", "methods must be non-empty and distinct: []"),
+    ("mv,mv", "methods must be non-empty and distinct: ['mv', 'mv']"),
+])
+def test_sweep_rejects_empty_or_repeated_methods(dataset, tmp_path, capsys, methods, message):
+    manifest, rules = dataset
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--manifest", manifest, "--rules", rules, "--methods", methods,
+                 "--out", str(out)]) == EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_entry_point():

@@ -12,7 +12,8 @@ from abfuse.model_io import InputError
 from abfuse.solver_ip import (STATUS_INFEASIBLE, STATUS_OPTIMAL,
                               audit_solution, build_instance, solve)
 
-from conftest import accepted_pairs, assigned_atoms, obs_atoms, obs_of, random_instance
+from conftest import (accepted_pairs, assigned_atoms, eliminated_pairs, obs_atoms, obs_of,
+                      random_instance)
 from oracles import brute_force_optimal
 
 IC_CT = IntegrityConstraintSet((("car", "tree"),))
@@ -24,7 +25,7 @@ def test_instance_packing():
     inst = build_instance(obs, IC_CT, 1.0)
     assert inst.objects == ("o1", "o2", "o3")
     assert inst.pred.shape == (2, 2, 3)
-    assert list(inst.coverable) == [True, True, False]
+    assert inst.pred.any(axis=(0, 1)).tolist() == [True, True, False]
     assert inst.delta_budget == 3
 
 
@@ -45,7 +46,7 @@ def test_solve_single_object_conflict():
     assert sol.objective == 1
     # both single-elimination answers score 1; the tie goes to the
     # eliminated set that comes first in (model, class) order
-    assert [k for k, v in sorted(sol.elim.items()) if v] == [("f1", "car")]
+    assert eliminated_pairs(sol) == {("f1", "car")}
     assert assigned_atoms(sol) == frozenset({("tree", "o1")})
     assert audit_solution(inst, sol) == []
 
@@ -55,7 +56,7 @@ def test_solve_budget_allows_conflict():
     inst = build_instance(obs, IC_CT, 1.0)
     sol = solve(inst)
     assert sol.objective == 2
-    assert all(v == 0 for v in sol.elim.values())  # nothing eliminated
+    assert not sol.eliminated.any()  # nothing eliminated
     assert assigned_atoms(sol) == frozenset({("car", "o1"), ("tree", "o1")})
     assert sol.n_violations() == 1
     assert audit_solution(inst, sol) == []
@@ -70,7 +71,7 @@ def test_solve_coverage_forces_the_break():
     assert inst.delta_budget == 0
     sol = solve(inst)
     assert sol.objective == 2
-    assert sol.elim[("f2", "tree")] == 1
+    assert ("f2", "tree") in eliminated_pairs(sol)
     assert assigned_atoms(sol) == frozenset({("car", "o1"), ("car", "o2")})
 
 
@@ -79,7 +80,7 @@ def test_solve_without_constraints_keeps_everything():
                   ("o2", "f1", "tree", 0.7)])
     sol = solve(build_instance(obs, IntegrityConstraintSet.empty(), 0.0))
     assert sol.objective == len(obs_atoms(obs)) == 3
-    assert all(v == 0 for v in sol.elim.values())
+    assert not sol.eliminated.any()
 
 
 def test_solve_prefers_fewer_eliminations():
@@ -89,7 +90,7 @@ def test_solve_prefers_fewer_eliminations():
                   ("o1", "f3", "car", 0.7)])
     sol = solve(build_instance(obs, IC_CT, 0.0))
     assert sol.objective == 1
-    assert [k for k, v in sorted(sol.elim.items()) if v] == [("f2", "tree")]
+    assert eliminated_pairs(sol) == {("f2", "tree")}
 
 
 def test_solve_ignores_unpredicted_objects():
@@ -128,7 +129,7 @@ def test_solve_matches_brute_force_in_full():
         assert got.status == want.status, f"seed {seed}"
         if got.status == STATUS_OPTIMAL:
             assert got.objective == want.objective, f"seed {seed}"
-            assert got.elim == want.elim, f"seed {seed}"
+            np.testing.assert_array_equal(got.eliminated, want.eliminated, f"seed {seed}")
             assert audit_solution(inst, got) == [], f"seed {seed}"
 
 
@@ -199,16 +200,74 @@ def test_audit_flags_budget_overrun():
     assert any("budget" in p for p in audit_solution(inst, rich))
 
 
-def test_array_solution_matches_its_dict_views():
+def test_audit_is_clean_on_exact_and_brute_force_solutions():
+    for seed in range(3000, 3200):
+        obs, ic, delta, mode, directed = random_instance(seed)
+        inst = build_instance(obs, ic, delta, mode, directed)
+        for sol in (solve(inst), brute_force_optimal(inst)):
+            want = ([] if sol.status == STATUS_OPTIMAL
+                    else ["solution is not optimal-status; nothing to audit"])
+            assert audit_solution(inst, sol) == want, seed
+
+
+def _corrupt(sol, **fields):
+    """``sol`` with some of its status, objective, eliminated and covered replaced."""
+    f = {"status": sol.status, "objective": sol.objective, "eliminated": sol.eliminated,
+         "covered": sol.covered, **fields}
+    return solver_ip.IpSolution(f["status"], f["objective"], sol.nodes, f["eliminated"],
+                                f["covered"], sol.instance)
+
+
+def _flipped(a, i, j, value):
+    a = a.copy()
+    a[i, j] = value
+    return a
+
+
+@pytest.mark.parametrize("kind", ["status", "elim_shape", "covered_shape", "covered_dtype",
+                                  "non_binary", "below", "exceeds", "uncovered", "budget",
+                                  "objective"])
+def test_audit_names_each_corruption(kind):
+    # f1/car covers o1 and o2; at delta 0 the optimum eliminates f2/tree
+    obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8),
+                  ("o2", "f1", "car", 0.7)], objects=["o1", "o2", "o3"])
+    inst = build_instance(obs, IC_CT, 0.0)
+    sol = solve(inst)
+    assert audit_solution(inst, sol) == []
+    elim, cov = sol.eliminated, sol.covered
+    bad, want = {
+        "status": (dict(status=STATUS_INFEASIBLE),
+                   ["solution is not optimal-status; nothing to audit"]),
+        "elim_shape": (dict(eliminated=elim[:1]), ["eliminated has shape (1, 2), not (2, 2)"]),
+        "covered_shape": (dict(covered=cov[:, :2]),
+                          ["covered is a bool (2, 2) array, not a bool (2, 3) one"]),
+        "covered_dtype": (dict(covered=cov.astype(np.uint8)),
+                          ["covered is a uint8 (2, 3) array, not a bool (2, 3) one"]),
+        "non_binary": (dict(eliminated=_flipped(elim, 1, 1, 2)),
+                       ["elimination bits are not all 0 or 1: [0, 2]"]),
+        "below": (dict(covered=_flipped(cov, 0, 1, False), objective=1),
+                  ["covered['car', 'o2'] = 0 below a considered prediction",
+                   "coverable object 'o2' has no assignment"]),
+        "exceeds": (dict(covered=_flipped(cov, 1, 2, True), objective=3),
+                    ["covered['tree', 'o3'] = 1 exceeds its support 0"]),
+        "uncovered": (dict(eliminated=np.ones_like(elim), covered=np.zeros_like(cov),
+                           objective=0),
+                      ["coverable object 'o1' has no assignment",
+                       "coverable object 'o2' has no assignment"]),
+        "budget": (dict(eliminated=np.zeros_like(elim), covered=_flipped(cov, 1, 0, True),
+                        objective=3),
+                   ["violation count 1 exceeds budget 0"]),
+        "objective": (dict(objective=5), ["objective 5 != assigned atom count 2"]),
+    }[kind]
+    assert audit_solution(inst, _corrupt(sol, **bad)) == want
+
+
+def test_array_solution_counts_match_its_atoms():
     for seed in range(3000, 3100):
         obs, ic, delta, mode, directed = random_instance(seed)
         inst = build_instance(obs, ic, delta, mode, directed)
         for sol in (solve(inst), brute_force_optimal(inst)):
-            atoms = frozenset(k for k, v in sol.assign.items() if v == 1)
-            assert assigned_atoms(sol) == atoms, seed
-            assert sol.n_violations() == sum(sol.con.values()), seed
-            assert accepted_pairs(sol) == \
-                frozenset(k for k, v in sol.elim.items() if v == 0), seed
+            atoms = assigned_atoms(sol)
             if sol.status == STATUS_OPTIMAL:
                 assert sol.n_violations() == len(find_violations(atoms, ic)), seed
                 assert sol.objective == len(atoms), seed
@@ -224,9 +283,9 @@ def test_solution_arrays_have_instance_shapes():
     assert sol.eliminated.shape == (2, 2) and sol.covered.shape == (2, 3)
     assert sol.covered.dtype == bool
     assert np.array_equal(sol.covered, [[True, True, False], [False, False, False]])
-    assert sol.elim[("f2", "tree")] == 1
-    assert sol.con == {("o1", ("car", "tree")): 0, ("o2", ("car", "tree")): 0,
-                       ("o3", ("car", "tree")): 0}
+    assert sol.eliminated.dtype == np.int8
+    assert sol.eliminated.tolist() == [[0, 0], [0, 1]]
+    assert sol.n_violations() == 0
 
 
 def dump_instance(instance):
@@ -250,9 +309,10 @@ def dump_solution(sol):
     return json.dumps({
         "status": sol.status,
         "objective": sol.objective,
-        "eliminated": sorted(list(k) for k, v in sol.elim.items() if v),
-        "assigned": sorted(list(k) for k, v in sol.assign.items() if v),
-        "violated": sorted([w, list(p)] for (w, p), v in sol.con.items() if v),
+        "eliminated": sorted(map(list, eliminated_pairs(sol))),
+        "assigned": sorted(map(list, assigned_atoms(sol))),
+        "violated": sorted([w, list(p)] for w, p in
+                           find_violations(assigned_atoms(sol), sol.instance.ic)),
         "nodes": sol.nodes,
     }, indent=2)
 
