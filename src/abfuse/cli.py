@@ -40,18 +40,32 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _parse_grid(text: str, name: str) -> tuple:
+def _items(text: str, option: str) -> list:
+    """The comma-separated items of ``text``, stripped: none when every item
+    is blank, else an error naming ``option`` and its text if any one is."""
     from .model_io import InputError
 
+    items = [v.strip() for v in text.split(",")]
+    if not any(items):
+        return []
+    if "" in items:
+        raise InputError(f"{option} {text!r}: empty item")
+    return items
+
+
+def _parse_grid(text: str, option: str) -> tuple:
+    from .model_io import InputError
+
+    items = _items(text, option)
     try:
-        vals = tuple(float(v) for v in text.split(",") if v.strip())
+        vals = tuple(map(float, items))
     except ValueError as exc:
-        raise InputError(f"bad {name} grid {text!r}: {exc}") from exc
+        raise InputError(f"{option} {text!r}: {exc}") from exc
     if not vals:
-        raise InputError(f"{name} grid is empty")
+        raise InputError(f"{option} {text!r}: grid is empty")
     for v in vals:
         if not (0.0 <= v <= 1.0):
-            raise InputError(f"{name} value out of [0, 1]: {v}")
+            raise InputError(f"{option} {text!r}: value out of [0, 1]: {v}")
     return vals
 
 
@@ -132,8 +146,8 @@ def cmd_gen(args) -> int:
 def cmd_learn(args) -> int:
     from .edr import learn_ruleset
 
+    grid = _parse_grid(args.epsilon_grid, "--epsilon-grid")
     ds, obs = _load_obs(args)
-    grid = _parse_grid(args.epsilon_grid, "epsilon")
     ruleset = learn_ruleset(obs, ds.labels(), epsilon_grid=grid)
     ruleset.save(args.out)
     print(f"wrote {len(ruleset.rules)} rules over {len(grid)} epsilon values to {args.out}")
@@ -152,6 +166,8 @@ def cmd_abduce(args) -> int:
                     else ("--epsilon", args.epsilon))
     if value is not None:
         raise InputError(f"{other} cannot be used with --solver {args.solver}")
+    eps_set = (None if args.epsilon_set is None
+               else _parse_grid(args.epsilon_set, "--epsilon-set"))
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
     ruleset = RuleSet.load(args.rules)
@@ -174,9 +190,7 @@ def cmd_abduce(args) -> int:
     else:
         from . import solver_hs
 
-        eps_set = _parse_grid(args.epsilon_set, "epsilon") if args.epsilon_set \
-            else ruleset.epsilon_grid
-        config = solver_hs.HsConfig(args.delta, eps_set)
+        config = solver_hs.HsConfig(args.delta, eps_set or ruleset.epsilon_grid)
         res = solver_hs.heuristic_search(obs, config, ruleset, domain.ic,
                                          domain.normalizer_mode,
                                          domain.directed_ground_rules)
@@ -208,17 +222,17 @@ def cmd_sweep(args) -> int:
     from . import evaluation
     from .edr import RuleSet
 
+    methods = evaluation.METHODS if args.methods is None else \
+        tuple(_items(args.methods, "--methods"))
+    delta_grid = _parse_grid(args.delta_grid, "--delta-grid")
+    epsilon_grid = _parse_grid(args.epsilon_grid, "--epsilon-grid")
     ds, obs = _load_obs(args)
     domain = _domain_for(args, ds.classes)
     ruleset = RuleSet.load(args.rules)
-    methods = evaluation.METHODS if args.methods is None else \
-        tuple(m.strip() for m in args.methods.split(",") if m.strip())
     dataset = evaluation.SweepDataset(obs, ds.labels(), ruleset, domain,
                                       name=os.path.basename(args.manifest))
     result = evaluation.run_sweep(
-        dataset, methods,
-        delta_grid=_parse_grid(args.delta_grid, "delta"),
-        epsilon_grid=_parse_grid(args.epsilon_grid, "epsilon"),
+        dataset, methods, delta_grid=delta_grid, epsilon_grid=epsilon_grid,
         repeats=args.repeats, seed=args.seed, jobs=args.jobs,
         timing=not args.no_timing)
     result.to_csv(args.out)

@@ -112,6 +112,21 @@ def per_model_metrics(obs: ObservationSet,
 # sweep
 
 
+def _sha256(data: bytes):
+    """A SHA-256 hash object over ``data``, from CPython's built-in module
+    (``_sha2`` from 3.12, ``_sha256`` before): ``hashlib`` would load
+    OpenSSL's libcrypto, ~3.6 MB resident, to hash one document.  An
+    interpreter built without the module falls back to ``hashlib``."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data)
+
+
 class SweepDataset(NamedTuple):
     observations: ObservationSet
     gt_labels: Mapping[str, str]
@@ -125,13 +140,11 @@ class SweepDataset(NamedTuple):
         labels, the domain's classes and its exclusion pairs.  The entries
         are encoded a column at a time and hashed a block of rows at a time,
         so the document is never built whole."""
-        import hashlib  # loads OpenSSL (~3.6 MB resident), which only the sweep needs
-
         obs = self.observations
         order = np.lexsort((obs.model, obs.obj))
         ids = [(json_strings(u), a) for u, a in (
             (obs.objects, obs.obj), (obs.models, obs.model), (obs.classes, obs.cls))]
-        h = hashlib.sha256(b'{"entries":[')
+        h = _sha256(b'{"entries":[')
         for start in range(0, len(order), _FINGERPRINT_BLOCK):
             rows = order[start:start + _FINGERPRINT_BLOCK]
             cols = [map(enc.__getitem__, a[rows].tolist()) for enc, a in ids]

@@ -17,13 +17,14 @@ from abfuse.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from abfuse import solver_ip
 from abfuse.deduction import default_domain
 from abfuse.edr import RuleSet, apply_rules
+from abfuse.evaluation import SweepDataset
 from abfuse.model_io import (load_dataset, observations_from_dataset, write_ground_truth,
                              write_manifest, write_predictions)
 from abfuse.synthgen import preset, save_scenario
 
 from conftest import row_labels
-from oracles import (BoundingBox, Detection, GroundTruthObject, det_table, gt_table,
-                     score_reference)
+from oracles import (BoundingBox, Detection, GroundTruthObject, det_table,
+                     fingerprint_reference, gt_table, score_reference)
 
 
 @pytest.fixture()
@@ -420,23 +421,64 @@ def test_abduce_and_sweep_leave_numpy_ma_unloaded(dataset, tmp_path):
         == ["exit 0 False"] * 3, proc.stdout
 
 
-def test_only_the_sweep_loads_openssl(dataset, tmp_path):
-    # hashlib loads OpenSSL (~3.6 MB resident); only the sweep's dataset
-    # fingerprint hashes anything
+def test_no_command_loads_openssl(dataset, tmp_path):
+    # hashlib loads OpenSSL (~3.6 MB resident); the sweep's dataset
+    # fingerprint hashes with CPython's built-in SHA-256 module instead
     manifest, rules = dataset
+    train = os.path.join(os.path.dirname(os.path.dirname(manifest)), "train", "manifest.json")
     data = ["--manifest", manifest, "--rules", rules]
-    runs = [["abduce", *data, "--solver", "hs", "--delta", "0.5", "--out", str(tmp_path / "hs")],
+    runs = [["learn", "--manifest", train, "--epsilon-grid", "0.1,0.5",
+             "--out", str(tmp_path / "rules.jsonl")],
+            ["abduce", *data, "--solver", "hs", "--delta", "0.5", "--out", str(tmp_path / "hs")],
             ["abduce", *data, "--solver", "ip", "--delta", "0.5", "--epsilon", "0.1",
              "--out", str(tmp_path / "ip")],
             ["sweep", *data, "--delta-grid", "0.5", "--epsilon-grid", "0.1",
-             "--no-timing", "--out", str(tmp_path / "sweep.csv")]]
+             "--no-timing", "--out", str(tmp_path / "sweep.csv")],
+            ["eval", "--manifest", manifest, "--labels", str(tmp_path / "hs" / "labels.jsonl"),
+             "--out", str(tmp_path / "eval.json")],
+            ["baseline", "--manifest", manifest, "--method", "mv", "--out", str(tmp_path / "mv")]]
+    gen = ["gen", "--preset", "UM_1", "--models", "2", "--n-train", "20", "--n-test", "20",
+           "--out", str(tmp_path / "gen")]
+    # gen draws from numpy.random, whose import of ``secrets`` loads OpenSSL
+    # through ``hmac``; gen runs last, after that import, with hashlib's
+    # modules dropped from sys.modules, so an import of hashlib would
+    # bring ``_hashlib`` back
     code = ("import sys; from abfuse.cli import main\n"
+            "def run(argv):\n"
+            "    print('exit', argv[0], main(argv), '_hashlib' in sys.modules,\n"
+            "          'numpy.random' in sys.modules)\n"
             f"for argv in {runs!r}:\n"
-            "    print('exit', main(argv), '_hashlib' in sys.modules)\n")
+            "    run(argv)\n"
+            "import numpy.random\n"
+            "sys.modules.pop('hashlib', None); sys.modules.pop('_hashlib', None)\n"
+            f"run({gen!r})\n")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert [ln for ln in proc.stdout.splitlines() if ln.startswith("exit ")] \
-        == ["exit 0 False", "exit 0 False", "exit 0 True"], proc.stdout
+        == [f"exit {argv[0]} 0 False False" for argv in runs] + ["exit gen 0 False True"], \
+        proc.stdout
+
+
+def test_fingerprint_falls_back_to_hashlib(dataset):
+    # an interpreter built without CPython's built-in SHA-256 module hashes
+    # the same document through hashlib
+    manifest, rules = dataset
+    code = ("import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from abfuse.deduction import default_domain\n"
+            "from abfuse.edr import RuleSet\n"
+            "from abfuse.evaluation import SweepDataset\n"
+            "from abfuse.model_io import load_dataset, observations_from_dataset\n"
+            f"ds = load_dataset({manifest!r})\n"
+            "dataset = SweepDataset(observations_from_dataset(ds), ds.labels(),\n"
+            f"                       RuleSet.load({rules!r}), default_domain(ds.classes))\n"
+            "print(dataset.fingerprint(), 'hashlib' in sys.modules)\n")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    ds = load_dataset(manifest)
+    dataset = SweepDataset(observations_from_dataset(ds), ds.labels(), RuleSet.load(rules),
+                           default_domain(ds.classes))
+    assert proc.stdout.split() == [fingerprint_reference(dataset), "True"], proc.stdout
 
 
 def test_learn_leaves_numpy_ma_unloaded(dataset, tmp_path):
@@ -746,6 +788,32 @@ def test_sweep_rejects_bad_grids(dataset, tmp_path, capsys):
     assert main(base + ["--delta-grid", "0.1,2.0"]) == EXIT_INPUT
     assert "out of [0, 1]" in capsys.readouterr().err
     assert main(base + ["--delta-grid", "0.1,frog"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command, option, text, message", [
+    ("sweep", "--methods", "mv,,best", "empty item"),
+    ("sweep", "--delta-grid", "0.1,,0.5", "empty item"),
+    ("sweep", "--delta-grid", "0.1,0.5,", "empty item"),
+    ("sweep", "--epsilon-grid", "0.1, ,0.5", "empty item"),
+    ("sweep", "--epsilon-grid", " ", "grid is empty"),
+    ("sweep", "--delta-grid", ",", "grid is empty"),
+    # an empty --epsilon-set used to fall back to the rules' whole grid
+    ("abduce", "--epsilon-set", "", "grid is empty"),
+    ("abduce", "--epsilon-set", "0.1,,0.5", "empty item"),
+    ("learn", "--epsilon-grid", ",0.5", "empty item"),
+])
+def test_blank_list_items_are_rejected(dataset, tmp_path, capsys, command, option, text,
+                                       message):
+    manifest, rules = dataset
+    train = os.path.join(os.path.dirname(os.path.dirname(manifest)), "train", "manifest.json")
+    out = tmp_path / "rejected"
+    argv = {"sweep": ["sweep", "--manifest", manifest, "--rules", rules],
+            "abduce": ["abduce", "--manifest", manifest, "--rules", rules, "--solver", "hs",
+                       "--delta", "0.5"],
+            "learn": ["learn", "--manifest", train]}[command]
+    assert main([*argv, option, text, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {option} {text!r}: {message}\n"
+    assert not out.exists()
 
 
 def test_sweep_rejects_no_jobs(dataset, tmp_path, capsys):

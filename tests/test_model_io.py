@@ -632,6 +632,22 @@ def test_columnar_load_equals_the_per_record_oracle(tmp_path):
                                                              classes=ds.classes)
 
 
+def test_load_dataset_keeps_one_string_per_distinct_id(tmp_path):
+    # the decoder makes one str per row; the loaded columns share one per
+    # distinct id, across all the files of the dataset
+    data = synthgen.generate(synthgen.preset("MM_1", n_models=4, n_train=2,
+                                             n_test=300, seed=4))
+    manifest = synthgen.write_split(str(tmp_path), data.test, data.test_labels,
+                                    data.scenario.classes)
+    ds = load_dataset(manifest)
+    t, g = ds.detections, ds.ground_truth
+    columns = {"image_id": t.image_id + g.image_id, "model_id": t.model_id,
+               "class_id": t.class_id + g.class_id}
+    for name, col in columns.items():
+        assert len(col) > len(set(col)), name
+        assert len({id(s) for s in col}) == len(set(col)), name
+
+
 # Each bad record goes on line 3 of a file whose first two lines are good.
 DROP = "<no such field>"
 GOOD_PRED = {"image_id": "img1", "model_id": "f1", "class_id": "car",
