@@ -28,11 +28,11 @@ line is decoded by one call of json's C scanner, which must end at the
 line's end; the columns of a :class:`DetectionTable` or
 :class:`GroundTruthTable` are then read from all records at once (ids as
 ``str`` lists, confidences as ``float64``, boxes as a ``(K, 4)`` ``float64``
-array).  Equal ids share one ``str`` object, across all the files of one
-:func:`load_dataset`, so the decoder's per-row copies go with the
-records.  All rows are validated together: finite corners, positive width
-and height, confidence in [0, 1], the manifest's model id, a declared class
-and unique object ids.  Only when a bulk step fails are the lines re-parsed
+array).  Ids are interned, so equal ids share one ``str`` object across
+all files and the decoder's per-row copies go with the records.  All rows
+are validated together: finite corners, positive width and height,
+confidence in [0, 1], the manifest's model id, a declared class and unique
+object ids.  Only when a bulk step fails are the lines re-parsed
 with ``json.loads`` and the records checked one by one, to name the first
 bad line as ``<path>:<line>:``.
 
@@ -54,6 +54,7 @@ goes through :func:`write_json` or :func:`write_jsonl`.
 import json
 import json.scanner
 import os
+import sys
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
@@ -470,11 +471,12 @@ def read_jsonl(path: str) -> Iterator[tuple]:
 
 
 def _columns(records: list, id_fields: tuple, with_confidence: bool) -> tuple:
-    """``(ids, confidences, boxes)`` of ``records``: one ``str`` list per id
-    field, ``float()`` of each confidence (0.0 without one) and of each box
-    corner.  Raises, without naming a line, where :func:`_check_record`
-    would."""
-    ids = tuple(list(map(str, map(itemgetter(f), records))) for f in id_fields)
+    """``(ids, confidences, boxes)`` of ``records``: one list of interned
+    ``str`` per id field, ``float()`` of each confidence (0.0 without one)
+    and of each box corner.  Raises, without naming a line, where
+    :func:`_check_record` would."""
+    ids = tuple(list(map(sys.intern, map(str, map(itemgetter(f), records))))
+                for f in id_fields)
     conf = (list(map(float, map(itemgetter("confidence"), records)))
             if with_confidence else [0.0] * len(records))
     boxes = list(map(itemgetter("bbox"), records))
@@ -553,23 +555,12 @@ def _outside(values: list, allowed) -> np.ndarray:
     return ~np.fromiter(map(allowed.__contains__, values), bool, len(values))
 
 
-def _shared(strings: Optional[dict], columns: tuple) -> tuple:
-    """``columns`` with every row holding one id value sharing one ``str``
-    object, the one ``strings`` holds (ids first seen are added to it).  The
-    decoder's per-row copies are then freed with the file's records."""
-    strings = {} if strings is None else strings
-    return tuple(list(map(strings.setdefault, col, col)) for col in columns)
-
-
 def load_predictions(path: str, model_id: Optional[str] = None,
-                     classes: Optional[Iterable[str]] = None,
-                     strings: Optional[dict] = None) -> DetectionTable:
+                     classes: Optional[Iterable[str]] = None) -> DetectionTable:
     """Read a predictions file; every row must name ``model_id`` and one of
-    ``classes`` when those are given.  Equal ids share one ``str``, taken
-    from ``strings`` when given (see :func:`_shared`)."""
-    lines, ids, confs, boxes, error = _read_columns(
+    ``classes`` when those are given."""
+    lines, (image, model, klass), confs, boxes, error = _read_columns(
         path, ("image_id", "model_id", "class_id"), with_confidence=True)
-    image, model, klass = _shared(strings, ids)
     table = DetectionTable(image, model, klass, np.asarray(confs, dtype=np.float64),
                            _boxes(boxes))
     conf = table.confidence
@@ -584,14 +575,11 @@ def load_predictions(path: str, model_id: Optional[str] = None,
 
 
 def load_ground_truth(path: str,
-                      classes: Optional[Iterable[str]] = None,
-                      strings: Optional[dict] = None) -> GroundTruthTable:
+                      classes: Optional[Iterable[str]] = None) -> GroundTruthTable:
     """Read a ground-truth file; object ids must be unique and every class
-    one of ``classes`` when given.  Equal ids share one ``str``, as in
-    :func:`load_predictions`."""
-    lines, ids, _, boxes, error = _read_columns(
+    one of ``classes`` when given."""
+    lines, (image, obj, klass), _, boxes, error = _read_columns(
         path, ("image_id", "object_id", "class_id"), with_confidence=False)
-    image, obj, klass = _shared(strings, ids)
     table = GroundTruthTable(image, obj, klass, _boxes(boxes))
     _check_rows(path, lines, error, _box_checks(table.boxes) + [
         (_repeats(obj), lambda r: f"duplicate object_id {obj[r]!r}"),
@@ -644,14 +632,10 @@ def load_dataset(manifest_path: str) -> Dataset:
     if set(preds_map) != set(models):
         raise InputError(f"{manifest_path}: prediction files must cover exactly the declared models")
 
-    # one str per distinct id across all the files
-    strings = {}
     detections = DetectionTable.concat([
-        load_predictions(resolve(preds_map[m]), model_id=m, classes=classes,
-                         strings=strings)
+        load_predictions(resolve(preds_map[m]), model_id=m, classes=classes)
         for m in models])
-    gt = load_ground_truth(resolve(manifest["ground_truth"]), classes=classes,
-                           strings=strings)
+    gt = load_ground_truth(resolve(manifest["ground_truth"]), classes=classes)
     return Dataset(tuple(models), tuple(classes), gt, detections,
                    manifest_path=os.path.abspath(manifest_path))
 
