@@ -106,11 +106,11 @@ def _write_labels(path: str, obs, rows, sources: bool = False) -> None:
     if sources:
         write_rows(path, '{"class_id": %s, "confidence": %s, "model_id": %s, '
                          '"object_id": %s}\n',
-                   zip(ids(obs.classes, obs.cls), json_numbers(obs.confidence[rows].tolist()),
-                       ids(obs.models, obs.model), ids(obs.objects, obs.obj)))
+                   ids(obs.classes, obs.cls), json_numbers(obs.confidence[rows].tolist()),
+                   ids(obs.models, obs.model), ids(obs.objects, obs.obj))
     else:
         write_rows(path, '{"class_id": %s, "object_id": %s}\n',
-                   zip(ids(obs.classes, obs.cls), ids(obs.objects, obs.obj)))
+                   ids(obs.classes, obs.cls), ids(obs.objects, obs.obj))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model_io import InputError, read_json
+from .model_io import DEFAULT_CLASSES, InputError, read_json
 
 NORMALIZER_MODES = ("per_object", "per_ground_rule")
 
@@ -153,8 +153,6 @@ def violation_budget(delta: float,
 
 # ---------------------------------------------------------------------------
 # domain configuration
-
-DEFAULT_CLASSES = ("construction", "nature", "pedestrians", "vehicles")
 
 
 class DomainConfig:

@@ -201,39 +201,31 @@ def _learn_pair(correct: np.ndarray,
     Candidates are ranked by standalone precision -- the share of the
     entries a candidate flags that are actually wrong -- which is a fixed
     per-candidate quantity; only the budget headroom and the requirement to
-    catch something new change as conditions accumulate.  Ties go to the
+    catch something new change as conditions accumulate.  Each step weighs
+    every candidate at once and takes the first maximum, so ties go to the
     earlier candidate in pool order.  Returns the selected candidate
     indices, ``base`` first.
     """
     n_correct = int(correct.sum())
     chosen = list(base)
-    flagged = np.zeros(fired.shape[1], dtype=bool)
-    for i in chosen:
-        flagged |= fired[i]
+    flagged = fired[chosen].any(axis=0)
     limit = epsilon * n_correct + _EPS
 
-    totals = fired.sum(axis=1)
-    wrongs = (fired & ~correct).sum(axis=1)
+    hit_wrong = fired & ~correct
+    hit_correct = fired & correct
+    # the floor of 1 only meets candidates that never fire, never admissible
+    precision = hit_wrong.sum(axis=1) / np.maximum(fired.sum(axis=1), 1)
 
     while True:
-        best = None
-        flagged_correct = int((flagged & correct).sum())
-        for i in range(fired.shape[0]):
-            if i in chosen or totals[i] == 0:
-                continue
-            new = fired[i] & ~flagged
-            if not (new & ~correct).any():
-                continue
-            dr = int((new & correct).sum())
-            if n_correct > 0 and flagged_correct + dr > limit:
-                continue
-            prec = wrongs[i] / totals[i]
-            if best is None or prec > best[0]:
-                best = (prec, i)
-        if best is None:
+        # a chosen candidate catches no new wrong entry, so is not admissible
+        fresh = ~flagged
+        admissible = (hit_wrong & fresh).any(axis=1) & (
+            int((flagged & correct).sum()) + (hit_correct & fresh).sum(axis=1) <= limit)
+        if not admissible.any():
             return chosen
-        chosen.append(best[1])
-        flagged |= fired[best[1]]
+        best = int(np.argmax(np.where(admissible, precision, -1.0)))
+        chosen.append(best)
+        flagged |= fired[best]
 
 
 def learn_ruleset(train: ObservationSet,

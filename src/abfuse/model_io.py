@@ -47,8 +47,11 @@ and class indices into sorted id tuples, plus ``float64`` confidences.
 
 :func:`write_predictions` and :func:`write_ground_truth` take the same
 tables the loaders return.  They encode each column at once and write
-the bytes of one ``json.dumps`` per row.  Every other JSON or JSONL output
-goes through :func:`write_json` or :func:`write_jsonl`.
+the bytes of one ``json.dumps`` per row, laid out by ``PREDICTION_LINE``
+and ``GROUND_TRUTH_LINE``.  ``synthgen.write_split`` fills the same
+layouts from the same encoders, encoding each object's image id and box
+once for all the files of a split.  Every other JSON or JSONL output goes
+through :func:`write_json` or :func:`write_jsonl`.
 """
 
 import json
@@ -66,6 +69,11 @@ import numpy as np
 
 class InputError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+# the classes of the default domain (``deduction.default_domain``) and of
+# the generator's presets
+DEFAULT_CLASSES = ("construction", "nature", "pedestrians", "vehicles")
 
 
 def _boxes(rows) -> np.ndarray:
@@ -657,35 +665,63 @@ def json_numbers(values: list) -> list:
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
-def _corners(boxes: np.ndarray) -> list:
-    """Four references to one iterator over the encoded corners, so that
-    ``zip`` takes a box's four corners per row."""
-    return [iter(json_numbers(boxes.ravel().tolist()))] * 4
+def json_confidences(values: np.ndarray) -> list:
+    """Each of ``values`` as ``json.dumps`` writes ``round(v, 6)``.
+
+    Where ``v * 1e6`` lies clear of a rounding tie, ``rint(v * 1e6) / 1e6``
+    is that float: the product's error is far below the margin for
+    ``|v| < 1e6``, and the division rounds to the double nearest the
+    decimal, as ``round`` does.  The other values go through ``round``."""
+    small = np.abs(values) < 1e6
+    scaled = np.where(small, values, 0.0) * 1e6
+    units = np.rint(scaled)
+    rounded = (units / 1e6).tolist()
+    for i in np.flatnonzero(~small | (np.abs(scaled - units) > 0.49)).tolist():
+        rounded[i] = round(float(values[i]), 6)
+    return json_numbers(rounded)
 
 
-def write_rows(path: str, template: str, rows: Iterable[tuple]) -> None:
-    """One line per row: ``template % row``."""
+def json_boxes(boxes: np.ndarray) -> list:
+    """Each row of the (K, 4) ``boxes`` as ``json.dumps`` writes the items
+    of the list of its corners, from one call."""
+    return json.dumps(boxes.tolist())[2:-2].split("], [") if len(boxes) else []
+
+
+def write_rows(path: str, template: str, *columns: Iterable[str]) -> None:
+    """One line per row: ``template``, holding no ``%`` but its ``%s``
+    slots, with slot ``i`` filled by the row's item of ``columns[i]``.
+    The file is written from one string, spliced a column at a time."""
+    head, *tails = template.split("%s")
+    if len(tails) != len(columns):
+        raise ValueError(f"{len(columns)} columns for {len(tails)} slots")
+    parts = [repeat(head)]
+    for column, tail in zip(columns, tails):
+        parts += (column, repeat(tail))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(template.__mod__, rows))
+        fh.write("".join(chain.from_iterable(zip(*parts))))
+
+
+# a line of a prediction or ground-truth file from its encoded columns,
+# the box as :func:`json_boxes` encodes it
+PREDICTION_LINE = ('{"image_id": %s, "model_id": %s, "class_id": %s, '
+                   '"confidence": %s, "bbox": [%s]}\n')
+GROUND_TRUTH_LINE = '{"image_id": %s, "object_id": %s, "class_id": %s, "bbox": [%s]}\n'
 
 
 def write_predictions(path: str, detections: DetectionTable) -> None:
     """The table as :func:`load_predictions` reads it, each confidence
     rounded to six decimal places."""
     t = detections
-    conf = json_numbers(list(map(round, t.confidence.tolist(), repeat(6))))
-    write_rows(path, '{"image_id": %s, "model_id": %s, "class_id": %s, '
-                     '"confidence": %s, "bbox": [%s, %s, %s, %s]}\n',
-               zip(json_strings(t.image_id), json_strings(t.model_id),
-                   json_strings(t.class_id), conf, *_corners(t.boxes)))
+    write_rows(path, PREDICTION_LINE,
+               json_strings(t.image_id), json_strings(t.model_id), json_strings(t.class_id),
+               json_confidences(t.confidence), json_boxes(t.boxes))
 
 
 def write_ground_truth(path: str, gt: GroundTruthTable) -> None:
     """The table as :func:`load_ground_truth` reads it."""
-    write_rows(path, '{"image_id": %s, "object_id": %s, "class_id": %s, '
-                     '"bbox": [%s, %s, %s, %s]}\n',
-               zip(json_strings(gt.image_id), json_strings(gt.object_id),
-                   json_strings(gt.class_id), *_corners(gt.boxes)))
+    write_rows(path, GROUND_TRUTH_LINE,
+               json_strings(gt.image_id), json_strings(gt.object_id), json_strings(gt.class_id),
+               json_boxes(gt.boxes))
 
 
 def write_json(path: str, doc, sort_keys: bool = False) -> None:
@@ -697,7 +733,7 @@ def write_json(path: str, doc, sort_keys: bool = False) -> None:
 
 def write_jsonl(path: str, records: Iterable) -> None:
     """One ``json.dumps`` line per record."""
-    write_rows(path, "%s\n", zip(map(json.dumps, records)))
+    write_rows(path, "%s\n", map(json.dumps, records))
 
 
 def write_manifest(path: str, models: Sequence[str], classes: Sequence[str],

@@ -15,14 +15,14 @@ reconstructs the generated observation set exactly.
 """
 
 import os
+from itertools import repeat
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .deduction import DEFAULT_CLASSES
-from .model_io import (DetectionTable, GroundTruthTable, InputError, ObservationSet,
-                       index_of, read_json, write_ground_truth, write_json,
-                       write_manifest, write_predictions)
+from .model_io import (DEFAULT_CLASSES, GROUND_TRUTH_LINE, PREDICTION_LINE, InputError,
+                       ObservationSet, index_of, json_boxes, json_confidences, json_strings,
+                       read_json, write_json, write_manifest, write_rows)
 
 
 class Segment(NamedTuple):
@@ -275,23 +275,25 @@ def write_split(out_dir: str, obs: ObservationSet,
     threshold reproduces ``obs`` exactly.
     """
     os.makedirs(out_dir, exist_ok=True)
+    # each object's image id and box are encoded once, for every file
     slot = np.arange(len(obs.objects))
     x, y = (slot % _GRID_COLS) * _CELL, (slot // _GRID_COLS) * _CELL
-    boxes = np.stack([x, y, x + _BOX, y + _BOX], axis=1)
-    images = np.array([f"img{k:05d}" for k in (slot // _PER_IMAGE).tolist()], dtype=object)
-    write_ground_truth(os.path.join(out_dir, "gt.jsonl"), GroundTruthTable(
-        images.tolist(), list(obs.objects), [labels[o] for o in obs.objects], boxes))
+    box = np.array(json_boxes(np.stack([x, y, x + _BOX, y + _BOX], axis=1)), dtype=object)
+    image = np.array(json_strings([f"img{k:05d}" for k in range(len(slot) // _PER_IMAGE + 1)]),
+                     dtype=object)[slot // _PER_IMAGE]
+    write_rows(os.path.join(out_dir, "gt.jsonl"), GROUND_TRUTH_LINE,
+               image, json_strings(obs.objects), json_strings([labels[o] for o in obs.objects]), box)
 
-    class_ids = np.array(obs.classes, dtype=object)
+    klass = np.array(json_strings(obs.classes), dtype=object)[obs.cls]
+    conf = np.array(json_confidences(obs.confidence), dtype=object)
     preds_map = {}
-    for f, m in enumerate(obs.models):
+    for f, (m, model) in enumerate(zip(obs.models, json_strings(obs.models))):
         rows = np.flatnonzero(obs.model == f)
         rows = rows[np.argsort(obs.obj[rows])]
         w = obs.obj[rows]
         fname = f"preds_{m}.jsonl"
-        write_predictions(os.path.join(out_dir, fname), DetectionTable(
-            images[w].tolist(), [m] * len(rows), class_ids[obs.cls[rows]].tolist(),
-            obs.confidence[rows], boxes[w]))
+        write_rows(os.path.join(out_dir, fname), PREDICTION_LINE,
+                   image[w], repeat(model), klass[rows], conf[rows], box[w])
         preds_map[m] = fname
 
     manifest_path = os.path.join(out_dir, "manifest.json")

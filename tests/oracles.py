@@ -16,8 +16,7 @@ from abfuse import solver_ip
 from abfuse.deduction import (NORMALIZER_MODES, DomainConfig, IntegrityConstraintSet,
                               find_violations, inc_from_count, violation_budget)
 from abfuse.evaluation import Metrics
-from abfuse.edr import (Condition, ErrorRule, RuleSet, _learn_pair,
-                        generate_candidates)
+from abfuse.edr import _EPS, Condition, ErrorRule, RuleSet, generate_candidates
 from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError,
                              Observation, ObservationSet, index_of)
 from abfuse.solver_hs import HsConfig, HsResult, SelectionStep
@@ -171,10 +170,47 @@ def flags(rule: ErrorRule, entry: Observation,
     return any(fires(c, entry, siblings) for c in rule.conditions)
 
 
+def learn_pair_loop(correct: np.ndarray, fired: np.ndarray, epsilon: float,
+                    base) -> list:
+    """``edr._learn_pair`` one candidate at a time: each step walks the pool
+    in order and keeps a candidate only when its precision beats the best
+    so far, so ties go to the earlier candidate."""
+    n_correct = int(correct.sum())
+    chosen = list(base)
+    flagged = np.zeros(fired.shape[1], dtype=bool)
+    for i in chosen:
+        flagged |= fired[i]
+    limit = epsilon * n_correct + _EPS
+
+    totals = fired.sum(axis=1)
+    wrongs = (fired & ~correct).sum(axis=1)
+
+    while True:
+        best = None
+        flagged_correct = int((flagged & correct).sum())
+        for i in range(fired.shape[0]):
+            if i in chosen or totals[i] == 0:
+                continue
+            new = fired[i] & ~flagged
+            if not (new & ~correct).any():
+                continue
+            dr = int((new & correct).sum())
+            if n_correct > 0 and flagged_correct + dr > limit:
+                continue
+            prec = wrongs[i] / totals[i]
+            if best is None or prec > best[0]:
+                best = (prec, i)
+        if best is None:
+            return chosen
+        chosen.append(best[1])
+        flagged |= fired[best[1]]
+
+
 def learn_ruleset_reference(train: ObservationSet, gt_labels: Mapping[str, str],
                             epsilon_grid) -> RuleSet:
     """``learn_ruleset`` with each candidate's firing pattern evaluated entry
-    by entry (entries in sorted order) instead of as masks."""
+    by entry (entries in sorted order) instead of as masks, and the greedy
+    of :func:`learn_pair_loop`."""
     candidates = generate_candidates(train)
     siblings = sibling_index(train)
     grid = tuple(sorted(set(float(e) for e in epsilon_grid)))
@@ -189,7 +225,7 @@ def learn_ruleset_reference(train: ObservationSet, gt_labels: Mapping[str, str],
                               for cond in pool], dtype=bool).reshape(len(pool), len(entries))
             chosen: list = []
             for eps in grid:
-                chosen = _learn_pair(correct, fired, eps, chosen)
+                chosen = learn_pair_loop(correct, fired, eps, chosen)
                 ruleset.rules[(f, c, eps)] = ErrorRule(
                     f, c, tuple(pool[i] for i in chosen))
     return ruleset

@@ -664,7 +664,7 @@ _SOLVING_MODULES = _BASE_MODULES | {"deduction", "edr", "evaluation", "kernels",
 
 
 @pytest.mark.parametrize("command, loaded", [
-    ("gen", _BASE_MODULES | {"deduction", "synthgen"}),
+    ("gen", _BASE_MODULES | {"synthgen"}),
     ("learn", _BASE_MODULES | {"edr"}),
     ("abduce-hs", _SOLVING_MODULES | {"solver_hs"}),
     ("abduce-ip", _SOLVING_MODULES | {"solver_ip"}),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abfuse import deduction, model_io
 from abfuse.deduction import (DomainConfig, IntegrityConstraintSet,
                               default_domain, find_violations,
                               load_domain_config, violation_budget)
@@ -207,6 +208,9 @@ def test_default_domain_is_all_pairs():
     assert dom.ic.pairs == (("a", "b"),)
     assert dom.normalizer_mode == "per_object"
     assert not dom.directed_ground_rules
+    # defined by ``model_io``, so ``gen`` reads it without loading ``deduction``
+    assert deduction.DEFAULT_CLASSES is model_io.DEFAULT_CLASSES
+    assert default_domain().classes == model_io.DEFAULT_CLASSES
 
 
 def test_domain_config_validation():

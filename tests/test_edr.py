@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abfuse import synthgen
-from abfuse.edr import (_QUANTILES, Condition, ErrorRule, RuleSet, _linear_quantiles,
-                        apply_rules, generate_candidates, learn_ruleset, split_flagged)
+from abfuse.edr import (_QUANTILES, Condition, ErrorRule, RuleSet, _learn_pair,
+                        _linear_quantiles, apply_rules, generate_candidates, learn_ruleset,
+                        split_flagged)
 from abfuse.model_io import InputError, Observation
 
 from conftest import empty_rules, obs_of
-from oracles import (fires, flag_rate_on_correct, flags,
+from oracles import (fires, flag_rate_on_correct, flags, learn_pair_loop,
                      learn_ruleset_reference, sibling_index)
 
 
@@ -251,6 +252,54 @@ def test_learn_warm_start_grows_monotonically():
             assert prev_conds <= conds
             assert prev_errors <= errors
             prev_conds, prev_errors = conds, errors
+
+
+def _fired_matrix(rng, correct, n_candidates, density):
+    """Random firing patterns; some candidates never fire, and some permute
+    an earlier one within the correct and within the wrong entries, so that
+    the two tie on precision while flagging different entries."""
+    fired = rng.random((n_candidates, correct.size)) < density
+    right, wrong = np.flatnonzero(correct), np.flatnonzero(~correct)
+    for i in range(n_candidates):
+        kind = rng.integers(4)
+        if kind == 0:
+            fired[i] = False
+        elif kind == 1 and i:
+            src = fired[rng.integers(i)]
+            fired[i, right] = src[rng.permutation(right)]
+            fired[i, wrong] = src[rng.permutation(wrong)]
+    return fired
+
+
+@settings(max_examples=400, deadline=None)
+@given(n_candidates=st.integers(0, 40), n_entries=st.integers(0, 200),
+       correct_share=st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)),
+       density=st.sampled_from((0.05, 0.2, 0.5)),
+       inner=st.lists(st.floats(0.0, 1.0), max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_array_greedy_equals_the_loop(n_candidates, n_entries, correct_share, density,
+                                      inner, seed):
+    rng = np.random.default_rng(seed)
+    # a share of 0 gives pairs with no correct entry
+    correct = rng.random(n_entries) < correct_share
+    fired = _fired_matrix(rng, correct, n_candidates, density)
+    got: list = []
+    want: list = []
+    for eps in sorted({0.0, 1.0, *inner}):
+        got = _learn_pair(correct, fired, eps, got)
+        want = learn_pair_loop(correct, fired, eps, want)
+        assert got == want, eps
+
+
+def test_array_greedy_breaks_precision_ties_toward_the_earlier_candidate():
+    # candidates 0 and 1 each flag one wrong and one correct entry, and
+    # both fit the budget; 2 never fires
+    correct = np.array([True, False, True, False])
+    fired = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]], dtype=bool)
+    for learn in (_learn_pair, learn_pair_loop):
+        assert learn(correct, fired, 0.5, []) == [0]
+        assert learn(correct, fired, 1.0, [0]) == [0, 1]
+        assert learn(correct, fired[::-1], 1.0, []) == [1, 2]
 
 
 def test_learn_requires_labels_for_training_objects():

@@ -881,10 +881,22 @@ STRANGE_NUMBERS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
                    1e-300, 1.7976931348623157e308, 0.1, 1 / 3, 1e16, 123456789.0]
 
 
+# values whose rounding to six places ends on, or just beside, a tie, and
+# values ``round`` writes in exponent form
+ROUNDING_CASES = [0.0000005, 0.0000015, 0.0000025, 2.675e-6, 0.1234565, 0.9999995,
+                  0.00001, 0.00009, -0.00005, 1e-7, -1e-9, 999999.9999995, 1e6, -1e6, 1e300]
+
+
 def test_column_encoders_match_json_dumps():
     assert model_io.json_strings(STRANGE_IDS) == [json.dumps(v) for v in STRANGE_IDS]
     assert model_io.json_numbers(STRANGE_NUMBERS) == [json.dumps(v) for v in STRANGE_NUMBERS]
+    numbers = STRANGE_NUMBERS + ROUNDING_CASES
+    assert model_io.json_confidences(np.array(numbers)) == [
+        json.dumps(round(v, 6)) for v in numbers]
+    boxes = np.array((numbers * 4)[:4 * 7]).reshape(7, 4)
+    assert model_io.json_boxes(boxes) == [json.dumps(b)[1:-1] for b in boxes.tolist()]
     assert model_io.json_numbers([]) == model_io.json_strings([]) == []
+    assert model_io.json_confidences(np.zeros(0)) == model_io.json_boxes(np.zeros((0, 4))) == []
 
 
 @settings(deadline=None)
@@ -892,6 +904,17 @@ def test_column_encoders_match_json_dumps():
 def test_column_encoders_match_json_dumps_on_any_input(ids, numbers):
     assert model_io.json_strings(ids) == [json.dumps(v) for v in ids]
     assert model_io.json_numbers(numbers) == [json.dumps(v) for v in numbers]
+    assert model_io.json_confidences(np.array(numbers, dtype=np.float64)) == [
+        json.dumps(round(v, 6)) for v in numbers]
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 10 ** 6)), st.lists(st.floats(0.0, 1.0)))
+def test_confidence_encoder_matches_round_near_six_places(units, offsets):
+    # six-place decimals, as the generator draws them, and values beside them
+    near = [u / 1e6 for u in units] + [u / 1e6 + d * 1e-6 for u, d in zip(units, offsets)]
+    assert model_io.json_confidences(np.array(near, dtype=np.float64)) == [
+        json.dumps(round(v, 6)) for v in near]
 
 
 def test_writers_match_one_json_dumps_per_row(tmp_path):
@@ -912,3 +935,5 @@ def test_writers_match_one_json_dumps_per_row(tmp_path):
         for i, o, c, b in zip(gt.image_id, gt.object_id, gt.class_id, boxes.tolist()))
     write_ground_truth(str(tmp_path / "e.jsonl"), GroundTruthTable([], [], [], np.zeros((0, 4))))
     assert (tmp_path / "e.jsonl").read_bytes() == b""
+    with pytest.raises(ValueError, match="1 columns for 2 slots"):
+        model_io.write_rows(str(tmp_path / "r.jsonl"), "%s %s\n", ["a"])

@@ -5,10 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from abfuse.model_io import InputError, load_dataset, observations_from_dataset
-from abfuse.synthgen import (PRESET_FAMILIES, Segment, ShiftScenario,
-                             error_shift, generate, load_scenario, preset,
-                             save_scenario, write_dataset)
+from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError, load_dataset,
+                             observations_from_dataset, write_ground_truth, write_predictions)
+from abfuse.synthgen import (_BOX, _CELL, _GRID_COLS, _PER_IMAGE, PRESET_FAMILIES, Segment,
+                             ShiftScenario, error_shift, generate, load_scenario, preset,
+                             save_scenario, write_dataset, write_split)
 
 
 def confusion_matrix(n_classes, model_index, intensity):
@@ -207,6 +208,35 @@ def test_written_dataset_bytes_deterministic(tmp_path):
         one = (tmp_path / "one" / "train" / name).read_bytes()
         two = (tmp_path / "two" / "train" / name).read_bytes()
         assert one == two
+
+
+def test_write_split_equals_the_table_writers_past_one_image_and_grid_row(tmp_path):
+    # 1,201 objects fill two images and part of a third, and two grid rows;
+    # dropping a tenth of the entries leaves each model with gaps
+    data = generate(scenario(0.35, n_test=1201, seed=11, n_models=3))
+    rng = np.random.default_rng(0)
+    obs = data.test.subset(rng.random(len(data.test.obj)) < 0.9)
+    write_split(str(tmp_path / "split"), obs, data.test_labels, ("a", "b", "c"))
+
+    slot = np.arange(len(obs.objects))
+    x, y = (slot % _GRID_COLS) * _CELL, (slot // _GRID_COLS) * _CELL
+    boxes = np.stack([x, y, x + _BOX, y + _BOX], axis=1)
+    images = [f"img{k:05d}" for k in (slot // _PER_IMAGE).tolist()]
+    assert images[-1] == "img00002" and y[-1] > 0
+    want = tmp_path / "tables"
+    want.mkdir()
+    write_ground_truth(str(want / "gt.jsonl"), GroundTruthTable(
+        images, list(obs.objects), [data.test_labels[o] for o in obs.objects], boxes))
+    for f, m in enumerate(obs.models):
+        rows = np.flatnonzero(obs.model == f)
+        rows = rows[np.argsort(obs.obj[rows])]
+        w = obs.obj[rows]
+        assert 0 < len(rows) < len(obs.objects)
+        write_predictions(str(want / f"preds_{m}.jsonl"), DetectionTable(
+            [images[i] for i in w.tolist()], [m] * len(rows),
+            [obs.classes[c] for c in obs.cls[rows].tolist()], obs.confidence[rows], boxes[w]))
+    for path in want.iterdir():
+        assert (tmp_path / "split" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 # sha256 of every file ``write_dataset`` writes: any change to the bytes
