@@ -293,7 +293,7 @@ def test_array_greedy_equals_the_loop(n_candidates, n_entries, correct_share, de
 
 def test_array_greedy_breaks_precision_ties_toward_the_earlier_candidate():
     # candidates 0 and 1 each flag one wrong and one correct entry, and
-    # both fit the budget; 2 never fires
+    # each fits a budget of 0.5 alone; 2 never fires
     correct = np.array([True, False, True, False])
     fired = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]], dtype=bool)
     for learn in (_learn_pair, learn_pair_loop):
