@@ -57,19 +57,17 @@ def commit_atoms(pres, add_c, add_w):
 
 # The search fixes one binary per branchable (model, class) pair: 0 keeps the
 # pair, 1 eliminates it and with it every assignment atom it alone supports.
-# State is maintained incrementally, in Python lists (one element read or
-# written per step, which lists do far faster than numpy scalars):
-#   cnt[c][w]   surviving supporter count of atom (c, w), undecided pairs kept
-#   ncov[w]     number of classes with cnt > 0 at object w
+# A set of objects is one Python int, bit w for object w.  The state:
+#   cover[c]    objects that class c's undecided or kept pairs predict c for
 #   atoms       total covered (c, w) cells
 #   conflicts   mutual-exclusion violations among covered cells
-#   uncovered   variables' objects with ncov == 0
-# An elimination saves the three totals before it changes them; its undo
-# restores them and re-increments only the counts.
-# Everything that does not depend on the budget (variables, the visit order,
-# the initial counts and totals, the neighbour lists) is built once per
-# instance by ``search_start`` and shared by the solves of every delta; each
-# solve copies only the count rows it mutates.
+#   uncovered   objects the latest elimination left with no class
+# Eliminating a variable of class c recomputes cover[c] as the OR of c's
+# kept pairs' masks; each lost object costs one atom, and one conflict per
+# neighbour class covering it.  The undo restores the saved cover[c] and
+# totals (a node with uncovered objects is never expanded, so none remain).
+# Everything that does not depend on the budget is built once per instance
+# by ``search_start`` and shared by the solves of every delta.
 # Every variable's objects are covered at the root (the variable itself
 # supports them), so nothing starts uncovered.  Eliminations only shrink
 # coverage, so an uncovered object can never recover deeper in the subtree
@@ -87,10 +85,16 @@ def commit_atoms(pres, add_c, add_w):
 # count never hides a tie-break winner.
 
 
+def _bitmasks(rows) -> list:
+    """Each row of a 2-D 0/1 array as an int with bit w set where it is 1."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
 class SearchStart(NamedTuple):
-    """The search's state at the root, as Python lists, with the inputs that
-    no solve changes.  Built once per instance by :func:`search_start`;
-    :func:`bnb_search` copies ``cnt``'s mutated rows and ``ncov``.
+    """The search's state at the root, as Python ints and lists, with the
+    inputs that no solve changes.  Built once per instance by
+    :func:`search_start`; :func:`bnb_search` copies ``cover``.
 
     One branch variable per (model, class) pair with support, in
     (model, class) order; ``var_f``/``var_cls`` name its pair.  Pairs
@@ -100,9 +104,8 @@ class SearchStart(NamedTuple):
     var_f: list             # model of each branch variable
     var_cls: list           # class of each branch variable
     order: list             # visit order of the variables
-    var_objs: list          # each variable's objects, ascending
-    cnt: list               # cnt[c][w] at the root
-    ncov: list              # ncov[w] at the root
+    var_mask: list          # each variable's objects, as a bitmask
+    cover: list             # each class's covered objects at the root
     nbrs: list              # each class's exclusion neighbours
     atoms: int
     conflicts: int
@@ -116,18 +119,13 @@ def search_start(pred, a, b) -> SearchStart:
     first, ties in variable order."""
     support = pred.sum(axis=2, dtype=np.int64)          # (F, C)
     var_f, var_cls = np.nonzero(support)
-    var_support = support[var_f, var_cls]
-    sup = pred.sum(axis=0, dtype=np.int64)              # supporters of (c, w)
-    covered = sup > 0
-    ncov = covered.sum(axis=0)
+    covered = pred.any(axis=0)                          # (C, N)
     nbrs = [n.tolist() for n in neighbours((a, b), pred.shape[1])]
-    # nonzero walks (model, class, object) order: the variables' runs in turn
-    objs = np.nonzero(pred)[2].tolist()
-    ends = np.cumsum(var_support).tolist()
     return SearchStart(
-        var_f.tolist(), var_cls.tolist(), np.argsort(-var_support, kind="stable").tolist(),
-        [objs[i:j] for i, j in zip([0, *ends], ends)], sup.tolist(), ncov.tolist(), nbrs,
-        int(ncov.sum()), int((covered[a] & covered[b]).sum()),
+        var_f.tolist(), var_cls.tolist(),
+        np.argsort(-support[var_f, var_cls], kind="stable").tolist(),
+        _bitmasks(pred[var_f, var_cls]), _bitmasks(covered), nbrs,
+        int(covered.sum()), int((covered[a] & covered[b]).sum()),
         max(1, max(map(len, nbrs), default=0)))
 
 
@@ -139,16 +137,14 @@ def bnb_search(start: SearchStart, budget):
     is False when no elimination pattern covers every coverable object
     within the conflict budget.
     """
-    var_cls, order, var_objs = start.var_cls, start.order, start.var_objs
+    var_cls, order, var_mask, nbrs = start.var_cls, start.order, start.var_mask, start.nbrs
     max_deg = start.max_deg
     atoms, conflicts, uncovered = start.atoms, start.conflicts, 0
     n_vars = len(var_cls)
-    cnt = list(start.cnt)
-    for c in set(var_cls):
-        cnt[c] = cnt[c][:]
-    ncov = start.ncov[:]
-    # the count rows of each class's exclusion neighbours
-    nbr_rows = [[cnt[j] for j in nbrs] for nbrs in start.nbrs]
+    cover = start.cover[:]
+    cls_vars = [[] for _ in cover]
+    for v, c in enumerate(var_cls):
+        cls_vars[c].append(v)
 
     found = False
     best_obj = -1
@@ -160,14 +156,14 @@ def bnb_search(start: SearchStart, budget):
 
     # iterative DFS; phase 0 = arriving, 1 = keep branch done, 2 = elim done
     phase = [0] * (n_vars + 1)
-    saved = [None] * n_vars     # the totals before each depth's elimination
+    saved = [None] * n_vars     # cover and totals before each depth's elimination
     depth = 0
     while depth >= 0:
         p = phase[depth]
         if p == 0:
             nodes += 1
             done = False
-            if uncovered > 0:
+            if uncovered:
                 done = True
             elif conflicts <= budget:
                 # keeping every undecided pair is optimal within this subtree
@@ -205,35 +201,31 @@ def bnb_search(start: SearchStart, budget):
             phase[depth] = 0
         elif p == 1:
             phase[depth] = 2
-            saved[depth] = atoms, conflicts, uncovered
             v = order[depth]
-            row = cnt[var_cls[v]]
-            nbrs = nbr_rows[var_cls[v]]
-            for w in var_objs[v]:
-                k = row[w] - 1
-                row[w] = k
-                if k == 0:
-                    atoms -= 1
-                    for other in nbrs:
-                        if other[w] > 0:
-                            conflicts -= 1
-                    k = ncov[w] - 1
-                    ncov[w] = k
-                    if k == 0:
-                        uncovered += 1
+            c = var_cls[v]
+            old = cover[c]
+            saved[depth] = old, atoms, conflicts
             cur_mask[v] = 1
             cur_nelim += 1
+            new = 0
+            for u in cls_vars[c]:
+                if not cur_mask[u]:
+                    new |= var_mask[u]
+            cover[c] = new
+            lost = old ^ new        # new is a subset of old
+            if lost:
+                atoms -= lost.bit_count()
+                for j in nbrs[c]:
+                    conflicts -= (lost & cover[j]).bit_count()
+                for other in cover:
+                    lost &= ~other
+                uncovered = lost
             depth += 1
             phase[depth] = 0
         else:
             v = order[depth]
-            row = cnt[var_cls[v]]
-            for w in var_objs[v]:
-                k = row[w]
-                if k == 0:
-                    ncov[w] += 1
-                row[w] = k + 1
-            atoms, conflicts, uncovered = saved[depth]
+            cover[var_cls[v]], atoms, conflicts = saved[depth]
+            uncovered = 0
             cur_mask[v] = 0
             cur_nelim -= 1
             depth -= 1

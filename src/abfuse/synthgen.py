@@ -49,8 +49,13 @@ class ShiftScenario:
             raise InputError("need at least two models and two classes")
         if len(set(self.models)) != F or len(set(self.classes)) != C:
             raise InputError("model and class ids must be unique")
-        if len(self.class_prior) != C or abs(sum(self.class_prior) - 1.0) > 1e-9:
+        # a NaN fails every comparison, so only the positive tests reject it
+        if (len(self.class_prior) != C or not all(p >= 0.0 for p in self.class_prior)
+                or abs(sum(self.class_prior) - 1.0) > 1e-9):
             raise InputError("class_prior must be a distribution over the classes")
+        for name, pair in (("conf_correct", self.conf_correct), ("conf_wrong", self.conf_wrong)):
+            if len(pair) != 2 or not all(0.0 < v < float("inf") for v in pair):
+                raise InputError(f"{name} must be two finite numbers > 0: {list(pair)}")
         if len(self.train_intensities) != F:
             raise InputError("one training intensity per model required")
         if abs(sum(s.weight for s in self.segments) - 1.0) > 1e-9:

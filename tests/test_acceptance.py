@@ -381,15 +381,22 @@ def test_c12_greedy_scales_cheaper_than_exact(tmp_path, warm_kernels):
         dataset = SweepDataset(data.test, data.test_labels, ruleset,
                                default_domain(data.test.classes),
                                name=f"mm1-{size}")
+        # each cell's fastest of three runs, so one slow moment of the
+        # machine does not decide the comparison
         result = run_sweep(dataset, methods=("ip", "hs"), delta_grid=deltas,
-                           epsilon_grid=epsilons, timing=True)
+                           epsilon_grid=epsilons, repeats=3, timing=True)
         path = tmp_path / f"sweep_{size}.csv"
         result.to_csv(str(path))
 
-        by_method = {"ip": [], "hs": []}
+        fastest = {}
         with open(path, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
-                by_method[row["method"]].append(float(row["runtime_per_object"]))
+                cell = (row["method"], row["delta"], row["epsilon"])
+                fastest[cell] = min(fastest.get(cell, float("inf")),
+                                    float(row["runtime_per_object"]))
+        by_method = {"ip": [], "hs": []}
+        for (method, _, _), rpo in fastest.items():
+            by_method[method].append(rpo)
         assert len(by_method["ip"]) == len(deltas) * len(epsilons)
         mean_ip = statistics.mean(by_method["ip"])
         mean_hs = statistics.mean(by_method["hs"])

@@ -86,6 +86,11 @@ def test_union_stats_counts_duplicate_atoms_once():
     assert kernels.union_stats(pres, 3, 1, 2, np.array([0, 1, 2]), nbrs0[2]) == (6, 1)
 
 
+def _bits(mask):
+    """The set bits of an int, ascending."""
+    return [w for w in range(mask.bit_length()) if mask >> w & 1]
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_search_start_root_totals(seed):
     """The search's root state equals a from-scratch count on a random
@@ -100,11 +105,11 @@ def test_search_start_root_totals(seed):
     assert start.atoms == int(covered.sum())
     assert start.conflicts == _naive_conflicts(covered, pairs)
     assert start.max_deg == max(1, max(sum(c in p for p in pairs) for c in range(C)))
-    assert start.cnt == pred.sum(axis=0).tolist()
-    assert start.ncov == covered.sum(axis=0).tolist()
     variables = [(f, c) for f in range(F) for c in range(C) if pred[f, c].any()]
     assert list(zip(start.var_f, start.var_cls)) == variables
-    assert start.var_objs == [np.flatnonzero(pred[f, c]).tolist() for f, c in variables]
+    assert [_bits(m) for m in start.var_mask] == [
+        np.flatnonzero(pred[f, c]).tolist() for f, c in variables]
+    assert [_bits(m) for m in start.cover] == [np.flatnonzero(row).tolist() for row in covered]
     support = [int(pred[f, c].sum()) for f, c in variables]
     assert start.order == sorted(range(len(variables)), key=lambda v: -support[v])
 

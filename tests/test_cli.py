@@ -403,6 +403,24 @@ def test_huge_number_exits_one_without_traceback(dataset, tmp_path, target):
     assert proc.stderr.startswith(f"error: {path}:"), proc.stderr
 
 
+@pytest.mark.parametrize("field, value", [
+    ("class_prior", [1.5, -0.5, 0, 0]), ("class_prior", [float("nan")] * 4),
+    ("conf_correct", [0, 0]), ("conf_wrong", [-1, 2]),
+    ("conf_wrong", [1, 2, 3]), ("conf_wrong", [])])
+def test_gen_rejects_bad_scenario_distributions(tmp_path, capsys, field, value):
+    # numpy's sampler raised these from inside generate, with a traceback
+    path = tmp_path / "scenario.json"
+    save_scenario(str(path), preset("MM_1", n_train=5, n_test=5, seed=0))
+    scenario = json.loads(path.read_text())
+    scenario[field] = value
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "gen"
+    assert main(["gen", "--scenario", str(path), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be" in err, err
+    assert not out.exists()
+
+
 def test_abduce_and_sweep_leave_numpy_ma_unloaded(dataset, tmp_path):
     # np.unique imports numpy.ma (~23 ms and ~1.4 MB per process)
     manifest, rules = dataset

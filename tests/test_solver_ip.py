@@ -151,20 +151,27 @@ def test_with_delta_matches_a_fresh_build():
 
 
 def test_deep_search_visit_order_is_pinned():
-    """The 100-object, epsilon 0.01 instance of the scaling acceptance test
-    (24 branch variables): node counts pin the visit order, bound and
-    tie-break of the branch & bound."""
-    rules = synthgen.generate(synthgen.preset("MM_1", n_train=1000, n_test=2, seed=3))
-    ruleset = learn_ruleset(rules.train, rules.train_labels, (0.01, 0.1, 0.2, 0.5))
-    data = synthgen.generate(synthgen.preset("MM_1", n_train=2, n_test=100, seed=17))
-    filtered, _ = apply_rules(data.test, ruleset, 0.01)
-    packed = build_instance(filtered, default_domain(data.test.classes).ic, 0.5)
-    assert int((packed.pred.sum(axis=2) > 0).sum()) == 24
-    sol = solve(packed)
-    assert (sol.status, sol.objective, sol.nodes) == (STATUS_OPTIMAL, 148, 557_333)
-    assert audit_solution(packed, sol) == []
-    sol = solve(packed.with_delta(0.1))
-    assert (sol.status, sol.nodes) == (STATUS_INFEASIBLE, 558_713)
+    """MM_1 instances with 24 branch variables: node counts pin the visit
+    order, bound and tie-break of the branch & bound."""
+    for n_train, grid, n_test, epsilon, optimal, infeasible in (
+            # the 100-object, epsilon 0.01 instance of the scaling acceptance test
+            (1000, (0.01, 0.1, 0.2, 0.5), 100, 0.01, (0.5, 148, 557_333, 12), (0.1, 558_713)),
+            # 1,000 objects: coverage sets wider than a few machine words
+            (30, (0.01, 0.1, 0.3, 0.5), 1000, 0.1, (0.9, 1785, 54_653, 4), (0.5, 61_589))):
+        rules = synthgen.generate(synthgen.preset("MM_1", n_train=n_train, n_test=2, seed=3))
+        ruleset = learn_ruleset(rules.train, rules.train_labels, grid)
+        data = synthgen.generate(synthgen.preset("MM_1", n_train=2, n_test=n_test, seed=17))
+        filtered, _ = apply_rules(data.test, ruleset, epsilon)
+        delta, objective, nodes, n_elim = optimal
+        packed = build_instance(filtered, default_domain(data.test.classes).ic, delta)
+        assert int((packed.pred.sum(axis=2) > 0).sum()) == 24
+        sol = solve(packed)
+        assert (sol.status, sol.objective, sol.nodes) == (STATUS_OPTIMAL, objective, nodes)
+        assert int(sol.eliminated.sum()) == n_elim
+        assert audit_solution(packed, sol) == []
+        delta, nodes = infeasible
+        sol = solve(packed.with_delta(delta))
+        assert (sol.status, sol.nodes) == (STATUS_INFEASIBLE, nodes)
 
 
 def test_solve_invariant_under_model_relabeling():
