@@ -867,6 +867,70 @@ def test_baseline_best_and_avg(dataset, tmp_path):
     assert best["f1"] >= avg["f1"]
 
 
+def _assert_metrics_match_row(metrics, row, label):
+    """Every metrics.json field the sweep CSV also has equals the row."""
+    for key in set(metrics) & set(row):
+        if key == "status":
+            assert metrics[key] == row[key], (label, key)
+        else:
+            assert float(row[key]) == pytest.approx(metrics[key], abs=1e-6), (label, key)
+
+
+def _cross_check(manifest, rules, deltas, epsilons, out):
+    """Run one sweep of every method, then ``abduce`` for each solver cell
+    with the tie-break on and off and ``baseline`` for each reference method,
+    and check that each run agrees with its sweep row.  Returns the number
+    of infeasible cells seen."""
+    sweep = out / "sweep.csv"
+    assert main(["sweep", "--manifest", manifest, "--rules", rules,
+                 "--delta-grid", ",".join(deltas), "--epsilon-grid", ",".join(epsilons),
+                 "--no-timing", "--out", str(sweep)]) == EXIT_OK
+    with open(sweep, newline="", encoding="utf-8") as fh:
+        rows = {(r["delta"], r["epsilon"], r["method"]): r for r in csv.DictReader(fh)}
+    infeasible = 0
+    for delta in deltas:
+        for eps in epsilons:
+            for solver, flag in (("ip", "--epsilon"), ("hs", "--epsilon-set")):
+                for tb in ("on", "off"):
+                    method = solver + ("+tb" if tb == "on" else "")
+                    row = rows[(f"{float(delta):g}", f"{float(eps):g}", method)]
+                    target = out / f"{method}_{delta}_{eps}"
+                    rc = main(["abduce", "--manifest", manifest, "--rules", rules,
+                               "--solver", solver, "--delta", delta, flag, eps,
+                               "--tie-break", tb, "--out", str(target)])
+                    if row["status"] == "infeasible":
+                        infeasible += 1
+                        assert rc == EXIT_INFEASIBLE, (method, delta, eps)
+                        continue
+                    assert rc == EXIT_OK, (method, delta, eps)
+                    _assert_metrics_match_row(
+                        json.loads((target / "metrics.json").read_text()), row,
+                        (method, delta, eps))
+    for method in ("mv", "best", "avg"):
+        target = out / method
+        assert main(["baseline", "--manifest", manifest, "--method", method,
+                     "--out", str(target)]) == EXIT_OK
+        metrics = json.loads((target / "metrics.json").read_text())
+        for key, row in rows.items():
+            if key[2] == method:
+                _assert_metrics_match_row(metrics, row, method)
+    return infeasible
+
+
+def test_abduce_and_baseline_agree_with_the_sweep(dataset, tmp_path):
+    # abduce and baseline run one cell each; the sweep runs every cell of
+    # the grid, and each of its rows must say what the single run says
+    manifest, rules = dataset
+    (tmp_path / "generated").mkdir()
+    assert _cross_check(manifest, rules, ("0.3", "0.5", "0.9"), ("0.1", "0.5"),
+                        tmp_path / "generated") == 0
+    # at delta 0 the exact program is infeasible, and abduce exits 2 there
+    manifest, rules = conflict_dataset(tmp_path)
+    (tmp_path / "conflict_runs").mkdir()
+    assert _cross_check(manifest, rules, ("0", "0.5"), ("0.5",),
+                        tmp_path / "conflict_runs") == 2
+
+
 def test_abduce_infeasible_exits_two(tmp_path, capsys):
     manifest, rules = conflict_dataset(tmp_path)
     rc = main(["abduce", "--manifest", manifest, "--rules", rules,
