@@ -69,15 +69,6 @@ def _parse_grid(text: str, option: str) -> tuple:
     return vals
 
 
-def _domain_for(args, classes):
-    from .deduction import default_domain, load_domain_config
-
-    path = getattr(args, "domain_config", None) or os.environ.get("ABFUSE_DOMAIN_CONFIG")
-    if path:
-        return load_domain_config(path)
-    return default_domain(classes)
-
-
 def _load_obs(args):
     from .model_io import coverage_report, load_dataset, observations_from_dataset
 
@@ -90,14 +81,29 @@ def _load_obs(args):
     return ds, obs
 
 
-def _metrics_dict(m) -> dict:
-    return {**vars(m), "status": "ok"}
+def _load_with_domain(args):
+    """:func:`_load_obs` plus the domain of ``--domain-config`` or
+    ``$ABFUSE_DOMAIN_CONFIG``, which must name every class the manifest
+    declares, else all-pairs over those classes."""
+    from .deduction import default_domain, load_domain_config
+    from .model_io import InputError
+
+    ds, obs = _load_obs(args)
+    path = args.domain_config or os.environ.get("ABFUSE_DOMAIN_CONFIG")
+    if not path:
+        return ds, obs, default_domain(ds.classes)
+    domain = load_domain_config(path)
+    missing = [c for c in ds.classes if c not in domain.classes]
+    if missing:
+        raise InputError(f"{path}: 'classes' omits the dataset's classes {missing}")
+    return ds, obs, domain
 
 
 def _write_labels(path: str, obs, rows, sources: bool = False) -> None:
-    """One line per row of ``obs``: its object and class ids and, with
-    ``sources``, the model id and confidence of the prediction behind it."""
+    """With ``sources``, each row's object, class and model ids and its
+    confidence; without, each (object, class) atom of the rows once, in order."""
     from .model_io import json_numbers, json_strings, write_rows
+    from .tiebreak import first_per_group
 
     def ids(universe, index):
         return map(json_strings(universe).__getitem__, index[rows].tolist())
@@ -109,6 +115,7 @@ def _write_labels(path: str, obs, rows, sources: bool = False) -> None:
                    ids(obs.classes, obs.cls), json_numbers(obs.confidence[rows].tolist()),
                    ids(obs.models, obs.model), ids(obs.objects, obs.obj))
     else:
+        rows = rows[first_per_group(obs.obj[rows] * len(obs.classes) + obs.cls[rows])]
         write_rows(path, '{"class_id": %s, "object_id": %s}\n',
                    ids(obs.classes, obs.cls), ids(obs.objects, obs.obj))
 
@@ -155,9 +162,9 @@ def cmd_learn(args) -> int:
 
 
 def cmd_abduce(args) -> int:
-    from . import evaluation, tiebreak
+    from . import evaluation
     from .deduction import violation_budget
-    from .edr import RuleSet, apply_rules
+    from .edr import RuleSet
     from .model_io import InputError, write_json
 
     if args.solver == "ip" and args.epsilon is None:
@@ -166,52 +173,32 @@ def cmd_abduce(args) -> int:
                     else ("--epsilon", args.epsilon))
     if value is not None:
         raise InputError(f"{other} cannot be used with --solver {args.solver}")
-    eps_set = (None if args.epsilon_set is None
-               else _parse_grid(args.epsilon_set, "--epsilon-set"))
-    ds, obs = _load_obs(args)
-    domain = _domain_for(args, ds.classes)
+    epsilons = (args.epsilon,) if args.solver == "ip" else None
+    if args.epsilon_set is not None:
+        epsilons = _parse_grid(args.epsilon_set, "--epsilon-set")
+    ds, obs, domain = _load_with_domain(args)
     ruleset = RuleSet.load(args.rules)
     os.makedirs(args.out, exist_ok=True)
     tb = args.tie_break == "on"
 
+    (cell,) = evaluation.solver_cells(obs, ruleset, domain, epsilons or ruleset.epsilon_grid,
+                                      (args.delta,), (args.solver,))
+    budget = violation_budget(args.delta, len(obs.objects), domain.ic,
+                              domain.normalizer_mode, domain.directed_ground_rules)
+    if cell.status == "infeasible":
+        print("infeasible: no acceptance set satisfies coverage within "
+              f"the delta budget ({budget})", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    if cell.trace is not None:
+        cell.trace.write(os.path.join(args.out, "trace.jsonl"))
+
+    metrics = evaluation.score_cell(
+        cell, tb, evaluation.Truth.of(ds.labels(), obs.objects, obs.classes), domain,
+        before_score=lambda solved, rows: _write_labels(
+            os.path.join(args.out, "labels.jsonl"), solved, rows, sources=tb))
+    payload = {**vars(metrics), "status": "ok", "violation_budget": budget}
     if args.solver == "ip":
-        from . import solver_ip
-
-        filtered, _ = apply_rules(obs, ruleset, args.epsilon)
-        instance = solver_ip.build_instance(
-            filtered, domain.ic, args.delta,
-            domain.normalizer_mode, domain.directed_ground_rules)
-        sol = solver_ip.solve(instance)
-        if sol.status != solver_ip.STATUS_OPTIMAL:
-            print("infeasible: no acceptance set satisfies coverage within "
-                  f"the delta budget ({instance.delta_budget})", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        solved, rows = filtered, filtered.rows_within(sol.covered)
-    else:
-        from . import solver_hs
-
-        config = solver_hs.HsConfig(args.delta, eps_set or ruleset.epsilon_grid)
-        res = solver_hs.heuristic_search(obs, config, ruleset, domain.ic,
-                                         domain.normalizer_mode,
-                                         domain.directed_ground_rules)
-        res.trace.write(os.path.join(args.out, "trace.jsonl"))
-        solved, rows = obs, res.rows
-
-    if tb:
-        rows = tiebreak.resolve(solved, rows)
-    else:  # one row per atom, in (object, class) order
-        rows = rows[tiebreak.first_per_group(solved.obj[rows] * len(solved.classes)
-                                             + solved.cls[rows])]
-    _write_labels(os.path.join(args.out, "labels.jsonl"), solved, rows, sources=tb)
-
-    metrics = evaluation.score(solved.coverage(rows), evaluation.Truth.of(
-        ds.labels(), obs.objects, obs.classes), domain=domain, n_objects=len(obs.objects))
-    payload = _metrics_dict(metrics)
-    payload["violation_budget"] = violation_budget(
-        args.delta, len(obs.objects), domain.ic, domain.normalizer_mode,
-        domain.directed_ground_rules)
-    if args.solver == "ip":
-        payload["nodes"] = sol.nodes
+        payload["nodes"] = cell.nodes
     write_json(os.path.join(args.out, "metrics.json"), payload, sort_keys=True)
     print(f"{args.solver}{'+tb' if tb else ''}: f1={metrics.f1:.4f} "
           f"precision={metrics.precision:.4f} recall={metrics.recall:.4f}")
@@ -226,10 +213,8 @@ def cmd_sweep(args) -> int:
         tuple(_items(args.methods, "--methods"))
     delta_grid = _parse_grid(args.delta_grid, "--delta-grid")
     epsilon_grid = _parse_grid(args.epsilon_grid, "--epsilon-grid")
-    ds, obs = _load_obs(args)
-    domain = _domain_for(args, ds.classes)
-    ruleset = RuleSet.load(args.rules)
-    dataset = evaluation.SweepDataset(obs, ds.labels(), ruleset, domain,
+    ds, obs, domain = _load_with_domain(args)
+    dataset = evaluation.SweepDataset(obs, ds.labels(), RuleSet.load(args.rules), domain,
                                       name=os.path.basename(args.manifest))
     result = evaluation.run_sweep(
         dataset, methods, delta_grid=delta_grid, epsilon_grid=epsilon_grid,
@@ -245,8 +230,7 @@ def cmd_eval(args) -> int:
     from . import evaluation
     from .model_io import InputError, read_jsonl, write_json
 
-    ds, obs = _load_obs(args)
-    domain = _domain_for(args, ds.classes)
+    ds, obs, domain = _load_with_domain(args)
     atoms = set()
     for lineno, rec in read_jsonl(args.labels):
         try:
@@ -255,37 +239,25 @@ def cmd_eval(args) -> int:
             raise InputError(f"{args.labels}:{lineno}: bad label record: {exc}") from exc
     metrics = evaluation.score_atoms(atoms, ds.labels(), domain=domain,
                                      n_objects=len(obs.objects))
-    write_json(args.out, _metrics_dict(metrics), sort_keys=True)
+    write_json(args.out, {**vars(metrics), "status": "ok"}, sort_keys=True)
     print(f"f1={metrics.f1:.4f} precision={metrics.precision:.4f} "
           f"recall={metrics.recall:.4f} accuracy={metrics.accuracy:.4f}")
     return EXIT_OK
 
 
 def cmd_baseline(args) -> int:
-    from . import baselines, evaluation
+    from . import evaluation
     from .model_io import write_json
 
-    ds, obs = _load_obs(args)
-    domain = _domain_for(args, ds.classes)
+    ds, obs, domain = _load_with_domain(args)
     os.makedirs(args.out, exist_ok=True)
-    gt = ds.labels()
+    ((_, metrics, detail),) = evaluation.baseline_cells(obs, ds.labels(), domain,
+                                                        (args.method,))
     if args.method == "mv":
-        rows = baselines.majority_vote(obs)
-        metrics = evaluation.score(obs.coverage(rows), evaluation.Truth.of(
-            gt, obs.objects, obs.classes), domain=domain, n_objects=len(obs.objects))
-        _write_labels(os.path.join(args.out, "labels.jsonl"), obs, rows)
-        extra = {}
-    else:
-        per_model = evaluation.per_model_metrics(obs, gt, domain)
-        if args.method == "best":
-            winner = baselines.best_individual(per_model)
-            metrics = per_model[winner]
-            extra = {"model_id": winner}
-        else:
-            metrics = baselines.average_models(per_model)
-            extra = {}
-    payload = _metrics_dict(metrics)
-    payload.update(extra)
+        _write_labels(os.path.join(args.out, "labels.jsonl"), obs, detail)
+    payload = {**vars(metrics), "status": "ok"}
+    if args.method == "best":
+        payload["model_id"] = detail
     write_json(os.path.join(args.out, "metrics.json"), payload, sort_keys=True)
     print(f"{args.method}: f1={metrics.f1:.4f} accuracy={metrics.accuracy:.4f}")
     return EXIT_OK
@@ -310,18 +282,19 @@ def build_parser() -> _Parser:
     g.add_argument("--n-test", type=int, default=None)
     g.set_defaults(fn=cmd_gen)
 
-    def dataset_args(sp, rules=False):
+    def dataset_args(sp, domain=True, rules=False):
         sp.add_argument("--manifest", required=True, help="dataset manifest JSON")
         sp.add_argument("--iou", type=float, default=0.90,
                         help="primary matching overlap threshold")
-        sp.add_argument("--domain-config", default=None,
-                        help="class/exclusion config JSON (default: "
-                             "$ABFUSE_DOMAIN_CONFIG if set, else all-pairs)")
+        if domain:
+            sp.add_argument("--domain-config", default=None,
+                            help="class/exclusion config JSON (default: "
+                                 "$ABFUSE_DOMAIN_CONFIG if set, else all-pairs)")
         if rules:
             sp.add_argument("--rules", required=True, help="learned rules JSONL")
 
     l = sub.add_parser("learn", help="learn error-detection rules")
-    dataset_args(l)
+    dataset_args(l, domain=False)
     l.add_argument("--epsilon-grid", default=DEFAULT_GRID)
     l.add_argument("--out", required=True, help="output rules JSONL")
     l.set_defaults(fn=cmd_learn)

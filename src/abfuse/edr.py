@@ -192,40 +192,41 @@ def generate_candidates(train: ObservationSet,
 
 def _learn_pair(correct: np.ndarray,
                 fired: np.ndarray,
-                epsilon: float,
-                base: Sequence[int]) -> list:
-    """Greedy condition selection for one (model, class) pair.
+                grid: Sequence[float]) -> list:
+    """Greedy condition selection for one (model, class) pair, for each
+    budget of the ascending ``grid``.
 
     ``fired[i, j]`` says whether candidate ``i`` fires on entry ``j``.
-    ``base`` holds candidate indices already committed by a smaller budget.
     Candidates are ranked by standalone precision -- the share of the
     entries a candidate flags that are actually wrong -- which is a fixed
     per-candidate quantity; only the budget headroom and the requirement to
     catch something new change as conditions accumulate.  Each step weighs
     every candidate at once and takes the first maximum, so ties go to the
-    earlier candidate in pool order.  Returns the selected candidate
-    indices, ``base`` first.
+    earlier candidate in pool order.  Each budget extends the selection of
+    the one before it; returns the selected candidate indices per budget.
     """
-    n_correct = int(correct.sum())
-    chosen = list(base)
-    flagged = fired[chosen].any(axis=0)
-    limit = epsilon * n_correct + _EPS
-
     hit_wrong = fired & ~correct
     hit_correct = fired & correct
     # the floor of 1 only meets candidates that never fire, never admissible
     precision = hit_wrong.sum(axis=1) / np.maximum(fired.sum(axis=1), 1)
-
-    while True:
-        # a chosen candidate catches no new wrong entry, so is not admissible
-        fresh = ~flagged
-        admissible = (hit_wrong & fresh).any(axis=1) & (
-            int((flagged & correct).sum()) + (hit_correct & fresh).sum(axis=1) <= limit)
-        if not admissible.any():
-            return chosen
-        best = int(np.argmax(np.where(admissible, precision, -1.0)))
-        chosen.append(best)
-        flagged |= fired[best]
+    n_correct = int(correct.sum())
+    chosen: list = []
+    flagged = np.zeros(fired.shape[1], dtype=bool)
+    out = []
+    for epsilon in grid:
+        limit = epsilon * n_correct + _EPS
+        while True:
+            # a chosen candidate catches no new wrong entry, so is not admissible
+            fresh = ~flagged
+            admissible = (hit_wrong & fresh).any(axis=1) & (
+                int((flagged & correct).sum()) + (hit_correct & fresh).sum(axis=1) <= limit)
+            if not admissible.any():
+                break
+            best = int(np.argmax(np.where(admissible, precision, -1.0)))
+            chosen.append(best)
+            flagged |= fired[best]
+        out.append(list(chosen))
+    return out
 
 
 def learn_ruleset(train: ObservationSet,
@@ -251,17 +252,10 @@ def learn_ruleset(train: ObservationSet,
         for c, k in enumerate(train.classes):
             pool = tuple(candidates.get((m, k), ()))
             rows = train.pair_rows(f, c)
-            if rows.stop > rows.start and pool:
-                correct = truth[train.obj[rows]] == c
-                fired = np.array([_condition_mask(cond, train, rows) for cond in pool])
-                chosen: list = []
-                for eps in grid:
-                    chosen = _learn_pair(correct, fired, eps, chosen)
-                    ruleset.rules[(m, k, eps)] = ErrorRule(
-                        m, k, tuple(pool[i] for i in chosen))
-            else:
-                for eps in grid:
-                    ruleset.rules[(m, k, eps)] = ErrorRule(m, k, ())
+            fired = np.array([_condition_mask(cond, train, rows) for cond in pool],
+                             dtype=bool).reshape(len(pool), rows.stop - rows.start)
+            for eps, chosen in zip(grid, _learn_pair(truth[train.obj[rows]] == c, fired, grid)):
+                ruleset.rules[(m, k, eps)] = ErrorRule(m, k, tuple(pool[i] for i in chosen))
     return ruleset
 
 

@@ -1,24 +1,26 @@
-"""Scoring and grid sweeps.
+"""Scoring, the solver and baseline cells, and grid sweeps.
 
 ``score`` reduces a (class, object) coverage array against ground-truth
 class indices to precision / recall / F1 / accuracy and inconsistency.
-``run_sweep`` evaluates the configured methods over a (delta, epsilon) grid
-and renders a flat CSV plus a JSON run manifest.  One row is emitted per
-repeat per method per cell: the methods are deterministic, so repeated rows
-differ only in measured runtime and collapse to identical bytes when timing
-is disabled.
+``solver_cells``, ``score_cell`` and ``baseline_cells`` run and score each
+cell, one at a time for ``abduce`` and ``baseline`` and over a (delta,
+epsilon) grid for ``run_sweep``, which renders a flat CSV plus a JSON run
+manifest.  One row is emitted per repeat per method per cell: the methods
+are deterministic, so repeated rows differ only in measured runtime and
+collapse to identical bytes when timing is disabled.
 """
 
 import csv
 import json
 import time
 from itertools import chain
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from .deduction import DomainConfig, count_violations, inc_from_count
-from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules
+from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules, split_flagged
 from .model_io import (InputError, ObservationSet, Truth, index_of, json_numbers,
                        json_strings, write_json)
 
@@ -190,79 +192,107 @@ class SweepResult(NamedTuple):
         write_json(path, self.manifest, sort_keys=True)
 
 
-def _row_worker(args) -> list:
-    """The cells of one epsilon row.  The row's rules filter once, for both
-    solvers, and the filtered set is packed for the exact solver once, for
-    every delta; under timing each cell's runtime is that shared work plus
-    its own solve, from raw observations plus rules to a solution."""
-    from . import solver_hs, solver_ip, tiebreak
+class SolverCell(NamedTuple):
+    """One solver's accepted ``rows`` of the ``solved`` set at one delta,
+    none when the exact program is infeasible; ``seconds`` is the cell's
+    solve plus the filter (and exact packing) it shares."""
+    solver: str
+    delta: float
+    solved: ObservationSet
+    rows: np.ndarray
+    status: str                           # "ok" or "infeasible"
+    nodes: int                            # exact search nodes, 0 for hs
+    trace: Optional["SelectionTrace"]     # greedy steps, None for ip
+    seconds: float
 
-    dataset, truth, deltas, epsilon, methods, repeats, timing = args
-    dom, obs = dataset.domain, dataset.observations
-    n = len(obs.objects)
-    t0 = time.perf_counter()
-    filtered, flagged_rows = apply_rules(obs, dataset.ruleset, epsilon)
-    t_filter = time.perf_counter() - t0
-    flagged = np.zeros(len(obs.obj), dtype=bool)
-    flagged[flagged_rows] = True
-    packed, t_pack = None, 0.0
-    if "ip" in methods or "ip+tb" in methods:
-        t0 = time.perf_counter()
-        packed = solver_ip.build_instance(filtered, dom.ic, deltas[0], dom.normalizer_mode,
-                                          dom.directed_ground_rules)
-        t_pack = time.perf_counter() - t0
 
-    def solve_ip(delta):
-        sol = solver_ip.solve(packed.with_delta(delta))
-        if sol.status != solver_ip.STATUS_OPTIMAL:
-            return None
-        return filtered, filtered.rows_within(sol.covered)
-
-    def solve_hs(delta):
-        res = solver_hs.heuristic_search(
-            obs, solver_hs.HsConfig(delta, (epsilon,)), dataset.ruleset, dom.ic,
-            dom.normalizer_mode, dom.directed_ground_rules, flagged={epsilon: flagged})
-        return obs, res.rows
-
-    cells = []
+def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
+                 epsilons: Sequence[float], deltas: Sequence[float],
+                 solvers: Sequence[str], repeats: int = 1) -> Iterator[SolverCell]:
+    """Solve one rule filter's cells per delta, then per solver ("ip" before
+    "hs"), ``repeats`` times each, yielding each once solved.  The rules
+    filter once for every cell; the exact solver takes one epsilon and packs
+    its survivors once, and the greedy search alone takes each epsilon's mask."""
+    if "hs" in solvers:
+        from . import solver_hs
+        configs = {d: solver_hs.HsConfig(d, epsilons) for d in deltas}
+    shared, t0 = {}, time.perf_counter()
+    if "ip" in solvers:
+        from . import solver_ip
+        (epsilon,) = epsilons
+        filtered, flagged_rows = apply_rules(obs, ruleset, epsilon)
+        shared["hs"] = time.perf_counter() - t0
+        packed = solver_ip.build_instance(filtered, domain.ic, deltas[0],
+                                          domain.normalizer_mode, domain.directed_ground_rules)
+        shared["ip"] = time.perf_counter() - t0
+        masks = {epsilon: np.bincount(flagged_rows, minlength=len(obs.obj)).astype(bool)}
+    else:
+        domain.ic.check_within(obs.classes)
+        masks = {e: split_flagged(obs, ruleset, e) for e in configs[deltas[0]].epsilon_set}
+        shared["hs"] = time.perf_counter() - t0
     for delta in deltas:
-        for solver, solve, t_shared in (("ip", solve_ip, t_filter + t_pack),
-                                        ("hs", solve_hs, t_filter)):
-            want = [m for m in (solver, solver + "+tb") if m in methods]
-            for _ in range(repeats if want else 0):
+        for solver in ("ip", "hs"):
+            for _ in range(repeats if solver in solvers else 0):
                 t0 = time.perf_counter()
-                got = solve(delta)
-                elapsed = t_shared + time.perf_counter() - t0
-                rpo = (elapsed / n) if (timing and n) else 0.0
-                for method in want:
-                    if got is None:
-                        cells.append(SweepCell(delta, epsilon, method, Metrics(
-                            runtime_per_object=rpo, n_objects=n), "infeasible"))
-                        continue
-                    solved, rows = got
-                    if method.endswith("+tb"):
-                        rows = tiebreak.resolve(solved, rows)
-                    cells.append(SweepCell(delta, epsilon, method, score(
-                        solved.coverage(rows), truth, domain=dom, n_objects=n,
-                        runtime_per_object=rpo)))
-    return cells
+                if solver == "ip":
+                    sol = solver_ip.solve(packed.with_delta(delta))
+                    status = "ok" if sol.status == solver_ip.STATUS_OPTIMAL else "infeasible"
+                    got = (filtered, filtered.rows_within(sol.covered), status, sol.nodes, None)
+                else:
+                    res = solver_hs.heuristic_search(
+                        obs, configs[delta], ruleset, domain.ic, domain.normalizer_mode,
+                        domain.directed_ground_rules, flagged=masks)
+                    got = (obs, res.rows, "ok", 0, res.trace)
+                yield SolverCell(solver, delta, *got, shared[solver] + time.perf_counter() - t0)
 
 
-def _baseline_cells(dataset: SweepDataset, truth: Truth, methods: Sequence[str]) -> list:
-    """Grid-independent rows, computed once and replicated over the grid."""
+def score_cell(cell: SolverCell, tie_break: bool, truth: Truth, domain: DomainConfig,
+               runtime_per_object: float = 0.0,
+               before_score: Callable = lambda solved, rows: None) -> Metrics:
+    """The :class:`Metrics` of a solver cell's rows, first reduced to one
+    per object under ``tie_break``; an infeasible cell, keeping no rows,
+    scores zeros.  ``before_score(solved, rows)`` sees the rows first."""
+    from . import tiebreak
+
+    rows = tiebreak.resolve(cell.solved, cell.rows) if tie_break else cell.rows
+    before_score(cell.solved, rows)
+    return score(cell.solved.coverage(rows), truth, domain=domain,
+                 n_objects=len(cell.solved.objects), runtime_per_object=runtime_per_object)
+
+
+def baseline_cells(obs: ObservationSet, gt_labels: Mapping[str, str],
+                   domain: DomainConfig, methods: Sequence[str]) -> list:
+    """``(method, Metrics, detail)`` per reference method in ``methods``, in
+    (mv, best, avg) order; ``detail`` is the rows of ``obs`` mv keeps, the
+    model best picks, or None.  best and avg share each model's scoring."""
     from . import baselines
 
-    dom, obs = dataset.domain, dataset.observations
     out = []
     if "mv" in methods:
-        out.append(("mv", score(obs.coverage(baselines.majority_vote(obs)), truth,
-                                domain=dom, n_objects=len(obs.objects))))
+        rows = baselines.majority_vote(obs)
+        out.append(("mv", score(obs.coverage(rows), Truth.of(gt_labels, obs.objects, obs.classes),
+                                domain=domain, n_objects=len(obs.objects)), rows))
     if "best" in methods or "avg" in methods:
-        per_model = per_model_metrics(obs, dataset.gt_labels, dom)
+        per_model = per_model_metrics(obs, gt_labels, domain)
         if "best" in methods:
-            out.append(("best", per_model[baselines.best_individual(per_model)]))
+            winner = baselines.best_individual(per_model)
+            out.append(("best", per_model[winner], winner))
         if "avg" in methods:
-            out.append(("avg", baselines.average_models(per_model)))
+            out.append(("avg", baselines.average_models(per_model), None))
+    return out
+
+
+def _row_worker(args) -> list:
+    """The sweep rows of one epsilon, timed as each cell's seconds per object."""
+    dataset, truth, deltas, epsilon, methods, solvers, repeats, timing = args
+    n = len(dataset.observations.objects)
+    out = []
+    for cell in solver_cells(dataset.observations, dataset.ruleset, dataset.domain,
+                             (epsilon,), deltas, solvers, repeats):
+        rpo = (cell.seconds / n) if (timing and n) else 0.0
+        out.extend(SweepCell(cell.delta, epsilon, m, score_cell(
+            cell, m.endswith("+tb"), truth, dataset.domain, rpo), cell.status)
+            for m in (cell.solver, cell.solver + "+tb") if m in methods)
     return out
 
 
@@ -294,9 +324,9 @@ def run_sweep(dataset: SweepDataset,
 
     obs = dataset.observations
     truth = Truth.of(dataset.gt_labels, obs.objects, obs.classes)
-    solving = any(m in METHODS[:4] for m in methods)
-    tasks = [(dataset, truth, deltas, e, tuple(methods), repeats, timing)
-             for e in epsilons if solving]
+    solvers = [s for s in ("ip", "hs") if s in methods or s + "+tb" in methods]
+    tasks = [(dataset, truth, deltas, e, tuple(methods), solvers, repeats, timing)
+             for e in epsilons if solvers]
 
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -307,7 +337,7 @@ def run_sweep(dataset: SweepDataset,
         rows = list(map(_row_worker, tasks))
     # rows come per epsilon; the stable sort restores (delta, epsilon) order
     cells = sorted(chain.from_iterable(rows), key=lambda c: (c.delta, c.epsilon))
-    for method, m in _baseline_cells(dataset, truth, methods):
+    for method, m, _ in baseline_cells(obs, dataset.gt_labels, dataset.domain, methods):
         cells.extend(SweepCell(d, e, method, m) for d in deltas for e in epsilons
                      for _ in range(repeats))
 

@@ -71,6 +71,8 @@ class ShiftScenario:
                 raise InputError(f"train intensity out of [0, 1]: {t}")
         if self.n_train < 0 or self.n_test < 0:
             raise InputError("sample counts must be non-negative")
+        if max(self.n_train, self.n_test) > 2 ** 63 - 1:
+            raise InputError("sample counts must be at most 2**63 - 1")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative: {self.seed}")
 

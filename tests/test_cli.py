@@ -421,6 +421,26 @@ def test_gen_rejects_bad_scenario_distributions(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["--n-train", "--n-test", "n_train", "n_test"])
+def test_gen_rejects_counts_beyond_int64_without_traceback(tmp_path, route):
+    # numpy raised OverflowError for a count past a C long, with a traceback
+    huge = "1" + "0" * 400
+    if route.startswith("--"):
+        argv = ["--preset", "MM_1", route, huge]
+    else:
+        path = tmp_path / "scenario.json"
+        save_scenario(str(path), preset("MM_1", n_train=5, n_test=5, seed=0))
+        scenario = json.loads(path.read_text())
+        scenario[route] = "@"
+        path.write_text(json.dumps(scenario).replace('"@"', huge))
+        argv = ["--scenario", str(path)]
+    proc = _python("-m", "abfuse.cli", "gen", *argv, "--out", str(tmp_path / "gen"))
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.endswith("sample counts must be at most 2**63 - 1\n"), proc.stderr
+
+
 def test_abduce_and_sweep_leave_numpy_ma_unloaded(dataset, tmp_path):
     # np.unique imports numpy.ma (~23 ms and ~1.4 MB per process)
     manifest, rules = dataset
@@ -981,6 +1001,49 @@ def test_malformed_domain_config_exits_one(tmp_path, capsys, text, message):
     assert rc == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("classes", [["construction", "nature"], []])
+def test_domain_config_must_name_every_dataset_class(dataset, tmp_path, monkeypatch, capsys,
+                                                     classes):
+    # the exclusions on a class the config leaves out used to be dropped
+    # without a word; a superset of the dataset's classes stays valid
+    manifest, rules = dataset
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps({"classes": classes}) + "\n")
+    out = str(tmp_path / "out")
+    commands = [
+        ["abduce", "--rules", rules, "--solver", "hs", "--delta", "0.1", "--out", out],
+        ["sweep", "--rules", rules, "--methods", "mv", "--out", out + ".csv"],
+        ["eval", "--labels", str(tmp_path / "never_read.jsonl"), "--out", out + ".json"],
+        ["baseline", "--method", "mv", "--out", out],
+    ]
+    for argv in commands:
+        for route in ("option", "environment"):
+            monkeypatch.delenv("ABFUSE_DOMAIN_CONFIG", raising=False)
+            if route == "option":
+                argv_route = [*argv, "--domain-config", str(domain)]
+            else:
+                monkeypatch.setenv("ABFUSE_DOMAIN_CONFIG", str(domain))
+                argv_route = argv
+            assert main([argv[0], "--manifest", manifest, *argv_route[1:]]) == EXIT_INPUT, \
+                (argv[0], route)
+            missing = [c for c in ("construction", "nature", "pedestrians", "vehicles")
+                       if c not in classes]
+            assert capsys.readouterr().err == (
+                f"error: {domain}: 'classes' omits the dataset's classes {missing}\n")
+    assert not os.path.exists(out) and not os.path.exists(out + ".csv")
+
+
+def test_learn_takes_no_domain_config(dataset, tmp_path, capsys):
+    # learn never read the option, so a path to nothing was accepted
+    manifest, _ = dataset
+    train = os.path.join(os.path.dirname(os.path.dirname(manifest)), "train", "manifest.json")
+    out = tmp_path / "unwritten_rules.jsonl"
+    assert main(["learn", "--manifest", train, "--domain-config", "/does/not/exist.json",
+                 "--out", str(out)]) == EXIT_INPUT
+    assert "error: unrecognized arguments: --domain-config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

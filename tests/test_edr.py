@@ -283,10 +283,9 @@ def test_array_greedy_equals_the_loop(n_candidates, n_entries, correct_share, de
     # a share of 0 gives pairs with no correct entry
     correct = rng.random(n_entries) < correct_share
     fired = _fired_matrix(rng, correct, n_candidates, density)
-    got: list = []
+    grid = sorted({0.0, 1.0, *inner})
     want: list = []
-    for eps in sorted({0.0, 1.0, *inner}):
-        got = _learn_pair(correct, fired, eps, got)
+    for eps, got in zip(grid, _learn_pair(correct, fired, grid)):
         want = learn_pair_loop(correct, fired, eps, want)
         assert got == want, eps
 
@@ -296,10 +295,11 @@ def test_array_greedy_breaks_precision_ties_toward_the_earlier_candidate():
     # each fits a budget of 0.5 alone; 2 never fires
     correct = np.array([True, False, True, False])
     fired = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]], dtype=bool)
-    for learn in (_learn_pair, learn_pair_loop):
-        assert learn(correct, fired, 0.5, []) == [0]
-        assert learn(correct, fired, 1.0, [0]) == [0, 1]
-        assert learn(correct, fired[::-1], 1.0, []) == [1, 2]
+    assert _learn_pair(correct, fired, (0.5, 1.0)) == [[0], [0, 1]]
+    assert _learn_pair(correct, fired[::-1], (1.0,)) == [[1, 2]]
+    assert learn_pair_loop(correct, fired, 0.5, []) == [0]
+    assert learn_pair_loop(correct, fired, 1.0, [0]) == [0, 1]
+    assert learn_pair_loop(correct, fired[::-1], 1.0, []) == [1, 2]
 
 
 def test_learn_requires_labels_for_training_objects():
