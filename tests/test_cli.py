@@ -1011,6 +1011,8 @@ def test_domain_config_must_name_every_dataset_class(dataset, tmp_path, monkeypa
     manifest, rules = dataset
     domain = tmp_path / "domain.json"
     domain.write_text(json.dumps({"classes": classes}) + "\n")
+    missing = [c for c in ("construction", "nature", "pedestrians", "vehicles")
+               if c not in classes]
     out = str(tmp_path / "out")
     commands = [
         ["abduce", "--rules", rules, "--solver", "hs", "--delta", "0.1", "--out", out],
@@ -1028,8 +1030,6 @@ def test_domain_config_must_name_every_dataset_class(dataset, tmp_path, monkeypa
                 argv_route = argv
             assert main([argv[0], "--manifest", manifest, *argv_route[1:]]) == EXIT_INPUT, \
                 (argv[0], route)
-            missing = [c for c in ("construction", "nature", "pedestrians", "vehicles")
-                       if c not in classes]
             assert capsys.readouterr().err == (
                 f"error: {domain}: 'classes' omits the dataset's classes {missing}\n")
     assert not os.path.exists(out) and not os.path.exists(out + ".csv")
