@@ -178,24 +178,23 @@ def cmd_abduce(args) -> int:
         epsilons = _parse_grid(args.epsilon_set, "--epsilon-set")
     ds, obs, domain = _load_with_domain(args)
     ruleset = RuleSet.load(args.rules)
-    os.makedirs(args.out, exist_ok=True)
     tb = args.tie_break == "on"
 
     (cell,) = evaluation.solver_cells(obs, ruleset, domain, epsilons or ruleset.epsilon_grid,
                                       (args.delta,), (args.solver,))
     budget = violation_budget(args.delta, len(obs.objects), domain.ic,
                               domain.normalizer_mode, domain.directed_ground_rules)
+    # scoring raises the last input errors, so nothing is written for one
+    rows, metrics = evaluation.score_cell(
+        cell, tb, evaluation.Truth.of(ds.labels(), obs.objects, obs.classes), domain)
+    os.makedirs(args.out, exist_ok=True)
     if cell.status == "infeasible":
         print("infeasible: no acceptance set satisfies coverage within "
               f"the delta budget ({budget})", file=sys.stderr)
         return EXIT_INFEASIBLE
     if cell.trace is not None:
         cell.trace.write(os.path.join(args.out, "trace.jsonl"))
-
-    metrics = evaluation.score_cell(
-        cell, tb, evaluation.Truth.of(ds.labels(), obs.objects, obs.classes), domain,
-        before_score=lambda solved, rows: _write_labels(
-            os.path.join(args.out, "labels.jsonl"), solved, rows, sources=tb))
+    _write_labels(os.path.join(args.out, "labels.jsonl"), cell.solved, rows, sources=tb)
     payload = {**vars(metrics), "status": "ok", "violation_budget": budget}
     if args.solver == "ip":
         payload["nodes"] = cell.nodes

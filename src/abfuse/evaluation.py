@@ -14,7 +14,7 @@ import csv
 import json
 import time
 from itertools import chain
-from typing import (Callable, Dict, Iterable, Iterator, Mapping, NamedTuple, Optional,
+from typing import (Dict, Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -247,17 +247,16 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
 
 
 def score_cell(cell: SolverCell, tie_break: bool, truth: Truth, domain: DomainConfig,
-               runtime_per_object: float = 0.0,
-               before_score: Callable = lambda solved, rows: None) -> Metrics:
-    """The :class:`Metrics` of a solver cell's rows, first reduced to one
-    per object under ``tie_break``; an infeasible cell, keeping no rows,
-    scores zeros.  ``before_score(solved, rows)`` sees the rows first."""
+               runtime_per_object: float = 0.0) -> Tuple[np.ndarray, Metrics]:
+    """A solver cell's rows, first reduced to one per object under
+    ``tie_break``, and their :class:`Metrics`; an infeasible cell, keeping
+    no rows, scores zeros."""
     from . import tiebreak
 
     rows = tiebreak.resolve(cell.solved, cell.rows) if tie_break else cell.rows
-    before_score(cell.solved, rows)
-    return score(cell.solved.coverage(rows), truth, domain=domain,
-                 n_objects=len(cell.solved.objects), runtime_per_object=runtime_per_object)
+    return rows, score(cell.solved.coverage(rows), truth, domain=domain,
+                       n_objects=len(cell.solved.objects),
+                       runtime_per_object=runtime_per_object)
 
 
 def baseline_cells(obs: ObservationSet, gt_labels: Mapping[str, str],
@@ -291,7 +290,7 @@ def _row_worker(args) -> list:
                              (epsilon,), deltas, solvers, repeats):
         rpo = (cell.seconds / n) if (timing and n) else 0.0
         out.extend(SweepCell(cell.delta, epsilon, m, score_cell(
-            cell, m.endswith("+tb"), truth, dataset.domain, rpo), cell.status)
+            cell, m.endswith("+tb"), truth, dataset.domain, rpo)[1], cell.status)
             for m in (cell.solver, cell.solver + "+tb") if m in methods)
     return out
 

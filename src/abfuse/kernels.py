@@ -15,6 +15,7 @@ Array conventions (shared with the solvers):
   class's neighbour list from :func:`neighbours`.
 """
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -57,21 +58,22 @@ def commit_atoms(pres, add_c, add_w):
 
 # The search fixes one binary per branchable (model, class) pair: 0 keeps the
 # pair, 1 eliminates it and with it every assignment atom it alone supports.
-# A set of objects is one Python int, bit w for object w.  The state:
-#   cover[c]    objects that class c's undecided or kept pairs predict c for
-#   atoms       total covered (c, w) cells
-#   conflicts   mutual-exclusion violations among covered cells
-#   uncovered   objects the latest elimination left with no class
-# Eliminating a variable of class c recomputes cover[c] as the OR of c's
-# kept pairs' masks; each lost object costs one atom, and one conflict per
-# neighbour class covering it.  The undo restores the saved cover[c] and
-# totals (a node with uncovered objects is never expanded, so none remain).
+# A set of objects is one Python int, bit w for object w.  ``visit(depth,
+# atoms, conflicts, nelim)`` is one node: decisions fixed for the variables
+# before ``order[depth]``, ``atoms`` covered (c, w) cells, ``conflicts``
+# mutual-exclusion violations among them and ``nelim`` eliminations.  The
+# shared ``cover[c]`` holds the objects that class c's undecided or kept
+# pairs predict c for.  A node tries the keep branch first, then eliminates
+# ``order[depth]``: that recomputes cover[c] as the OR of c's kept pairs'
+# masks; each lost object costs one atom, and one conflict per neighbour
+# class covering it.  The call restores cover[c] when the child returns.
 # Everything that does not depend on the budget is built once per instance
 # by ``search_start`` and shared by the solves of every delta.
 # Every variable's objects are covered at the root (the variable itself
 # supports them), so nothing starts uncovered.  Eliminations only shrink
-# coverage, so an uncovered object can never recover deeper in the subtree
-# (infeasibility prune), and the all-keep completion of a within-budget
+# coverage, so an object that an elimination leaves with no class can never
+# recover deeper in the subtree: that child counts as one node and closes
+# (infeasibility prune).  The all-keep completion of a within-budget
 # node dominates the rest of its subtree (fathom rule).  When over budget,
 # every conflict removed costs at least one atom and one lost atom kills at
 # most max_deg conflicts, giving the admissible bound
@@ -138,96 +140,58 @@ def bnb_search(start: SearchStart, budget):
     within the conflict budget.
     """
     var_cls, order, var_mask, nbrs = start.var_cls, start.order, start.var_mask, start.nbrs
-    max_deg = start.max_deg
-    atoms, conflicts, uncovered = start.atoms, start.conflicts, 0
-    n_vars = len(var_cls)
+    max_deg, n_vars = start.max_deg, len(var_cls)
     cover = start.cover[:]
     cls_vars = [[] for _ in cover]
     for v, c in enumerate(var_cls):
         cls_vars[c].append(v)
-
-    found = False
-    best_obj = -1
-    best_nelim = n_vars + 1
-    best_mask = [0] * n_vars
     cur_mask = [0] * n_vars
-    cur_nelim = 0
-    nodes = 0
+    found, best_obj, best_nelim, best_mask, nodes = False, -1, n_vars + 1, [0] * n_vars, 0
 
-    # iterative DFS; phase 0 = arriving, 1 = keep branch done, 2 = elim done
-    phase = [0] * (n_vars + 1)
-    saved = [None] * n_vars     # cover and totals before each depth's elimination
-    depth = 0
-    while depth >= 0:
-        p = phase[depth]
-        if p == 0:
-            nodes += 1
-            done = False
-            if uncovered:
-                done = True
-            elif conflicts <= budget:
-                # keeping every undecided pair is optimal within this subtree
-                better = False
-                if (not found) or atoms > best_obj:
-                    better = True
-                elif atoms == best_obj:
-                    if cur_nelim < best_nelim:
-                        better = True
-                    elif cur_nelim == best_nelim:
-                        # equal count: prefer eliminating earlier variables
-                        for cur, best in zip(cur_mask, best_mask):
-                            if cur != best:
-                                better = cur == 1
-                                break
-                if better:
-                    found = True
-                    best_obj = atoms
-                    best_nelim = cur_nelim
-                    best_mask[:] = cur_mask
-                done = True
-            else:
-                excess = conflicts - budget
-                bound = atoms - (excess + max_deg - 1) // max_deg
-                if found and (bound < best_obj or (
-                        bound == best_obj and cur_nelim >= best_nelim)):
-                    done = True
-                elif depth == n_vars:
-                    done = True
-            if done:
-                depth -= 1
-                continue
-            phase[depth] = 1
-            depth += 1
-            phase[depth] = 0
-        elif p == 1:
-            phase[depth] = 2
-            v = order[depth]
-            c = var_cls[v]
-            old = cover[c]
-            saved[depth] = old, atoms, conflicts
-            cur_mask[v] = 1
-            cur_nelim += 1
-            new = 0
-            for u in cls_vars[c]:
-                if not cur_mask[u]:
-                    new |= var_mask[u]
-            cover[c] = new
-            lost = old ^ new        # new is a subset of old
-            if lost:
-                atoms -= lost.bit_count()
-                for j in nbrs[c]:
-                    conflicts -= (lost & cover[j]).bit_count()
-                for other in cover:
-                    lost &= ~other
-                uncovered = lost
-            depth += 1
-            phase[depth] = 0
+    def visit(depth, atoms, conflicts, nelim):
+        nonlocal found, best_obj, best_nelim, nodes
+        nodes += 1
+        if conflicts <= budget:
+            # keeping every undecided pair is optimal within this subtree; on
+            # equal counts the list order prefers eliminating earlier variables
+            if not found or atoms > best_obj or atoms == best_obj and (
+                    nelim < best_nelim or nelim == best_nelim and cur_mask > best_mask):
+                found, best_obj, best_nelim = True, atoms, nelim
+                best_mask[:] = cur_mask
+            return
+        bound = atoms - (conflicts - budget + max_deg - 1) // max_deg
+        if depth == n_vars or found and (
+                bound < best_obj or bound == best_obj and nelim >= best_nelim):
+            return
+        visit(depth + 1, atoms, conflicts, nelim)         # keep order[depth]
+        v = order[depth]
+        c = var_cls[v]
+        old = cover[c]
+        cur_mask[v] = 1
+        new = 0
+        for u in cls_vars[c]:
+            if not cur_mask[u]:
+                new |= var_mask[u]
+        cover[c] = new
+        lost = old ^ new        # new is a subset of old
+        if lost:
+            atoms -= lost.bit_count()
+            for j in nbrs[c]:
+                conflicts -= (lost & cover[j]).bit_count()
+            for other in cover:
+                lost &= ~other  # keep the objects left with no class
+        if lost:
+            nodes += 1          # an infeasible child: counted and closed
         else:
-            v = order[depth]
-            cover[var_cls[v]], atoms, conflicts = saved[depth]
-            uncovered = 0
-            cur_mask[v] = 0
-            cur_nelim -= 1
-            depth -= 1
+            visit(depth + 1, atoms, conflicts, nelim + 1)
+        cover[c] = old
+        cur_mask[v] = 0
 
+    # the first dive is n_vars + 1 calls deep; from Python 3.11 they use no C stack
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n_vars + 1)
+    try:
+        visit(0, start.atoms, start.conflicts, 0)
+    finally:
+        sys.setrecursionlimit(limit)
     return found, best_obj, best_nelim, np.array(best_mask, dtype=np.int8), nodes

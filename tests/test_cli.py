@@ -162,6 +162,21 @@ def test_abduce_hs_writes_trace(dataset, tmp_path, capsys):
     assert chosen <= {None, 0.1, 0.5}
 
 
+@pytest.mark.parametrize("solver, flags", [("hs", []), ("ip", ["--epsilon", "0.1"])])
+def test_abduce_writes_nothing_when_scoring_rejects_the_input(dataset, tmp_path, capsys,
+                                                              solver, flags):
+    # only scoring finds an empty ground truth, after the solve
+    manifest, rules = dataset
+    open(os.path.join(os.path.dirname(manifest), "gt.jsonl"), "w").close()
+    out = tmp_path / "fused"
+    assert main(["abduce", "--manifest", manifest, "--rules", rules, "--solver", solver,
+                 "--delta", "0.5", *flags, "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] \
+        == ["error: ground truth is empty"]
+    assert not out.exists()
+
+
 def test_eval_reproduces_abduce_metrics(dataset, tmp_path):
     manifest, rules = dataset
     out = tmp_path / "fused"

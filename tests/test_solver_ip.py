@@ -1,11 +1,12 @@
 """The exact binary-program solver: semantics, ties, audits, brute force."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from abfuse import solver_ip, synthgen
+from abfuse import kernels, solver_ip, synthgen
 from abfuse.deduction import IntegrityConstraintSet, default_domain, find_violations
 from abfuse.edr import apply_rules, learn_ruleset
 from abfuse.model_io import InputError
@@ -172,6 +173,36 @@ def test_deep_search_visit_order_is_pinned():
         delta, nodes = infeasible
         sol = solve(packed.with_delta(delta))
         assert (sol.status, sol.nodes) == (STATUS_INFEASIBLE, nodes)
+
+
+def test_small_search_visit_order_is_pinned():
+    """The node total over 2,000 small random instances pins the visit
+    order, bound and tie-break where the brute-force comparison checks only
+    the optimum."""
+    total = 0
+    for seed in range(3000, 5000):
+        obs, ic, delta, mode, directed = random_instance(seed)
+        total += solve(build_instance(obs, ic, delta, mode, directed)).nodes
+    assert total == 12_580
+
+
+def test_search_deeper_than_the_recursion_limit():
+    """A linear tree 1,201 nodes deep: each model's A and B pairs cover a
+    private object each and conflict on a shared last one, so eliminating
+    any pair orphans its private object and the zero budget is never met.
+    The search keeps every pair down to the last depth, one node per level,
+    and closes each level's elimination child at once."""
+    n_models = 600
+    pred = np.zeros((n_models, 2, 2 * n_models + 1), dtype=np.uint8)
+    for f in range(n_models):
+        pred[f, 0, 2 * f] = pred[f, 1, 2 * f + 1] = 1
+    pred[:, :, -1] = 1
+    start = kernels.search_start(pred, np.array([0]), np.array([1]))
+    limit = sys.getrecursionlimit()
+    assert len(start.var_cls) == 2 * n_models > limit
+    found, _, _, _, nodes = kernels.bnb_search(start, 0)
+    assert (found, nodes) == (False, 2 * (2 * n_models) + 1)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_solve_invariant_under_model_relabeling():
