@@ -82,13 +82,16 @@ def _load_obs(args):
 
 
 def _load_with_domain(args):
-    """:func:`_load_obs` plus the domain of ``--domain-config`` or
-    ``$ABFUSE_DOMAIN_CONFIG``, which must name every class the manifest
-    declares, else all-pairs over those classes."""
+    """:func:`_load_obs` of a dataset with ground truth to score against,
+    plus the domain of ``--domain-config`` or ``$ABFUSE_DOMAIN_CONFIG``,
+    which must name every class the manifest declares, else all-pairs over
+    those classes."""
     from .deduction import default_domain, load_domain_config
     from .model_io import InputError
 
     ds, obs = _load_obs(args)
+    if not len(ds.ground_truth):
+        raise InputError("ground truth is empty")
     path = args.domain_config or os.environ.get("ABFUSE_DOMAIN_CONFIG")
     if not path:
         return ds, obs, default_domain(ds.classes)
@@ -184,7 +187,6 @@ def cmd_abduce(args) -> int:
                                       (args.delta,), (args.solver,))
     budget = violation_budget(args.delta, len(obs.objects), domain.ic,
                               domain.normalizer_mode, domain.directed_ground_rules)
-    # scoring raises the last input errors, so nothing is written for one
     rows, metrics = evaluation.score_cell(
         cell, tb, evaluation.Truth.of(ds.labels(), obs.objects, obs.classes), domain)
     os.makedirs(args.out, exist_ok=True)

@@ -64,16 +64,8 @@ class IntegrityConstraintSet:
         cs = sorted(set(classes))
         return cls(tuple((a, b) for i, a in enumerate(cs) for b in cs[i + 1:]))
 
-    @classmethod
-    def empty(cls) -> "IntegrityConstraintSet":
-        return cls(())
-
     def __len__(self):
         return len(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        a, b = pair
-        return _canon_pair(a, b) in self.pairs
 
     def check_within(self, classes: Sequence[str]) -> None:
         """Reject a pair naming a class outside ``classes``."""

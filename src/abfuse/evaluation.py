@@ -10,7 +10,6 @@ are deterministic, so repeated rows differ only in measured runtime and
 collapse to identical bytes when timing is disabled.
 """
 
-import csv
 import json
 import time
 from itertools import chain
@@ -22,7 +21,7 @@ import numpy as np
 from .deduction import DomainConfig, count_violations, inc_from_count
 from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules, split_flagged
 from .model_io import (InputError, ObservationSet, Truth, index_of, json_numbers,
-                       json_strings, write_json)
+                       json_strings, write_json, write_rows)
 
 METHODS = ("ip", "ip+tb", "hs", "hs+tb", "mv", "best", "avg")   # solvers first
 
@@ -175,18 +174,15 @@ class SweepResult(NamedTuple):
     manifest: dict
 
     def to_csv(self, path: str) -> None:
-        rows = sorted(self.cells, key=lambda c: (c.delta, c.epsilon, c.method))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_COLUMNS)
-            for cell in rows:
-                m = cell.metrics
-                w.writerow([
-                    f"{cell.delta:g}", f"{cell.epsilon:g}", cell.method,
-                    f"{m.precision:.6f}", f"{m.recall:.6f}", f"{m.f1:.6f}",
-                    f"{m.accuracy:.6f}", f"{m.inconsistency:.6f}",
-                    f"{m.runtime_per_object:.9f}", m.n_objects, cell.status,
-                ])
+        """A header of ``CSV_COLUMNS``, then one row per cell in (delta,
+        epsilon, method) order, each line ended by CRLF; no field holds a
+        comma or a quote, so none is quoted."""
+        cells = sorted(self.cells, key=lambda c: (c.delta, c.epsilon, c.method))
+        write_rows(path, "%s\r\n", [",".join(CSV_COLUMNS)] + [
+            f"{c.delta:g},{c.epsilon:g},{c.method},{m.precision:.6f},{m.recall:.6f},"
+            f"{m.f1:.6f},{m.accuracy:.6f},{m.inconsistency:.6f},"
+            f"{m.runtime_per_object:.9f},{m.n_objects},{c.status}"
+            for c, m in zip(cells, (c.metrics for c in cells))])
 
     def write_manifest(self, path: str) -> None:
         write_json(path, self.manifest, sort_keys=True)

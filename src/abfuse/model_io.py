@@ -45,13 +45,15 @@ so IoU is computed only for pairs that can overlap.  It returns an
 :class:`ObservationSet`: the matched predictions as ``int64`` model, object
 and class indices into sorted id tuples, plus ``float64`` confidences.
 
-:func:`write_predictions` and :func:`write_ground_truth` take the same
-tables the loaders return.  They encode each column at once and write
-the bytes of one ``json.dumps`` per row, laid out by ``PREDICTION_LINE``
-and ``GROUND_TRUTH_LINE``.  ``synthgen.write_split`` fills the same
-layouts from the same encoders, encoding each object's image id and box
-once for all the files of a split.  Every other JSON or JSONL output goes
-through :func:`write_json` or :func:`write_jsonl`.
+Writing
+-------
+:func:`write_rows` writes a file of one line per row from columns of
+already-encoded items: :func:`json_strings`, :func:`json_numbers` and
+:func:`json_boxes` encode a whole column as ``json.dumps`` writes each
+item.  ``synthgen.write_split`` lays prediction and ground-truth lines out
+by ``PREDICTION_LINE`` and ``GROUND_TRUTH_LINE``; the sweep CSV and the
+label files use their own templates.  Every other JSON or JSONL output
+goes through :func:`write_json` or :func:`write_jsonl`.
 """
 
 import json
@@ -601,7 +603,6 @@ class Dataset(NamedTuple):
     classes: tuple
     ground_truth: GroundTruthTable
     detections: DetectionTable
-    manifest_path: str = ""
 
     def labels(self) -> dict:
         return ground_truth_labels(self.ground_truth)
@@ -644,8 +645,7 @@ def load_dataset(manifest_path: str) -> Dataset:
         load_predictions(resolve(preds_map[m]), model_id=m, classes=classes)
         for m in models])
     gt = load_ground_truth(resolve(manifest["ground_truth"]), classes=classes)
-    return Dataset(tuple(models), tuple(classes), gt, detections,
-                   manifest_path=os.path.abspath(manifest_path))
+    return Dataset(tuple(models), tuple(classes), gt, detections)
 
 
 def observations_from_dataset(ds: Dataset, primary_iou: float = 0.90) -> ObservationSet:
@@ -663,22 +663,6 @@ def json_numbers(values: list) -> list:
     """Each of ``values`` as ``json.dumps`` writes a number, from one call:
     no number's text holds the separator."""
     return json.dumps(values)[1:-1].split(", ") if values else []
-
-
-def json_confidences(values: np.ndarray) -> list:
-    """Each of ``values`` as ``json.dumps`` writes ``round(v, 6)``.
-
-    Where ``v * 1e6`` lies clear of a rounding tie, ``rint(v * 1e6) / 1e6``
-    is that float: the product's error is far below the margin for
-    ``|v| < 1e6``, and the division rounds to the double nearest the
-    decimal, as ``round`` does.  The other values go through ``round``."""
-    small = np.abs(values) < 1e6
-    scaled = np.where(small, values, 0.0) * 1e6
-    units = np.rint(scaled)
-    rounded = (units / 1e6).tolist()
-    for i in np.flatnonzero(~small | (np.abs(scaled - units) > 0.49)).tolist():
-        rounded[i] = round(float(values[i]), 6)
-    return json_numbers(rounded)
 
 
 def json_boxes(boxes: np.ndarray) -> list:
@@ -706,22 +690,6 @@ def write_rows(path: str, template: str, *columns: Iterable[str]) -> None:
 PREDICTION_LINE = ('{"image_id": %s, "model_id": %s, "class_id": %s, '
                    '"confidence": %s, "bbox": [%s]}\n')
 GROUND_TRUTH_LINE = '{"image_id": %s, "object_id": %s, "class_id": %s, "bbox": [%s]}\n'
-
-
-def write_predictions(path: str, detections: DetectionTable) -> None:
-    """The table as :func:`load_predictions` reads it, each confidence
-    rounded to six decimal places."""
-    t = detections
-    write_rows(path, PREDICTION_LINE,
-               json_strings(t.image_id), json_strings(t.model_id), json_strings(t.class_id),
-               json_confidences(t.confidence), json_boxes(t.boxes))
-
-
-def write_ground_truth(path: str, gt: GroundTruthTable) -> None:
-    """The table as :func:`load_ground_truth` reads it."""
-    write_rows(path, GROUND_TRUTH_LINE,
-               json_strings(gt.image_id), json_strings(gt.object_id), json_strings(gt.class_id),
-               json_boxes(gt.boxes))
 
 
 def write_json(path: str, doc, sort_keys: bool = False) -> None:

@@ -13,7 +13,8 @@ eliminated pairs come lexicographically first in (model, class) order.
 ``solve`` runs an in-house branch & bound (see :mod:`abfuse.kernels`);
 ``audit_solution`` re-verifies any solution against the constraint system
 built from first principles.  The tests hold an exhaustive reference solver
-for tiny instances (``tests/oracles.py``).
+for tiny instances and a MILP statement solved by HiGHS for larger ones
+(``tests/oracles.py``).
 """
 
 from typing import Tuple

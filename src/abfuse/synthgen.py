@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .model_io import (DEFAULT_CLASSES, GROUND_TRUTH_LINE, PREDICTION_LINE, InputError,
-                       ObservationSet, index_of, json_boxes, json_confidences, json_strings,
+                       ObservationSet, index_of, json_boxes, json_numbers, json_strings,
                        read_json, write_json, write_manifest, write_rows)
 
 
@@ -292,7 +292,9 @@ def write_split(out_dir: str, obs: ObservationSet,
                image, json_strings(obs.objects), json_strings([labels[o] for o in obs.objects]), box)
 
     klass = np.array(json_strings(obs.classes), dtype=object)[obs.cls]
-    conf = np.array(json_confidences(obs.confidence), dtype=object)
+    # the generator rounds each confidence to six places: json.dumps writes
+    # each as the six-place decimal
+    conf = np.array(json_numbers(obs.confidence.tolist()), dtype=object)
     preds_map = {}
     for f, (m, model) in enumerate(zip(obs.models, json_strings(obs.models))):
         rows = np.flatnonzero(obs.model == f)

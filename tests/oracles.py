@@ -17,8 +17,9 @@ from abfuse.deduction import (NORMALIZER_MODES, DomainConfig, IntegrityConstrain
                               find_violations, inc_from_count, violation_budget)
 from abfuse.evaluation import Metrics
 from abfuse.edr import _EPS, Condition, ErrorRule, RuleSet, generate_candidates
-from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError,
-                             Observation, ObservationSet, index_of)
+from abfuse.model_io import (GROUND_TRUTH_LINE, PREDICTION_LINE, DetectionTable,
+                             GroundTruthTable, InputError, Observation, ObservationSet,
+                             index_of, json_boxes, json_numbers, json_strings, write_rows)
 from abfuse.solver_hs import HsConfig, HsResult, SelectionStep
 
 
@@ -407,6 +408,64 @@ def brute_force_optimal(instance: solver_ip.IpInstance,
                                           solver_ip.STATUS_OPTIMAL, 0)
 
 
+def milp_optimum(instance: solver_ip.IpInstance) -> Optional[int]:
+    """The optimal atom count of the instance's program, or None when it is
+    infeasible, from HiGHS (``scipy.optimize.milp``) on a 0/1 linear program
+    stated from ``pred`` and the budget alone.
+
+    Variables: a keep bit per (model, class) pair; a cover bit per
+    (class, object) cell, equal to the OR of the keep bits of the pairs
+    predicting it; a violation bit per (exclusion pair, object), at least
+    the sum of the pair's two cover bits minus one.  Maximize the cover
+    bits subject to every coverable object having one and the violation
+    bits summing to at most the budget.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    pred = instance.pred.astype(bool)
+    F, C, N = pred.shape
+    a, b = instance.ic.index_pairs(instance.classes).tolist()
+    n_keep, n_cover = F * C, C * N
+    n = n_keep + n_cover + len(a) * N
+
+    def cover(c, w):
+        return n_keep + c * N + w
+
+    rows, lower, upper = [], [], []
+
+    def constrain(terms, lo, hi):
+        row = np.zeros(n)
+        for i, coef in terms:
+            row[i] += coef
+        rows.append(row)
+        lower.append(lo)
+        upper.append(hi)
+
+    for c in range(C):
+        for w in range(N):
+            keeps = [f * C + c for f in range(F) if pred[f, c, w]]
+            constrain([(cover(c, w), 1)] + [(k, -1) for k in keeps], -np.inf, 0)
+            for k in keeps:
+                constrain([(cover(c, w), 1), (k, -1)], 0, np.inf)
+    for w in np.flatnonzero(pred.any(axis=(0, 1))).tolist():
+        constrain([(cover(c, w), 1) for c in range(C)], 1, np.inf)
+    violation = iter(range(n_keep + n_cover, n))
+    for i, j in zip(a, b):
+        for w in range(N):
+            constrain([(next(violation), 1), (cover(i, w), -1), (cover(j, w), -1)], -1, np.inf)
+    constrain([(v, 1) for v in range(n_keep + n_cover, n)], -np.inf, instance.delta_budget)
+
+    cost = np.zeros(n)
+    cost[n_keep:n_keep + n_cover] = -1
+    res = milp(cost, integrality=np.ones(n), bounds=Bounds(0, 1),
+               constraints=LinearConstraint(np.array(rows), lower, upper))
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise AssertionError(f"HiGHS ended with status {res.status}: {res.message}")
+    return round(-res.fun)
+
+
 # ------------------------------------------------------ per-record loading
 # The production loader reads each file into column tables and validates
 # all rows at once (``abfuse.model_io.load_predictions``); these read one
@@ -607,6 +666,29 @@ def load_ground_truth_records(path: str) -> list:
         seen.add(g.object_id)
         out.append(g)
     return out
+
+
+# ---------------------------------------------------------- table writers
+# ``synthgen.write_split`` encodes each object's image id and box once for
+# all the files of a split; these write one table at a time, as the loaders
+# return it, and are the reference its bytes are compared against.
+
+
+def write_predictions(path: str, detections: DetectionTable) -> None:
+    """The table as ``load_predictions`` reads it, each confidence rounded
+    to six decimal places."""
+    t = detections
+    write_rows(path, PREDICTION_LINE,
+               json_strings(t.image_id), json_strings(t.model_id), json_strings(t.class_id),
+               json_numbers([round(v, 6) for v in t.confidence.tolist()]),
+               json_boxes(t.boxes))
+
+
+def write_ground_truth(path: str, gt: GroundTruthTable) -> None:
+    """The table as ``load_ground_truth`` reads it."""
+    write_rows(path, GROUND_TRUTH_LINE,
+               json_strings(gt.image_id), json_strings(gt.object_id), json_strings(gt.class_id),
+               json_boxes(gt.boxes))
 
 
 # ----------------------------------------------------------- tie-breaking

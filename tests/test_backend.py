@@ -22,7 +22,7 @@ def test_index_pairs_and_neighbours():
     assert pairs.dtype == np.int64
     assert pairs.tolist() == [[0, 1, 2], [2, 2, 3]]
     assert [n.tolist() for n in kernels.neighbours(pairs, 4)] == [[2], [2], [0, 1, 3], [2]]
-    empty = IntegrityConstraintSet.empty().index_pairs(("a", "b", "c"))
+    empty = IntegrityConstraintSet(()).index_pairs(("a", "b", "c"))
     assert empty.shape == (2, 0) and empty.dtype == np.int64
     assert [n.tolist() for n in kernels.neighbours(empty, 3)] == [[], [], []]
 

@@ -13,18 +13,18 @@ import pytest
 
 import abfuse
 from abfuse.baselines import majority_vote
-from abfuse.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
-from abfuse import solver_ip
+from abfuse.cli import DEFAULT_GRID, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, _parse_grid, main
+from abfuse import evaluation, solver_ip
 from abfuse.deduction import default_domain
-from abfuse.edr import RuleSet, apply_rules
+from abfuse.edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules
 from abfuse.evaluation import SweepDataset
-from abfuse.model_io import (load_dataset, observations_from_dataset, write_ground_truth,
-                             write_manifest, write_predictions)
+from abfuse.model_io import load_dataset, observations_from_dataset, write_manifest
 from abfuse.synthgen import preset, save_scenario
 
 from conftest import row_labels
 from oracles import (BoundingBox, Detection, GroundTruthObject, det_table,
-                     fingerprint_reference, gt_table, score_reference)
+                     fingerprint_reference, gt_table, score_reference, write_ground_truth,
+                     write_predictions)
 
 
 @pytest.fixture()
@@ -61,6 +61,11 @@ def conflict_dataset(tmp_path):
             for m, c in (("f1", "A"), ("f2", "B"))]
     rules.write_text("".join(json.dumps(r) + "\n" for r in rows))
     return str(d / "manifest.json"), str(rules)
+
+
+def test_default_grid_is_the_learners_default():
+    # the CLI spells the grid out itself, so that importing it loads no numpy
+    assert _parse_grid(DEFAULT_GRID, "--epsilon-grid") == DEFAULT_EPSILON_GRID
 
 
 def test_gen_prints_manifests(tmp_path, capsys):
@@ -165,7 +170,6 @@ def test_abduce_hs_writes_trace(dataset, tmp_path, capsys):
 @pytest.mark.parametrize("solver, flags", [("hs", []), ("ip", ["--epsilon", "0.1"])])
 def test_abduce_writes_nothing_when_scoring_rejects_the_input(dataset, tmp_path, capsys,
                                                               solver, flags):
-    # only scoring finds an empty ground truth, after the solve
     manifest, rules = dataset
     open(os.path.join(os.path.dirname(manifest), "gt.jsonl"), "w").close()
     out = tmp_path / "fused"
@@ -175,6 +179,34 @@ def test_abduce_writes_nothing_when_scoring_rejects_the_input(dataset, tmp_path,
     assert [line for line in err if line.startswith("error:")] \
         == ["error: ground truth is empty"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("abduce", ["--solver", "hs", "--delta", "0.5"]),
+    ("sweep", ["--methods", "ip,hs,mv"]),
+    ("eval", ["--labels", "missing.jsonl"]),
+    ("baseline", ["--method", "mv"]),
+])
+def test_empty_ground_truth_is_rejected_before_any_work(dataset, tmp_path, capsys,
+                                                        monkeypatch, command, flags):
+    manifest, rules = dataset
+    open(os.path.join(os.path.dirname(manifest), "gt.jsonl"), "w").close()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("solved or scored an empty ground truth")
+
+    for name in ("solver_cells", "baseline_cells", "score"):
+        monkeypatch.setattr(evaluation, name, no_work)
+    out = tmp_path / "out"
+    argv = [command, "--manifest", manifest, *flags, "--out", str(out)]
+    if command in ("abduce", "sweep"):
+        argv += ["--rules", rules]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == ["error: ground truth is empty"]
+    assert not out.exists()
+    # learning from an empty training split is no error
+    assert main(["learn", "--manifest", manifest, "--out", str(tmp_path / "rules.jsonl")]) \
+        == EXIT_OK
 
 
 def test_eval_reproduces_abduce_metrics(dataset, tmp_path):
@@ -691,25 +723,16 @@ def test_entry_starts_one_blas_thread_unless_told_otherwise(tmp_path, setting, t
 
 
 def test_package_names_resolve_on_first_use():
-    # ``import abfuse`` compiles no submodule; each public name and each
-    # submodule is imported when first read
+    # ``import abfuse`` compiles no submodule; ``from abfuse import`` loads
+    # the one named and what it imports, and the package re-exports no names
     code = ("import sys, abfuse\n"
             "print(sorted(m for m in sys.modules if m.startswith('abfuse.')))\n"
-            "from abfuse.solver_ip import solve\n"
-            "assert abfuse.solve is solve and abfuse.kernels is sys.modules['abfuse.kernels']\n"
-            "assert set(abfuse.__all__) <= set(dir(abfuse))\n"
-            "import abfuse.edr, abfuse.evaluation, abfuse.model_io, abfuse.solver_hs\n"
-            "for name in abfuse.__all__:\n"
-            "    assert getattr(abfuse, name) is getattr(\n"
-            "        sys.modules[getattr(abfuse, name).__module__], name), name\n"
-            "try:\n"
-            "    abfuse.no_such_name\n"
-            "except AttributeError as exc:\n"
-            "    print(exc)\n")
+            "from abfuse import solver_ip\n"
+            "assert abfuse.kernels is sys.modules['abfuse.kernels']\n"
+            "print(hasattr(abfuse, 'solve'))\n")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "[]", "module 'abfuse' has no attribute 'no_such_name'"], proc.stdout
+    assert proc.stdout.splitlines() == ["[]", "False"], proc.stdout
 
 
 _BASE_MODULES = {"cli", "model_io"}

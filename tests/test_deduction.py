@@ -25,8 +25,6 @@ IC_CT = IntegrityConstraintSet((("car", "tree"),))
 def test_ic_canonical_form():
     ic = IntegrityConstraintSet((("tree", "car"), ("car", "tree"), ("a", "b")))
     assert ic.pairs == (("a", "b"), ("car", "tree"))
-    assert ("car", "tree") in ic and ("tree", "car") in ic
-    assert ("car", "car") not in ic
 
 
 def test_ic_rejects_self_pair():
@@ -47,7 +45,7 @@ def test_ic_all_pairs():
 def test_find_violations():
     atoms = {("car", "o1"), ("tree", "o1"), ("car", "o2")}
     assert find_violations(atoms, IC_CT) == frozenset({("o1", ("car", "tree"))})
-    assert find_violations(atoms, IntegrityConstraintSet.empty()) == frozenset()
+    assert find_violations(atoms, IntegrityConstraintSet(())) == frozenset()
 
 
 # ------------------------------------------------------------ inconsistency
@@ -215,7 +213,7 @@ def test_default_domain_is_all_pairs():
 
 def test_domain_config_validation():
     with pytest.raises(InputError):
-        DomainConfig(("a", "b"), IntegrityConstraintSet.empty(),
+        DomainConfig(("a", "b"), IntegrityConstraintSet(()),
                      normalizer_mode="bogus")
     with pytest.raises(InputError):
         DomainConfig(("a", "b"), IntegrityConstraintSet((("a", "z"),)))

@@ -16,13 +16,13 @@ from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError, Obser
                              _pair_iou, coverage_report,
                              ground_truth_labels, index_of, load_dataset,
                              load_ground_truth, load_predictions, match_detections,
-                             observations_from_dataset, write_ground_truth,
-                             write_manifest, write_predictions)
+                             observations_from_dataset, write_manifest)
 
 from conftest import obs_atoms, obs_of, tables
 from oracles import (BoundingBox, Detection, GroundTruthObject, compute_iou, det_table,
                      gt_table, load_ground_truth_records, load_prediction_records,
-                     read_columns_reference, read_jsonl_reference)
+                     read_columns_reference, read_jsonl_reference, write_ground_truth,
+                     write_predictions)
 from test_acceptance import _reference_match
 
 
@@ -891,12 +891,10 @@ def test_column_encoders_match_json_dumps():
     assert model_io.json_strings(STRANGE_IDS) == [json.dumps(v) for v in STRANGE_IDS]
     assert model_io.json_numbers(STRANGE_NUMBERS) == [json.dumps(v) for v in STRANGE_NUMBERS]
     numbers = STRANGE_NUMBERS + ROUNDING_CASES
-    assert model_io.json_confidences(np.array(numbers)) == [
-        json.dumps(round(v, 6)) for v in numbers]
     boxes = np.array((numbers * 4)[:4 * 7]).reshape(7, 4)
     assert model_io.json_boxes(boxes) == [json.dumps(b)[1:-1] for b in boxes.tolist()]
     assert model_io.json_numbers([]) == model_io.json_strings([]) == []
-    assert model_io.json_confidences(np.zeros(0)) == model_io.json_boxes(np.zeros((0, 4))) == []
+    assert model_io.json_boxes(np.zeros((0, 4))) == []
 
 
 @settings(deadline=None)
@@ -904,17 +902,18 @@ def test_column_encoders_match_json_dumps():
 def test_column_encoders_match_json_dumps_on_any_input(ids, numbers):
     assert model_io.json_strings(ids) == [json.dumps(v) for v in ids]
     assert model_io.json_numbers(numbers) == [json.dumps(v) for v in numbers]
-    assert model_io.json_confidences(np.array(numbers, dtype=np.float64)) == [
-        json.dumps(round(v, 6)) for v in numbers]
 
 
 @settings(deadline=None)
 @given(st.lists(st.integers(0, 10 ** 6)), st.lists(st.floats(0.0, 1.0)))
 def test_confidence_encoder_matches_round_near_six_places(units, offsets):
-    # six-place decimals, as the generator draws them, and values beside them
+    # the generator's confidences are ``np.round(x, 6)`` and ``write_split``
+    # writes them with ``json_numbers``: each must already be what ``round``
+    # to six places makes of it, for six-place decimals and values beside them
     near = [u / 1e6 for u in units] + [u / 1e6 + d * 1e-6 for u, d in zip(units, offsets)]
-    assert model_io.json_confidences(np.array(near, dtype=np.float64)) == [
-        json.dumps(round(v, 6)) for v in near]
+    for values in (near, ROUNDING_CASES):
+        rounded = np.round(np.array(values, dtype=np.float64), 6).tolist()
+        assert model_io.json_numbers(rounded) == [json.dumps(round(v, 6)) for v in rounded]
 
 
 def test_writers_match_one_json_dumps_per_row(tmp_path):

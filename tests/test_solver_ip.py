@@ -1,21 +1,24 @@
-"""The exact binary-program solver: semantics, ties, audits, brute force."""
+"""The exact binary-program solver: semantics, ties, audits, brute force, a MILP."""
 
+import importlib.util
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from abfuse import kernels, solver_ip, synthgen
 from abfuse.deduction import IntegrityConstraintSet, default_domain, find_violations
 from abfuse.edr import apply_rules, learn_ruleset
-from abfuse.model_io import InputError
+from abfuse.model_io import InputError, ObservationSet
 from abfuse.solver_ip import (STATUS_INFEASIBLE, STATUS_OPTIMAL,
                               audit_solution, build_instance, solve)
 
-from conftest import (accepted_pairs, assigned_atoms, eliminated_pairs, obs_atoms, obs_of,
-                      random_instance)
-from oracles import brute_force_optimal
+from conftest import (DELTA_GRID, accepted_pairs, assigned_atoms, eliminated_pairs, obs_atoms,
+                      obs_of, random_instance)
+from oracles import brute_force_optimal, milp_optimum
 
 IC_CT = IntegrityConstraintSet((("car", "tree"),))
 
@@ -79,7 +82,7 @@ def test_solve_coverage_forces_the_break():
 def test_solve_without_constraints_keeps_everything():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8),
                   ("o2", "f1", "tree", 0.7)])
-    sol = solve(build_instance(obs, IntegrityConstraintSet.empty(), 0.0))
+    sol = solve(build_instance(obs, IntegrityConstraintSet(()), 0.0))
     assert sol.objective == len(obs_atoms(obs)) == 3
     assert not sol.eliminated.any()
 
@@ -132,6 +135,46 @@ def test_solve_matches_brute_force_in_full():
             assert got.objective == want.objective, f"seed {seed}"
             np.testing.assert_array_equal(got.eliminated, want.eliminated, f"seed {seed}")
             assert audit_solution(inst, got) == [], f"seed {seed}"
+
+
+@pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
+                    reason="the MILP oracle needs scipy (the test extra)")
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from([(4, 4), (5, 3), (5, 4), (6, 3), (6, 4), (8, 3)]),
+       n_shared=st.integers(4, 16), agree=st.floats(0.0, 0.5), n_free=st.integers(4, 14),
+       seed=st.integers(0, 2 ** 32 - 1), delta=st.sampled_from(DELTA_GRID[:5]),
+       mode=st.sampled_from(("per_object", "per_ground_rule")), directed=st.booleans())
+def test_solve_agrees_with_milp_beyond_brute_force(shape, n_shared, agree, n_free, seed, delta,
+                                                   mode, directed):
+    # 13-24 branch variables, past brute force's 12 pairs, mostly over
+    # budget at the root.  Each model predicts most shared objects: its
+    # label's class with probability ``agree``, else any class.  All but
+    # ``n_free`` pairs also predict one private object, so eliminating one
+    # leaves that object bare: they are forced kept, which keeps the search
+    # to the free pairs' subsets
+    F, C = shape
+    rng = np.random.default_rng(seed)
+    label = rng.integers(C, size=n_shared)
+    model, obj = np.nonzero(rng.random((F, n_shared)) < 0.7)
+    klass = np.where(rng.random(len(obj)) < agree, label[obj], rng.integers(C, size=len(obj)))
+    forced = rng.permutation(F * C)[n_free:]
+    model, klass = np.concatenate((model, forced // C)), np.concatenate((klass, forced % C))
+    obj = np.concatenate((obj, n_shared + np.arange(len(forced))))
+    classes = tuple("abcd"[:C])
+    obs = ObservationSet.build(tuple(f"m{f}" for f in range(F)),
+                               tuple(f"o{w:02d}" for w in range(n_shared + len(forced))),
+                               classes, model, obj, klass, np.full(len(obj), 0.5))
+    all_pairs = [(x, y) for i, x in enumerate(classes) for y in classes[i + 1:]]
+    ic = IntegrityConstraintSet([p for p in all_pairs if rng.random() < 0.7])
+    inst = build_instance(obs, ic, delta, mode, directed)
+    assume(13 <= len(inst.start.var_f) <= 24)
+
+    sol = solve(inst)
+    optimum = milp_optimum(inst)
+    assert (sol.status == STATUS_OPTIMAL) == (optimum is not None)
+    if optimum is not None:
+        assert sol.objective == optimum
+        assert audit_solution(inst, sol) == []
 
 
 def test_with_delta_matches_a_fresh_build():

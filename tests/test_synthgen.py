@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError, load_dataset,
-                             observations_from_dataset, write_ground_truth, write_predictions)
+                             observations_from_dataset)
 from abfuse.synthgen import (_BOX, _CELL, _GRID_COLS, _PER_IMAGE, PRESET_FAMILIES, Segment,
                              ShiftScenario, error_shift, generate, load_scenario, preset,
                              save_scenario, write_dataset, write_split)
+
+from oracles import write_ground_truth, write_predictions
 
 
 def confusion_matrix(n_classes, model_index, intensity):
