@@ -188,7 +188,7 @@ def cmd_abduce(args) -> int:
     budget = violation_budget(args.delta, len(obs.objects), domain.ic,
                               domain.normalizer_mode, domain.directed_ground_rules)
     rows, metrics = evaluation.score_cell(
-        cell, tb, evaluation.Truth.of(ds.labels(), obs.objects, obs.classes), domain)
+        cell, obs, tb, evaluation.Truth.of(ds.labels(), obs.objects, obs.classes), domain)
     os.makedirs(args.out, exist_ok=True)
     if cell.status == "infeasible":
         print("infeasible: no acceptance set satisfies coverage within "
@@ -196,7 +196,7 @@ def cmd_abduce(args) -> int:
         return EXIT_INFEASIBLE
     if cell.trace is not None:
         cell.trace.write(os.path.join(args.out, "trace.jsonl"))
-    _write_labels(os.path.join(args.out, "labels.jsonl"), cell.solved, rows, sources=tb)
+    _write_labels(os.path.join(args.out, "labels.jsonl"), obs, rows, sources=tb)
     payload = {**vars(metrics), "status": "ok", "violation_budget": budget}
     if args.solver == "ip":
         payload["nodes"] = cell.nodes

@@ -189,12 +189,11 @@ class SweepResult(NamedTuple):
 
 
 class SolverCell(NamedTuple):
-    """One solver's accepted ``rows`` of the ``solved`` set at one delta,
-    none when the exact program is infeasible; ``seconds`` is the cell's
-    solve plus the filter (and exact packing) it shares."""
+    """One solver's accepted ``rows`` of the loaded set at one delta, none
+    when the exact program is infeasible; ``seconds`` is the cell's solve
+    plus the filter (and exact packing) it shares."""
     solver: str
     delta: float
-    solved: ObservationSet
     rows: np.ndarray
     status: str                           # "ok" or "infeasible"
     nodes: int                            # exact search nodes, 0 for hs
@@ -208,7 +207,7 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
     """Solve one rule filter's cells per delta, then per solver ("ip" before
     "hs"), ``repeats`` times each, yielding each once solved.  The rules
     filter once for every cell; the exact solver takes one epsilon and packs
-    its survivors once, and the greedy search alone takes each epsilon's mask."""
+    its survivors once, and the greedy search takes each epsilon's mask."""
     if "hs" in solvers:
         from . import solver_hs
         configs = {d: solver_hs.HsConfig(d, epsilons) for d in deltas}
@@ -223,7 +222,6 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
         shared["ip"] = time.perf_counter() - t0
         masks = {epsilon: np.bincount(flagged_rows, minlength=len(obs.obj)).astype(bool)}
     else:
-        domain.ic.check_within(obs.classes)
         masks = {e: split_flagged(obs, ruleset, e) for e in configs[deltas[0]].epsilon_set}
         shared["hs"] = time.perf_counter() - t0
     for delta in deltas:
@@ -233,25 +231,27 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
                 if solver == "ip":
                     sol = solver_ip.solve(packed.with_delta(delta))
                     status = "ok" if sol.status == solver_ip.STATUS_OPTIMAL else "infeasible"
-                    got = (filtered, filtered.rows_within(sol.covered), status, sol.nodes, None)
+                    # the surviving rows of the loaded set at covered cells
+                    rows = obs.rows_within(sol.covered)
+                    got = (rows[~masks[epsilon][rows]], status, sol.nodes, None)
                 else:
                     res = solver_hs.heuristic_search(
-                        obs, configs[delta], ruleset, domain.ic, domain.normalizer_mode,
-                        domain.directed_ground_rules, flagged=masks)
-                    got = (obs, res.rows, "ok", 0, res.trace)
+                        obs, configs[delta], masks, domain.ic, domain.normalizer_mode,
+                        domain.directed_ground_rules)
+                    got = (res.rows, "ok", 0, res.trace)
                 yield SolverCell(solver, delta, *got, shared[solver] + time.perf_counter() - t0)
 
 
-def score_cell(cell: SolverCell, tie_break: bool, truth: Truth, domain: DomainConfig,
-               runtime_per_object: float = 0.0) -> Tuple[np.ndarray, Metrics]:
-    """A solver cell's rows, first reduced to one per object under
-    ``tie_break``, and their :class:`Metrics`; an infeasible cell, keeping
-    no rows, scores zeros."""
+def score_cell(cell: SolverCell, obs: ObservationSet, tie_break: bool, truth: Truth,
+               domain: DomainConfig, runtime_per_object: float = 0.0
+               ) -> Tuple[np.ndarray, Metrics]:
+    """A solver cell's rows of the loaded set ``obs``, first reduced to one
+    per object under ``tie_break``, and their :class:`Metrics`; an
+    infeasible cell, keeping no rows, scores zeros."""
     from . import tiebreak
 
-    rows = tiebreak.resolve(cell.solved, cell.rows) if tie_break else cell.rows
-    return rows, score(cell.solved.coverage(rows), truth, domain=domain,
-                       n_objects=len(cell.solved.objects),
+    rows = tiebreak.resolve(obs, cell.rows) if tie_break else cell.rows
+    return rows, score(obs.coverage(rows), truth, domain=domain, n_objects=len(obs.objects),
                        runtime_per_object=runtime_per_object)
 
 
@@ -280,13 +280,14 @@ def baseline_cells(obs: ObservationSet, gt_labels: Mapping[str, str],
 def _row_worker(args) -> list:
     """The sweep rows of one epsilon, timed as each cell's seconds per object."""
     dataset, truth, deltas, epsilon, methods, solvers, repeats, timing = args
-    n = len(dataset.observations.objects)
+    obs = dataset.observations
+    n = len(obs.objects)
     out = []
-    for cell in solver_cells(dataset.observations, dataset.ruleset, dataset.domain,
+    for cell in solver_cells(obs, dataset.ruleset, dataset.domain,
                              (epsilon,), deltas, solvers, repeats):
         rpo = (cell.seconds / n) if (timing and n) else 0.0
         out.extend(SweepCell(cell.delta, epsilon, m, score_cell(
-            cell, m.endswith("+tb"), truth, dataset.domain, rpo)[1], cell.status)
+            cell, obs, m.endswith("+tb"), truth, dataset.domain, rpo)[1], cell.status)
             for m in (cell.solver, cell.solver + "+tb") if m in methods)
     return out
 

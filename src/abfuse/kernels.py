@@ -5,14 +5,12 @@ plain Python.
 reports them per layer); ``tests/test_backend.py`` checks them against
 naive oracles.
 
-Array conventions (shared with the solvers):
-
-* ``pres``: uint8 array of shape ``(C, N)``; presence of assignment atoms.
-* ``pred``: uint8 array of shape ``(F, C, N)``; model ``f`` predicts class
-  ``c`` for object ``w``.
-* Mutual-exclusion pairs come as class indices: the (2, K) array of
-  :meth:`abfuse.deduction.IntegrityConstraintSet.index_pairs`, or each
-  class's neighbour list from :func:`neighbours`.
+Both searches hold the same state: a set of objects is one Python int, bit
+``w`` for object ``w`` (:func:`bitmasks` packs the rows of a 0/1 array that
+way), and ``cover[c]`` is the set of objects that carry class ``c``.
+Mutual-exclusion pairs come as class indices: the (2, K) array of
+:meth:`abfuse.deduction.IntegrityConstraintSet.index_pairs`, or each class's
+neighbour list from :func:`neighbours`.
 """
 
 import sys
@@ -22,35 +20,41 @@ import numpy as np
 
 
 def neighbours(pairs, n_classes):
-    """Each class's exclusion neighbours, ascending, as int64 arrays, from
-    the (2, K) class index pairs ``pairs``."""
+    """Each class's exclusion neighbours, ascending, as int lists, from the
+    (2, K) class index pairs ``pairs``."""
     a, b = pairs
-    return [np.sort(np.concatenate((b[a == c], a[b == c]))) for c in range(n_classes)]
+    return [sorted(b[a == c].tolist() + a[b == c].tolist()) for c in range(n_classes)]
+
+
+def bitmasks(rows) -> list:
+    """Each row of a 2-D 0/1 array as an int with bit w set where it is 1."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 # ---------------------------------------------------------------------------
 # union statistics for the greedy search
 
 
-def union_stats(pres, base_atoms, base_conf, c, add_w, nbrs):
-    """Atom count and conflict count of ``pres`` extended with class ``c``
-    at the distinct objects ``add_w``.
+def union_stats(cover, base_atoms, base_conf, c, add, nbrs):
+    """Atom count and conflict count of ``cover`` extended with class ``c``
+    at the objects ``add``.
 
-    ``base_atoms``/``base_conf`` are the counts of ``pres`` itself and
+    ``base_atoms``/``base_conf`` are the counts of ``cover`` itself and
     ``nbrs`` is class ``c``'s entry of :func:`neighbours`; objects that
     already carry ``c`` add nothing.  The added atoms share one class, so
     every new conflict pairs one of them with a neighbour class's atom
-    already in ``pres``: the probe reads only those rows at the new objects.
-    ``pres`` is left unchanged.  Returns ``(atoms, conflicts)`` of the union.
+    already in ``cover``.  ``cover`` is left unchanged.  Returns ``(atoms,
+    conflicts)`` of the union.
     """
-    new = add_w[pres[c, add_w] == 0]
-    conflicts = int(np.count_nonzero(pres[nbrs[:, None], new]))
-    return int(base_atoms) + new.size, int(base_conf) + conflicts
+    new = add & ~cover[c]
+    conflicts = sum((new & cover[j]).bit_count() for j in nbrs)
+    return base_atoms + new.bit_count(), base_conf + conflicts
 
 
-def commit_atoms(pres, add_c, add_w):
-    """Write the given atoms into ``pres`` in place."""
-    pres[add_c, add_w] = 1
+def commit_atoms(cover, c, add):
+    """Add class ``c`` at the objects ``add`` to ``cover`` in place."""
+    cover[c] |= add
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +62,15 @@ def commit_atoms(pres, add_c, add_w):
 
 # The search fixes one binary per branchable (model, class) pair: 0 keeps the
 # pair, 1 eliminates it and with it every assignment atom it alone supports.
-# A set of objects is one Python int, bit w for object w.  ``visit(depth,
-# atoms, conflicts, nelim)`` is one node: decisions fixed for the variables
-# before ``order[depth]``, ``atoms`` covered (c, w) cells, ``conflicts``
-# mutual-exclusion violations among them and ``nelim`` eliminations.  The
-# shared ``cover[c]`` holds the objects that class c's undecided or kept
-# pairs predict c for.  A node tries the keep branch first, then eliminates
-# ``order[depth]``: that recomputes cover[c] as the OR of c's kept pairs'
-# masks; each lost object costs one atom, and one conflict per neighbour
-# class covering it.  The call restores cover[c] when the child returns.
+# ``visit(depth, atoms, conflicts, nelim)`` is one node: decisions fixed for
+# the variables before ``order[depth]``, ``atoms`` covered (c, w) cells,
+# ``conflicts`` mutual-exclusion violations among them and ``nelim``
+# eliminations.  The shared ``cover[c]`` holds the objects that class c's
+# undecided or kept pairs predict c for.  A node tries the keep branch
+# first, then eliminates ``order[depth]``: that recomputes cover[c] as the OR
+# of c's kept pairs' masks; each lost object costs one atom, and one conflict
+# per neighbour class covering it.  The call restores cover[c] when the
+# child returns.
 # Everything that does not depend on the budget is built once per instance
 # by ``search_start`` and shared by the solves of every delta.
 # Every variable's objects are covered at the root (the variable itself
@@ -85,12 +89,6 @@ def commit_atoms(pres, add_c, add_w):
 # node eliminates strictly more pairs, and an over-budget node needs at least
 # one further elimination to become feasible, so the >= prune on elimination
 # count never hides a tie-break winner.
-
-
-def _bitmasks(rows) -> list:
-    """Each row of a 2-D 0/1 array as an int with bit w set where it is 1."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 class SearchStart(NamedTuple):
@@ -122,11 +120,11 @@ def search_start(pred, a, b) -> SearchStart:
     support = pred.sum(axis=2, dtype=np.int64)          # (F, C)
     var_f, var_cls = np.nonzero(support)
     covered = pred.any(axis=0)                          # (C, N)
-    nbrs = [n.tolist() for n in neighbours((a, b), pred.shape[1])]
+    nbrs = neighbours((a, b), pred.shape[1])
     return SearchStart(
         var_f.tolist(), var_cls.tolist(),
         np.argsort(-support[var_f, var_cls], kind="stable").tolist(),
-        _bitmasks(pred[var_f, var_cls]), _bitmasks(covered), nbrs,
+        bitmasks(pred[var_f, var_cls]), bitmasks(covered), nbrs,
         int(covered.sum()), int((covered[a] & covered[b]).sum()),
         max(1, max(map(len, nbrs), default=0)))
 

@@ -9,6 +9,10 @@ assignment atoms strictly grow?  The strongest-growing feasible
 epsilon wins, smallest epsilon on ties; pairs that cannot grow the selection
 are skipped.  Accepted predictions are never removed, so every intermediate
 selection already satisfies the budget.
+
+The caller filters: each epsilon comes with its mask of flagged rows.  The
+selection is held as the exact search holds its coverage, one object bitset
+per class (:mod:`abfuse.kernels`), and so is each pair's surviving run.
 """
 
 from itertools import product
@@ -18,7 +22,6 @@ import numpy as np
 
 from . import kernels
 from .deduction import IntegrityConstraintSet, inc_from_count, violation_budget
-from .edr import RuleSet, split_flagged
 from .model_io import InputError, ObservationSet, write_jsonl
 
 
@@ -69,16 +72,13 @@ class HsResult:
 
 def heuristic_search(p_raw: ObservationSet,
                      config: HsConfig,
-                     ruleset: RuleSet,
+                     flagged: Mapping[float, np.ndarray],
                      ic: IntegrityConstraintSet,
                      normalizer_mode: str = "per_object",
-                     directed_ground_rules: bool = False,
-                     flagged: Optional[Mapping[float, np.ndarray]] = None) -> HsResult:
-    """``flagged`` maps each epsilon of ``config`` to its :func:`split_flagged`
-    mask, for a caller that already has them; missing ones are computed."""
-    ic.check_within(p_raw.classes)
-
-    n_objects = len(p_raw.objects)
+                     directed_ground_rules: bool = False) -> HsResult:
+    """``flagged`` maps each epsilon of ``config`` to the rows of ``p_raw``
+    its rules flag, as :func:`abfuse.edr.split_flagged` masks them."""
+    n_objects, n_classes = len(p_raw.objects), len(p_raw.classes)
     budget = violation_budget(config.delta, n_objects, ic,
                               normalizer_mode, directed_ground_rules)
 
@@ -86,46 +86,41 @@ def heuristic_search(p_raw: ObservationSet,
         return inc_from_count(n_conf, n_objects, ic, normalizer_mode,
                               directed_ground_rules)
 
-    nbrs = kernels.neighbours(ic.index_pairs(p_raw.classes), len(p_raw.classes))
-    pres = np.zeros((len(p_raw.classes), n_objects), dtype=np.uint8)
-    atoms = 0
-    conflicts = 0
+    nbrs = kernels.neighbours(ic.index_pairs(p_raw.classes), n_classes)
+    cover = [0] * n_classes
+    atoms = conflicts = 0
 
-    # rows surviving the rules per epsilon, with the positions where each
-    # (model, class) pair's run of rows starts among them
-    flagged = flagged or {}
+    # each epsilon's surviving rows and each pair's surviving objects
+    pair = p_raw.model * n_classes + p_raw.cls
     survivors = []
     for eps in config.epsilon_set:
-        rows = np.flatnonzero(~(flagged[eps] if eps in flagged
-                                else split_flagged(p_raw, ruleset, eps)))
-        survivors.append((eps, rows, p_raw.obj[rows],
-                          np.searchsorted(rows, p_raw.pair_start).tolist()))
+        keep = ~flagged[eps]
+        hit = np.zeros((len(p_raw.models) * n_classes, n_objects), dtype=bool)
+        hit[pair[keep], p_raw.obj[keep]] = True
+        survivors.append((eps, keep, kernels.bitmasks(hit)))
 
-    # each pair is visited once, so a pair's entries are never already
-    # selected and its atoms (one class, distinct objects) never repeat;
-    # ``p`` is the pair's index into ``cut``
-    selected = [np.zeros(0, dtype=np.int64)]
+    # ``p`` indexes the pair's mask and ``pair_start``
+    accepted = np.zeros(len(p_raw.obj), dtype=bool)
     steps = []
-    n_classes = len(p_raw.classes)
     for p, (m, k) in enumerate(product(p_raw.models, p_raw.classes)):
         c = p % n_classes
-        best = None  # (atoms, conflicts, eps, survivor rows, their objects)
-        for eps, rows, objs, cut in survivors:
-            lo, hi = cut[p], cut[p + 1]
-            if lo == hi:
+        best = None  # (atoms, conflicts, eps, its survivor mask, the pair's objects)
+        for eps, keep, masks in survivors:
+            if not masks[p]:
                 continue
             cand_atoms, cand_conf = kernels.union_stats(
-                pres, atoms, conflicts, c, objs[lo:hi], nbrs[c])
+                cover, atoms, conflicts, c, masks[p], nbrs[c])
             if cand_atoms <= atoms or cand_conf > budget:
                 continue
             if best is None or cand_atoms > best[0]:
-                best = (cand_atoms, cand_conf, eps, rows[lo:hi], objs[lo:hi])
+                best = (cand_atoms, cand_conf, eps, keep, masks[p])
         chosen: Optional[float] = None
         if best is not None:
-            atoms, conflicts, chosen, idx, add_w = best
-            kernels.commit_atoms(pres, c, add_w)
-            selected.append(idx)
+            atoms, conflicts, chosen, keep, add = best
+            kernels.commit_atoms(cover, c, add)
+            rows = slice(p_raw.pair_start[p], p_raw.pair_start[p + 1])
+            accepted[rows] = keep[rows]
         steps.append(SelectionStep(m, k, chosen, atoms, inconsistency(conflicts)))
 
-    return HsResult(p_raw, np.sort(np.concatenate(selected)), SelectionTrace(tuple(steps)),
+    return HsResult(p_raw, np.flatnonzero(accepted), SelectionTrace(tuple(steps)),
                     atoms, inconsistency(conflicts))

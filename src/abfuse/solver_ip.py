@@ -81,7 +81,6 @@ def build_instance(obs: ObservationSet,
     """
     if not (0.0 <= delta <= 1.0):
         raise InputError(f"delta must be in [0, 1]: {delta!r}")
-    ic.check_within(obs.classes)
 
     objects, models, classes = obs.objects, obs.models, obs.classes
     pred = np.zeros((len(models), len(classes), len(objects)), dtype=np.uint8)
@@ -154,8 +153,9 @@ def audit_solution(instance: IpInstance, sol: IpSolution) -> list:
     problems += [f"coverable object {objects[w]!r} has no assignment"
                  for w in np.flatnonzero(pred.any(axis=(0, 1)) & ~covered.any(axis=0))]
 
+    # a pair naming a class outside the instance is never violated
     n_violations = sum(int((covered[classes.index(a)] & covered[classes.index(b)]).sum())
-                       for a, b in instance.ic.pairs)
+                       for a, b in instance.ic.pairs if a in classes and b in classes)
     if n_violations > instance.delta_budget:
         problems.append(f"violation count {n_violations} exceeds budget {instance.delta_budget}")
     if sol.objective != int(covered.sum()):

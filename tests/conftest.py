@@ -15,7 +15,7 @@ from hypothesis import settings
 
 from abfuse import solver_ip
 from abfuse.deduction import IntegrityConstraintSet
-from abfuse.edr import RuleSet
+from abfuse.edr import RuleSet, split_flagged
 from abfuse.model_io import Observation
 from oracles import det_table, gt_table, observation_set
 
@@ -73,6 +73,12 @@ def tables(gt, dets):
 def empty_rules(grid=(0.5,)):
     """A RuleSet whose every rule is empty: filtering is the identity."""
     return RuleSet(tuple(grid))
+
+
+def flag_masks(obs, ruleset, epsilons):
+    """Each epsilon's :func:`split_flagged` mask over the rows of ``obs``:
+    the filter input of :func:`abfuse.solver_hs.heuristic_search`."""
+    return {e: split_flagged(obs, ruleset, e) for e in epsilons}
 
 
 def random_instance(seed):

@@ -261,8 +261,7 @@ def hs_outcome(res: HsResult) -> tuple:
 def heuristic_search_reference(p_raw: ObservationSet, config: HsConfig,
                                ruleset: RuleSet, ic: IntegrityConstraintSet,
                                normalizer_mode: str = "per_object",
-                               directed_ground_rules: bool = False,
-                               flagged: Optional[Mapping[float, np.ndarray]] = None
+                               directed_ground_rules: bool = False
                                ) -> Tuple[list, Tuple[SelectionStep, ...], int, float]:
     """The greedy search of :mod:`abfuse.solver_hs`, stated per entry.
 
@@ -271,8 +270,7 @@ def heuristic_search_reference(p_raw: ObservationSet, config: HsConfig,
     selection's atom set, and keeps the candidate whose atom set grows most
     (smallest epsilon on ties) among those whose violated ground rules
     (:func:`find_violations`) stay within :func:`violation_budget`.
-    Survivors come from the rules one entry at a time, or from ``flagged``
-    (a row mask per epsilon) where it has the epsilon.  Returns the selected
+    Survivors come from the rules one entry at a time.  Returns the selected
     rows (ascending), the trace steps, the atom count and the Inc score.
     """
     n_objects = len(p_raw.objects)
@@ -282,13 +280,6 @@ def heuristic_search_reference(p_raw: ObservationSet, config: HsConfig,
                for w, f, c, conf in zip(p_raw.obj.tolist(), p_raw.model.tolist(),
                                         p_raw.cls.tolist(), p_raw.confidence.tolist())]
     row_of = {e: r for r, e in enumerate(entries)}
-    flagged = flagged or {}
-
-    def survivors(f, c, eps):
-        if eps in flagged:
-            return {r for r, e in enumerate(entries)
-                    if (e.model_id, e.class_id) == (f, c) and not flagged[eps][r]}
-        return {row_of[e] for e in get_filtered_preds(f, c, eps, p_raw, ruleset)}
 
     def inc(atoms):
         return inc_from_count(len(find_violations(atoms, ic)), n_objects, ic,
@@ -302,7 +293,7 @@ def heuristic_search_reference(p_raw: ObservationSet, config: HsConfig,
     for f, c in order:
         best = None  # (atoms, epsilon, rows)
         for eps in config.epsilon_set:
-            rows = survivors(f, c, eps)
+            rows = {row_of[e] for e in get_filtered_preds(f, c, eps, p_raw, ruleset)}
             grown = atoms | {(entries[r].class_id, entries[r].object_id) for r in rows}
             if len(grown) <= len(atoms) or len(find_violations(grown, ic)) > budget:
                 continue

@@ -27,8 +27,8 @@ from abfuse.model_io import Observation, match_detections
 from abfuse.solver_hs import HsConfig, heuristic_search
 from abfuse.tiebreak import apply_tiebreaker, candidates_from_atoms
 
-from conftest import (DELTA_GRID, SHARED_SEEDS, assigned_atoms, random_instance,
-                      row_labels, tables)
+from conftest import (DELTA_GRID, SHARED_SEEDS, assigned_atoms, flag_masks,
+                      random_instance, row_labels, tables)
 from oracles import (BoundingBox, Detection, GroundTruthObject, Hypothesis,
                      brute_force_optimal, calc_incon, fixpoint, flags,
                      get_filtered_preds, labels_to_atoms, observation_set,
@@ -38,8 +38,8 @@ EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
 def _hs(obs, ic, delta, mode, directed):
-    return heuristic_search(obs, HsConfig(delta, (0.5,)), RuleSet((0.5,)),
-                            ic, mode, directed)
+    masks = flag_masks(obs, RuleSet((0.5,)), (0.5,))
+    return heuristic_search(obs, HsConfig(delta, (0.5,)), masks, ic, mode, directed)
 
 
 def _hs_pattern_is_exact_feasible(obs, ic, delta, mode, directed, result):

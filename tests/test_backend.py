@@ -1,8 +1,10 @@
 """Numeric kernels against naive oracles.
 
-The kernels have a single numpy implementation.  The ``*_both_backends`` and
-``*_across_backends`` test names come from a removed second (compiled)
-implementation; they are kept so test ids stay comparable between runs.
+The kernels have one implementation, over per-class Python-int object
+bitsets; the oracles count on dense 0/1 (class, object) arrays.  The
+``*_both_backends`` and ``*_across_backends`` test names come from a removed
+second (compiled) implementation; they are kept so test ids stay comparable
+between runs.
 """
 
 import numpy as np
@@ -21,10 +23,10 @@ def test_index_pairs_and_neighbours():
     # ("a", "z") names a class outside the universe and is dropped
     assert pairs.dtype == np.int64
     assert pairs.tolist() == [[0, 1, 2], [2, 2, 3]]
-    assert [n.tolist() for n in kernels.neighbours(pairs, 4)] == [[2], [2], [0, 1, 3], [2]]
+    assert kernels.neighbours(pairs, 4) == [[2], [2], [0, 1, 3], [2]]
     empty = IntegrityConstraintSet(()).index_pairs(("a", "b", "c"))
     assert empty.shape == (2, 0) and empty.dtype == np.int64
-    assert [n.tolist() for n in kernels.neighbours(empty, 3)] == [[], [], []]
+    assert kernels.neighbours(empty, 3) == [[], [], []]
 
 
 def _pair_array(pairs):
@@ -45,6 +47,16 @@ def _naive_conflicts(pres, pairs):
                for a, b in pairs for w in range(pres.shape[1]))
 
 
+def _int(objects):
+    """The objects as one int, bit w for object w."""
+    return sum(1 << int(w) for w in set(np.asarray(objects).tolist()))
+
+
+def _cover(pres):
+    """Each class row of a dense (C, N) 0/1 array as an object bitset."""
+    return [_int(np.flatnonzero(row)) for row in pres]
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_count_conflicts_both_backends(seed):
     """The vectorised oracle agrees with the per-cell loop."""
@@ -55,7 +67,7 @@ def test_count_conflicts_both_backends(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_union_stats_both_backends(seed):
-    """Probing one class at distinct objects, some of which may already
+    """Probing one class at a set of objects, some of which may already
     carry it, gives the counts of the naive union."""
     pres, pairs, rng = _random_arrays(seed)
     C, N = pres.shape
@@ -68,22 +80,22 @@ def test_union_stats_both_backends(seed):
     expect = (int(union.sum()), _naive_conflicts(union, pairs))
 
     base = (int(pres.sum()), _naive_conflicts(pres, pairs))
-    before = pres.copy()
-    assert kernels.union_stats(pres, base[0], base[1], c, add_w, nbrs[c]) == expect
-    np.testing.assert_array_equal(pres, before)  # the probe leaves pres alone
+    cover = _cover(pres)
+    assert kernels.union_stats(cover, base[0], base[1], c, _int(add_w), nbrs[c]) == expect
+    assert cover == _cover(pres)  # the probe leaves the coverage alone
 
 
 def test_union_stats_counts_duplicate_atoms_once():
     """An atom already present adds neither an atom nor a conflict."""
-    pres = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 0]], np.uint8)
+    cover = _cover(np.array([[1, 0, 0], [1, 1, 0], [0, 0, 0]], np.uint8))
     nbrs = kernels.neighbours(_pair_array([(0, 1), (1, 2)]), 3)
     # class 0 at objects 0 (present) and 1 (new, against class 1 there)
-    assert kernels.union_stats(pres, 3, 1, 0, np.array([0, 1]), nbrs[0]) == (4, 2)
-    # only present atoms: the union is pres itself
-    assert kernels.union_stats(pres, 3, 1, 1, np.array([1, 0]), nbrs[1]) == (3, 1)
+    assert kernels.union_stats(cover, 3, 1, 0, _int([0, 1]), nbrs[0]) == (4, 2)
+    # only present atoms: the union is the coverage itself
+    assert kernels.union_stats(cover, 3, 1, 1, _int([1, 0]), nbrs[1]) == (3, 1)
     # a class without exclusion neighbours never adds a conflict
     nbrs0 = kernels.neighbours(_pair_array([(0, 1)]), 3)
-    assert kernels.union_stats(pres, 3, 1, 2, np.array([0, 1, 2]), nbrs0[2]) == (6, 1)
+    assert kernels.union_stats(cover, 3, 1, 2, _int([0, 1, 2]), nbrs0[2]) == (6, 1)
 
 
 def _bits(mask):
@@ -115,9 +127,18 @@ def test_search_start_root_totals(seed):
 
 
 def test_commit_atoms_writes_in_place():
-    pres = np.zeros((2, 3), np.uint8)
-    kernels.commit_atoms(pres, np.array([1, 0]), np.array([0, 2]))
-    assert pres.tolist() == [[0, 0, 1], [1, 0, 0]]
+    """Committing one class at a set of objects leaves the coverage of the
+    naive union, in the same list."""
+    for seed in range(20):
+        pres, _, rng = _random_arrays(seed)
+        C, N = pres.shape
+        c = int(rng.integers(0, C))
+        add_w = rng.permutation(N)[:int(rng.integers(0, N + 1))]
+        union = pres.copy()
+        union[c, add_w] = 1
+        cover = _cover(pres)
+        kernels.commit_atoms(cover, c, _int(add_w))
+        assert cover == _cover(union), seed
 
 
 @pytest.mark.parametrize("seed", SHARED_SEEDS[:60])

@@ -1073,6 +1073,44 @@ def test_domain_config_must_name_every_dataset_class(dataset, tmp_path, monkeypa
     assert not os.path.exists(out) and not os.path.exists(out + ".csv")
 
 
+def test_domain_config_may_name_extra_classes(tmp_path):
+    # a class the data lacks, and every exclusion pair on it, is never
+    # violated: each command writes what it writes without the config
+    data = tmp_path / "data"
+    assert main(["gen", "--preset", "MM_1", "--n-train", "60", "--n-test", "80",
+                 "--seed", "1", "--out", str(data)]) == EXIT_OK
+    rules = str(tmp_path / "rules.jsonl")
+    assert main(["learn", "--manifest", str(data / "train" / "manifest.json"),
+                 "--epsilon-grid", "0.1,0.5", "--out", rules]) == EXIT_OK
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps({"classes": [
+        "construction", "nature", "pedestrians", "vehicles", "water"]}) + "\n")
+    commands = [
+        ("hs", ["abduce", "--rules", rules, "--solver", "hs", "--delta", "0.5"]),
+        ("ip", ["abduce", "--rules", rules, "--solver", "ip", "--delta", "0.5",
+                "--epsilon", "0.1"]),
+        ("sweep.csv", ["sweep", "--rules", rules, "--epsilon-grid", "0.1,0.5", "--no-timing"]),
+        ("eval.json", ["eval", "--labels", str(tmp_path / "plain" / "hs" / "labels.jsonl")]),
+        ("mv", ["baseline", "--method", "mv"]),
+    ]
+
+    def contents(path):
+        if path.is_dir():
+            return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+        return path.read_bytes()
+
+    for name, argv in commands:
+        got = []
+        for run, extra in (("plain", []), ("superset", ["--domain-config", str(domain)])):
+            out = tmp_path / run / name
+            out.parent.mkdir(exist_ok=True)
+            assert main([argv[0], "--manifest", str(data / "test" / "manifest.json"),
+                         *argv[1:], *extra, "--out", str(out)]) == EXIT_OK, (name, run)
+            got.append(contents(out))
+        assert got[0] == got[1], name
+        assert got[0], name
+
+
 def test_learn_takes_no_domain_config(dataset, tmp_path, capsys):
     # learn never read the option, so a path to nothing was accepted
     manifest, _ = dataset

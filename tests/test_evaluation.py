@@ -22,7 +22,7 @@ from abfuse.solver_ip import build_instance, solve
 from abfuse.synthgen import generate, preset, write_dataset
 from abfuse.tiebreak import resolve
 
-from conftest import empty_rules, obs_of
+from conftest import empty_rules, flag_masks, obs_of
 from oracles import fingerprint_reference, labels_to_atoms, score_reference
 
 GT = {"o1": "car", "o2": "tree"}
@@ -39,7 +39,8 @@ def test_generation_solving_and_scoring_leave_entries_unbuilt(tmp_path):
     obs = data.test
     dom = default_domain(obs.classes)
     filtered, _ = apply_rules(obs, rules, 0.5)
-    res = heuristic_search(obs, HsConfig(0.5, (0.1, 0.5)), rules, dom.ic)
+    res = heuristic_search(obs, HsConfig(0.5, (0.1, 0.5)), flag_masks(obs, rules, (0.1, 0.5)),
+                           dom.ic)
     sol = solve(build_instance(filtered, dom.ic, 0.5))
     truth = Truth.of(data.test_labels, obs.objects, obs.classes)
     for solved, rows in ((obs, res.rows), (filtered, filtered.rows_within(sol.covered))):
@@ -49,6 +50,26 @@ def test_generation_solving_and_scoring_leave_entries_unbuilt(tmp_path):
         assert "entries" not in built.__dict__
     assert len(filtered.entries) == len(filtered.obj)
     assert "entries" in filtered.__dict__
+
+
+def test_ip_cell_rows_index_the_loaded_set():
+    # the exact solver runs on the filtered copy; its cell maps the covered
+    # cells back to the surviving rows of the loaded set
+    data = generate(preset("MM_1", n_models=4, n_train=200, n_test=150, seed=3))
+    rules = learn_ruleset(data.train, data.train_labels, epsilon_grid=(0.1, 0.5))
+    obs, dom = data.test, default_domain(data.test.classes)
+    statuses = set()
+    for eps, delta in ((0.1, 0.0), (0.1, 0.5), (0.5, 0.2), (0.5, 1.0)):
+        (cell,) = evaluation.solver_cells(obs, rules, dom, (eps,), (delta,), ("ip",))
+        filtered, flagged = apply_rules(obs, rules, eps)
+        assert flagged.size
+        sol = solve(build_instance(filtered, dom.ic, delta))
+        mask = np.zeros(len(obs.obj), dtype=bool)
+        mask[flagged] = True
+        np.testing.assert_array_equal(
+            cell.rows, np.flatnonzero(~mask)[filtered.rows_within(sol.covered)])
+        statuses.add(cell.status)
+    assert statuses == {"ok", "infeasible"}
 
 
 def test_score_perfect():

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,16 +13,18 @@ from abfuse.edr import Condition, ErrorRule, RuleSet, learn_ruleset
 from abfuse.model_io import InputError, Observation
 from abfuse.solver_hs import HsConfig, heuristic_search
 
-from conftest import SHARED_SEEDS, empty_rules, obs_of, random_instance
+from conftest import SHARED_SEEDS, empty_rules, flag_masks, obs_of, random_instance
 from oracles import (calc_incon, get_filtered_preds, heuristic_search_reference,
                      hs_outcome, selected)
 
 IC_CT = IntegrityConstraintSet((("car", "tree"),))
 
 
-def search(obs, delta, eps=(0.5,), ruleset=None, ic=IC_CT):
+def search(obs, delta, eps=(0.5,), ruleset=None, ic=IC_CT, mode="per_object",
+           directed=False):
     return heuristic_search(obs, HsConfig(delta, eps),
-                            ruleset or empty_rules(eps), ic)
+                            flag_masks(obs, ruleset or empty_rules(eps), eps),
+                            ic, mode, directed)
 
 
 # ------------------------------------------------------------------- config
@@ -120,25 +121,27 @@ def test_search_requires_strictly_new_atoms():
     assert by_pair[("f2", "car")].chosen_epsilon is None
 
 
-def test_search_rejects_exclusion_pairs_outside_the_classes():
-    obs = obs_of([("o1", "f1", "car", 0.9)])
-    with pytest.raises(InputError, match="outside the class universe"):
-        search(obs, 0.5, ic=IntegrityConstraintSet((("car", "boat"),)))
+def test_search_ignores_exclusion_pairs_outside_the_classes():
+    """A pair naming a class the set lacks is never violated, so it changes
+    nothing."""
+    obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8),
+                  ("o2", "f2", "car", 0.6)])
+    extra = IntegrityConstraintSet(IC_CT.pairs + (("car", "boat"), ("boat", "water")))
+    for delta in (0.0, 0.5):
+        assert hs_outcome(search(obs, delta, ic=extra)) == hs_outcome(search(obs, delta))
 
 
 def test_search_deterministic():
     for seed in (3301, 3302, 3303):
         obs, ic, delta, mode, directed = random_instance(seed)
-        runs = [heuristic_search(obs, HsConfig(delta, (0.5,)), empty_rules(),
-                                 ic, mode, directed) for _ in range(2)]
+        runs = [search(obs, delta, ic=ic, mode=mode, directed=directed) for _ in range(2)]
         assert hs_outcome(runs[0]) == hs_outcome(runs[1])
 
 
 def test_search_feasible_and_monotone_throughout():
     for seed in range(3310, 3360):
         obs, ic, delta, mode, directed = random_instance(seed)
-        res = heuristic_search(obs, HsConfig(delta, (0.5,)), empty_rules(),
-                               ic, mode, directed)
+        res = search(obs, delta, ic=ic, mode=mode, directed=directed)
         size = 0
         for step in res.trace.steps:
             assert step.incon_after <= delta + 1e-12, f"seed {seed}"
@@ -213,7 +216,7 @@ def test_greedy_steps_take_the_rule_filtered_entries():
         raw.setdefault((e.model_id, e.class_id), set()).add(e)
     chosen_eps, filtered_steps = set(), 0
     for delta in (0.05, 0.2, 0.5):
-        res = heuristic_search(data.test, HsConfig(delta, eps), ruleset, ic)
+        res = search(data.test, delta, eps, ruleset, ic)
         union = set()
         for step in res.trace.steps:
             pair = (step.model_id, step.class_id)
@@ -240,8 +243,8 @@ def test_greedy_stays_within_violation_budget_at_delta_one():
     eps = (0.01, 0.1, 0.5, 1.0)
     data, ruleset = _mm1(1000, 300, 0, eps)
     dom = default_domain(data.test.classes)
-    res = heuristic_search(data.test, HsConfig(1.0, eps), ruleset, dom.ic,
-                           dom.normalizer_mode, dom.directed_ground_rules)
+    res = search(data.test, 1.0, eps, ruleset, dom.ic, dom.normalizer_mode,
+                 dom.directed_ground_rules)
     budget = violation_budget(1.0, len(data.test.objects), dom.ic,
                               dom.normalizer_mode, dom.directed_ground_rules)
     assert budget == 300
@@ -252,8 +255,7 @@ def test_no_solver_exceeds_the_budget_at_delta_one():
     for seed in SHARED_SEEDS:
         obs, ic, _, mode, directed = random_instance(seed)
         budget = violation_budget(1.0, len(obs.objects), ic, mode, directed)
-        res = heuristic_search(obs, HsConfig(1.0, (0.5,)), empty_rules(),
-                               ic, mode, directed)
+        res = search(obs, 1.0, ic=ic, mode=mode, directed=directed)
         assert len(find_violations(res.atoms(), ic)) <= budget, seed
         sol = solver_ip.solve(solver_ip.build_instance(obs, ic, 1.0, mode, directed))
         if sol.status == solver_ip.STATUS_OPTIMAL:
@@ -268,8 +270,8 @@ CLASSES = ("A", "B", "C", "D")
 
 @st.composite
 def greedy_problems(draw):
-    """A small observation set with random rules, exclusion pairs, budget,
-    epsilon set and, sometimes, caller-supplied flag masks."""
+    """A small observation set with random rules, exclusion pairs, budget
+    and epsilon set."""
     models = [f"f{i}" for i in range(draw(st.integers(1, 3)))]
     classes = list(CLASSES[:draw(st.integers(1, 4))])
     objects = [f"o{i}" for i in range(draw(st.integers(1, 6)))]
@@ -286,21 +288,18 @@ def greedy_problems(draw):
         st.builds(lambda g: Condition("disagree_with", model=g), st.sampled_from(models)))
     rules = {(f, c, e): ErrorRule(f, c, tuple(draw(st.lists(conditions, max_size=2))))
              for f in models for c in classes for e in EPSILONS if draw(st.booleans())}
-    flagged = None
-    if draw(st.booleans()):
-        flagged = {e: np.array(draw(st.lists(st.booleans(), min_size=len(rows),
-                                             max_size=len(rows))), dtype=bool)
-                   for e in eps_set if draw(st.booleans())}
     config = HsConfig(draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))), eps_set)
     return (obs, config, RuleSet(EPSILONS, rules), ic,
-            draw(st.sampled_from(("per_object", "per_ground_rule"))), draw(st.booleans()),
-            flagged)
+            draw(st.sampled_from(("per_object", "per_ground_rule"))), draw(st.booleans()))
 
 
 @settings(max_examples=200, deadline=None)
 @given(greedy_problems())
 def test_search_matches_the_per_entry_reference(problem):
-    res = heuristic_search(*problem)
+    """The rule filter plus the greedy search against the search stated per
+    entry, its survivors taken from the rules one entry at a time."""
+    obs, config, ruleset, *rest = problem
+    res = heuristic_search(obs, config, flag_masks(obs, ruleset, config.epsilon_set), *rest)
     rows, steps, n_atoms, inconsistency = heuristic_search_reference(*problem)
     assert res.rows.tolist() == rows
     assert res.trace.steps == steps

@@ -34,11 +34,17 @@ def test_instance_packing():
 
 
 def test_instance_validation():
-    obs = obs_of([("o1", "f1", "car", 0.9)])
+    obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8)])
     with pytest.raises(InputError):
         build_instance(obs, IC_CT, 1.5)
-    with pytest.raises(InputError, match="outside the class universe"):
-        build_instance(obs, IntegrityConstraintSet((("car", "boat"),)), 0.5)
+    # a pair naming a class outside the set's classes is never violated, so
+    # it changes nothing
+    extra = IntegrityConstraintSet(IC_CT.pairs + (("car", "boat"),))
+    for delta in (0.0, 1.0):
+        got, want = (solve(build_instance(obs, ic, delta)) for ic in (extra, IC_CT))
+        assert (got.status, got.objective, got.nodes) == (want.status, want.objective, want.nodes)
+        np.testing.assert_array_equal(got.eliminated, want.eliminated)
+        np.testing.assert_array_equal(got.covered, want.covered)
 
 
 def test_solve_single_object_conflict():
@@ -279,6 +285,14 @@ def test_audit_flags_budget_overrun():
     rich = solve(build_instance(obs, IC_CT, 1.0))
     # a solution that was optimal under a looser budget must fail this audit
     assert any("budget" in p for p in audit_solution(inst, rich))
+
+
+def test_audit_skips_pairs_outside_the_classes():
+    obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8)])
+    inst = build_instance(obs, IntegrityConstraintSet(IC_CT.pairs + (("car", "boat"),)), 0.0)
+    assert audit_solution(inst, solve(inst)) == []
+    # the pair inside the classes is still counted
+    assert any("budget" in p for p in audit_solution(inst, solve(inst.with_delta(1.0))))
 
 
 def test_audit_is_clean_on_exact_and_brute_force_solutions():
