@@ -1,8 +1,8 @@
 """Name of the numeric backend, for benchmark environment records.
 
-Every kernel in :mod:`abfuse.kernels` is plain numpy/Python.
+Every kernel in :mod:`abfuse.kernels` is plain Python.
 """
 
 
 def backend_name() -> str:
-    return "numpy"
+    return "python"

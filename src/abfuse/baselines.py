@@ -1,14 +1,13 @@
 """Reference fusion baselines."""
 
+from collections import Counter
 from typing import Mapping
-
-import numpy as np
 
 from .model_io import ObservationSet
 from .tiebreak import first_per_group
 
 
-def majority_vote(obs: ObservationSet) -> np.ndarray:
+def majority_vote(obs: ObservationSet) -> list:
     """Modal predicted class per object over the raw observations, as the
     ``obs`` row of that class's strongest prediction, one per object
     with a prediction, ascending object.
@@ -17,10 +16,11 @@ def majority_vote(obs: ObservationSet) -> np.ndarray:
     higher confidence; remaining ties prefer the smaller supporting model
     id, then the smaller class id.
     """
-    cell = obs.obj * len(obs.classes) + obs.cls
-    votes = np.bincount(cell, minlength=1)[cell]
-    # a class's best row has its votes and its strongest (confidence, model)
-    return first_per_group(obs.obj, -votes, -obs.confidence, obs.model, obs.cls)
+    cell = [w * len(obs.classes) + c for w, c in zip(obs.obj, obs.cls)]
+    votes = Counter(cell)
+    # a class's best row has its votes and its strongest confidence; rows run
+    # in (model, class) order within an object, so ties keep that order
+    return first_per_group(obs.obj, [-votes[k] for k in cell], [-c for c in obs.confidence])
 
 
 def best_individual(per_model_metrics: Mapping[str, "Metrics"]) -> str:

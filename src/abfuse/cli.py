@@ -10,11 +10,11 @@ the instance infeasible.
 
 Each subcommand imports the modules it needs when it runs, so a process
 compiles only those: ``gen`` never loads the solvers, ``learn`` only
-``model_io`` and ``edr``.  Importing this module loads no numpy, so
-:func:`entry`, the process entry point, can size OpenBLAS's thread pool
-before it starts; it also turns the cyclic garbage collector off for the
-command and freezes the heap before exiting, so interpreter shutdown has
-nothing to collect.
+``model_io`` and ``edr``, and only ``gen`` loads numpy.  Importing this
+module loads no numpy, so :func:`entry`, the process entry point, can size
+OpenBLAS's thread pool before it starts; it also turns the cyclic garbage
+collector off for the command and freezes the heap before exiting, so
+interpreter shutdown has nothing to collect.
 """
 
 import argparse
@@ -85,8 +85,9 @@ def _load_with_domain(args):
     """:func:`_load_obs` of a dataset with ground truth to score against,
     plus the domain of ``--domain-config`` or ``$ABFUSE_DOMAIN_CONFIG``,
     which must name every class the manifest declares, else all-pairs over
-    those classes."""
-    from .deduction import default_domain, load_domain_config
+    those classes.  Pairs on a class the manifest lacks are dropped: none
+    can be violated, nor count in the ``per_ground_rule`` normalizer."""
+    from .deduction import IntegrityConstraintSet, default_domain, load_domain_config
     from .model_io import InputError
 
     ds, obs = _load_obs(args)
@@ -99,6 +100,7 @@ def _load_with_domain(args):
     missing = [c for c in ds.classes if c not in domain.classes]
     if missing:
         raise InputError(f"{path}: 'classes' omits the dataset's classes {missing}")
+    domain.ic = IntegrityConstraintSet(p for p in domain.ic.pairs if set(p) <= set(ds.classes))
     return ds, obs, domain
 
 
@@ -109,16 +111,17 @@ def _write_labels(path: str, obs, rows, sources: bool = False) -> None:
     from .tiebreak import first_per_group
 
     def ids(universe, index):
-        return map(json_strings(universe).__getitem__, index[rows].tolist())
+        return map(json_strings(universe).__getitem__, map(index.__getitem__, rows))
 
     # keys in sorted order
     if sources:
         write_rows(path, '{"class_id": %s, "confidence": %s, "model_id": %s, '
                          '"object_id": %s}\n',
-                   ids(obs.classes, obs.cls), json_numbers(obs.confidence[rows].tolist()),
+                   ids(obs.classes, obs.cls), json_numbers([obs.confidence[r] for r in rows]),
                    ids(obs.models, obs.model), ids(obs.objects, obs.obj))
     else:
-        rows = rows[first_per_group(obs.obj[rows] * len(obs.classes) + obs.cls[rows])]
+        rows = list(map(rows.__getitem__, first_per_group(
+            [obs.obj[r] * len(obs.classes) + obs.cls[r] for r in rows])))
         write_rows(path, '{"class_id": %s, "object_id": %s}\n',
                    ids(obs.classes, obs.cls), ids(obs.objects, obs.obj))
 

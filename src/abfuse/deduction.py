@@ -10,11 +10,11 @@ class pairs, and derives:
 * violated ground rules ``(object_id, (class_a, class_b))`` where both
   classes of an exclusion pair got assigned to the same object.
 
-The solvers compute that closure in bulk over arrays; ``tests/oracles.py``
+The solvers compute that closure in bulk over per-class object bitsets; ``tests/oracles.py``
 keeps a per-entry statement of it (``fixpoint``).  This module holds what
 they share: the constraint set with its one class-index form
 (:meth:`IntegrityConstraintSet.index_pairs`), the violated ground rules
-(:func:`count_violations` on a (class, object) coverage array,
+(:func:`count_violations` on a per-class coverage,
 :func:`find_violations` on atoms) and the inconsistency score Inc, which
 normalizes the violation count in one of two modes.  Both solvers accept a
 selection iff its raw count of violated ground rules is at most
@@ -26,8 +26,6 @@ greedy search may leave an object without any assignment.
 
 import math
 from typing import Iterable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .model_io import DEFAULT_CLASSES, InputError, read_json
 
@@ -73,13 +71,12 @@ class IntegrityConstraintSet:
             if a not in classes or b not in classes:
                 raise InputError(f"exclusion pair ({a!r}, {b!r}) outside the class universe")
 
-    def index_pairs(self, classes: Sequence[str]) -> np.ndarray:
-        """The pairs as indices into ``classes``: an int64 array of shape
-        (2, K), one column per pair in ``pairs`` order, dropping any pair
-        that names a class outside ``classes``."""
+    def index_pairs(self, classes: Sequence[str]) -> list:
+        """The pairs as ``(i, j)`` indices into ``classes``, in ``pairs``
+        order; a pair naming a class outside ``classes`` is an error."""
+        self.check_within(classes)
         at = {c: i for i, c in enumerate(classes)}
-        return np.array([(at[a], at[b]) for a, b in self.pairs if a in at and b in at],
-                        dtype=np.int64).reshape(-1, 2).T
+        return [(at[a], at[b]) for a, b in self.pairs]
 
 
 def find_violations(assigned: Iterable[Tuple[str, str]],
@@ -90,11 +87,10 @@ def find_violations(assigned: Iterable[Tuple[str, str]],
                      if c == a and (b, w) in atoms)
 
 
-def count_violations(cov, classes, ic: IntegrityConstraintSet) -> int:
-    """Ground rules violated by a bool (C, N) coverage whose class axis is
-    ``classes``; a pair naming a class outside it is never violated."""
-    a, b = ic.index_pairs(classes)
-    return int((cov[a] & cov[b]).sum())
+def count_violations(cov: list, classes, ic: IntegrityConstraintSet) -> int:
+    """Ground rules violated by a coverage: ``cov[c]`` is the set of objects
+    carrying ``classes[c]``, as an int bitset."""
+    return sum((cov[a] & cov[b]).bit_count() for a, b in ic.index_pairs(classes))
 
 
 def inc_from_count(n_violations: int,

@@ -12,16 +12,16 @@ Learning over an ascending epsilon grid is warm-started: the rule for a
 larger budget extends the rule for the smaller one, so the set of flagged
 predictions only grows with epsilon.
 
-Conditions are evaluated as boolean masks over the rows of an
-:class:`ObservationSet`, one (model, class) pair at a time; learning and
-filtering share that evaluator.
+Conditions are evaluated as row bitsets over an :class:`ObservationSet`,
+one (model, class) pair at a time; learning and filtering share that
+evaluator.
 """
 
+import math
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .model_io import InputError, ObservationSet, Truth, read_jsonl, write_jsonl
+from .model_io import (InputError, ObservationSet, Truth, flags, members, pack, read_jsonl,
+                       write_jsonl)
 
 DEFAULT_EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -129,37 +129,40 @@ class RuleSet:
         return cls(tuple(sorted(grid)), rules)
 
 
-def _condition_mask(cond: Condition, obs: ObservationSet, rows: slice) -> np.ndarray:
-    """Boolean mask of where ``cond`` fires on the rows ``rows`` of ``obs``,
-    which all hold one (model, class) pair's predictions."""
+def _condition_mask(cond: Condition, obs: ObservationSet, f: int, c: int) -> int:
+    """The rows of model ``f``'s predictions of class ``c`` where ``cond``
+    fires, as a row bitset of ``obs``."""
+    rows = obs.pair_rows(f, c)
     if cond.kind == "confidence_below":
-        return obs.confidence[rows] < cond.threshold
-    # disagree_with: the other model's prediction for the object, of another class
-    obj = obs.obj[rows]
-    if cond.model not in obs.models:
-        return np.zeros(obj.shape, dtype=bool)
-    other = obs.grid[obs.models.index(cond.model), obj]
-    return (other != -1) & (other != obs.cls[rows])
+        threshold = cond.threshold
+        fired = [x < threshold for x in obs.confidence[rows]]
+    elif cond.model not in obs.models:
+        return 0
+    else:
+        # disagree_with: the other model predicts another class for the object;
+        # a model predicts one class per object, so the sum of its masks is their union
+        n = len(obs.classes)
+        g = obs.models.index(cond.model) * n
+        other = flags(sum(obs.pair_masks[g:g + n]) & ~obs.pair_masks[g + c], len(obs.objects))
+        fired = [other[w] for w in obs.obj[rows]]
+    return pack(fired) << rows.start
 
 
-def _linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+def _linear_quantiles(values: Sequence[float], qs: Sequence[float]) -> list:
     """``np.quantile(values, qs)`` with numpy's default 'linear' rule, bit
     for bit, for finite ``values`` and ``qs`` in [0, 1]: the same virtual
-    index, neighbours and two-sided interpolation on a sorted copy.
-    ``np.quantile`` itself calls ``np.unique``, which imports ``numpy.ma``."""
-    s = np.sort(values)
-    virtual = (s.size - 1) * np.asarray(qs, dtype=np.float64)
-    lo = np.floor(virtual)
-    top = virtual >= s.size - 1
-    lo[top] = -1                            # the last value, as numpy does
-    gamma = virtual - lo
-    i = lo.astype(np.intp)
-    j = i + 1
-    j[top] = -1
-    a, b = s[i], s[j]
-    diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    index, neighbours and two-sided interpolation on a sorted copy, one
+    float operation for each of numpy's."""
+    s = sorted(values)
+    out = []
+    for q in qs:
+        virtual = (len(s) - 1) * q
+        # the last value past the end, as numpy does
+        lo = -1 if virtual >= len(s) - 1 else math.floor(virtual)
+        gamma = virtual - lo
+        a, b = s[lo], s[-1 if lo == -1 else lo + 1]
+        diff = b - a
+        out.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
     return out
 
 
@@ -173,13 +176,11 @@ def generate_candidates(train: ObservationSet,
     confidences (ascending, deduplicated).
     """
     thresholds: Dict[str, Tuple[float, ...]] = {}
+    start, n_classes = train.pair_start, len(train.classes)
     for f, m in enumerate(train.models):
-        confs = train.confidence[train.model == f]
-        if confs.size:
-            qs = _linear_quantiles(confs, quantiles)
-            thresholds[m] = tuple(sorted(set(round(float(q), 9) for q in qs)))
-        else:
-            thresholds[m] = ()
+        confs = train.confidence[start[f * n_classes]:start[(f + 1) * n_classes]]
+        thresholds[m] = tuple(sorted(set(round(q, 9) for q in _linear_quantiles(
+            confs, quantiles)))) if confs else ()
 
     out: Dict[Tuple[str, str], Tuple[Condition, ...]] = {}
     for f in train.models:
@@ -190,39 +191,39 @@ def generate_candidates(train: ObservationSet,
     return out
 
 
-def _learn_pair(correct: np.ndarray,
-                fired: np.ndarray,
-                grid: Sequence[float]) -> list:
+def _learn_pair(correct: int, fired: list, grid: Sequence[float]) -> list:
     """Greedy condition selection for one (model, class) pair, for each
     budget of the ascending ``grid``.
 
-    ``fired[i, j]`` says whether candidate ``i`` fires on entry ``j``.
-    Candidates are ranked by standalone precision -- the share of the
-    entries a candidate flags that are actually wrong -- which is a fixed
-    per-candidate quantity; only the budget headroom and the requirement to
-    catch something new change as conditions accumulate.  Each step weighs
-    every candidate at once and takes the first maximum, so ties go to the
-    earlier candidate in pool order.  Each budget extends the selection of
-    the one before it; returns the selected candidate indices per budget.
+    ``fired[i]`` is the set of entries candidate ``i`` fires on and
+    ``correct`` the set of correct entries, as row bitsets.  Candidates are
+    ranked by standalone precision -- the share of the entries a candidate
+    flags that are actually wrong -- which is a fixed per-candidate
+    quantity; only the budget headroom and the requirement to catch
+    something new change as conditions accumulate.  Each step weighs every
+    candidate and takes the first maximum, so ties go to the earlier
+    candidate in pool order.  Each budget extends the selection of the one
+    before it; returns the selected candidate indices per budget.
     """
-    hit_wrong = fired & ~correct
-    hit_correct = fired & correct
+    hit_wrong = [m & ~correct for m in fired]
+    hit_correct = [m & correct for m in fired]
     # the floor of 1 only meets candidates that never fire, never admissible
-    precision = hit_wrong.sum(axis=1) / np.maximum(fired.sum(axis=1), 1)
-    n_correct = int(correct.sum())
+    precision = [w.bit_count() / max(m.bit_count(), 1) for w, m in zip(hit_wrong, fired)]
+    n_correct = correct.bit_count()
     chosen: list = []
-    flagged = np.zeros(fired.shape[1], dtype=bool)
+    flagged = 0
     out = []
     for epsilon in grid:
         limit = epsilon * n_correct + _EPS
         while True:
             # a chosen candidate catches no new wrong entry, so is not admissible
-            fresh = ~flagged
-            admissible = (hit_wrong & fresh).any(axis=1) & (
-                int((flagged & correct).sum()) + (hit_correct & fresh).sum(axis=1) <= limit)
-            if not admissible.any():
+            base, best, top = (flagged & correct).bit_count(), None, -1.0
+            for i, p in enumerate(precision):
+                if (p > top and hit_wrong[i] & ~flagged
+                        and base + (hit_correct[i] & ~flagged).bit_count() <= limit):
+                    best, top = i, p
+            if best is None:
                 break
-            best = int(np.argmax(np.where(admissible, precision, -1.0)))
             chosen.append(best)
             flagged |= fired[best]
         out.append(list(chosen))
@@ -239,47 +240,48 @@ def learn_ruleset(train: ObservationSet,
     Each candidate's firing pattern comes from the same masks
     :func:`split_flagged` evaluates.
     """
-    for w in np.flatnonzero(np.bincount(train.obj, minlength=len(train.objects))).tolist():
+    for w in sorted(set(train.obj)):
         if train.objects[w] not in gt_labels:
             raise InputError(f"training object {train.objects[w]!r} has no ground-truth label")
     if candidates is None:
         candidates = generate_candidates(train)
     ruleset = RuleSet(epsilon_grid)
     grid = ruleset.epsilon_grid
-    truth = Truth.of(gt_labels, train.objects, train.classes).label
+    labelled = [flags(b, len(train.objects))
+                for b in Truth.of(gt_labels, train.objects, train.classes).bits]
 
     for f, m in enumerate(train.models):
         for c, k in enumerate(train.classes):
             pool = tuple(candidates.get((m, k), ()))
             rows = train.pair_rows(f, c)
-            fired = np.array([_condition_mask(cond, train, rows) for cond in pool],
-                             dtype=bool).reshape(len(pool), rows.stop - rows.start)
-            for eps, chosen in zip(grid, _learn_pair(truth[train.obj[rows]] == c, fired, grid)):
+            correct = pack(map(labelled[c].__getitem__, train.obj[rows])) << rows.start
+            fired = [_condition_mask(cond, train, f, c) for cond in pool]
+            for eps, chosen in zip(grid, _learn_pair(correct, fired, grid)):
                 ruleset.rules[(m, k, eps)] = ErrorRule(m, k, tuple(pool[i] for i in chosen))
     return ruleset
 
 
-def split_flagged(obs: ObservationSet, ruleset: RuleSet, epsilon: float) -> np.ndarray:
-    """Mask over the rows of ``obs``: True where the ``epsilon`` rule of the
-    row's (model, class) pair flags the prediction as an error.
+def split_flagged(obs: ObservationSet, ruleset: RuleSet, epsilon: float) -> int:
+    """The rows of ``obs`` whose (model, class) pair's ``epsilon`` rule flags
+    the prediction as an error, as a row bitset.
 
     A rule flags a prediction when any of its conditions fires.  This is the
     one rule filter; the learner shares its condition masks.
     """
-    flagged = np.zeros(len(obs.obj), dtype=bool)
+    flagged = 0
     for f, m in enumerate(obs.models):
         for c, k in enumerate(obs.classes):
             rows = obs.pair_rows(f, c)
             if rows.stop == rows.start:
                 continue
             for cond in ruleset.rule_for(m, k, epsilon).conditions:
-                flagged[rows] |= _condition_mask(cond, obs, rows)
+                flagged |= _condition_mask(cond, obs, f, c)
     return flagged
 
 
 def apply_rules(obs: ObservationSet,
                 ruleset: RuleSet,
-                epsilon: float) -> Tuple[ObservationSet, np.ndarray]:
+                epsilon: float) -> Tuple[ObservationSet, list]:
     """Filter an observation set with the rules learned for ``epsilon``.
 
     Returns the surviving observations (same object/model/class universe)
@@ -287,4 +289,4 @@ def apply_rules(obs: ObservationSet,
     ``obs.subset(flagged).entries`` are the flagged entries).
     """
     flagged = split_flagged(obs, ruleset, epsilon)
-    return obs.subset(~flagged), np.flatnonzero(flagged)
+    return obs.split(flagged)[0], members(flagged)

@@ -1,7 +1,7 @@
 """Scoring, the solver and baseline cells, and grid sweeps.
 
-``score`` reduces a (class, object) coverage array against ground-truth
-class indices to precision / recall / F1 / accuracy and inconsistency.
+``score`` reduces a per-class coverage of object bitsets against ground-truth
+class sets to precision / recall / F1 / accuracy and inconsistency.
 ``solver_cells``, ``score_cell`` and ``baseline_cells`` run and score each
 cell, one at a time for ``abduce`` and ``baseline`` and over a (delta,
 epsilon) grid for ``run_sweep``, which renders a flat CSV plus a JSON run
@@ -12,15 +12,15 @@ collapse to identical bytes when timing is disabled.
 
 import json
 import time
-from itertools import chain
+from functools import reduce
+from itertools import chain, combinations, repeat
+from operator import or_
 from typing import (Dict, Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
-import numpy as np
-
 from .deduction import DomainConfig, count_violations, inc_from_count
 from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules, split_flagged
-from .model_io import (InputError, ObservationSet, Truth, index_of, json_numbers,
+from .model_io import (InputError, ObservationSet, Truth, bitsets, index_of, json_numbers,
                        json_strings, write_json, write_rows)
 
 METHODS = ("ip", "ip+tb", "hs", "hs+tb", "mv", "best", "avg")   # solvers first
@@ -49,14 +49,14 @@ class Metrics:
         return isinstance(other, Metrics) and vars(self) == vars(other)
 
 
-def score(cov: np.ndarray,
+def score(cov: list,
           truth: Truth,
           *,
           domain: Optional[DomainConfig] = None,
           n_objects: Optional[int] = None,
           runtime_per_object: float = 0.0) -> Metrics:
-    """Score a bool (C, N) coverage, ``cov[c, w]`` saying that object ``w``
-    carries class ``truth.classes[c]``, against ground truth.
+    """Score a coverage, ``cov[c]`` the set of objects that carry class
+    ``truth.classes[c]`` as an int bitset, against ground truth.
 
     Precision is over atoms (covered cells); recall counts labels hit by a
     correct atom; accuracy additionally requires the object to carry exactly
@@ -67,14 +67,14 @@ def score(cov: np.ndarray,
         raise InputError("ground truth is empty")
     n_objects = truth.n_labels if n_objects is None else n_objects
 
-    labelled = np.flatnonzero(truth.label >= 0)
-    hit = cov[truth.label[labelled], labelled]
-    correct = int(hit.sum())
-    n_atoms = int(cov.sum())
+    hits = [b & t for b, t in zip(cov, truth.bits)]
+    twice = reduce(or_, (a & b for a, b in combinations(cov, 2)), 0)   # >1 class
+    correct = sum(h.bit_count() for h in hits)
+    n_atoms = sum(b.bit_count() for b in cov)
     precision = correct / n_atoms if n_atoms else 0.0
     recall = correct / truth.n_labels
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    exact = int((hit & (cov[:, labelled].sum(axis=0) == 1)).sum())
+    exact = sum((h & ~twice).bit_count() for h in hits)
     accuracy = exact / truth.n_labels
 
     incon, violations = 0.0, 0
@@ -89,13 +89,13 @@ def score(cov: np.ndarray,
 def score_atoms(atoms: Iterable[Tuple[str, str]],
                 gt_labels: Mapping[str, str], **kw) -> Metrics:
     """:func:`score` of ``(class_id, object_id)`` atoms, on the universe of
-    the ids they and ``gt_labels`` name."""
+    the ids they, ``gt_labels`` and the domain name."""
     atoms = set(atoms)
     objects = sorted({w for _, w in atoms}.union(gt_labels))
-    classes = sorted({c for c, _ in atoms}.union(gt_labels.values()))
-    cov = np.zeros((len(classes), len(objects)), dtype=bool)
-    cov[index_of(classes, (c for c, _ in atoms), "class"),
-        index_of(objects, (w for _, w in atoms), "object")] = True
+    classes = sorted({c for c, _ in atoms}.union(gt_labels.values(),
+                                                 getattr(kw.get("domain"), "classes", ())))
+    cov = bitsets(index_of(classes, (c for c, _ in atoms), "class"),
+                  index_of(objects, (w for _, w in atoms), "object"), len(classes), len(objects))
     return score(cov, Truth.of(gt_labels, objects, classes), **kw)
 
 
@@ -104,8 +104,9 @@ def per_model_metrics(obs: ObservationSet,
                       domain: Optional[DomainConfig] = None) -> Dict[str, Metrics]:
     """Each model scored alone on its raw surviving predictions."""
     truth = Truth.of(gt_labels, obs.objects, obs.classes)
-    return {m: score(obs.coverage(obs.model == f), truth, domain=domain,
-                     n_objects=len(obs.objects))
+    start, n_classes = obs.pair_start, len(obs.classes)
+    return {m: score(obs.coverage(range(start[f * n_classes], start[(f + 1) * n_classes])),
+                     truth, domain=domain, n_objects=len(obs.objects))
             for f, m in enumerate(obs.models)}
 
 
@@ -142,15 +143,16 @@ class SweepDataset(NamedTuple):
         are encoded a column at a time and hashed a block of rows at a time,
         so the document is never built whole."""
         obs = self.observations
-        order = np.lexsort((obs.model, obs.obj))
+        order = sorted(range(len(obs.obj)), key=[w * len(obs.models) + f for w, f in zip(
+            obs.obj, obs.model)].__getitem__)
         ids = [(json_strings(u), a) for u, a in (
             (obs.objects, obs.obj), (obs.models, obs.model), (obs.classes, obs.cls))]
         h = _sha256(b'{"entries":[')
         for start in range(0, len(order), _FINGERPRINT_BLOCK):
             rows = order[start:start + _FINGERPRINT_BLOCK]
-            cols = [map(enc.__getitem__, a[rows].tolist()) for enc, a in ids]
+            cols = [map(enc.__getitem__, map(a.__getitem__, rows)) for enc, a in ids]
             h.update((b"," if start else b"") + ",".join(map("[%s,%s,%s,%s]".__mod__, zip(
-                *cols, json_numbers(obs.confidence[rows].tolist())))).encode())
+                *cols, json_numbers(list(map(obs.confidence.__getitem__, rows)))))).encode())
         rest = json.dumps({
             "objects": list(obs.objects),
             "labels": sorted(self.gt_labels.items()),
@@ -189,12 +191,13 @@ class SweepResult(NamedTuple):
 
 
 class SolverCell(NamedTuple):
-    """One solver's accepted ``rows`` of the loaded set at one delta, none
-    when the exact program is infeasible; ``seconds`` is the cell's solve
-    plus the filter (and exact packing) it shares."""
+    """One solver's accepted ``rows`` of the loaded set at one delta, none if
+    the exact program is infeasible, and their coverage ``cover``; ``seconds``
+    is the cell's solve plus the filter (and exact packing) it shares."""
     solver: str
     delta: float
-    rows: np.ndarray
+    rows: list
+    cover: list
     status: str                           # "ok" or "infeasible"
     nodes: int                            # exact search nodes, 0 for hs
     trace: Optional["SelectionTrace"]     # greedy steps, None for ip
@@ -216,11 +219,13 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
         from . import solver_ip
         (epsilon,) = epsilons
         filtered, flagged_rows = apply_rules(obs, ruleset, epsilon)
+        (flagged,) = bitsets(repeat(0), flagged_rows, 1, len(obs.obj))
+        kept = obs.split(flagged)[1]      # the loaded row behind each filtered one
         shared["hs"] = time.perf_counter() - t0
         packed = solver_ip.build_instance(filtered, domain.ic, deltas[0],
                                           domain.normalizer_mode, domain.directed_ground_rules)
         shared["ip"] = time.perf_counter() - t0
-        masks = {epsilon: np.bincount(flagged_rows, minlength=len(obs.obj)).astype(bool)}
+        masks = {epsilon: flagged}
     else:
         masks = {e: split_flagged(obs, ruleset, e) for e in configs[deltas[0]].epsilon_set}
         shared["hs"] = time.perf_counter() - t0
@@ -231,28 +236,27 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
                 if solver == "ip":
                     sol = solver_ip.solve(packed.with_delta(delta))
                     status = "ok" if sol.status == solver_ip.STATUS_OPTIMAL else "infeasible"
-                    # the surviving rows of the loaded set at covered cells
-                    rows = obs.rows_within(sol.covered)
-                    got = (rows[~masks[epsilon][rows]], status, sol.nodes, None)
+                    rows = list(map(kept.__getitem__, filtered.rows_within(sol.covered)))
+                    got = (rows, sol.covered, status, sol.nodes, None)
                 else:
                     res = solver_hs.heuristic_search(
                         obs, configs[delta], masks, domain.ic, domain.normalizer_mode,
                         domain.directed_ground_rules)
-                    got = (res.rows, "ok", 0, res.trace)
+                    got = (res.rows, res.cover, "ok", 0, res.trace)
                 yield SolverCell(solver, delta, *got, shared[solver] + time.perf_counter() - t0)
 
 
 def score_cell(cell: SolverCell, obs: ObservationSet, tie_break: bool, truth: Truth,
                domain: DomainConfig, runtime_per_object: float = 0.0
-               ) -> Tuple[np.ndarray, Metrics]:
+               ) -> Tuple[list, Metrics]:
     """A solver cell's rows of the loaded set ``obs``, first reduced to one
     per object under ``tie_break``, and their :class:`Metrics`; an
     infeasible cell, keeping no rows, scores zeros."""
     from . import tiebreak
 
     rows = tiebreak.resolve(obs, cell.rows) if tie_break else cell.rows
-    return rows, score(obs.coverage(rows), truth, domain=domain, n_objects=len(obs.objects),
-                       runtime_per_object=runtime_per_object)
+    return rows, score(obs.coverage(rows) if tie_break else cell.cover, truth, domain=domain,
+                       n_objects=len(obs.objects), runtime_per_object=runtime_per_object)
 
 
 def baseline_cells(obs: ObservationSet, gt_labels: Mapping[str, str],

@@ -1,35 +1,26 @@
-"""Numeric kernels of the greedy search and the exact solver, in numpy and
-plain Python.
+"""Numeric kernels of the greedy search and the exact solver, in plain
+Python.
 
 ``python3 perfbench/run.py`` times them inside whole CLI runs (``--trace 1``
 reports them per layer); ``tests/test_backend.py`` checks them against
 naive oracles.
 
 Both searches hold the same state: a set of objects is one Python int, bit
-``w`` for object ``w`` (:func:`bitmasks` packs the rows of a 0/1 array that
-way), and ``cover[c]`` is the set of objects that carry class ``c``.
-Mutual-exclusion pairs come as class indices: the (2, K) array of
-:meth:`abfuse.deduction.IntegrityConstraintSet.index_pairs`, or each class's
-neighbour list from :func:`neighbours`.
+``w`` for object ``w``, and ``cover[c]`` is the set of objects that carry
+class ``c``.  Mutual-exclusion pairs come as class indices: the ``(i, j)``
+list of :meth:`abfuse.deduction.IntegrityConstraintSet.index_pairs`, or
+each class's neighbour list from :func:`neighbours`.
 """
 
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 
 def neighbours(pairs, n_classes):
     """Each class's exclusion neighbours, ascending, as int lists, from the
-    (2, K) class index pairs ``pairs``."""
-    a, b = pairs
-    return [sorted(b[a == c].tolist() + a[b == c].tolist()) for c in range(n_classes)]
-
-
-def bitmasks(rows) -> list:
-    """Each row of a 2-D 0/1 array as an int with bit w set where it is 1."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+    ``(i, j)`` class index pairs ``pairs``."""
+    return [sorted([b for a, b in pairs if a == c] + [a for a, b in pairs if b == c])
+            for c in range(n_classes)]
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +103,23 @@ class SearchStart(NamedTuple):
     max_deg: int
 
 
-def search_start(pred, a, b) -> SearchStart:
-    """The root state of the branch & bound over the packed predictions
-    ``pred`` (F, C, N), with the exclusion pairs as aligned class index
-    vectors ``a``, ``b``.  The visit order puts the most supported variable
-    first, ties in variable order."""
-    support = pred.sum(axis=2, dtype=np.int64)          # (F, C)
-    var_f, var_cls = np.nonzero(support)
-    covered = pred.any(axis=0)                          # (C, N)
-    nbrs = neighbours((a, b), pred.shape[1])
+def search_start(masks, n_classes, pairs) -> SearchStart:
+    """The root state of the branch & bound over the objects
+    ``masks[f * n_classes + c]`` that model ``f`` predicts class ``c`` for,
+    with the exclusion ``pairs`` as class indices.  The visit order puts the
+    most supported variable first, ties in variable order."""
+    var = [k for k, m in enumerate(masks) if m]
+    support = [masks[k].bit_count() for k in var]
+    cover = [0] * n_classes
+    for k in var:
+        cover[k % n_classes] |= masks[k]
+    nbrs = neighbours(pairs, n_classes)
     return SearchStart(
-        var_f.tolist(), var_cls.tolist(),
-        np.argsort(-support[var_f, var_cls], kind="stable").tolist(),
-        bitmasks(pred[var_f, var_cls]), bitmasks(covered), nbrs,
-        int(covered.sum()), int((covered[a] & covered[b]).sum()),
+        [k // n_classes for k in var], [k % n_classes for k in var],
+        sorted(range(len(var)), key=lambda v: -support[v]),
+        [masks[k] for k in var], cover, nbrs,
+        sum(c.bit_count() for c in cover),
+        sum((cover[a] & cover[b]).bit_count() for a, b in pairs),
         max(1, max(map(len, nbrs), default=0)))
 
 
@@ -133,7 +127,7 @@ def bnb_search(start: SearchStart, budget):
     """Run the branch & bound from ``start`` within ``budget`` conflicts.
 
     Returns ``(found, best_obj, best_nelim, best_mask, nodes)`` where
-    ``best_mask`` holds the elimination bit per branch variable.  ``found``
+    ``best_mask`` lists the elimination bit of each branch variable.  ``found``
     is False when no elimination pattern covers every coverable object
     within the conflict budget.
     """
@@ -192,4 +186,4 @@ def bnb_search(start: SearchStart, budget):
         visit(0, start.atoms, start.conflicts, 0)
     finally:
         sys.setrecursionlimit(limit)
-    return found, best_obj, best_nelim, np.array(best_mask, dtype=np.int8), nodes
+    return found, best_obj, best_nelim, best_mask, nodes

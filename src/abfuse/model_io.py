@@ -27,10 +27,10 @@ an error naming the line of the first bad byte.  Every stripped non-blank
 line is decoded by one call of json's C scanner, which must end at the
 line's end; the columns of a :class:`DetectionTable` or
 :class:`GroundTruthTable` are then read from all records at once (ids as
-``str`` lists, confidences as ``float64``, boxes as a ``(K, 4)`` ``float64``
-array).  Ids are interned, so equal ids share one ``str`` object across
-all files and the decoder's per-row copies go with the records.  All rows
-are validated together: finite corners, positive width and height,
+``str`` lists, confidences as floats, boxes as 4-tuples of floats).  Ids
+are interned, so equal ids share one ``str`` object across all files and
+the decoder's per-row copies go with the records.  All rows are validated
+together: finite corners, positive width and height,
 confidence in [0, 1], the manifest's model id, a declared class and unique
 object ids.  Only when a bulk step fails are the lines re-parsed
 with ``json.loads`` and the records checked one by one, to name the first
@@ -42,8 +42,10 @@ candidates are the window of rows between the first whose running x_max
 exceeds the object's x_min and the last whose x_min is below its x_max.
 That window is an exact superset of the detections overlapping the object,
 so IoU is computed only for pairs that can overlap.  It returns an
-:class:`ObservationSet`: the matched predictions as ``int64`` model, object
-and class indices into sorted id tuples, plus ``float64`` confidences.
+:class:`ObservationSet`: the matched predictions as lists of model, object
+and class indices into sorted id tuples, plus confidences.  A set of objects
+or rows is one int, bit ``i`` for member ``i`` (:func:`bitsets`); a coverage
+is one such set per class.
 
 Writing
 -------
@@ -60,13 +62,13 @@ import json
 import json.scanner
 import os
 import sys
+from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from math import isfinite
+from operator import itemgetter, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 
 class InputError(ValueError):
@@ -78,15 +80,39 @@ class InputError(ValueError):
 DEFAULT_CLASSES = ("construction", "nature", "pedestrians", "vehicles")
 
 
-def _boxes(rows) -> np.ndarray:
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def pack(flags) -> int:
+    """The int with bit ``i`` set where ``flags[i]`` (a bool or 0/1) is true."""
+    return int(bytes(flags)[::-1].translate(_DIGITS) or b"0", 2)
+
+
+def flags(bits: int, n: int = 0) -> bytes:
+    """One byte per bit of ``bits``, 1 where it is set, at least ``n`` long."""
+    return bin(bits)[:1:-1].ljust(n, "0").encode().translate(_FLAGS)
+
+
+def members(bits: int) -> list:
+    """The positions of the set bits of ``bits``, ascending."""
+    return list(compress(count(), flags(bits)))
+
+
+def bitsets(keys: Iterable[int], pos: Iterable[int], n_keys: int, width: int) -> list:
+    """One int per key ``k < n_keys``, with bit ``pos[i]`` set for each
+    ``i`` where ``keys[i] == k``; a key of -1 is skipped."""
+    rows = [bytearray(width) for _ in range(n_keys + 1)]
+    for k, w in zip(keys, pos):
+        rows[k][w] = 1
+    return list(map(pack, rows[:n_keys]))
 
 
 class GroundTruthTable:
-    """Ground-truth objects as columns, in input order; ``boxes`` is float64
-    (G, 4): x_min, y_min, x_max, y_max."""
+    """Ground-truth objects as columns, in input order; ``boxes`` holds one
+    (x_min, y_min, x_max, y_max) float tuple per object."""
 
-    def __init__(self, image_id: list, object_id: list, class_id: list, boxes: np.ndarray):
+    def __init__(self, image_id: list, object_id: list, class_id: list, boxes: list):
         self.image_id, self.object_id, self.class_id, self.boxes = (
             image_id, object_id, class_id, boxes)
 
@@ -96,24 +122,15 @@ class GroundTruthTable:
 
 class DetectionTable:
     """Detections as columns; a row's index is its input position.
-    ``confidence`` is float64 (K,), ``boxes`` float64 (K, 4)."""
+    ``confidence`` is a float list, ``boxes`` a list of 4-tuples."""
 
     def __init__(self, image_id: list, model_id: list, class_id: list,
-                 confidence: np.ndarray, boxes: np.ndarray):
+                 confidence: list, boxes: list):
         self.image_id, self.model_id, self.class_id = image_id, model_id, class_id
         self.confidence, self.boxes = confidence, boxes
 
     def __len__(self) -> int:
         return len(self.model_id)
-
-    @classmethod
-    def concat(cls, tables: Sequence["DetectionTable"]) -> "DetectionTable":
-        """The rows of ``tables``, one after another."""
-        tables = list(tables) or [cls([], [], [], np.zeros(0), np.zeros((0, 4)))]
-        ids = (list(chain.from_iterable(getattr(t, f) for t in tables))
-               for f in ("image_id", "model_id", "class_id"))
-        return cls(*ids, np.concatenate([t.confidence for t in tables]),
-                   np.concatenate([t.boxes for t in tables]))
 
 
 class Observation(NamedTuple):
@@ -125,91 +142,105 @@ class Observation(NamedTuple):
     confidence: float
 
 
-def index_of(ids: Sequence[str], wanted: Iterable[str], what: str) -> np.ndarray:
-    """Positions of ``wanted`` in ``ids`` as int64; an unknown id is an error."""
+def index_of(ids: Sequence[str], wanted: Iterable[str], what: str) -> list:
+    """Positions of ``wanted`` in ``ids``; an unknown id is an error."""
     pos = {v: i for i, v in enumerate(ids)}
     try:
-        return np.fromiter(map(pos.__getitem__, wanted), dtype=np.int64)
+        return list(map(pos.__getitem__, wanted))
     except KeyError as exc:
         raise InputError(f"entry references unknown {what} {exc.args[0]!r}") from None
 
 
 class ObservationSet:
-    """Predictions keyed to shared object identities, as arrays over sorted
+    """Predictions keyed to shared object identities, as columns over sorted
     models, objects and classes.
 
     ``objects`` is the full object universe, including objects no model
     predicted anything for; those stay relevant as the normalization base
     for inconsistency scores.  Rows are ordered by (model, class, object)
     index, so each (model, class) pair's entries are one contiguous run of
-    rows (:meth:`pair_rows`): int64 ``model``, ``obj`` and ``cls`` indices
-    and float64 ``confidence``.  Two sets are equal when their universes
-    and rows are.
+    rows (:meth:`pair_rows`): ``model``, ``obj`` and ``cls`` index lists
+    and the ``confidence`` float list.  Two sets are equal when their
+    universes and rows are.
     """
 
-    def __init__(self, models: tuple, objects: tuple, classes: tuple, model: np.ndarray,
-                 obj: np.ndarray, cls: np.ndarray, confidence: np.ndarray):
+    def __init__(self, models: tuple, objects: tuple, classes: tuple, model: list,
+                 obj: list, cls: list, confidence: list):
         self.models, self.objects, self.classes = models, objects, classes
         self.model, self.obj, self.cls, self.confidence = model, obj, cls, confidence
+        self._split = {}
 
     @classmethod
     def build(cls, models, objects, classes, model, obj, klass,
               confidence) -> "ObservationSet":
-        """The set of rows given as index arrays into the sorted universes,
+        """The set of rows given as index lists into the sorted universes,
         in any order."""
-        order = np.lexsort((obj, klass, model))
-        return cls(models, objects, classes, model[order], obj[order],
-                   klass[order], confidence[order])
+        n, c = len(objects), len(classes)
+        order = sorted(range(len(obj)), key=[(f * c + k) * n + w for f, k, w in zip(
+            model, klass, obj)].__getitem__)
+        return cls(models, objects, classes,
+                   *(list(map(a.__getitem__, order)) for a in (model, obj, klass, confidence)))
 
     @cached_property
     def entries(self) -> frozenset:
         """The :class:`Observation` of every row, built on first access."""
-        ids = (np.array(u, dtype=object)[a] for u, a in (
+        ids = (map(u.__getitem__, a) for u, a in (
             (self.objects, self.obj), (self.models, self.model), (self.classes, self.cls)))
-        return frozenset(map(Observation, *ids, self.confidence.tolist()))
+        return frozenset(map(Observation, *ids, self.confidence))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservationSet):
             return NotImplemented
-        return ((self.models, self.objects, self.classes)
-                == (other.models, other.objects, other.classes)
-                and all(np.array_equal(getattr(self, k), getattr(other, k))
-                        for k in ("model", "obj", "cls", "confidence")))
-
-    @cached_property
-    def grid(self) -> np.ndarray:
-        """int64 (F, N): each model's class index per object, -1 for none."""
-        grid = np.full((len(self.models), len(self.objects)), -1, dtype=np.int64)
-        grid[self.model, self.obj] = self.cls
-        return grid
+        return ((self.models, self.objects, self.classes, self.model, self.obj, self.cls,
+                 self.confidence) == (other.models, other.objects, other.classes, other.model,
+                                      other.obj, other.cls, other.confidence))
 
     @cached_property
     def pair_start(self) -> list:
         """First row of each (model f, class c) pair at ``f * C + c``, then n."""
-        key = self.model * len(self.classes) + self.cls
-        return np.searchsorted(key, np.arange(len(self.models) * len(self.classes) + 1)).tolist()
+        n = len(self.classes)
+        return [bisect_left(range(len(self.obj)), k, key=lambda r: self.model[r] * n + self.cls[r])
+                for k in range(len(self.models) * n + 1)]
+
+    @cached_property
+    def pair_masks(self) -> list:
+        """The objects of each (model f, class c) pair at ``f * C + c``."""
+        start = self.pair_start
+        pair = chain.from_iterable(map(repeat, count(), map(int.__sub__, start[1:], start)))
+        return bitsets(pair, self.obj, len(start) - 1, len(self.objects))
 
     def pair_rows(self, f: int, c: int) -> slice:
         """Rows of model ``f``'s predictions of class ``c``."""
         k = f * len(self.classes) + c
         return slice(self.pair_start[k], self.pair_start[k + 1])
 
-    def subset(self, keep: np.ndarray) -> "ObservationSet":
-        """The rows ``keep`` selects (a mask, or ascending row indices), on
-        the same universe."""
+    def subset(self, rows: Sequence[int]) -> "ObservationSet":
+        """The ascending ``rows``, on the same universe."""
         return ObservationSet(self.models, self.objects, self.classes,
-                              *(a[keep] for a in (self.model, self.obj, self.cls,
-                                                  self.confidence)))
+                              *(list(map(a.__getitem__, rows)) for a in (
+                                  self.model, self.obj, self.cls, self.confidence)))
 
-    def rows_within(self, cov: np.ndarray) -> np.ndarray:
-        """Rows whose (class, object) cell is set in a bool (C, N) ``cov``."""
-        return np.flatnonzero(cov[self.cls, self.obj])
+    def split(self, flagged: int) -> tuple:
+        """``(kept, rows)``: the rows outside the row bitset ``flagged`` as a
+        set on the same universe, and the row of this set behind each of its
+        rows; remembered, so each epsilon's filter serves every delta."""
+        if flagged not in self._split:
+            rows = members(((1 << len(self.obj)) - 1) & ~flagged)
+            self._split[flagged] = (self.subset(rows), rows)
+        return self._split[flagged]
 
-    def coverage(self, rows=slice(None)) -> np.ndarray:
-        """bool (C, N): whether one of ``rows`` gives object ``w`` class ``c``."""
-        cov = np.zeros((len(self.classes), len(self.objects)), dtype=bool)
-        cov[self.cls[rows], self.obj[rows]] = True
-        return cov
+    def rows_within(self, cov: list) -> list:
+        """Ascending rows whose object is in its class's set of ``cov``."""
+        cells = [flags(b, len(self.objects)) for b in cov]
+        start, n_classes = self.pair_start, len(self.classes)
+        return list(chain.from_iterable(
+            compress(range(a, b), map(cells[k % n_classes].__getitem__, self.obj[a:b]))
+            for k, (a, b) in enumerate(zip(start, start[1:]))))
+
+    def coverage(self, rows: Sequence[int]) -> list:
+        """Per class, the objects one of ``rows`` gives it."""
+        return bitsets(map(self.cls.__getitem__, rows), map(self.obj.__getitem__, rows),
+                       len(self.classes), len(self.objects))
 
 
 class CoverageReport(NamedTuple):
@@ -223,72 +254,47 @@ class CoverageReport(NamedTuple):
 
 
 def coverage_report(obs: ObservationSet) -> CoverageReport:
-    bare = np.bincount(obs.obj, minlength=len(obs.objects)) == 0
-    return CoverageReport(tuple(obs.objects[w] for w in np.flatnonzero(bare).tolist()))
+    seen = set(obs.obj)
+    return CoverageReport(tuple(w for i, w in enumerate(obs.objects) if i not in seen))
 
 
-def _area(boxes: np.ndarray) -> np.ndarray:
-    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+def _overlaps(gt_boxes: list, gimg: list, det_boxes: list, dimg: list) -> Iterator[tuple]:
+    """Per object, in input order, its ``(detection row, IoU)`` pairs, IoU > 0.
 
-
-def _pair_iou(gts: np.ndarray, dets: np.ndarray) -> np.ndarray:
-    """IoU of row i of ``gts`` with row i of ``dets``, both ``(n, 4)``: the
-    scalar formula, detection operands first, so each value is exact."""
-    ix = np.minimum(dets[:, 2], gts[:, 2]) - np.maximum(dets[:, 0], gts[:, 0])
-    iy = np.minimum(dets[:, 3], gts[:, 3]) - np.maximum(dets[:, 1], gts[:, 1])
-    # disjoint pairs get inter = 0 and so IoU 0.0
-    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
-    return inter / (_area(dets) + _area(gts) - inter)
-
-
-# Candidate pairs expanded at a time: bounds the scratch arrays when one
-# wide detection stretches every later window of its image.
-_PAIR_BLOCK = 1 << 16
-
-
-def _overlaps(gb: np.ndarray, gimg: np.ndarray, db: np.ndarray,
-              dimg: np.ndarray) -> tuple:
-    """(object row, detection row, IoU) of every pair in one image with
-    positive IoU.
-
-    Detections are sorted by (image, x_min) with a running max of x_max per
-    image.  An object spanning [gx0, gx1] takes the window of rows from the
-    first whose running x_max exceeds gx0 up to the last whose x_min is
-    below gx1: an exact superset of the detections overlapping it.  Each
-    coordinate is replaced by its rank among all detections', offset by
-    image, so one global ``searchsorted`` stays within the object's image
-    and compares exactly.
+    Each image's detections are sorted by x_min (earlier row on ties) with
+    a running max of x_max.  An object spanning [gx0, gx1] takes the window
+    of rows from the first whose running x_max exceeds gx0 up to the last
+    whose x_min is below gx1: an exact superset of the detections
+    overlapping it.  IoU is the scalar formula, detection operands first,
+    with ``min`` and ``max`` written out.
     """
-    live = np.flatnonzero(dimg >= 0)
-    order = live[np.lexsort((db[live, 0], dimg[live]))]
-    x0, x1 = db[order, 0], db[order, 2]
-    x0_sorted, x1_sorted = np.sort(x0), np.sort(x1)
-    stride = len(order) + 1
-    img = dimg[order] * stride
-    start_key = img + np.searchsorted(x0_sorted, x0, "left")
-    end_key = np.maximum.accumulate(img + np.searchsorted(x1_sorted, x1, "left"))
-    hi = np.searchsorted(start_key, gimg * stride + np.searchsorted(
-        x0_sorted, gb[:, 2], "left"), "left")
-    lo = np.searchsorted(end_key, gimg * stride + np.searchsorted(
-        x1_sorted, gb[:, 0], "right"), "left")
-    n = np.maximum(hi - lo, 0)
-    ends = np.cumsum(n)
-    cuts = np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1:].sum(), _PAIR_BLOCK))
-    parts = []
-    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(gb)]):
-        m = n[a:b]
-        gi = np.repeat(np.arange(a, b), m)
-        di = order[np.arange(len(gi)) + np.repeat(lo[a:b] - np.cumsum(m) + m, m)]
-        iou = _pair_iou(gb[gi], db[di])
-        hit = iou > 0.0
-        parts.append((gi[hit], di[hit], iou[hit]))
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    windows = {}
+    for d, i in enumerate(dimg):
+        windows.setdefault(i, []).append(d)
+    for i, rows in windows.items():
+        rows.sort(key=lambda d: det_boxes[d][0])
+        windows[i] = (rows, [det_boxes[d][0] for d in rows],
+                      list(accumulate((det_boxes[d][2] for d in rows), max)))
+    for (gx0, gy0, gx1, gy1), i in zip(gt_boxes, gimg):
+        rows, x0, reach = windows.get(i, ((), (), ()))
+        area = (gx1 - gx0) * (gy1 - gy0)
+        pairs = []
+        for d in rows[bisect_right(reach, gx0):bisect_left(x0, gx1)]:
+            dx0, dy0, dx1, dy1 = det_boxes[d]
+            ix = (dx1 if dx1 < gx1 else gx1) - (dx0 if dx0 > gx0 else gx0)
+            iy = (dy1 if dy1 < gy1 else gy1) - (dy0 if dy0 > gy0 else gy0)
+            if ix > 0.0 and iy > 0.0:
+                inter = ix * iy
+                iou = inter / ((dx1 - dx0) * (dy1 - dy0) + area - inter)
+                if iou > 0.0:
+                    pairs.append((d, iou))
+        yield pairs
 
 
-def _repeats(ids: Sequence[str]) -> np.ndarray:
-    """Mask of the rows whose id already appeared on an earlier row."""
+def _repeats(ids: Sequence[str]) -> list:
+    """Whether each row's id already appeared on an earlier row."""
     first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-    return np.fromiter(map(first.__getitem__, ids), np.int64, len(ids)) != np.arange(len(ids))
+    return list(map(int.__ne__, map(first.__getitem__, ids), count()))
 
 
 def match_detections(gt, detections, primary_iou: float = 0.90,
@@ -309,72 +315,63 @@ def match_detections(gt, detections, primary_iou: float = 0.90,
     is consumed by at most one object, and each object keeps at most one
     entry per model.
 
-    IoU is computed only for the pairs :func:`_overlaps` finds.
+    IoU is computed only for the pairs :func:`_overlaps` finds.  A
+    detection belongs to one model, so visiting the objects once, each
+    taking one detection per model, gives each model's stage 1.
     """
     if not (0.0 < primary_iou <= 1.0):
         raise InputError(f"primary_iou must be in (0, 1]: {primary_iou!r}")
     dets = detections
-    dup = _repeats(gt.object_id)
-    if dup.any():
-        raise InputError(f"duplicate ground-truth object_id "
-                         f"{gt.object_id[int(np.argmax(dup))]!r}")
+    dup = next(compress(count(), _repeats(gt.object_id)), None)
+    if dup is not None:
+        raise InputError(f"duplicate ground-truth object_id {gt.object_id[dup]!r}")
 
     # images in first-appearance order; a detection elsewhere never matches
     image_code = {im: i for i, im in enumerate(dict.fromkeys(gt.image_id))}
-    gimg = np.fromiter(map(image_code.__getitem__, gt.image_id), np.int64, len(gt))
-    dimg = np.fromiter(map(image_code.get, dets.image_id, repeat(-1)), np.int64, len(dets))
+    gimg = list(map(image_code.__getitem__, gt.image_id))
+    dimg = list(map(image_code.get, dets.image_id, repeat(-1)))
     model_ids = sorted(set(dets.model_id))
     model_code = {m: i for i, m in enumerate(model_ids)}
-    dmodel = np.fromiter(map(model_code.__getitem__, dets.model_id), np.int64, len(dets))
-    has_dets = np.bincount(dimg[dimg >= 0], minlength=len(image_code)) > 0
-    if ((_area(gt.boxes[has_dets[gimg]]) <= 0.0).any()
-            or (_area(dets.boxes[dimg >= 0]) <= 0.0).any()):
+    dmodel = list(map(model_code.__getitem__, dets.model_id))
+    live = chain(compress(gt.boxes, map(set(dimg).__contains__, gimg)),
+                 compress(dets.boxes, map((-1).__ne__, dimg)))
+    if any(map((0.0).__ge__, map(lambda b: (b[2] - b[0]) * (b[3] - b[1]), live))):
         raise InputError("IoU undefined for zero-area boxes")
+    conf = dets.confidence
 
-    gi, di, iou = _overlaps(gt.boxes, gimg, dets.boxes, dimg)
-    neg_conf = -dets.confidence
-
-    # stage 1: per (model, object) the first unused detection in
-    # (-confidence, row) order; ``key`` numbers the (model, object) pairs
-    s1 = iou > primary_iou
-    o1, d1 = gi[s1], di[s1]
-    rank = np.lexsort((d1, neg_conf[d1], o1, dmodel[d1]))
-    key = dmodel[d1] * len(gt) + o1
+    # stage 1: per model the first unused detection in (-confidence, row)
+    # order; stage 2 waits for every object's stage 1
     used = bytearray(len(dets))
-    kept_o, kept_d, done = [], [], -1
-    for k, o, d in zip(key[rank].tolist(), o1[rank].tolist(), d1[rank].tolist()):
-        if k != done and not used[d]:
-            done, used[d] = k, True
-            kept_o.append(o)
-            kept_d.append(d)
+    kept, pending = [], []
+    for o, pairs in enumerate(_overlaps(gt.boxes, gimg, dets.boxes, dimg)):
+        done, n_kept = -1, len(kept)
+        for f, _, d in sorted([(dmodel[d], -conf[d], d) for d, v in pairs if v > primary_iou]):
+            if f != done and not used[d]:
+                done, used[d] = f, True
+                kept.append((o, d))
+        if len(kept) == n_kept and pairs:
+            pending.append((o, pairs))
 
     # stage 2: objects no model matched, each taking its best unused pair
-    matched = np.zeros(len(gt), dtype=bool)
-    matched[kept_o] = True
-    s2 = ~matched[gi]
-    o2, d2, v2 = gi[s2], di[s2], iou[s2]
-    rank = np.lexsort((d2, dmodel[d2], neg_conf[d2], -v2, o2))
-    done = -1
-    for o, d in zip(o2[rank].tolist(), d2[rank].tolist()):
-        if o != done and not used[d]:
-            done, used[d] = o, True
-            kept_o.append(o)
-            kept_d.append(d)
+    for o, pairs in pending:
+        for *_, d in sorted([(-v, -conf[d], dmodel[d], d) for d, v in pairs]):
+            if not used[d]:
+                used[d] = True
+                kept.append((o, d))
+                break
 
     # the set straight from the kept (object, detection) pairs
-    o = np.array(kept_o, dtype=np.int64)
-    d = np.array(kept_d, dtype=np.int64)
+    o, d = (list(c) for c in zip(*kept)) if kept else ([], [])
     objects = tuple(sorted(gt.object_id))
     all_models = tuple(sorted(set(model_ids if models is None else models).union(
-        model_ids[k] for k in np.flatnonzero(np.bincount(
-            dmodel[d], minlength=len(model_ids))).tolist())))
+        dets.model_id[k] for k in d)))
     all_classes = tuple(sorted(set(() if classes is None else classes).union(
         dets.class_id, gt.class_id)))
-    obj = index_of(objects, gt.object_id, "object")[o]
-    model = index_of(all_models, model_ids, "model")[dmodel[d]]
-    klass = index_of(all_classes, map(dets.class_id.__getitem__, d.tolist()), "class")
+    obj = index_of(objects, map(gt.object_id.__getitem__, o), "object")
+    model = index_of(all_models, map(dets.model_id.__getitem__, d), "model")
+    klass = index_of(all_classes, map(dets.class_id.__getitem__, d), "class")
     return ObservationSet.build(all_models, objects, all_classes, model, obj, klass,
-                                dets.confidence[d])
+                                list(map(conf.__getitem__, d)))
 
 
 def ground_truth_labels(gt: GroundTruthTable) -> dict:
@@ -384,22 +381,22 @@ def ground_truth_labels(gt: GroundTruthTable) -> dict:
 class Truth(NamedTuple):
     """Ground-truth labels on a (class, object) universe.
 
-    ``label[w]`` is the class index of object ``w``'s label, -1 for none.
+    ``bits[c]`` is the set of objects labelled ``classes[c]``.
     ``n_labels`` counts every label, also those of objects or classes
     outside the universe, which no atom can hit.
     """
 
     classes: tuple
-    label: np.ndarray       # int64 (N,)
+    bits: list
     n_labels: int
 
     @classmethod
     def of(cls, gt_labels: Mapping[str, str], objects: Sequence[str],
            classes: Sequence[str]) -> "Truth":
         at = {c: i for i, c in enumerate(classes)}
-        return cls(tuple(classes), np.fromiter(
-            (at.get(gt_labels.get(w), -1) for w in objects), dtype=np.int64,
-            count=len(objects)), len(gt_labels))
+        label = (at.get(gt_labels.get(w), -1) for w in objects)
+        return cls(tuple(classes), bitsets(label, count(), len(classes), len(objects)),
+                   len(gt_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +489,7 @@ def _columns(records: list, id_fields: tuple, with_confidence: bool) -> tuple:
     boxes = list(map(itemgetter("bbox"), records))
     if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}):
         raise ValueError("bbox must be [x_min, y_min, x_max, y_max]")
-    return (ids, np.array(conf, dtype=np.float64),
-            _boxes(list(map(float, chain.from_iterable(boxes)))))
+    return ids, conf, list(zip(*[map(float, chain.from_iterable(boxes))] * 4))
 
 
 def _check_record(path: str, lineno: int, rec: dict, id_fields: tuple,
@@ -540,9 +536,10 @@ def _read_columns(path: str, id_fields: tuple, with_confidence: bool) -> tuple:
 def _check_rows(path: str, lines: list, error: Optional[InputError],
                 checks: list) -> None:
     """Raise for the first bad line: the first row failing a check, unless
-    the parse ``error`` came earlier.  ``checks`` holds ``(bad mask,
-    message(row))`` pairs in the order one record is checked."""
-    hits = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    the parse ``error`` came earlier.  ``checks`` holds ``(bad, message(row))``
+    pairs, ``bad`` flagging each row, in the order one record is checked."""
+    hits = [(row, k) for k, row in enumerate(next(compress(count(), bad), None)
+                                             for bad, _ in checks) if row is not None]
     if hits:
         row, k = min(hits)
         raise InputError(f"{path}:{lines[row]}: {checks[k][1](row)}")
@@ -550,19 +547,18 @@ def _check_rows(path: str, lines: list, error: Optional[InputError],
         raise error
 
 
-def _box_checks(boxes: np.ndarray) -> list:
-    def corners(r):
-        return tuple(boxes[r].tolist())
-    return [(~np.isfinite(boxes).all(axis=1),
-             lambda r: f"non-finite bbox coordinates: {corners(r)}"),
-            ((boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1]),
-             lambda r: f"degenerate bbox (zero or negative area): {corners(r)}")]
+def _box_checks(boxes: list) -> list:
+    finite = all(map(isfinite, chain.from_iterable(boxes)))
+    return [(() if finite else [not all(map(isfinite, b)) for b in boxes],
+             lambda r: f"non-finite bbox coordinates: {boxes[r]}"),
+            ([x1 <= x0 or y1 <= y0 for x0, y0, x1, y1 in boxes],
+             lambda r: f"degenerate bbox (zero or negative area): {boxes[r]}")]
 
 
-def _outside(values: list, allowed) -> np.ndarray:
-    """Mask of the ``values`` not in ``allowed``; none if that is None."""
+def _outside(values: list, allowed) -> Iterator[bool]:
+    """Whether each of ``values`` is not in ``allowed``; none if that is None."""
     allowed = set(values if allowed is None else allowed)
-    return ~np.fromiter(map(allowed.__contains__, values), bool, len(values))
+    return map(not_, map(allowed.__contains__, values))
 
 
 def load_predictions(path: str, model_id: Optional[str] = None,
@@ -571,17 +567,14 @@ def load_predictions(path: str, model_id: Optional[str] = None,
     ``classes`` when those are given."""
     lines, (image, model, klass), confs, boxes, error = _read_columns(
         path, ("image_id", "model_id", "class_id"), with_confidence=True)
-    table = DetectionTable(image, model, klass, np.asarray(confs, dtype=np.float64),
-                           _boxes(boxes))
-    conf = table.confidence
-    _check_rows(path, lines, error, _box_checks(table.boxes) + [
-        (~((conf >= 0.0) & (conf <= 1.0)),
-         lambda r: f"confidence out of [0, 1]: {conf[r].item()!r}"),
+    _check_rows(path, lines, error, _box_checks(boxes) + [
+        ([not 0.0 <= c <= 1.0 for c in confs],
+         lambda r: f"confidence out of [0, 1]: {confs[r]!r}"),
         (_outside(model, None if model_id is None else (model_id,)),
          lambda r: f"model_id {model[r]!r} does not match manifest entry {model_id!r}"),
         (_outside(klass, classes),
          lambda r: f"prediction for unknown class {klass[r]!r} (model {model[r]!r})")])
-    return table
+    return DetectionTable(image, model, klass, confs, boxes)
 
 
 def load_ground_truth(path: str,
@@ -590,12 +583,11 @@ def load_ground_truth(path: str,
     one of ``classes`` when given."""
     lines, (image, obj, klass), _, boxes, error = _read_columns(
         path, ("image_id", "object_id", "class_id"), with_confidence=False)
-    table = GroundTruthTable(image, obj, klass, _boxes(boxes))
-    _check_rows(path, lines, error, _box_checks(table.boxes) + [
+    _check_rows(path, lines, error, _box_checks(boxes) + [
         (_repeats(obj), lambda r: f"duplicate object_id {obj[r]!r}"),
         (_outside(klass, classes),
          lambda r: f"ground-truth object {obj[r]!r} has unknown class {klass[r]!r}")])
-    return table
+    return GroundTruthTable(image, obj, klass, boxes)
 
 
 class Dataset(NamedTuple):
@@ -641,9 +633,11 @@ def load_dataset(manifest_path: str) -> Dataset:
     if set(preds_map) != set(models):
         raise InputError(f"{manifest_path}: prediction files must cover exactly the declared models")
 
-    detections = DetectionTable.concat([
-        load_predictions(resolve(preds_map[m]), model_id=m, classes=classes)
-        for m in models])
+    tables = [load_predictions(resolve(preds_map[m]), model_id=m, classes=classes)
+              for m in models]
+    detections = DetectionTable(*(list(chain.from_iterable(getattr(t, f) for t in tables))
+                                  for f in ("image_id", "model_id", "class_id", "confidence",
+                                            "boxes")))
     gt = load_ground_truth(resolve(manifest["ground_truth"]), classes=classes)
     return Dataset(tuple(models), tuple(classes), gt, detections)
 
@@ -665,10 +659,10 @@ def json_numbers(values: list) -> list:
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
-def json_boxes(boxes: np.ndarray) -> list:
-    """Each row of the (K, 4) ``boxes`` as ``json.dumps`` writes the items
+def json_boxes(boxes: list) -> list:
+    """Each of the 4-sequences ``boxes`` as ``json.dumps`` writes the items
     of the list of its corners, from one call."""
-    return json.dumps(boxes.tolist())[2:-2].split("], [") if len(boxes) else []
+    return json.dumps(boxes)[2:-2].split("], [") if boxes else []
 
 
 def write_rows(path: str, template: str, *columns: Iterable[str]) -> None:

@@ -10,7 +10,7 @@ epsilon wins, smallest epsilon on ties; pairs that cannot grow the selection
 are skipped.  Accepted predictions are never removed, so every intermediate
 selection already satisfies the budget.
 
-The caller filters: each epsilon comes with its mask of flagged rows.  The
+The caller filters: each epsilon comes with its bitset of flagged rows.  The
 selection is held as the exact search holds its coverage, one object bitset
 per class (:mod:`abfuse.kernels`), and so is each pair's surviving run.
 """
@@ -18,11 +18,9 @@ per class (:mod:`abfuse.kernels`), and so is each pair's surviving run.
 from itertools import product
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import kernels
 from .deduction import IntegrityConstraintSet, inc_from_count, violation_budget
-from .model_io import InputError, ObservationSet, write_jsonl
+from .model_io import InputError, ObservationSet, members, write_jsonl
 
 
 class HsConfig:
@@ -56,28 +54,27 @@ class SelectionTrace(NamedTuple):
 
 
 class HsResult:
-    """The accepted predictions as ascending int64 ``rows`` of the searched
-    set ``obs``."""
+    """The accepted predictions as ascending ``rows`` of the searched set
+    ``obs``, and ``cover``, their coverage."""
 
-    def __init__(self, obs: ObservationSet, rows: np.ndarray, trace: SelectionTrace,
+    def __init__(self, obs: ObservationSet, rows: list, cover: list, trace: SelectionTrace,
                  n_atoms: int, inconsistency: float):
-        self.obs, self.rows, self.trace = obs, rows, trace
+        self.obs, self.rows, self.cover, self.trace = obs, rows, cover, trace
         self.n_atoms, self.inconsistency = n_atoms, inconsistency
 
     def atoms(self) -> frozenset:
-        c, w = np.nonzero(self.obs.coverage(self.rows))
-        return frozenset(zip(map(self.obs.classes.__getitem__, c.tolist()),
-                             map(self.obs.objects.__getitem__, w.tolist())))
+        return frozenset((k, self.obs.objects[w]) for k, b in zip(self.obs.classes, self.cover)
+                         for w in members(b))
 
 
 def heuristic_search(p_raw: ObservationSet,
                      config: HsConfig,
-                     flagged: Mapping[float, np.ndarray],
+                     flagged: Mapping[float, int],
                      ic: IntegrityConstraintSet,
                      normalizer_mode: str = "per_object",
                      directed_ground_rules: bool = False) -> HsResult:
     """``flagged`` maps each epsilon of ``config`` to the rows of ``p_raw``
-    its rules flag, as :func:`abfuse.edr.split_flagged` masks them."""
+    its rules flag, as the bitset of :func:`abfuse.edr.split_flagged`."""
     n_objects, n_classes = len(p_raw.objects), len(p_raw.classes)
     budget = violation_budget(config.delta, n_objects, ic,
                               normalizer_mode, directed_ground_rules)
@@ -90,37 +87,31 @@ def heuristic_search(p_raw: ObservationSet,
     cover = [0] * n_classes
     atoms = conflicts = 0
 
-    # each epsilon's surviving rows and each pair's surviving objects
-    pair = p_raw.model * n_classes + p_raw.cls
-    survivors = []
-    for eps in config.epsilon_set:
-        keep = ~flagged[eps]
-        hit = np.zeros((len(p_raw.models) * n_classes, n_objects), dtype=bool)
-        hit[pair[keep], p_raw.obj[keep]] = True
-        survivors.append((eps, keep, kernels.bitmasks(hit)))
+    # each epsilon's surviving set, and the row of ``p_raw`` behind each of its rows
+    survivors = [(eps, *p_raw.split(flagged[eps])) for eps in config.epsilon_set]
 
-    # ``p`` indexes the pair's mask and ``pair_start``
-    accepted = np.zeros(len(p_raw.obj), dtype=bool)
+    # ``p`` indexes a pair's mask and its run of rows
+    accepted = []
     steps = []
     for p, (m, k) in enumerate(product(p_raw.models, p_raw.classes)):
         c = p % n_classes
         best = None  # (atoms, conflicts, eps, its survivor mask, the pair's objects)
-        for eps, keep, masks in survivors:
-            if not masks[p]:
+        for eps, kept, rows in survivors:
+            add = kept.pair_masks[p]
+            if not add:
                 continue
             cand_atoms, cand_conf = kernels.union_stats(
-                cover, atoms, conflicts, c, masks[p], nbrs[c])
+                cover, atoms, conflicts, c, add, nbrs[c])
             if cand_atoms <= atoms or cand_conf > budget:
                 continue
             if best is None or cand_atoms > best[0]:
-                best = (cand_atoms, cand_conf, eps, keep, masks[p])
+                best = (cand_atoms, cand_conf, eps, kept, rows)
         chosen: Optional[float] = None
         if best is not None:
-            atoms, conflicts, chosen, keep, add = best
-            kernels.commit_atoms(cover, c, add)
-            rows = slice(p_raw.pair_start[p], p_raw.pair_start[p + 1])
-            accepted[rows] = keep[rows]
+            atoms, conflicts, chosen, kept, rows = best
+            kernels.commit_atoms(cover, c, kept.pair_masks[p])
+            accepted += rows[kept.pair_start[p]:kept.pair_start[p + 1]]
         steps.append(SelectionStep(m, k, chosen, atoms, inconsistency(conflicts)))
 
-    return HsResult(p_raw, np.flatnonzero(accepted), SelectionTrace(tuple(steps)),
+    return HsResult(p_raw, accepted, cover, SelectionTrace(tuple(steps)),
                     atoms, inconsistency(conflicts))

@@ -15,6 +15,7 @@ reconstructs the generated observation set exactly.
 """
 
 import os
+from collections import Counter
 from itertools import repeat
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -127,12 +128,12 @@ def _sample_block(rng: np.random.Generator, scenario: ShiftScenario,
     # universes sorted by id, rows as positions there, models in draw order
     models, objects, classes = (tuple(sorted(ids)) for ids in (
         scenario.models, object_ids, scenario.classes))
-    obs = ObservationSet.build(
-        models, objects, classes,
-        np.repeat(index_of(models, scenario.models, "model"), n),
-        np.tile(index_of(objects, object_ids, "object"), len(scenario.models)),
-        index_of(classes, scenario.classes, "class")[np.concatenate(preds)],
-        np.concatenate(confs))
+    cols = (np.repeat(index_of(models, scenario.models, "model"), n),
+            np.tile(index_of(objects, object_ids, "object"), len(scenario.models)),
+            np.array(index_of(classes, scenario.classes, "class"))[np.concatenate(preds)])
+    order = np.lexsort((cols[1], cols[2], cols[0]))     # by (model, class, object)
+    obs = ObservationSet(models, objects, classes,
+                         *(a[order].tolist() for a in (*cols, np.concatenate(confs))))
     return obs, labels
 
 
@@ -151,8 +152,8 @@ def generate(scenario: ShiftScenario) -> SynthData:
         lambda f: seg_intens[seg, f])
 
     truth = index_of(test.classes, (test_labels[o] for o in test.objects), "class")
-    hits = dict(zip(test.models, np.bincount(test.model[test.cls == truth[test.obj]],
-                                             minlength=len(test.models)).tolist()))
+    hits = Counter(test.models[f] for f, w, c in zip(test.model, test.obj, test.cls)
+                   if c == truth[w])
     meta = {
         "scenario": scenario.name,
         "seed": scenario.seed,
@@ -285,7 +286,7 @@ def write_split(out_dir: str, obs: ObservationSet,
     # each object's image id and box are encoded once, for every file
     slot = np.arange(len(obs.objects))
     x, y = (slot % _GRID_COLS) * _CELL, (slot // _GRID_COLS) * _CELL
-    box = np.array(json_boxes(np.stack([x, y, x + _BOX, y + _BOX], axis=1)), dtype=object)
+    box = np.array(json_boxes(np.stack([x, y, x + _BOX, y + _BOX], 1).tolist()), dtype=object)
     image = np.array(json_strings([f"img{k:05d}" for k in range(len(slot) // _PER_IMAGE + 1)]),
                      dtype=object)[slot // _PER_IMAGE]
     write_rows(os.path.join(out_dir, "gt.jsonl"), GROUND_TRUTH_LINE,
@@ -294,12 +295,13 @@ def write_split(out_dir: str, obs: ObservationSet,
     klass = np.array(json_strings(obs.classes), dtype=object)[obs.cls]
     # the generator rounds each confidence to six places: json.dumps writes
     # each as the six-place decimal
-    conf = np.array(json_numbers(obs.confidence.tolist()), dtype=object)
+    conf = np.array(json_numbers(obs.confidence), dtype=object)
+    model_of, obj = np.array(obs.model, dtype=np.int64), np.array(obs.obj, dtype=np.int64)
     preds_map = {}
     for f, (m, model) in enumerate(zip(obs.models, json_strings(obs.models))):
-        rows = np.flatnonzero(obs.model == f)
-        rows = rows[np.argsort(obs.obj[rows])]
-        w = obs.obj[rows]
+        rows = np.flatnonzero(model_of == f)
+        rows = rows[np.argsort(obj[rows])]
+        w = obj[rows]
         fname = f"preds_{m}.jsonl"
         write_rows(os.path.join(out_dir, fname), PREDICTION_LINE,
                    image[w], repeat(model), klass[rows], conf[rows], box[w])

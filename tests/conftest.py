@@ -16,7 +16,7 @@ from hypothesis import settings
 from abfuse import solver_ip
 from abfuse.deduction import IntegrityConstraintSet
 from abfuse.edr import RuleSet, split_flagged
-from abfuse.model_io import Observation
+from abfuse.model_io import Observation, members
 from oracles import det_table, gt_table, observation_set
 
 # HYPOTHESIS_PROFILE=ci runs 5x the examples in tests that do not pin
@@ -35,14 +35,13 @@ def obs_of(rows, **universes):
 
 def row_labels(obs, rows):
     """{object_id: class_id} of the rows ``rows`` of ``obs``."""
-    return {obs.objects[w]: obs.classes[c]
-            for w, c in zip(obs.obj[rows].tolist(), obs.cls[rows].tolist())}
+    return {obs.objects[obs.obj[r]]: obs.classes[obs.cls[r]] for r in rows}
 
 
-def cell_ids(mask, rows, cols):
-    """The ``(rows[i], cols[j])`` id pairs where a 2-D ``mask`` is set."""
-    i, j = np.nonzero(mask)
-    return frozenset(zip((rows[k] for k in i.tolist()), (cols[k] for k in j.tolist())))
+def cell_ids(sets, rows, cols):
+    """The ``(rows[i], cols[j])`` id pairs for each member ``j`` of the int
+    bitset ``sets[i]``."""
+    return frozenset((rows[i], cols[j]) for i, b in enumerate(sets) for j in members(b))
 
 
 def assigned_atoms(sol):
@@ -50,19 +49,26 @@ def assigned_atoms(sol):
     return cell_ids(sol.covered, sol.instance.classes, sol.instance.objects)
 
 
+def pairs_with_bit(sol, bit):
+    """The ``(model_id, class_id)`` pairs whose elimination bit is ``bit``."""
+    models, classes = sol.instance.models, sol.instance.classes
+    return frozenset((models[f], classes[c]) for f, row in enumerate(sol.eliminated)
+                     for c, e in enumerate(row) if e == bit)
+
+
 def accepted_pairs(sol):
     """The ``(model_id, class_id)`` pairs an exact solution keeps."""
-    return cell_ids(sol.eliminated == 0, sol.instance.models, sol.instance.classes)
+    return pairs_with_bit(sol, 0)
 
 
 def eliminated_pairs(sol):
     """The ``(model_id, class_id)`` pairs an exact solution eliminates."""
-    return cell_ids(sol.eliminated == 1, sol.instance.models, sol.instance.classes)
+    return pairs_with_bit(sol, 1)
 
 
 def obs_atoms(obs):
     """The distinct ``(class_id, object_id)`` atoms of an observation set."""
-    return cell_ids(obs.coverage(), obs.classes, obs.objects)
+    return cell_ids(obs.coverage(range(len(obs.obj))), obs.classes, obs.objects)
 
 
 def tables(gt, dets):
@@ -76,7 +82,7 @@ def empty_rules(grid=(0.5,)):
 
 
 def flag_masks(obs, ruleset, epsilons):
-    """Each epsilon's :func:`split_flagged` mask over the rows of ``obs``:
+    """Each epsilon's :func:`split_flagged` row bitset of ``obs``:
     the filter input of :func:`abfuse.solver_hs.heuristic_search`."""
     return {e: split_flagged(obs, ruleset, e) for e in epsilons}
 

@@ -7,8 +7,10 @@ incrementally or in bulk, so tests can compare the two.
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from itertools import repeat
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,12 +49,12 @@ def observation_set(entries: Iterable[Observation],
     obj = index_of(objects, (e.object_id for e in rows), "object")
     model = index_of(models, (e.model_id for e in rows), "model")
     klass = index_of(classes, (e.class_id for e in rows), "class")
-    twice = np.flatnonzero(np.bincount(model * len(objects) + obj, minlength=1) > 1)
-    if twice.size:
-        f, w = divmod(int(twice[0]), len(objects))
+    twice = sorted(k for k, n in Counter(zip(model, obj)).items() if n > 1)
+    if twice:
+        f, w = twice[0]
         raise InputError(f"model {models[f]!r} has two entries for object {objects[w]!r}")
-    return ObservationSet.build(models, objects, classes, model, obj, klass, np.fromiter(
-        (e.confidence for e in rows), dtype=np.float64, count=len(rows)))
+    return ObservationSet.build(models, objects, classes, model, obj, klass,
+                                [float(e.confidence) for e in rows])
 
 
 # ------------------------------------------------------- deductive closure
@@ -277,8 +279,7 @@ def heuristic_search_reference(p_raw: ObservationSet, config: HsConfig,
     budget = violation_budget(config.delta, n_objects, ic, normalizer_mode,
                               directed_ground_rules)
     entries = [Observation(p_raw.objects[w], p_raw.models[f], p_raw.classes[c], conf)
-               for w, f, c, conf in zip(p_raw.obj.tolist(), p_raw.model.tolist(),
-                                        p_raw.cls.tolist(), p_raw.confidence.tolist())]
+               for w, f, c, conf in zip(p_raw.obj, p_raw.model, p_raw.cls, p_raw.confidence)]
     row_of = {e: r for r, e in enumerate(entries)}
 
     def inc(atoms):
@@ -346,8 +347,7 @@ def fingerprint_reference(dataset) -> str:
     ``json.dumps`` (``SweepDataset.fingerprint`` streams it)."""
     obs = dataset.observations
     entries = sorted((obs.objects[w], obs.models[f], obs.classes[c], conf)
-                     for w, f, c, conf in zip(obs.obj.tolist(), obs.model.tolist(),
-                                              obs.cls.tolist(), obs.confidence.tolist()))
+                     for w, f, c, conf in zip(obs.obj, obs.model, obs.cls, obs.confidence))
     payload = json.dumps({
         "entries": entries,
         "objects": list(obs.objects),
@@ -374,7 +374,7 @@ def brute_force_optimal(instance: solver_ip.IpInstance,
 
     pred = instance.pred.astype(bool)
     coverable = instance.pred.any(axis=(0, 1))
-    pairs_idx = list(zip(*instance.ic.index_pairs(instance.classes).tolist()))
+    pairs_idx = instance.ic.index_pairs(instance.classes)
 
     best = None  # (objective, n_elim, bits_tuple)
     for mask in range(1 << n):
@@ -395,7 +395,7 @@ def brute_force_optimal(instance: solver_ip.IpInstance,
         return solver_ip._infeasible(instance, 0)
     elim_fc = np.zeros(n, dtype=np.int8)
     elim_fc[list(best[2])] = 1
-    return solver_ip._solution_from_elim(instance, elim_fc.reshape(F, C),
+    return solver_ip._solution_from_elim(instance, elim_fc.reshape(F, C).tolist(),
                                           solver_ip.STATUS_OPTIMAL, 0)
 
 
@@ -415,9 +415,9 @@ def milp_optimum(instance: solver_ip.IpInstance) -> Optional[int]:
 
     pred = instance.pred.astype(bool)
     F, C, N = pred.shape
-    a, b = instance.ic.index_pairs(instance.classes).tolist()
+    pairs = instance.ic.index_pairs(instance.classes)
     n_keep, n_cover = F * C, C * N
-    n = n_keep + n_cover + len(a) * N
+    n = n_keep + n_cover + len(pairs) * N
 
     def cover(c, w):
         return n_keep + c * N + w
@@ -441,7 +441,7 @@ def milp_optimum(instance: solver_ip.IpInstance) -> Optional[int]:
     for w in np.flatnonzero(pred.any(axis=(0, 1))).tolist():
         constrain([(cover(c, w), 1) for c in range(C)], 1, np.inf)
     violation = iter(range(n_keep + n_cover, n))
-    for i, j in zip(a, b):
+    for i, j in pairs:
         for w in range(N):
             constrain([(next(violation), 1), (cover(i, w), -1), (cover(j, w), -1)], -1, np.inf)
     constrain([(v, 1) for v in range(n_keep + n_cover, n)], -np.inf, instance.delta_budget)
@@ -529,18 +529,15 @@ def gt_table(gt: Iterable[GroundTruthObject]) -> GroundTruthTable:
     gt = list(gt)
     return GroundTruthTable([g.image_id for g in gt], [g.object_id for g in gt],
                             [g.class_id for g in gt],
-                            np.array([g.bbox.as_list() for g in gt],
-                                     dtype=np.float64).reshape(-1, 4))
+                            [tuple(map(float, g.bbox.as_list())) for g in gt])
 
 
 def det_table(dets: Iterable[Detection]) -> DetectionTable:
     """The column table of detection records."""
     dets = list(dets)
     return DetectionTable([d.image_id for d in dets], [d.model_id for d in dets],
-                          [d.class_id for d in dets],
-                          np.array([d.confidence for d in dets], dtype=np.float64),
-                          np.array([d.bbox.as_list() for d in dets],
-                                   dtype=np.float64).reshape(-1, 4))
+                          [d.class_id for d in dets], [float(d.confidence) for d in dets],
+                          [tuple(map(float, d.bbox.as_list())) for d in dets])
 
 
 def read_jsonl_reference(path: str) -> Iterable[tuple]:
@@ -659,6 +656,167 @@ def load_ground_truth_records(path: str) -> list:
     return out
 
 
+# ------------------------------------------------------ the array matcher
+# ``abfuse.model_io.match_detections`` in numpy: the same two stages over
+# every candidate pair at once, IoU computed for the pairs of each object's
+# x-window in blocks.  The production matcher walks the objects in plain
+# Python; the two must give the same rows.
+
+
+def _areas(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+
+def _pair_iou(gts: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """IoU of row i of ``gts`` with row i of ``dets``, both ``(n, 4)``: the
+    scalar formula, detection operands first, so each value is exact."""
+    ix = np.minimum(dets[:, 2], gts[:, 2]) - np.maximum(dets[:, 0], gts[:, 0])
+    iy = np.minimum(dets[:, 3], gts[:, 3]) - np.maximum(dets[:, 1], gts[:, 1])
+    # disjoint pairs get inter = 0 and so IoU 0.0
+    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
+    return inter / (_areas(dets) + _areas(gts) - inter)
+
+
+# Candidate pairs expanded at a time: bounds the scratch arrays when one
+# wide detection stretches every later window of its image.
+_PAIR_BLOCK = 1 << 16
+
+
+def _overlaps(gb: np.ndarray, gimg: np.ndarray, db: np.ndarray,
+              dimg: np.ndarray) -> tuple:
+    """(object row, detection row, IoU) of every pair in one image with
+    positive IoU.
+
+    Detections are sorted by (image, x_min) with a running max of x_max per
+    image.  An object spanning [gx0, gx1] takes the window of rows from the
+    first whose running x_max exceeds gx0 up to the last whose x_min is
+    below gx1: an exact superset of the detections overlapping it.  Each
+    coordinate is replaced by its rank among all detections', offset by
+    image, so one global ``searchsorted`` stays within the object's image
+    and compares exactly.
+    """
+    live = np.flatnonzero(dimg >= 0)
+    order = live[np.lexsort((db[live, 0], dimg[live]))]
+    x0, x1 = db[order, 0], db[order, 2]
+    x0_sorted, x1_sorted = np.sort(x0), np.sort(x1)
+    stride = len(order) + 1
+    img = dimg[order] * stride
+    start_key = img + np.searchsorted(x0_sorted, x0, "left")
+    end_key = np.maximum.accumulate(img + np.searchsorted(x1_sorted, x1, "left"))
+    hi = np.searchsorted(start_key, gimg * stride + np.searchsorted(
+        x0_sorted, gb[:, 2], "left"), "left")
+    lo = np.searchsorted(end_key, gimg * stride + np.searchsorted(
+        x1_sorted, gb[:, 0], "right"), "left")
+    n = np.maximum(hi - lo, 0)
+    ends = np.cumsum(n)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1:].sum(), _PAIR_BLOCK))
+    parts = []
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(gb)]):
+        m = n[a:b]
+        gi = np.repeat(np.arange(a, b), m)
+        di = order[np.arange(len(gi)) + np.repeat(lo[a:b] - np.cumsum(m) + m, m)]
+        iou = _pair_iou(gb[gi], db[di])
+        hit = iou > 0.0
+        parts.append((gi[hit], di[hit], iou[hit]))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _repeats(ids: Sequence[str]) -> np.ndarray:
+    """Mask of the rows whose id already appeared on an earlier row."""
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, ids), np.int64, len(ids)) != np.arange(len(ids))
+
+
+def match_detections_reference(gt, detections, primary_iou: float = 0.90,
+                               models: Optional[Iterable[str]] = None,
+                               classes: Optional[Iterable[str]] = None) -> ObservationSet:
+    """Resolve detections onto ground-truth object identities.
+
+    ``gt`` and ``detections`` are a :class:`GroundTruthTable` and a
+    :class:`DetectionTable`, whose boxes and confidences are read as numpy
+    arrays.
+
+    Stage 1 runs independently per model: objects are visited in input
+    order and each takes that model's highest-confidence unused detection
+    (earlier row on ties) overlapping it with IoU strictly above
+    ``primary_iou``.  Objects still untouched by every model afterwards get
+    a second chance, in input order: the unused detection (any model) of
+    the object's own image with the highest positive IoU, then the highest
+    confidence, the smaller model id and the earlier row.  Each detection
+    is consumed by at most one object, and each object keeps at most one
+    entry per model.
+
+    IoU is computed only for the pairs :func:`_overlaps` finds.
+    """
+    if not (0.0 < primary_iou <= 1.0):
+        raise InputError(f"primary_iou must be in (0, 1]: {primary_iou!r}")
+    dets = detections
+    gt_boxes = np.asarray(gt.boxes, dtype=np.float64).reshape(-1, 4)
+    det_boxes = np.asarray(dets.boxes, dtype=np.float64).reshape(-1, 4)
+    confidence = np.asarray(dets.confidence, dtype=np.float64)
+    dup = _repeats(gt.object_id)
+    if dup.any():
+        raise InputError(f"duplicate ground-truth object_id "
+                         f"{gt.object_id[int(np.argmax(dup))]!r}")
+
+    # images in first-appearance order; a detection elsewhere never matches
+    image_code = {im: i for i, im in enumerate(dict.fromkeys(gt.image_id))}
+    gimg = np.fromiter(map(image_code.__getitem__, gt.image_id), np.int64, len(gt))
+    dimg = np.fromiter(map(image_code.get, dets.image_id, repeat(-1)), np.int64, len(dets))
+    model_ids = sorted(set(dets.model_id))
+    model_code = {m: i for i, m in enumerate(model_ids)}
+    dmodel = np.fromiter(map(model_code.__getitem__, dets.model_id), np.int64, len(dets))
+    has_dets = np.bincount(dimg[dimg >= 0], minlength=len(image_code)) > 0
+    if ((_areas(gt_boxes[has_dets[gimg]]) <= 0.0).any()
+            or (_areas(det_boxes[dimg >= 0]) <= 0.0).any()):
+        raise InputError("IoU undefined for zero-area boxes")
+
+    gi, di, iou = _overlaps(gt_boxes, gimg, det_boxes, dimg)
+    neg_conf = -confidence
+
+    # stage 1: per (model, object) the first unused detection in
+    # (-confidence, row) order; ``key`` numbers the (model, object) pairs
+    s1 = iou > primary_iou
+    o1, d1 = gi[s1], di[s1]
+    rank = np.lexsort((d1, neg_conf[d1], o1, dmodel[d1]))
+    key = dmodel[d1] * len(gt) + o1
+    used = bytearray(len(dets))
+    kept_o, kept_d, done = [], [], -1
+    for k, o, d in zip(key[rank].tolist(), o1[rank].tolist(), d1[rank].tolist()):
+        if k != done and not used[d]:
+            done, used[d] = k, True
+            kept_o.append(o)
+            kept_d.append(d)
+
+    # stage 2: objects no model matched, each taking its best unused pair
+    matched = np.zeros(len(gt), dtype=bool)
+    matched[kept_o] = True
+    s2 = ~matched[gi]
+    o2, d2, v2 = gi[s2], di[s2], iou[s2]
+    rank = np.lexsort((d2, dmodel[d2], neg_conf[d2], -v2, o2))
+    done = -1
+    for o, d in zip(o2[rank].tolist(), d2[rank].tolist()):
+        if o != done and not used[d]:
+            done, used[d] = o, True
+            kept_o.append(o)
+            kept_d.append(d)
+
+    # the set straight from the kept (object, detection) pairs
+    o = np.array(kept_o, dtype=np.int64)
+    d = np.array(kept_d, dtype=np.int64)
+    objects = tuple(sorted(gt.object_id))
+    all_models = tuple(sorted(set(model_ids if models is None else models).union(
+        model_ids[k] for k in np.flatnonzero(np.bincount(
+            dmodel[d], minlength=len(model_ids))).tolist())))
+    all_classes = tuple(sorted(set(() if classes is None else classes).union(
+        dets.class_id, gt.class_id)))
+    obj = np.array(index_of(objects, gt.object_id, "object"), dtype=np.int64)[o]
+    model = np.array(index_of(all_models, model_ids, "model"), dtype=np.int64)[dmodel[d]]
+    klass = index_of(all_classes, map(dets.class_id.__getitem__, d.tolist()), "class")
+    return ObservationSet.build(all_models, objects, all_classes, model.tolist(), obj.tolist(),
+                                klass, confidence[d].tolist())
+
+
 # ---------------------------------------------------------- table writers
 # ``synthgen.write_split`` encodes each object's image id and box once for
 # all the files of a split; these write one table at a time, as the loaders
@@ -671,7 +829,7 @@ def write_predictions(path: str, detections: DetectionTable) -> None:
     t = detections
     write_rows(path, PREDICTION_LINE,
                json_strings(t.image_id), json_strings(t.model_id), json_strings(t.class_id),
-               json_numbers([round(v, 6) for v in t.confidence.tolist()]),
+               json_numbers([round(v, 6) for v in t.confidence]),
                json_boxes(t.boxes))
 
 

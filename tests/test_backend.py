@@ -12,25 +12,24 @@ import pytest
 
 from abfuse import kernels, solver_ip
 from abfuse.deduction import IntegrityConstraintSet
+from abfuse.model_io import InputError
 
 from conftest import SHARED_SEEDS, random_instance
 from oracles import brute_force_optimal, count_conflicts
 
 
 def test_index_pairs_and_neighbours():
-    ic = IntegrityConstraintSet((("c", "a"), ("b", "c"), ("c", "d"), ("a", "z")))
+    ic = IntegrityConstraintSet((("c", "a"), ("b", "c"), ("c", "d")))
     pairs = ic.index_pairs(("a", "b", "c", "d"))
-    # ("a", "z") names a class outside the universe and is dropped
-    assert pairs.dtype == np.int64
-    assert pairs.tolist() == [[0, 1, 2], [2, 2, 3]]
+    assert pairs == [(0, 2), (1, 2), (2, 3)]
     assert kernels.neighbours(pairs, 4) == [[2], [2], [0, 1, 3], [2]]
     empty = IntegrityConstraintSet(()).index_pairs(("a", "b", "c"))
-    assert empty.shape == (2, 0) and empty.dtype == np.int64
+    assert empty == []
     assert kernels.neighbours(empty, 3) == [[], [], []]
-
-
-def _pair_array(pairs):
-    return np.asarray(pairs, np.int64).reshape(-1, 2).T
+    # a pair naming a class outside the universe is an error: the CLI
+    # drops such pairs from the domain when it loads the data
+    with pytest.raises(InputError, match="outside the class universe"):
+        IntegrityConstraintSet(ic.pairs + (("a", "z"),)).index_pairs(("a", "b", "c", "d"))
 
 
 def _random_arrays(seed):
@@ -71,7 +70,7 @@ def test_union_stats_both_backends(seed):
     carry it, gives the counts of the naive union."""
     pres, pairs, rng = _random_arrays(seed)
     C, N = pres.shape
-    nbrs = kernels.neighbours(_pair_array(pairs), C)
+    nbrs = kernels.neighbours(pairs, C)
     c = int(rng.integers(0, C))
     add_w = rng.permutation(N)[:int(rng.integers(0, N + 1))]
 
@@ -88,13 +87,13 @@ def test_union_stats_both_backends(seed):
 def test_union_stats_counts_duplicate_atoms_once():
     """An atom already present adds neither an atom nor a conflict."""
     cover = _cover(np.array([[1, 0, 0], [1, 1, 0], [0, 0, 0]], np.uint8))
-    nbrs = kernels.neighbours(_pair_array([(0, 1), (1, 2)]), 3)
+    nbrs = kernels.neighbours([(0, 1), (1, 2)], 3)
     # class 0 at objects 0 (present) and 1 (new, against class 1 there)
     assert kernels.union_stats(cover, 3, 1, 0, _int([0, 1]), nbrs[0]) == (4, 2)
     # only present atoms: the union is the coverage itself
     assert kernels.union_stats(cover, 3, 1, 1, _int([1, 0]), nbrs[1]) == (3, 1)
     # a class without exclusion neighbours never adds a conflict
-    nbrs0 = kernels.neighbours(_pair_array([(0, 1)]), 3)
+    nbrs0 = kernels.neighbours([(0, 1)], 3)
     assert kernels.union_stats(cover, 3, 1, 2, _int([0, 1, 2]), nbrs0[2]) == (6, 1)
 
 
@@ -111,7 +110,8 @@ def test_search_start_root_totals(seed):
     F, C, N = rng.integers(1, 4), rng.integers(2, 5), rng.integers(1, 8)
     pred = (rng.random((F, C, N)) < 0.4).astype(np.uint8)
     pairs = [(a, b) for a in range(C) for b in range(a + 1, C) if rng.random() < 0.5]
-    start = kernels.search_start(pred, *_pair_array(pairs))
+    start = kernels.search_start(
+        [_int(np.flatnonzero(pred[f, c])) for f in range(F) for c in range(C)], C, pairs)
 
     covered = pred.any(axis=0)
     assert start.atoms == int(covered.sum())
@@ -150,5 +150,4 @@ def test_solver_parity_across_backends(seed):
     bnb = solver_ip.solve(instance)
     ref = brute_force_optimal(instance)
     assert (bnb.status, bnb.objective) == (ref.status, ref.objective)
-    np.testing.assert_array_equal(bnb.eliminated, ref.eliminated)
-    np.testing.assert_array_equal(bnb.covered, ref.covered)
+    assert (bnb.eliminated, bnb.covered) == (ref.eliminated, ref.covered)

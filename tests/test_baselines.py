@@ -76,12 +76,13 @@ def test_majority_vote_matches_the_per_entry_oracle(rows):
     obs = obs_of(rows, objects=["o1", "o2", "o3", "o4"])
     won = majority_vote(obs)
     assert row_labels(obs, won) == majority_vote_reference(obs)
-    for r in won.tolist():
+    for r in won:
         # the row backing the winner is its class's strongest prediction
-        same = (obs.obj == obs.obj[r]) & (obs.cls == obs.cls[r])
-        assert obs.confidence[r] == obs.confidence[same].max()
-        top = same & (obs.confidence == obs.confidence[r])
-        assert obs.model[r] == obs.model[top].min()
+        same = [i for i in range(len(obs.obj))
+                if (obs.obj[i], obs.cls[i]) == (obs.obj[r], obs.cls[r])]
+        assert obs.confidence[r] == max(obs.confidence[i] for i in same)
+        assert obs.model[r] == min(obs.model[i] for i in same
+                                   if obs.confidence[i] == obs.confidence[r])
 
 
 def test_best_individual_ranks_by_f1_then_accuracy_then_id():

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -228,6 +229,10 @@ def test_eval_reproduces_abduce_metrics(dataset, tmp_path):
 
 def test_metrics_report_raw_violations_next_to_clamped_inc(tmp_path):
     manifest, _ = conflict_dataset(tmp_path)
+    # the data declares C too: exclusion pairs on a class the manifest
+    # lacks are dropped when it loads
+    write_manifest(manifest, ["f1", "f2"], ["A", "B", "C"],
+                   {"f1": "f1.jsonl", "f2": "f2.jsonl"}, "gt.jsonl")
     domain = tmp_path / "abc.json"
     domain.write_text('{"classes": ["A", "B", "C"]}\n')
     labels = tmp_path / "labels.jsonl"
@@ -745,6 +750,9 @@ _SOLVING_MODULES = _BASE_MODULES | {"deduction", "edr", "evaluation", "kernels",
     ("abduce-hs", _SOLVING_MODULES | {"solver_hs"}),
     ("abduce-ip", _SOLVING_MODULES | {"solver_ip"}),
     ("sweep", _SOLVING_MODULES | {"solver_hs", "solver_ip", "baselines"}),
+    ("eval", _BASE_MODULES | {"deduction", "edr", "evaluation"}),
+    *((f"baseline-{m}", _BASE_MODULES | {"deduction", "edr", "evaluation", "baselines",
+                                         "tiebreak"}) for m in ("mv", "best", "avg")),
 ])
 def test_each_command_loads_only_its_modules(dataset, tmp_path, command, loaded):
     # a process compiles every module it imports when bytecode is not cached
@@ -762,16 +770,38 @@ def test_each_command_loads_only_its_modules(dataset, tmp_path, command, loaded)
                       "--epsilon", "0.1", "--out", str(tmp_path / "ip")],
         "sweep": ["sweep", *data, "--delta-grid", "0.5", "--epsilon-grid", "0.1",
                   "--no-timing", "--out", str(tmp_path / "sweep.csv")],
+        "eval": ["eval", "--manifest", manifest, "--labels", str(_labels(tmp_path, manifest)),
+                 "--out", str(tmp_path / "eval.json")],
+        **{f"baseline-{m}": ["baseline", "--manifest", manifest, "--method", m,
+                             "--out", str(tmp_path / m)] for m in ("mv", "best", "avg")},
     }[command]
-    # and no command runs the code ``dataclasses`` generates for a class
+    # no command runs the code ``dataclasses`` generates for a class, and
+    # only gen, whose generator draws every dataset, loads numpy
     code = ("import sys; from abfuse.cli import main\n"
             f"print('exit', main({argv!r}))\n"
             "print(sorted(m[len('abfuse.'):] for m in sys.modules if m.startswith('abfuse.')))\n"
-            "print('dataclasses' in sys.modules)\n")
+            "print('dataclasses' in sys.modules, 'numpy' in sys.modules)\n")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-3:] == ["exit 0", repr(sorted(loaded)), "False"], \
-        proc.stdout
+    assert proc.stdout.splitlines()[-3:] == [
+        "exit 0", repr(sorted(loaded)), f"False {command == 'gen'}"], proc.stdout
+
+
+def _labels(tmp_path, manifest):
+    """A label file naming the first object of ``manifest``'s ground truth."""
+    gt = json.loads((pathlib.Path(manifest).parent / "gt.jsonl").read_text().splitlines()[0])
+    path = tmp_path / "labels.jsonl"
+    path.write_text(json.dumps({"class_id": gt["class_id"], "object_id": gt["object_id"]}) + "\n")
+    return path
+
+
+def test_only_the_generator_imports_numpy():
+    # every other module of the package runs without it; the two accessors
+    # that rebuild dense arrays for the benchmark tracer import it inside
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "abfuse"
+    top = sorted(p.name for p in src.glob("*.py")
+                 if re.search(r"^(import numpy|from numpy)", p.read_text(), re.M))
+    assert top == ["synthgen.py"]
 
 
 def test_process_exit_codes_and_outputs(dataset, tmp_path):
@@ -1075,40 +1105,72 @@ def test_domain_config_must_name_every_dataset_class(dataset, tmp_path, monkeypa
 
 def test_domain_config_may_name_extra_classes(tmp_path):
     # a class the data lacks, and every exclusion pair on it, is never
-    # violated: each command writes what it writes without the config
+    # violated, nor counted in the ``per_ground_rule`` normalizer: in each
+    # mode, each command writes what it writes with the data's classes alone
     data = tmp_path / "data"
     assert main(["gen", "--preset", "MM_1", "--n-train", "60", "--n-test", "80",
                  "--seed", "1", "--out", str(data)]) == EXIT_OK
     rules = str(tmp_path / "rules.jsonl")
     assert main(["learn", "--manifest", str(data / "train" / "manifest.json"),
                  "--epsilon-grid", "0.1,0.5", "--out", rules]) == EXIT_OK
-    domain = tmp_path / "domain.json"
-    domain.write_text(json.dumps({"classes": [
-        "construction", "nature", "pedestrians", "vehicles", "water"]}) + "\n")
-    commands = [
-        ("hs", ["abduce", "--rules", rules, "--solver", "hs", "--delta", "0.5"]),
-        ("ip", ["abduce", "--rules", rules, "--solver", "ip", "--delta", "0.5",
-                "--epsilon", "0.1"]),
-        ("sweep.csv", ["sweep", "--rules", rules, "--epsilon-grid", "0.1,0.5", "--no-timing"]),
-        ("eval.json", ["eval", "--labels", str(tmp_path / "plain" / "hs" / "labels.jsonl")]),
-        ("mv", ["baseline", "--method", "mv"]),
-    ]
+    classes = ["construction", "nature", "pedestrians", "vehicles"]
 
     def contents(path):
         if path.is_dir():
             return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
         return path.read_bytes()
 
-    for name, argv in commands:
-        got = []
-        for run, extra in (("plain", []), ("superset", ["--domain-config", str(domain)])):
-            out = tmp_path / run / name
-            out.parent.mkdir(exist_ok=True)
-            assert main([argv[0], "--manifest", str(data / "test" / "manifest.json"),
-                         *argv[1:], *extra, "--out", str(out)]) == EXIT_OK, (name, run)
-            got.append(contents(out))
-        assert got[0] == got[1], name
-        assert got[0], name
+    for mode in ({}, {"normalizer_mode": "per_ground_rule"},
+                 {"normalizer_mode": "per_ground_rule", "directed_ground_rules": True}):
+        runs = tmp_path / ("_".join(map(str, mode.values())) or "per_object")
+        for run, extra in (("plain", []), ("superset", ["water"])):
+            (runs / run).mkdir(parents=True)
+            (runs / f"{run}.json").write_text(json.dumps({"classes": classes + extra, **mode}))
+        commands = [
+            ("hs", ["abduce", "--rules", rules, "--solver", "hs", "--delta", "0.05"]),
+            ("ip", ["abduce", "--rules", rules, "--solver", "ip", "--delta", "0.5",
+                    "--epsilon", "0.1"]),
+            ("sweep.csv", ["sweep", "--rules", rules, "--epsilon-grid", "0.1,0.5",
+                           "--no-timing"]),
+            ("eval.json", ["eval", "--labels", str(runs / "plain" / "hs" / "labels.jsonl")]),
+            ("mv", ["baseline", "--method", "mv"]),
+        ]
+        for name, argv in commands:
+            got = []
+            for run in ("plain", "superset"):
+                out = runs / run / name
+                assert main([argv[0], "--manifest", str(data / "test" / "manifest.json"),
+                             *argv[1:], "--domain-config", str(runs / f"{run}.json"),
+                             "--out", str(out)]) == EXIT_OK, (mode, name, run)
+                got.append(contents(out))
+            assert got[0] == got[1], (mode, name)
+            assert got[0], (mode, name)
+        # with no config, the default domain: all pairs over the data's classes
+        assert main(["sweep", "--manifest", str(data / "test" / "manifest.json"), "--rules",
+                     rules, "--epsilon-grid", "0.1,0.5", "--no-timing",
+                     "--out", str(runs / "default.csv")]) == EXIT_OK
+        assert ((runs / "default.csv").read_bytes()
+                == (runs / "plain" / "sweep.csv").read_bytes()) == (not mode), mode
+
+
+# sha256 of ``learn``'s rules on the MM_1 training split of seeds 1-3 at the
+# default sizes and grid, as the numpy learner wrote them: the bitset
+# learner and its quantiles must make the same choices and thresholds
+LEARNED_RULES = {
+    1: "686da886856e79daeda24c289b8d8f95a84d9f32a079336fda30fe247813579e",
+    2: "6ecae7a4b2bc7cc5df5d230aebac13d1972d9c07f6d01a6b352bef1cbe3a4196",
+    3: "7dd17fd326c9a4f38c11f44e4bb2fbaa40d598e0491bef59271fd76f4a54378a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LEARNED_RULES))
+def test_learned_rules_bytes_are_pinned(tmp_path, seed):
+    assert main(["gen", "--preset", "MM_1", "--seed", str(seed), "--n-test", "0",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    rules = tmp_path / "rules.jsonl"
+    assert main(["learn", "--manifest", str(tmp_path / "train" / "manifest.json"),
+                 "--out", str(rules)]) == EXIT_OK
+    assert hashlib.sha256(rules.read_bytes()).hexdigest() == LEARNED_RULES[seed]
 
 
 def test_learn_takes_no_domain_config(dataset, tmp_path, capsys):

@@ -12,7 +12,7 @@ from abfuse import synthgen
 from abfuse.edr import (_QUANTILES, Condition, ErrorRule, RuleSet, _learn_pair,
                         _linear_quantiles, apply_rules, generate_candidates, learn_ruleset,
                         split_flagged)
-from abfuse.model_io import InputError, Observation
+from abfuse.model_io import InputError, Observation, members, pack
 
 from conftest import empty_rules, obs_of
 from oracles import (fires, flag_rate_on_correct, flags, learn_pair_loop,
@@ -285,9 +285,15 @@ def test_array_greedy_equals_the_loop(n_candidates, n_entries, correct_share, de
     fired = _fired_matrix(rng, correct, n_candidates, density)
     grid = sorted({0.0, 1.0, *inner})
     want: list = []
-    for eps, got in zip(grid, _learn_pair(correct, fired, grid)):
+    for eps, got in zip(grid, _learn_pair(*_bitsets(correct, fired), grid)):
         want = learn_pair_loop(correct, fired, eps, want)
         assert got == want, eps
+
+
+def _bitsets(correct, fired):
+    """The 0/1 arrays of the loop oracle as the row bitsets ``_learn_pair``
+    takes."""
+    return pack(correct.tolist()), [pack(row.tolist()) for row in fired]
 
 
 def test_array_greedy_breaks_precision_ties_toward_the_earlier_candidate():
@@ -295,8 +301,8 @@ def test_array_greedy_breaks_precision_ties_toward_the_earlier_candidate():
     # each fits a budget of 0.5 alone; 2 never fires
     correct = np.array([True, False, True, False])
     fired = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]], dtype=bool)
-    assert _learn_pair(correct, fired, (0.5, 1.0)) == [[0], [0, 1]]
-    assert _learn_pair(correct, fired[::-1], (1.0,)) == [[1, 2]]
+    assert _learn_pair(*_bitsets(correct, fired), (0.5, 1.0)) == [[0], [0, 1]]
+    assert _learn_pair(*_bitsets(correct, fired[::-1]), (1.0,)) == [[1, 2]]
     assert learn_pair_loop(correct, fired, 0.5, []) == [0]
     assert learn_pair_loop(correct, fired, 1.0, [0]) == [0, 1]
     assert learn_pair_loop(correct, fired[::-1], 1.0, []) == [1, 2]
@@ -344,10 +350,10 @@ def test_split_flagged_matches_the_per_entry_oracle(rows, conds):
             if flags(rs.rule_for(e.model_id, e.class_id, 0.5), e, sib[e.object_id])}
 
     mask = split_flagged(obs, rs, 0.5)
-    assert obs.subset(mask).entries == want
+    assert obs.subset(members(mask)).entries == want
     filtered, rows = apply_rules(obs, rs, 0.5)
     errors = error_atoms(obs, rows)
-    assert rows.tolist() == [i for i, hit in enumerate(mask) if hit]
+    assert rows == members(mask)
     assert filtered.entries == obs.entries - want
     assert errors == {(e.model_id, e.class_id, e.object_id) for e in want}
 

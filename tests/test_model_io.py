@@ -11,18 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from abfuse import model_io, synthgen
 from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError, Observation,
-                             _pair_iou, coverage_report,
+                             coverage_report,
                              ground_truth_labels, index_of, load_dataset,
                              load_ground_truth, load_predictions, match_detections,
                              observations_from_dataset, write_manifest)
 
 from conftest import obs_atoms, obs_of, tables
-from oracles import (BoundingBox, Detection, GroundTruthObject, compute_iou, det_table,
-                     gt_table, load_ground_truth_records, load_prediction_records,
-                     read_columns_reference, read_jsonl_reference, write_ground_truth,
-                     write_predictions)
+from oracles import (BoundingBox, Detection, GroundTruthObject, _pair_iou, compute_iou,
+                     det_table, gt_table, load_ground_truth_records, load_prediction_records,
+                     match_detections_reference, read_columns_reference, read_jsonl_reference,
+                     write_ground_truth, write_predictions)
 from test_acceptance import _reference_match
 
 
@@ -92,7 +93,9 @@ boxes = st.builds(lambda x, y, w, h: box(x, y, x + w, y + h),
 @given(st.lists(boxes, min_size=1, max_size=5),
        st.lists(boxes, min_size=1, max_size=5))
 def test_array_iou_is_bit_identical_to_compute_iou(gt_boxes, det_boxes):
-    # some rows share corners, so touching and nested pairs come up too
+    # the numpy matcher the production one is checked against computes
+    # each IoU exactly; some rows share corners, so touching and nested
+    # pairs come up too
     det_boxes = det_boxes + gt_boxes[:2]
     gi, ki = np.divmod(np.arange(len(gt_boxes) * len(det_boxes)), len(det_boxes))
     got = _pair_iou(np.array([gt_boxes[i].as_list() for i in gi]),
@@ -146,9 +149,11 @@ def test_by_object_groups_entries():
     grouped = by_object(obs)
     assert {e.model_id for e in grouped["o1"]} == {"f1", "f2"}
     assert len(grouped["o2"]) == 1
-    # the set's grid holds the same grouping, one class index per model
+    # the set's pair masks hold the same grouping, one class per model
+    n = len(obs.classes)
     for w, o in enumerate(obs.objects):
-        row = {obs.models[f]: obs.classes[k] for f, k in enumerate(obs.grid[:, w]) if k >= 0}
+        row = {obs.models[k // n]: obs.classes[k % n]
+               for k, m in enumerate(obs.pair_masks) if m >> w & 1}
         assert row == {e.model_id: e.class_id for e in grouped.get(o, [])}
 
 
@@ -165,16 +170,16 @@ def test_view_and_subset_match_the_entries(rows, data):
     assert obs.models == ("f1", "f2", "f3", "f4")
     assert obs.objects == ("o1", "o2", "o3", "o4", "o5")
     assert obs.classes == tuple(sorted({"car", "tree"}.union(r[2] for r in rows)))
-    assert obs.model.dtype == obs.obj.dtype == obs.cls.dtype == np.int64
-    assert obs.confidence.dtype == np.float64
+    assert {type(v) for k in ("model", "obj", "cls") for v in getattr(obs, k)} <= {int}
+    assert {type(v) for v in obs.confidence} <= {float}
     # the entry of each row, in row order
     entries = [Observation(obs.objects[w], obs.models[f], obs.classes[c], x)
-               for f, w, c, x in zip(obs.model.tolist(), obs.obj.tolist(),
-                                     obs.cls.tolist(), obs.confidence.tolist())]
+               for f, w, c, x in zip(obs.model, obs.obj, obs.cls, obs.confidence)]
     assert sorted(entries) == sorted(obs.entries)
-    for i in range(len(entries)):
-        assert obs.grid[obs.model[i], obs.obj[i]] == obs.cls[i]
-    assert (obs.grid >= 0).sum() == len(obs.entries)
+    n = len(obs.classes)
+    assert obs.pair_masks == [sum(1 << obs.obj[r] for r in range(len(entries))
+                                  if obs.model[r] * n + obs.cls[r] == k)
+                              for k in range(len(obs.models) * n)]
     for f in range(len(obs.models)):
         for c in range(len(obs.classes)):
             rows_fc = entries[obs.pair_rows(f, c)]
@@ -182,17 +187,20 @@ def test_view_and_subset_match_the_entries(rows, data):
                 (e for e in obs.entries if (e.model_id, e.class_id) ==
                  (obs.models[f], obs.classes[c])), key=lambda e: e.object_id)
 
-    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
-                                       max_size=len(rows))), dtype=bool)
-    sub = obs.subset(keep)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    sub = obs.subset([i for i, k in enumerate(keep) if k])
     want = obs_of([tuple(e) for e, k in zip(entries, keep) if k], objects=obs.objects,
                   models=obs.models, classes=obs.classes)
     assert sub == want
     assert sub.entries == want.entries
-    for name in ("model", "obj", "cls", "confidence", "grid", "pair_start"):
-        assert np.array_equal(getattr(sub, name), getattr(want, name)), name
-    # ascending row indices select the same rows as the mask
-    assert obs.subset(np.flatnonzero(keep)) == sub
+    for name in ("model", "obj", "cls", "confidence", "pair_start", "pair_masks"):
+        assert getattr(sub, name) == getattr(want, name), name
+    # the coverage of any rows, and the rows within a coverage
+    cov = obs.coverage([i for i, k in enumerate(keep) if k])
+    assert cov == sub.coverage(range(len(sub.obj)))
+    assert obs_atoms(sub) == {(e.class_id, e.object_id) for e in sub.entries}
+    assert obs.rows_within(cov) == [r for r in range(len(entries))
+                                    if cov[obs.cls[r]] >> obs.obj[r] & 1]
 
 
 def test_observation_set_rejects_entries_outside_the_universe():
@@ -396,10 +404,55 @@ def test_matcher_matches_reference_on_wide_scenes(data):
     obs = match_detections(*tables(gts, dets), primary_iou=threshold)
     assert set(map(tuple, obs.entries)) == want
     assert obs.objects == tuple(sorted(g.object_id for g in gts))
-    # candidate pairs expanded a few at a time give the same matches
-    with mock.patch.object(model_io, "_PAIR_BLOCK", 3):
-        obs = match_detections(*tables(gts, dets), primary_iou=threshold)
-    assert set(map(tuple, obs.entries)) == want
+    # so does the numpy matcher, its candidate pairs expanded a few at a time
+    with mock.patch.object(oracles, "_PAIR_BLOCK", 3):
+        assert match_detections_reference(*tables(gts, dets), primary_iou=threshold) == obs
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_matcher_matches_the_array_matcher(data):
+    """The matcher and the numpy one it replaced keep the same rows, or
+    raise the same error, on random scenes: detections shifted off their
+    object or sharing its x_min, some wide enough to stretch the windows
+    of every later object of their image, repeated confidences,
+    detections on an image with no object, and boxes whose area
+    underflows to zero on either side."""
+    threshold = data.draw(st.sampled_from((0.1, 0.5, 0.6, 0.9, 1.0)), label="iou")
+    models = ("f1", "f2", "f3")
+    tiny = box(0.0, 0.0, 1e-200, 1e-200)
+    images = ("img1", "img2", "img3")[:data.draw(st.integers(1, 3))]
+    gts, dets = [], []
+    for img in images:
+        xs = data.draw(st.lists(st.sampled_from((0, 5, 10, 20, 30)) | st.integers(0, 60),
+                                min_size=1, max_size=6))
+        for i, x in enumerate(xs):
+            gts.append(gt(f"{img}-o{i}", image=img, b=box(x, 0, x + 10, 10)))
+        for _ in range(data.draw(st.integers(0, 12))):
+            x = data.draw(st.sampled_from(xs)) + data.draw(st.sampled_from((0, 0, 1, -2, 2.5)))
+            w = data.draw(st.sampled_from((10, 10, 9, 12, 80)))
+            y = data.draw(st.sampled_from((0, 0, 1, -3)))
+            dets.append(det(data.draw(st.sampled_from(models)), data.draw(st.sampled_from(
+                ("car", "tree"))), data.draw(st.sampled_from((0.5, 0.7, 0.7, 0.9))),
+                box(x, y, x + w, y + 10), image=img))
+    # detections on an image no object is on
+    for x in data.draw(st.lists(st.integers(0, 30), max_size=2)):
+        dets.append(det("f1", "car", 0.9, box(x, 0, x + 10, 10), image="img9"))
+    if data.draw(st.booleans()):
+        image = data.draw(st.sampled_from(images + ("img9",)))
+        if data.draw(st.booleans()):
+            gts.append(gt("tiny", image=image, b=tiny))
+        else:
+            dets.append(det("f2", "car", 0.5, tiny, image=image))
+    args = tables(data.draw(st.permutations(gts)), data.draw(st.permutations(dets)))
+    try:
+        want = match_detections_reference(*args, primary_iou=threshold)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            match_detections(*args, primary_iou=threshold)
+        assert str(got.value) == str(exc)
+        return
+    assert match_detections(*args, primary_iou=threshold) == want
 
 
 @settings(max_examples=50, deadline=None)
@@ -438,7 +491,7 @@ def test_predictions_round_trip(tmp_path):
     assert len(back) == 2
     # confidences are stored at six decimal places
     assert back.confidence[0] == pytest.approx(0.123457, abs=5e-7)
-    assert back.boxes[1].tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert back.boxes[1] == (1.0, 2.0, 3.0, 4.0)
 
 
 def test_load_predictions_reports_bad_line(tmp_path):
@@ -620,14 +673,15 @@ def test_columnar_load_equals_the_per_record_oracle(tmp_path):
     assert len(t) == len(dets) > 0
     for name in ("image_id", "model_id", "class_id"):
         assert getattr(t, name) == [getattr(d, name) for d in dets], name
-    assert t.confidence.dtype == t.boxes.dtype == np.float64
-    assert t.confidence.tolist() == [d.confidence for d in dets]
-    assert t.boxes.tolist() == [d.bbox.as_list() for d in dets]
+    assert {type(v) for v in t.confidence} == {float}
+    assert {type(v) for b in t.boxes for v in b} == {float}
+    assert t.confidence == [d.confidence for d in dets]
+    assert [list(b) for b in t.boxes] == [d.bbox.as_list() for d in dets]
     g = ds.ground_truth
     assert len(g) == len(gts) == 300
     for name in ("image_id", "object_id", "class_id"):
         assert getattr(g, name) == [getattr(r, name) for r in gts], name
-    assert g.boxes.tolist() == [r.bbox.as_list() for r in gts]
+    assert [list(b) for b in g.boxes] == [r.bbox.as_list() for r in gts]
     assert observations_from_dataset(ds) == match_detections(*tables(gts, dets), models=ds.models,
                                                              classes=ds.classes)
 
@@ -790,12 +844,12 @@ def _outcome(load):
         t = load()
     except InputError as exc:
         return str(exc)
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(t).items()}
+    return vars(t)
 
 
 def _same_floats(a, b):
-    return np.array_equal(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64),
-                          equal_nan=True)
+    return np.array_equal(np.asarray(a, dtype=np.float64).reshape(-1),
+                          np.asarray(b, dtype=np.float64).reshape(-1), equal_nan=True)
 
 
 @pytest.mark.parametrize("kind", ["predictions", "ground truth"])
@@ -810,7 +864,7 @@ def test_reader_matches_the_streaming_reference(tmp_path_factory, kind, data):
     want = read_columns_reference(str(path), ids, pred)
     assert got[0] == want[0] and got[1] == want[1]
     assert _same_floats(got[2], want[2])
-    assert _same_floats(got[3], np.asarray(want[3], dtype=np.float64).reshape(-1, 4))
+    assert _same_floats(got[3], want[3]) and len(got[3]) == len(want[3])
     assert str(got[4]) == str(want[4])
 
     # the loaders' checks on top, with either reader underneath
@@ -891,10 +945,10 @@ def test_column_encoders_match_json_dumps():
     assert model_io.json_strings(STRANGE_IDS) == [json.dumps(v) for v in STRANGE_IDS]
     assert model_io.json_numbers(STRANGE_NUMBERS) == [json.dumps(v) for v in STRANGE_NUMBERS]
     numbers = STRANGE_NUMBERS + ROUNDING_CASES
-    boxes = np.array((numbers * 4)[:4 * 7]).reshape(7, 4)
-    assert model_io.json_boxes(boxes) == [json.dumps(b)[1:-1] for b in boxes.tolist()]
+    boxes = list(zip(*[iter((numbers * 4)[:4 * 7])] * 4))
+    assert model_io.json_boxes(boxes) == [json.dumps(b)[1:-1] for b in boxes]
     assert model_io.json_numbers([]) == model_io.json_strings([]) == []
-    assert model_io.json_boxes(np.zeros((0, 4))) == []
+    assert model_io.json_boxes([]) == []
 
 
 @settings(deadline=None)
@@ -918,21 +972,21 @@ def test_confidence_encoder_matches_round_near_six_places(units, offsets):
 
 def test_writers_match_one_json_dumps_per_row(tmp_path):
     n = len(STRANGE_IDS)
-    conf = np.array((STRANGE_NUMBERS * 2)[:n]) / 7
-    boxes = np.array((STRANGE_NUMBERS * 4)[:4 * n]).reshape(n, 4)
+    conf = [v / 7 for v in (STRANGE_NUMBERS * 2)[:n]]
+    boxes = list(zip(*[iter((STRANGE_NUMBERS * 4)[:4 * n])] * 4))
     dets = DetectionTable(STRANGE_IDS, STRANGE_IDS[::-1], STRANGE_IDS, conf, boxes)
     write_predictions(str(tmp_path / "p.jsonl"), dets)
     assert (tmp_path / "p.jsonl").read_text(encoding="utf-8") == "".join(
         json.dumps({"image_id": i, "model_id": m, "class_id": c,
                     "confidence": round(v, 6), "bbox": b}) + "\n"
         for i, m, c, v, b in zip(dets.image_id, dets.model_id, dets.class_id,
-                                 conf.tolist(), boxes.tolist()))
+                                 conf, map(list, boxes)))
     gt = GroundTruthTable(STRANGE_IDS, STRANGE_IDS[::-1], STRANGE_IDS, boxes)
     write_ground_truth(str(tmp_path / "g.jsonl"), gt)
     assert (tmp_path / "g.jsonl").read_text(encoding="utf-8") == "".join(
         json.dumps({"image_id": i, "object_id": o, "class_id": c, "bbox": b}) + "\n"
-        for i, o, c, b in zip(gt.image_id, gt.object_id, gt.class_id, boxes.tolist()))
-    write_ground_truth(str(tmp_path / "e.jsonl"), GroundTruthTable([], [], [], np.zeros((0, 4))))
+        for i, o, c, b in zip(gt.image_id, gt.object_id, gt.class_id, map(list, boxes)))
+    write_ground_truth(str(tmp_path / "e.jsonl"), GroundTruthTable([], [], [], []))
     assert (tmp_path / "e.jsonl").read_bytes() == b""
     with pytest.raises(ValueError, match="1 columns for 2 slots"):
         model_io.write_rows(str(tmp_path / "r.jsonl"), "%s %s\n", ["a"])

@@ -121,14 +121,15 @@ def test_search_requires_strictly_new_atoms():
     assert by_pair[("f2", "car")].chosen_epsilon is None
 
 
-def test_search_ignores_exclusion_pairs_outside_the_classes():
-    """A pair naming a class the set lacks is never violated, so it changes
-    nothing."""
+def test_search_rejects_exclusion_pairs_outside_the_classes():
+    """A pair naming a class the set lacks is an error, as for the exact
+    solver; the CLI drops such pairs when it loads the data."""
     obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8),
                   ("o2", "f2", "car", 0.6)])
     extra = IntegrityConstraintSet(IC_CT.pairs + (("car", "boat"), ("boat", "water")))
     for delta in (0.0, 0.5):
-        assert hs_outcome(search(obs, delta, ic=extra)) == hs_outcome(search(obs, delta))
+        with pytest.raises(InputError, match="outside the class universe"):
+            search(obs, delta, ic=extra)
 
 
 def test_search_deterministic():
@@ -301,6 +302,7 @@ def test_search_matches_the_per_entry_reference(problem):
     obs, config, ruleset, *rest = problem
     res = heuristic_search(obs, config, flag_masks(obs, ruleset, config.epsilon_set), *rest)
     rows, steps, n_atoms, inconsistency = heuristic_search_reference(*problem)
-    assert res.rows.tolist() == rows
+    assert res.rows == rows
+    assert res.cover == obs.coverage(rows)
     assert res.trace.steps == steps
     assert (res.n_atoms, res.inconsistency) == (n_atoms, inconsistency)

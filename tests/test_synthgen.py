@@ -217,7 +217,7 @@ def test_write_split_equals_the_table_writers_past_one_image_and_grid_row(tmp_pa
     # dropping a tenth of the entries leaves each model with gaps
     data = generate(scenario(0.35, n_test=1201, seed=11, n_models=3))
     rng = np.random.default_rng(0)
-    obs = data.test.subset(rng.random(len(data.test.obj)) < 0.9)
+    obs = data.test.subset(np.flatnonzero(rng.random(len(data.test.obj)) < 0.9).tolist())
     write_split(str(tmp_path / "split"), obs, data.test_labels, ("a", "b", "c"))
 
     slot = np.arange(len(obs.objects))
@@ -228,15 +228,15 @@ def test_write_split_equals_the_table_writers_past_one_image_and_grid_row(tmp_pa
     want = tmp_path / "tables"
     want.mkdir()
     write_ground_truth(str(want / "gt.jsonl"), GroundTruthTable(
-        images, list(obs.objects), [data.test_labels[o] for o in obs.objects], boxes))
+        images, list(obs.objects), [data.test_labels[o] for o in obs.objects], boxes.tolist()))
     for f, m in enumerate(obs.models):
-        rows = np.flatnonzero(obs.model == f)
-        rows = rows[np.argsort(obs.obj[rows])]
-        w = obs.obj[rows]
+        rows = sorted((r for r in range(len(obs.obj)) if obs.model[r] == f),
+                      key=obs.obj.__getitem__)
+        w = [obs.obj[r] for r in rows]
         assert 0 < len(rows) < len(obs.objects)
         write_predictions(str(want / f"preds_{m}.jsonl"), DetectionTable(
-            [images[i] for i in w.tolist()], [m] * len(rows),
-            [obs.classes[c] for c in obs.cls[rows].tolist()], obs.confidence[rows], boxes[w]))
+            [images[i] for i in w], [m] * len(rows), [obs.classes[obs.cls[r]] for r in rows],
+            [obs.confidence[r] for r in rows], boxes[w].tolist()))
     for path in want.iterdir():
         assert (tmp_path / "split" / path.name).read_bytes() == path.read_bytes(), path.name
 

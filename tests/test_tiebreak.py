@@ -133,10 +133,10 @@ def test_resolve_matches_the_loop_oracle(data):
                               unique_by=lambda r: (r[0], r[1])))
     obs = obs_of(rows, objects=["o1", "o2", "o3"])
     keep = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=len(rows),
-                                             max_size=len(rows))))
+                                             max_size=len(rows)))).tolist()
     won = resolve(obs, keep)
-    assert np.all(np.diff(obs.obj[won]) > 0)
+    assert np.all(np.diff([obs.obj[r] for r in won]) > 0)
     got = {obs.objects[obs.obj[r]]: (obs.classes[obs.cls[r]], obs.models[obs.model[r]],
-                                     float(obs.confidence[r])) for r in won.tolist()}
+                                     float(obs.confidence[r])) for r in won}
     assert got == apply_tiebreaker_reference(
         candidates_from_entries(obs.subset(keep).entries))
