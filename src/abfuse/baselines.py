@@ -39,14 +39,7 @@ def average_models(per_model_metrics: Mapping[str, "Metrics"]):
     if not per_model_metrics:
         raise ValueError("no models to average")
     ms = list(per_model_metrics.values())
-    n = len(ms)
-    return Metrics(
-        precision=sum(m.precision for m in ms) / n,
-        recall=sum(m.recall for m in ms) / n,
-        f1=sum(m.f1 for m in ms) / n,
-        accuracy=sum(m.accuracy for m in ms) / n,
-        inconsistency=sum(m.inconsistency for m in ms) / n,
-        runtime_per_object=sum(m.runtime_per_object for m in ms) / n,
-        n_objects=int(round(sum(m.n_objects for m in ms) / n)),
-        violations=int(round(sum(m.violations for m in ms) / n)),
-    )
+    mean = {k: sum(getattr(m, k) for m in ms) / len(ms) for k in vars(ms[0])}
+    for k in ("n_objects", "violations"):
+        mean[k] = int(round(mean[k]))
+    return Metrics(**mean)

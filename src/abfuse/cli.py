@@ -222,8 +222,7 @@ def cmd_sweep(args) -> int:
                                       name=os.path.basename(args.manifest))
     result = evaluation.run_sweep(
         dataset, methods, delta_grid=delta_grid, epsilon_grid=epsilon_grid,
-        repeats=args.repeats, seed=args.seed, jobs=args.jobs,
-        timing=not args.no_timing)
+        repeats=args.repeats, jobs=args.jobs, timing=not args.no_timing)
     result.to_csv(args.out)
     result.write_manifest(args.out + ".manifest.json")
     print(f"wrote {len(result.cells)} rows to {args.out}")
@@ -324,7 +323,6 @@ def build_parser() -> _Parser:
     s.add_argument("--delta-grid", default=DEFAULT_GRID)
     s.add_argument("--epsilon-grid", default=DEFAULT_GRID)
     s.add_argument("--repeats", type=int, default=1)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--no-timing", action="store_true",
                    help="zero the runtime column for reproducible bytes")

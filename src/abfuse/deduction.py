@@ -93,6 +93,18 @@ def count_violations(cov: list, classes, ic: IntegrityConstraintSet) -> int:
     return sum((cov[a] & cov[b]).bit_count() for a, b in ic.index_pairs(classes))
 
 
+def _normalizer(n_objects: int, ic: IntegrityConstraintSet, normalizer_mode: str,
+                directed_ground_rules: bool) -> Tuple[int, int]:
+    """The units one (undirected) violated ground rule counts for, and the
+    count of units Inc divides by: the observed objects under
+    ``per_object``, every ground rule (objects x exclusion pairs, in those
+    units) under ``per_ground_rule``."""
+    if normalizer_mode not in NORMALIZER_MODES:
+        raise InputError(f"unknown normalizer_mode {normalizer_mode!r}")
+    weight = 2 if directed_ground_rules else 1
+    return weight, n_objects if normalizer_mode == "per_object" else n_objects * len(ic) * weight
+
+
 def inc_from_count(n_violations: int,
                    n_objects: int,
                    ic: IntegrityConstraintSet,
@@ -107,12 +119,11 @@ def inc_from_count(n_violations: int,
     unordered violation counts twice, as do the ``per_ground_rule``
     denominator's rules, so only ``per_object`` scores actually change.
     """
-    weight = 2 if directed_ground_rules else 1
-    raw = n_violations * weight
-    if normalizer_mode == "per_object":
-        return min(1.0, raw / n_objects) if n_objects else 0.0
-    denom = n_objects * len(ic) * weight
-    return raw / denom if denom else 0.0
+    weight, denom = _normalizer(n_objects, ic, normalizer_mode, directed_ground_rules)
+    if not denom:
+        return 0.0
+    inc = n_violations * weight / denom
+    return min(1.0, inc) if normalizer_mode == "per_object" else inc
 
 
 def violation_budget(delta: float,
@@ -126,17 +137,10 @@ def violation_budget(delta: float,
     into an integer count, shared by the exact solver and the greedy search:
     both accept a selection iff its violation count is at most this.
     """
-    if normalizer_mode not in NORMALIZER_MODES:
-        raise InputError(f"unknown normalizer_mode {normalizer_mode!r}")
+    weight, denom = _normalizer(n_objects, ic, normalizer_mode, directed_ground_rules)
     if not (0.0 <= delta <= 1.0):
         raise InputError(f"delta must be in [0, 1]: {delta!r}")
-    weight = 2 if directed_ground_rules else 1
-    if normalizer_mode == "per_object":
-        normalizer = n_objects
-    else:
-        normalizer = n_objects * len(ic) * weight
-    scaled = math.floor(delta * normalizer + _FLOOR_EPS)
-    return scaled // weight
+    return math.floor(delta * denom + _FLOOR_EPS) // weight
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ collapse to identical bytes when timing is disabled.
 """
 
 import json
+import struct
 import time
 from functools import reduce
 from itertools import chain, combinations, repeat
@@ -20,13 +21,10 @@ from typing import (Dict, Iterable, Iterator, Mapping, NamedTuple, Optional,
 
 from .deduction import DomainConfig, count_violations, inc_from_count
 from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules, split_flagged
-from .model_io import (InputError, ObservationSet, Truth, bitsets, index_of, json_numbers,
-                       json_strings, write_json, write_rows)
+from .model_io import (InputError, ObservationSet, Truth, bitsets, index_of, write_json,
+                       write_rows)
 
 METHODS = ("ip", "ip+tb", "hs", "hs+tb", "mv", "best", "avg")   # solvers first
-
-# rows per block of the dataset fingerprint's entries
-_FINGERPRINT_BLOCK = 4096
 
 CSV_COLUMNS = ("delta", "epsilon", "method", "precision", "recall", "f1",
                "accuracy", "inconsistency", "runtime_per_object",
@@ -137,29 +135,17 @@ class SweepDataset(NamedTuple):
     name: str = "dataset"
 
     def fingerprint(self) -> str:
-        """sha256 of one compact JSON document: the entries as sorted
-        (object, model, class, confidence) lists, the objects, the sorted
-        labels, the domain's classes and its exclusion pairs.  The entries
-        are encoded a column at a time and hashed a block of rows at a time,
-        so the document is never built whole."""
-        obs = self.observations
-        order = sorted(range(len(obs.obj)), key=[w * len(obs.models) + f for w, f in zip(
-            obs.obj, obs.model)].__getitem__)
-        ids = [(json_strings(u), a) for u, a in (
-            (obs.objects, obs.obj), (obs.models, obs.model), (obs.classes, obs.cls))]
-        h = _sha256(b'{"entries":[')
-        for start in range(0, len(order), _FINGERPRINT_BLOCK):
-            rows = order[start:start + _FINGERPRINT_BLOCK]
-            cols = [map(enc.__getitem__, map(a.__getitem__, rows)) for enc, a in ids]
-            h.update((b"," if start else b"") + ",".join(map("[%s,%s,%s,%s]".__mod__, zip(
-                *cols, json_numbers(list(map(obs.confidence.__getitem__, rows)))))).encode())
-        rest = json.dumps({
-            "objects": list(obs.objects),
-            "labels": sorted(self.gt_labels.items()),
-            "classes": list(self.domain.classes),
-            "ic": [list(p) for p in self.domain.ic.pairs],
-        }, separators=(",", ":"))
-        h.update(b"]," + rest[1:].encode())
+        """sha256 of the set's ``obj``, ``model`` and ``cls`` index columns
+        as little-endian int64s and its ``confidence`` column as float64s,
+        in row order, then one compact JSON array: the row count, the
+        object, model and class universes, the sorted labels, the domain's
+        classes and its exclusion pairs."""
+        obs, n = self.observations, len(self.observations.obj)
+        h = _sha256(struct.pack(f"<{3 * n}q{n}d", *obs.obj, *obs.model, *obs.cls,
+                                *obs.confidence))
+        h.update(json.dumps([n, obs.objects, obs.models, obs.classes,
+                             sorted(self.gt_labels.items()), self.domain.classes,
+                             self.domain.ic.pairs], separators=(",", ":")).encode())
         return h.hexdigest()
 
 
@@ -301,7 +287,6 @@ def run_sweep(dataset: SweepDataset,
               delta_grid: Sequence[float] = DEFAULT_EPSILON_GRID,
               epsilon_grid: Sequence[float] = DEFAULT_EPSILON_GRID,
               repeats: int = 1,
-              seed: int = 0,
               jobs: int = 1,
               timing: bool = True) -> SweepResult:
     if not methods or len(set(methods)) < len(methods):
@@ -348,7 +333,6 @@ def run_sweep(dataset: SweepDataset,
         "delta_grid": deltas,
         "epsilon_grid": epsilons,
         "repeats": repeats,
-        "seed": seed,
         "jobs": jobs,
         "timing": timing,
         "n_objects": len(obs.objects),

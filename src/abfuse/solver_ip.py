@@ -21,7 +21,7 @@ from typing import Tuple
 
 from . import kernels
 from .deduction import IntegrityConstraintSet, count_violations, violation_budget
-from .model_io import InputError, ObservationSet, flags
+from .model_io import ObservationSet, flags
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -87,9 +87,6 @@ def build_instance(obs: ObservationSet,
     one observation set at several deltas packs once and calls
     :meth:`IpInstance.with_delta`.
     """
-    if not (0.0 <= delta <= 1.0):
-        raise InputError(f"delta must be in [0, 1]: {delta!r}")
-
     objects, models, classes = obs.objects, obs.models, obs.classes
     budget = violation_budget(delta, len(objects), ic,
                               normalizer_mode, directed_ground_rules)

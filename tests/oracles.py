@@ -7,6 +7,7 @@ incrementally or in bulk, so tests can compare the two.
 import hashlib
 import json
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -343,18 +344,23 @@ def flag_rate_on_correct(train: ObservationSet,
 
 
 def fingerprint_reference(dataset) -> str:
-    """sha256 of a sweep dataset's JSON document, built whole with one
-    ``json.dumps`` (``SweepDataset.fingerprint`` streams it)."""
+    """sha256 of a sweep dataset, restated from its ``entries``: each
+    entry's ids become indices into the sorted universes, the entries sort
+    by (model, class, object) index, and every value is packed on its own,
+    each index column as little-endian int64s and then the confidences as
+    float64s, before the JSON array of the universes, labels and domain."""
     obs = dataset.observations
-    entries = sorted((obs.objects[w], obs.models[f], obs.classes[c], conf)
-                     for w, f, c, conf in zip(obs.obj, obs.model, obs.cls, obs.confidence))
-    payload = json.dumps({
-        "entries": entries,
-        "objects": list(obs.objects),
-        "labels": sorted(dataset.gt_labels.items()),
-        "classes": list(dataset.domain.classes),
-        "ic": [list(p) for p in dataset.domain.ic.pairs],
-    }, separators=(",", ":")).encode()
+    at = [{u: i for i, u in enumerate(universe)}
+          for universe in (obs.objects, obs.models, obs.classes)]
+    rows = sorted((at[1][e.model_id], at[2][e.class_id], at[0][e.object_id], e.confidence)
+                  for e in obs.entries)
+    payload = b"".join(r[k].to_bytes(8, "little", signed=True) for k in (2, 0, 1) for r in rows)
+    payload += b"".join(struct.pack("<d", r[3]) for r in rows)
+    payload += json.dumps([len(rows), list(obs.objects), list(obs.models), list(obs.classes),
+                           sorted(dataset.gt_labels.items()),
+                           list(dataset.domain.classes),
+                           [list(p) for p in dataset.domain.ic.pairs]],
+                          separators=(",", ":")).encode()
     return hashlib.sha256(payload).hexdigest()
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from abfuse import deduction, model_io
 from abfuse.deduction import (DomainConfig, IntegrityConstraintSet,
-                              default_domain, find_violations,
+                              default_domain, find_violations, inc_from_count,
                               load_domain_config, violation_budget)
 from abfuse.model_io import InputError
 
@@ -84,6 +84,31 @@ def test_count_inc_directed_doubles_only_per_object():
 def test_count_inc_rejects_unknown_mode():
     with pytest.raises(InputError):
         count_inc((), IC_CT, "per_frame", n_objects=1)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_inc_from_count_rejects_unknown_mode(directed):
+    # the mode is checked where Inc is normalized, not only by its callers
+    with pytest.raises(InputError, match="unknown normalizer_mode 'per_frame'"):
+        inc_from_count(3, 10, IntegrityConstraintSet([("a", "b")]), "per_frame", directed)
+    with pytest.raises(InputError, match="unknown normalizer_mode 'per_frame'"):
+        violation_budget(0.5, 10, IntegrityConstraintSet([("a", "b")]), "per_frame", directed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("per_object", "per_ground_rule")), st.booleans(),
+       st.sampled_from(DELTA_GRID), st.integers(1, 5000), st.integers(1, 10))
+def test_violation_budget_is_the_largest_count_within_delta(mode, directed, delta,
+                                                             n_objects, n_pairs):
+    classes = [f"c{i}" for i in range(n_pairs + 1)]
+    ic = IntegrityConstraintSet(zip(classes, classes[1:]))
+    budget = violation_budget(delta, n_objects, ic, mode, directed)
+
+    def inc(n):
+        return inc_from_count(n, n_objects, ic, mode, directed)
+
+    assert inc(budget) <= delta + 1e-9
+    assert inc(budget + 1) > delta or (mode == "per_object" and inc(budget + 1) == 1.0)
 
 
 def test_violation_budget_values():

@@ -2,7 +2,6 @@
 
 import json
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -338,15 +337,34 @@ IDS = st.sampled_from(("o1", "o10", "o2", "é", "a\"b", "c\\d", "\u2028", "z"))
 @given(st.lists(st.tuples(IDS, st.sampled_from(("f1", "f2", "m\u00fc")),
                           st.sampled_from(("car", "tree", "b\u00e4r")),
                           st.floats(0.0, 1.0)), unique_by=lambda r: (r[0], r[1])),
-       st.dictionaries(IDS, st.sampled_from(("car", "tree"))),
-       st.sampled_from((1, 2, 4096)))
-def test_fingerprint_matches_the_whole_document_hash(rows, labels, block):
-    # sorted (object, model) keys and sorted ids make the set's row order
-    # the document's entry order
+       st.dictionaries(IDS, st.sampled_from(("car", "tree"))))
+def test_fingerprint_matches_the_reference(rows, labels):
     obs = obs_of(rows, objects=sorted(labels), classes=["car", "tree"])
     dataset = SweepDataset(obs, labels, empty_rules(), default_domain(obs.classes))
-    with mock.patch.object(evaluation, "_FINGERPRINT_BLOCK", block):
-        assert dataset.fingerprint() == fingerprint_reference(dataset)
+    assert dataset.fingerprint() == fingerprint_reference(dataset)
+
+
+def test_fingerprint_changes_with_any_one_input():
+    rows = [("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.4), ("o2", "f1", "tree", 0.7)]
+    labels = {"o1": "car", "o2": "tree"}
+    ic = IntegrityConstraintSet((("car", "tree"),))
+
+    def digest(rows=rows, labels=labels, objects=("o1", "o2"), classes=("car", "tree", "x"),
+               ic=ic):
+        obs = obs_of(rows, objects=sorted(objects), classes=sorted(classes))
+        return SweepDataset(obs, labels, empty_rules(), DomainConfig(tuple(classes), ic)
+                            ).fingerprint()
+
+    base = digest()
+    assert digest() == base
+    variants = {
+        "confidence": digest(rows=rows[:2] + [("o2", "f1", "tree", 0.7000001)]),
+        "label": digest(labels={"o1": "car", "o2": "car"}),
+        "exclusion pair": digest(ic=IntegrityConstraintSet((("car", "x"),))),
+        "unpredicted object": digest(objects=("o1", "o2", "o3")),
+    }
+    assert all(v != base for v in variants.values()), variants
+    assert len(set(variants.values())) == len(variants)
 
 
 def test_sweep_full_grid_row_count():
