@@ -12,9 +12,10 @@ Learning over an ascending epsilon grid is warm-started: the rule for a
 larger budget extends the rule for the smaller one, so the set of flagged
 predictions only grows with epsilon.
 
-Conditions are evaluated as row bitsets over an :class:`ObservationSet`,
-one (model, class) pair at a time; learning and filtering share that
-evaluator.
+A rule is evaluated, once folded (:func:`_fold`), as a row bitset over
+an :class:`ObservationSet`, in one pass over one (model, class) pair's
+rows; the filter remembers each pair's mask on the set, and the learner
+evaluates each candidate as a one-condition rule.
 """
 
 import math
@@ -129,22 +130,40 @@ class RuleSet:
         return cls(tuple(sorted(grid)), rules)
 
 
-def _condition_mask(cond: Condition, obs: ObservationSet, f: int, c: int) -> int:
-    """The rows of model ``f``'s predictions of class ``c`` where ``cond``
-    fires, as a row bitset of ``obs``."""
+def _fold(conditions: Sequence[Condition]) -> tuple:
+    """``(threshold, models)``: a rule's conditions as one confidence test
+    against the largest ``confidence_below`` threshold (``-inf`` without
+    one) and the set of its ``disagree_with`` models."""
+    threshold, models = -math.inf, []
+    for cond in conditions:
+        if cond.kind == "disagree_with":
+            models.append(cond.model)
+        elif cond.threshold > threshold:
+            threshold = cond.threshold
+    return threshold, frozenset(models)
+
+
+def _rule_mask(obs: ObservationSet, f: int, c: int, threshold: float,
+               models: frozenset) -> int:
+    """The rows of model ``f``'s predictions of class ``c`` that the folded
+    rule ``(threshold, models)`` flags, as a row bitset of ``obs``: the
+    confidence is below ``threshold``, or one of ``models`` predicts
+    another class for the object."""
     rows = obs.pair_rows(f, c)
-    if cond.kind == "confidence_below":
-        threshold = cond.threshold
-        fired = [x < threshold for x in obs.confidence[rows]]
-    elif cond.model not in obs.models:
-        return 0
+    other, n = 0, len(obs.classes)
+    for m in models:
+        if m in obs.models:
+            g = obs.models.index(m) * n
+            # a model predicts one class per object, so the sum of its masks is their union
+            other |= sum(obs.pair_masks[g:g + n]) & ~obs.pair_masks[g + c]
+    if not other:
+        return pack([x < threshold for x in obs.confidence[rows]]) << rows.start
+    elsewhere = flags(other, len(obs.objects))
+    if threshold == -math.inf:
+        fired = [elsewhere[w] for w in obs.obj[rows]]
     else:
-        # disagree_with: the other model predicts another class for the object;
-        # a model predicts one class per object, so the sum of its masks is their union
-        n = len(obs.classes)
-        g = obs.models.index(cond.model) * n
-        other = flags(sum(obs.pair_masks[g:g + n]) & ~obs.pair_masks[g + c], len(obs.objects))
-        fired = [other[w] for w in obs.obj[rows]]
+        fired = [x < threshold or elsewhere[w]
+                 for x, w in zip(obs.confidence[rows], obs.obj[rows])]
     return pack(fired) << rows.start
 
 
@@ -255,7 +274,7 @@ def learn_ruleset(train: ObservationSet,
             pool = tuple(candidates.get((m, k), ()))
             rows = train.pair_rows(f, c)
             correct = pack(map(labelled[c].__getitem__, train.obj[rows])) << rows.start
-            fired = [_condition_mask(cond, train, f, c) for cond in pool]
+            fired = [_rule_mask(train, f, c, *_fold((cond,))) for cond in pool]
             for eps, chosen in zip(grid, _learn_pair(correct, fired, grid)):
                 ruleset.rules[(m, k, eps)] = ErrorRule(m, k, tuple(pool[i] for i in chosen))
     return ruleset
@@ -266,16 +285,21 @@ def split_flagged(obs: ObservationSet, ruleset: RuleSet, epsilon: float) -> int:
     the prediction as an error, as a row bitset.
 
     A rule flags a prediction when any of its conditions fires.  This is the
-    one rule filter; the learner shares its condition masks.
+    one rule filter; the learner shares its evaluator.  Each pair's mask is
+    remembered on ``obs`` by its folded rule, so epsilons whose rules fold
+    alike evaluate it once.
     """
     flagged = 0
     for f, m in enumerate(obs.models):
         for c, k in enumerate(obs.classes):
             rows = obs.pair_rows(f, c)
-            if rows.stop == rows.start:
+            conditions = ruleset.rule_for(m, k, epsilon).conditions
+            if rows.stop == rows.start or not conditions:
                 continue
-            for cond in ruleset.rule_for(m, k, epsilon).conditions:
-                flagged |= _condition_mask(cond, obs, f, c)
+            key = (f, c, *_fold(conditions))
+            if key not in obs.rule_masks:
+                obs.rule_masks[key] = _rule_mask(obs, *key)
+            flagged |= obs.rule_masks[key]
     return flagged
 
 

@@ -37,13 +37,15 @@ with ``json.loads`` and the records checked one by one, to name the first
 bad line as ``<path>:<line>:``.
 
 :func:`match_detections` works on the tables.  Within each image it sorts
-the detections by x_min and keeps a running max of x_max; an object's
-candidates are the window of rows between the first whose running x_max
-exceeds the object's x_min and the last whose x_min is below its x_max.
-That window is an exact superset of the detections overlapping the object,
-so IoU is computed only for pairs that can overlap.  It returns an
-:class:`ObservationSet`: the matched predictions as lists of model, object
-and class indices into sorted id tuples, plus confidences.  A set of objects
+the detections by x_min (earlier row on ties) and keeps a running max of
+x_max; an object's candidates are the window of rows between the first
+whose running x_max exceeds the object's x_min and the last whose x_min is
+below its x_max.  That window is an exact superset of the detections
+overlapping the object, so IoU is computed only for pairs that can
+overlap.  It returns an :class:`ObservationSet`, laid out from one bucket
+of kept detections per (model, class) pair, each sorted by object: the
+matched predictions as lists of model, object and class indices into
+sorted id tuples, plus confidences.  A set of objects
 or rows is one int, bit ``i`` for member ``i`` (:func:`bitsets`); a coverage
 is one such set per class.
 
@@ -64,9 +66,9 @@ import os
 import sys
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from math import isfinite
+from math import inf, isfinite
 from operator import itemgetter, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -169,17 +171,8 @@ class ObservationSet:
         self.models, self.objects, self.classes = models, objects, classes
         self.model, self.obj, self.cls, self.confidence = model, obj, cls, confidence
         self._split = {}
-
-    @classmethod
-    def build(cls, models, objects, classes, model, obj, klass,
-              confidence) -> "ObservationSet":
-        """The set of rows given as index lists into the sorted universes,
-        in any order."""
-        n, c = len(objects), len(classes)
-        order = sorted(range(len(obj)), key=[(f * c + k) * n + w for f, k, w in zip(
-            model, klass, obj)].__getitem__)
-        return cls(models, objects, classes,
-                   *(list(map(a.__getitem__, order)) for a in (model, obj, klass, confidence)))
+        # ``edr.split_flagged``'s row mask of each (model, class, folded rule)
+        self.rule_masks = {}
 
     @cached_property
     def entries(self) -> frozenset:
@@ -258,39 +251,6 @@ def coverage_report(obs: ObservationSet) -> CoverageReport:
     return CoverageReport(tuple(w for i, w in enumerate(obs.objects) if i not in seen))
 
 
-def _overlaps(gt_boxes: list, gimg: list, det_boxes: list, dimg: list) -> Iterator[tuple]:
-    """Per object, in input order, its ``(detection row, IoU)`` pairs, IoU > 0.
-
-    Each image's detections are sorted by x_min (earlier row on ties) with
-    a running max of x_max.  An object spanning [gx0, gx1] takes the window
-    of rows from the first whose running x_max exceeds gx0 up to the last
-    whose x_min is below gx1: an exact superset of the detections
-    overlapping it.  IoU is the scalar formula, detection operands first,
-    with ``min`` and ``max`` written out.
-    """
-    windows = {}
-    for d, i in enumerate(dimg):
-        windows.setdefault(i, []).append(d)
-    for i, rows in windows.items():
-        rows.sort(key=lambda d: det_boxes[d][0])
-        windows[i] = (rows, [det_boxes[d][0] for d in rows],
-                      list(accumulate((det_boxes[d][2] for d in rows), max)))
-    for (gx0, gy0, gx1, gy1), i in zip(gt_boxes, gimg):
-        rows, x0, reach = windows.get(i, ((), (), ()))
-        area = (gx1 - gx0) * (gy1 - gy0)
-        pairs = []
-        for d in rows[bisect_right(reach, gx0):bisect_left(x0, gx1)]:
-            dx0, dy0, dx1, dy1 = det_boxes[d]
-            ix = (dx1 if dx1 < gx1 else gx1) - (dx0 if dx0 > gx0 else gx0)
-            iy = (dy1 if dy1 < gy1 else gy1) - (dy0 if dy0 > gy0 else gy0)
-            if ix > 0.0 and iy > 0.0:
-                inter = ix * iy
-                iou = inter / ((dx1 - dx0) * (dy1 - dy0) + area - inter)
-                if iou > 0.0:
-                    pairs.append((d, iou))
-        yield pairs
-
-
 def _repeats(ids: Sequence[str]) -> list:
     """Whether each row's id already appeared on an earlier row."""
     first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
@@ -315,63 +275,114 @@ def match_detections(gt, detections, primary_iou: float = 0.90,
     is consumed by at most one object, and each object keeps at most one
     entry per model.
 
-    IoU is computed only for the pairs :func:`_overlaps` finds.  A
-    detection belongs to one model, so visiting the objects once, each
-    taking one detection per model, gives each model's stage 1.
+    IoU, the scalar formula with detection operands first and ``min`` and
+    ``max`` written out, is computed only within each object's window (see
+    the module docstring): above ``primary_iou`` in stage 1, and again for
+    the objects stage 1 left unmatched.  A detection belongs to one model,
+    so visiting the objects once, each taking one detection per model,
+    gives each model's stage 1.
     """
     if not (0.0 < primary_iou <= 1.0):
         raise InputError(f"primary_iou must be in (0, 1]: {primary_iou!r}")
     dets = detections
-    dup = next(compress(count(), _repeats(gt.object_id)), None)
-    if dup is not None:
-        raise InputError(f"duplicate ground-truth object_id {gt.object_id[dup]!r}")
+    objects = tuple(sorted(gt.object_id))
+    object_at = {w: i for i, w in enumerate(objects)}
+    if len(object_at) < len(objects):
+        dup = next(compress(gt.object_id, _repeats(gt.object_id)))
+        raise InputError(f"duplicate ground-truth object_id {dup!r}")
 
-    # images in first-appearance order; a detection elsewhere never matches
+    # codes: each object's rank by id, images in first-appearance order (a
+    # detection elsewhere never matches), detection models and all classes
+    # in id order, and each detection's (model, class) pair
+    rank = list(map(object_at.__getitem__, gt.object_id))
     image_code = {im: i for i, im in enumerate(dict.fromkeys(gt.image_id))}
     gimg = list(map(image_code.__getitem__, gt.image_id))
     dimg = list(map(image_code.get, dets.image_id, repeat(-1)))
     model_ids = sorted(set(dets.model_id))
-    model_code = {m: i for i, m in enumerate(model_ids)}
-    dmodel = list(map(model_code.__getitem__, dets.model_id))
-    live = chain(compress(gt.boxes, map(set(dimg).__contains__, gimg)),
-                 compress(dets.boxes, map((-1).__ne__, dimg)))
-    if any(map((0.0).__ge__, map(lambda b: (b[2] - b[0]) * (b[3] - b[1]), live))):
-        raise InputError("IoU undefined for zero-area boxes")
-    conf = dets.confidence
-
-    # stage 1: per model the first unused detection in (-confidence, row)
-    # order; stage 2 waits for every object's stage 1
-    used = bytearray(len(dets))
-    kept, pending = [], []
-    for o, pairs in enumerate(_overlaps(gt.boxes, gimg, dets.boxes, dimg)):
-        done, n_kept = -1, len(kept)
-        for f, _, d in sorted([(dmodel[d], -conf[d], d) for d, v in pairs if v > primary_iou]):
-            if f != done and not used[d]:
-                done, used[d] = f, True
-                kept.append((o, d))
-        if len(kept) == n_kept and pairs:
-            pending.append((o, pairs))
-
-    # stage 2: objects no model matched, each taking its best unused pair
-    for o, pairs in pending:
-        for *_, d in sorted([(-v, -conf[d], dmodel[d], d) for d, v in pairs]):
-            if not used[d]:
-                used[d] = True
-                kept.append((o, d))
-                break
-
-    # the set straight from the kept (object, detection) pairs
-    o, d = (list(c) for c in zip(*kept)) if kept else ([], [])
-    objects = tuple(sorted(gt.object_id))
-    all_models = tuple(sorted(set(model_ids if models is None else models).union(
-        dets.model_id[k] for k in d)))
     all_classes = tuple(sorted(set(() if classes is None else classes).union(
         dets.class_id, gt.class_id)))
-    obj = index_of(objects, map(gt.object_id.__getitem__, o), "object")
-    model = index_of(all_models, map(dets.model_id.__getitem__, d), "model")
-    klass = index_of(all_classes, map(dets.class_id.__getitem__, d), "class")
-    return ObservationSet.build(all_models, objects, all_classes, model, obj, klass,
-                                list(map(conf.__getitem__, d)))
+    n_classes = len(all_classes)
+    dmodel = list(map({m: i for i, m in enumerate(model_ids)}.__getitem__, dets.model_id))
+    dpair = [f * n_classes + c for f, c in zip(dmodel, map(
+        {c: i for i, c in enumerate(all_classes)}.__getitem__, dets.class_id))]
+    live = chain(compress(gt.boxes, map(set(dimg).__contains__, gimg)),
+                 compress(dets.boxes, map((-1).__ne__, dimg)))
+    if any([(x1 - x0) * (y1 - y0) <= 0.0 for x0, y0, x1, y1 in live]):
+        raise InputError("IoU undefined for zero-area boxes")
+    conf, det_boxes = dets.confidence, dets.boxes
+
+    # each image's rows in (x_min, row) order, with their x_min and the
+    # running max of their x_max
+    left, right = (list(map(itemgetter(k), det_boxes)) for k in (0, 2))
+    order = sorted(range(len(dets)), key=dimg.__getitem__)
+    cuts = [bisect_left(order, i, key=dimg.__getitem__) for i in range(len(image_code) + 1)]
+    windows = []
+    for rows in map(order.__getitem__, map(slice, cuts, cuts[1:])):
+        rows.sort(key=left.__getitem__)
+        reach, top = [], -inf
+        for x in map(right.__getitem__, rows):
+            top = x if x > top else top     # max(top, x), which keeps top on ties
+            reach.append(top)
+        windows.append((rows, list(map(left.__getitem__, rows)), reach))
+    # the rank of the object that took each detection, None while unused
+    owner = [None] * len(dets)
+
+    def candidates(o: int, floor: float) -> dict:
+        """The IoU of each unused detection in object ``o``'s window whose
+        IoU is above ``floor``, by row."""
+        gx0, gy0, gx1, gy1 = gt.boxes[o]
+        rows, starts, reach = windows[gimg[o]]
+        area = (gx1 - gx0) * (gy1 - gy0)
+        out = {}
+        for d in rows[bisect_right(reach, gx0):bisect_left(starts, gx1)]:
+            if owner[d] is not None:
+                continue
+            dx0, dy0, dx1, dy1 = det_boxes[d]
+            ix = (dx1 if dx1 < gx1 else gx1) - (dx0 if dx0 > gx0 else gx0)
+            iy = (dy1 if dy1 < gy1 else gy1) - (dy0 if dy0 > gy0 else gy0)
+            if ix > 0.0 and iy > 0.0:
+                inter = ix * iy
+                iou = inter / ((dx1 - dx0) * (dy1 - dy0) + area - inter)
+                if iou > floor:
+                    out[d] = iou
+        return out
+
+    # stage 1: per model the unused detection first in (-confidence, row)
+    # order; stage 2 waits for every object's stage 1
+    buckets = [[] for _ in range(len(model_ids) * n_classes)]
+    unmatched = []
+    for o, w in enumerate(rank):
+        rows = list(candidates(o, primary_iou))
+        if len(set(map(dmodel.__getitem__, rows))) < len(rows):
+            # per model the most confident, the earlier row on ties: the last in this order
+            rows = {dmodel[d]: d for d in sorted(rows, key=lambda d: (conf[d], -d))}.values()
+        for d in rows:
+            owner[d] = w
+            buckets[dpair[d]].append(d)
+        if not rows:
+            unmatched.append(o)
+
+    # stage 2: objects no model matched, each taking its best unused pair
+    for o in unmatched:
+        iou = candidates(o, 0.0)
+        if iou:
+            d = min(iou, key=lambda d: (-iou[d], -conf[d], dmodel[d], d))
+            owner[d] = rank[o]
+            buckets[dpair[d]].append(d)
+
+    # the buckets in (model, class, object) order
+    present = {model_ids[k // n_classes] for k, rows in enumerate(buckets) if rows}
+    all_models = tuple(sorted(present.union(model_ids if models is None else models)))
+    model_at = {m: i for i, m in enumerate(all_models)}
+    model, obj, cls, confidence = [], [], [], []
+    for k, rows in enumerate(buckets):
+        if rows:
+            rows.sort(key=owner.__getitem__)
+            model += repeat(model_at[model_ids[k // n_classes]], len(rows))
+            cls += repeat(k % n_classes, len(rows))
+            obj += map(owner.__getitem__, rows)
+            confidence += map(conf.__getitem__, rows)
+    return ObservationSet(all_models, objects, all_classes, model, obj, cls, confidence)
 
 
 def ground_truth_labels(gt: GroundTruthTable) -> dict:

@@ -27,8 +27,19 @@ from abfuse.solver_hs import HsConfig, HsResult, SelectionStep
 
 
 # ------------------------------------------------ observation sets, by entry
-# Production builds every ``ObservationSet`` from index arrays
-# (``ObservationSet.build``); tests state theirs as ``Observation`` tuples.
+# Production lays every ``ObservationSet``'s rows out in (model, class,
+# object) order as it builds them; tests state theirs as ``Observation``
+# tuples or as index lists in any order.
+
+
+def build_set(models, objects, classes, model, obj, klass, confidence) -> ObservationSet:
+    """The set of rows given as index lists into the sorted universes, in
+    any order."""
+    n, c = len(objects), len(classes)
+    order = sorted(range(len(obj)), key=[(f * c + k) * n + w for f, k, w in zip(
+        model, klass, obj)].__getitem__)
+    return ObservationSet(models, objects, classes, *(
+        list(map(a.__getitem__, order)) for a in (model, obj, klass, confidence)))
 
 
 def observation_set(entries: Iterable[Observation],
@@ -54,8 +65,8 @@ def observation_set(entries: Iterable[Observation],
     if twice:
         f, w = twice[0]
         raise InputError(f"model {models[f]!r} has two entries for object {objects[w]!r}")
-    return ObservationSet.build(models, objects, classes, model, obj, klass,
-                                [float(e.confidence) for e in rows])
+    return build_set(models, objects, classes, model, obj, klass,
+                     [float(e.confidence) for e in rows])
 
 
 # ------------------------------------------------------- deductive closure
@@ -819,8 +830,8 @@ def match_detections_reference(gt, detections, primary_iou: float = 0.90,
     obj = np.array(index_of(objects, gt.object_id, "object"), dtype=np.int64)[o]
     model = np.array(index_of(all_models, model_ids, "model"), dtype=np.int64)[dmodel[d]]
     klass = index_of(all_classes, map(dets.class_id.__getitem__, d.tolist()), "class")
-    return ObservationSet.build(all_models, objects, all_classes, model.tolist(), obj.tolist(),
-                                klass, confidence[d].tolist())
+    return build_set(all_models, objects, all_classes, model.tolist(), obj.tolist(),
+                     klass, confidence[d].tolist())
 
 
 # ---------------------------------------------------------- table writers

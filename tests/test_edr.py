@@ -358,6 +358,34 @@ def test_split_flagged_matches_the_per_entry_oracle(rows, conds):
     assert errors == {(e.model_id, e.class_id, e.object_id) for e in want}
 
 
+_pair_rules = st.dictionaries(st.tuples(st.sampled_from(MODELS), st.sampled_from(CLASSES)),
+                              st.lists(_conditions, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("o1", "o2", "o3", "o4", "o5")),
+                          st.sampled_from(MODELS), st.sampled_from(CLASSES),
+                          st.sampled_from(LEVELS)),
+                unique_by=lambda r: (r[0], r[1])),
+       st.lists(_pair_rules, min_size=6, max_size=6),
+       st.permutations([(s, e) for s in (0, 1) for e in (0.1, 0.5, 0.9)] * 2))
+def test_split_flagged_remembers_masks_by_the_whole_rule(rows, rules, calls):
+    """One set filtered by two rule sets, each on a 3-value grid, every
+    epsilon twice and in any order: each pair's remembered mask serves only
+    rules with the same largest threshold and disagreeing models."""
+    obs = obs_of(rows, objects=["o1", "o2", "o3", "o4", "o5"], models=MODELS,
+                 classes=CLASSES)
+    grid = (0.1, 0.5, 0.9)
+    sets = [RuleSet(grid, {(m, c, e): ErrorRule(m, c, tuple(cs))
+                           for e, pairs in zip(grid, rules[3 * s:3 * s + 3])
+                           for (m, c), cs in pairs.items()}) for s in (0, 1)]
+    sib = sibling_index(obs)
+    for s, e in calls:
+        want = {x for x in obs.entries
+                if flags(sets[s].rule_for(x.model_id, x.class_id, e), x, sib[x.object_id])}
+        assert obs.subset(members(split_flagged(obs, sets[s], e))).entries == want
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_learned_rules_match_a_per_entry_learner(seed):
     data = synthgen.generate(synthgen.preset("MM_1", n_models=4, n_train=150,

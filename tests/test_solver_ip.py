@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from abfuse import kernels, solver_ip, synthgen
 from abfuse.deduction import IntegrityConstraintSet, default_domain, find_violations
 from abfuse.edr import apply_rules, learn_ruleset
-from abfuse.model_io import InputError, ObservationSet
+from abfuse.model_io import InputError
 from abfuse.solver_ip import (STATUS_INFEASIBLE, STATUS_OPTIMAL,
                               audit_solution, build_instance, solve)
 
 from conftest import (DELTA_GRID, accepted_pairs, assigned_atoms, eliminated_pairs, obs_atoms,
                       obs_of, random_instance)
-from oracles import brute_force_optimal, milp_optimum
+from oracles import brute_force_optimal, build_set, milp_optimum
 
 IC_CT = IntegrityConstraintSet((("car", "tree"),))
 
@@ -169,10 +169,9 @@ def test_solve_agrees_with_milp_beyond_brute_force(shape, n_shared, agree, n_fre
     model, klass = np.concatenate((model, forced // C)), np.concatenate((klass, forced % C))
     obj = np.concatenate((obj, n_shared + np.arange(len(forced))))
     classes = tuple("abcd"[:C])
-    obs = ObservationSet.build(tuple(f"m{f}" for f in range(F)),
-                               tuple(f"o{w:02d}" for w in range(n_shared + len(forced))),
-                               classes, model.tolist(), obj.tolist(), klass.tolist(),
-                               [0.5] * len(obj))
+    obs = build_set(tuple(f"m{f}" for f in range(F)),
+                    tuple(f"o{w:02d}" for w in range(n_shared + len(forced))),
+                    classes, model.tolist(), obj.tolist(), klass.tolist(), [0.5] * len(obj))
     all_pairs = [(x, y) for i, x in enumerate(classes) for y in classes[i + 1:]]
     ic = IntegrityConstraintSet([p for p in all_pairs if rng.random() < 0.7])
     inst = build_instance(obs, ic, delta, mode, directed)
