@@ -14,8 +14,7 @@ predictions only grows with epsilon.
 
 A rule is evaluated, once folded (:func:`_fold`), as a row bitset over
 an :class:`ObservationSet`, in one pass over one (model, class) pair's
-rows; the filter remembers each pair's mask on the set, and the learner
-evaluates each candidate as a one-condition rule.
+rows; the learner evaluates each candidate as a one-condition rule.
 """
 
 import math
@@ -156,15 +155,9 @@ def _rule_mask(obs: ObservationSet, f: int, c: int, threshold: float,
             g = obs.models.index(m) * n
             # a model predicts one class per object, so the sum of its masks is their union
             other |= sum(obs.pair_masks[g:g + n]) & ~obs.pair_masks[g + c]
-    if not other:
-        return pack([x < threshold for x in obs.confidence[rows]]) << rows.start
     elsewhere = flags(other, len(obs.objects))
-    if threshold == -math.inf:
-        fired = [elsewhere[w] for w in obs.obj[rows]]
-    else:
-        fired = [x < threshold or elsewhere[w]
-                 for x, w in zip(obs.confidence[rows], obs.obj[rows])]
-    return pack(fired) << rows.start
+    return pack([x < threshold or elsewhere[w]
+                 for x, w in zip(obs.confidence[rows], obs.obj[rows])]) << rows.start
 
 
 def _linear_quantiles(values: Sequence[float], qs: Sequence[float]) -> list:
@@ -285,9 +278,7 @@ def split_flagged(obs: ObservationSet, ruleset: RuleSet, epsilon: float) -> int:
     the prediction as an error, as a row bitset.
 
     A rule flags a prediction when any of its conditions fires.  This is the
-    one rule filter; the learner shares its evaluator.  Each pair's mask is
-    remembered on ``obs`` by its folded rule, so epsilons whose rules fold
-    alike evaluate it once.
+    one rule filter; the learner shares its evaluator.
     """
     flagged = 0
     for f, m in enumerate(obs.models):
@@ -296,10 +287,7 @@ def split_flagged(obs: ObservationSet, ruleset: RuleSet, epsilon: float) -> int:
             conditions = ruleset.rule_for(m, k, epsilon).conditions
             if rows.stop == rows.start or not conditions:
                 continue
-            key = (f, c, *_fold(conditions))
-            if key not in obs.rule_masks:
-                obs.rule_masks[key] = _rule_mask(obs, *key)
-            flagged |= obs.rule_masks[key]
+            flagged |= _rule_mask(obs, f, c, *_fold(conditions))
     return flagged
 
 

@@ -171,8 +171,6 @@ class ObservationSet:
         self.models, self.objects, self.classes = models, objects, classes
         self.model, self.obj, self.cls, self.confidence = model, obj, cls, confidence
         self._split = {}
-        # ``edr.split_flagged``'s row mask of each (model, class, folded rule)
-        self.rule_masks = {}
 
     @cached_property
     def entries(self) -> frozenset:

@@ -369,10 +369,10 @@ _pair_rules = st.dictionaries(st.tuples(st.sampled_from(MODELS), st.sampled_from
                 unique_by=lambda r: (r[0], r[1])),
        st.lists(_pair_rules, min_size=6, max_size=6),
        st.permutations([(s, e) for s in (0, 1) for e in (0.1, 0.5, 0.9)] * 2))
-def test_split_flagged_remembers_masks_by_the_whole_rule(rows, rules, calls):
+def test_split_flagged_matches_the_oracle_in_any_call_order(rows, rules, calls):
     """One set filtered by two rule sets, each on a 3-value grid, every
-    epsilon twice and in any order: each pair's remembered mask serves only
-    rules with the same largest threshold and disagreeing models."""
+    epsilon twice and in any order: each call's mask is the per-entry
+    oracle's, so nothing the set caches carries over from another rule."""
     obs = obs_of(rows, objects=["o1", "o2", "o3", "o4", "o5"], models=MODELS,
                  classes=CLASSES)
     grid = (0.1, 0.5, 0.9)
