@@ -14,7 +14,8 @@ predictions only grows with epsilon.
 
 A rule is evaluated, once folded (:func:`_fold`), as a row bitset over
 an :class:`ObservationSet`, in one pass over one (model, class) pair's
-rows; the learner evaluates each candidate as a one-condition rule.
+rows; the learner evaluates each candidate as a one-condition rule, and
+:func:`apply_rules`, the one filter both searches take, every pair's rule.
 """
 
 import math
@@ -250,7 +251,7 @@ def learn_ruleset(train: ObservationSet,
     """Learn rules for every (model, class) pair across the epsilon grid.
 
     Each candidate's firing pattern comes from the same masks
-    :func:`split_flagged` evaluates.
+    :func:`apply_rules` evaluates.
     """
     for w in sorted(set(train.obj)):
         if train.objects[w] not in gt_labels:
@@ -273,13 +274,13 @@ def learn_ruleset(train: ObservationSet,
     return ruleset
 
 
-def split_flagged(obs: ObservationSet, ruleset: RuleSet, epsilon: float) -> int:
-    """The rows of ``obs`` whose (model, class) pair's ``epsilon`` rule flags
-    the prediction as an error, as a row bitset.
-
-    A rule flags a prediction when any of its conditions fires.  This is the
-    one rule filter; the learner shares its evaluator.
-    """
+def apply_rules(obs: ObservationSet,
+                ruleset: RuleSet,
+                epsilon: float) -> Tuple[ObservationSet, list, list]:
+    """Filter ``obs`` with the rules learned for ``epsilon``: ``(kept,
+    flagged, rows)``, the surviving set on the same universe, the ascending
+    rows of ``obs`` flagged as errors (a condition of their pair's rule
+    fires), and the row of ``obs`` behind each row of ``kept``."""
     flagged = 0
     for f, m in enumerate(obs.models):
         for c, k in enumerate(obs.classes):
@@ -288,17 +289,5 @@ def split_flagged(obs: ObservationSet, ruleset: RuleSet, epsilon: float) -> int:
             if rows.stop == rows.start or not conditions:
                 continue
             flagged |= _rule_mask(obs, f, c, *_fold(conditions))
-    return flagged
-
-
-def apply_rules(obs: ObservationSet,
-                ruleset: RuleSet,
-                epsilon: float) -> Tuple[ObservationSet, list]:
-    """Filter an observation set with the rules learned for ``epsilon``.
-
-    Returns the surviving observations (same object/model/class universe)
-    and the flagged rows, ascending row indices into ``obs`` (so
-    ``obs.subset(flagged).entries`` are the flagged entries).
-    """
-    flagged = split_flagged(obs, ruleset, epsilon)
-    return obs.split(flagged)[0], members(flagged)
+    rows = members(((1 << len(obs.obj)) - 1) & ~flagged)
+    return obs.subset(rows), members(flagged), rows

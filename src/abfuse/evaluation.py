@@ -14,13 +14,13 @@ import json
 import struct
 import time
 from functools import reduce
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from operator import or_
 from typing import (Dict, Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .deduction import DomainConfig, count_violations, inc_from_count
-from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules, split_flagged
+from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules
 from .model_io import (InputError, ObservationSet, Truth, bitsets, index_of, write_json,
                        write_rows)
 
@@ -195,26 +195,24 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
                  solvers: Sequence[str], repeats: int = 1) -> Iterator[SolverCell]:
     """Solve one rule filter's cells per delta, then per solver ("ip" before
     "hs"), ``repeats`` times each, yielding each once solved.  The rules
-    filter once for every cell; the exact solver takes one epsilon and packs
-    its survivors once, and the greedy search takes each epsilon's mask."""
+    filter once per epsilon (:func:`apply_rules`) for every cell: the exact
+    solver takes one epsilon and packs its survivors once, and the greedy
+    search takes every epsilon's survivors."""
     if "hs" in solvers:
         from . import solver_hs
         configs = {d: solver_hs.HsConfig(d, epsilons) for d in deltas}
-    shared, t0 = {}, time.perf_counter()
     if "ip" in solvers:
         from . import solver_ip
         (epsilon,) = epsilons
-        filtered, flagged_rows = apply_rules(obs, ruleset, epsilon)
-        (flagged,) = bitsets(repeat(0), flagged_rows, 1, len(obs.obj))
-        kept = obs.split(flagged)[1]      # the loaded row behind each filtered one
-        shared["hs"] = time.perf_counter() - t0
-        packed = solver_ip.build_instance(filtered, domain.ic, deltas[0],
+    t0 = time.perf_counter()
+    survivors = {e: apply_rules(obs, ruleset, e) for e in sorted(set(map(float, epsilons)))}
+    shared = {"hs": time.perf_counter() - t0}
+    if "ip" in solvers:
+        # ``loaded[r]`` is the loaded row behind row ``r`` of ``kept``
+        kept, _, loaded = survivors[epsilon]
+        packed = solver_ip.build_instance(kept, domain.ic, deltas[0],
                                           domain.normalizer_mode, domain.directed_ground_rules)
         shared["ip"] = time.perf_counter() - t0
-        masks = {epsilon: flagged}
-    else:
-        masks = {e: split_flagged(obs, ruleset, e) for e in configs[deltas[0]].epsilon_set}
-        shared["hs"] = time.perf_counter() - t0
     for delta in deltas:
         for solver in ("ip", "hs"):
             for _ in range(repeats if solver in solvers else 0):
@@ -222,11 +220,11 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
                 if solver == "ip":
                     sol = solver_ip.solve(packed.with_delta(delta))
                     status = "ok" if sol.status == solver_ip.STATUS_OPTIMAL else "infeasible"
-                    rows = list(map(kept.__getitem__, filtered.rows_within(sol.covered)))
+                    rows = list(map(loaded.__getitem__, kept.rows_within(sol.covered)))
                     got = (rows, sol.covered, status, sol.nodes, None)
                 else:
                     res = solver_hs.heuristic_search(
-                        obs, configs[delta], masks, domain.ic, domain.normalizer_mode,
+                        obs, configs[delta], survivors, domain.ic, domain.normalizer_mode,
                         domain.directed_ground_rules)
                     got = (res.rows, res.cover, "ok", 0, res.trace)
                 yield SolverCell(solver, delta, *got, shared[solver] + time.perf_counter() - t0)

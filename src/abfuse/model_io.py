@@ -170,7 +170,6 @@ class ObservationSet:
                  obj: list, cls: list, confidence: list):
         self.models, self.objects, self.classes = models, objects, classes
         self.model, self.obj, self.cls, self.confidence = model, obj, cls, confidence
-        self._split = {}
 
     @cached_property
     def entries(self) -> frozenset:
@@ -210,15 +209,6 @@ class ObservationSet:
         return ObservationSet(self.models, self.objects, self.classes,
                               *(list(map(a.__getitem__, rows)) for a in (
                                   self.model, self.obj, self.cls, self.confidence)))
-
-    def split(self, flagged: int) -> tuple:
-        """``(kept, rows)``: the rows outside the row bitset ``flagged`` as a
-        set on the same universe, and the row of this set behind each of its
-        rows; remembered, so each epsilon's filter serves every delta."""
-        if flagged not in self._split:
-            rows = members(((1 << len(self.obj)) - 1) & ~flagged)
-            self._split[flagged] = (self.subset(rows), rows)
-        return self._split[flagged]
 
     def rows_within(self, cov: list) -> list:
         """Ascending rows whose object is in its class's set of ``cov``."""

@@ -10,9 +10,9 @@ epsilon wins, smallest epsilon on ties; pairs that cannot grow the selection
 are skipped.  Accepted predictions are never removed, so every intermediate
 selection already satisfies the budget.
 
-The caller filters: each epsilon comes with its bitset of flagged rows.  The
-selection is held as the exact search holds its coverage, one object bitset
-per class (:mod:`abfuse.kernels`), and so is each pair's surviving run.
+The caller filters: each epsilon comes with its :func:`abfuse.edr.apply_rules`
+survivors.  The selection is held as the exact search holds its coverage, one
+object bitset per class (:mod:`abfuse.kernels`), and so is each pair's run.
 """
 
 from itertools import product
@@ -69,12 +69,13 @@ class HsResult:
 
 def heuristic_search(p_raw: ObservationSet,
                      config: HsConfig,
-                     flagged: Mapping[float, int],
+                     survivors: Mapping[float, tuple],
                      ic: IntegrityConstraintSet,
                      normalizer_mode: str = "per_object",
                      directed_ground_rules: bool = False) -> HsResult:
-    """``flagged`` maps each epsilon of ``config`` to the rows of ``p_raw``
-    its rules flag, as the bitset of :func:`abfuse.edr.split_flagged`."""
+    """``survivors`` maps each epsilon of ``config`` to its filter of
+    ``p_raw``, ``(kept, flagged, rows)`` as :func:`abfuse.edr.apply_rules`
+    returns it."""
     n_objects, n_classes = len(p_raw.objects), len(p_raw.classes)
     budget = violation_budget(config.delta, n_objects, ic,
                               normalizer_mode, directed_ground_rules)
@@ -87,16 +88,14 @@ def heuristic_search(p_raw: ObservationSet,
     cover = [0] * n_classes
     atoms = conflicts = 0
 
-    # each epsilon's surviving set, and the row of ``p_raw`` behind each of its rows
-    survivors = [(eps, *p_raw.split(flagged[eps])) for eps in config.epsilon_set]
-
     # ``p`` indexes a pair's mask and its run of rows
     accepted = []
     steps = []
     for p, (m, k) in enumerate(product(p_raw.models, p_raw.classes)):
         c = p % n_classes
-        best = None  # (atoms, conflicts, eps, its survivor mask, the pair's objects)
-        for eps, kept, rows in survivors:
+        best = None  # (atoms, conflicts, eps, its surviving set and back-map)
+        for eps in config.epsilon_set:
+            kept, _, rows = survivors[eps]
             add = kept.pair_masks[p]
             if not add:
                 continue

@@ -96,38 +96,26 @@ def build_instance(obs: ObservationSet,
                                            ic.index_pairs(classes)))
 
 
-def _solution_from_elim(inst: IpInstance, elim: list, status: str, nodes: int) -> IpSolution:
-    """The solution implied by elimination bits: a class is assigned to an
-    object when some kept pair predicts it."""
-    covered = [0] * len(inst.classes)
-    for f, c, m in zip(inst.start.var_f, inst.start.var_cls, inst.start.var_mask):
-        if not elim[f][c]:
-            covered[c] |= m
-    return IpSolution(status, sum(b.bit_count() for b in covered), nodes, elim, covered, inst)
-
-
-def _infeasible(inst: IpInstance, nodes: int) -> IpSolution:
-    return IpSolution(STATUS_INFEASIBLE, -1, nodes, [[1] * len(inst.classes) for _ in inst.models],
-                      [0] * len(inst.classes), inst)
-
-
 def solve(instance: IpInstance) -> IpSolution:
     """Optimal solution, or a solution with infeasible status when the
-    coverage and budget constraints cannot be met simultaneously."""
-    start = instance.start
+    coverage and budget constraints cannot be met simultaneously.  A class
+    is assigned to an object when some kept pair predicts it."""
+    start, n_classes = instance.start, len(instance.classes)
     found, best_obj, _, best_mask, nodes = kernels.bnb_search(start, instance.delta_budget)
 
     if not found:
-        return _infeasible(instance, nodes)
+        return IpSolution(STATUS_INFEASIBLE, -1, nodes, [[1] * n_classes for _ in instance.models],
+                          [0] * n_classes, instance)
 
-    elim = [[0] * len(instance.classes) for _ in instance.models]
-    for f, c, bit in zip(start.var_f, start.var_cls, best_mask):
+    elim, covered = [[0] * n_classes for _ in instance.models], [0] * n_classes
+    for f, c, m, bit in zip(start.var_f, start.var_cls, start.var_mask, best_mask):
         elim[f][c] = bit
-    sol = _solution_from_elim(instance, elim, STATUS_OPTIMAL, nodes)
-    if sol.objective != best_obj:
-        raise AssertionError(
-            f"search bookkeeping out of sync: {sol.objective} != {best_obj}")
-    return sol
+        if not bit:
+            covered[c] |= m
+    objective = sum(b.bit_count() for b in covered)
+    if objective != best_obj:
+        raise AssertionError(f"search bookkeeping out of sync: {objective} != {best_obj}")
+    return IpSolution(STATUS_OPTIMAL, objective, nodes, elim, covered, instance)
 
 
 def audit_solution(instance: IpInstance, sol: IpSolution) -> list:

@@ -15,7 +15,7 @@ from hypothesis import settings
 
 from abfuse import solver_ip
 from abfuse.deduction import IntegrityConstraintSet
-from abfuse.edr import RuleSet, split_flagged
+from abfuse.edr import RuleSet, apply_rules
 from abfuse.model_io import Observation, members
 from oracles import det_table, gt_table, observation_set
 
@@ -81,10 +81,10 @@ def empty_rules(grid=(0.5,)):
     return RuleSet(tuple(grid))
 
 
-def flag_masks(obs, ruleset, epsilons):
-    """Each epsilon's :func:`split_flagged` row bitset of ``obs``:
-    the filter input of :func:`abfuse.solver_hs.heuristic_search`."""
-    return {e: split_flagged(obs, ruleset, e) for e in epsilons}
+def survivors(obs, ruleset, epsilons):
+    """Each epsilon's :func:`apply_rules` filter of ``obs``: the ``survivors``
+    input of :func:`abfuse.solver_hs.heuristic_search`."""
+    return {e: apply_rules(obs, ruleset, e) for e in epsilons}
 
 
 def random_instance(seed):

@@ -158,7 +158,7 @@ def fixpoint(obs: ObservationSet,
 
 # ------------------------------------------------ per-entry rule evaluation
 # The production filter evaluates rules as masks over ``ObservationSet`` rows
-# (``abfuse.edr.split_flagged``); these helpers evaluate them one entry at a
+# (``abfuse.edr.apply_rules``); these helpers evaluate them one entry at a
 # time from the entry's siblings, straight from the rule definitions.
 
 
@@ -393,7 +393,7 @@ def brute_force_optimal(instance: solver_ip.IpInstance,
     coverable = instance.pred.any(axis=(0, 1))
     pairs_idx = instance.ic.index_pairs(instance.classes)
 
-    best = None  # (objective, n_elim, bits_tuple)
+    best = None  # ((-objective, n_elim, eliminated pairs), covered)
     for mask in range(1 << n):
         bits = [(mask >> k) & 1 for k in range(n)]
         elim_fc = np.array(bits, dtype=bool).reshape(F, C)
@@ -406,14 +406,16 @@ def brute_force_optimal(instance: solver_ip.IpInstance,
             continue
         elim_idx = tuple(k for k in range(n) if bits[k])
         key = (-int(covered.sum()), len(elim_idx), elim_idx)
-        if best is None or key < best:
-            best = key
+        if best is None or key < best[0]:
+            best = key, covered
     if best is None:
-        return solver_ip._infeasible(instance, 0)
-    elim_fc = np.zeros(n, dtype=np.int8)
-    elim_fc[list(best[2])] = 1
-    return solver_ip._solution_from_elim(instance, elim_fc.reshape(F, C).tolist(),
-                                          solver_ip.STATUS_OPTIMAL, 0)
+        return solver_ip.IpSolution(solver_ip.STATUS_INFEASIBLE, -1, 0,
+                                    [[1] * C for _ in range(F)], [0] * C, instance)
+    (neg_objective, _, elim_idx), covered = best
+    eliminated = [[int(f * C + c in elim_idx) for c in range(C)] for f in range(F)]
+    cover = [sum(1 << int(w) for w in np.flatnonzero(row)) for row in covered]
+    return solver_ip.IpSolution(solver_ip.STATUS_OPTIMAL, -neg_objective, 0, eliminated,
+                                cover, instance)
 
 
 def milp_optimum(instance: solver_ip.IpInstance) -> Optional[int]:

@@ -27,8 +27,8 @@ from abfuse.model_io import Observation, match_detections
 from abfuse.solver_hs import HsConfig, heuristic_search
 from abfuse.tiebreak import apply_tiebreaker, candidates_from_atoms
 
-from conftest import (DELTA_GRID, SHARED_SEEDS, assigned_atoms, flag_masks,
-                      random_instance, row_labels, tables)
+from conftest import (DELTA_GRID, SHARED_SEEDS, assigned_atoms, random_instance,
+                      row_labels, survivors, tables)
 from oracles import (BoundingBox, Detection, GroundTruthObject, Hypothesis,
                      brute_force_optimal, calc_incon, fixpoint, flags,
                      get_filtered_preds, labels_to_atoms, observation_set,
@@ -38,8 +38,8 @@ EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
 def _hs(obs, ic, delta, mode, directed):
-    masks = flag_masks(obs, RuleSet((0.5,)), (0.5,))
-    return heuristic_search(obs, HsConfig(delta, (0.5,)), masks, ic, mode, directed)
+    filters = survivors(obs, RuleSet((0.5,)), (0.5,))
+    return heuristic_search(obs, HsConfig(delta, (0.5,)), filters, ic, mode, directed)
 
 
 def _hs_pattern_is_exact_feasible(obs, ic, delta, mode, directed, result):
@@ -164,7 +164,7 @@ def test_c07_epsilon_sweep_trades_recall_for_precision():
         n_correct_raw = sum(labels[e.object_id] == e.class_id
                             for e in data.test.entries)
         for i, eps in enumerate(EPSILON_GRID):
-            surviving, _ = apply_rules(data.test, ruleset, eps)
+            surviving = apply_rules(data.test, ruleset, eps)[0]
             kept = surviving.entries
             correct = sum(labels[e.object_id] == e.class_id for e in kept)
             sums["precision"][i] += correct / len(kept) if kept else 1.0
@@ -196,7 +196,7 @@ def test_c08_fusion_beats_individual_and_vote_baselines(warm_kernels):
         labels = data.test_labels
         n_objects = len(data.test.objects)
 
-        filtered, _ = apply_rules(data.test, ruleset, eps)
+        filtered = apply_rules(data.test, ruleset, eps)[0]
         sol = solver_ip.solve(solver_ip.build_instance(
             filtered, domain.ic, delta,
             domain.normalizer_mode, domain.directed_ground_rules))

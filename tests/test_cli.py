@@ -269,7 +269,7 @@ def test_abduce_ip_metrics_carry_the_node_count(dataset, tmp_path):
                  "--out", str(tmp_path / "ip")]) == EXIT_OK
     ds = load_dataset(manifest)
     obs = observations_from_dataset(ds)
-    filtered, _ = apply_rules(obs, RuleSet.load(rules), 0.1)
+    filtered = apply_rules(obs, RuleSet.load(rules), 0.1)[0]
     dom = default_domain(ds.classes)
     sol = solver_ip.solve(solver_ip.build_instance(filtered, dom.ic, 0.5))
     metrics = json.loads((tmp_path / "ip" / "metrics.json").read_text())

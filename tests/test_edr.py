@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from abfuse import synthgen
 from abfuse.edr import (_QUANTILES, Condition, ErrorRule, RuleSet, _learn_pair,
-                        _linear_quantiles, apply_rules, generate_candidates, learn_ruleset,
-                        split_flagged)
-from abfuse.model_io import InputError, Observation, members, pack
+                        _linear_quantiles, apply_rules, generate_candidates, learn_ruleset)
+from abfuse.model_io import InputError, Observation, pack
 
 from conftest import empty_rules, obs_of
 from oracles import (fires, flag_rate_on_correct, flags, learn_pair_loop,
@@ -340,7 +339,7 @@ _conditions = st.one_of(
                 unique_by=lambda r: (r[0], r[1])),
        st.dictionaries(st.tuples(st.sampled_from(MODELS), st.sampled_from(CLASSES)),
                        st.lists(_conditions, max_size=3)))
-def test_split_flagged_matches_the_per_entry_oracle(rows, conds):
+def test_apply_rules_matches_the_per_entry_oracle(rows, conds):
     obs = obs_of(rows, objects=["o1", "o2", "o3", "o4", "o5", "o6"],
                  models=MODELS + ("f4",), classes=CLASSES)
     rs = RuleSet((0.5,), {(m, c, 0.5): ErrorRule(m, c, tuple(cs))
@@ -349,13 +348,14 @@ def test_split_flagged_matches_the_per_entry_oracle(rows, conds):
     want = {e for e in obs.entries
             if flags(rs.rule_for(e.model_id, e.class_id, 0.5), e, sib[e.object_id])}
 
-    mask = split_flagged(obs, rs, 0.5)
-    assert obs.subset(members(mask)).entries == want
-    filtered, rows = apply_rules(obs, rs, 0.5)
-    errors = error_atoms(obs, rows)
-    assert rows == members(mask)
-    assert filtered.entries == obs.entries - want
-    assert errors == {(e.model_id, e.class_id, e.object_id) for e in want}
+    kept, flagged, rows = apply_rules(obs, rs, 0.5)
+    assert obs.subset(flagged).entries == want
+    assert error_atoms(obs, flagged) == {(e.model_id, e.class_id, e.object_id) for e in want}
+    assert kept.entries == obs.entries - want
+    assert obs.subset(rows) == kept
+    # the flagged and the surviving rows, each ascending, partition the rows
+    assert flagged == sorted(set(flagged)) and rows == sorted(set(rows))
+    assert sorted(flagged + rows) == list(range(len(obs.obj)))
 
 
 _pair_rules = st.dictionaries(st.tuples(st.sampled_from(MODELS), st.sampled_from(CLASSES)),
@@ -369,10 +369,10 @@ _pair_rules = st.dictionaries(st.tuples(st.sampled_from(MODELS), st.sampled_from
                 unique_by=lambda r: (r[0], r[1])),
        st.lists(_pair_rules, min_size=6, max_size=6),
        st.permutations([(s, e) for s in (0, 1) for e in (0.1, 0.5, 0.9)] * 2))
-def test_split_flagged_matches_the_oracle_in_any_call_order(rows, rules, calls):
+def test_apply_rules_matches_the_oracle_in_any_call_order(rows, rules, calls):
     """One set filtered by two rule sets, each on a 3-value grid, every
-    epsilon twice and in any order: each call's mask is the per-entry
-    oracle's, so nothing the set caches carries over from another rule."""
+    epsilon twice and in any order: each call flags the per-entry oracle's
+    rows, so nothing the set caches carries over from another rule."""
     obs = obs_of(rows, objects=["o1", "o2", "o3", "o4", "o5"], models=MODELS,
                  classes=CLASSES)
     grid = (0.1, 0.5, 0.9)
@@ -383,7 +383,7 @@ def test_split_flagged_matches_the_oracle_in_any_call_order(rows, rules, calls):
     for s, e in calls:
         want = {x for x in obs.entries
                 if flags(sets[s].rule_for(x.model_id, x.class_id, e), x, sib[x.object_id])}
-        assert obs.subset(members(split_flagged(obs, sets[s], e))).entries == want
+        assert obs.subset(apply_rules(obs, sets[s], e)[1]).entries == want
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -399,9 +399,8 @@ def test_learned_rules_match_a_per_entry_learner(seed):
 
 def test_apply_rules_empty_ruleset_is_identity():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o2", "f2", "tree", 0.5)])
-    filtered, rows = apply_rules(obs, empty_rules(), 0.5)
-    errors = error_atoms(obs, rows)
-    assert filtered == obs and errors == frozenset()
+    filtered, flagged, rows = apply_rules(obs, empty_rules(), 0.5)
+    assert filtered == obs and flagged == [] and rows == [0, 1]
 
 
 def test_apply_rules_single_rule():
@@ -409,9 +408,8 @@ def test_apply_rules_single_rule():
                   ("o2", "f1", "car", 0.7)])
     rs = RuleSet((0.5,), {("f1", "car", 0.5):
                           ErrorRule("f1", "car", (disagree("f2"),))})
-    filtered, rows = apply_rules(obs, rs, 0.5)
-    errors = error_atoms(obs, rows)
-    assert errors == frozenset({("f1", "car", "o1")})
+    filtered, flagged, _ = apply_rules(obs, rs, 0.5)
+    assert error_atoms(obs, flagged) == frozenset({("f1", "car", "o1")})
     assert filtered.entries == frozenset({Observation("o1", "f2", "tree", 0.8),
                                           Observation("o2", "f1", "car", 0.7)})
     # the universe is preserved even when entries drop out
@@ -424,11 +422,10 @@ def test_apply_rules_idempotent():
         obs, labels, pool = _random_micro(seed)
         rs = learn_ruleset(obs, labels, epsilon_grid=(0.5,),
                            candidates={("f1", "car"): pool})
-        once, _ = apply_rules(obs, rs, 0.5)
-        twice, rows = apply_rules(once, rs, 0.5)
-        again = error_atoms(once, rows)
+        once = apply_rules(obs, rs, 0.5)[0]
+        twice, flagged, _ = apply_rules(once, rs, 0.5)
         assert twice == once
-        assert again == frozenset()
+        assert flagged == []
 
 
 def test_apply_rules_rejects_off_grid_epsilon():

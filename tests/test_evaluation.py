@@ -21,7 +21,7 @@ from abfuse.solver_ip import build_instance, solve
 from abfuse.synthgen import generate, preset, write_dataset
 from abfuse.tiebreak import resolve
 
-from conftest import empty_rules, flag_masks, obs_of
+from conftest import empty_rules, obs_of, survivors
 from oracles import fingerprint_reference, labels_to_atoms, score_reference
 
 GT = {"o1": "car", "o2": "tree"}
@@ -37,8 +37,8 @@ def test_generation_solving_and_scoring_leave_entries_unbuilt(tmp_path):
     rules = learn_ruleset(data.train, data.train_labels, epsilon_grid=(0.1, 0.5))
     obs = data.test
     dom = default_domain(obs.classes)
-    filtered, _ = apply_rules(obs, rules, 0.5)
-    res = heuristic_search(obs, HsConfig(0.5, (0.1, 0.5)), flag_masks(obs, rules, (0.1, 0.5)),
+    filtered = apply_rules(obs, rules, 0.5)[0]
+    res = heuristic_search(obs, HsConfig(0.5, (0.1, 0.5)), survivors(obs, rules, (0.1, 0.5)),
                            dom.ic)
     sol = solve(build_instance(filtered, dom.ic, 0.5))
     truth = Truth.of(data.test_labels, obs.objects, obs.classes)
@@ -60,14 +60,32 @@ def test_ip_cell_rows_index_the_loaded_set():
     statuses = set()
     for eps, delta in ((0.1, 0.0), (0.1, 0.5), (0.5, 0.2), (0.5, 1.0)):
         (cell,) = evaluation.solver_cells(obs, rules, dom, (eps,), (delta,), ("ip",))
-        filtered, flagged = apply_rules(obs, rules, eps)
+        filtered, flagged, kept = apply_rules(obs, rules, eps)
         assert flagged
         sol = solve(build_instance(filtered, dom.ic, delta))
-        kept = [r for r in range(len(obs.obj)) if r not in set(flagged)]
         assert cell.rows == [kept[r] for r in filtered.rows_within(sol.covered)]
         assert cell.cover == sol.covered == obs.coverage(cell.rows)
         statuses.add(cell.status)
     assert statuses == {"ok", "infeasible"}
+
+
+@pytest.mark.parametrize("solvers, epsilons", [
+    (("hs",), (0.5, 0.1, 0.5)), (("ip",), (0.1,)), (("ip", "hs"), (0.5,))])
+def test_solver_cells_filter_once_per_epsilon(monkeypatch, solvers, epsilons):
+    # every delta, repeat and solver shares each epsilon's one filter
+    data = generate(preset("MM_1", n_models=4, n_train=80, n_test=40, seed=1))
+    rules = learn_ruleset(data.train, data.train_labels, epsilon_grid=(0.1, 0.5))
+    calls = []
+
+    def counted(obs, ruleset, epsilon):
+        calls.append(epsilon)
+        return apply_rules(obs, ruleset, epsilon)
+
+    monkeypatch.setattr(evaluation, "apply_rules", counted)
+    cells = list(evaluation.solver_cells(data.test, rules, default_domain(data.test.classes),
+                                         epsilons, (0.0, 0.2, 0.5), solvers, repeats=2))
+    assert len(cells) == 3 * 2 * len(solvers)
+    assert sorted(calls) == sorted(set(epsilons))
 
 
 def test_score_perfect():

@@ -13,7 +13,7 @@ from abfuse.edr import Condition, ErrorRule, RuleSet, learn_ruleset
 from abfuse.model_io import InputError, Observation
 from abfuse.solver_hs import HsConfig, heuristic_search
 
-from conftest import SHARED_SEEDS, empty_rules, flag_masks, obs_of, random_instance
+from conftest import SHARED_SEEDS, empty_rules, obs_of, random_instance, survivors
 from oracles import (calc_incon, get_filtered_preds, heuristic_search_reference,
                      hs_outcome, selected)
 
@@ -23,7 +23,7 @@ IC_CT = IntegrityConstraintSet((("car", "tree"),))
 def search(obs, delta, eps=(0.5,), ruleset=None, ic=IC_CT, mode="per_object",
            directed=False):
     return heuristic_search(obs, HsConfig(delta, eps),
-                            flag_masks(obs, ruleset or empty_rules(eps), eps),
+                            survivors(obs, ruleset or empty_rules(eps), eps),
                             ic, mode, directed)
 
 
@@ -300,7 +300,7 @@ def test_search_matches_the_per_entry_reference(problem):
     """The rule filter plus the greedy search against the search stated per
     entry, its survivors taken from the rules one entry at a time."""
     obs, config, ruleset, *rest = problem
-    res = heuristic_search(obs, config, flag_masks(obs, ruleset, config.epsilon_set), *rest)
+    res = heuristic_search(obs, config, survivors(obs, ruleset, config.epsilon_set), *rest)
     rows, steps, n_atoms, inconsistency = heuristic_search_reference(*problem)
     assert res.rows == rows
     assert res.cover == obs.coverage(rows)

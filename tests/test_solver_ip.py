@@ -213,7 +213,7 @@ def test_deep_search_visit_order_is_pinned():
         rules = synthgen.generate(synthgen.preset("MM_1", n_train=n_train, n_test=2, seed=3))
         ruleset = learn_ruleset(rules.train, rules.train_labels, grid)
         data = synthgen.generate(synthgen.preset("MM_1", n_train=2, n_test=n_test, seed=17))
-        filtered, _ = apply_rules(data.test, ruleset, epsilon)
+        filtered = apply_rules(data.test, ruleset, epsilon)[0]
         delta, objective, nodes, n_elim = optimal
         packed = build_instance(filtered, default_domain(data.test.classes).ic, delta)
         assert int((packed.pred.sum(axis=2) > 0).sum()) == 24
