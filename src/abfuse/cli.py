@@ -54,19 +54,16 @@ def _items(text: str, option: str) -> list:
 
 
 def _parse_grid(text: str, option: str) -> tuple:
-    from .model_io import InputError
+    """The :func:`~abfuse.model_io.unit_grid` of ``option``'s comma-separated
+    ``text``; every error starts with the option and its text."""
+    from .model_io import InputError, unit_grid
 
     items = _items(text, option)
     try:
-        vals = tuple(map(float, items))
+        vals = list(map(float, items))
     except ValueError as exc:
         raise InputError(f"{option} {text!r}: {exc}") from exc
-    if not vals:
-        raise InputError(f"{option} {text!r}: grid is empty")
-    for v in vals:
-        if not (0.0 <= v <= 1.0):
-            raise InputError(f"{option} {text!r}: value out of [0, 1]: {v}")
-    return vals
+    return unit_grid(vals, f"{option} {text!r}")
 
 
 def _load_obs(args):
@@ -163,7 +160,8 @@ def cmd_learn(args) -> int:
     ds, obs = _load_obs(args)
     ruleset = learn_ruleset(obs, ds.labels(), epsilon_grid=grid)
     ruleset.save(args.out)
-    print(f"wrote {len(ruleset.rules)} rules over {len(grid)} epsilon values to {args.out}")
+    print(f"wrote {len(ruleset.rules)} rules over {len(ruleset.epsilon_grid)} epsilon values "
+          f"to {args.out}")
     return EXIT_OK
 
 

@@ -1,12 +1,12 @@
 """Error-detection rules.
 
-A rule is attached to one (model, class) pair and is a disjunction of
-conditions; any firing condition flags that model's prediction of that class
-as an error.  Rules are learned per target false-rate budget ``epsilon``:
-greedy selection keeps adding the condition with the highest standalone
-precision (share of the entries it flags that are actually wrong) as long as
-the cumulative share of *correct* predictions flagged stays within
-``epsilon`` and at least one new wrong prediction gets caught.
+A rule is attached to one (model, class) pair and is a tuple of conditions,
+read as a disjunction: any firing condition flags that model's prediction of
+that class as an error.  Rules are learned per target false-rate budget
+``epsilon``: greedy selection keeps adding the condition with the highest
+standalone precision (share of the entries it flags that are actually
+wrong) as long as the cumulative share of *correct* predictions flagged
+stays within ``epsilon`` and at least one new wrong prediction gets caught.
 
 Learning over an ascending epsilon grid is warm-started: the rule for a
 larger budget extends the rule for the smaller one, so the set of flagged
@@ -19,10 +19,10 @@ rows; the learner evaluates each candidate as a one-condition rule, and
 """
 
 import math
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .model_io import (InputError, ObservationSet, Truth, flags, members, pack, read_jsonl,
-                       write_jsonl)
+                       unit_grid, write_jsonl)
 
 DEFAULT_EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -70,24 +70,13 @@ class Condition:
         raise InputError(f"unknown condition kind {kind!r}")
 
 
-class ErrorRule(NamedTuple):
-    model_id: str
-    class_id: str
-    conditions: Tuple[Condition, ...] = ()
-
-
 class RuleSet:
-    """Learned rules for every (model, class, epsilon) on a fixed grid."""
+    """Learned rules on a fixed grid: ``rules`` maps each (model, class, epsilon)
+    key to its rule, a tuple of conditions; a key it lacks has the empty rule."""
 
     def __init__(self, epsilon_grid: Sequence[float],
-                 rules: Optional[Dict[Tuple[str, str, float], ErrorRule]] = None):
-        grid = tuple(sorted(set(float(e) for e in epsilon_grid)))
-        if not grid:
-            raise InputError("epsilon grid must be non-empty")
-        for e in grid:
-            if not (0.0 <= e <= 1.0):
-                raise InputError(f"epsilon out of [0, 1]: {e!r}")
-        self.epsilon_grid = grid
+                 rules: Optional[Dict[Tuple[str, str, float], Tuple[Condition, ...]]] = None):
+        self.epsilon_grid = unit_grid(epsilon_grid, "epsilon grid")
         self.rules = {} if rules is None else rules
 
     def _grid_value(self, epsilon: float) -> float:
@@ -96,15 +85,12 @@ class RuleSet:
                 return e
         raise InputError(f"epsilon {epsilon!r} not on the learned grid {self.epsilon_grid}")
 
-    def rule_for(self, model_id: str, class_id: str, epsilon: float) -> ErrorRule:
-        e = self._grid_value(epsilon)
-        return self.rules.get((model_id, class_id, e),
-                              ErrorRule(model_id, class_id, ()))
+    def rule_for(self, model_id: str, class_id: str, epsilon: float) -> Tuple[Condition, ...]:
+        return self.rules.get((model_id, class_id, self._grid_value(epsilon)), ())
 
     def save(self, path: str) -> None:
         write_jsonl(path, ({"model_id": m, "class_id": c, "epsilon": e,
-                            "conditions": [cond.to_json() for cond in
-                                           self.rules[(m, c, e)].conditions]}
+                            "conditions": [cond.to_json() for cond in self.rules[(m, c, e)]]}
                            for m, c, e in sorted(self.rules)))
 
     @classmethod
@@ -123,11 +109,11 @@ class RuleSet:
             key = (m, c, e)
             if key in rules:
                 raise InputError(f"{path}:{lineno}: duplicate rule for {key}")
-            rules[key] = ErrorRule(m, c, conds)
+            rules[key] = conds
             grid.add(e)
         if not grid:
             raise InputError(f"{path}: no rules found")
-        return cls(tuple(sorted(grid)), rules)
+        return cls(grid, rules)
 
 
 def _fold(conditions: Sequence[Condition]) -> tuple:
@@ -270,7 +256,7 @@ def learn_ruleset(train: ObservationSet,
             correct = pack(map(labelled[c].__getitem__, train.obj[rows])) << rows.start
             fired = [_rule_mask(train, f, c, *_fold((cond,))) for cond in pool]
             for eps, chosen in zip(grid, _learn_pair(correct, fired, grid)):
-                ruleset.rules[(m, k, eps)] = ErrorRule(m, k, tuple(pool[i] for i in chosen))
+                ruleset.rules[(m, k, eps)] = tuple(pool[i] for i in chosen)
     return ruleset
 
 
@@ -285,7 +271,7 @@ def apply_rules(obs: ObservationSet,
     for f, m in enumerate(obs.models):
         for c, k in enumerate(obs.classes):
             rows = obs.pair_rows(f, c)
-            conditions = ruleset.rule_for(m, k, epsilon).conditions
+            conditions = ruleset.rule_for(m, k, epsilon)
             if rows.stop == rows.start or not conditions:
                 continue
             flagged |= _rule_mask(obs, f, c, *_fold(conditions))

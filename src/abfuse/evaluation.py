@@ -21,8 +21,8 @@ from typing import (Dict, Iterable, Iterator, Mapping, NamedTuple, Optional,
 
 from .deduction import DomainConfig, count_violations, inc_from_count
 from .edr import DEFAULT_EPSILON_GRID, RuleSet, apply_rules
-from .model_io import (InputError, ObservationSet, Truth, bitsets, index_of, write_json,
-                       write_rows)
+from .model_io import (InputError, ObservationSet, Truth, bitsets, index_of, unit_grid,
+                       write_json, write_rows)
 
 METHODS = ("ip", "ip+tb", "hs", "hs+tb", "mv", "best", "avg")   # solvers first
 
@@ -296,14 +296,8 @@ def run_sweep(dataset: SweepDataset,
         raise InputError("repeats must be >= 1")
     if jobs < 1:
         raise InputError("jobs must be >= 1")
-    deltas = sorted(set(float(d) for d in delta_grid))
-    epsilons = sorted(set(float(e) for e in epsilon_grid))
-    for grid, name in ((deltas, "delta"), (epsilons, "epsilon")):
-        if not grid:
-            raise InputError(f"{name} grid must be non-empty")
-        for v in grid:
-            if not (0.0 <= v <= 1.0):
-                raise InputError(f"{name} grid value out of [0, 1]: {v}")
+    deltas = unit_grid(delta_grid, "delta grid")
+    epsilons = unit_grid(epsilon_grid, "epsilon grid")
 
     obs = dataset.observations
     truth = Truth.of(dataset.gt_labels, obs.objects, obs.classes)

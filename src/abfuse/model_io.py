@@ -77,6 +77,18 @@ class InputError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+def unit_grid(values: Iterable[float], what: str) -> tuple:
+    """The distinct ``values`` of an epsilon or delta grid as ascending floats.  The
+    error, led by ``what``, names the first value outside [0, 1], or an empty grid."""
+    values = [float(v) for v in values]
+    for v in values:
+        if not (0.0 <= v <= 1.0):
+            raise InputError(f"{what}: value out of [0, 1]: {v}")
+    if not values:
+        raise InputError(f"{what}: grid is empty")
+    return tuple(sorted(set(values)))
+
+
 # the classes of the default domain (``deduction.default_domain``) and of
 # the generator's presets
 DEFAULT_CLASSES = ("construction", "nature", "pedestrians", "vehicles")

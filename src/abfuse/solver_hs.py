@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
 from .deduction import IntegrityConstraintSet, inc_from_count, violation_budget
-from .model_io import InputError, ObservationSet, members, write_jsonl
+from .model_io import InputError, ObservationSet, members, unit_grid, write_jsonl
 
 
 class HsConfig:
@@ -31,9 +31,7 @@ class HsConfig:
         if not (0.0 <= delta <= 1.0):
             raise InputError(f"delta must be in [0, 1]: {delta!r}")
         self.delta = delta
-        self.epsilon_set = tuple(sorted(set(float(e) for e in epsilon_set)))
-        if not self.epsilon_set:
-            raise InputError("epsilon_set must be non-empty")
+        self.epsilon_set = unit_grid(epsilon_set, "epsilon set")
 
 
 class SelectionStep(NamedTuple):

@@ -30,21 +30,20 @@ STATUS_INFEASIBLE = "infeasible"
 class IpInstance:
     """An observation set packed for the search over ``models``, ``classes``
     and ``objects``: ``start``, the search's root state, holds each supported
-    (model, class) pair's objects; ``delta_budget`` is the budget of ``delta``."""
+    (model, class) pair's objects; ``delta_budget`` is computed from ``delta``."""
 
     def __init__(self, objects: Tuple[str, ...], models: Tuple[str, ...],
-                 classes: Tuple[str, ...], ic: IntegrityConstraintSet,
-                 delta: float, delta_budget: int, normalizer_mode: str,
-                 directed_ground_rules: bool, start: kernels.SearchStart):
+                 classes: Tuple[str, ...], ic: IntegrityConstraintSet, delta: float,
+                 normalizer_mode: str, directed_ground_rules: bool, start: kernels.SearchStart):
         self.objects, self.models, self.classes, self.ic = objects, models, classes, ic
-        self.delta, self.delta_budget, self.start = delta, delta_budget, start
+        self.delta, self.start = delta, start
         self.normalizer_mode, self.directed_ground_rules = normalizer_mode, directed_ground_rules
+        self.delta_budget = violation_budget(delta, len(objects), ic, normalizer_mode,
+                                             directed_ground_rules)
 
     def with_delta(self, delta: float) -> "IpInstance":
         """The same instance at another ``delta``, sharing its root state."""
-        budget = violation_budget(delta, len(self.objects), self.ic, self.normalizer_mode,
-                                  self.directed_ground_rules)
-        return IpInstance(self.objects, self.models, self.classes, self.ic, delta, budget,
+        return IpInstance(self.objects, self.models, self.classes, self.ic, delta,
                           self.normalizer_mode, self.directed_ground_rules, self.start)
 
     @property
@@ -80,20 +79,16 @@ def build_instance(obs: ObservationSet,
                    delta: float,
                    normalizer_mode: str = "per_object",
                    directed_ground_rules: bool = False) -> IpInstance:
-    """Pack an observation set into per-pair object bitsets plus the
-    integer budget.
+    """Pack an observation set into per-pair object bitsets, the search's
+    root state, at ``delta``.
 
-    Only ``delta`` and ``delta_budget`` depend on ``delta``; a caller solving
-    one observation set at several deltas packs once and calls
+    The root state does not depend on ``delta``; a caller solving one
+    observation set at several deltas packs once and calls
     :meth:`IpInstance.with_delta`.
     """
-    objects, models, classes = obs.objects, obs.models, obs.classes
-    budget = violation_budget(delta, len(objects), ic,
-                              normalizer_mode, directed_ground_rules)
-    return IpInstance(objects, models, classes, ic, delta, budget,
-                      normalizer_mode, directed_ground_rules,
-                      kernels.search_start(obs.pair_masks, len(classes),
-                                           ic.index_pairs(classes)))
+    return IpInstance(obs.objects, obs.models, obs.classes, ic, delta, normalizer_mode,
+                      directed_ground_rules, kernels.search_start(
+                          obs.pair_masks, len(obs.classes), ic.index_pairs(obs.classes)))
 
 
 def solve(instance: IpInstance) -> IpSolution:

@@ -19,7 +19,7 @@ from abfuse import solver_ip
 from abfuse.deduction import (NORMALIZER_MODES, DomainConfig, IntegrityConstraintSet,
                               find_violations, inc_from_count, violation_budget)
 from abfuse.evaluation import Metrics
-from abfuse.edr import _EPS, Condition, ErrorRule, RuleSet, generate_candidates
+from abfuse.edr import _EPS, Condition, RuleSet, generate_candidates
 from abfuse.model_io import (GROUND_TRUTH_LINE, PREDICTION_LINE, DetectionTable,
                              GroundTruthTable, InputError, Observation, ObservationSet,
                              index_of, json_boxes, json_numbers, json_strings, write_rows)
@@ -180,9 +180,9 @@ def fires(cond: Condition, entry: Observation,
     return entry.confidence < cond.threshold
 
 
-def flags(rule: ErrorRule, entry: Observation,
+def flags(rule: Sequence[Condition], entry: Observation,
           siblings: Mapping[str, Observation]) -> bool:
-    return any(fires(c, entry, siblings) for c in rule.conditions)
+    return any(fires(c, entry, siblings) for c in rule)
 
 
 def learn_pair_loop(correct: np.ndarray, fired: np.ndarray, epsilon: float,
@@ -241,8 +241,7 @@ def learn_ruleset_reference(train: ObservationSet, gt_labels: Mapping[str, str],
             chosen: list = []
             for eps in grid:
                 chosen = learn_pair_loop(correct, fired, eps, chosen)
-                ruleset.rules[(f, c, eps)] = ErrorRule(
-                    f, c, tuple(pool[i] for i in chosen))
+                ruleset.rules[(f, c, eps)] = tuple(pool[i] for i in chosen)
     return ruleset
 
 

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from abfuse import evaluation, solver_ip, synthgen
+from abfuse import solver_ip, synthgen
 from abfuse.baselines import best_individual, majority_vote
 from abfuse.deduction import (IntegrityConstraintSet, default_domain,
                               find_violations, violation_budget)
@@ -27,8 +27,8 @@ from abfuse.model_io import Observation, match_detections
 from abfuse.solver_hs import HsConfig, heuristic_search
 from abfuse.tiebreak import apply_tiebreaker, candidates_from_atoms
 
-from conftest import (DELTA_GRID, SHARED_SEEDS, assigned_atoms, random_instance,
-                      row_labels, survivors, tables)
+from conftest import (DELTA_GRID, assigned_atoms, random_instance, row_labels, survivors,
+                      tables)
 from oracles import (BoundingBox, Detection, GroundTruthObject, Hypothesis,
                      brute_force_optimal, calc_incon, fixpoint, flags,
                      get_filtered_preds, labels_to_atoms, observation_set,

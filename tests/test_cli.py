@@ -1,5 +1,6 @@
 """End-to-end command-line workflows."""
 
+import ast
 import csv
 import gc
 import hashlib
@@ -847,6 +848,24 @@ def test_only_the_generator_imports_numpy():
     assert top == ["synthgen.py"]
 
 
+def test_every_top_level_import_is_read():
+    # a module-level ``import`` or ``from ... import`` binds names; each must
+    # be loaded somewhere in that module, or the import is dead weight
+    root = pathlib.Path(__file__).resolve().parent.parent
+    unused = []
+    for path in sorted([*(root / "src" / "abfuse").glob("*.py"), *(root / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound = [a.asname or a.name.partition(".")[0] for a in stmt.names
+                         if a.name != "*"]
+                unused += [f"{path.relative_to(root)}: {name}" for name in bound
+                           if name not in read]
+    assert unused == []
+
+
 def test_process_exit_codes_and_outputs(dataset, tmp_path):
     # ``python -m abfuse.cli`` exits through ``entry``, which freezes the
     # heap before ``sys.exit``: same bytes and exit codes as ``main``
@@ -963,6 +982,17 @@ def test_blank_list_items_are_rejected(dataset, tmp_path, capsys, command, optio
     assert main([*argv, option, text, "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {option} {text!r}: {message}\n"
     assert not out.exists()
+
+
+def test_learn_reports_the_epsilon_values_it_learned(dataset, tmp_path, capsys):
+    manifest, _ = dataset
+    train = os.path.join(os.path.dirname(os.path.dirname(manifest)), "train", "manifest.json")
+    out = str(tmp_path / "rules.jsonl")
+    capsys.readouterr()
+    assert main(["learn", "--manifest", train, "--epsilon-grid", "0.5,0.1,0.1",
+                 "--out", out]) == EXIT_OK
+    n_rules = len(RuleSet.load(out).rules)
+    assert capsys.readouterr().out == f"wrote {n_rules} rules over 2 epsilon values to {out}\n"
 
 
 def test_sweep_rejects_no_jobs(dataset, tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Exclusion constraints, the deductive closure, and inconsistency measures."""
 
-import itertools
 import json
 import random
 

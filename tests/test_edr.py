@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abfuse import synthgen
-from abfuse.edr import (_QUANTILES, Condition, ErrorRule, RuleSet, _learn_pair,
+from abfuse.edr import (_QUANTILES, Condition, RuleSet, _learn_pair,
                         _linear_quantiles, apply_rules, generate_candidates, learn_ruleset)
 from abfuse.model_io import InputError, Observation, pack
 
@@ -139,8 +139,8 @@ def test_learn_zero_budget_takes_pure_condition():
     # below(0.35) flags exactly the wrong ones; below(0.95) would flag all
     # six and needs budget -- and once the wrongs are covered it never adds
     # a new wrong, so even epsilon=1 leaves it out.
-    assert rs.rule_for("f1", "car", 0.0).conditions == (below(0.35),)
-    assert rs.rule_for("f1", "car", 1.0).conditions == (below(0.35),)
+    assert rs.rule_for("f1", "car", 0.0) == (below(0.35),)
+    assert rs.rule_for("f1", "car", 1.0) == (below(0.35),)
     assert flag_rate_on_correct(obs, labels, rs, 0.0, "f1", "car") == 0.0
 
 
@@ -148,7 +148,7 @@ def test_learn_zero_budget_can_yield_empty_rule():
     obs, labels = _wrong_confidence_set()
     cands = {("f1", "car"): (below(0.95),)}  # flags correct entries too
     rs = learn_ruleset(obs, labels, epsilon_grid=(0.0,), candidates=cands)
-    assert rs.rule_for("f1", "car", 0.0).conditions == ()
+    assert rs.rule_for("f1", "car", 0.0) == ()
 
 
 def test_learn_budget_boundary():
@@ -161,9 +161,9 @@ def test_learn_budget_boundary():
     rs = learn_ruleset(obs_of(rows, classes=["car", "tree"]), labels,
                        epsilon_grid=(0.4, 0.5), candidates=cands)
     obs = obs_of(rows, classes=["car", "tree"])
-    assert rs.rule_for("f1", "car", 0.4).conditions == ()
+    assert rs.rule_for("f1", "car", 0.4) == ()
     assert flag_rate_on_correct(obs, labels, rs, 0.4, "f1", "car") == 0.0
-    chosen = rs.rule_for("f1", "car", 0.5).conditions
+    chosen = rs.rule_for("f1", "car", 0.5)
     assert below(0.85) in chosen
     assert flag_rate_on_correct(obs, labels, rs, 0.5, "f1", "car") == 0.5
 
@@ -184,7 +184,7 @@ def test_learn_ranks_by_standalone_precision():
     # precisions: g1 flags {o1,o2} -> 2/2; g2 flags {o1,o2,o3,o5} -> 3/4;
     # g3 flags {o3,o4,o5} -> 2/3.  Ranking by what each step would *newly*
     # flag would pick g3 before g2 (2/3 over 1/2).
-    assert rs.rule_for("f1", "car", 0.5).conditions == pool
+    assert rs.rule_for("f1", "car", 0.5) == pool
 
 
 def _random_micro(seed):
@@ -246,7 +246,7 @@ def test_learn_warm_start_grows_monotonically():
         prev_conds: frozenset = frozenset()
         prev_errors: frozenset = frozenset()
         for eps in grid:
-            conds = frozenset(rs.rule_for("f1", "car", eps).conditions)
+            conds = frozenset(rs.rule_for("f1", "car", eps))
             errors = error_atoms(obs, apply_rules(obs, rs, eps)[1])
             assert prev_conds <= conds
             assert prev_errors <= errors
@@ -342,8 +342,7 @@ _conditions = st.one_of(
 def test_apply_rules_matches_the_per_entry_oracle(rows, conds):
     obs = obs_of(rows, objects=["o1", "o2", "o3", "o4", "o5", "o6"],
                  models=MODELS + ("f4",), classes=CLASSES)
-    rs = RuleSet((0.5,), {(m, c, 0.5): ErrorRule(m, c, tuple(cs))
-                          for (m, c), cs in conds.items()})
+    rs = RuleSet((0.5,), {(m, c, 0.5): tuple(cs) for (m, c), cs in conds.items()})
     sib = sibling_index(obs)
     want = {e for e in obs.entries
             if flags(rs.rule_for(e.model_id, e.class_id, 0.5), e, sib[e.object_id])}
@@ -376,7 +375,7 @@ def test_apply_rules_matches_the_oracle_in_any_call_order(rows, rules, calls):
     obs = obs_of(rows, objects=["o1", "o2", "o3", "o4", "o5"], models=MODELS,
                  classes=CLASSES)
     grid = (0.1, 0.5, 0.9)
-    sets = [RuleSet(grid, {(m, c, e): ErrorRule(m, c, tuple(cs))
+    sets = [RuleSet(grid, {(m, c, e): tuple(cs)
                            for e, pairs in zip(grid, rules[3 * s:3 * s + 3])
                            for (m, c), cs in pairs.items()}) for s in (0, 1)]
     sib = sibling_index(obs)
@@ -394,7 +393,7 @@ def test_learned_rules_match_a_per_entry_learner(seed):
     got = learn_ruleset(data.train, data.train_labels, grid)
     want = learn_ruleset_reference(data.train, data.train_labels, grid)
     assert got.rules == want.rules
-    assert any(r.conditions for r in got.rules.values())
+    assert any(got.rules.values())
 
 
 def test_apply_rules_empty_ruleset_is_identity():
@@ -406,8 +405,7 @@ def test_apply_rules_empty_ruleset_is_identity():
 def test_apply_rules_single_rule():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o1", "f2", "tree", 0.8),
                   ("o2", "f1", "car", 0.7)])
-    rs = RuleSet((0.5,), {("f1", "car", 0.5):
-                          ErrorRule("f1", "car", (disagree("f2"),))})
+    rs = RuleSet((0.5,), {("f1", "car", 0.5): (disagree("f2"),)})
     filtered, flagged, _ = apply_rules(obs, rs, 0.5)
     assert error_atoms(obs, flagged) == frozenset({("f1", "car", "o1")})
     assert filtered.entries == frozenset({Observation("o1", "f2", "tree", 0.8),
@@ -436,7 +434,7 @@ def test_apply_rules_rejects_off_grid_epsilon():
 
 def test_rule_lookup_tolerates_float_dust():
     rs = empty_rules((0.1, 0.3))
-    assert rs.rule_for("f1", "car", 0.1 + 0.2).conditions == ()
+    assert rs.rule_for("f1", "car", 0.1 + 0.2) == ()
 
 
 # ------------------------------------------------------------ serialization
@@ -444,9 +442,9 @@ def test_rule_lookup_tolerates_float_dust():
 def test_ruleset_round_trip(tmp_path):
     path = str(tmp_path / "rules.jsonl")
     rs = RuleSet((0.1, 0.5), {
-        ("f1", "car", 0.1): ErrorRule("f1", "car", (disagree("f2"),)),
-        ("f1", "car", 0.5): ErrorRule("f1", "car", (disagree("f2"), below(0.5))),
-        ("f2", "tree", 0.1): ErrorRule("f2", "tree", (below(0.25),)),
+        ("f1", "car", 0.1): (disagree("f2"),),
+        ("f1", "car", 0.5): (disagree("f2"), below(0.5)),
+        ("f2", "tree", 0.1): (below(0.25),),
     })
     rs.save(path)
     back = RuleSet.load(path)

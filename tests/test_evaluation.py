@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abfuse import evaluation
+from abfuse.cli import _parse_grid
 from abfuse.deduction import (NORMALIZER_MODES, DomainConfig,
                               IntegrityConstraintSet, default_domain)
-from abfuse.evaluation import (CSV_COLUMNS, METHODS, Metrics, SweepDataset,
+from abfuse.evaluation import (CSV_COLUMNS, METHODS, SweepDataset,
                                Truth, per_model_metrics, run_sweep, score,
                                score_atoms)
-from abfuse.edr import apply_rules, learn_ruleset
+from abfuse.edr import RuleSet, apply_rules, learn_ruleset
 from abfuse.model_io import InputError
 from abfuse.solver_hs import HsConfig, heuristic_search
 from abfuse.solver_ip import build_instance, solve
@@ -311,9 +312,9 @@ def test_sweep_starts_at_most_one_worker_per_row(monkeypatch):
 
 def test_sweep_validates_inputs():
     ds = tiny_dataset()
-    with pytest.raises(InputError, match="non-empty"):
+    with pytest.raises(InputError, match="grid is empty"):
         run_sweep(ds, delta_grid=())
-    with pytest.raises(InputError, match="non-empty"):
+    with pytest.raises(InputError, match="grid is empty"):
         run_sweep(ds, epsilon_grid=())
     with pytest.raises(InputError):
         run_sweep(ds, delta_grid=(1.5,))
@@ -321,6 +322,30 @@ def test_sweep_validates_inputs():
         run_sweep(ds, methods=("gradient",))
     with pytest.raises(InputError):
         run_sweep(ds, repeats=0)
+
+
+# every epsilon or delta grid is checked by ``model_io.unit_grid``; each
+# taker returns the grid it keeps
+GRID_TAKERS = {
+    "_parse_grid": lambda g: _parse_grid(",".join(map(str, g)), "--delta-grid"),
+    "RuleSet": lambda g: RuleSet(g).epsilon_grid,
+    "HsConfig": lambda g: HsConfig(0.5, g).epsilon_set,
+    "run_sweep": lambda g: tuple(run_sweep(tiny_dataset(), ("mv",), delta_grid=g,
+                                           timing=False).manifest["delta_grid"]),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(GRID_TAKERS))
+def test_every_grid_is_checked_alike(taker):
+    take = GRID_TAKERS[taker]
+    with pytest.raises(InputError, match=r": grid is empty$"):
+        take(())
+    # values are checked in input order, before sorting
+    with pytest.raises(InputError, match=r": value out of \[0, 1\]: 1\.5$"):
+        take((0.5, 1.5, -0.5))
+    with pytest.raises(InputError, match=r": value out of \[0, 1\]: nan$"):
+        take((0.5, float("nan")))
+    assert take((0.5, 0.1, 0.5, 0.0, 1.0)) == (0.0, 0.1, 0.5, 1.0)
 
 
 def test_sweep_marks_infeasible_cells():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from abfuse import solver_ip, synthgen
 from abfuse.deduction import (IntegrityConstraintSet, default_domain,
                               find_violations, violation_budget)
-from abfuse.edr import Condition, ErrorRule, RuleSet, learn_ruleset
+from abfuse.edr import Condition, RuleSet, learn_ruleset
 from abfuse.model_io import InputError, Observation
 from abfuse.solver_hs import HsConfig, heuristic_search
 
@@ -46,11 +46,9 @@ def test_get_filtered_preds():
                  + [("o9", "f2", "car", 0.5)])
     low = Condition("confidence_below", threshold=0.3)
     rs = RuleSet((0.1, 0.5, 0.9), {
-        ("f1", "car", 0.1): ErrorRule("f1", "car", ()),
-        ("f1", "car", 0.5): ErrorRule("f1", "car", (low,)),
-        ("f1", "car", 0.9): ErrorRule("f1", "car",
-                                      (Condition("confidence_below",
-                                                 threshold=1.0),)),
+        ("f1", "car", 0.1): (),
+        ("f1", "car", 0.5): (low,),
+        ("f1", "car", 0.9): (Condition("confidence_below", threshold=1.0),),
     })
     assert len(get_filtered_preds("f1", "car", 0.1, obs, rs)) == 5
     survived = get_filtered_preds("f1", "car", 0.5, obs, rs)
@@ -83,8 +81,8 @@ def test_search_prefers_larger_candidate():
                   for i, c in enumerate((0.9, 0.8, 0.7, 0.25, 0.2))])
     low = Condition("confidence_below", threshold=0.3)
     rs = RuleSet((0.1, 0.5), {
-        ("f1", "car", 0.1): ErrorRule("f1", "car", (low,)),   # keeps 3
-        ("f1", "car", 0.5): ErrorRule("f1", "car", ()),       # keeps 5
+        ("f1", "car", 0.1): (low,),   # keeps 3
+        ("f1", "car", 0.5): (),       # keeps 5
     })
     res = search(obs, 1.0, eps=(0.1, 0.5), ruleset=rs,
                  ic=IntegrityConstraintSet(()))
@@ -210,7 +208,7 @@ def test_greedy_steps_take_the_rule_filtered_entries():
     pair's entries that survive the chosen epsilon's rule."""
     eps = (0.01, 0.1, 0.5, 1.0)
     data, ruleset = _mm1(400, 200, 4, eps, n_models=4)
-    assert any(rule.conditions for rule in ruleset.rules.values())
+    assert any(ruleset.rules.values())
     ic = default_domain(data.test.classes).ic
     raw = {}
     for e in data.test.entries:
@@ -287,7 +285,7 @@ def greedy_problems(draw):
         st.builds(lambda t: Condition("confidence_below", threshold=t),
                   st.sampled_from((0.3, 0.6, 0.9))),
         st.builds(lambda g: Condition("disagree_with", model=g), st.sampled_from(models)))
-    rules = {(f, c, e): ErrorRule(f, c, tuple(draw(st.lists(conditions, max_size=2))))
+    rules = {(f, c, e): tuple(draw(st.lists(conditions, max_size=2)))
              for f in models for c in classes for e in EPSILONS if draw(st.booleans())}
     config = HsConfig(draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))), eps_set)
     return (obs, config, RuleSet(EPSILONS, rules), ic,
