@@ -101,9 +101,10 @@ class RuleSet:
             try:
                 m = str(rec["model_id"])
                 c = str(rec["class_id"])
-                e = float(rec["epsilon"])
+                (e,) = unit_grid((rec["epsilon"],), "epsilon")
                 conds = tuple(Condition.from_json(p) for p in rec["conditions"])
-            # OverflowError: an integer too large for a float
+            # OverflowError: an integer too large for a float; InputError,
+            # an epsilon out of [0, 1], is a ValueError
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"{path}:{lineno}: bad rule record: {exc}") from exc
             key = (m, c, e)

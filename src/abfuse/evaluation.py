@@ -7,7 +7,9 @@ cell, one at a time for ``abduce`` and ``baseline`` and over a (delta,
 epsilon) grid for ``run_sweep``, which renders a flat CSV plus a JSON run
 manifest.  One row is emitted per repeat per method per cell: the methods
 are deterministic, so repeated rows differ only in measured runtime and
-collapse to identical bytes when timing is disabled.
+collapse to identical bytes when timing is disabled.  A sweep's answers are
+piecewise constant in delta, so each epsilon row scores each of its
+distinct selections once.
 """
 
 import json
@@ -102,8 +104,8 @@ def per_model_metrics(obs: ObservationSet,
                       domain: Optional[DomainConfig] = None) -> Dict[str, Metrics]:
     """Each model scored alone on its raw surviving predictions."""
     truth = Truth.of(gt_labels, obs.objects, obs.classes)
-    start, n_classes = obs.pair_start, len(obs.classes)
-    return {m: score(obs.coverage(range(start[f * n_classes], start[(f + 1) * n_classes])),
+    n_classes = len(obs.classes)
+    return {m: score(obs.pair_masks[f * n_classes:(f + 1) * n_classes],
                      truth, domain=domain, n_objects=len(obs.objects))
             for f, m in enumerate(obs.models)}
 
@@ -197,7 +199,8 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
     "hs"), ``repeats`` times each, yielding each once solved.  The rules
     filter once per epsilon (:func:`apply_rules`) for every cell: the exact
     solver takes one epsilon and packs its survivors once, and the greedy
-    search takes every epsilon's survivors."""
+    search takes every epsilon's survivors.  Exact cells with the same
+    coverage share one list of rows, recovered once."""
     if "hs" in solvers:
         from . import solver_hs
         configs = {d: solver_hs.HsConfig(d, epsilons) for d in deltas}
@@ -213,6 +216,7 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
         packed = solver_ip.build_instance(kept, domain.ic, deltas[0],
                                           domain.normalizer_mode, domain.directed_ground_rules)
         shared["ip"] = time.perf_counter() - t0
+        within = {}                       # the rows of each distinct coverage
     for delta in deltas:
         for solver in ("ip", "hs"):
             for _ in range(repeats if solver in solvers else 0):
@@ -220,8 +224,10 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
                 if solver == "ip":
                     sol = solver_ip.solve(packed.with_delta(delta))
                     status = "ok" if sol.status == solver_ip.STATUS_OPTIMAL else "infeasible"
-                    rows = list(map(loaded.__getitem__, kept.rows_within(sol.covered)))
-                    got = (rows, sol.covered, status, sol.nodes, None)
+                    key = tuple(sol.covered)
+                    if key not in within:
+                        within[key] = list(map(loaded.__getitem__, kept.rows_within(sol.covered)))
+                    got = (within[key], sol.covered, status, sol.nodes, None)
                 else:
                     res = solver_hs.heuristic_search(
                         obs, configs[delta], survivors, domain.ic, domain.normalizer_mode,
@@ -231,16 +237,15 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
 
 
 def score_cell(cell: SolverCell, obs: ObservationSet, tie_break: bool, truth: Truth,
-               domain: DomainConfig, runtime_per_object: float = 0.0
-               ) -> Tuple[list, Metrics]:
+               domain: DomainConfig) -> Tuple[list, Metrics]:
     """A solver cell's rows of the loaded set ``obs``, first reduced to one
-    per object under ``tie_break``, and their :class:`Metrics`; an
+    per object under ``tie_break``, and their untimed :class:`Metrics`; an
     infeasible cell, keeping no rows, scores zeros."""
     from . import tiebreak
 
     rows = tiebreak.resolve(obs, cell.rows) if tie_break else cell.rows
     return rows, score(obs.coverage(rows) if tie_break else cell.cover, truth, domain=domain,
-                       n_objects=len(obs.objects), runtime_per_object=runtime_per_object)
+                       n_objects=len(obs.objects))
 
 
 def baseline_cells(obs: ObservationSet, gt_labels: Mapping[str, str],
@@ -266,17 +271,31 @@ def baseline_cells(obs: ObservationSet, gt_labels: Mapping[str, str],
 
 
 def _row_worker(args) -> list:
-    """The sweep rows of one epsilon, timed as each cell's seconds per object."""
+    """The sweep rows of one epsilon, timed as each cell's seconds per object.
+
+    A cell's metrics depend only on its rows and the tie-break: the rows
+    fix the coverage of either solver.  So the row scores each distinct
+    selection once per tie-break setting, untimed, and each cell gets a
+    copy carrying its own runtime.  The memo lives for this row only, so
+    no row's work depends on the rows run before it."""
     dataset, truth, deltas, epsilon, methods, solvers, repeats, timing = args
     obs = dataset.observations
     n = len(obs.objects)
+    scored = {}                           # (tie_break, rows) -> Metrics
     out = []
     for cell in solver_cells(obs, dataset.ruleset, dataset.domain,
                              (epsilon,), deltas, solvers, repeats):
         rpo = (cell.seconds / n) if (timing and n) else 0.0
-        out.extend(SweepCell(cell.delta, epsilon, m, score_cell(
-            cell, obs, m.endswith("+tb"), truth, dataset.domain, rpo)[1], cell.status)
-            for m in (cell.solver, cell.solver + "+tb") if m in methods)
+        rows = tuple(cell.rows)
+        for m in (cell.solver, cell.solver + "+tb"):
+            if m not in methods:
+                continue
+            tb = m.endswith("+tb")
+            metrics = scored.get((tb, rows))
+            if metrics is None:
+                metrics = scored[tb, rows] = score_cell(cell, obs, tb, truth, dataset.domain)[1]
+            out.append(SweepCell(cell.delta, epsilon, m, Metrics(
+                **{**vars(metrics), "runtime_per_object": rpo}), cell.status))
     return out
 
 

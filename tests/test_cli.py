@@ -328,6 +328,20 @@ def test_unknown_rule_kind_exits_one_naming_its_line(dataset, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("epsilon", ["1.5", "NaN"])
+def test_bad_rule_epsilon_exits_one_naming_its_line(dataset, tmp_path, capsys, epsilon):
+    manifest, rules = dataset
+    bad = tmp_path / "bad_epsilon_rules.jsonl"
+    lines = pathlib.Path(rules).read_text().splitlines(keepends=True)
+    lines[2] = re.sub(r'"epsilon": [^,]*', f'"epsilon": {epsilon}', lines[2])
+    bad.write_text("".join(lines))
+    assert main(["abduce", "--manifest", manifest, "--rules", str(bad), "--solver", "hs",
+                 "--delta", "0.5", "--out", str(tmp_path / "hs")]) == EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}:3: bad rule record: epsilon: value out of [0, 1]: {float(epsilon)}"]
+    assert not (tmp_path / "hs").exists()
+
+
 def test_non_object_prediction_line_exits_one(tmp_path, capsys):
     manifest, _ = conflict_dataset(tmp_path)
     preds = tmp_path / "conflict" / "f1.jsonl"
@@ -650,6 +664,29 @@ def test_json_outputs_are_pinned(dataset, tmp_path):
         assert main([argv[0], "--manifest", manifest, *argv[1:]]) == EXIT_OK
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in PINNED_JSON} == PINNED_JSON
+
+
+# sha256 of a ``sweep --no-timing`` CSV and its manifest on the ``dataset``
+# fixture, taken while every sweep cell was tie-broken and scored on its
+# own: all seven methods, two repeats, and a delta grid whose ip cells keep
+# every pair (0.3, 0.5) or are infeasible (0.1 at epsilon 0.1)
+PINNED_SWEEP = {
+    "sweep.csv": "703a0c6304e737b8cffa2298215843f3bd54411b611554b3f557e5a7a7397323",
+    "sweep.csv.manifest.json":
+        "1debb25d67347eff6049630b9ffeb610a22a44976ff43049d57a49675610caf9",
+}
+
+
+def test_sweep_csv_bytes_are_pinned(dataset, tmp_path):
+    manifest, rules = dataset
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--manifest", manifest, "--rules", rules,
+                 "--delta-grid", "0.1,0.3,0.5", "--epsilon-grid", "0.1,0.5", "--repeats", "2",
+                 "--no-timing", "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert {r["status"] for r in rows if r["method"] == "ip"} == {"ok", "infeasible"}
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in PINNED_SWEEP} == PINNED_SWEEP
 
 
 def test_outputs_do_not_depend_on_input_line_order(dataset, tmp_path):

@@ -472,6 +472,20 @@ def test_ruleset_load_rejects_non_object_conditions(tmp_path, conditions):
         RuleSet.load(str(path))
 
 
+@pytest.mark.parametrize("epsilon, shown", [("1.5", "1.5"), ("NaN", "nan"), ("-0.1", "-0.1")])
+def test_ruleset_load_names_the_line_of_a_bad_epsilon(tmp_path, epsilon, shown):
+    # json reads the NaN literal as a float, which no grid holds
+    path = tmp_path / "rules.jsonl"
+    path.write_text(json.dumps({"model_id": "f1", "class_id": "car", "epsilon": 0.5,
+                                "conditions": []}) + "\n"
+                    + '{"model_id": "f1", "class_id": "tree", "epsilon": %s, '
+                      '"conditions": []}\n' % epsilon)
+    with pytest.raises(InputError) as info:
+        RuleSet.load(str(path))
+    assert str(info.value) \
+        == f"{path}:2: bad rule record: epsilon: value out of [0, 1]: {shown}"
+
+
 def test_ruleset_load_rejects_empty_and_garbage(tmp_path):
     path = tmp_path / "rules.jsonl"
     path.write_text("")

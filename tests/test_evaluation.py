@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abfuse import evaluation
+from abfuse import evaluation, tiebreak
 from abfuse.cli import _parse_grid
 from abfuse.deduction import (NORMALIZER_MODES, DomainConfig,
                               IntegrityConstraintSet, default_domain)
-from abfuse.evaluation import (CSV_COLUMNS, METHODS, SweepDataset,
+from abfuse.evaluation import (CSV_COLUMNS, METHODS, SweepCell, SweepDataset,
                                Truth, per_model_metrics, run_sweep, score,
-                               score_atoms)
-from abfuse.edr import RuleSet, apply_rules, learn_ruleset
-from abfuse.model_io import InputError
+                               score_atoms, solver_cells)
+from abfuse.edr import Condition, RuleSet, apply_rules, learn_ruleset
+from abfuse.model_io import InputError, ObservationSet
 from abfuse.solver_hs import HsConfig, heuristic_search
 from abfuse.solver_ip import build_instance, solve
 from abfuse.synthgen import generate, preset, write_dataset
@@ -346,6 +346,100 @@ def test_every_grid_is_checked_alike(taker):
     with pytest.raises(InputError, match=r": value out of \[0, 1\]: nan$"):
         take((0.5, float("nan")))
     assert take((0.5, 0.1, 0.5, 0.0, 1.0)) == (0.0, 0.1, 0.5, 1.0)
+
+
+RULES = st.lists(st.sampled_from((Condition("confidence_below", threshold=0.6),
+                                  Condition("confidence_below", threshold=0.9),
+                                  Condition("disagree_with", model="f1"),
+                                  Condition("disagree_with", model="f2"))),
+                 max_size=2, unique=True).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), LABELS)
+def test_sweep_cells_score_like_their_solver_cell_alone(data, gt):
+    # a row scores each distinct selection once; every cell must still read
+    # what scoring its solver cell alone gives, its own timed runtime included
+    rows = data.draw(st.lists(st.tuples(st.sampled_from(("o1", "o2", "o3", "o4")),
+                                        st.sampled_from(("f1", "f2", "f3")),
+                                        st.sampled_from(("A", "B", "C")),
+                                        st.sampled_from((0.5, 0.7, 1.0))),
+                              unique_by=lambda r: (r[0], r[1]), min_size=1))
+    obs = obs_of(rows, objects=["o1", "o2", "o3", "o4"], classes=["A", "B", "C"])
+    rule_grid = (0.1, 0.5)
+    rules = RuleSet(rule_grid)
+    for m in obs.models:
+        for c in obs.classes:
+            for e in rule_grid:
+                rules.rules[m, c, e] = data.draw(RULES)
+    dom = DomainConfig(obs.classes, IntegrityConstraintSet.all_pairs(obs.classes),
+                       data.draw(st.sampled_from(NORMALIZER_MODES)), data.draw(st.booleans()))
+    methods = data.draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True))
+    deltas = data.draw(st.lists(st.sampled_from((0.0, 0.2, 0.5, 1.0)), min_size=1))
+    epsilons = data.draw(st.lists(st.sampled_from(rule_grid), min_size=1))
+    repeats = data.draw(st.integers(1, 3))
+
+    solved = []
+
+    def recorded(*args):
+        for cell in solver_cells(*args):
+            solved.append((args[3][0], cell))
+            yield cell
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "solver_cells", recorded)
+        res = run_sweep(SweepDataset(obs, gt, rules, dom), methods, deltas, epsilons,
+                        repeats=repeats, timing=True)
+    truth = Truth.of(gt, obs.objects, obs.classes)
+    alone = []
+    for eps, cell in solved:
+        for m in (cell.solver, cell.solver + "+tb"):
+            if m in methods:
+                metrics = evaluation.score_cell(cell, obs, m.endswith("+tb"), truth, dom)[1]
+                metrics.runtime_per_object = cell.seconds / len(obs.objects)
+                alone.append(SweepCell(cell.delta, eps, m, metrics, cell.status))
+    alone.sort(key=lambda c: (c.delta, c.epsilon))
+    assert res.cells[:len(alone)] == alone
+    assert all(c.metrics.runtime_per_object > 0 for c in alone)
+    assert {c.method for c in res.cells[len(alone):]} <= {"mv", "best", "avg"}
+
+
+def test_sweep_recovers_and_scores_each_distinct_selection_once(monkeypatch):
+    # the exact cells of a row at delta 0.5 and up keep every pair and share
+    # one selection; delta 0 is infeasible, and delta 0.3 at epsilon 0.1
+    # drops some pairs: 3 + 2 distinct selections in 2 rows of 5 deltas
+    data = generate(preset("MM_1", n_models=4, n_train=200, n_test=150, seed=3))
+    rules = learn_ruleset(data.train, data.train_labels, epsilon_grid=(0.1, 0.5))
+    obs, dom = data.test, default_domain(data.test.classes)
+    truth = Truth.of(data.test_labels, obs.objects, obs.classes)
+    deltas, epsilons = (0.0, 0.3, 0.5, 0.7, 1.0), (0.1, 0.5)
+    alone = {}
+    for e in epsilons:
+        for d in deltas:
+            (cell,) = solver_cells(obs, rules, dom, (e,), (d,), ("ip",))
+            alone[d, e] = cell
+    calls = {"resolve": 0, "rows_within": 0, "score": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tiebreak, "resolve", counted("resolve", tiebreak.resolve))
+    monkeypatch.setattr(ObservationSet, "rows_within",
+                        counted("rows_within", ObservationSet.rows_within))
+    monkeypatch.setattr(evaluation, "score", counted("score", evaluation.score))
+    res = run_sweep(SweepDataset(obs, data.test_labels, rules, dom), ("ip", "ip+tb"),
+                    deltas, epsilons, repeats=2, timing=False)
+    assert calls == {"resolve": 5, "rows_within": 5, "score": 10}
+    monkeypatch.undo()
+    assert [len({tuple(alone[d, e].rows) for d in deltas}) for e in epsilons] == [3, 2]
+    assert len(res.cells) == 5 * 2 * 2 * 2
+    for c in res.cells:
+        cell = alone[c.delta, c.epsilon]
+        assert c.status == cell.status
+        assert c.metrics == evaluation.score_cell(cell, obs, c.method == "ip+tb", truth, dom)[1]
 
 
 def test_sweep_marks_infeasible_cells():
