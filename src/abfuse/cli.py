@@ -167,7 +167,6 @@ def cmd_learn(args) -> int:
 
 def cmd_abduce(args) -> int:
     from . import evaluation
-    from .deduction import violation_budget
     from .edr import RuleSet
     from .model_io import InputError, write_json
 
@@ -186,19 +185,17 @@ def cmd_abduce(args) -> int:
 
     (cell,) = evaluation.solver_cells(obs, ruleset, domain, epsilons or ruleset.epsilon_grid,
                                       (args.delta,), (args.solver,))
-    budget = violation_budget(args.delta, len(obs.objects), domain.ic,
-                              domain.normalizer_mode, domain.directed_ground_rules)
     rows, metrics = evaluation.score_cell(
         cell, obs, tb, evaluation.Truth.of(ds.labels(), obs.objects, obs.classes), domain)
     os.makedirs(args.out, exist_ok=True)
     if cell.status == "infeasible":
         print("infeasible: no acceptance set satisfies coverage within "
-              f"the delta budget ({budget})", file=sys.stderr)
+              f"the delta budget ({cell.budget})", file=sys.stderr)
         return EXIT_INFEASIBLE
     if cell.trace is not None:
         cell.trace.write(os.path.join(args.out, "trace.jsonl"))
     _write_labels(os.path.join(args.out, "labels.jsonl"), obs, rows, sources=tb)
-    payload = {**vars(metrics), "status": "ok", "violation_budget": budget}
+    payload = {**vars(metrics), "status": "ok", "violation_budget": cell.budget}
     if args.solver == "ip":
         payload["nodes"] = cell.nodes
     write_json(os.path.join(args.out, "metrics.json"), payload, sort_keys=True)
@@ -252,8 +249,8 @@ def cmd_baseline(args) -> int:
 
     ds, obs, domain = _load_with_domain(args)
     os.makedirs(args.out, exist_ok=True)
-    ((_, metrics, detail),) = evaluation.baseline_cells(obs, ds.labels(), domain,
-                                                        (args.method,))
+    truth = evaluation.Truth.of(ds.labels(), obs.objects, obs.classes)
+    ((_, metrics, detail),) = evaluation.baseline_cells(obs, truth, domain, (args.method,))
     if args.method == "mv":
         _write_labels(os.path.join(args.out, "labels.jsonl"), obs, detail)
     payload = {**vars(metrics), "status": "ok"}

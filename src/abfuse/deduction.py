@@ -134,8 +134,9 @@ def violation_budget(delta: float,
     """Largest number of (undirected) violated ground rules with Inc <= delta.
 
     This is the single source of truth for turning the real-valued budget
-    into an integer count, shared by the exact solver and the greedy search:
-    both accept a selection iff its violation count is at most this.
+    into an integer count, and the one range check of ``delta``, shared by
+    the exact solver and the greedy search: both accept a selection iff its
+    violation count is at most this.
     """
     weight, denom = _normalizer(n_objects, ic, normalizer_mode, directed_ground_rules)
     if not (0.0 <= delta <= 1.0):

@@ -166,13 +166,11 @@ def _linear_quantiles(values: Sequence[float], qs: Sequence[float]) -> list:
     return out
 
 
-def generate_candidates(train: ObservationSet,
-                        quantiles: Sequence[float] = _QUANTILES
-                        ) -> Dict[Tuple[str, str], Tuple[Condition, ...]]:
+def generate_candidates(train: ObservationSet) -> Dict[Tuple[str, str], Tuple[Condition, ...]]:
     """Deterministic candidate pool per (model, class).
 
     Disagreement conditions against every other model (model-id order), then
-    confidence thresholds at the given quantiles of the model's training
+    confidence thresholds at the ``_QUANTILES`` of the model's training
     confidences (ascending, deduplicated).
     """
     thresholds: Dict[str, Tuple[float, ...]] = {}
@@ -180,7 +178,7 @@ def generate_candidates(train: ObservationSet,
     for f, m in enumerate(train.models):
         confs = train.confidence[start[f * n_classes]:start[(f + 1) * n_classes]]
         thresholds[m] = tuple(sorted(set(round(q, 9) for q in _linear_quantiles(
-            confs, quantiles)))) if confs else ()
+            confs, _QUANTILES)))) if confs else ()
 
     out: Dict[Tuple[str, str], Tuple[Condition, ...]] = {}
     for f in train.models:

@@ -53,15 +53,14 @@ def score(cov: list,
           truth: Truth,
           *,
           domain: Optional[DomainConfig] = None,
-          n_objects: Optional[int] = None,
-          runtime_per_object: float = 0.0) -> Metrics:
+          n_objects: Optional[int] = None) -> Metrics:
     """Score a coverage, ``cov[c]`` the set of objects that carry class
     ``truth.classes[c]`` as an int bitset, against ground truth.
 
     Precision is over atoms (covered cells); recall counts labels hit by a
     correct atom; accuracy additionally requires the object to carry exactly
     one atom.  Inconsistency, and the raw violation count it normalizes,
-    are computed when a domain is given.
+    are computed when a domain is given.  The metrics are untimed.
     """
     if not truth.n_labels:
         raise InputError("ground truth is empty")
@@ -83,7 +82,7 @@ def score(cov: list,
         incon = inc_from_count(violations, n_objects, domain.ic,
                                domain.normalizer_mode, domain.directed_ground_rules)
     return Metrics(precision, recall, f1, accuracy, incon,
-                   runtime_per_object, n_objects, violations)
+                   n_objects=n_objects, violations=violations)
 
 
 def score_atoms(atoms: Iterable[Tuple[str, str]],
@@ -100,10 +99,9 @@ def score_atoms(atoms: Iterable[Tuple[str, str]],
 
 
 def per_model_metrics(obs: ObservationSet,
-                      gt_labels: Mapping[str, str],
+                      truth: Truth,
                       domain: Optional[DomainConfig] = None) -> Dict[str, Metrics]:
-    """Each model scored alone on its raw surviving predictions."""
-    truth = Truth.of(gt_labels, obs.objects, obs.classes)
+    """Each model scored alone on its raw surviving predictions against ``truth``."""
     n_classes = len(obs.classes)
     return {m: score(obs.pair_masks[f * n_classes:(f + 1) * n_classes],
                      truth, domain=domain, n_objects=len(obs.objects))
@@ -180,13 +178,15 @@ class SweepResult(NamedTuple):
 
 class SolverCell(NamedTuple):
     """One solver's accepted ``rows`` of the loaded set at one delta, none if
-    the exact program is infeasible, and their coverage ``cover``; ``seconds``
-    is the cell's solve plus the filter (and exact packing) it shares."""
+    the exact program is infeasible, and their coverage ``cover``; ``budget``
+    is the violation count the solver enforced, and ``seconds`` the cell's
+    solve plus the filter (and exact packing) it shares."""
     solver: str
     delta: float
     rows: list
     cover: list
     status: str                           # "ok" or "infeasible"
+    budget: int
     nodes: int                            # exact search nodes, 0 for hs
     trace: Optional["SelectionTrace"]     # greedy steps, None for ip
     seconds: float
@@ -227,12 +227,13 @@ def solver_cells(obs: ObservationSet, ruleset: RuleSet, domain: DomainConfig,
                     key = tuple(sol.covered)
                     if key not in within:
                         within[key] = list(map(loaded.__getitem__, kept.rows_within(sol.covered)))
-                    got = (within[key], sol.covered, status, sol.nodes, None)
+                    got = (within[key], sol.covered, status, sol.instance.delta_budget,
+                           sol.nodes, None)
                 else:
                     res = solver_hs.heuristic_search(
                         obs, configs[delta], survivors, domain.ic, domain.normalizer_mode,
                         domain.directed_ground_rules)
-                    got = (res.rows, res.cover, "ok", 0, res.trace)
+                    got = (res.rows, res.cover, "ok", res.budget, 0, res.trace)
                 yield SolverCell(solver, delta, *got, shared[solver] + time.perf_counter() - t0)
 
 
@@ -248,20 +249,21 @@ def score_cell(cell: SolverCell, obs: ObservationSet, tie_break: bool, truth: Tr
                        n_objects=len(obs.objects))
 
 
-def baseline_cells(obs: ObservationSet, gt_labels: Mapping[str, str],
+def baseline_cells(obs: ObservationSet, truth: Truth,
                    domain: DomainConfig, methods: Sequence[str]) -> list:
-    """``(method, Metrics, detail)`` per reference method in ``methods``, in
-    (mv, best, avg) order; ``detail`` is the rows of ``obs`` mv keeps, the
-    model best picks, or None.  best and avg share each model's scoring."""
+    """``(method, Metrics, detail)`` per reference method in ``methods``,
+    scored against ``truth`` on the universe of ``obs``, in (mv, best, avg)
+    order; ``detail`` is the rows of ``obs`` mv keeps, the model best picks,
+    or None.  best and avg share each model's scoring."""
     from . import baselines
 
     out = []
     if "mv" in methods:
         rows = baselines.majority_vote(obs)
-        out.append(("mv", score(obs.coverage(rows), Truth.of(gt_labels, obs.objects, obs.classes),
-                                domain=domain, n_objects=len(obs.objects)), rows))
+        out.append(("mv", score(obs.coverage(rows), truth, domain=domain,
+                                n_objects=len(obs.objects)), rows))
     if "best" in methods or "avg" in methods:
-        per_model = per_model_metrics(obs, gt_labels, domain)
+        per_model = per_model_metrics(obs, truth, domain)
         if "best" in methods:
             winner = baselines.best_individual(per_model)
             out.append(("best", per_model[winner], winner))
@@ -333,7 +335,7 @@ def run_sweep(dataset: SweepDataset,
         rows = list(map(_row_worker, tasks))
     # rows come per epsilon; the stable sort restores (delta, epsilon) order
     cells = sorted(chain.from_iterable(rows), key=lambda c: (c.delta, c.epsilon))
-    for method, m, _ in baseline_cells(obs, dataset.gt_labels, dataset.domain, methods):
+    for method, m, _ in baseline_cells(obs, truth, dataset.domain, methods):
         cells.extend(SweepCell(d, e, method, m) for d in deltas for e in epsilons
                      for _ in range(repeats))
 

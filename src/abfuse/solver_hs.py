@@ -20,16 +20,15 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from . import kernels
 from .deduction import IntegrityConstraintSet, inc_from_count, violation_budget
-from .model_io import InputError, ObservationSet, members, unit_grid, write_jsonl
+from .model_io import ObservationSet, members, unit_grid, write_jsonl
 
 
 class HsConfig:
-    """The budget ``delta`` and the filter strengths, held sorted and
-    deduplicated in ``epsilon_set``."""
+    """The budget ``delta``, range-checked by :func:`violation_budget` when a
+    search starts, and the filter strengths, held sorted and deduplicated in
+    ``epsilon_set``."""
 
     def __init__(self, delta: float, epsilon_set: Sequence[float]):
-        if not (0.0 <= delta <= 1.0):
-            raise InputError(f"delta must be in [0, 1]: {delta!r}")
         self.delta = delta
         self.epsilon_set = unit_grid(epsilon_set, "epsilon set")
 
@@ -53,12 +52,13 @@ class SelectionTrace(NamedTuple):
 
 class HsResult:
     """The accepted predictions as ascending ``rows`` of the searched set
-    ``obs``, and ``cover``, their coverage."""
+    ``obs``, and ``cover``, their coverage; ``budget`` is the violation
+    count the search kept within."""
 
     def __init__(self, obs: ObservationSet, rows: list, cover: list, trace: SelectionTrace,
-                 n_atoms: int, inconsistency: float):
+                 n_atoms: int, inconsistency: float, budget: int):
         self.obs, self.rows, self.cover, self.trace = obs, rows, cover, trace
-        self.n_atoms, self.inconsistency = n_atoms, inconsistency
+        self.n_atoms, self.inconsistency, self.budget = n_atoms, inconsistency, budget
 
     def atoms(self) -> frozenset:
         return frozenset((k, self.obs.objects[w]) for k, b in zip(self.obs.classes, self.cover)
@@ -111,4 +111,4 @@ def heuristic_search(p_raw: ObservationSet,
         steps.append(SelectionStep(m, k, chosen, atoms, inconsistency(conflicts)))
 
     return HsResult(p_raw, accepted, cover, SelectionTrace(tuple(steps)),
-                    atoms, inconsistency(conflicts))
+                    atoms, inconsistency(conflicts), budget)

@@ -23,7 +23,7 @@ from abfuse.deduction import (IntegrityConstraintSet, default_domain,
 from abfuse.edr import RuleSet, apply_rules, learn_ruleset
 from abfuse.evaluation import (SweepDataset, per_model_metrics, run_sweep,
                                score_atoms)
-from abfuse.model_io import Observation, match_detections
+from abfuse.model_io import Observation, Truth, match_detections
 from abfuse.solver_hs import HsConfig, heuristic_search
 from abfuse.tiebreak import apply_tiebreaker, candidates_from_atoms
 
@@ -206,7 +206,8 @@ def test_c08_fusion_beats_individual_and_vote_baselines(warm_kernels):
         fused_atoms = {(cls, obj) for obj, (cls, _, _) in resolved.items()}
         fused = score_atoms(fused_atoms, labels, n_objects=n_objects).f1
 
-        per_model = per_model_metrics(data.test, labels, domain)
+        per_model = per_model_metrics(
+            data.test, Truth.of(labels, data.test.objects, data.test.classes), domain)
         best = per_model[best_individual(per_model)].f1
         vote = score_atoms(labels_to_atoms(row_labels(data.test, majority_vote(data.test))),
                            labels, n_objects=n_objects).f1

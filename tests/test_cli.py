@@ -185,6 +185,18 @@ def test_abduce_writes_nothing_when_scoring_rejects_the_input(dataset, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("solver, flags", [("hs", []), ("ip", ["--epsilon", "0.1"])])
+def test_abduce_rejects_delta_out_of_range_on_either_solver(dataset, tmp_path, solver, flags):
+    manifest, rules = dataset
+    out = tmp_path / "fused"
+    proc = _python("-m", "abfuse.cli", "abduce", "--manifest", manifest, "--rules", rules,
+                   "--solver", solver, "--delta", "1.5", *flags, "--out", str(out))
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "error: delta must be in [0, 1]: 1.5"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("abduce", ["--solver", "hs", "--delta", "0.5"]),
     ("sweep", ["--methods", "ip,hs,mv"]),

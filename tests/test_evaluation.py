@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from abfuse import evaluation, tiebreak
 from abfuse.cli import _parse_grid
 from abfuse.deduction import (NORMALIZER_MODES, DomainConfig,
-                              IntegrityConstraintSet, default_domain)
+                              IntegrityConstraintSet, default_domain, violation_budget)
 from abfuse.evaluation import (CSV_COLUMNS, METHODS, SweepCell, SweepDataset,
                                Truth, per_model_metrics, run_sweep, score,
                                score_atoms, solver_cells)
@@ -181,7 +181,7 @@ def test_score_of_view_rows_matches_the_per_atom_oracle(data, gt, dom):
     truth = Truth.of(gt, obs.objects, obs.classes)
     assert score(obs.coverage(keep), truth, domain=dom, n_objects=4) == \
         score_reference(atoms, gt, domain=dom, n_objects=4)
-    for f, m in per_model_metrics(obs, gt, dom).items():
+    for f, m in per_model_metrics(obs, truth, dom).items():
         own = {(e.class_id, e.object_id) for e in obs.entries if e.model_id == f}
         assert m == score_reference(own, gt, domain=dom, n_objects=4)
 
@@ -194,7 +194,7 @@ def test_labels_to_atoms():
 def test_per_model_metrics():
     obs = obs_of([("o1", "f1", "car", 0.9), ("o2", "f1", "tree", 0.8),
                   ("o1", "f2", "tree", 0.4), ("o2", "f2", "tree", 0.5)])
-    per = per_model_metrics(obs, GT)
+    per = per_model_metrics(obs, Truth.of(GT, obs.objects, obs.classes))
     assert per["f1"].f1 == 1.0
     assert per["f2"].accuracy == 0.5
     assert per["f2"].precision == 0.5
@@ -440,6 +440,38 @@ def test_sweep_recovers_and_scores_each_distinct_selection_once(monkeypatch):
         cell = alone[c.delta, c.epsilon]
         assert c.status == cell.status
         assert c.metrics == evaluation.score_cell(cell, obs, c.method == "ip+tb", truth, dom)[1]
+
+
+def test_sweep_builds_one_truth_and_each_cell_carries_its_solvers_budget(monkeypatch):
+    # every method of a sweep is scored against the one Truth of its set,
+    # and each solver cell reports the violation budget its solver enforced
+    data = generate(preset("MM_1", n_models=4, n_train=200, n_test=150, seed=3))
+    rules = learn_ruleset(data.train, data.train_labels, epsilon_grid=(0.1, 0.5))
+    obs, dom = data.test, default_domain(data.test.classes)
+    built, cells = [], []
+    truth_of, cells_of = Truth.of, evaluation.solver_cells
+
+    def counted_truth(*args):
+        built.append(args)
+        return truth_of(*args)
+
+    def recorded_cells(*args, **kwargs):
+        for cell in cells_of(*args, **kwargs):
+            cells.append(cell)
+            yield cell
+
+    monkeypatch.setattr(Truth, "of", counted_truth)
+    monkeypatch.setattr(evaluation, "solver_cells", recorded_cells)
+    deltas = (0.0, 0.3, 1.0)
+    run_sweep(SweepDataset(obs, data.test_labels, rules, dom),
+              ("ip", "hs", "mv", "best", "avg"), deltas, (0.1, 0.5), timing=False)
+    assert len(built) == 1
+    assert sorted((c.solver, c.delta) for c in cells) == \
+        sorted((s, d) for s in ("ip", "hs") for d in deltas for _ in range(2))
+    assert "infeasible" in {c.status for c in cells}
+    for c in cells:
+        assert c.budget == violation_budget(c.delta, len(obs.objects), dom.ic,
+                                            dom.normalizer_mode, dom.directed_ground_rules)
 
 
 def test_sweep_marks_infeasible_cells():

@@ -31,11 +31,12 @@ def search(obs, delta, eps=(0.5,), ruleset=None, ic=IC_CT, mode="per_object",
 
 def test_config_validation():
     with pytest.raises(InputError):
-        HsConfig(1.5, (0.5,))
-    with pytest.raises(InputError):
         HsConfig(0.5, ())
     cfg = HsConfig(0.5, (0.5, 0.1, 0.5))
     assert cfg.epsilon_set == (0.1, 0.5)
+    # delta is range-checked where its budget is computed, before the search
+    with pytest.raises(InputError, match=r"^delta must be in \[0, 1\]: 1.5$"):
+        search(obs_of([("o1", "f1", "car", 0.9)]), 1.5)
 
 
 # ---------------------------------------------------------------- filtering
