@@ -10,7 +10,6 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -475,12 +474,11 @@ def milp_optimum(instance: solver_ip.IpInstance) -> Optional[int]:
     return round(-res.fun)
 
 
-# ------------------------------------------------------ per-record loading
+# ------------------------------------------------- records and line reading
 # The production loader reads each file into column tables and validates
-# all rows at once (``abfuse.model_io.load_predictions``); these read one
-# record at a time into validated ``Detection``/``GroundTruthObject``s.
-# ``compute_iou`` is the scalar IoU the matcher's array IoU must equal bit
-# for bit.
+# all rows at once (``abfuse.model_io.load_predictions``).  Tests state
+# their scenes as validated ``Detection``/``GroundTruthObject`` records, and
+# the readers below read a file one line at a time.
 
 
 @dataclass(frozen=True)
@@ -505,18 +503,6 @@ class BoundingBox:
 
     def as_list(self) -> list:
         return [self.x_min, self.y_min, self.x_max, self.y_max]
-
-
-def compute_iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; always in [0, 1]."""
-    if a.area <= 0.0 or b.area <= 0.0:
-        raise InputError("IoU undefined for zero-area boxes")
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
 
 
 @dataclass(frozen=True)
@@ -616,223 +602,64 @@ def read_columns_reference(path: str, id_fields: tuple, with_confidence: bool) -
     return lines, ids, confs, boxes, None
 
 
-
-def _require(rec, key, path, lineno):
-    if key not in rec:
-        raise InputError(f"{path}:{lineno}: missing field {key!r}")
-    return rec[key]
-
-
-def _parse_bbox(raw, path, lineno) -> BoundingBox:
-    if not (isinstance(raw, (list, tuple)) and len(raw) == 4):
-        raise InputError(f"{path}:{lineno}: bbox must be [x_min, y_min, x_max, y_max]")
-    try:
-        return BoundingBox(*(float(v) for v in raw))
-    except (TypeError, ValueError, InputError) as exc:
-        raise InputError(f"{path}:{lineno}: {exc}") from exc
+# ---------------------------------------------------------------- matching
+# ``abfuse.model_io.match_detections`` sorts each image's detections into
+# windows and walks the objects once; this states its contract one object
+# at a time, over every detection.
 
 
-def _parse_confidence(raw, path, lineno) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"{path}:{lineno}: confidence must be a number: {raw!r}") from None
+def match_reference(gt, dets, threshold) -> set:
+    """The ``(object_id, model_id, class_id, confidence)`` rows the two-stage
+    matcher keeps for the records ``gt`` and ``dets``.
+
+    Stage 1, per image and model, visits the objects in input order; each
+    takes the model's most confident unused detection (the earlier row on
+    ties) with IoU strictly above ``threshold``.  Stage 2 gives each object
+    no model matched the unused detection of its image with the highest
+    positive IoU, then the highest confidence, the smaller model id and the
+    earlier row.  Zero-area boxes are for :func:`zero_area_rejected`."""
+    def iou(a, b):
+        ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+        iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+        if ix <= 0.0 or iy <= 0.0:
+            return 0.0
+        inter = ix * iy
+        return inter / (a.area + b.area - inter)
+
+    images = list(dict.fromkeys(g.image_id for g in gt))
+    used, rows, covered = set(), set(), set()
+    for img in images:
+        for model in sorted({d.model_id for d in dets}):
+            for g in (g for g in gt if g.image_id == img):
+                pool = [(pos, d) for pos, d in enumerate(dets)
+                        if pos not in used and d.image_id == img
+                        and d.model_id == model
+                        and iou(d.bbox, g.bbox) > threshold]
+                if pool:
+                    pos, d = min(pool, key=lambda pd: (-pd[1].confidence, pd[0]))
+                    used.add(pos)
+                    rows.add((g.object_id, model, d.class_id, d.confidence))
+                    covered.add(g.object_id)
+    for img in images:
+        for g in (g for g in gt if g.image_id == img and g.object_id not in covered):
+            pool = [(iou(d.bbox, g.bbox), pos, d) for pos, d in enumerate(dets)
+                    if pos not in used and d.image_id == img]
+            pool = [t for t in pool if t[0] > 0.0]
+            if pool:
+                v, pos, d = min(pool, key=lambda t: (-t[0], -t[2].confidence,
+                                                     t[2].model_id, t[1]))
+                used.add(pos)
+                rows.add((g.object_id, d.model_id, d.class_id, d.confidence))
+                covered.add(g.object_id)
+    return rows
 
 
-def load_prediction_records(path: str, model_id: Optional[str] = None) -> list:
-    out = []
-    for lineno, rec in read_jsonl_reference(path):
-        det = Detection(
-            image_id=str(_require(rec, "image_id", path, lineno)),
-            model_id=str(_require(rec, "model_id", path, lineno)),
-            class_id=str(_require(rec, "class_id", path, lineno)),
-            confidence=_parse_confidence(_require(rec, "confidence", path, lineno),
-                                         path, lineno),
-            bbox=_parse_bbox(_require(rec, "bbox", path, lineno), path, lineno),
-        )
-        if model_id is not None and det.model_id != model_id:
-            raise InputError(
-                f"{path}:{lineno}: model_id {det.model_id!r} does not match manifest entry {model_id!r}")
-        out.append(det)
-    return out
-
-
-def load_ground_truth_records(path: str) -> list:
-    out = []
-    seen = set()
-    for lineno, rec in read_jsonl_reference(path):
-        g = GroundTruthObject(
-            image_id=str(_require(rec, "image_id", path, lineno)),
-            object_id=str(_require(rec, "object_id", path, lineno)),
-            class_id=str(_require(rec, "class_id", path, lineno)),
-            bbox=_parse_bbox(_require(rec, "bbox", path, lineno), path, lineno),
-        )
-        if g.object_id in seen:
-            raise InputError(f"{path}:{lineno}: duplicate object_id {g.object_id!r}")
-        seen.add(g.object_id)
-        out.append(g)
-    return out
-
-
-# ------------------------------------------------------ the array matcher
-# ``abfuse.model_io.match_detections`` in numpy: the same two stages over
-# every candidate pair at once, IoU computed for the pairs of each object's
-# x-window in blocks.  The production matcher walks the objects in plain
-# Python; the two must give the same rows.
-
-
-def _areas(boxes: np.ndarray) -> np.ndarray:
-    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-
-
-def _pair_iou(gts: np.ndarray, dets: np.ndarray) -> np.ndarray:
-    """IoU of row i of ``gts`` with row i of ``dets``, both ``(n, 4)``: the
-    scalar formula, detection operands first, so each value is exact."""
-    ix = np.minimum(dets[:, 2], gts[:, 2]) - np.maximum(dets[:, 0], gts[:, 0])
-    iy = np.minimum(dets[:, 3], gts[:, 3]) - np.maximum(dets[:, 1], gts[:, 1])
-    # disjoint pairs get inter = 0 and so IoU 0.0
-    inter = np.where((ix > 0.0) & (iy > 0.0), ix * iy, 0.0)
-    return inter / (_areas(dets) + _areas(gts) - inter)
-
-
-# Candidate pairs expanded at a time: bounds the scratch arrays when one
-# wide detection stretches every later window of its image.
-_PAIR_BLOCK = 1 << 16
-
-
-def _overlaps(gb: np.ndarray, gimg: np.ndarray, db: np.ndarray,
-              dimg: np.ndarray) -> tuple:
-    """(object row, detection row, IoU) of every pair in one image with
-    positive IoU.
-
-    Detections are sorted by (image, x_min) with a running max of x_max per
-    image.  An object spanning [gx0, gx1] takes the window of rows from the
-    first whose running x_max exceeds gx0 up to the last whose x_min is
-    below gx1: an exact superset of the detections overlapping it.  Each
-    coordinate is replaced by its rank among all detections', offset by
-    image, so one global ``searchsorted`` stays within the object's image
-    and compares exactly.
-    """
-    live = np.flatnonzero(dimg >= 0)
-    order = live[np.lexsort((db[live, 0], dimg[live]))]
-    x0, x1 = db[order, 0], db[order, 2]
-    x0_sorted, x1_sorted = np.sort(x0), np.sort(x1)
-    stride = len(order) + 1
-    img = dimg[order] * stride
-    start_key = img + np.searchsorted(x0_sorted, x0, "left")
-    end_key = np.maximum.accumulate(img + np.searchsorted(x1_sorted, x1, "left"))
-    hi = np.searchsorted(start_key, gimg * stride + np.searchsorted(
-        x0_sorted, gb[:, 2], "left"), "left")
-    lo = np.searchsorted(end_key, gimg * stride + np.searchsorted(
-        x1_sorted, gb[:, 0], "right"), "left")
-    n = np.maximum(hi - lo, 0)
-    ends = np.cumsum(n)
-    cuts = np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1:].sum(), _PAIR_BLOCK))
-    parts = []
-    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(gb)]):
-        m = n[a:b]
-        gi = np.repeat(np.arange(a, b), m)
-        di = order[np.arange(len(gi)) + np.repeat(lo[a:b] - np.cumsum(m) + m, m)]
-        iou = _pair_iou(gb[gi], db[di])
-        hit = iou > 0.0
-        parts.append((gi[hit], di[hit], iou[hit]))
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
-def _repeats(ids: Sequence[str]) -> np.ndarray:
-    """Mask of the rows whose id already appeared on an earlier row."""
-    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
-    return np.fromiter(map(first.__getitem__, ids), np.int64, len(ids)) != np.arange(len(ids))
-
-
-def match_detections_reference(gt, detections, primary_iou: float = 0.90,
-                               models: Optional[Iterable[str]] = None,
-                               classes: Optional[Iterable[str]] = None) -> ObservationSet:
-    """Resolve detections onto ground-truth object identities.
-
-    ``gt`` and ``detections`` are a :class:`GroundTruthTable` and a
-    :class:`DetectionTable`, whose boxes and confidences are read as numpy
-    arrays.
-
-    Stage 1 runs independently per model: objects are visited in input
-    order and each takes that model's highest-confidence unused detection
-    (earlier row on ties) overlapping it with IoU strictly above
-    ``primary_iou``.  Objects still untouched by every model afterwards get
-    a second chance, in input order: the unused detection (any model) of
-    the object's own image with the highest positive IoU, then the highest
-    confidence, the smaller model id and the earlier row.  Each detection
-    is consumed by at most one object, and each object keeps at most one
-    entry per model.
-
-    IoU is computed only for the pairs :func:`_overlaps` finds.
-    """
-    if not (0.0 < primary_iou <= 1.0):
-        raise InputError(f"primary_iou must be in (0, 1]: {primary_iou!r}")
-    dets = detections
-    gt_boxes = np.asarray(gt.boxes, dtype=np.float64).reshape(-1, 4)
-    det_boxes = np.asarray(dets.boxes, dtype=np.float64).reshape(-1, 4)
-    confidence = np.asarray(dets.confidence, dtype=np.float64)
-    dup = _repeats(gt.object_id)
-    if dup.any():
-        raise InputError(f"duplicate ground-truth object_id "
-                         f"{gt.object_id[int(np.argmax(dup))]!r}")
-
-    # images in first-appearance order; a detection elsewhere never matches
-    image_code = {im: i for i, im in enumerate(dict.fromkeys(gt.image_id))}
-    gimg = np.fromiter(map(image_code.__getitem__, gt.image_id), np.int64, len(gt))
-    dimg = np.fromiter(map(image_code.get, dets.image_id, repeat(-1)), np.int64, len(dets))
-    model_ids = sorted(set(dets.model_id))
-    model_code = {m: i for i, m in enumerate(model_ids)}
-    dmodel = np.fromiter(map(model_code.__getitem__, dets.model_id), np.int64, len(dets))
-    has_dets = np.bincount(dimg[dimg >= 0], minlength=len(image_code)) > 0
-    if ((_areas(gt_boxes[has_dets[gimg]]) <= 0.0).any()
-            or (_areas(det_boxes[dimg >= 0]) <= 0.0).any()):
-        raise InputError("IoU undefined for zero-area boxes")
-
-    gi, di, iou = _overlaps(gt_boxes, gimg, det_boxes, dimg)
-    neg_conf = -confidence
-
-    # stage 1: per (model, object) the first unused detection in
-    # (-confidence, row) order; ``key`` numbers the (model, object) pairs
-    s1 = iou > primary_iou
-    o1, d1 = gi[s1], di[s1]
-    rank = np.lexsort((d1, neg_conf[d1], o1, dmodel[d1]))
-    key = dmodel[d1] * len(gt) + o1
-    used = bytearray(len(dets))
-    kept_o, kept_d, done = [], [], -1
-    for k, o, d in zip(key[rank].tolist(), o1[rank].tolist(), d1[rank].tolist()):
-        if k != done and not used[d]:
-            done, used[d] = k, True
-            kept_o.append(o)
-            kept_d.append(d)
-
-    # stage 2: objects no model matched, each taking its best unused pair
-    matched = np.zeros(len(gt), dtype=bool)
-    matched[kept_o] = True
-    s2 = ~matched[gi]
-    o2, d2, v2 = gi[s2], di[s2], iou[s2]
-    rank = np.lexsort((d2, dmodel[d2], neg_conf[d2], -v2, o2))
-    done = -1
-    for o, d in zip(o2[rank].tolist(), d2[rank].tolist()):
-        if o != done and not used[d]:
-            done, used[d] = o, True
-            kept_o.append(o)
-            kept_d.append(d)
-
-    # the set straight from the kept (object, detection) pairs
-    o = np.array(kept_o, dtype=np.int64)
-    d = np.array(kept_d, dtype=np.int64)
-    objects = tuple(sorted(gt.object_id))
-    all_models = tuple(sorted(set(model_ids if models is None else models).union(
-        model_ids[k] for k in np.flatnonzero(np.bincount(
-            dmodel[d], minlength=len(model_ids))).tolist())))
-    all_classes = tuple(sorted(set(() if classes is None else classes).union(
-        dets.class_id, gt.class_id)))
-    obj = np.array(index_of(objects, gt.object_id, "object"), dtype=np.int64)[o]
-    model = np.array(index_of(all_models, model_ids, "model"), dtype=np.int64)[dmodel[d]]
-    klass = index_of(all_classes, map(dets.class_id.__getitem__, d.tolist()), "class")
-    return build_set(all_models, objects, all_classes, model.tolist(), obj.tolist(),
-                     klass, confidence[d].tolist())
+def zero_area_rejected(gt, dets) -> bool:
+    """Whether the matcher raises ``IoU undefined for zero-area boxes``: a
+    box whose area is 0.0 lies on an image that holds both an object and a
+    detection.  A box on any other image is never compared, so it passes."""
+    both = {g.image_id for g in gt} & {d.image_id for d in dets}
+    return any(r.bbox.area <= 0.0 and r.image_id in both for r in (*gt, *dets))
 
 
 # ---------------------------------------------------------- table writers

@@ -31,8 +31,8 @@ from conftest import (DELTA_GRID, assigned_atoms, random_instance, row_labels, s
                       tables)
 from oracles import (BoundingBox, Detection, GroundTruthObject, Hypothesis,
                      brute_force_optimal, calc_incon, fixpoint, flags,
-                     get_filtered_preds, labels_to_atoms, observation_set,
-                     selected, sibling_index)
+                     get_filtered_preds, labels_to_atoms, match_reference,
+                     observation_set, selected, sibling_index)
 
 EPSILON_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -293,46 +293,6 @@ def test_c10_tiebreak_deterministic_and_idempotent():
         assert again == resolved
 
 
-def _reference_match(gt, dets, threshold):
-    """Independent restatement of the two-stage matching contract."""
-    def iou(a, b):
-        ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-        iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-        if ix <= 0.0 or iy <= 0.0:
-            return 0.0
-        inter = ix * iy
-        area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
-        area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
-        return inter / (area_a + area_b - inter)
-
-    images = list(dict.fromkeys(g.image_id for g in gt))
-    used, rows, covered = set(), set(), set()
-    for img in images:
-        for model in sorted({d.model_id for d in dets}):
-            for g in (g for g in gt if g.image_id == img):
-                pool = [(pos, d) for pos, d in enumerate(dets)
-                        if pos not in used and d.image_id == img
-                        and d.model_id == model
-                        and iou(d.bbox, g.bbox) > threshold]
-                if pool:
-                    pos, d = min(pool, key=lambda pd: (-pd[1].confidence, pd[0]))
-                    used.add(pos)
-                    rows.add((g.object_id, model, d.class_id, d.confidence))
-                    covered.add(g.object_id)
-    for img in images:
-        for g in (g for g in gt if g.image_id == img and g.object_id not in covered):
-            pool = [(iou(d.bbox, g.bbox), pos, d) for pos, d in enumerate(dets)
-                    if pos not in used and d.image_id == img]
-            pool = [t for t in pool if t[0] > 0.0]
-            if pool:
-                v, pos, d = min(pool, key=lambda t: (-t[0], -t[2].confidence,
-                                                     t[2].model_id, t[1]))
-                used.add(pos)
-                rows.add((g.object_id, d.model_id, d.class_id, d.confidence))
-                covered.add(g.object_id)
-    return rows
-
-
 def _geometric_instance(seed):
     rng = random.Random(seed)
     classes = ("car", "person", "tree")
@@ -364,7 +324,7 @@ def test_c11_matcher_matches_reference_two_stage():
     for seed in range(100):
         gt, dets = _geometric_instance(seed)
         obs = match_detections(*tables(gt, dets), primary_iou=0.90)
-        expect = _reference_match(gt, dets, 0.90)
+        expect = match_reference(gt, dets, 0.90)
         assert set(map(tuple, obs.entries)) == expect, seed
         assert obs.objects == tuple(sorted(g.object_id for g in gt))
 

@@ -915,6 +915,20 @@ def test_every_top_level_import_is_read():
     assert unused == []
 
 
+def test_no_test_module_is_imported():
+    # helpers shared between test modules live in conftest.py or oracles.py,
+    # never in a test_* module that another module imports
+    root = pathlib.Path(__file__).resolve().parent.parent
+    found = []
+    for path in sorted((root / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.relative_to(root)}: {name}" for name in names
+                      if name.partition(".")[0].startswith("test_")]
+    assert found == []
+
+
 def test_process_exit_codes_and_outputs(dataset, tmp_path):
     # ``python -m abfuse.cli`` exits through ``entry``, which freezes the
     # heap before ``sys.exit``: same bytes and exit codes as ``main``

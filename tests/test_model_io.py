@@ -1,7 +1,8 @@
-"""Boxes, IoU, the two-stage matcher, and JSONL/dataset round-trips."""
+"""Records, the two-stage matcher, and JSONL/dataset round-trips."""
 
 import gc
 import json
+import math
 import pathlib
 from functools import partial
 from unittest import mock
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 from abfuse import model_io, synthgen
 from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError, Observation,
                              coverage_report,
@@ -20,37 +20,16 @@ from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError, Obser
                              observations_from_dataset, write_manifest)
 
 from conftest import obs_atoms, obs_of, tables
-from oracles import (BoundingBox, Detection, GroundTruthObject, _pair_iou, compute_iou,
-                     det_table, gt_table, load_ground_truth_records, load_prediction_records,
-                     match_detections_reference, read_columns_reference, read_jsonl_reference,
-                     write_ground_truth, write_predictions)
-from test_acceptance import _reference_match
+from oracles import (BoundingBox, Detection, GroundTruthObject, det_table, gt_table,
+                     match_reference, read_columns_reference, read_jsonl_reference,
+                     write_ground_truth, write_predictions, zero_area_rejected)
 
 
 def box(x0, y0, x1, y1):
     return BoundingBox(x0, y0, x1, y1)
 
 
-# ---------------------------------------------------------------- geometry
-
-def test_iou_identical_boxes():
-    assert compute_iou(box(0, 0, 10, 10), box(0, 0, 10, 10)) == 1.0
-
-
-def test_iou_half_overlap():
-    # intersection 50, union 100
-    assert compute_iou(box(0, 0, 10, 10), box(0, 0, 5, 10)) == 0.5
-
-
-def test_iou_disjoint_and_touching():
-    assert compute_iou(box(0, 0, 1, 1), box(5, 5, 6, 6)) == 0.0
-    # shared edge has zero area
-    assert compute_iou(box(0, 0, 1, 1), box(1, 0, 2, 1)) == 0.0
-
-
-def test_iou_nested():
-    assert compute_iou(box(0, 0, 10, 10), box(2, 2, 4, 4)) == pytest.approx(0.04)
-
+# ----------------------------------------------------------------- records
 
 def test_bbox_validation():
     with pytest.raises(InputError):
@@ -67,43 +46,6 @@ def test_detection_confidence_validation():
         Detection("img", "f1", "car", 1.5, box(0, 0, 1, 1))
     with pytest.raises(InputError):
         Detection("img", "f1", "car", -0.1, box(0, 0, 1, 1))
-
-
-finite = st.floats(min_value=-50, max_value=50, allow_nan=False, width=32)
-
-
-@given(finite, finite, finite, finite,
-       st.floats(min_value=0.5, max_value=20, width=32),
-       st.floats(min_value=0.5, max_value=20, width=32))
-def test_iou_symmetric_and_bounded(x0, y0, x1, y1, w, h):
-    a = box(x0, y0, x0 + w, y0 + h)
-    b = box(x1, y1, x1 + w, y1 + h)
-    v = compute_iou(a, b)
-    assert v == compute_iou(b, a)
-    assert 0.0 <= v <= 1.0
-
-
-coord = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
-extent = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
-boxes = st.builds(lambda x, y, w, h: box(x, y, x + w, y + h),
-                  coord, coord, extent, extent).filter(lambda b: b.area > 0.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(boxes, min_size=1, max_size=5),
-       st.lists(boxes, min_size=1, max_size=5))
-def test_array_iou_is_bit_identical_to_compute_iou(gt_boxes, det_boxes):
-    # the numpy matcher the production one is checked against computes
-    # each IoU exactly; some rows share corners, so touching and nested
-    # pairs come up too
-    det_boxes = det_boxes + gt_boxes[:2]
-    gi, ki = np.divmod(np.arange(len(gt_boxes) * len(det_boxes)), len(det_boxes))
-    got = _pair_iou(np.array([gt_boxes[i].as_list() for i in gi]),
-                    np.array([det_boxes[k].as_list() for k in ki]))
-    assert got.shape == (len(gt_boxes) * len(det_boxes),)
-    for v, i, k in zip(got, gi, ki):
-        g, d = gt_boxes[i], det_boxes[k]
-        assert float(v).hex() == compute_iou(d, g).hex(), (g, d)
 
 
 # ----------------------------------------------------------- observations
@@ -226,6 +168,37 @@ def det(model, cls, conf, b, image="img1"):
     return Detection(image, model, cls, conf, b)
 
 
+def stage1_takes(g, d, threshold):
+    """Whether stage 1 gives the object with box ``g`` model f1's detection
+    with box ``d`` at ``threshold`` (below 1): whether their IoU is above
+    it.  Model f0's detection on ``g`` itself keeps stage 2 from running."""
+    dets = [det("f0", "car", 0.9, g), det("f1", "car", 0.9, d)]
+    obs = match_detections(*tables([gt("o1", b=g)], dets), primary_iou=threshold)
+    return "f1" in {e.model_id for e in obs.entries}
+
+
+def test_iou_identical_boxes():
+    assert stage1_takes(GT_BOX, GT_BOX, math.nextafter(1.0, 0.0))
+
+
+def test_iou_half_overlap():
+    # intersection 50, union 100: 0.5 exactly
+    assert stage1_takes(GT_BOX, box(0, 0, 5, 10), math.nextafter(0.5, 0.0))
+    assert not stage1_takes(GT_BOX, box(0, 0, 5, 10), 0.5)
+
+
+def test_iou_disjoint_and_touching():
+    assert not stage1_takes(box(0, 0, 1, 1), box(5, 5, 6, 6), 5e-324)
+    # shared edge has zero area
+    assert not stage1_takes(box(0, 0, 1, 1), box(1, 0, 2, 1), 5e-324)
+
+
+def test_iou_nested():
+    # intersection 4, union 100
+    assert stage1_takes(GT_BOX, box(2, 2, 4, 4), math.nextafter(0.04, 0.0))
+    assert not stage1_takes(GT_BOX, box(2, 2, 4, 4), 0.04)
+
+
 def test_matcher_iou_threshold_validation():
     with pytest.raises(InputError):
         match_detections(*tables([gt("o1")], []), primary_iou=0.0)
@@ -238,8 +211,9 @@ def test_matcher_iou_threshold_validation():
 
 
 def test_matcher_duplicate_gt_rejected():
-    with pytest.raises(InputError, match="duplicate ground-truth"):
-        match_detections(*tables([gt("o1"), gt("o1")], []))
+    # the message names the id that repeats, not the first one
+    with pytest.raises(InputError, match="^duplicate ground-truth object_id 'b'$"):
+        match_detections(*tables([gt("a"), gt("b"), gt("b")], []))
 
 
 def test_matcher_primary_match_and_fields():
@@ -332,7 +306,7 @@ def test_matcher_fallback_contention_in_one_image():
     assert obs.entries == frozenset({Observation("o1", "f1", "car", 0.7),
                                      Observation("o2", "f2", "tree", 0.7)})
     assert obs.entries == frozenset(
-        Observation(*row) for row in _reference_match(gts, dets, 0.9))
+        Observation(*row) for row in match_reference(gts, dets, 0.9))
 
 
 def test_matcher_rejects_zero_area_boxes():
@@ -365,7 +339,7 @@ def test_matcher_matches_reference_on_crowded_scenes(data):
                             data.draw(st.sampled_from((0.5, 0.7, 0.9))),
                             box(x, y, x + w, y + 10), image=img))
     obs = match_detections(*tables(gts, dets), primary_iou=threshold)
-    assert set(map(tuple, obs.entries)) == _reference_match(gts, dets, threshold)
+    assert set(map(tuple, obs.entries)) == match_reference(gts, dets, threshold)
     assert obs.objects == tuple(sorted(g.object_id for g in gts))
 
 
@@ -373,13 +347,18 @@ def test_matcher_matches_reference_on_crowded_scenes(data):
 @given(st.data())
 def test_matcher_matches_reference_on_wide_scenes(data):
     """Objects spread over a wide x range and detections from 2 to 40 wide,
-    some far wider than the objects, so each object's sweep window starts
-    and ends inside the image's detection list; edges that touch exactly
-    (IoU 0) and shuffled input order probe the window bounds."""
+    or 500 wide, which stretches every later window of its image; so each
+    object's sweep window starts and ends inside the image's detection
+    list.  Edges that touch exactly (IoU 0), detections sharing an object's
+    x_min and shuffled input order probe the window bounds; detections on
+    an image with no object, a declared model universe and a zero-area box
+    on either side probe the universes and the zero-area check."""
     threshold = data.draw(st.sampled_from((0.1, 0.5, 0.9)), label="iou")
+    declared = data.draw(st.sampled_from((None, ("f1", "f9"))), label="models")
     models = ("f1", "f2", "f3")
+    images = ("img1", "img2", "img3")[:data.draw(st.integers(1, 3))]
     gts, dets = [], []
-    for img in ("img1", "img2", "img3")[:data.draw(st.integers(1, 3))]:
+    for img in images:
         n_obj = data.draw(st.integers(1, 8))
         xs = data.draw(st.lists(st.integers(0, 400), min_size=n_obj, max_size=n_obj))
         ws = data.draw(st.lists(st.sampled_from((5, 10, 20)), min_size=n_obj,
@@ -387,72 +366,45 @@ def test_matcher_matches_reference_on_wide_scenes(data):
         for i, (x, w) in enumerate(zip(xs, ws)):
             gts.append(gt(f"{img}-o{i}", image=img, b=box(x, 0, x + w, 10)))
         for _ in range(data.draw(st.integers(0, 14))):
-            w = data.draw(st.integers(2, 40))
+            w = data.draw(st.integers(2, 40) | st.just(500))
             i = data.draw(st.integers(0, n_obj - 1))
             x = data.draw(st.sampled_from((
+                xs[i],                                   # shares its x_min
                 xs[i] + data.draw(st.integers(-4, 4)),   # near the object
                 xs[i] + ws[i],                           # touches its right edge
                 xs[i] - w,                               # touches its left edge
                 data.draw(st.integers(-50, 450)))))      # anywhere
-            dets.append(det(data.draw(st.sampled_from(models)), "car",
+            dets.append(det(data.draw(st.sampled_from(models)),
+                            data.draw(st.sampled_from(("car", "tree"))),
                             data.draw(st.sampled_from((0.5, 0.7, 0.9))),
                             box(x, data.draw(st.integers(-1, 1)), x + w, 10),
                             image=img))
-    dets = data.draw(st.permutations(dets))
-    gts = data.draw(st.permutations(gts))
-    want = _reference_match(gts, dets, threshold)
-    obs = match_detections(*tables(gts, dets), primary_iou=threshold)
-    assert set(map(tuple, obs.entries)) == want
-    assert obs.objects == tuple(sorted(g.object_id for g in gts))
-    # so does the numpy matcher, its candidate pairs expanded a few at a time
-    with mock.patch.object(oracles, "_PAIR_BLOCK", 3):
-        assert match_detections_reference(*tables(gts, dets), primary_iou=threshold) == obs
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_matcher_matches_the_array_matcher(data):
-    """The matcher and the numpy one it replaced keep the same rows, or
-    raise the same error, on random scenes: detections shifted off their
-    object or sharing its x_min, some wide enough to stretch the windows
-    of every later object of their image, repeated confidences,
-    detections on an image with no object, and boxes whose area
-    underflows to zero on either side."""
-    threshold = data.draw(st.sampled_from((0.1, 0.5, 0.6, 0.9, 1.0)), label="iou")
-    models = ("f1", "f2", "f3")
-    tiny = box(0.0, 0.0, 1e-200, 1e-200)
-    images = ("img1", "img2", "img3")[:data.draw(st.integers(1, 3))]
-    gts, dets = [], []
-    for img in images:
-        xs = data.draw(st.lists(st.sampled_from((0, 5, 10, 20, 30)) | st.integers(0, 60),
-                                min_size=1, max_size=6))
-        for i, x in enumerate(xs):
-            gts.append(gt(f"{img}-o{i}", image=img, b=box(x, 0, x + 10, 10)))
-        for _ in range(data.draw(st.integers(0, 12))):
-            x = data.draw(st.sampled_from(xs)) + data.draw(st.sampled_from((0, 0, 1, -2, 2.5)))
-            w = data.draw(st.sampled_from((10, 10, 9, 12, 80)))
-            y = data.draw(st.sampled_from((0, 0, 1, -3)))
-            dets.append(det(data.draw(st.sampled_from(models)), data.draw(st.sampled_from(
-                ("car", "tree"))), data.draw(st.sampled_from((0.5, 0.7, 0.7, 0.9))),
-                box(x, y, x + w, y + 10), image=img))
-    # detections on an image no object is on
-    for x in data.draw(st.lists(st.integers(0, 30), max_size=2)):
-        dets.append(det("f1", "car", 0.9, box(x, 0, x + 10, 10), image="img9"))
+    for x in data.draw(st.lists(st.integers(0, 400), max_size=2)):
+        dets.append(det(data.draw(st.sampled_from(models + ("f4",))), "car", 0.9,
+                        box(x, 0, x + 10, 10), image="img9"))
     if data.draw(st.booleans()):
-        image = data.draw(st.sampled_from(images + ("img9",)))
+        # area 1e-400: zero, though the corners differ
+        tiny = box(0.0, 0.0, 1e-200, 1e-200)
+        image = data.draw(st.sampled_from(images + ("img8", "img9")))
         if data.draw(st.booleans()):
             gts.append(gt("tiny", image=image, b=tiny))
         else:
             dets.append(det("f2", "car", 0.5, tiny, image=image))
-    args = tables(data.draw(st.permutations(gts)), data.draw(st.permutations(dets)))
-    try:
-        want = match_detections_reference(*args, primary_iou=threshold)
-    except InputError as exc:
-        with pytest.raises(InputError) as got:
-            match_detections(*args, primary_iou=threshold)
-        assert str(got.value) == str(exc)
+    dets = data.draw(st.permutations(dets))
+    gts = data.draw(st.permutations(gts))
+    args = tables(gts, dets)
+    if zero_area_rejected(gts, dets):
+        with pytest.raises(InputError, match="^IoU undefined for zero-area boxes$"):
+            match_detections(*args, primary_iou=threshold, models=declared)
         return
-    assert match_detections(*args, primary_iou=threshold) == want
+    want = match_reference(gts, dets, threshold)
+    obs = match_detections(*args, primary_iou=threshold, models=declared)
+    assert set(map(tuple, obs.entries)) == want
+    # the universes: every object; the declared models, or else every
+    # detection's, with those of the kept rows; every class seen
+    assert obs == obs_of(want, objects=[g.object_id for g in gts],
+                         models={d.model_id for d in dets} if declared is None else declared,
+                         classes={g.class_id for g in (*gts, *dets)})
 
 
 @settings(max_examples=50, deadline=None)
@@ -569,6 +521,17 @@ def test_dataset_round_trip(tmp_path):
     assert obs.entries == frozenset({
         Observation("o1", "f1", "car", 0.8), Observation("o2", "f1", "tree", 0.6),
         Observation("o1", "f2", "car", 0.8), Observation("o2", "f2", "tree", 0.6)})
+    # the detection table holds each file's rows in file order, the files
+    # in the manifest's model order, whatever order the predictions map has
+    rows = [("img1", "car", 0.8, (0.0, 0.0, 10.0, 10.0)),
+            ("img1", "tree", 0.6, (100.0, 0.0, 110.0, 10.0))]
+    for order in (["f1", "f2"], ["f2", "f1"]):
+        write_manifest(manifest, order, ["car", "tree"],
+                       {"f2": "f2.jsonl", "f1": "f1.jsonl"}, "gt.jsonl")
+        t = load_dataset(manifest).detections
+        assert list(zip(t.image_id, t.model_id, t.class_id, t.confidence, t.boxes)) == [
+            (image, m, *rest) for m in order for image, *rest in rows]
+        assert {type(v) for v in t.confidence} | {type(v) for b in t.boxes for v in b} == {float}
 
 
 def test_manifest_validation(tmp_path):
@@ -657,33 +620,6 @@ def test_manifest_paths_resolve_relative_to_manifest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     ds = load_dataset("data/manifest.json")
     assert len(ds.ground_truth) == 2
-
-
-def test_columnar_load_equals_the_per_record_oracle(tmp_path):
-    data = synthgen.generate(synthgen.preset("MM_1", n_models=4, n_train=2,
-                                             n_test=300, seed=4))
-    manifest = synthgen.write_split(str(tmp_path), data.test, data.test_labels,
-                                    data.scenario.classes)
-    ds = load_dataset(manifest)
-    raw = json.loads(pathlib.Path(manifest).read_text())
-    dets = [d for m in raw["models"]
-            for d in load_prediction_records(str(tmp_path / raw["predictions"][m]), m)]
-    gts = load_ground_truth_records(str(tmp_path / raw["ground_truth"]))
-    t = ds.detections
-    assert len(t) == len(dets) > 0
-    for name in ("image_id", "model_id", "class_id"):
-        assert getattr(t, name) == [getattr(d, name) for d in dets], name
-    assert {type(v) for v in t.confidence} == {float}
-    assert {type(v) for b in t.boxes for v in b} == {float}
-    assert t.confidence == [d.confidence for d in dets]
-    assert [list(b) for b in t.boxes] == [d.bbox.as_list() for d in dets]
-    g = ds.ground_truth
-    assert len(g) == len(gts) == 300
-    for name in ("image_id", "object_id", "class_id"):
-        assert getattr(g, name) == [getattr(r, name) for r in gts], name
-    assert [list(b) for b in g.boxes] == [r.bbox.as_list() for r in gts]
-    assert observations_from_dataset(ds) == match_detections(*tables(gts, dets), models=ds.models,
-                                                             classes=ds.classes)
 
 
 def test_load_dataset_keeps_one_string_per_distinct_id(tmp_path):
