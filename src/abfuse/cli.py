@@ -8,19 +8,23 @@ and ``baseline`` (reference methods).
 Exit codes: 0 success, 1 invalid input or usage, 2 the exact solver proved
 the instance infeasible.
 
-Each subcommand imports the modules it needs when it runs, so a process
-compiles only those: ``gen`` never loads the solvers, ``learn`` only
-``model_io`` and ``edr``, and only ``gen`` loads numpy.  Importing this
-module loads no numpy, so :func:`entry`, the process entry point, can size
-OpenBLAS's thread pool before it starts; it also turns the cyclic garbage
-collector off for the command and freezes the heap before exiting, so
-interpreter shutdown has nothing to collect.
+Importing this module loads ``model_io``, which every command reads its
+input with.  Each subcommand imports the other modules it needs when it
+runs, so a process compiles only those: ``gen`` never loads the solvers,
+``learn`` only ``edr``, and only ``gen`` loads numpy.  Importing this
+module still loads no numpy, so :func:`entry`, the process entry point, can
+size OpenBLAS's thread pool before it starts; it also turns the cyclic
+garbage collector off for the command and freezes the heap before exiting,
+so interpreter shutdown has nothing to collect.
 """
 
 import argparse
 import gc
 import os
 import sys
+
+from .model_io import (InputError, coverage_report, json_numbers, json_strings, load_dataset,
+                       observations_from_dataset, read_jsonl, unit_grid, write_json, write_rows)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -34,8 +38,6 @@ class _Parser(argparse.ArgumentParser):
     for proven infeasibility and report usage problems as input errors."""
 
     def error(self, message):
-        from .model_io import InputError
-
         self.print_usage(sys.stderr)
         raise InputError(message)
 
@@ -43,8 +45,6 @@ class _Parser(argparse.ArgumentParser):
 def _items(text: str, option: str) -> list:
     """The comma-separated items of ``text``, stripped: none when every item
     is blank, else an error naming ``option`` and its text if any one is."""
-    from .model_io import InputError
-
     items = [v.strip() for v in text.split(",")]
     if not any(items):
         return []
@@ -56,8 +56,6 @@ def _items(text: str, option: str) -> list:
 def _parse_grid(text: str, option: str) -> tuple:
     """The :func:`~abfuse.model_io.unit_grid` of ``option``'s comma-separated
     ``text``; every error starts with the option and its text."""
-    from .model_io import InputError, unit_grid
-
     items = _items(text, option)
     try:
         vals = list(map(float, items))
@@ -67,8 +65,6 @@ def _parse_grid(text: str, option: str) -> tuple:
 
 
 def _load_obs(args):
-    from .model_io import coverage_report, load_dataset, observations_from_dataset
-
     ds = load_dataset(args.manifest)
     obs = observations_from_dataset(ds, primary_iou=args.iou)
     report = coverage_report(obs)
@@ -85,7 +81,6 @@ def _load_with_domain(args):
     those classes.  Pairs on a class the manifest lacks are dropped: none
     can be violated, nor count in the ``per_ground_rule`` normalizer."""
     from .deduction import IntegrityConstraintSet, default_domain, load_domain_config
-    from .model_io import InputError
 
     ds, obs = _load_obs(args)
     if not len(ds.ground_truth):
@@ -104,7 +99,6 @@ def _load_with_domain(args):
 def _write_labels(path: str, obs, rows, sources: bool = False) -> None:
     """With ``sources``, each row's object, class and model ids and its
     confidence; without, each (object, class) atom of the rows once, in order."""
-    from .model_io import json_numbers, json_strings, write_rows
     from .tiebreak import first_per_group
 
     def ids(universe, index):
@@ -129,7 +123,6 @@ def _write_labels(path: str, obs, rows, sources: bool = False) -> None:
 
 def cmd_gen(args) -> int:
     from . import synthgen
-    from .model_io import InputError
 
     if bool(args.preset) == bool(args.scenario):
         raise InputError("exactly one of --preset / --scenario is required")
@@ -168,7 +161,6 @@ def cmd_learn(args) -> int:
 def cmd_abduce(args) -> int:
     from . import evaluation
     from .edr import RuleSet
-    from .model_io import InputError, write_json
 
     if args.solver == "ip" and args.epsilon is None:
         raise InputError("--epsilon is required with --solver ip")
@@ -226,7 +218,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     from . import evaluation
-    from .model_io import InputError, read_jsonl, write_json
 
     ds, obs, domain = _load_with_domain(args)
     atoms = set()
@@ -245,7 +236,6 @@ def cmd_eval(args) -> int:
 
 def cmd_baseline(args) -> int:
     from . import evaluation
-    from .model_io import write_json
 
     ds, obs, domain = _load_with_domain(args)
     os.makedirs(args.out, exist_ok=True)
@@ -339,8 +329,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    from .model_io import InputError
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

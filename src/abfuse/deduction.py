@@ -51,12 +51,6 @@ class IntegrityConstraintSet:
             canon.add(_canon_pair(a, b))
         self.pairs = tuple(sorted(canon))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntegrityConstraintSet) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
     @classmethod
     def all_pairs(cls, classes: Iterable[str]) -> "IntegrityConstraintSet":
         cs = sorted(set(classes))
@@ -158,9 +152,6 @@ class DomainConfig:
         ic.check_within(classes)
         self.classes, self.ic = classes, ic
         self.normalizer_mode, self.directed_ground_rules = normalizer_mode, directed_ground_rules
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DomainConfig) and vars(self) == vars(other)
 
 
 def default_domain(classes: Optional[Iterable[str]] = None) -> DomainConfig:

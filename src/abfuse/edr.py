@@ -47,12 +47,6 @@ class Condition:
             raise InputError(f"unknown condition kind {kind!r}")
         self.kind, self.model, self.threshold = kind, model, threshold
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Condition) and vars(self) == vars(other)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.model, self.threshold))
-
     def to_json(self) -> dict:
         if self.kind == "disagree_with":
             return {"kind": self.kind, "model": self.model}

@@ -45,9 +45,6 @@ class Metrics:
         self.inconsistency, self.runtime_per_object = inconsistency, runtime_per_object
         self.n_objects, self.violations = n_objects, violations
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Metrics) and vars(self) == vars(other)
-
 
 def score(cov: list,
           truth: Truth,
@@ -255,14 +252,16 @@ def baseline_cells(obs: ObservationSet, truth: Truth,
     scored against ``truth`` on the universe of ``obs``, in (mv, best, avg)
     order; ``detail`` is the rows of ``obs`` mv keeps, the model best picks,
     or None.  best and avg share each model's scoring."""
-    from . import baselines
-
     out = []
     if "mv" in methods:
+        from . import baselines
+
         rows = baselines.majority_vote(obs)
         out.append(("mv", score(obs.coverage(rows), truth, domain=domain,
                                 n_objects=len(obs.objects)), rows))
     if "best" in methods or "avg" in methods:
+        from . import baselines
+
         per_model = per_model_metrics(obs, truth, domain)
         if "best" in methods:
             winner = baselines.best_individual(per_model)

@@ -130,9 +130,17 @@ def bnb_search(start: SearchStart, budget):
     ``best_mask`` lists the elimination bit of each branch variable.  ``found``
     is False when no elimination pattern covers every coverable object
     within the conflict budget.
+
+    A root within the budget closes at once: keeping every pair is optimal.
+    Any other search recurses on a fresh thread, whose frames start in a
+    data-stack chunk of their own at a fixed depth.  On the caller's stack,
+    the level whose frame opens a new chunk would map and free it on every
+    call, at a level set by how deep the caller is.
     """
     var_cls, order, var_mask, nbrs = start.var_cls, start.order, start.var_mask, start.nbrs
     max_deg, n_vars = start.max_deg, len(var_cls)
+    if start.conflicts <= budget:
+        return True, start.atoms, 0, [0] * n_vars, 1
     cover = start.cover[:]
     cls_vars = [[] for _ in cover]
     for v, c in enumerate(var_cls):
@@ -179,11 +187,25 @@ def bnb_search(start: SearchStart, budget):
         cover[c] = old
         cur_mask[v] = 0
 
+    import threading
+
+    raised = []
+
+    def run():
+        try:
+            visit(0, start.atoms, start.conflicts, 0)
+        except BaseException as exc:   # re-raised in the caller
+            raised.append(exc)
+
     # the first dive is n_vars + 1 calls deep; from Python 3.11 they use no C stack
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n_vars + 1)
     try:
-        visit(0, start.atoms, start.conflicts, 0)
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join()
     finally:
         sys.setrecursionlimit(limit)
+    if raised:
+        raise raised[0]
     return found, best_obj, best_nelim, best_mask, nodes

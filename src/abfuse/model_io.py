@@ -174,8 +174,7 @@ class ObservationSet:
     for inconsistency scores.  Rows are ordered by (model, class, object)
     index, so each (model, class) pair's entries are one contiguous run of
     rows (:meth:`pair_rows`): ``model``, ``obj`` and ``cls`` index lists
-    and the ``confidence`` float list.  Two sets are equal when their
-    universes and rows are.
+    and the ``confidence`` float list.
     """
 
     def __init__(self, models: tuple, objects: tuple, classes: tuple, model: list,
@@ -189,13 +188,6 @@ class ObservationSet:
         ids = (map(u.__getitem__, a) for u, a in (
             (self.objects, self.obj), (self.models, self.model), (self.classes, self.cls)))
         return frozenset(map(Observation, *ids, self.confidence))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ObservationSet):
-            return NotImplemented
-        return ((self.models, self.objects, self.classes, self.model, self.obj, self.cls,
-                 self.confidence) == (other.models, other.objects, other.classes, other.model,
-                                      other.obj, other.cls, other.confidence))
 
     @cached_property
     def pair_start(self) -> list:

@@ -77,9 +77,6 @@ class ShiftScenario:
         if self.seed < 0:
             raise InputError(f"seed must be non-negative: {self.seed}")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ShiftScenario) and vars(self) == vars(other)
-
 
 def error_shift(model_index: int, n_classes: int) -> int:
     """Model-specific label offset in 1..n_classes-1 (never the identity)."""

@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from abfuse import solver_ip
 from abfuse.deduction import IntegrityConstraintSet
@@ -20,8 +20,10 @@ from abfuse.model_io import Observation, members
 from oracles import det_table, gt_table, observation_set
 
 # HYPOTHESIS_PROFILE=ci runs 5x the examples in tests that do not pin
-# max_examples themselves
-settings.register_profile("ci", max_examples=5 * settings.get_profile("default").max_examples)
+# max_examples themselves, and reports the first falsifying example without
+# shrinking it: a failing property test on wide scenes spends minutes there
+settings.register_profile("ci", max_examples=5 * settings.get_profile("default").max_examples,
+                          phases=tuple(p for p in Phase if p is not Phase.shrink))
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 DELTA_GRID = (0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -69,6 +71,27 @@ def eliminated_pairs(sol):
 def obs_atoms(obs):
     """The distinct ``(class_id, object_id)`` atoms of an observation set."""
     return cell_ids(obs.coverage(range(len(obs.obj))), obs.classes, obs.objects)
+
+
+def columns(obs):
+    """The universes and rows of an observation set: two sets hold the same
+    observations when these are equal."""
+    return obs.models, obs.objects, obs.classes, obs.model, obs.obj, obs.cls, obs.confidence
+
+
+def rule_fields(rule):
+    """Each condition of ``rule`` as its ``(kind, model, threshold)``."""
+    return tuple((c.kind, c.model, c.threshold) for c in rule)
+
+
+def ruleset_fields(ruleset):
+    """``ruleset.rules`` with each rule as its :func:`rule_fields`."""
+    return {key: rule_fields(rule) for key, rule in ruleset.rules.items()}
+
+
+def cell_fields(cells):
+    """Sweep cells, each with its metrics as their attribute dict."""
+    return [c._replace(metrics=vars(c.metrics)) for c in cells]
 
 
 def tables(gt, dets):

@@ -846,6 +846,7 @@ _SOLVING_MODULES = _BASE_MODULES | {"deduction", "edr", "evaluation", "kernels",
     ("eval", _BASE_MODULES | {"deduction", "edr", "evaluation"}),
     *((f"baseline-{m}", _BASE_MODULES | {"deduction", "edr", "evaluation", "baselines",
                                          "tiebreak"}) for m in ("mv", "best", "avg")),
+    ("sweep-ip", _SOLVING_MODULES | {"solver_ip"}),
 ])
 def test_each_command_loads_only_its_modules(dataset, tmp_path, command, loaded):
     # a process compiles every module it imports when bytecode is not cached
@@ -863,6 +864,8 @@ def test_each_command_loads_only_its_modules(dataset, tmp_path, command, loaded)
                       "--epsilon", "0.1", "--out", str(tmp_path / "ip")],
         "sweep": ["sweep", *data, "--delta-grid", "0.5", "--epsilon-grid", "0.1",
                   "--no-timing", "--out", str(tmp_path / "sweep.csv")],
+        "sweep-ip": ["sweep", *data, "--methods", "ip,ip+tb", "--delta-grid", "0.5",
+                     "--epsilon-grid", "0.1", "--no-timing", "--out", str(tmp_path / "ip.csv")],
         "eval": ["eval", "--manifest", manifest, "--labels", str(_labels(tmp_path, manifest)),
                  "--out", str(tmp_path / "eval.json")],
         **{f"baseline-{m}": ["baseline", "--manifest", manifest, "--method", m,

@@ -19,7 +19,7 @@ from abfuse.model_io import (DetectionTable, GroundTruthTable, InputError, Obser
                              load_ground_truth, load_predictions, match_detections,
                              observations_from_dataset, write_manifest)
 
-from conftest import obs_atoms, obs_of, tables
+from conftest import columns, obs_atoms, obs_of, tables
 from oracles import (BoundingBox, Detection, GroundTruthObject, det_table, gt_table,
                      match_reference, read_columns_reference, read_jsonl_reference,
                      write_ground_truth, write_predictions, zero_area_rejected)
@@ -133,7 +133,7 @@ def test_view_and_subset_match_the_entries(rows, data):
     sub = obs.subset([i for i, k in enumerate(keep) if k])
     want = obs_of([tuple(e) for e, k in zip(entries, keep) if k], objects=obs.objects,
                   models=obs.models, classes=obs.classes)
-    assert sub == want
+    assert columns(sub) == columns(want)
     assert sub.entries == want.entries
     for name in ("model", "obj", "cls", "confidence", "pair_start", "pair_masks"):
         assert getattr(sub, name) == getattr(want, name), name
@@ -402,9 +402,10 @@ def test_matcher_matches_reference_on_wide_scenes(data):
     assert set(map(tuple, obs.entries)) == want
     # the universes: every object; the declared models, or else every
     # detection's, with those of the kept rows; every class seen
-    assert obs == obs_of(want, objects=[g.object_id for g in gts],
-                         models={d.model_id for d in dets} if declared is None else declared,
-                         classes={g.class_id for g in (*gts, *dets)})
+    assert columns(obs) == columns(obs_of(
+        want, objects=[g.object_id for g in gts],
+        models={d.model_id for d in dets} if declared is None else declared,
+        classes={g.class_id for g in (*gts, *dets)}))
 
 
 @settings(max_examples=50, deadline=None)

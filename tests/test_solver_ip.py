@@ -253,6 +253,47 @@ def test_search_deeper_than_the_recursion_limit():
     assert sys.getrecursionlimit() == limit
 
 
+def test_search_raises_in_the_caller():
+    # a visit order naming no variable fails inside the search's own thread
+    start = kernels.search_start([0b01, 0b11, 0b10, 0b10], 2, [(0, 1)])
+    limit = sys.getrecursionlimit()
+    with pytest.raises(IndexError):
+        kernels.bnb_search(start._replace(order=[9] * len(start.order)), 0)
+    assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults")
+def test_search_cost_does_not_depend_on_the_callers_depth():
+    """The 1,000-object instance of the pinned deep search, infeasible at
+    delta 0.5 after 61,589 nodes, run below 0-99 plain caller frames: the
+    same answer, and almost no page faults, at every depth.  On the
+    caller's stack, the search level whose frame opened a new data-stack
+    chunk mapped it afresh on every call: up to ~26,000 faults at some
+    caller depths."""
+    import resource
+
+    rules = synthgen.generate(synthgen.preset("MM_1", n_train=30, n_test=2, seed=3))
+    ruleset = learn_ruleset(rules.train, rules.train_labels, (0.01, 0.1, 0.3, 0.5))
+    data = synthgen.generate(synthgen.preset("MM_1", n_train=2, n_test=1000, seed=17))
+    packed = build_instance(apply_rules(data.test, ruleset, 0.1)[0],
+                            default_domain(data.test.classes).ic, 0.5)
+
+    def search(depth):
+        if depth:
+            return search(depth - 1)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        out = kernels.bnb_search(packed.start, packed.delta_budget)
+        return out, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    want = search(0)[0]
+    assert (want[0], want[4]) == (False, 61_589)
+    faults = {}
+    for depth in range(0, 100, 4):
+        out, faults[depth] = search(depth)
+        assert out == want, depth
+    assert max(faults.values()) < 1000, faults
+
+
 def test_solve_invariant_under_model_relabeling():
     for seed in range(3100, 3150):
         obs, ic, delta, mode, directed = random_instance(seed)
